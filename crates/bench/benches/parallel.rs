@@ -5,13 +5,13 @@
 //! the monolithic single-world baseline.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use skippub_core::pubsub::{PubSub, ShardedBackend, SystemBuilder};
+use skippub_core::pubsub::{PubSub, PartitionedBackend, SystemBuilder};
 use skippub_core::topics::TopicId;
 
 const TOPICS: u32 = 16;
 const SHARDS: usize = 8;
 
-fn system(n: u64, threads: usize) -> ShardedBackend {
+fn system(n: u64, threads: usize) -> PartitionedBackend {
     let mut ps = SystemBuilder::new(0x9A7A11E1)
         .topics(TOPICS)
         .shards(SHARDS)

@@ -23,7 +23,7 @@
 //!     [-- --n 10000 --topics 64 --shards 8 --rounds 60 --out BENCH_parallel.json]
 //! ```
 
-use skippub_core::pubsub::{PubSub, ShardedBackend, SystemBuilder, SHARD_SUPERVISOR_BASE};
+use skippub_core::pubsub::{PubSub, PartitionedBackend, SystemBuilder, SHARD_SUPERVISOR_BASE};
 use skippub_core::sharding::SupervisorShards;
 use skippub_core::topics::{MultiActor, TopicId};
 use skippub_core::ProtocolConfig;
@@ -84,7 +84,7 @@ fn parse_args() -> Args {
 /// The partitioned sharded backend, populated: client `i` subscribes to
 /// topic `i mod topics` (the same population for every thread count, so
 /// runs are comparable and must be byte-identical).
-fn sharded_system(a: &Args, threads: usize) -> ShardedBackend {
+fn sharded_system(a: &Args, threads: usize) -> PartitionedBackend {
     let mut ps = SystemBuilder::new(SEED)
         .topics(a.topics)
         .shards(a.shards)
@@ -135,7 +135,7 @@ struct Row {
 /// topic 0, a quarter on topic 1, …), so one shard starts with most of
 /// the subscriber work. A handful of fixed publishers flood their
 /// topics every round to keep delivered-work traffic flowing.
-fn skewed_system(a: &Args, rebalance_every: u64) -> (ShardedBackend, Vec<(NodeId, TopicId)>) {
+fn skewed_system(a: &Args, rebalance_every: u64) -> (PartitionedBackend, Vec<(NodeId, TopicId)>) {
     const SKEW_CLIENTS: u64 = 512;
     let mut ps = SystemBuilder::new(SEED ^ 0x5EED)
         .topics(a.topics)
@@ -190,7 +190,7 @@ fn main() {
 
     eprintln!("populating monolithic baseline + {} partitioned systems ...", a.threads.len());
     let mut mono = monolithic_system(&a);
-    let mut systems: Vec<(usize, ShardedBackend)> = a
+    let mut systems: Vec<(usize, PartitionedBackend)> = a
         .threads
         .iter()
         .map(|&t| (t, sharded_system(&a, t)))
@@ -225,12 +225,12 @@ fn main() {
             // of the two consecutive blocks, so the protocol's traffic
             // decay along the trajectory cannot systematically favour
             // one mode.
-            let batched = |ps: &mut ShardedBackend| {
+            let batched = |ps: &mut PartitionedBackend| {
                 let t0 = Instant::now();
                 ps.run_rounds(block_rounds);
                 t0.elapsed().as_secs_f64()
             };
-            let stepped = |ps: &mut ShardedBackend| {
+            let stepped = |ps: &mut PartitionedBackend| {
                 let t0 = Instant::now();
                 for _ in 0..block_rounds {
                     ps.step();

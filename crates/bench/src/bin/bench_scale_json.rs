@@ -51,10 +51,11 @@
 //!         --steady-rounds 6 --out BENCH_scale.json] [--smoke]
 //! ```
 
-use skippub_bits::{BitStr, Hash128};
-use skippub_core::pubsub::{ShardedBackend, SimBackend, SystemBuilder};
+use skippub_bits::BitStr;
+use skippub_core::pubsub::{PartitionedBackend, SimBackend, SystemBuilder};
 use skippub_core::scenarios::legit_world;
 use skippub_core::{ProtocolConfig, PubSub, TopicId};
+use skippub_harness::scenario::failover::topic_digest;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -255,7 +256,7 @@ fn measure_cold(a: &Args, n: usize) -> ColdRow {
     let mut rng = SEED ^ n as u64;
 
     eprintln!("[skippub n={n}] cold mass-join ({} topics, Zipf s={}) ...", a.topics, a.zipf_s);
-    let mut ps: ShardedBackend = SystemBuilder::new(SEED ^ n as u64)
+    let mut ps: PartitionedBackend = SystemBuilder::new(SEED ^ n as u64)
         .topics(a.topics)
         .shards(a.shards)
         .build_sharded();
@@ -469,36 +470,11 @@ fn measure_baselines(a: &Args, n: usize, hot_members: usize) -> Vec<BaselineRow>
 // Budgeted-vs-unbounded equivalence (asserted before any JSON exists).
 // ---------------------------------------------------------------------
 
-/// Canonical digest of a per-topic checker snapshot (same construction
-/// as the facade-conformance suite): supervisor database plus every
-/// member's label and believed ring neighbours.
-fn snapshot_digest(snap: &skippub_sim::World<skippub_core::Actor>) -> String {
-    let mut text = String::new();
-    for (id, actor) in snap.iter() {
-        if let Some(sup) = actor.supervisor() {
-            let _ = write!(text, "S{}:n={};", id.0, sup.n());
-            for (label, node) in &sup.database {
-                let _ = write!(text, "{label:?}->{node:?};");
-            }
-        } else if let Some(sub) = actor.subscriber() {
-            let _ = write!(
-                text,
-                "C{}:{:?},{:?},{:?};",
-                id.0,
-                sub.label,
-                sub.left.as_ref().map(|r| r.id),
-                sub.right.as_ref().map(|r| r.id)
-            );
-        }
-    }
-    format!("{:032x}", Hash128::of_bytes(text.as_bytes()).0)
-}
-
 /// Runs the serialized-join equivalence scenario under one budget and
 /// returns (per-topic digests, per-subscriber delivered sets).
 fn budget_outcome(budget: Option<u32>) -> (Vec<String>, Vec<Vec<Vec<u8>>>) {
     let topics = 4u32;
-    let mut ps: ShardedBackend = SystemBuilder::new(0xB0D6E7)
+    let mut ps: PartitionedBackend = SystemBuilder::new(0xB0D6E7)
         .topics(topics)
         .shards(2)
         .delivery_budget(budget)
@@ -521,7 +497,7 @@ fn budget_outcome(budget: Option<u32>) -> (Vec<String>, Vec<Vec<Vec<u8>>>) {
     let (_, ok) = ps.until_pubs_converged(30_000);
     assert!(ok, "publications must converge (budget {budget:?})");
     let digests = (0..topics)
-        .map(|t| snapshot_digest(&ps.snapshot(TopicId(t))))
+        .map(|t| topic_digest(&ps, TopicId(t)))
         .collect();
     let delivered = ids
         .iter()

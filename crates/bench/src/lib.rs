@@ -24,18 +24,12 @@
 //!   10k nodes. The `bench_sim_json` binary re-times the same
 //!   workloads and writes `BENCH_sim.json` so every perf PR records a
 //!   trajectory point.
-//! * `checker` — the polled legitimacy/convergence predicates:
-//!   incremental layer vs the preserved pre-incremental from-scratch
-//!   checker ([`legacy_checker`]). The `bench_checker_json` binary
-//!   times the steady-state polling loop both ways (asserting verdict
-//!   agreement in-run) and writes `BENCH_checker.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod facade;
 pub mod legacy;
-pub mod legacy_checker;
 pub mod workloads;
 
 /// Shared fixed scales so bench names stay comparable across runs.

@@ -125,8 +125,8 @@ pub fn check_topology(world: &World<Actor>) -> LegitReport {
 }
 
 /// Topology legitimacy over an explicit supervisor + member set — the
-/// entry point the multi-topic/sharded backends use to judge one topic
-/// *by reference* (no per-poll world cloning).
+/// entry point the partitioned backend uses to judge one topic *by
+/// reference* (no per-poll world cloning).
 pub fn check_topology_parts<'a>(
     sup: &Supervisor,
     members: impl IntoIterator<Item = (NodeId, &'a Subscriber)>,
@@ -398,7 +398,7 @@ pub fn publications_converged(world: &World<Actor>) -> (bool, usize) {
 }
 
 /// [`publications_converged`] over an explicit subscriber set — used by
-/// the multi-topic/sharded backends to judge one topic by reference.
+/// the partitioned backend to judge one topic by reference.
 pub fn publications_converged_of<'a>(
     subs: impl IntoIterator<Item = &'a Subscriber>,
 ) -> (bool, usize) {

@@ -61,23 +61,12 @@ pub(crate) struct ReplicaAgreement {
 }
 
 impl ReplicaAgreement {
-    /// Cached-or-recomputed agreement of `group` (`None` = unreplicated
-    /// supervisor, trivially one logical supervisor).
-    pub(crate) fn check(&mut self, group: Option<&ReplicaGroup>) -> bool {
-        let Some(g) = group else { return true };
-        let version = g.version();
-        if self.cache.version == version {
-            return self.cache.value;
-        }
-        let value = g.agreement();
-        self.cache = Cached { version, value };
-        value
-    }
-
-    /// Multi-group variant (the sharded backend: one group per shard).
-    /// Versions are monotone, so their sum strictly increases whenever
-    /// any group changes — a valid cache key for the conjunction.
-    pub(crate) fn check_many(&mut self, groups: &[ReplicaGroup]) -> bool {
+    /// Cached-or-recomputed agreement of every group in `groups` (one
+    /// per supervisor endpoint; empty = unreplicated, trivially one
+    /// logical supervisor each). Versions are monotone, so their sum
+    /// strictly increases whenever any group changes — a valid cache
+    /// key for the conjunction.
+    pub(crate) fn check(&mut self, groups: &[ReplicaGroup]) -> bool {
         if groups.is_empty() {
             return true;
         }
@@ -112,9 +101,6 @@ pub(crate) struct IncChecker {
     members_stale: bool,
     /// Replica-agreement verdict (replicated supervisors).
     replicas: ReplicaAgreement,
-    /// A/B switch: `true` routes the facade predicates through the
-    /// pre-PR from-scratch path (kept callable for benchmarking).
-    full: bool,
 }
 
 impl IncChecker {
@@ -126,30 +112,14 @@ impl IncChecker {
             scratch: CheckScratch::default(),
             members_stale: false,
             replicas: ReplicaAgreement::default(),
-            full: false,
         }
     }
 
-    /// Cached replica-agreement component of the legitimacy predicate.
-    pub(crate) fn replicas_agree(&mut self, group: Option<&ReplicaGroup>) -> bool {
-        self.replicas.check(group)
-    }
-
-    /// Cached agreement over several replica groups (sharded backend:
-    /// one per shard; an empty slice means replication is off).
+    /// Cached replica-agreement component of the legitimacy predicate
+    /// (one group per supervisor; an empty slice means replication is
+    /// off).
     pub(crate) fn replica_groups_agree(&mut self, groups: &[ReplicaGroup]) -> bool {
-        self.replicas.check_many(groups)
-    }
-
-    /// Routes the facade predicates through the from-scratch checker
-    /// (`true`) or the incremental layer (`false`, the default).
-    pub(crate) fn set_full(&mut self, full: bool) {
-        self.full = full;
-        self.invalidate_all();
-    }
-
-    pub(crate) fn full(&self) -> bool {
-        self.full
+        self.replicas.check(groups)
     }
 
     /// Drops every cached verdict and schedules a member-index rebuild —
@@ -196,8 +166,7 @@ impl IncChecker {
 
     /// Whole-system legitimacy: every topic's cached-or-rejudged
     /// verdict. `topo_version(t)` reads topic `t`'s topology channel,
-    /// `sup_of(t)` names its responsible supervisor — the only two
-    /// points where the multi-topic and sharded backends differ.
+    /// `sup_of(t)` names its responsible supervisor.
     pub(crate) fn all_legit<V: NodeView<MultiActor>>(
         &mut self,
         world: &V,
@@ -298,7 +267,6 @@ pub(crate) struct SimChecker {
     scratch: CheckScratch,
     /// Replica-agreement verdict (replicated supervisors).
     replicas: ReplicaAgreement,
-    full: bool,
 }
 
 impl SimChecker {
@@ -308,22 +276,12 @@ impl SimChecker {
             pubs: Cached::default(),
             scratch: CheckScratch::default(),
             replicas: ReplicaAgreement::default(),
-            full: false,
         }
     }
 
     /// Cached replica-agreement component of the legitimacy predicate.
     pub(crate) fn replicas_agree(&mut self, group: Option<&ReplicaGroup>) -> bool {
-        self.replicas.check(group)
-    }
-
-    pub(crate) fn set_full(&mut self, full: bool) {
-        self.full = full;
-        self.invalidate_all();
-    }
-
-    pub(crate) fn full(&self) -> bool {
-        self.full
+        self.replicas.check(group.map_or(&[], std::slice::from_ref))
     }
 
     pub(crate) fn invalidate_all(&mut self) {

@@ -10,8 +10,8 @@
 //! |---|---|---|
 //! | [`SimBackend`] | [`SystemBuilder::build_sim`] | single-topic deterministic simulator (synchronous rounds) |
 //! | [`SimBackend`] (chaos) | [`SystemBuilder::build_chaos`] | same, under the chaos scheduler (random delay/reorder) |
-//! | [`MultiTopicBackend`] | [`SystemBuilder::build_multi`] | one `BuildSR` instance per topic at one supervisor (§4) |
-//! | [`ShardedBackend`] | [`SystemBuilder::build_sharded`] | topics consistent-hashed onto multiple supervisors (§1.3) |
+//! | [`PartitionedBackend`] (`multi-topic`) | [`SystemBuilder::build_multi`] | one `BuildSR` instance per topic at one supervisor (§4) |
+//! | [`PartitionedBackend`] (`sharded`) | [`SystemBuilder::build_sharded`] | the same backend with topics consistent-hashed onto multiple supervisors (§1.3) |
 //! | `NetBackend` (in `skippub-net`) | `NetBackend::from_builder` | one OS thread per node, real delays; rounds become wall-clock quiescence polling |
 //!
 //! A scenario written against `&mut dyn PubSub` therefore runs unmodified
@@ -26,14 +26,12 @@
 //! [`crate::checker`] predicates (and any custom probe) can judge.
 
 mod incremental;
-mod multi;
 pub mod ops;
-mod sharded;
+mod partitioned;
 mod sim;
 
-pub use multi::MultiTopicBackend;
 pub use ops::Op;
-pub use sharded::{ShardedBackend, SHARD_SUPERVISOR_BASE};
+pub use partitioned::{PartitionedBackend, SHARD_SUPERVISOR_BASE};
 pub use sim::SimBackend;
 
 use crate::topics::TopicId;
@@ -496,8 +494,7 @@ impl Snap for EventCursor {
 pub fn restore(snap: &BackendSnapshot) -> Result<Box<dyn PubSub>, String> {
     match snap.kind.as_str() {
         "sim" | "chaos" => Ok(Box::new(SimBackend::from_snapshot(snap)?)),
-        "multi-topic" => Ok(Box::new(MultiTopicBackend::from_snapshot(snap)?)),
-        "sharded" => Ok(Box::new(ShardedBackend::from_snapshot(snap)?)),
+        "multi-topic" | "sharded" => Ok(Box::new(PartitionedBackend::from_snapshot(snap)?)),
         kind => Err(format!("unknown snapshot kind {kind:?}")),
     }
 }
@@ -577,7 +574,9 @@ impl SystemBuilder {
     }
 
     /// Sets the number of supervisor shards (`≥ 1`) for
-    /// [`SystemBuilder::build_sharded`].
+    /// [`SystemBuilder::build_sharded`] — and, being the partition
+    /// count, how many partitions [`SystemBuilder::build_multi`] spreads
+    /// its clients over.
     pub fn shards(mut self, k: usize) -> Self {
         assert!(k >= 1, "need at least one shard");
         self.shards = k;
@@ -603,10 +602,10 @@ impl SystemBuilder {
         self
     }
 
-    /// Sets the worker-thread cap (`≥ 1`) for the sharded backend's
+    /// Sets the worker-thread cap (`≥ 1`) for the partitioned backend's
     /// parallel round executor. Purely an execution knob: results are
     /// byte-identical for every value (the executor never uses more
-    /// workers than shards). Other backends ignore it.
+    /// workers than partitions). The single-topic backends ignore it.
     pub fn threads(mut self, t: usize) -> Self {
         assert!(t >= 1, "need at least one worker thread");
         self.threads = t;
@@ -719,28 +718,13 @@ impl SystemBuilder {
         b
     }
 
-    /// Multi-topic system (§4): one supervisor hosting one `BuildSR`
-    /// instance per topic. Runs on the partitioned executor: clients
-    /// spread round-robin over [`SystemBuilder::shards`] partitions,
-    /// stepped by up to [`SystemBuilder::threads`] workers (defaults:
-    /// one of each — the serial execution).
-    pub fn build_multi(&self) -> MultiTopicBackend {
-        let mut b =
-            MultiTopicBackend::new(self.seed, self.topics, self.shards, self.threads, self.protocol);
-        b.set_delivery_budget(self.budget);
-        b.set_replicas(self.replicas);
-        b.set_faults(self.faults.clone());
-        b
-    }
-
-    /// Sharded multi-topic system (§1.3): topics consistent-hashed onto
-    /// `shards` supervisors, each shard a partition of the parallel
-    /// round executor (stepped by up to [`SystemBuilder::threads`]
-    /// workers).
-    pub fn build_sharded(&self) -> ShardedBackend {
-        let mut b = ShardedBackend::new(
+    /// The partitioned backend over the given supervisor endpoints,
+    /// with every knob both layouts share applied.
+    fn build_partitioned(&self, sup_ids: Vec<NodeId>) -> PartitionedBackend {
+        let mut b = PartitionedBackend::new(
             self.seed,
             self.topics,
+            sup_ids,
             self.shards,
             self.vnodes,
             self.threads,
@@ -748,8 +732,29 @@ impl SystemBuilder {
         );
         b.set_delivery_budget(self.budget);
         b.set_replicas(self.replicas);
-        b.set_rebalance_every(self.rebalance_every);
         b.set_faults(self.faults.clone());
+        b
+    }
+
+    /// Multi-topic system (§4): one supervisor hosting one `BuildSR`
+    /// instance per topic. Runs on the partitioned executor: clients
+    /// spread round-robin over [`SystemBuilder::shards`] partitions,
+    /// stepped by up to [`SystemBuilder::threads`] workers (defaults:
+    /// one of each — the serial execution).
+    pub fn build_multi(&self) -> PartitionedBackend {
+        self.build_partitioned(vec![crate::scenarios::SUPERVISOR])
+    }
+
+    /// Sharded multi-topic system (§1.3): topics consistent-hashed onto
+    /// `shards` supervisors, each shard a partition of the parallel
+    /// round executor (stepped by up to [`SystemBuilder::threads`]
+    /// workers).
+    pub fn build_sharded(&self) -> PartitionedBackend {
+        let sup_ids = (0..self.shards as u64)
+            .map(|i| NodeId(SHARD_SUPERVISOR_BASE + i))
+            .collect();
+        let mut b = self.build_partitioned(sup_ids);
+        b.set_rebalance_every(self.rebalance_every);
         b
     }
 

@@ -1,24 +1,40 @@
-//! [`ShardedBackend`]: §1.3's scaling remark as a *drivable system* —
-//! topics are consistent-hashed onto multiple supervisor nodes (via
-//! [`SupervisorShards`]), and the shards execute as **partitions of a
-//! [`PartitionedWorld`]** stepped by the deterministic parallel round
+//! [`PartitionedBackend`]: the multi-topic system behind the [`PubSub`]
+//! facade — every topic runs its own `BuildSR` instance (§4), hosted by
+//! one of `k ≥ 1` supervisor nodes, executing on a
+//! [`PartitionedWorld`] stepped by the deterministic parallel round
 //! executor.
 //!
-//! Placement policy: shard `i`'s supervisor lives in partition `i`, and
-//! every client is placed in the partition of the shard serving its
-//! *first* topic — so the common case (a client's whole life on one
-//! shard) is entirely intra-partition, and only multi-shard clients
-//! exchange cross-partition envelopes. Results are byte-identical for
-//! every [`SystemBuilder::threads`](super::SystemBuilder::threads)
-//! setting — worker count is an execution knob, never a semantics knob.
+//! The paper's §4 system (one supervisor hosting every topic) and its
+//! §1.3 scaling remark (topics consistent-hashed onto several
+//! supervisors via [`SupervisorShards`]) are the same system with a
+//! different supervisor list, and that list is the *only* thing that
+//! tells the two layouts apart:
+//!
+//! | layout | supervisors | built by |
+//! |---|---|---|
+//! | `multi-topic` | `[NodeId(0)]` | [`SystemBuilder::build_multi`](super::SystemBuilder::build_multi) |
+//! | `sharded` | `[SHARD_SUPERVISOR_BASE + i]`, one per partition | [`SystemBuilder::build_sharded`](super::SystemBuilder::build_sharded) |
+//!
+//! Placement policy: supervisor `i` lives in partition `i`. When every
+//! partition has its own supervisor, a client is homed in the partition
+//! of the shard serving its *first* topic — so the common case (a
+//! client's whole life on one shard) is entirely intra-partition, and
+//! only multi-shard clients exchange cross-partition envelopes. When one
+//! supervisor fronts several partitions, clients are spread round-robin
+//! (`id % partitions`). Both are pure functions of IDs, so results are
+//! byte-identical for every
+//! [`SystemBuilder::threads`](super::SystemBuilder::threads) setting —
+//! worker count is an execution knob, never a semantics knob.
 
 use super::incremental::IncChecker;
 use super::{BackendSnapshot, Delivery, EventCursor, PartitionStats, PubSub, Stats};
+use crate::checker;
 use crate::dirty::{pubs_key, topo_key};
 use crate::replica::ReplicaGroup;
+use crate::scenarios::SUPERVISOR;
 use crate::sharding::SupervisorShards;
 use crate::topics::{MultiActor, TopicId};
-use crate::{Actor, ProtocolConfig};
+use crate::{Actor, ProtocolConfig, Supervisor};
 use skippub_bits::BitStr;
 use skippub_sim::{FaultCounts, FaultSpec, Metrics, NodeId, PartitionedState, PartitionedWorld, World};
 use skippub_snapshot::{Snap, SnapVec, SnapWriter};
@@ -26,23 +42,37 @@ use skippub_trie::{PayloadInterner, Publication};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Base of the supervisor ID range. Client IDs count up from 1 exactly
-/// as on every other backend (so publication keys agree across
+/// Base of the shard supervisor ID range. Client IDs count up from 1
+/// exactly as on every other backend (so publication keys agree across
 /// backends); shard supervisors live far above any realistic client
 /// population.
 pub const SHARD_SUPERVISOR_BASE: u64 = 1 << 32;
 
-/// The sharded multi-topic backend: `k` supervisors, each responsible
-/// for the topics whose hash falls in its sub-interval of the
-/// consistent-hash ring. Clients route every subscribe/publish for a
-/// topic to that topic's shard; a shard failure therefore only affects
-/// its own sub-interval of topics. Each shard (supervisor + the clients
-/// homed on it) is one partition of the underlying
-/// [`PartitionedWorld`], stepped in parallel by up to `threads` workers
-/// with bit-identical results for any worker count.
-pub struct ShardedBackend {
+/// Name (and snapshot kind tag) of a supervisor layout, `None` for a
+/// list that is neither of the two layouts this backend runs.
+fn layout_name(sup_ids: &[NodeId]) -> Option<&'static str> {
+    if sup_ids == [SUPERVISOR] {
+        Some("multi-topic")
+    } else if !sup_ids.is_empty() && sup_ids.iter().all(|s| s.0 >= SHARD_SUPERVISOR_BASE) {
+        Some("sharded")
+    } else {
+        None
+    }
+}
+
+/// The partitioned multi-topic backend: `k ≥ 1` supervisors, each
+/// responsible for the topics whose hash falls in its sub-interval of
+/// the consistent-hash ring (all of them when `k = 1`). Clients route
+/// every subscribe/publish for a topic to that topic's supervisor; a
+/// supervisor failure therefore only affects its own sub-interval of
+/// topics. The world is a [`PartitionedWorld`], stepped in parallel by
+/// up to `threads` workers with bit-identical results for any worker
+/// count.
+pub struct PartitionedBackend {
     world: PartitionedWorld<MultiActor>,
     shards: SupervisorShards,
+    /// The supervisor endpoints, in shard-index order — the one datum
+    /// the `multi-topic` and `sharded` layouts differ in (module docs).
     sup_ids: Vec<NodeId>,
     cfg: ProtocolConfig,
     topics: u32,
@@ -60,9 +90,10 @@ pub struct ShardedBackend {
     inc: RefCell<IncChecker>,
     interner: PayloadInterner,
     /// Supervisor replica groups, one per shard, in shard-index order.
-    /// Empty = the paper's unreplicated supervisors. Each shard fails
-    /// over independently: a primary crash only affects its own
-    /// sub-interval of topics.
+    /// Empty = the paper's unreplicated supervisors. One group covers
+    /// every topic of its shard (the replica log tags each operation
+    /// with its topic), and each shard fails over independently: a
+    /// primary crash only affects its own sub-interval of topics.
     groups: Vec<ReplicaGroup>,
     /// Topic → shard placement overrides installed by the deterministic
     /// rebalancer; consulted before the consistent-hash ring. Empty
@@ -85,24 +116,27 @@ pub struct ShardedBackend {
     sever_fired: BTreeSet<(u64, u64)>,
 }
 
-impl ShardedBackend {
+impl PartitionedBackend {
+    /// A backend with supervisors `sup_ids` (one of the two layouts in
+    /// the module docs) over `partitions` partitions: either every
+    /// partition has its own supervisor, or one supervisor fronts them
+    /// all.
     pub(crate) fn new(
         seed: u64,
         topics: u32,
-        shard_count: usize,
+        sup_ids: Vec<NodeId>,
+        partitions: usize,
         vnodes: usize,
         threads: usize,
         cfg: ProtocolConfig,
     ) -> Self {
-        assert!(shard_count >= 1);
-        let sup_ids: Vec<NodeId> = (0..shard_count as u64)
-            .map(|i| NodeId(SHARD_SUPERVISOR_BASE + i))
-            .collect();
-        let mut world = PartitionedWorld::new(seed, shard_count, threads);
+        assert!(layout_name(&sup_ids).is_some(), "unsupported supervisor layout");
+        assert!(sup_ids.len() == 1 || sup_ids.len() == partitions);
+        let mut world = PartitionedWorld::new(seed, partitions, threads);
         for (i, &s) in sup_ids.iter().enumerate() {
             world.add_node(s, MultiActor::new_supervisor(s), i as u32);
         }
-        ShardedBackend {
+        PartitionedBackend {
             shards: SupervisorShards::new(&sup_ids, vnodes),
             world,
             sup_ids,
@@ -117,7 +151,7 @@ impl ShardedBackend {
             overrides: BTreeMap::new(),
             rebalance_every: 0,
             rebalances: 0,
-            last_delivered: vec![0; shard_count],
+            last_delivered: vec![0; partitions],
             sever_fired: BTreeSet::new(),
         }
     }
@@ -165,12 +199,6 @@ impl ShardedBackend {
         }
     }
 
-    /// The replica groups (one per shard), when replication is
-    /// configured; empty otherwise.
-    pub fn replica_groups(&self) -> &[ReplicaGroup] {
-        &self.groups
-    }
-
     /// Fails shard `i`'s primary replica and installs the electee's
     /// replayed per-topic state at the shard endpoint. Returns `false`
     /// when no failover is possible (unreplicated, or no live backup).
@@ -195,48 +223,54 @@ impl ShardedBackend {
         true
     }
 
-    /// The payload pool behind `publish`: repeated payloads (across
-    /// authors and topics) collapse to one shared allocation.
-    pub fn payload_interner(&self) -> &PayloadInterner {
-        &self.interner
-    }
-
-    /// Routes the facade's polling predicates through the pre-PR
-    /// from-scratch checker (`true`) instead of the incremental layer —
-    /// kept callable for A/B benchmarking.
-    pub fn set_full_checking(&mut self, full: bool) {
-        self.inc.get_mut().set_full(full);
-    }
-
-    /// From-scratch legitimacy over every topic (the pre-PR path: one
-    /// whole-world scan per topic through the diagnostic checker),
-    /// regardless of the A/B switch.
+    /// From-scratch legitimacy over every topic: one whole-world scan
+    /// per topic through the diagnostic checker, by reference (no world
+    /// cloning). The reference the incremental layer behind
+    /// [`PubSub::is_legitimate`] is tested against.
     pub fn is_legitimate_full(&self) -> bool {
-        (0..self.topics).all(|t| {
-            let t = TopicId(t);
-            super::multi::topic_is_legit(&self.world, self.supervisor_for(t), t)
+        (0..self.topics).map(TopicId).all(|topic| {
+            let sup_id = self.supervisor_for(topic);
+            let members = self
+                .world
+                .iter()
+                .filter_map(|(id, a)| a.topic_subscriber(topic).map(|s| (id, s)));
+            match self.world.node(sup_id).and_then(|a| a.topic_supervisor(topic)) {
+                Some(sup) => checker::check_topology_parts(sup, members).ok(),
+                // Topic never contacted: judged against an empty supervisor.
+                None => checker::check_topology_parts(&Supervisor::new(sup_id), members).ok(),
+            }
         })
     }
 
-    /// From-scratch publication convergence (the pre-PR per-poll global
-    /// key union), regardless of the switch.
+    /// From-scratch publication convergence (a per-topic global key
+    /// union), the reference for [`PubSub::publications_converged`]:
+    /// converged iff every topic converged; the total is the sum of
+    /// per-topic union sizes either way (matching the single-topic
+    /// backend, which reports the union size even when not converged).
     pub fn publications_converged_full(&self) -> (bool, usize) {
-        super::multi::fold_pubs_converged(&self.world, self.topics)
+        let mut all_ok = true;
+        let mut total = 0;
+        for t in 0..self.topics {
+            let (ok, n) = checker::publications_converged_of(
+                self.world
+                    .iter()
+                    .filter_map(|(_, a)| a.topic_subscriber(TopicId(t))),
+            );
+            all_ok &= ok;
+            total += n;
+        }
+        (all_ok, total)
     }
 
-    /// The consistent-hash ring mapping topics to supervisors.
-    pub fn shards(&self) -> &SupervisorShards {
-        &self.shards
-    }
-
-    /// IDs of the shard supervisors.
+    /// IDs of the supervisors, in shard-index order.
     pub fn supervisor_ids(&self) -> &[NodeId] {
         &self.sup_ids
     }
 
     /// The supervisor responsible for `topic`: a rebalancer override if
-    /// one is installed, the consistent-hash ring otherwise. Every
-    /// routing decision in the backend goes through here.
+    /// one is installed, the consistent-hash ring otherwise (with one
+    /// supervisor the ring has one owner). Every routing decision in the
+    /// backend goes through here.
     pub fn supervisor_for(&self, topic: TopicId) -> NodeId {
         match self.overrides.get(&topic.0) {
             Some(&shard) => self.sup_ids[shard as usize],
@@ -257,20 +291,9 @@ impl ShardedBackend {
         self.rebalance_every = every;
     }
 
-    /// The configured rebalance cadence in rounds (0 = off).
-    pub fn rebalance_every(&self) -> u64 {
-        self.rebalance_every
-    }
-
     /// Completed topic handoffs so far.
     pub fn rebalances(&self) -> u64 {
         self.rebalances
-    }
-
-    /// Current placement overrides (topic → shard index) installed by
-    /// the rebalancer.
-    pub fn placement_overrides(&self) -> &BTreeMap<u32, u32> {
-        &self.overrides
     }
 
     /// The underlying partitioned world, for white-box probes.
@@ -286,16 +309,19 @@ impl ShardedBackend {
         &mut self.world
     }
 
-    /// Rebuilds a backend from a `sharded` snapshot. The consistent-hash
-    /// ring is **not** serialized: it is a pure function of the
-    /// supervisor IDs and replica count, both of which are, so restore
-    /// rebuilds it. The checker restarts cold with an invalidated member
-    /// index (a fresh `IncChecker` trusts its — empty — index), so the
-    /// first poll re-scans the world.
+    /// Rebuilds a backend from a `multi-topic` or `sharded` snapshot —
+    /// one layout; the kind tag must be the one the serialized
+    /// supervisor list derives. The consistent-hash ring is **not**
+    /// serialized: it is a pure function of the supervisor IDs and
+    /// virtual-node count, both of which are, so restore rebuilds it.
+    /// The checker restarts cold with an invalidated member index (a
+    /// fresh `IncChecker` trusts its — empty — index, which would judge
+    /// against no members at all), so the first poll re-scans the world;
+    /// verdicts are pure functions of the world, so this is exact.
+    ///
+    /// Every index the backend later uses unchecked is validated here:
+    /// an inconsistent snapshot is an `Err`, never a panic further on.
     pub fn from_snapshot(snap: &BackendSnapshot) -> Result<Self, String> {
-        if snap.kind != "sharded" {
-            return Err(format!("expected a sharded snapshot, got {:?}", snap.kind));
-        }
         let mut r = snap.reader().map_err(|e| e.to_string())?;
         let err = |e: skippub_snapshot::SnapError| e.to_string();
         let cfg = ProtocolConfig::load(&mut r).map_err(err)?;
@@ -314,7 +340,7 @@ impl ShardedBackend {
         let world = PartitionedState::<MultiActor>::load(&mut r).map_err(err)?;
         let cursor = EventCursor::load(&mut r).map_err(err)?;
         let group_len = u64::load(&mut r).map_err(err)? as usize;
-        let mut groups = Vec::with_capacity(group_len);
+        let mut groups = Vec::new();
         for _ in 0..group_len {
             groups.push(ReplicaGroup::load(&mut r).map_err(err)?);
         }
@@ -324,22 +350,43 @@ impl ShardedBackend {
         let last_delivered = SnapVec::<u64>::load(&mut r).map_err(err)?.0;
         let sever_fired = BTreeSet::<(u64, u64)>::load(&mut r).map_err(err)?;
         r.finish().map_err(err)?;
-        if sup_ids.is_empty() || vnodes == 0 {
-            return Err("sharded snapshot needs >=1 supervisor and >=1 ring point".to_string());
+
+        let world = PartitionedWorld::from_state(world);
+        let (shard_count, partitions) = (sup_ids.len(), world.partition_count());
+        if layout_name(&sup_ids) != Some(snap.kind.as_str()) {
+            return Err(format!(
+                "snapshot kind {:?} disagrees with its supervisor list {sup_ids:?}",
+                snap.kind
+            ));
         }
-        if !groups.is_empty() && groups.len() != sup_ids.len() {
-            return Err("sharded snapshot replica groups disagree with shard count".to_string());
+        if vnodes == 0 {
+            return Err("snapshot needs >=1 ring point per supervisor".to_string());
         }
-        if overrides.values().any(|&s| s as usize >= sup_ids.len())
-            || last_delivered.len() != sup_ids.len()
+        if sup_ids.iter().collect::<BTreeSet<_>>().len() != shard_count {
+            return Err("snapshot lists a supervisor twice".to_string());
+        }
+        if !sup_ids.iter().all(|&s| world.node(s).is_some_and(|a| !a.is_client())) {
+            return Err("snapshot lists a supervisor its world does not host".to_string());
+        }
+        if shard_count != 1 && shard_count != partitions {
+            return Err("snapshot supervisors disagree with partition count".to_string());
+        }
+        if !groups.is_empty() && groups.len() != shard_count {
+            return Err("snapshot replica groups disagree with shard count".to_string());
+        }
+        if met.values().flatten().any(|&s| s as usize >= shard_count) {
+            return Err("snapshot detector routing names a shard out of range".to_string());
+        }
+        if overrides.values().any(|&s| s as usize >= shard_count)
+            || last_delivered.len() != partitions
         {
-            return Err("sharded snapshot rebalancer state disagrees with shard count".to_string());
+            return Err("snapshot rebalancer state disagrees with shard count".to_string());
         }
         let mut inc = IncChecker::new(topics);
         inc.invalidate_all();
-        Ok(ShardedBackend {
+        Ok(PartitionedBackend {
             shards: SupervisorShards::new(&sup_ids, vnodes),
-            world: PartitionedWorld::from_state(world),
+            world,
             sup_ids,
             cfg,
             topics,
@@ -357,47 +404,48 @@ impl ShardedBackend {
         })
     }
 
-    /// Aggregated simulator metrics over all shard partitions (per-kind
-    /// and per-node counters; per-shard load is
-    /// `metrics().sent_by(shard_id)`). Per-partition metrics are
+    /// Aggregated simulator metrics over all partitions (per-kind and
+    /// per-node counters; per-supervisor load is
+    /// `metrics().sent_by(supervisor_id)`). Per-partition metrics are
     /// available via [`PartitionedWorld::partition_metrics`].
     pub fn metrics(&self) -> Metrics {
         self.world.metrics()
     }
 
-    /// Sets the per-node per-step delivery budget on every shard
-    /// partition (`None` = unbounded).
+    /// Sets the per-node per-step delivery budget on every partition
+    /// (`None` = unbounded).
     pub fn set_delivery_budget(&mut self, budget: Option<u32>) {
         self.world.set_delivery_budget(budget);
     }
 
-    /// Runs `n` synchronous rounds as one batch: with `threads > 1` the
-    /// worker scope is spawned once for the whole batch instead of per
-    /// [`PubSub::step`] call, which is how bulk drives (benchmarks,
-    /// fixed-round warmups) should step the backend. Results are
-    /// identical to `n` single steps — and to any worker count.
+    /// Runs `n` synchronous rounds, identical in every observable
+    /// (snapshot bytes included) to `n` [`PubSub::step`] calls — and to
+    /// any worker count. When no round needs facade work in between (no
+    /// replica groups to sync, no rebalance cadence, no scheduled sever
+    /// to watch) the whole batch runs inside the executor, so with
+    /// `threads > 1` the worker scope is spawned once instead of per
+    /// round — how bulk drives (benchmarks, fixed-round warmups) should
+    /// step the backend.
     pub fn run_rounds(&mut self, n: u64) {
-        if self.rebalance_every == 0 {
-            self.world.run_rounds(n);
-            // One drain for the whole batch: per-topic op order is the
-            // same as draining every round (outboxes append in execution
-            // order), and replay is per-topic, so the replicated state
-            // is identical.
-            self.sync_groups();
-            self.watch_severs();
-        } else {
-            // Rebalance decisions fire at fixed round numbers, so a
-            // batch must hit the same boundaries as n single steps.
+        let severs = self
+            .world
+            .fault_spec()
+            .is_some_and(|spec| !spec.severs.is_empty());
+        if severs || self.rebalance_every != 0 || !self.groups.is_empty() {
             for _ in 0..n {
-                self.world.run_rounds(1);
-                self.maybe_rebalance();
+                self.step();
             }
+        } else {
+            self.world.run_rounds(n);
         }
     }
 
-    /// Partition index of the shard owned by supervisor `sup`.
+    /// Index of supervisor `sup` in the shard order.
     fn shard_index(&self, sup: NodeId) -> u32 {
-        (sup.0 - SHARD_SUPERVISOR_BASE) as u32
+        self.sup_ids
+            .iter()
+            .position(|&s| s == sup)
+            .expect("routing only ever names a listed supervisor") as u32
     }
 
     /// Fires replica-group failovers for shards whose supervisor sits
@@ -470,7 +518,9 @@ impl ShardedBackend {
             .collect();
         self.last_delivered = delivered;
         let total: u64 = delta.iter().sum();
-        if parts < 2 || total == 0 {
+        // A handoff needs a second supervisor to hand to; with several,
+        // every partition has its own (shard index = partition index).
+        if self.sup_ids.len() < 2 || total == 0 {
             return;
         }
         let maxd = *delta.iter().max().expect("parts >= 2");
@@ -622,9 +672,9 @@ impl ShardedBackend {
     }
 }
 
-impl PubSub for ShardedBackend {
+impl PubSub for PartitionedBackend {
     fn backend_name(&self) -> &'static str {
-        "sharded"
+        layout_name(&self.sup_ids).expect("checked at construction and restore")
     }
 
     fn topic_count(&self) -> u32 {
@@ -639,9 +689,19 @@ impl PubSub for ShardedBackend {
         let shard = self.shard_index(sup);
         let mut client = MultiActor::new_client(id, self.sup_ids[0], self.cfg);
         client.join_topic_at(topic, sup);
-        // Home partition: the shard of the client's first topic (type
-        // docs — later joins to other shards stay cross-partition).
-        self.world.add_node(id, client, shard);
+        // Home partition (module docs): the shard of the client's first
+        // topic when every partition has its own supervisor — later
+        // joins to other shards stay cross-partition — and round-robin
+        // when one supervisor fronts them all. Either way a pure
+        // function of IDs, so the node→partition map — and with it every
+        // trajectory — is identical for every thread count.
+        let partitions = self.world.partition_count();
+        let home = if self.sup_ids.len() == partitions {
+            shard
+        } else {
+            (id.0 % partitions as u64) as u32
+        };
+        self.world.add_node(id, client, home);
         self.note_met(id, shard);
         self.inc.get_mut().add_member(topic, id);
         self.world.bump_dirty(topo_key(topic.0));
@@ -709,16 +769,12 @@ impl PubSub for ShardedBackend {
     }
 
     fn report_crash(&mut self, id: NodeId) {
-        if id.0 >= SHARD_SUPERVISOR_BASE {
-            // A crash report on a shard supervisor endpoint routes to
-            // that shard's replica group (previously a silent no-op —
-            // supervisors never appear in `met`): with live backups
-            // this triggers failover; unreplicated it stays a uniform
-            // no-op. Reports on IDs outside the shard range are ignored.
-            let idx = (id.0 - SHARD_SUPERVISOR_BASE) as usize;
-            if idx < self.sup_ids.len() {
-                self.fail_shard(idx);
-            }
+        if let Some(i) = self.sup_ids.iter().position(|&s| s == id) {
+            // A crash report on a supervisor endpoint routes to that
+            // shard's replica group (supervisors never appear in
+            // `met`): with live backups this triggers failover;
+            // unreplicated it stays a uniform no-op.
+            self.fail_shard(i);
             return;
         }
         // The detector feed is routed by registration-time membership:
@@ -748,9 +804,6 @@ impl PubSub for ShardedBackend {
         if !inc.replica_groups_agree(&self.groups) {
             return false;
         }
-        if inc.full() {
-            return self.is_legitimate_full();
-        }
         inc.all_legit(
             &self.world,
             self.topics,
@@ -761,25 +814,47 @@ impl PubSub for ShardedBackend {
 
     fn publications_converged(&self) -> (bool, usize) {
         let mut inc = self.inc.borrow_mut();
-        if inc.full() {
-            return self.publications_converged_full();
-        }
         inc.all_pubs(&self.world, self.topics, |t| {
             self.world.dirty_version(pubs_key(t))
         })
     }
 
     fn drain_events(&mut self, id: NodeId) -> Vec<Delivery> {
-        super::multi::drain_client_events(&self.world, &mut self.cursor, id)
+        let Some(actor) = self.world.node(id) else {
+            return Vec::new();
+        };
+        // Borrowing subscription walk — no per-call topic-id or trie-ref
+        // Vecs; combined with the cursor's root-hash short-circuit, a
+        // drain of a quiet client allocates nothing beyond the (empty)
+        // result.
+        self.cursor
+            .drain(id, actor.subscriptions().map(|(t, s)| (t, &s.trie)))
     }
 
     fn subscriber_ids(&self) -> Vec<NodeId> {
-        super::multi::client_ids(&self.world)
+        self.world
+            .iter()
+            .filter(|(_, a)| a.is_client())
+            .map(|(id, _)| id)
+            .collect()
     }
 
     fn snapshot(&self, topic: TopicId) -> World<Actor> {
         self.assert_topic(topic);
-        super::multi::snapshot_topic(&self.world, self.supervisor_for(topic), topic)
+        let sup_id = self.supervisor_for(topic);
+        let mut out = World::new(0);
+        let sup = self
+            .world
+            .node(sup_id)
+            .and_then(|a| a.topic_supervisor(topic).cloned())
+            .unwrap_or_else(|| Supervisor::new(sup_id));
+        out.add_node(sup_id, Actor::Supervisor(sup));
+        for (id, actor) in self.world.iter() {
+            if let Some(s) = actor.topic_subscriber(topic) {
+                out.add_node(id, Actor::Subscriber(Box::new(s.clone())));
+            }
+        }
+        out
     }
 
     fn stats(&self) -> Stats {
@@ -856,6 +931,8 @@ impl PubSub for ShardedBackend {
 
     fn crash_supervisor(&mut self, topic: TopicId) -> bool {
         self.assert_topic(topic);
+        // The whole per-topic map of the shard owning `topic` dies and
+        // is re-installed from the electee's replayed state.
         let sup = self.supervisor_for(topic);
         let idx = self.shard_index(sup) as usize;
         self.fail_shard(idx)
@@ -866,6 +943,56 @@ impl PubSub for ShardedBackend {
 mod tests {
     use super::*;
     use crate::pubsub::SystemBuilder;
+
+    /// The same knobs built as each layout of the one backend.
+    fn both_layouts(b: &SystemBuilder) -> [PartitionedBackend; 2] {
+        [b.build_multi(), b.build_sharded()]
+    }
+
+    #[test]
+    fn topics_stabilize_and_deliver_independently() {
+        for mut ps in both_layouts(&SystemBuilder::new(41).topics(2).shards(2)) {
+            let (ta, tb) = (TopicId(0), TopicId(1));
+            let a_members: Vec<NodeId> = (0..3).map(|_| ps.subscribe(ta)).collect();
+            let b_members: Vec<NodeId> = (0..3).map(|_| ps.subscribe(tb)).collect();
+            // One client straddles both topics.
+            ps.join(a_members[0], tb);
+            let (_, ok) = ps.until_legit(2000);
+            assert!(ok, "both rings must stabilize");
+            ps.publish(a_members[1], ta, b"only-a".to_vec()).unwrap();
+            let (_, ok) = ps.until_pubs_converged(2000);
+            assert!(ok);
+            for &m in &a_members {
+                let ev = ps.drain_events(m);
+                assert_eq!(ev.len(), 1, "topic-a member sees the story");
+                assert_eq!(ev[0].topic, ta);
+            }
+            for &m in &b_members {
+                assert!(
+                    ps.drain_events(m).is_empty(),
+                    "topic-b members must not see topic-a content"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn leave_topic_restabilizes() {
+        let b = SystemBuilder::new(42).protocol(ProtocolConfig::topology_only());
+        for mut ps in both_layouts(&b) {
+            let t = TopicId(0);
+            let ids: Vec<NodeId> = (0..4).map(|_| ps.subscribe(t)).collect();
+            assert!(ps.until_legit(2000).1);
+            ps.unsubscribe(ids[1], t);
+            assert!(ps.until_legit(2000).1);
+            let snap = ps.snapshot(t);
+            let sup = snap
+                .iter()
+                .find_map(|(_, a)| a.supervisor())
+                .expect("supervisor");
+            assert_eq!(sup.n(), 3);
+        }
+    }
 
     #[test]
     fn topics_land_on_distinct_shards_and_stabilize() {
@@ -989,30 +1116,31 @@ mod tests {
 
     #[test]
     fn report_crash_of_unknown_node_is_a_true_noop() {
-        let mut ps = SystemBuilder::new(55)
+        let b = SystemBuilder::new(55)
             .topics(4)
             .shards(2)
-            .protocol(ProtocolConfig::topology_only())
-            .build_sharded();
-        for t in 0..4 {
-            ps.subscribe(TopicId(t));
-        }
-        assert!(ps.until_legit(4000).1);
-        let before = ps.metrics();
-        // A suspect no shard has ever met: nothing may change — no
-        // supervisor state, no traffic.
-        ps.report_crash(NodeId(0xDEAD_BEEF));
-        for &s in ps.supervisor_ids() {
-            let sup = ps.world().node(s).expect("supervisor alive");
-            for t in sup.topic_ids() {
-                assert!(
-                    sup.topic_supervisor(t).unwrap().suspected.is_empty(),
-                    "unknown suspect leaked into shard {s}"
-                );
+            .protocol(ProtocolConfig::topology_only());
+        for mut ps in both_layouts(&b) {
+            for t in 0..4 {
+                ps.subscribe(TopicId(t));
             }
+            assert!(ps.until_legit(4000).1);
+            let before = ps.metrics();
+            // A suspect no supervisor has ever met: nothing may change —
+            // no supervisor state, no traffic.
+            ps.report_crash(NodeId(0xDEAD_BEEF));
+            for &s in ps.supervisor_ids() {
+                let sup = ps.world().node(s).expect("supervisor alive");
+                for t in sup.topic_ids() {
+                    assert!(
+                        sup.topic_supervisor(t).unwrap().suspected.is_empty(),
+                        "unknown suspect leaked into supervisor {s}"
+                    );
+                }
+            }
+            assert_eq!(ps.metrics(), before, "no traffic may result");
+            assert!(ps.is_legitimate());
         }
-        assert_eq!(ps.metrics(), before, "no traffic may result");
-        assert!(ps.is_legitimate());
     }
 
     #[test]

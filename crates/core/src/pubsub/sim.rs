@@ -95,20 +95,15 @@ impl SimBackend {
         &mut self.sim
     }
 
-    /// Routes the facade's polling predicates through the pre-PR
-    /// from-scratch checker (`true`) instead of the incremental layer —
-    /// kept callable for A/B benchmarking.
-    pub fn set_full_checking(&mut self, full: bool) {
-        self.inc.get_mut().set_full(full);
-    }
-
-    /// From-scratch legitimacy (the diagnostic checker), regardless of
-    /// the A/B switch.
+    /// From-scratch legitimacy (the diagnostic checker) — the reference
+    /// the incremental layer behind [`PubSub::is_legitimate`] is tested
+    /// against.
     pub fn is_legitimate_full(&self) -> bool {
         self.sim.is_legitimate()
     }
 
-    /// From-scratch publication convergence, regardless of the switch.
+    /// From-scratch publication convergence, the reference for
+    /// [`PubSub::publications_converged`].
     pub fn publications_converged_full(&self) -> (bool, usize) {
         self.sim.publications_converged()
     }
@@ -314,18 +309,12 @@ impl PubSub for SimBackend {
         if !inc.replicas_agree(self.group.as_ref()) {
             return false;
         }
-        if inc.full() {
-            return self.sim.is_legitimate();
-        }
         let version = self.sim.world().dirty_version(topo_key(0));
         inc.legit(self.sim.world(), version)
     }
 
     fn publications_converged(&self) -> (bool, usize) {
         let mut inc = self.inc.borrow_mut();
-        if inc.full() {
-            return self.sim.publications_converged();
-        }
         let version = self.sim.world().dirty_version(pubs_key(0));
         inc.pubs(self.sim.world(), version)
     }

@@ -133,8 +133,8 @@ impl MultiActor {
 
     /// Client-side variant of [`MultiActor::join_topic`] that directs the
     /// new `BuildSR` instance at an explicit `supervisor` — the hook the
-    /// sharded backend uses to route each topic to the consistent-hash
-    /// shard responsible for it (§1.3).
+    /// partitioned backend uses to route each topic to the supervisor
+    /// responsible for it (the consistent-hash shard of §1.3).
     pub fn join_topic_at(&mut self, topic: TopicId, supervisor: NodeId) {
         if let MultiActor::Client {
             topics,

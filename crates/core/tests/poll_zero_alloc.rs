@@ -74,19 +74,16 @@ fn assert_poll_allocs_nothing(ps: &mut dyn PubSub, name: &str) {
 
 #[test]
 fn steady_state_polls_allocate_nothing() {
-    // Multi-topic backend.
-    let mut ps = SystemBuilder::new(71).topics(6).build_multi();
-    for i in 0..18u32 {
-        ps.subscribe(TopicId(i % 6));
+    // Both layouts of the partitioned backend (version reads sum
+    // partitions).
+    let b = SystemBuilder::new(71).topics(6).shards(3);
+    for mut ps in [b.build_multi(), b.build_sharded()] {
+        for i in 0..18u32 {
+            ps.subscribe(TopicId(i % 6));
+        }
+        let name = ps.backend_name();
+        assert_poll_allocs_nothing(&mut ps, name);
     }
-    assert_poll_allocs_nothing(&mut ps, "multi-topic");
-
-    // Sharded backend (partitioned world: version reads sum partitions).
-    let mut ps = SystemBuilder::new(72).topics(6).shards(3).build_sharded();
-    for i in 0..18u32 {
-        ps.subscribe(TopicId(i % 6));
-    }
-    assert_poll_allocs_nothing(&mut ps, "sharded");
 
     // Single-topic sim backend.
     let mut ps = SystemBuilder::new(73).build_sim();

@@ -48,7 +48,7 @@ pub fn run(scale: Scale, seed: u64) -> Report {
                 ps.step();
             }
             let d = ps.metrics().diff(&before);
-            let rate = d.sent_by(ps.supervisor_id()) as f64 / measure as f64;
+            let rate = d.sent_by(ps.supervisor_ids()[0]) as f64 / measure as f64;
             loads.insert((topics, subs), rate);
             t.row(vec![
                 topics.to_string(),

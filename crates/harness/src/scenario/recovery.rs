@@ -14,7 +14,7 @@
 use super::engine::{budget_multiplier, run_spec_with_snapshot, WarmStart};
 use super::schedule::compile;
 use super::spec::ScenarioSpec;
-use skippub_core::pubsub::{MultiTopicBackend, ShardedBackend, SimBackend};
+use skippub_core::pubsub::{PartitionedBackend, SimBackend};
 use skippub_core::topics::TopicMsg;
 use skippub_core::{BackendKind, Msg, NodeRef, PubSub, TopicId};
 use skippub_ringmath::Label;
@@ -149,18 +149,8 @@ fn restore_corrupted(
             }
             Ok(Box::new(b))
         }
-        "multi-topic" => {
-            let mut b = MultiTopicBackend::from_snapshot(&warm.snapshot)?;
-            for _ in 0..k {
-                let (to, about) = (pick(&mut state), pick(&mut state));
-                let topic = TopicId((mix(&mut state) % topics.max(1) as u64) as u32);
-                let msg = bogus_msg(&mut state, about);
-                b.world_mut().inject(to, TopicMsg { topic, msg });
-            }
-            Ok(Box::new(b))
-        }
-        "sharded" => {
-            let mut b = ShardedBackend::from_snapshot(&warm.snapshot)?;
+        "multi-topic" | "sharded" => {
+            let mut b = PartitionedBackend::from_snapshot(&warm.snapshot)?;
             for _ in 0..k {
                 let (to, about) = (pick(&mut state), pick(&mut state));
                 let topic = TopicId((mix(&mut state) % topics.max(1) as u64) as u32);

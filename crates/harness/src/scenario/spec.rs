@@ -137,9 +137,11 @@ pub struct ScenarioSpec {
     /// Number of topics (`TopicId(0..topics)`); single-topic backends
     /// only run specs with `topics == 1`.
     pub topics: u32,
-    /// Supervisor shards for the sharded backend (ignored elsewhere).
+    /// Partitions of the partitioned backend: supervisor shards on the
+    /// sharded kind, client partitions behind the one supervisor on the
+    /// multi-topic kind (ignored by the single-topic backends).
     pub shards: usize,
-    /// Worker-thread cap for the sharded backend's parallel round
+    /// Worker-thread cap for the partitioned backend's parallel round
     /// executor (ignored elsewhere). Purely an execution knob — results
     /// are byte-identical for every value.
     pub threads: usize,
@@ -257,15 +259,15 @@ impl ScenarioSpec {
         self
     }
 
-    /// Sets the shard count for the sharded backend.
+    /// Sets the shard (= partition) count for the partitioned backend.
     pub fn shards(mut self, k: usize) -> Self {
         assert!(k >= 1, "need at least one shard");
         self.shards = k;
         self
     }
 
-    /// Sets the worker-thread cap for the sharded backend's parallel
-    /// round executor (results are identical for every value).
+    /// Sets the worker-thread cap for the partitioned backend's
+    /// parallel round executor (results are identical for every value).
     pub fn threads(mut self, t: usize) -> Self {
         assert!(t >= 1, "need at least one worker thread");
         self.threads = t;

@@ -11,6 +11,7 @@ use skippub_core::{BackendKind, PubSub, SystemBuilder, TopicId};
 // `DeliveredItem`/`DeliveredSet` are the scenario engine's canonical
 // comparable "delivered publication" shape — shared here so the script
 // test and the spec tests can never drift apart.
+use skippub_harness::scenario::failover::topic_digest;
 use skippub_harness::scenario::{
     self, library, DeliveredSet, FaultRule, FaultSpec, LinkClass, Sever, Trace,
 };
@@ -191,36 +192,6 @@ fn recorded_trace_replays_to_identical_json_report() {
 // stepped by worker threads; the worker count must never change results.
 // ---------------------------------------------------------------------
 
-/// Canonical digest of a per-topic checker snapshot: the supervisor's
-/// full database (label → node) plus every member's label and believed
-/// ring neighbours. Byte-identical digests mean byte-identical final
-/// topology state, not merely an equivalent one.
-fn snapshot_digest(snap: &skippub_sim::World<skippub_core::Actor>) -> String {
-    use std::fmt::Write as _;
-    let mut text = String::new();
-    for (id, actor) in snap.iter() {
-        if let Some(sup) = actor.supervisor() {
-            let _ = write!(text, "S{}:n={};", id.0, sup.n());
-            for (label, node) in &sup.database {
-                let _ = write!(text, "{label:?}->{node:?};");
-            }
-        } else if let Some(sub) = actor.subscriber() {
-            let _ = write!(
-                text,
-                "C{}:{:?},{:?},{:?};",
-                id.0,
-                sub.label,
-                sub.left.as_ref().map(|r| r.id),
-                sub.right.as_ref().map(|r| r.id)
-            );
-        }
-    }
-    format!(
-        "{:032x}",
-        skippub_bits::Hash128::of_bytes(text.as_bytes()).0
-    )
-}
-
 /// A crash storm riding on continuous churn, 12 topics over 8 shards —
 /// the workload from the issue's determinism checklist.
 fn parallel_determinism_spec() -> scenario::ScenarioSpec {
@@ -268,7 +239,7 @@ fn sharded_runs_are_byte_identical_across_thread_counts() {
             out.report.to_json()
         );
         let digests: Vec<String> = (0..spec.topics)
-            .map(|t| snapshot_digest(&ps.snapshot(TopicId(t))))
+            .map(|t| topic_digest(&ps, TopicId(t)))
             .collect();
         // Identical to the serial backend: same delivered publications.
         assert_eq!(
@@ -405,7 +376,7 @@ fn budgeted_runs_reach_identical_final_snapshots() {
                 .expect("alive author");
             let (_, ok) = ps.until_pubs_converged(steps);
             assert!(ok, "{} budget={budget:?}: must converge", kind.name());
-            let digest = snapshot_digest(&ps.snapshot(T));
+            let digest = topic_digest(ps.as_ref(), T);
             let sets: Vec<DeliveredSet> = ids
                 .iter()
                 .map(|&m| {
@@ -563,7 +534,7 @@ fn checkpoint_phase2(ps: &mut dyn PubSub, ids: &[NodeId]) -> Phase2Observations 
         sets.push(set);
     }
     let digests = (0..k)
-        .map(|t| snapshot_digest(&ps.snapshot(TopicId(t))))
+        .map(|t| topic_digest(&*ps, TopicId(t)))
         .collect();
     let final_snap = ps
         .save_snapshot()
@@ -856,7 +827,7 @@ fn faulted_sharded_runs_are_byte_identical_across_thread_counts() {
             out.report.to_json()
         );
         let digests: Vec<String> = (0..spec.topics)
-            .map(|t| snapshot_digest(&ps.snapshot(TopicId(t))))
+            .map(|t| topic_digest(&ps, TopicId(t)))
             .collect();
         assert_eq!(
             out.delivered, serial.delivered,

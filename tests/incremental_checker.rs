@@ -2,15 +2,15 @@
 //! facade's cached `is_legitimate` / `publications_converged` verdicts
 //! must equal the pre-PR from-scratch computations (`*_full`) **after
 //! every round** of a long randomized churn script — the correctness
-//! bar of the incremental checking layer, exercised on the multi-topic
-//! and sharded backends (whose per-topic member index and verdict
+//! bar of the incremental checking layer, exercised on both layouts of
+//! the partitioned backend (whose per-topic member index and verdict
 //! caches carry the most state) and on the single-topic sim/chaos
 //! backends.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use skippub_core::pubsub::{MultiTopicBackend, ShardedBackend, SimBackend};
+use skippub_core::pubsub::{PartitionedBackend, SimBackend};
 use skippub_core::{PubSub, SystemBuilder, TopicId};
 use skippub_sim::NodeId;
 
@@ -96,26 +96,23 @@ fn churn_conformance<B: PubSub>(
     }
 }
 
-#[test]
-fn multi_topic_incremental_matches_full_over_200_churn_rounds() {
-    let topics = 8u32;
-    let mut ps = SystemBuilder::new(0xC0FFEE).topics(topics).build_multi();
-    churn_conformance(&mut ps, topics, 17, 200, |ps: &MultiTopicBackend| {
-        (ps.is_legitimate_full(), ps.publications_converged_full())
-    });
+/// The multi-topic layout (one partition, the builder default) and the
+/// sharded layout (`shards` partitions) of the one partitioned backend.
+fn both_layouts(builder: SystemBuilder, shards: usize) -> [PartitionedBackend; 2] {
+    [builder.build_multi(), builder.shards(shards).build_sharded()]
+}
+
+fn partitioned_full(ps: &PartitionedBackend) -> (bool, (bool, usize)) {
+    (ps.is_legitimate_full(), ps.publications_converged_full())
 }
 
 #[test]
-fn sharded_incremental_matches_full_over_200_churn_rounds() {
+fn partitioned_incremental_matches_full_over_200_churn_rounds() {
     let topics = 8u32;
-    let mut ps = SystemBuilder::new(0xC0FFEE)
-        .topics(topics)
-        .shards(4)
-        .threads(2)
-        .build_sharded();
-    churn_conformance(&mut ps, topics, 18, 200, |ps: &ShardedBackend| {
-        (ps.is_legitimate_full(), ps.publications_converged_full())
-    });
+    let builder = SystemBuilder::new(0xC0FFEE).topics(topics).threads(2);
+    for mut ps in both_layouts(builder, 4) {
+        churn_conformance(&mut ps, topics, 17, 200, partitioned_full);
+    }
 }
 
 #[test]
@@ -127,23 +124,6 @@ fn sim_and_chaos_incremental_matches_full_under_churn() {
             (ps.is_legitimate_full(), ps.publications_converged_full())
         });
     }
-}
-
-#[test]
-fn full_checking_switch_routes_to_the_from_scratch_path() {
-    // The A/B switch used by the checker bench: with full checking on,
-    // the facade verdicts still agree (they are the same predicate).
-    let mut ps = SystemBuilder::new(5).topics(3).build_multi();
-    for t in 0..3 {
-        ps.subscribe(TopicId(t));
-        ps.subscribe(TopicId(t));
-    }
-    assert!(ps.until_legit(4_000).1);
-    let inc = (ps.is_legitimate(), ps.publications_converged());
-    ps.set_full_checking(true);
-    assert_eq!((ps.is_legitimate(), ps.publications_converged()), inc);
-    ps.set_full_checking(false);
-    assert_eq!((ps.is_legitimate(), ps.publications_converged()), inc);
 }
 
 #[test]
@@ -186,21 +166,14 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
     /// Randomized-seed variant of the churn conformance on both
-    /// multi-world backends (shorter horizon; the 200-round fixed-seed
-    /// tests above are the deep soak).
+    /// partitioned layouts (shorter horizon; the 200-round fixed-seed
+    /// test above is the deep soak).
     #[test]
     fn incremental_matches_full_for_random_seeds(seed in any::<u64>()) {
         let topics = 5u32;
-        let mut ps = SystemBuilder::new(seed).topics(topics).build_multi();
-        churn_conformance(&mut ps, topics, seed ^ 0x55, 60, |ps: &MultiTopicBackend| {
-            (ps.is_legitimate_full(), ps.publications_converged_full())
-        });
-        let mut ps = SystemBuilder::new(seed)
-            .topics(topics)
-            .shards(3)
-            .build_sharded();
-        churn_conformance(&mut ps, topics, seed ^ 0xAA, 60, |ps: &ShardedBackend| {
-            (ps.is_legitimate_full(), ps.publications_converged_full())
-        });
+        let builder = SystemBuilder::new(seed).topics(topics);
+        for mut ps in both_layouts(builder, 3) {
+            churn_conformance(&mut ps, topics, seed ^ 0x55, 60, partitioned_full);
+        }
     }
 }

@@ -1,0 +1,104 @@
+//! Fixed point of the partitioned backend, pinned from the commit
+//! *before* the multi-topic and sharded backends were folded into one
+//! struct: delivered fingerprints, traffic `Stats` (per-partition rows
+//! included) and per-topic checker digests of three builtin scenarios on
+//! the single-supervisor layout (1 and 4 partitions) and of the
+//! rebalancing zipf workload on the sharded layout. Every row is swept
+//! over 1/2/4/8 worker threads, so the constants also pin thread-count
+//! invariance.
+//!
+//! A mismatch means a trajectory changed. To re-derive after an
+//! *intended* change, run the test: the failure message prints the full
+//! table of observed values in source form.
+
+use skippub_bits::Hash128;
+use skippub_core::{BackendKind, TopicId};
+use skippub_harness::scenario::{self, failover::topic_digest};
+
+struct Pin {
+    scenario: &'static str,
+    kind: BackendKind,
+    shards: usize,
+    rebalance: u64,
+    /// `ScenarioReport::delivered_fingerprint`.
+    fingerprint: &'static str,
+    /// `(steps, sent, delivered)` in the clear, for readable diffs.
+    totals: (u64, u64, u64),
+    /// Hash of the full `Stats` debug text (per-partition rows too).
+    stats: &'static str,
+    /// Hash of the per-topic `topic_digest`s, joined in topic order.
+    digests: &'static str,
+}
+
+#[rustfmt::skip] // one row per line reads as a table
+const PINS: &[Pin] = &[
+    Pin { scenario: "zipf-fanout", kind: BackendKind::MultiTopic, shards: 1, rebalance: 0, fingerprint: "9137af0f01e29bfd1fd32e377a99eda5", totals: (23, 3368, 3304), stats: "129919443300255835ae4af06020741e", digests: "8c6e3bc44f44efcb99c93a1569386e73" },
+    Pin { scenario: "zipf-fanout", kind: BackendKind::MultiTopic, shards: 4, rebalance: 0, fingerprint: "9137af0f01e29bfd1fd32e377a99eda5", totals: (23, 3377, 3258), stats: "57f99e74e19b231889c45ea170302e05", digests: "0459dbcfb1c5e247f5da1c3ed3d0d8d9" },
+    Pin { scenario: "shard-churn", kind: BackendKind::MultiTopic, shards: 1, rebalance: 0, fingerprint: "a5fbc34835eb2793534e981a3090f86d", totals: (24, 2111, 2017), stats: "5dc509daf3bc801ac7755f6c6e4ef8f7", digests: "4adee160a5eee3d050a51c7bb0726b8b" },
+    Pin { scenario: "shard-churn", kind: BackendKind::MultiTopic, shards: 4, rebalance: 0, fingerprint: "a5fbc34835eb2793534e981a3090f86d", totals: (25, 2195, 2069), stats: "074b0f7f20ce0f1a323753d45d11bfd4", digests: "c153cc8466eacdbd88a4175a2f396d3a" },
+    Pin { scenario: "supervisor-crash-churn", kind: BackendKind::MultiTopic, shards: 1, rebalance: 0, fingerprint: "593dc0a16723dba96047a1f0c2fe61da", totals: (362, 32555, 32510), stats: "2b3638986fb7dc8ae5d3b3427ac1cb58", digests: "f9f3a423c59ceae4d96654b557352dfd" },
+    Pin { scenario: "supervisor-crash-churn", kind: BackendKind::MultiTopic, shards: 4, rebalance: 0, fingerprint: "593dc0a16723dba96047a1f0c2fe61da", totals: (154, 14691, 14606), stats: "f8e37ed189963a0a2341f38eacea3fe5", digests: "46de232a68db67add21b7c1a81a340bf" },
+    Pin { scenario: "zipf-fanout", kind: BackendKind::Sharded, shards: 3, rebalance: 5, fingerprint: "9137af0f01e29bfd1fd32e377a99eda5", totals: (24, 3475, 3354), stats: "a2cf57fa90642f0d6fb3562fd934a732", digests: "e2d4adf1623936240ecfb5736fb7705e" },
+];
+
+fn hex(text: &str) -> String {
+    format!("{:032x}", Hash128::of_bytes(text.as_bytes()).0)
+}
+
+/// `(fingerprint, totals, stats hash, digests hash)` of one run.
+fn observe(pin: &Pin, threads: usize) -> (String, (u64, u64, u64), String, String) {
+    let spec = scenario::builtin(pin.scenario)
+        .expect("builtin scenario")
+        .shards(pin.shards)
+        .threads(threads)
+        .rebalance_every(pin.rebalance);
+    let mut ps = scenario::builder_for(&spec).build(pin.kind);
+    let out = scenario::run_on(ps.as_mut(), &spec, 1);
+    assert!(out.report.ok(), "{}", out.report.to_json());
+    let stats = &out.report.stats;
+    let digests: Vec<String> = (0..spec.topics)
+        .map(|t| topic_digest(ps.as_ref(), TopicId(t)))
+        .collect();
+    (
+        out.report.delivered_fingerprint.clone(),
+        (stats.steps, stats.sent, stats.delivered),
+        hex(&format!("{stats:?}")),
+        hex(&digests.join(",")),
+    )
+}
+
+#[test]
+fn parent_pinned_trajectories_hold_at_every_thread_count() {
+    let mut table = String::new();
+    let mut mismatches = Vec::new();
+    for pin in PINS {
+        for threads in [1usize, 2, 4, 8] {
+            let (fingerprint, totals, stats, digests) = observe(pin, threads);
+            if threads == 1 {
+                table.push_str(&format!(
+                    "    Pin {{ scenario: {:?}, kind: BackendKind::{:?}, shards: {}, rebalance: {}, \
+                     fingerprint: {:?}, totals: {:?}, stats: {:?}, digests: {:?} }},\n",
+                    pin.scenario, pin.kind, pin.shards, pin.rebalance, fingerprint, totals, stats, digests
+                ));
+            }
+            if (
+                fingerprint.as_str(),
+                totals,
+                stats.as_str(),
+                digests.as_str(),
+            ) != (pin.fingerprint, pin.totals, pin.stats, pin.digests)
+            {
+                mismatches.push(format!(
+                    "{} on {} shards={} threads={threads}",
+                    pin.scenario,
+                    pin.kind.name(),
+                    pin.shards
+                ));
+            }
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "trajectories moved: {mismatches:?}\nobserved (threads=1):\n{table}"
+    );
+}

@@ -8,8 +8,9 @@
 //! tombstones live, subscribers freshly migrated) must round-trip
 //! byte-exactly and continue identically.
 
-use skippub_core::pubsub::PubSub;
+use skippub_core::pubsub::{PartitionedBackend, PubSub};
 use skippub_core::{SystemBuilder, TopicId};
+use skippub_harness::scenario::failover::topic_digest;
 use skippub_harness::scenario::{self, Popularity, ScenarioSpec, Stop};
 
 /// ~200 rounds of zipf-skewed subscriptions with continuous churn, on
@@ -30,118 +31,56 @@ fn zipf_churn_spec(name: &'static str) -> ScenarioSpec {
         .rebalance_every(7)
 }
 
-/// Canonical digest of a per-topic checker snapshot (same shape as the
-/// facade-conformance digest): byte-identical digests mean
-/// byte-identical final topology state.
-fn snapshot_digest(snap: &skippub_sim::World<skippub_core::Actor>) -> String {
-    use std::fmt::Write as _;
-    let mut text = String::new();
-    for (id, actor) in snap.iter() {
-        if let Some(sup) = actor.supervisor() {
-            let _ = write!(text, "S{}:n={};", id.0, sup.n());
-            for (label, node) in &sup.database {
-                let _ = write!(text, "{label:?}->{node:?};");
-            }
-        } else if let Some(sub) = actor.subscriber() {
-            let _ = write!(
-                text,
-                "C{}:{:?},{:?},{:?};",
-                id.0,
-                sub.label,
-                sub.left.as_ref().map(|r| r.id),
-                sub.right.as_ref().map(|r| r.id)
+/// Both layouts of the partitioned backend, threads 1/2/4/8: delivered
+/// sets, stats (incl. per-partition) and checker digests must be
+/// byte-identical. On the sharded layout the run must also have
+/// performed at least one handoff, or the test would vacuously pass
+/// without exercising migration; the multi-topic layout has one
+/// supervisor, so nothing can move and the cadence is not applied —
+/// but its partitioned execution must be exact just the same.
+#[test]
+fn both_layouts_are_byte_identical_across_thread_counts() {
+    type Build = fn(&SystemBuilder) -> PartitionedBackend;
+    let layouts: [(&str, Build, bool); 2] = [
+        ("rebalance-determinism-sharded", SystemBuilder::build_sharded, true),
+        ("rebalance-determinism-multi", SystemBuilder::build_multi, false),
+    ];
+    for (name, build, rebalances) in layouts {
+        let base = zipf_churn_spec(name);
+        let mut reference: Option<(scenario::ScenarioOutcome, Vec<String>)> = None;
+        for threads in [1usize, 2, 4, 8] {
+            let spec = base.clone().threads(threads);
+            let mut ps = build(&scenario::builder_for(&spec));
+            let out = scenario::run_on(&mut ps, &spec, 1);
+            assert!(out.report.ok(), "{name} threads={threads}: {}", out.report.to_json());
+            assert_eq!(
+                ps.rebalances() > 0,
+                rebalances,
+                "{name} threads={threads}: the zipf skew must trigger a handoff iff there is a second supervisor"
             );
-        }
-    }
-    format!(
-        "{:032x}",
-        skippub_bits::Hash128::of_bytes(text.as_bytes()).0
-    )
-}
-
-/// Sharded backend, rebalancing on: threads 1/2/4/8 must produce
-/// byte-identical delivered sets, stats, and checker digests — and the
-/// run must have performed at least one handoff, or the test would
-/// vacuously pass without exercising migration.
-#[test]
-fn sharded_rebalancing_is_byte_identical_across_thread_counts() {
-    let base = zipf_churn_spec("rebalance-determinism-sharded");
-    let mut reference: Option<(scenario::ScenarioOutcome, Vec<String>)> = None;
-    for threads in [1usize, 2, 4, 8] {
-        let spec = base.clone().threads(threads);
-        let mut ps = scenario::builder_for(&spec).build_sharded();
-        let out = scenario::run_on(&mut ps, &spec, 1);
-        assert!(
-            out.report.ok(),
-            "threads={threads}: {}",
-            out.report.to_json()
-        );
-        assert!(
-            ps.rebalances() > 0,
-            "threads={threads}: the zipf skew must trigger at least one handoff"
-        );
-        let digests: Vec<String> = (0..spec.topics)
-            .map(|t| snapshot_digest(&ps.snapshot(TopicId(t))))
-            .collect();
-        match &reference {
-            None => reference = Some((out, digests)),
-            Some((ref_out, ref_digests)) => {
-                assert_eq!(
-                    out.report.delivered_fingerprint, ref_out.report.delivered_fingerprint,
-                    "threads={threads}: delivered fingerprint diverges"
-                );
-                assert_eq!(
-                    out.delivered, ref_out.delivered,
-                    "threads={threads}: delivered sets diverge"
-                );
-                assert_eq!(
-                    out.report.stats, ref_out.report.stats,
-                    "threads={threads}: traffic stats (incl. per-partition) diverge"
-                );
-                assert_eq!(
-                    &digests, ref_digests,
-                    "threads={threads}: final checker snapshots diverge"
-                );
-            }
-        }
-    }
-}
-
-/// The multi-topic backend now runs on the partitioned executor too;
-/// the same zipf + churn workload must be thread-count-invariant there
-/// (rebalancing is a sharded-only mechanism — the builder setting is
-/// ignored — but the partitioned execution must still be exact).
-#[test]
-fn multi_backend_is_byte_identical_across_thread_counts() {
-    let base = zipf_churn_spec("rebalance-determinism-multi");
-    let mut reference: Option<(scenario::ScenarioOutcome, Vec<String>)> = None;
-    for threads in [1usize, 2, 4, 8] {
-        let spec = base.clone().threads(threads);
-        let mut ps = scenario::builder_for(&spec).build_multi();
-        let out = scenario::run_on(&mut ps, &spec, 1);
-        assert!(
-            out.report.ok(),
-            "threads={threads}: {}",
-            out.report.to_json()
-        );
-        let digests: Vec<String> = (0..spec.topics)
-            .map(|t| snapshot_digest(&ps.snapshot(TopicId(t))))
-            .collect();
-        match &reference {
-            None => reference = Some((out, digests)),
-            Some((ref_out, ref_digests)) => {
-                assert_eq!(
-                    out.delivered, ref_out.delivered,
-                    "threads={threads}: delivered sets diverge"
-                );
-                assert_eq!(
-                    out.report.stats, ref_out.report.stats,
-                    "threads={threads}: traffic stats diverge"
-                );
-                assert_eq!(
-                    &digests, ref_digests,
-                    "threads={threads}: final checker snapshots diverge"
-                );
+            let digests: Vec<String> = (0..spec.topics)
+                .map(|t| topic_digest(&ps, TopicId(t)))
+                .collect();
+            match &reference {
+                None => reference = Some((out, digests)),
+                Some((ref_out, ref_digests)) => {
+                    assert_eq!(
+                        out.report.delivered_fingerprint, ref_out.report.delivered_fingerprint,
+                        "{name} threads={threads}: delivered fingerprint diverges"
+                    );
+                    assert_eq!(
+                        out.delivered, ref_out.delivered,
+                        "{name} threads={threads}: delivered sets diverge"
+                    );
+                    assert_eq!(
+                        out.report.stats, ref_out.report.stats,
+                        "{name} threads={threads}: traffic stats (incl. per-partition) diverge"
+                    );
+                    assert_eq!(
+                        &digests, ref_digests,
+                        "{name} threads={threads}: final checker snapshots diverge"
+                    );
+                }
             }
         }
     }
@@ -209,7 +148,7 @@ fn snapshot_round_trips_mid_handoff() {
     assert_eq!(ps.stats(), restored.stats(), "continued stats diverge");
     let digests = |ps: &dyn PubSub| -> Vec<String> {
         (0..topics)
-            .map(|t| snapshot_digest(&ps.snapshot(TopicId(t))))
+            .map(|t| topic_digest(ps, TopicId(t)))
             .collect()
     };
     assert_eq!(

@@ -8,20 +8,22 @@
 //! until publication convergence plus the fault counters — the headline
 //! claim is the *shape*: light loss is absorbed nearly for free (every
 //! repair round retries), while heavy loss hits a sharp knee where
-//! retransmission redundancy stops compensating. One honest
-//! cap: drop rates above 0.2 only run at n ≤ `--heavy-max-n` (default
-//! 1 000) — at n = 10k the 0.5 per-link rate pushes publication
-//! convergence past the 60k-round budget (measured: n = 1k converges,
-//! n = 10k does not), so the intractable cell is recorded in
-//! `loss_skipped` instead of silently dropped.
+//! retransmission redundancy stops compensating. Every cell converges
+//! (the relay of repaired publications, DESIGN.md §7.6, spreads each
+//! repair at flood speed), and the sweep is asserted **monotone in n**:
+//! no cell may converge in fewer than half the rounds the same drop
+//! rate took at a smaller n — the signature of one lost publication
+//! waiting on a lucky repair partner.
 //!
 //! **Partition-heal leg**: 10% of the members are severed from the rest
 //! for a fixed window while stories publish on both sides; at heal the
 //! emitter measures the settle cost — rounds back to legitimacy and to
-//! full publication convergence.
+//! full publication convergence — at every `--sizes` entry and, in a
+//! full run, at n = 100 000. Asserted in-run: publications settle within
+//! `4·⌈log2 n⌉ + 8` rounds of the heal.
 //!
-//! Two claims are asserted in-run and recorded as flags (a failure
-//! aborts before any JSON is written):
+//! Three more claims are asserted in-run and recorded as flags (a
+//! failure aborts before any JSON is written):
 //!
 //! * `determinism`: the lossiest small-n row re-run must reproduce
 //!   identical convergence rounds and fault counters — the plane is
@@ -38,7 +40,7 @@
 //! ```text
 //! cargo run --release -p skippub-bench --bin bench_faults_json \
 //!     [-- --sizes 1000,10000 --drops 0,0.05,0.2,0.5 --pubs 6 \
-//!         --budget 60000 --heavy-max-n 1000 --out BENCH_faults.json] \
+//!         --budget 60000 --out BENCH_faults.json] \
 //!     [--smoke]
 //! ```
 
@@ -52,20 +54,17 @@ use std::time::Instant;
 
 const SEED: u64 = 0xFA17_BEC4;
 const T: TopicId = TopicId(0);
+/// The partition-heal leg's extra size in a full run.
+const HEAL_LARGE_N: usize = 100_000;
 
 struct Args {
     sizes: Vec<usize>,
     drops: Vec<f64>,
     pubs: usize,
     budget: u64,
-    heavy_max_n: usize,
     out: String,
     smoke: bool,
 }
-
-/// Drop rates above this only run at n ≤ `heavy_max_n`: heavier loss on
-/// larger worlds exceeds the round budget (see the module docs).
-const HEAVY_DROP: f64 = 0.2;
 
 fn parse_args() -> Args {
     let mut args = Args {
@@ -73,7 +72,6 @@ fn parse_args() -> Args {
         drops: vec![0.0, 0.05, 0.2, 0.5],
         pubs: 6,
         budget: 60_000,
-        heavy_max_n: 1_000,
         out: "BENCH_faults.json".to_string(),
         smoke: false,
     };
@@ -100,7 +98,6 @@ fn parse_args() -> Args {
             }
             "--pubs" => args.pubs = value().parse().expect("--pubs"),
             "--budget" => args.budget = value().parse().expect("--budget"),
-            "--heavy-max-n" => args.heavy_max_n = value().parse().expect("--heavy-max-n"),
             "--out" => args.out = value(),
             "--smoke" => {
                 args.smoke = true;
@@ -213,6 +210,11 @@ fn measure_heal(n: usize, budget: u64) -> HealRow {
     assert!(ok, "n={n}: must re-legitimize after the partition heals");
     let (settle_rounds_pubs, ok) = ps.until_pubs_converged(budget);
     assert!(ok, "n={n}: both sides' stories must cross the healed cut");
+    let bound = 4 * u64::from(skippub_ringmath::analytics::max_level(n as u64)) + 8;
+    assert!(
+        settle_rounds_pubs <= bound,
+        "n={n}: publications settled {settle_rounds_pubs} rounds after the heal, over 4*ceil(log2 n)+8 = {bound}"
+    );
     let wall_secs = t0.elapsed().as_secs_f64();
     HealRow {
         n,
@@ -228,15 +230,9 @@ fn measure_heal(n: usize, budget: u64) -> HealRow {
 fn main() {
     let a = parse_args();
 
-    // Determinism flag: the lossiest *tractable* row at the smallest n,
-    // twice (the heavy-drop cap applies here too).
+    // Determinism flag: the lossiest row at the smallest n, twice.
     let det_n = a.sizes[0];
-    let det_drop = a
-        .drops
-        .iter()
-        .cloned()
-        .filter(|&d| det_n <= a.heavy_max_n || d <= HEAVY_DROP)
-        .fold(0.0f64, f64::max);
+    let det_drop = a.drops.iter().cloned().fold(0.0f64, f64::max);
     let once = measure_loss(det_n, det_drop, a.pubs, a.budget);
     let twice = measure_loss(det_n, det_drop, a.pubs, a.budget);
     assert_eq!(
@@ -274,27 +270,36 @@ fn main() {
     assert!(storm.ok(), "fault-storm oracle failed: {}", storm.to_json());
 
     let mut loss_rows: Vec<LossRow> = Vec::new();
-    let mut loss_skipped: Vec<(usize, f64)> = Vec::new();
     for &n in &a.sizes {
         for &drop in &a.drops {
-            if drop > HEAVY_DROP && n > a.heavy_max_n {
-                eprintln!("[loss] n={n} drop={drop} skipped (exceeds the round budget; see loss_skipped)");
-                loss_skipped.push((n, drop));
-                continue;
-            }
             loss_rows.push(measure_loss(n, drop, a.pubs, a.budget));
         }
     }
-    let heal_rows: Vec<HealRow> = a.sizes.iter().map(|&n| measure_heal(n, a.budget)).collect();
+    // Monotone in n: a larger world never needs fewer than half the
+    // rounds a smaller one took at the same drop rate.
+    for big in &loss_rows {
+        for small in loss_rows.iter().filter(|s| s.drop == big.drop && s.n < big.n) {
+            assert!(
+                2 * big.rounds >= small.rounds,
+                "drop={}: n={} converged in {} rounds but n={} needed {}",
+                big.drop, big.n, big.rounds, small.n, small.rounds
+            );
+        }
+    }
+    let mut heal_sizes = a.sizes.clone();
+    if !a.smoke && !heal_sizes.contains(&HEAL_LARGE_N) {
+        heal_sizes.push(HEAL_LARGE_N);
+    }
+    let heal_rows: Vec<HealRow> = heal_sizes.iter().map(|&n| measure_heal(n, a.budget)).collect();
 
     let mut json = String::new();
     json.push_str("{\n  \"schema\": \"skippub-bench/faults/v1\",\n");
-    json.push_str("  \"description\": \"Graceful degradation under the deterministic link-fault plane: (1) loss sweep - rounds to publication convergence for a publish burst on a legitimate n-subscriber world while every link drops at the given rate (window never closes, so retransmissions pay the rate too); (2) partition-heal settle - 10% of members severed for a fixed window with stories published on both sides, then rounds back to legitimacy and full convergence after heal. Determinism (identical re-run) and the fault-storm heal-and-reconverge oracle are asserted in-run. Regenerate with: cargo run --release -p skippub-bench --bin bench_faults_json\",\n");
+    json.push_str("  \"description\": \"Graceful degradation under the deterministic link-fault plane: (1) loss sweep - rounds to publication convergence for a publish burst on a legitimate n-subscriber world while every link drops at the given rate (window never closes, so retransmissions pay the rate too); (2) partition-heal settle - 10% of members severed for a fixed window with stories published on both sides, then rounds back to legitimacy and full convergence after heal (asserted in-run: publications within 4*ceil(log2 n)+8 rounds). Determinism (identical re-run), the loss sweep being monotone in n and the fault-storm heal-and-reconverge oracle are asserted in-run. Regenerate with: cargo run --release -p skippub-bench --bin bench_faults_json\",\n");
     let _ = writeln!(json, "  \"seed\": {SEED},");
     let _ = writeln!(
         json,
-        "  \"config\": {{\"pubs\": {}, \"budget\": {}, \"heavy_max_n\": {}, \"smoke\": {}}},",
-        a.pubs, a.budget, a.heavy_max_n, a.smoke
+        "  \"config\": {{\"pubs\": {}, \"budget\": {}, \"smoke\": {}}},",
+        a.pubs, a.budget, a.smoke
     );
     json.push_str("  \"determinism\": true,\n");
     json.push_str("  \"deterministic_across_thread_counts\": true,\n");
@@ -319,20 +324,6 @@ fn main() {
         );
     }
     json.push_str("  ],\n");
-    json.push_str("  \"loss_skipped\": [\n");
-    for (i, (n, drop)) in loss_skipped.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"n\": {}, \"drop\": {:.2}, \"reason\": \"does not converge within the {}-round budget: at this diameter a {:.0}% per-link loss starves the repair flood (n <= {} converges at the same rate)\"}}{}",
-            n,
-            drop,
-            a.budget,
-            drop * 100.0,
-            a.heavy_max_n,
-            if i + 1 == loss_skipped.len() { "" } else { "," }
-        );
-    }
-    json.push_str("  ],\n");
     json.push_str("  \"partition_heal\": [\n");
     for (i, r) in heal_rows.iter().enumerate() {
         let _ = writeln!(
@@ -349,7 +340,7 @@ fn main() {
         );
     }
     json.push_str("  ],\n");
-    json.push_str("  \"note\": \"determinism, deterministic_across_thread_counts (fault-storm-mix on the sharded backend at 1/2/4 worker threads: identical fingerprints and stats), and oracle_fault_storm_ok are asserted in-run (a violation aborts before any JSON is written). slowdown_vs_clean is rounds_to_converge over the same-n drop=0 row; the column grows monotonically with the drop rate - light loss is absorbed nearly for free, heavy loss hits a sharp knee where retransmission redundancy stops compensating, and loss_skipped records the cells where it becomes outright divergence (an honest cliff, not a measurement gap). The partition-heal settle counts start at the heal, so window_rounds is excluded.\"\n");
+    json.push_str("  \"note\": \"determinism, deterministic_across_thread_counts (fault-storm-mix on the sharded backend at 1/2/4 worker threads: identical fingerprints and stats), and oracle_fault_storm_ok are asserted in-run (a violation aborts before any JSON is written). slowdown_vs_clean is rounds_to_converge over the same-n drop=0 row; the column grows monotonically with the drop rate - light loss is absorbed nearly for free, heavy loss hits a knee where retransmission redundancy stops compensating - and every cell converges: a repaired publication is relayed along every edge (DESIGN.md 7.6), so no cell waits on one lucky repair partner and no larger n converges in fewer than half the rounds of a smaller one (asserted in-run). The partition-heal settle counts start at the heal, so window_rounds is excluded; settle_rounds_pubs <= 4*ceil(log2 n)+8 is asserted in-run.\"\n");
     json.push_str("}\n");
 
     std::fs::write(&a.out, &json).expect("write BENCH_faults.json");

@@ -1,7 +1,8 @@
 //! Publication dissemination (Algorithm 5 + §4.3 flooding), implemented on
 //! [`Subscriber`].
 //!
-//! Two complementary mechanisms, exactly as in the paper:
+//! Two complementary mechanisms, as in the paper, and one documented
+//! extension that joins them:
 //!
 //! * **Anti-entropy** (`PublishTimeout` / `CheckTrie` / `CheckAndPublish`
 //!   / `Publish`): the self-stabilizing layer. Every timeout, a subscriber
@@ -15,6 +16,13 @@
 //!   self-stabilizing (late joiners / lossy pasts); anti-entropy repairs
 //!   whatever flooding misses ("we do not rely on flooding to show
 //!   convergence", §4.3).
+//! * **Relay of repaired publications** (DESIGN.md §7.6): a publication
+//!   first learned through a `Publish(P)` is sent on, once, as part of
+//!   one `Publish` batch per edge at the end of the same activation, so
+//!   a repair spreads at flood speed instead of one ring hop per
+//!   anti-entropy exchange. It only repeats Algorithm 5's own `Publish`
+//!   action with `P ⊆` the sender's store, is gated by `cfg.flooding`,
+//!   and sends nothing once the stores agree.
 
 use crate::msg::Msg;
 use crate::subscriber::Subscriber;
@@ -29,21 +37,11 @@ impl Subscriber {
         let Some(root) = self.trie.root_summary() else {
             return;
         };
-        let candidates: Vec<NodeId> = {
-            let mut c: Vec<NodeId> = [self.left, self.right, self.ring]
-                .into_iter()
-                .flatten()
-                .map(|r| r.id)
-                .filter(|&id| id != self.id)
-                .collect();
-            c.sort_unstable_by_key(|id| id.0);
-            c.dedup();
-            c
-        };
-        if candidates.is_empty() {
+        let Some(pick) = self.with_edges(false, |candidates| {
+            (!candidates.is_empty()).then(|| candidates[ctx.random_range(candidates.len())])
+        }) else {
             return;
-        }
-        let pick = candidates[ctx.random_range(candidates.len())];
+        };
         ctx.send(
             pick,
             Msg::CheckTrie {
@@ -121,10 +119,48 @@ impl Subscriber {
     /// skeleton commit: each touched internal hash is recomputed once
     /// per message instead of once per publication ([`TrieBatch`] is
     /// proptest-equivalent to the insert loop, so the resulting trie —
-    /// and every root hash the protocol ships — is identical).
+    /// and every root hash the protocol ships — is identical). The keys
+    /// new to the store are noted for [`Subscriber::relay_timeout`].
     pub(crate) fn on_publish(&mut self, pubs: Vec<Publication>) {
+        if self.cfg.flooding {
+            let new = pubs
+                .iter()
+                .map(Publication::key)
+                .filter(|key| !self.trie.contains_key(key));
+            self.relay_pending.extend(new.cloned());
+        }
         let batch: TrieBatch = pubs.into_iter().collect();
         self.counters.pubs_via_sync += batch.apply(&mut self.trie) as u64;
+    }
+
+    /// Relay of repaired publications (DESIGN.md §7.6): sends what this
+    /// activation's `Publish` messages added to the store on along every
+    /// edge, as one `Publish` batch per neighbour. Coalescing here, not
+    /// forwarding from inside `on_publish`, keeps a repair burst to one
+    /// message per edge per activation. The batch is read back from the
+    /// store, so an entry the store does not hold (a corrupted initial
+    /// state, a rejected insert) is dropped, never sent.
+    pub(crate) fn relay_timeout(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        let keys = std::mem::take(&mut self.relay_pending);
+        if keys.is_empty() || !self.cfg.flooding {
+            return;
+        }
+        let pubs: Vec<Publication> = keys
+            .iter()
+            .filter_map(|key| self.trie.get(key))
+            .cloned()
+            .collect();
+        if pubs.is_empty() {
+            return;
+        }
+        self.with_edges(true, |targets| {
+            if let Some((&last, rest)) = targets.split_last() {
+                for &t in rest {
+                    ctx.send(t, Msg::Publish { pubs: pubs.clone() });
+                }
+                ctx.send(last, Msg::Publish { pubs });
+            }
+        });
     }
 
     /// Handles `PublishNew(p)` (Algorithm 5 lines 30–34): insert if new
@@ -141,7 +177,7 @@ impl Subscriber {
         let inserted = self.trie.insert(publication.clone());
         if inserted {
             self.counters.pubs_via_flood += 1;
-            self.counters.flood_hops.push(hops);
+            self.counters.max_flood_hops = self.counters.max_flood_hops.max(hops);
             self.flood(ctx, publication, hops + 1);
         }
     }
@@ -176,24 +212,17 @@ impl Subscriber {
         if !self.cfg.flooding {
             return;
         }
-        let mut targets: Vec<NodeId> = [self.left, self.right, self.ring]
-            .into_iter()
-            .flatten()
-            .map(|r| r.id)
-            .chain(self.shortcuts.values().copied().flatten())
-            .filter(|&id| id != self.id)
-            .collect();
-        targets.sort_unstable_by_key(|id| id.0);
-        targets.dedup();
-        for t in targets {
-            ctx.send(
-                t,
-                Msg::PublishNew {
-                    publication: p.clone(),
-                    hops,
-                },
-            );
-        }
+        self.with_edges(true, |targets| {
+            for &t in targets {
+                ctx.send(
+                    t,
+                    Msg::PublishNew {
+                        publication: p.clone(),
+                        hops,
+                    },
+                );
+            }
+        });
     }
 }
 
@@ -203,6 +232,7 @@ mod tests {
     use crate::config::ProtocolConfig;
     use crate::msg::NodeRef;
     use skippub_ringmath::Label;
+    use std::collections::BTreeSet;
 
     fn lab(s: &str) -> Label {
         s.parse().unwrap()
@@ -211,6 +241,16 @@ mod tests {
     fn sub(id: u64, label: &str) -> Subscriber {
         let mut s = Subscriber::new(NodeId(id), NodeId(0), ProtocolConfig::default());
         s.label = Some(lab(label));
+        s
+    }
+
+    /// A subscriber with a ring neighbour, a ring-closure edge and a
+    /// shortcut: three distinct flood and relay targets, two probe targets.
+    fn three_edges() -> Subscriber {
+        let mut s = sub(3, "0");
+        s.right = Some(NodeRef::new(lab("01"), NodeId(4)));
+        s.ring = Some(NodeRef::new(lab("11"), NodeId(5)));
+        s.shortcuts.insert(lab("1"), Some(NodeId(6)));
         s
     }
 
@@ -223,10 +263,7 @@ mod tests {
 
     #[test]
     fn publish_local_inserts_and_floods() {
-        let mut s = sub(3, "0");
-        s.right = Some(NodeRef::new(lab("01"), NodeId(4)));
-        s.ring = Some(NodeRef::new(lab("11"), NodeId(5)));
-        s.shortcuts.insert(lab("1"), Some(NodeId(6)));
+        let mut s = three_edges();
         let sent = run(&mut s, |s, ctx| {
             s.publish_local(ctx, b"hello".to_vec());
         });
@@ -246,7 +283,7 @@ mod tests {
         let p = Publication::new(9, b"x".to_vec());
         let sent = run(&mut s, |s, ctx| s.on_publish_new(ctx, p.clone(), 1));
         assert_eq!(sent.len(), 1, "forwarded to the one neighbour");
-        assert_eq!(s.counters.flood_hops, vec![1]);
+        assert_eq!(s.counters.max_flood_hops, 1);
         // Second arrival is dropped.
         let sent = run(&mut s, |s, ctx| s.on_publish_new(ctx, p.clone(), 2));
         assert!(sent.is_empty());
@@ -255,10 +292,7 @@ mod tests {
 
     #[test]
     fn publish_timeout_targets_ring_neighbors_only() {
-        let mut s = sub(3, "0");
-        s.right = Some(NodeRef::new(lab("01"), NodeId(4)));
-        s.ring = Some(NodeRef::new(lab("11"), NodeId(5)));
-        s.shortcuts.insert(lab("1"), Some(NodeId(6)));
+        let mut s = three_edges();
         run(&mut s, |s, ctx| {
             s.publish_local(ctx, b"x".to_vec());
         });
@@ -272,6 +306,95 @@ mod tests {
                 "shortcut {to:?} must not receive anti-entropy probes"
             );
         }
+    }
+
+    /// The `Publish` batches among `sent`, as `(target, keys)`.
+    fn relayed(sent: &[(NodeId, Msg)]) -> Vec<(NodeId, Vec<BitStr>)> {
+        sent.iter()
+            .filter_map(|(to, m)| match m {
+                Msg::Publish { pubs } => Some((*to, pubs.iter().map(|p| p.key().clone()).collect())),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn relay_sends_only_first_seen_publications() {
+        let mut s = three_edges();
+        let known = Publication::new(9, b"known".to_vec());
+        let fresh = Publication::new(9, b"fresh".to_vec());
+        s.trie.insert(known.clone());
+        s.on_publish(vec![known, fresh.clone()]);
+        assert_eq!(s.counters.pubs_via_sync, 1);
+        let sent = run(&mut s, |s, ctx| s.relay_timeout(ctx));
+        let want = vec![fresh.key().clone()];
+        assert_eq!(
+            relayed(&sent),
+            vec![
+                (NodeId(4), want.clone()),
+                (NodeId(5), want.clone()),
+                (NodeId(6), want),
+            ]
+        );
+        // Each publication is relayed once: the set is spent.
+        assert!(s.relay_pending.is_empty());
+        assert!(run(&mut s, |s, ctx| s.relay_timeout(ctx)).is_empty());
+    }
+
+    #[test]
+    fn relay_coalesces_one_activation_into_one_batch_per_neighbour() {
+        let mut s = three_edges();
+        let a = Publication::new(9, b"a".to_vec());
+        let b = Publication::new(9, b"b".to_vec());
+        let c = Publication::new(8, b"c".to_vec());
+        s.on_publish(vec![a.clone()]);
+        s.on_publish(vec![b.clone(), a.clone()]);
+        s.on_publish(vec![c.clone()]);
+        // The whole activation: `timeout` runs the relay before the
+        // paper's own timeout actions.
+        let sent = run(&mut s, |s, ctx| s.timeout(ctx));
+        let batches = relayed(&sent);
+        assert_eq!(batches.len(), 3, "one batch per edge");
+        let mut want = vec![a.key().clone(), b.key().clone(), c.key().clone()];
+        want.sort_unstable();
+        for (_, keys) in batches {
+            assert_eq!(keys, want, "each publication once, in key order");
+        }
+    }
+
+    #[test]
+    fn relay_is_silent_without_news_or_without_flooding() {
+        let mut s = three_edges();
+        let p = Publication::new(9, b"p".to_vec());
+        s.trie.insert(p.clone());
+        s.on_publish(vec![p.clone()]);
+        assert!(s.relay_pending.is_empty(), "nothing was new");
+        assert!(relayed(&run(&mut s, |s, ctx| s.timeout(ctx))).is_empty());
+
+        let mut quiet = three_edges();
+        quiet.cfg.flooding = false;
+        quiet.on_publish(vec![p]);
+        assert_eq!(quiet.trie.len(), 1, "anti-entropy still stores it");
+        assert!(quiet.relay_pending.is_empty());
+        // Even a (corrupted) non-empty set is dropped, not sent.
+        quiet.relay_pending.insert(quiet.trie.keys()[0].clone());
+        assert!(relayed(&run(&mut quiet, |s, ctx| s.timeout(ctx))).is_empty());
+        assert!(quiet.relay_pending.is_empty());
+    }
+
+    #[test]
+    fn relay_drops_pending_keys_the_store_does_not_hold() {
+        let mut s = three_edges();
+        let held = Publication::new(9, b"held".to_vec());
+        let alien = Publication::new(9, b"alien".to_vec());
+        s.trie.insert(held.clone());
+        s.relay_pending = BTreeSet::from([alien.key().clone(), held.key().clone()]);
+        let sent = run(&mut s, |s, ctx| s.relay_timeout(ctx));
+        for (_, keys) in relayed(&sent) {
+            assert_eq!(keys, vec![held.key().clone()]);
+        }
+        s.relay_pending = BTreeSet::from([alien.key().clone()]);
+        assert!(run(&mut s, |s, ctx| s.relay_timeout(ctx)).is_empty());
     }
 
     #[test]

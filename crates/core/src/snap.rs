@@ -206,7 +206,7 @@ impl Snap for Counters {
         self.tokens_seen.save(w);
         self.configs_received.save(w);
         self.ignored_msgs.save(w);
-        SnapVec(self.flood_hops.clone()).save(w);
+        self.max_flood_hops.save(w);
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(Counters {
@@ -218,7 +218,7 @@ impl Snap for Counters {
             tokens_seen: Snap::load(r)?,
             configs_received: Snap::load(r)?,
             ignored_msgs: Snap::load(r)?,
-            flood_hops: SnapVec::load(r)?.0,
+            max_flood_hops: Snap::load(r)?,
         })
     }
 }
@@ -233,6 +233,7 @@ snap_struct!(Subscriber {
     shortcuts,
     shortcut_epoch,
     trie,
+    relay_pending,
     wants_membership,
     cfg,
     counters,

@@ -13,10 +13,11 @@
 
 use crate::config::ProtocolConfig;
 use crate::msg::{Msg, NodeRef};
+use skippub_bits::BitStr;
 use skippub_ringmath::{analytics, shortcut, Label};
 use skippub_sim::{Ctx, NodeId};
 use skippub_trie::PatriciaTrie;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Placement key: total order used by linearization.
 #[inline]
@@ -41,6 +42,11 @@ struct ShortcutScratch {
 thread_local! {
     static SHORTCUT_SCRATCH: std::cell::RefCell<ShortcutScratch> =
         std::cell::RefCell::new(ShortcutScratch::default());
+    /// Reusable id buffer of [`Subscriber::with_edges`]: anti-entropy
+    /// asks for the edge set once per node per round and flooding once
+    /// per forwarded publication.
+    static EDGE_SCRATCH: std::cell::RefCell<Vec<NodeId>> =
+        const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// Experiment counters (never read by protocol logic).
@@ -63,8 +69,8 @@ pub struct Counters {
     /// Messages ignored because they were addressed to the wrong role or
     /// were otherwise unprocessable (corrupted channel content).
     pub ignored_msgs: u64,
-    /// Hop counts at which flooded publications first arrived.
-    pub flood_hops: Vec<u32>,
+    /// Largest hop count at which a flooded publication first arrived.
+    pub max_flood_hops: u32,
 }
 
 /// A subscriber of one topic (one `BuildSR` instance).
@@ -99,6 +105,12 @@ pub struct Subscriber {
     pub shortcut_epoch: u64,
     /// Publication store `v.T` (paper §4.2).
     pub trie: PatriciaTrie,
+    /// Keys of publications first learned through anti-entropy since the
+    /// last `Timeout`, which relays them along every edge (DESIGN.md
+    /// §7.6). A protocol variable: serialized, and harmless from an
+    /// arbitrary initial state — entries absent from `trie` are dropped,
+    /// never sent.
+    pub relay_pending: BTreeSet<BitStr>,
     /// User intent: `false` once the user asked to unsubscribe.
     pub wants_membership: bool,
     /// Protocol knobs.
@@ -121,6 +133,7 @@ impl Subscriber {
             shortcuts: BTreeMap::new(),
             shortcut_epoch: 0,
             trie: PatriciaTrie::new(),
+            relay_pending: BTreeSet::new(),
             wants_membership: true,
             cfg,
             counters: Counters::default(),
@@ -162,6 +175,32 @@ impl Subscriber {
             Some(me) => place_key(r.label, r.id) < me,
             None => false,
         }
+    }
+
+    /// Runs `f` on the sorted, deduplicated ids of this node's edges —
+    /// `{left, right, ring}`, plus the resolved shortcuts when
+    /// `shortcuts` is set — with itself excluded. The ids live in a
+    /// reusable thread-local buffer, so a call allocates nothing.
+    pub(crate) fn with_edges<R>(&self, shortcuts: bool, f: impl FnOnce(&[NodeId]) -> R) -> R {
+        EDGE_SCRATCH.with(|cell| {
+            let mut ids = cell.take();
+            ids.clear();
+            ids.extend(
+                [self.left, self.right, self.ring]
+                    .into_iter()
+                    .flatten()
+                    .map(|r| r.id),
+            );
+            if shortcuts {
+                ids.extend(self.shortcuts.values().copied().flatten());
+            }
+            ids.retain(|&id| id != self.id);
+            ids.sort_unstable_by_key(|id| id.0);
+            ids.dedup();
+            let out = f(&ids);
+            cell.replace(ids);
+            out
+        })
     }
 
     // ------------------------------------------------------------------
@@ -675,6 +714,9 @@ impl Subscriber {
 
     /// The periodic `Timeout` action.
     pub(crate) fn timeout(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        // First, so the pending set never outlives an activation's
+        // timeout whichever branch below returns early.
+        self.relay_timeout(ctx);
         if !self.wants_membership {
             // Keep requesting departure until the supervisor grants it
             // (SetData(⊥,⊥,⊥) clears the label).

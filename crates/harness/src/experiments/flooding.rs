@@ -43,7 +43,7 @@ pub fn run(scale: Scale, seed: u64) -> Report {
             .subscriber_ids()
             .iter()
             .filter_map(|id| sim.subscriber(*id))
-            .flat_map(|s| s.counters.flood_hops.iter().copied())
+            .map(|s| s.counters.max_flood_hops)
             .max()
             .unwrap_or(0) as usize;
         let diameter = if n <= 512 {

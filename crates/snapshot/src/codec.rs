@@ -6,7 +6,7 @@
 //! A snapshot is a single ASCII token stream (whitespace-separated), in
 //! three sections:
 //!
-//! 1. **header** — `skippubsnap 1 <kind>`: magic, format version, and
+//! 1. **header** — `skippubsnap 2 <kind>`: magic, format version, and
 //!    the backend kind tag restore dispatches on;
 //! 2. **node store** — the shared [`MemoryTrieDb`] every trie in the
 //!    snapshot committed into: a count followed by `(hash, node)` pairs
@@ -23,6 +23,11 @@
 
 use skippub_bits::Hash128;
 use skippub_trie::{MemoryTrieDb, PatriciaTrie, StoredNode, TrieDb};
+
+/// Format version in the header. Version 2 changed the `Subscriber` body
+/// (the relay pending set; a scalar flood-hop maximum); a version-1
+/// stream would misparse, so it is rejected at the header.
+const FORMAT_VERSION: &str = "2";
 
 /// Errors surfaced while decoding a snapshot.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -136,7 +141,10 @@ impl SnapWriter {
             !kind.is_empty() && kind.chars().all(|c| !c.is_whitespace()),
             "snapshot kind must be a single token"
         );
-        let mut text = format!("skippubsnap 1 {kind} {}", self.db.node_count());
+        let mut text = format!(
+            "skippubsnap {FORMAT_VERSION} {kind} {}",
+            self.db.node_count()
+        );
         for (hash, node) in self.db.iter() {
             write!(text, " {:x}", hash.0).expect("string write");
             match node {
@@ -276,7 +284,7 @@ impl BackendSnapshot {
     pub fn from_text(text: &str) -> Result<Self, SnapError> {
         let mut toks = text.split_ascii_whitespace();
         match (toks.next(), toks.next(), toks.next()) {
-            (Some("skippubsnap"), Some("1"), Some(kind)) => Ok(BackendSnapshot {
+            (Some("skippubsnap"), Some(FORMAT_VERSION), Some(kind)) => Ok(BackendSnapshot {
                 kind: kind.to_string(),
                 text: text.to_string(),
             }),
@@ -299,7 +307,7 @@ impl BackendSnapshot {
             db: MemoryTrieDb::new(),
         };
         match (r.next()?, r.next()?, r.next()?) {
-            ("skippubsnap", "1", k) if k == self.kind => {}
+            ("skippubsnap", FORMAT_VERSION, k) if k == self.kind => {}
             (m, v, k) => {
                 return Err(SnapError::Malformed(format!(
                     "header mismatch: {m} {v} {k}"

@@ -100,6 +100,8 @@ fn truncated_and_corrupt_snapshots_fail_loudly() {
 
     assert!(BackendSnapshot::from_text("not a snapshot").is_err());
     assert!(BackendSnapshot::from_text("skippubsnap 9 t 0").is_err());
+    // The previous format version (different `Subscriber` body).
+    assert!(BackendSnapshot::from_text("skippubsnap 1 t 0").is_err());
 
     // Truncating the whole body token surfaces as Eof on load.
     let truncated = &text[..text.len() - 2];

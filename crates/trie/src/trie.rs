@@ -285,7 +285,15 @@ impl PatriciaTrie {
 
     /// Whether a publication with this exact key is stored.
     pub fn contains_key(&self, key: &BitStr) -> bool {
-        matches!(self.find_node(key), Some(idx) if matches!(self.nodes[idx].kind, Kind::Leaf(_)))
+        self.get(key).is_some()
+    }
+
+    /// The stored publication with this exact key, if any.
+    pub fn get(&self, key: &BitStr) -> Option<&Publication> {
+        match &self.nodes[self.find_node(key)?].kind {
+            Kind::Leaf(p) => Some(p),
+            Kind::Inner(_) => None,
+        }
     }
 
     /// Index of the node with *exactly* this label (inner or leaf).

@@ -1,11 +1,16 @@
-//! Fixed point of the partitioned backend, pinned from the commit
-//! *before* the multi-topic and sharded backends were folded into one
-//! struct: delivered fingerprints, traffic `Stats` (per-partition rows
-//! included) and per-topic checker digests of three builtin scenarios on
-//! the single-supervisor layout (1 and 4 partitions) and of the
-//! rebalancing zipf workload on the sharded layout. Every row is swept
-//! over 1/2/4/8 worker threads, so the constants also pin thread-count
-//! invariance.
+//! Fixed point of the partitioned backend: delivered fingerprints,
+//! traffic `Stats` (per-partition rows included) and per-topic checker
+//! digests of three builtin scenarios on the single-supervisor layout
+//! (1 and 4 partitions) and of the rebalancing zipf workload on the
+//! sharded layout. Every row is swept over 1/2/4/8 worker threads, so
+//! the constants also pin thread-count invariance.
+//!
+//! The `fingerprint` column is pinned from the commit *before* the
+//! multi-topic and sharded backends were folded into one struct and has
+//! not moved since. `totals`, `stats` and `digests` were re-derived when
+//! the relay of repaired publications (DESIGN.md §7.6) landed: it sends
+//! extra `Publish` batches wherever a repair happens, which moves the
+//! traffic and the RNG-dependent trajectory but not what is delivered.
 //!
 //! A mismatch means a trajectory changed. To re-derive after an
 //! *intended* change, run the test: the failure message prints the full
@@ -32,13 +37,13 @@ struct Pin {
 
 #[rustfmt::skip] // one row per line reads as a table
 const PINS: &[Pin] = &[
-    Pin { scenario: "zipf-fanout", kind: BackendKind::MultiTopic, shards: 1, rebalance: 0, fingerprint: "9137af0f01e29bfd1fd32e377a99eda5", totals: (23, 3368, 3304), stats: "129919443300255835ae4af06020741e", digests: "8c6e3bc44f44efcb99c93a1569386e73" },
+    Pin { scenario: "zipf-fanout", kind: BackendKind::MultiTopic, shards: 1, rebalance: 0, fingerprint: "9137af0f01e29bfd1fd32e377a99eda5", totals: (22, 3279, 3186), stats: "2f545231eed8d1244bb84d2017dfbf80", digests: "8c6e3bc44f44efcb99c93a1569386e73" },
     Pin { scenario: "zipf-fanout", kind: BackendKind::MultiTopic, shards: 4, rebalance: 0, fingerprint: "9137af0f01e29bfd1fd32e377a99eda5", totals: (23, 3377, 3258), stats: "57f99e74e19b231889c45ea170302e05", digests: "0459dbcfb1c5e247f5da1c3ed3d0d8d9" },
-    Pin { scenario: "shard-churn", kind: BackendKind::MultiTopic, shards: 1, rebalance: 0, fingerprint: "a5fbc34835eb2793534e981a3090f86d", totals: (24, 2111, 2017), stats: "5dc509daf3bc801ac7755f6c6e4ef8f7", digests: "4adee160a5eee3d050a51c7bb0726b8b" },
-    Pin { scenario: "shard-churn", kind: BackendKind::MultiTopic, shards: 4, rebalance: 0, fingerprint: "a5fbc34835eb2793534e981a3090f86d", totals: (25, 2195, 2069), stats: "074b0f7f20ce0f1a323753d45d11bfd4", digests: "c153cc8466eacdbd88a4175a2f396d3a" },
-    Pin { scenario: "supervisor-crash-churn", kind: BackendKind::MultiTopic, shards: 1, rebalance: 0, fingerprint: "593dc0a16723dba96047a1f0c2fe61da", totals: (362, 32555, 32510), stats: "2b3638986fb7dc8ae5d3b3427ac1cb58", digests: "f9f3a423c59ceae4d96654b557352dfd" },
-    Pin { scenario: "supervisor-crash-churn", kind: BackendKind::MultiTopic, shards: 4, rebalance: 0, fingerprint: "593dc0a16723dba96047a1f0c2fe61da", totals: (154, 14691, 14606), stats: "f8e37ed189963a0a2341f38eacea3fe5", digests: "46de232a68db67add21b7c1a81a340bf" },
-    Pin { scenario: "zipf-fanout", kind: BackendKind::Sharded, shards: 3, rebalance: 5, fingerprint: "9137af0f01e29bfd1fd32e377a99eda5", totals: (24, 3475, 3354), stats: "a2cf57fa90642f0d6fb3562fd934a732", digests: "e2d4adf1623936240ecfb5736fb7705e" },
+    Pin { scenario: "shard-churn", kind: BackendKind::MultiTopic, shards: 1, rebalance: 0, fingerprint: "a5fbc34835eb2793534e981a3090f86d", totals: (24, 2124, 2021), stats: "8c4526ee6c6e99ff758c3e0f46d655aa", digests: "4adee160a5eee3d050a51c7bb0726b8b" },
+    Pin { scenario: "shard-churn", kind: BackendKind::MultiTopic, shards: 4, rebalance: 0, fingerprint: "a5fbc34835eb2793534e981a3090f86d", totals: (25, 2210, 2084), stats: "61bc6c3ddac4732ffe63fea171c1d422", digests: "c153cc8466eacdbd88a4175a2f396d3a" },
+    Pin { scenario: "supervisor-crash-churn", kind: BackendKind::MultiTopic, shards: 1, rebalance: 0, fingerprint: "593dc0a16723dba96047a1f0c2fe61da", totals: (251, 22760, 22716), stats: "b569b6e20013bccfd29f4b572aa1d716", digests: "bbd604c69ccc761632798c7b50824968" },
+    Pin { scenario: "supervisor-crash-churn", kind: BackendKind::MultiTopic, shards: 4, rebalance: 0, fingerprint: "593dc0a16723dba96047a1f0c2fe61da", totals: (266, 24035, 23957), stats: "fe8ffa4428f5fea94e96789f3dc1aa70", digests: "7e6ef112f4f63aa751f1eddb6f34973d" },
+    Pin { scenario: "zipf-fanout", kind: BackendKind::Sharded, shards: 3, rebalance: 5, fingerprint: "9137af0f01e29bfd1fd32e377a99eda5", totals: (24, 3476, 3353), stats: "66697865ec1fec4236d64d2c5e0cbf2d", digests: "e2d4adf1623936240ecfb5736fb7705e" },
 ];
 
 fn hex(text: &str) -> String {

@@ -88,10 +88,10 @@ pub(crate) fn dispatch_subscriber(sub: &mut Subscriber, ctx: &mut Ctx<'_, Msg>, 
         Msg::CheckAndPublish {
             sender,
             tuples,
-            prefix,
-        } => sub.on_check_and_publish(ctx, sender, tuples, prefix),
+            prefixes,
+        } => sub.on_check_and_publish(ctx, sender, tuples, prefixes),
         Msg::Publish { pubs } => sub.on_publish(pubs),
-        Msg::PublishNew { publication, hops } => sub.on_publish_new(ctx, publication, hops),
+        Msg::PublishNew { pubs } => sub.on_publish_new(pubs),
         Msg::Subscribe { .. } | Msg::Unsubscribe { .. } | Msg::GetConfiguration { .. } => {
             sub.counters.ignored_msgs += 1;
         }

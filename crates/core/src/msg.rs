@@ -150,29 +150,32 @@ pub enum Msg {
         /// Node summaries to compare.
         tuples: Vec<NodeSummary>,
     },
-    /// `CheckAndPublish(sender, tuples, prefix)` — continue checking and
-    /// ship everything under `prefix` back to `sender` (Algorithm 5).
+    /// `CheckAndPublish(sender, tuples, prefixes)` — continue checking
+    /// and ship everything under any of `prefixes` back to `sender`
+    /// (Algorithm 5). One message answers a whole `CheckTrie`, so it
+    /// carries every prefix that request found missing (DESIGN.md §7.6).
     CheckAndPublish {
         /// Who to answer to.
         sender: NodeId,
-        /// Zero or one cover summaries to keep checking.
+        /// Child and cover summaries to keep checking.
         tuples: Vec<NodeSummary>,
-        /// Prefix of publications the sender is missing.
-        prefix: skippub_bits::BitStr,
+        /// Prefixes of publications the sender is missing (never empty).
+        prefixes: Vec<skippub_bits::BitStr>,
     },
     /// `Publish(P)` — deliver publications (Algorithm 5).
     Publish {
         /// The publications.
         pubs: Vec<Publication>,
     },
-    /// `PublishNew(p)` — flood a fresh publication along all edges
-    /// (§4.3). The `hops` counter is measurement metadata for experiment
-    /// E9 (delivery distance); protocol logic never branches on it.
+    /// `PublishNew(P)` — flood fresh publications along all edges
+    /// (§4.3): everything the sender first learned in one activation, as
+    /// one batch per edge (DESIGN.md §7.6). Each publication travels
+    /// with its own hop counter — measurement metadata for experiment E9
+    /// (delivery distance); protocol logic never branches on it.
     PublishNew {
-        /// The new publication.
-        publication: Publication,
-        /// Hops travelled so far (1 = direct from the author).
-        hops: u32,
+        /// The new publications, each with the hops it has travelled so
+        /// far (1 = direct from the author or from a repaired store).
+        pubs: Vec<(Publication, u32)>,
     },
 }
 
@@ -240,12 +243,11 @@ mod tests {
             Msg::CheckAndPublish {
                 sender: NodeId(1),
                 tuples: vec![],
-                prefix: skippub_bits::BitStr::new(),
+                prefixes: vec![skippub_bits::BitStr::new()],
             },
             Msg::Publish { pubs: vec![] },
             Msg::PublishNew {
-                publication: Publication::new(1, b"x".to_vec()),
-                hops: 1,
+                pubs: vec![(Publication::new(1, b"x".to_vec()), 1)],
             },
         ];
         let mut kinds: Vec<&str> = msgs.iter().map(|m| m.kind()).collect();

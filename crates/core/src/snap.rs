@@ -113,21 +113,20 @@ impl Snap for Msg {
             Msg::CheckAndPublish {
                 sender,
                 tuples,
-                prefix,
+                prefixes,
             } => {
                 w.put_u64(12);
                 sender.save(w);
                 SnapVec(tuples.clone()).save(w);
-                prefix.save(w);
+                SnapVec(prefixes.clone()).save(w);
             }
             Msg::Publish { pubs } => {
                 w.put_u64(13);
                 SnapVec(pubs.clone()).save(w);
             }
-            Msg::PublishNew { publication, hops } => {
+            Msg::PublishNew { pubs } => {
                 w.put_u64(14);
-                publication.save(w);
-                hops.save(w);
+                SnapVec(pubs.clone()).save(w);
             }
         }
     }
@@ -182,14 +181,13 @@ impl Snap for Msg {
             12 => Msg::CheckAndPublish {
                 sender: Snap::load(r)?,
                 tuples: SnapVec::load(r)?.0,
-                prefix: Snap::load(r)?,
+                prefixes: SnapVec::load(r)?.0,
             },
             13 => Msg::Publish {
                 pubs: SnapVec::load(r)?.0,
             },
             14 => Msg::PublishNew {
-                publication: Snap::load(r)?,
-                hops: Snap::load(r)?,
+                pubs: SnapVec::load(r)?.0,
             },
             n => return Err(SnapError::Malformed(format!("unknown message tag {n}"))),
         })

@@ -17,7 +17,7 @@ use skippub_bits::BitStr;
 use skippub_ringmath::{analytics, shortcut, Label};
 use skippub_sim::{Ctx, NodeId};
 use skippub_trie::PatriciaTrie;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Placement key: total order used by linearization.
 #[inline]
@@ -43,8 +43,8 @@ thread_local! {
     static SHORTCUT_SCRATCH: std::cell::RefCell<ShortcutScratch> =
         std::cell::RefCell::new(ShortcutScratch::default());
     /// Reusable id buffer of [`Subscriber::with_edges`]: anti-entropy
-    /// asks for the edge set once per node per round and flooding once
-    /// per forwarded publication.
+    /// and dissemination each ask for the edge set at most once per node
+    /// per round, a local publish once per call.
     static EDGE_SCRATCH: std::cell::RefCell<Vec<NodeId>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
@@ -56,9 +56,11 @@ pub struct Counters {
     pub config_probes: u64,
     /// Configuration requests sent on behalf of neighbours (action (iii)).
     pub neighbor_probes: u64,
-    /// Publications first learned through flooding.
+    /// Publications first learned from a `PublishNew` batch: a flood
+    /// forward or the relay of a repair (DESIGN.md §7.6).
     pub pubs_via_flood: u64,
-    /// Publications first learned through anti-entropy `Publish`.
+    /// Publications first learned from an anti-entropy `Publish`, the
+    /// reply to a `CheckAndPublish`.
     pub pubs_via_sync: u64,
     /// `CheckTrie` leaf conflicts observed (corrupted states only).
     pub leaf_conflicts: u64,
@@ -69,7 +71,8 @@ pub struct Counters {
     /// Messages ignored because they were addressed to the wrong role or
     /// were otherwise unprocessable (corrupted channel content).
     pub ignored_msgs: u64,
-    /// Largest hop count at which a flooded publication first arrived.
+    /// Largest hop count at which a flooded publication first arrived
+    /// (hops are counted per publication, not per batch).
     pub max_flood_hops: u32,
 }
 
@@ -105,12 +108,13 @@ pub struct Subscriber {
     pub shortcut_epoch: u64,
     /// Publication store `v.T` (paper §4.2).
     pub trie: PatriciaTrie,
-    /// Keys of publications first learned through anti-entropy since the
-    /// last `Timeout`, which relays them along every edge (DESIGN.md
-    /// §7.6). A protocol variable: serialized, and harmless from an
-    /// arbitrary initial state — entries absent from `trie` are dropped,
-    /// never sent.
-    pub relay_pending: BTreeSet<BitStr>,
+    /// Keys of publications first learned — through a flood or through
+    /// anti-entropy — since the last `Timeout`, which sends them on along
+    /// every edge as one batch (DESIGN.md §7.6), each with the hop count
+    /// of its first arrival (0 for one a `Publish` repaired). A protocol
+    /// variable: serialized, and harmless from an arbitrary initial
+    /// state — entries absent from `trie` are dropped, never sent.
+    pub relay_pending: BTreeMap<BitStr, u32>,
     /// User intent: `false` once the user asked to unsubscribe.
     pub wants_membership: bool,
     /// Protocol knobs.
@@ -133,7 +137,7 @@ impl Subscriber {
             shortcuts: BTreeMap::new(),
             shortcut_epoch: 0,
             trie: PatriciaTrie::new(),
-            relay_pending: BTreeSet::new(),
+            relay_pending: BTreeMap::new(),
             wants_membership: true,
             cfg,
             counters: Counters::default(),

@@ -11,7 +11,7 @@
 //! 3. a reference implementation the networked protocol in `skippub-core`
 //!    is differentially tested against.
 
-use crate::{CheckOutcome, NodeSummary, PatriciaTrie, Publication};
+use crate::{NodeSummary, PatriciaTrie, Publication};
 use std::collections::VecDeque;
 
 /// Which of the two parties a message is addressed to.
@@ -41,18 +41,20 @@ pub enum SyncMsg {
         /// Addressee.
         to: Party,
         /// Node summaries to compare (Algorithm 5 handles a child pair as
-        /// two tuples of one request).
+        /// two tuples of one request; the child pairs of all differing
+        /// nodes of a request travel together).
         tuples: Vec<NodeSummary>,
     },
-    /// `CheckAndPublish(sender, tuples, pf)` — continue checking at
-    /// `tuples` *and* send back all publications with prefix `pf`.
+    /// `CheckAndPublish(sender, tuples, prefixes)` — continue checking
+    /// at `tuples` *and* send back all publications under any of
+    /// `prefixes`.
     CheckAndPublish {
         /// Addressee.
         to: Party,
-        /// Zero or one cover summaries to keep checking.
+        /// Child and cover summaries to keep checking.
         tuples: Vec<NodeSummary>,
-        /// Prefix of publications the sender is missing.
-        prefix: skippub_bits::BitStr,
+        /// Prefixes of publications the sender is missing (never empty).
+        prefixes: Vec<skippub_bits::BitStr>,
     },
     /// `Publish(P)` — deliver publications.
     Publish {
@@ -81,7 +83,11 @@ pub struct SyncStats {
 }
 
 /// Processes one received message at the addressed trie, pushing any
-/// responses onto `queue`. Returns the number of publications inserted.
+/// responses onto `queue`: at most one `Publish` (for the prefixes of a
+/// `CheckAndPublish`) and at most one check-type reply for all tuples
+/// together — a `CheckTrie` with the children of every differing node,
+/// or a `CheckAndPublish` as soon as one prefix is missing. Returns the
+/// number of publications inserted.
 fn handle(
     a: &mut PatriciaTrie,
     b: &mut PatriciaTrie,
@@ -89,10 +95,14 @@ fn handle(
     queue: &mut VecDeque<SyncMsg>,
     stats: &mut SyncStats,
 ) -> usize {
-    let (to, tuples, prefix, pubs) = match msg {
-        SyncMsg::Check { to, tuples } => (to, tuples, None, Vec::new()),
-        SyncMsg::CheckAndPublish { to, tuples, prefix } => (to, tuples, Some(prefix), Vec::new()),
-        SyncMsg::Publish { to, pubs } => (to, Vec::new(), None, pubs),
+    let (to, tuples, prefixes, pubs) = match msg {
+        SyncMsg::Check { to, tuples } => (to, tuples, Vec::new(), Vec::new()),
+        SyncMsg::CheckAndPublish {
+            to,
+            tuples,
+            prefixes,
+        } => (to, tuples, prefixes, Vec::new()),
+        SyncMsg::Publish { to, pubs } => (to, Vec::new(), Vec::new(), pubs),
     };
     let me: &mut PatriciaTrie = match to {
         Party::A => a,
@@ -104,45 +114,31 @@ fn handle(
             inserted += 1;
         }
     }
-    // CheckAndPublish: ship everything under the requested prefix back.
-    if let Some(pf) = prefix {
-        let send: Vec<Publication> = me
-            .publications_with_prefix(&pf)
-            .into_iter()
-            .cloned()
-            .collect();
-        if !send.is_empty() {
-            stats.publish_msgs += 1;
-            stats.publications_sent += send.len();
-            queue.push_back(SyncMsg::Publish {
-                to: to.other(),
-                pubs: send,
-            });
-        }
+    // CheckAndPublish: ship everything under the requested prefixes back.
+    let send = me.publications_under(prefixes);
+    if !send.is_empty() {
+        stats.publish_msgs += 1;
+        stats.publications_sent += send.len();
+        queue.push_back(SyncMsg::Publish {
+            to: to.other(),
+            pubs: send,
+        });
     }
-    // CheckTrie handling per tuple.
-    for tuple in tuples {
-        match me.check(&tuple) {
-            CheckOutcome::Match | CheckOutcome::LeafConflict => {}
-            CheckOutcome::Descend(c0, c1) => {
-                stats.check_msgs += 1;
-                queue.push_back(SyncMsg::Check {
-                    to: to.other(),
-                    tuples: vec![c0, c1],
-                });
-            }
-            CheckOutcome::Missing {
-                cover,
-                publish_prefix,
-            } => {
-                stats.check_and_publish_msgs += 1;
-                queue.push_back(SyncMsg::CheckAndPublish {
-                    to: to.other(),
-                    tuples: cover.into_iter().collect(),
-                    prefix: publish_prefix,
-                });
-            }
-        }
+    // CheckTrie handling: one reply for all tuples.
+    let reply = me.check_all(&tuples);
+    if !reply.prefixes.is_empty() {
+        stats.check_and_publish_msgs += 1;
+        queue.push_back(SyncMsg::CheckAndPublish {
+            to: to.other(),
+            tuples: reply.tuples,
+            prefixes: reply.prefixes,
+        });
+    } else if !reply.tuples.is_empty() {
+        stats.check_msgs += 1;
+        queue.push_back(SyncMsg::Check {
+            to: to.other(),
+            tuples: reply.tuples,
+        });
     }
     inserted
 }

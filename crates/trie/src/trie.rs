@@ -53,6 +53,22 @@ pub enum CheckOutcome {
     },
 }
 
+/// Receiver-side decision for a whole `CheckTrie` request: the one
+/// message that answers all its tuples ([`PatriciaTrie::check_all`]).
+/// With `prefixes` empty it is a `CheckTrie(tuples)` — and no message at
+/// all if `tuples` is empty too; otherwise a
+/// `CheckAndPublish(tuples, prefixes)`.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct CheckReply {
+    /// Both children of every differing inner node and the cover of
+    /// every missing one, in request order: what to compare next.
+    pub tuples: Vec<NodeSummary>,
+    /// The prefix below every missing node: what the peer should send.
+    pub prefixes: Vec<BitStr>,
+    /// Differing leaves met (corrupted states only; never answered).
+    pub leaf_conflicts: usize,
+}
+
 #[derive(Clone, Debug)]
 enum Kind {
     Leaf(Publication),
@@ -408,6 +424,21 @@ impl PatriciaTrie {
         self.iter_publications_with_prefix(prefix).collect()
     }
 
+    /// The stored publications under any of `prefixes`, cloned, each
+    /// once and in key order — the `P` a `CheckAndPublish` naming those
+    /// prefixes is answered with. Overlapping prefixes (a corrupted
+    /// request) are harmless: a prefix sorts right before its
+    /// extensions, so those are dropped.
+    pub fn publications_under(&self, mut prefixes: Vec<BitStr>) -> Vec<Publication> {
+        prefixes.sort_unstable();
+        prefixes.dedup_by(|later, kept| kept.is_prefix_of(later));
+        prefixes
+            .iter()
+            .flat_map(|prefix| self.iter_publications_with_prefix(prefix))
+            .cloned()
+            .collect()
+    }
+
     /// All stored publications in key order — a `Vec` wrapper over the
     /// borrowing [`PatriciaTrie::iter_publications`].
     pub fn publications(&self) -> Vec<&Publication> {
@@ -473,6 +504,28 @@ impl PatriciaTrie {
                 },
             },
         }
+    }
+
+    /// [`PatriciaTrie::check`] over all tuples of a request, folded into
+    /// the single reply that answers it: a descent costs one message per
+    /// trie level, however many branches differ.
+    pub fn check_all(&self, tuples: &[NodeSummary]) -> CheckReply {
+        let mut reply = CheckReply::default();
+        for tuple in tuples {
+            match self.check(tuple) {
+                CheckOutcome::Match => {}
+                CheckOutcome::LeafConflict => reply.leaf_conflicts += 1,
+                CheckOutcome::Descend(c0, c1) => reply.tuples.extend([c0, c1]),
+                CheckOutcome::Missing {
+                    cover,
+                    publish_prefix,
+                } => {
+                    reply.tuples.extend(cover);
+                    reply.prefixes.push(publish_prefix);
+                }
+            }
+        }
+        reply
     }
 
     /// Commits the trie into a node-addressed store: every node is
@@ -873,6 +926,40 @@ mod tests {
             other => panic!("expected Missing without cover, got {other:?}"),
         }
         drop(u);
+    }
+
+    #[test]
+    fn check_all_folds_every_tuple_into_one_reply() {
+        let (u, v) = figure2();
+        // Figure 2, v-initiated: u answers v's root with its children …
+        let first = u.check_all(&[v.root_summary().unwrap()]);
+        let labels: Vec<BitStr> = first.tuples.iter().map(|t| t.label.clone()).collect();
+        assert_eq!(labels, [bs("0"), bs("10")]);
+        assert!(first.prefixes.is_empty() && first.leaf_conflicts == 0);
+        // … and v folds "0 matches" and "10 is missing" into one reply.
+        let second = v.check_all(&first.tuples);
+        assert_eq!(second.tuples, [v.node_summary(&bs("100")).unwrap()]);
+        assert_eq!(second.prefixes, [bs("101")]);
+        // Equal tries have nothing to say.
+        assert_eq!(
+            u.check_all(&[u.root_summary().unwrap()]),
+            CheckReply::default()
+        );
+    }
+
+    #[test]
+    fn publications_under_ships_each_publication_once_in_key_order() {
+        let (u, _) = figure2();
+        let under = |prefixes: &[&str]| -> Vec<BitStr> {
+            u.publications_under(prefixes.iter().map(|p| bs(p)).collect())
+                .iter()
+                .map(|p| p.key().clone())
+                .collect()
+        };
+        assert_eq!(under(&["101", "0"]), [bs("000"), bs("010"), bs("101")]);
+        // Nested and repeated prefixes add nothing.
+        assert_eq!(under(&["10", "100", "1", "10"]), [bs("100"), bs("101")]);
+        assert!(under(&[]).is_empty() && under(&["11"]).is_empty());
     }
 
     #[test]

@@ -156,22 +156,23 @@ fn arb_items(max: usize) -> impl Strategy<Value = Vec<(u64, Vec<u8>)>> {
 
 proptest! {
     #[test]
-    fn sync_messages_are_linear_in_the_difference(
+    fn one_initiation_costs_messages_independent_of_the_difference(
         m in 4usize..64,
         common in arb_items(400),
         only_a in arb_items(60),
         only_b in arb_items(60),
     ) {
-        // ROADMAP item 3: reconciling two stores that differ in k
-        // publications of m-bit keys takes at most C·k·m messages,
-        // however large the common part is. One initiation sends at
-        // most 1 + k·(m + 1) messages — the root probe, one answer per
-        // tuple on a path to a differing key (a path has at most m
-        // nodes), one `Publish` per differing key — and an initiation
-        // from each side is needed before either knows what it lacks;
-        // later ones run on what is left. Worst observed over 80 000
-        // cases: 2.5·k·m (k = 1, m = 4).
-        const C: usize = 4;
+        // ROADMAP item 3: what one initiation costs two stores differing
+        // in k publications of m-bit keys depends on m alone, not on k
+        // or on the size of the common part (the per-tuple exchange
+        // needed up to 1 + k·(m + 1)). A request is answered by one
+        // check-type message whose tuples are nodes of the answering
+        // store with labels at least one bit longer than the shortest
+        // label asked about, and labels have at most m bits: at most
+        // m + 1 check-type messages carry tuples. The last of them can
+        // only carry leaves under nodes the other side holds with both
+        // children, so it is never answered. Each `CheckAndPublish`
+        // among the m replies draws one `Publish`: ≤ 2·m + 1 in all.
         let at = |items: &[(u64, Vec<u8>)], trie: &mut PatriciaTrie| {
             for (author, payload) in items {
                 trie.insert(Publication::with_key_bits(*author, payload.clone(), m));
@@ -183,15 +184,29 @@ proptest! {
         at(&common, &mut b);
         at(&only_a, &mut a);
         at(&only_b, &mut b);
-        let a_keys: BTreeSet<BitStr> = a.keys().into_iter().collect();
-        let b_keys: BTreeSet<BitStr> = b.keys().into_iter().collect();
-        let k = a_keys.symmetric_difference(&b_keys).count();
-        let stats = sync::sync_pair(&mut a, &mut b, 256);
-        prop_assert!(stats.converged);
-        let msgs = stats.check_msgs + stats.check_and_publish_msgs + stats.publish_msgs;
-        prop_assert!(
-            msgs <= C * k * m,
-            "{} messages for k = {}, m = {} ({} stored): {:?}", msgs, k, m, a.len(), stats
-        );
+        let union: BTreeSet<BitStr> = a.keys().into_iter().chain(b.keys()).collect();
+        let k = union.len() * 2 - a.len() - b.len();
+        let mut from = sync::Party::A;
+        let mut initiations = 0;
+        while a.root_hash() != b.root_hash() {
+            let mut stats = sync::SyncStats::default();
+            sync::initiate(&mut a, &mut b, from, &mut stats);
+            let checks = stats.check_msgs + stats.check_and_publish_msgs;
+            prop_assert!(
+                checks <= m + 1 && stats.publish_msgs <= stats.check_and_publish_msgs,
+                "k = {}, m = {}: more than one message per trie level: {:?}", k, m, stats
+            );
+            prop_assert!(
+                checks + stats.publish_msgs <= 2 * (m + 1),
+                "k = {}, m = {} ({} stored): {:?}", k, m, a.len(), stats
+            );
+            from = from.other();
+            initiations += 1;
+            prop_assert!(initiations <= 256, "k = {}, m = {}: never reconciled", k, m);
+        }
+        // The same end as the per-tuple exchange reached: the union.
+        let expect: Vec<BitStr> = union.into_iter().collect();
+        prop_assert_eq!(a.keys(), expect.clone());
+        prop_assert_eq!(b.keys(), expect);
     }
 }

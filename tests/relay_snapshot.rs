@@ -1,15 +1,16 @@
-//! The relay's pending set (DESIGN.md §7.6) is a protocol variable: it is
-//! part of every snapshot, a restore resumes mid-relay exactly, and an
-//! arbitrary initial value cannot put anything into a store that no
-//! store held. All on the chaos scheduler, where a node's `Timeout` need
-//! not follow its inbox in the same round, so pending sets outlive
-//! rounds.
+//! The pending set of coalesced dissemination (DESIGN.md §7.6) is a
+//! protocol variable: it is part of every snapshot — flood-learned
+//! entries with their hop counts, repaired ones, and the batches in
+//! flight — a restore resumes mid-relay exactly, and an arbitrary
+//! initial value cannot put anything into a store that no store held.
+//! All on the chaos scheduler, where a node's `Timeout` need not follow
+//! its inbox in the same round, so pending sets outlive rounds.
 
 use skippub_core::pubsub::{restore, BackendSnapshot, SimBackend};
-use skippub_core::{Actor, PubSub, SystemBuilder, TopicId};
+use skippub_core::{Actor, Msg, PubSub, SystemBuilder, TopicId};
 use skippub_sim::NodeId;
 use skippub_trie::Publication;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 const T: TopicId = TopicId(0);
 const MEMBERS: usize = 24;
@@ -36,13 +37,34 @@ fn seed_stories(ps: &mut SimBackend, ids: &[NodeId]) -> BTreeSet<String> {
         .collect()
 }
 
-fn pending_total(ps: &SimBackend) -> usize {
+/// Hop counts of every pending entry: 0 marks a repaired publication,
+/// anything else a flood-learned one.
+fn pending_hops(ps: &SimBackend) -> Vec<u32> {
     let sim = ps.sim();
     sim.subscriber_ids()
         .iter()
         .filter_map(|&id| sim.subscriber(id))
-        .map(|s| s.relay_pending.len())
-        .sum()
+        .flat_map(|s| s.relay_pending.values().copied())
+        .collect()
+}
+
+fn pending_total(ps: &SimBackend) -> usize {
+    pending_hops(ps).len()
+}
+
+/// Sizes of the `PublishNew` batches sitting in channels.
+fn batches_in_flight(ps: &SimBackend) -> Vec<usize> {
+    let state = ps.sim().world().export_state();
+    state
+        .partition
+        .nodes
+        .iter()
+        .flat_map(|node| &node.channel)
+        .filter_map(|(_, msg)| match msg {
+            Msg::PublishNew { pubs } => Some(pubs.len()),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Steps `rounds` times; returns what every member drained and the
@@ -65,29 +87,49 @@ fn continue_for(ps: &mut dyn PubSub, ids: &[NodeId], rounds: usize) -> (Vec<Vec<
 }
 
 #[test]
-fn version_1_snapshots_are_rejected_at_the_header() {
+fn older_format_versions_are_rejected_at_the_header() {
     let (ps, _) = legit_chaos(0x51A9);
     let text = ps.save_snapshot().expect("snapshot").as_text().to_string();
-    assert!(text.starts_with("skippubsnap 2 chaos "), "{}", &text[..40]);
+    assert!(text.starts_with("skippubsnap 3 chaos "), "{}", &text[..40]);
     assert!(BackendSnapshot::from_text(&text).is_ok());
-    // The same body under the previous version number: its `Subscriber`
-    // layout differs, so it must be refused, not parsed.
-    let old = text.replacen("skippubsnap 2 ", "skippubsnap 1 ", 1);
-    let err = BackendSnapshot::from_text(&old).expect_err("version 1 must be rejected");
-    assert!(err.to_string().contains("version"), "{err}");
+    // The same body under an earlier version number: the `Subscriber`
+    // layout (1, 2) and the `PublishNew` / `CheckAndPublish` bodies (2)
+    // differ, so it must be refused with an error, not parsed.
+    for version in ["1", "2"] {
+        let old = text.replacen("skippubsnap 3 ", &format!("skippubsnap {version} "), 1);
+        let err =
+            BackendSnapshot::from_text(&old).expect_err("an older format version must be rejected");
+        assert!(err.to_string().contains("version"), "{version}: {err}");
+    }
 }
 
 #[test]
 fn mid_relay_snapshot_resumes_byte_exactly() {
     let (mut original, ids) = legit_chaos(0x2E1A);
     seed_stories(&mut original, &ids);
+    // Fresh publications on top of the repairs: their forwards wait in
+    // pending sets with the hops they arrived at.
+    for (k, &author) in ids.iter().step_by(5).enumerate() {
+        original
+            .publish(author, T, format!("flash {k}").into_bytes())
+            .expect("live author");
+    }
+    // Save at a moment that has all of it: flood-learned and repaired
+    // entries pending, and a coalesced batch in a channel.
     let mut waited = 0;
-    while pending_total(&original) == 0 {
+    loop {
+        let hops = pending_hops(&original);
+        let flooded = hops.iter().any(|&h| h > 0);
+        let repaired = hops.contains(&0);
+        let coalesced = batches_in_flight(&original).iter().any(|&len| len > 1);
+        if flooded && repaired && coalesced {
+            break;
+        }
         original.step();
         waited += 1;
         assert!(
             waited < 500,
-            "no repair ever waited for its holder's timeout"
+            "never saw flood-learned and repaired entries pending beside a batch in flight"
         );
     }
     assert!(!original.publications_converged().0, "saved mid-repair");
@@ -123,7 +165,8 @@ fn corrupt_pending_entries_are_never_delivered() {
             .node_mut(id)
             .and_then(Actor::subscriber_mut)
             .expect("live subscriber");
-        sub.relay_pending = BTreeSet::from([bogus.key().clone(), elsewhere.key().clone()]);
+        sub.relay_pending =
+            BTreeMap::from([(bogus.key().clone(), 3), (elsewhere.key().clone(), 0)]);
     }
     let mut delivered = BTreeSet::new();
     for _ in 0..400 {

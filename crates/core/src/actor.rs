@@ -15,10 +15,10 @@ use skippub_sim::{Ctx, Protocol};
 /// A process: supervisor or subscriber.
 #[derive(Clone, Debug)]
 pub enum Actor {
-    /// The topic's supervisor.
-    Supervisor(Supervisor),
-    /// A subscriber (boxed: subscribers carry a Patricia trie and are much
-    /// larger than the enum's other variant).
+    /// The topic's supervisor (boxed: a world holds one of them, and a
+    /// slab slot should not be sized for it).
+    Supervisor(Box<Supervisor>),
+    /// A subscriber (boxed: subscribers carry a Patricia trie).
     Subscriber(Box<Subscriber>),
 }
 
@@ -61,8 +61,8 @@ impl Actor {
 /// never propagated.
 pub(crate) fn dispatch_supervisor(sup: &mut Supervisor, ctx: &mut Ctx<'_, Msg>, msg: Msg) {
     match msg {
-        Msg::Subscribe { node } => sup.on_subscribe(ctx, node),
-        Msg::Unsubscribe { node } => sup.on_unsubscribe(ctx, node),
+        Msg::Subscribe { node } => sup.on_subscribe(node),
+        Msg::Unsubscribe { node } => sup.on_unsubscribe(node),
         Msg::GetConfiguration { node, requester } => sup.on_get_configuration(ctx, node, requester),
         Msg::TokenReturn { seq } => sup.on_token_return(seq),
         _ => {}
@@ -163,7 +163,7 @@ mod tests {
 
     #[test]
     fn accessors() {
-        let mut sup = Actor::Supervisor(Supervisor::new(NodeId(0)));
+        let mut sup = Actor::Supervisor(Box::new(Supervisor::new(NodeId(0))));
         let mut sub = Actor::Subscriber(Box::new(Subscriber::new(
             NodeId(1),
             NodeId(0),
@@ -179,7 +179,7 @@ mod tests {
 
     #[test]
     fn stray_messages_are_consumed() {
-        let mut sup = Actor::Supervisor(Supervisor::new(NodeId(0)));
+        let mut sup = Actor::Supervisor(Box::new(Supervisor::new(NodeId(0))));
         let sent = skippub_sim::testing::run_handler(NodeId(0), 1, |ctx| {
             sup.on_message(ctx, Msg::Publish { pubs: vec![] });
         });

@@ -31,7 +31,7 @@ impl SkipRingSim {
         let mut world = World::new(seed);
         let mut sup = Supervisor::new(SUPERVISOR);
         sup.token_enabled = cfg.probe_mode != crate::ProbeMode::Randomized;
-        world.add_node(SUPERVISOR, Actor::Supervisor(sup));
+        world.add_node(SUPERVISOR, Actor::Supervisor(Box::new(sup)));
         SkipRingSim {
             world,
             cfg,

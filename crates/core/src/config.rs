@@ -49,11 +49,12 @@ pub struct ProtocolConfig {
     /// Enable shortcut maintenance (§3.2.2). Disabling yields a plain
     /// self-stabilizing ring — the ablation baseline for E9/E10.
     pub shortcuts: bool,
-    /// Enable the per-timeout `CheckShortcut` slot verification — our
-    /// documented extension (DESIGN.md §7.4). Disabling reproduces the
-    /// paper's verbatim protocol, in which stale slot bindings can
-    /// circulate between introducers indefinitely; experiment E14
-    /// measures the difference.
+    /// Enable `CheckShortcut` slot verification — our documented
+    /// extension (DESIGN.md §7.4, §7.8): one random slot per timeout,
+    /// and every reference that leaves a slot instead of forwarding it
+    /// into the list. Disabling reproduces the paper's verbatim
+    /// protocol, in which stale slot bindings can circulate between
+    /// introducers indefinitely; experiment E14 measures the difference.
     pub verify_shortcuts: bool,
 }
 

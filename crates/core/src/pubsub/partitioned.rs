@@ -848,7 +848,7 @@ impl PubSub for PartitionedBackend {
             .node(sup_id)
             .and_then(|a| a.topic_supervisor(topic).cloned())
             .unwrap_or_else(|| Supervisor::new(sup_id));
-        out.add_node(sup_id, Actor::Supervisor(sup));
+        out.add_node(sup_id, Actor::Supervisor(Box::new(sup)));
         for (id, actor) in self.world.iter() {
             if let Some(s) = actor.topic_subscriber(topic) {
                 out.add_node(id, Actor::Subscriber(Box::new(s.clone())));

@@ -302,8 +302,8 @@ fn apply_rep_op(
     let kind = op.kind.clone();
     let _dropped: Vec<(NodeId, Msg)> =
         skippub_sim::testing::run_handler(sup_id, REPLAY_SEED, |ctx| match kind {
-            RepOpKind::Subscribe { v } => sup.on_subscribe(ctx, v),
-            RepOpKind::Unsubscribe { v } => sup.on_unsubscribe(ctx, v),
+            RepOpKind::Subscribe { v } => sup.on_subscribe(v),
+            RepOpKind::Unsubscribe { v } => sup.on_unsubscribe(v),
             RepOpKind::GetConfig { u, requester } => sup.on_get_configuration(ctx, u, requester),
             RepOpKind::Timeout => sup.timeout(ctx),
             RepOpKind::TokenReturn { seq } => sup.on_token_return(seq),
@@ -323,16 +323,21 @@ fn write_sup_digest(out: &mut String, topic: TopicId, s: &Supervisor) {
     for (l, v) in &s.database {
         let _ = write!(out, "{l:?}->{v:?};");
     }
-    for v in &s.suspected {
-        let _ = write!(out, "sus{};", v.0);
+    for (tag, set) in [
+        ("sus", &s.suspected),
+        ("stg", &s.staged),
+        ("rel", &s.relabelled),
+    ] {
+        for v in set {
+            let _ = write!(out, "{tag}{};", v.0);
+        }
     }
     let c = &s.counters;
     let _ = write!(
         out,
-        "c={},{},{},{},{},{},{}|",
+        "c={},{},{},{},{},{}|",
         c.roundrobin_configs,
-        c.subscribe_msgs,
-        c.unsubscribe_msgs,
+        c.staged_configs,
         c.repairs,
         c.evictions,
         c.tokens_issued,
@@ -838,8 +843,8 @@ mod tests {
             let kk = k.clone();
             let _: Vec<(NodeId, Msg)> =
                 skippub_sim::testing::run_handler(NodeId(0), 1, |ctx| match kk {
-                    RepOpKind::Subscribe { v } => s.on_subscribe(ctx, v),
-                    RepOpKind::Unsubscribe { v } => s.on_unsubscribe(ctx, v),
+                    RepOpKind::Subscribe { v } => s.on_subscribe(v),
+                    RepOpKind::Unsubscribe { v } => s.on_unsubscribe(v),
                     RepOpKind::GetConfig { u, requester } => {
                         s.on_get_configuration(ctx, u, requester)
                     }
@@ -874,8 +879,72 @@ mod tests {
         assert_eq!(replayed.next, live.next);
         assert_eq!(replayed.db_epoch, live.db_epoch);
         assert_eq!(replayed.suspected, live.suspected);
+        assert_eq!(replayed.staged, live.staged);
+        assert_eq!(replayed.relabelled, live.relabelled);
+        assert!(
+            live.staged.contains(&NodeId(4)),
+            "the sequence ends between a handler and its timeout"
+        );
         assert_eq!(replayed.counters.evictions, live.counters.evictions);
         assert_eq!(replayed.counters.repairs, live.counters.repairs);
+    }
+
+    #[test]
+    fn failover_between_handler_and_timeout_keeps_the_owed_configuration() {
+        use crate::msg::Msg;
+        // The primary handled a join and a leave and crashed before the
+        // timeout that would have told anybody.
+        let mut g = ReplicaGroup::new(3, NodeId(0), false);
+        let settled: Vec<RepOpKind> = (1..=4).map(sub).chain([RepOpKind::Timeout]).collect();
+        g.record_topic(TopicId(0), settled);
+        g.anti_entropy();
+        let quiet = g.group_digest();
+        g.record_topic(
+            TopicId(0),
+            vec![sub(5), RepOpKind::Unsubscribe { v: NodeId(2) }],
+        );
+        g.anti_entropy();
+        assert!(g.agreement());
+        assert_ne!(g.group_digest(), quiet, "the digest covers the staged sets");
+        assert!(g.fail_primary());
+        let mut elected = g.primary_topic(TopicId(0));
+        assert_eq!(
+            elected.staged,
+            std::collections::BTreeSet::from([NodeId(2), NodeId(5)])
+        );
+        assert_eq!(
+            elected.relabelled,
+            std::collections::BTreeSet::from([NodeId(5)])
+        );
+        // Its first timeout pays the debt: the joiner hears the label it
+        // holds after the leave, the leaver its permission.
+        let sent: Vec<(NodeId, Msg)> =
+            skippub_sim::testing::run_handler(NodeId(0), 1, |ctx| elected.timeout(ctx));
+        let label_for = |v: u64| {
+            sent.iter().find_map(|(to, m)| match m {
+                Msg::SetData { label, .. } if *to == NodeId(v) => Some(*label),
+                _ => None,
+            })
+        };
+        assert_eq!(label_for(5), Some(Some("1".parse().unwrap())));
+        assert_eq!(label_for(2), Some(None));
+    }
+
+    #[test]
+    fn staged_sets_tell_replica_digests_apart() {
+        let mut a = Supervisor::new(NodeId(0));
+        let b = a.clone();
+        let digest = |s: &Supervisor| {
+            let mut out = String::new();
+            write_sup_digest(&mut out, TopicId(0), s);
+            out
+        };
+        assert_eq!(digest(&a), digest(&b));
+        a.staged.insert(NodeId(7));
+        assert_ne!(digest(&a), digest(&b));
+        a.staged.clear();
+        a.relabelled.insert(NodeId(7));
+        assert_ne!(digest(&a), digest(&b));
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub fn legit_world(n: usize, seed: u64, cfg: ProtocolConfig) -> World<Actor> {
     for (l, v) in &db {
         sup.database.insert(*l, Some(*v));
     }
-    world.add_node(SUPERVISOR, Actor::Supervisor(sup));
+    world.add_node(SUPERVISOR, Actor::Supervisor(Box::new(sup)));
     // Ring order.
     db.sort_by_key(|(l, _)| *l);
     // Label → id index for shortcut resolution (a linear scan per
@@ -94,7 +94,7 @@ pub fn cold_world(n: usize, seed: u64, cfg: ProtocolConfig) -> World<Actor> {
     let mut world = World::new(seed);
     let mut sup = Supervisor::new(SUPERVISOR);
     sup.token_enabled = cfg.probe_mode != crate::ProbeMode::Randomized;
-    world.add_node(SUPERVISOR, Actor::Supervisor(sup));
+    world.add_node(SUPERVISOR, Actor::Supervisor(Box::new(sup)));
     for i in 0..n as u64 {
         let id = NodeId(i + 1);
         world.add_node(
@@ -168,7 +168,7 @@ pub fn adversarial_world(
             let mut world = World::new(seed);
             let mut sup = Supervisor::new(SUPERVISOR);
             sup.token_enabled = cfg.probe_mode != crate::ProbeMode::Randomized;
-            world.add_node(SUPERVISOR, Actor::Supervisor(sup));
+            world.add_node(SUPERVISOR, Actor::Supervisor(Box::new(sup)));
             let ids: Vec<NodeId> = (0..n as u64).map(|i| NodeId(i + 1)).collect();
             for &id in &ids {
                 let mut s = Subscriber::new(id, SUPERVISOR, cfg);
@@ -201,7 +201,7 @@ pub fn adversarial_world(
             let mut world = World::new(seed);
             let mut sup = Supervisor::new(SUPERVISOR);
             sup.token_enabled = cfg.probe_mode != crate::ProbeMode::Randomized;
-            world.add_node(SUPERVISOR, Actor::Supervisor(sup));
+            world.add_node(SUPERVISOR, Actor::Supervisor(Box::new(sup)));
             let mut ids: Vec<NodeId> = (0..n as u64).map(|i| NodeId(i + 1)).collect();
             ids.shuffle(&mut rng);
             for chunk in ids.chunks(n.div_ceil(k)) {

@@ -239,8 +239,7 @@ snap_struct!(Subscriber {
 
 snap_struct!(SupervisorCounters {
     roundrobin_configs,
-    subscribe_msgs,
-    unsubscribe_msgs,
+    staged_configs,
     repairs,
     evictions,
     tokens_issued,
@@ -257,6 +256,8 @@ impl Snap for Supervisor {
         self.next.save(w);
         self.db_epoch.save(w);
         self.suspected.save(w);
+        self.staged.save(w);
+        self.relabelled.save(w);
         self.token_enabled.save(w);
         self.token_seq.save(w);
         self.token_outstanding.save(w);
@@ -271,6 +272,8 @@ impl Snap for Supervisor {
             next: Snap::load(r)?,
             db_epoch: Snap::load(r)?,
             suspected: Snap::load(r)?,
+            staged: Snap::load(r)?,
+            relabelled: Snap::load(r)?,
             token_enabled: Snap::load(r)?,
             token_seq: Snap::load(r)?,
             token_outstanding: Snap::load(r)?,
@@ -297,7 +300,7 @@ impl Snap for Actor {
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         match r.u64()? {
-            0 => Ok(Actor::Supervisor(Snap::load(r)?)),
+            0 => Ok(Actor::Supervisor(Box::new(Snap::load(r)?))),
             1 => Ok(Actor::Subscriber(Box::new(Snap::load(r)?))),
             n => Err(SnapError::Malformed(format!("unknown actor tag {n}"))),
         }

@@ -211,11 +211,24 @@ impl Subscriber {
     // BuildList: linearization (Algorithm 1)
     // ------------------------------------------------------------------
 
+    /// Asks the supervisor to configure `node`: myself (a probe, §3.2.1
+    /// (ii)/(iv)) or a neighbour it may not know (action (iii)), in which
+    /// case it answers me if it does not.
+    fn request_config(&mut self, ctx: &mut Ctx<'_, Msg>, node: NodeId) {
+        let requester = (node != self.id).then_some(self.id);
+        ctx.send(self.supervisor, Msg::GetConfiguration { node, requester });
+        match requester {
+            None => self.counters.config_probes += 1,
+            Some(_) => self.counters.neighbor_probes += 1,
+        }
+    }
+
     /// Incorporates a reference as a list edge: keep the closest neighbour
     /// per side, delegate everything else toward its side (never dropping
-    /// a reference — connectivity is preserved, [18]).
+    /// a reference — connectivity is preserved, [18]). A reference under
+    /// my own label is handed to the supervisor instead (DESIGN.md §7.8).
     pub(crate) fn linearize(&mut self, ctx: &mut Ctx<'_, Msg>, c: NodeRef) {
-        let Some(me) = self.my_key() else {
+        let (Some(me), Some(my)) = (self.my_key(), self.label) else {
             // Unlabelled nodes own no place in the order (Alg. 1 line 30).
             ctx.send(c.id, Msg::RemoveConnections { node: self.id });
             return;
@@ -223,20 +236,40 @@ impl Subscriber {
         if c.id == self.id {
             return; // self-references carry no information
         }
+        if c.label == my {
+            // The database maps a label to one node, so `c` is stale or
+            // I am. `place_key` would break the tie by id and seat `c`
+            // between me and a true neighbour, which is then delegated to
+            // `c` — into the void if `c` left or crashed. The supervisor
+            // knows which of us it is: it configures `c` if it knows it,
+            // else resets it and tells me to forget it (§3.2.1 (iii)).
+            self.request_config(ctx, c.id);
+            return;
+        }
         // Label corrections for known neighbours (§2.2 extension): a fresh
         // reference to a node I already store, under a different label,
         // supersedes the stale entry — even if the node changes sides.
+        // Labels only change by the supervisor's hand, so a neighbour that
+        // moved left a gap the database has since closed: ask for my
+        // configuration. The stale edge is gone by the time the answer
+        // arrives, whatever order this activation's inbox came in.
+        let mut moved = false;
         if self
             .left
             .is_some_and(|l| l.id == c.id && l.label != c.label)
         {
             self.left = None;
+            moved = true;
         }
         if self
             .right
             .is_some_and(|r| r.id == c.id && r.label != c.label)
         {
             self.right = None;
+            moved = true;
+        }
+        if moved {
+            self.request_config(ctx, self.id);
         }
         let ck = place_key(c.label, c.id);
         if ck < me {
@@ -477,14 +510,7 @@ impl Subscriber {
                 }
             };
             if closer && stored.id != self.id {
-                ctx.send(
-                    self.supervisor,
-                    Msg::GetConfiguration {
-                        node: stored.id,
-                        requester: Some(self.id),
-                    },
-                );
-                self.counters.neighbor_probes += 1;
+                self.request_config(ctx, stored.id);
             }
         }
         if let Some(stored) = self.eff_right() {
@@ -496,14 +522,7 @@ impl Subscriber {
                 }
             };
             if closer && stored.id != self.id {
-                ctx.send(
-                    self.supervisor,
-                    Msg::GetConfiguration {
-                        node: stored.id,
-                        requester: Some(self.id),
-                    },
-                );
-                self.counters.neighbor_probes += 1;
+                self.request_config(ctx, stored.id);
             }
         }
         // The supervisor is the authority on label assignment: a stored
@@ -577,16 +596,39 @@ impl Subscriber {
                 }
                 if let Some(old_id) = old {
                     if old_id != c.id {
-                        // Forward the replaced reference into the ring so
-                        // it is not lost (Alg. 4 lines 25–27).
-                        self.linearize(ctx, NodeRef::new(c.label, old_id));
+                        // The replaced reference (Alg. 4 lines 25–27).
+                        self.release_slot_ref(ctx, NodeRef::new(c.label, old_id));
                     }
                 }
             }
             None => {
-                // Not a label I should shortcut to: delegate (line 30).
-                self.linearize(ctx, c);
+                // Not a label I should shortcut to (line 30); it came out
+                // of the introducer's slot.
+                self.release_slot_ref(ctx, c);
             }
+        }
+    }
+
+    /// A reference leaving a shortcut slot is verified, not linearized
+    /// (DESIGN.md §7.8): slots are the only references a node holds
+    /// without checking them every round, so their content may name a
+    /// node that moved, left or crashed long ago — and a stale
+    /// `(label, id)` forwarded into the list ties with the label's
+    /// current holder. A live node answers a wrong `assumed` with its
+    /// true label (which is then linearized), a departed one with
+    /// `RemoveConnections`; a match needs no action. Without
+    /// `verify_shortcuts` this is the paper's verbatim forward.
+    fn release_slot_ref(&mut self, ctx: &mut Ctx<'_, Msg>, r: NodeRef) {
+        if !self.cfg.verify_shortcuts {
+            self.linearize(ctx, r);
+        } else if let Some(my) = self.label {
+            ctx.send(
+                r.id,
+                Msg::CheckShortcut {
+                    sender: NodeRef::new(my, self.id),
+                    assumed: r.label,
+                },
+            );
         }
     }
 
@@ -631,7 +673,7 @@ impl Subscriber {
                 self.shortcut_epoch += 1;
                 if let Some(nid) = node {
                     if nid != self.id {
-                        self.linearize(ctx, NodeRef::new(lab, nid));
+                        self.release_slot_ref(ctx, NodeRef::new(lab, nid));
                     }
                 }
             }
@@ -879,14 +921,7 @@ impl Subscriber {
             // Kept in token mode too: the token only reaches *recorded*
             // nodes, so component absorption still needs this action.
             if ctx.random_bool(0.5) {
-                ctx.send(
-                    self.supervisor,
-                    Msg::GetConfiguration {
-                        node: self.id,
-                        requester: None,
-                    },
-                );
-                self.counters.config_probes += 1;
+                self.request_config(ctx, self.id);
             }
         } else if self.cfg.probe_mode != crate::ProbeMode::Token
             && ctx.random_bool(analytics::probe_probability(my.len()))
@@ -894,14 +929,7 @@ impl Subscriber {
             // Action (ii). In token mode the circulating token replaces
             // this: every recorded node is verified deterministically
             // once per circulation.
-            ctx.send(
-                self.supervisor,
-                Msg::GetConfiguration {
-                    node: self.id,
-                    requester: None,
-                },
-            );
-            self.counters.config_probes += 1;
+            self.request_config(ctx, self.id);
         }
     }
 
@@ -1137,31 +1165,89 @@ mod tests {
     fn introduce_shortcut_fills_expected_slot() {
         let mut s = sub(9, "0");
         s.shortcuts.insert(lab("1"), None);
-        ctx_harness(
+        let sent = ctx_harness(
             |s, ctx| {
                 s.on_introduce_shortcut(ctx, rf("1", 4));
                 assert_eq!(s.shortcuts[&lab("1")], Some(NodeId(4)));
-                // Replacement forwards the old reference (can't observe the
-                // message here, but the slot must update).
                 s.on_introduce_shortcut(ctx, rf("1", 5));
                 assert_eq!(s.shortcuts[&lab("1")], Some(NodeId(5)));
             },
             &mut s,
         );
+        // The replaced reference is asked whether it still holds "1".
+        assert_eq!(sent.len(), 1);
+        assert!(matches!(
+            &sent[0],
+            (NodeId(4), Msg::CheckShortcut { sender, assumed })
+                if *sender == rf("0", 9) && *assumed == lab("1")
+        ));
+        assert!(
+            s.left.is_none() && s.right.is_none(),
+            "nothing enters the list"
+        );
     }
 
     #[test]
-    fn unexpected_shortcut_is_linearized() {
+    fn unexpected_shortcut_is_verified_not_linearized() {
         let mut s = sub(9, "0");
-        ctx_harness(
-            |s, ctx| {
-                s.on_introduce_shortcut(ctx, rf("01", 4));
-                assert!(s.shortcuts.is_empty());
-                // Delegated into the list instead.
-                assert_eq!(s.right.unwrap(), rf("01", 4));
-            },
-            &mut s,
+        let sent = ctx_harness(|s, ctx| s.on_introduce_shortcut(ctx, rf("01", 4)), &mut s);
+        assert!(s.shortcuts.is_empty());
+        assert!(s.right.is_none());
+        assert!(matches!(
+            &sent[..],
+            [(NodeId(4), Msg::CheckShortcut { assumed, .. })] if *assumed == lab("01")
+        ));
+        // The paper's verbatim protocol delegates it into the list.
+        let mut verbatim = sub(9, "0");
+        verbatim.cfg.verify_shortcuts = false;
+        let sent = ctx_harness(
+            |s, ctx| s.on_introduce_shortcut(ctx, rf("01", 4)),
+            &mut verbatim,
         );
+        assert!(sent.is_empty());
+        assert_eq!(verbatim.right.unwrap(), rf("01", 4));
+    }
+
+    #[test]
+    fn a_reference_under_my_own_label_goes_to_the_supervisor() {
+        // Node 3 left and node 9 took over "01"; node 3's reference is
+        // still around and, by id, would sit between 9 and its true left.
+        let mut s = sub(9, "01");
+        s.left = Some(rf("0", 1));
+        let sent = ctx_harness(|s, ctx| s.linearize(ctx, rf("01", 3)), &mut s);
+        assert_eq!(s.left.unwrap(), rf("0", 1), "the true neighbour stays");
+        assert!(matches!(
+            &sent[..],
+            [(
+                NodeId(0),
+                Msg::GetConfiguration {
+                    node: NodeId(3),
+                    requester: Some(NodeId(9))
+                }
+            )]
+        ));
+    }
+
+    #[test]
+    fn a_neighbour_that_moved_away_triggers_a_configuration_request() {
+        // My right neighbour was relabelled to the far left.
+        let mut s = sub(5, "01");
+        s.left = Some(rf("0", 1));
+        s.right = Some(rf("011", 7));
+        let sent = ctx_harness(|s, ctx| s.linearize(ctx, rf("001", 7)), &mut s);
+        assert!(s.right.is_none(), "the stale edge is gone");
+        assert_eq!(s.left.unwrap(), rf("001", 7));
+        assert!(sent.iter().any(|(to, m)| *to == NodeId(0)
+            && matches!(
+                m,
+                Msg::GetConfiguration {
+                    node: NodeId(5),
+                    requester: None
+                }
+            )));
+        // A plain refresh of a known neighbour asks nothing.
+        let sent = ctx_harness(|s, ctx| s.linearize(ctx, rf("001", 7)), &mut s);
+        assert!(sent.is_empty());
     }
 
     #[test]

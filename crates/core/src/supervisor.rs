@@ -7,7 +7,18 @@
 //! sends **one** configuration per timeout, round-robin (`next`), keeping
 //! its steady-state message rate at exactly 1/interval. Subscribe and
 //! unsubscribe each cost the supervisor a *constant* number of messages
-//! (Theorem 7): one `SetData` for subscribe, two for unsubscribe.
+//! (Theorem 7): one `SetData` for subscribe, three for unsubscribe.
+//!
+//! **Coalesced configurations** (DESIGN.md §7.7): no handler sends a
+//! configuration. Handlers, the eviction and `CheckLabels` only *stage*
+//! the member that is owed one; the `Timeout` of the same activation
+//! flushes the stage, sending each staged member what the database says
+//! *then* — so one member gets at most one configuration per activation,
+//! and never one that a later operation of the same activation already
+//! made stale. A member whose label *changed* is served once more by the
+//! next activation's flush, because two configurations sent in
+//! consecutive activations can still reach it in one inbox, in either
+//! order.
 
 use crate::msg::{Msg, NodeRef};
 use crate::replica::RepOpKind;
@@ -20,10 +31,8 @@ use std::collections::{BTreeMap, BTreeSet};
 pub struct SupervisorCounters {
     /// Configurations pushed by the round-robin `Timeout`.
     pub roundrobin_configs: u64,
-    /// `SetData` messages triggered by subscribe operations.
-    pub subscribe_msgs: u64,
-    /// `SetData` messages triggered by unsubscribe operations.
-    pub unsubscribe_msgs: u64,
+    /// Configurations sent to staged members by the `Timeout` flush.
+    pub staged_configs: u64,
     /// Database repairs performed (entries relabelled or removed).
     pub repairs: u64,
     /// Crashed subscribers evicted via the failure detector.
@@ -57,6 +66,12 @@ pub struct Supervisor {
     /// Fed by [`Supervisor::suspect`]; an eventually-correct detector in
     /// the harness reports every real crash after a bounded delay.
     pub suspected: BTreeSet<NodeId>,
+    /// Members owed a configuration by the next `Timeout` flush.
+    pub staged: BTreeSet<NodeId>,
+    /// Members whose label changed since the last flush; that flush
+    /// moves them into [`Supervisor::staged`], so the one after it
+    /// serves them a second time.
+    pub relabelled: BTreeSet<NodeId>,
     /// §6 token mode: when `true`, the supervisor issues a verification
     /// token instead of pushing round-robin configurations.
     pub token_enabled: bool,
@@ -90,6 +105,8 @@ impl Supervisor {
             next: 0,
             db_epoch: 0,
             suspected: BTreeSet::new(),
+            staged: BTreeSet::new(),
+            relabelled: BTreeSet::new(),
             token_enabled: false,
             token_seq: 0,
             token_outstanding: false,
@@ -157,7 +174,8 @@ impl Supervisor {
 
     /// `CheckLabels` (Algorithm 3 lines 38–45) extended with duplicate-
     /// subscriber elimination: after this runs, the database is exactly a
-    /// bijection `{l(0), …, l(n−1)} → V`. All work is local — no messages.
+    /// bijection `{l(0), …, l(n−1)} → V`. All work is local — no messages;
+    /// every member it moves to another label is staged as relabelled.
     pub fn check_labels(&mut self) {
         // (i): remove (label, ⊥) tuples.
         let before = self.database.len();
@@ -205,24 +223,34 @@ impl Supervisor {
                 self.database.insert(slot, Some(v));
                 self.db_epoch += 1;
                 self.counters.repairs += 1;
+                self.stage_relabelled(v);
             }
         }
         debug_assert!(pool.iter().all(|(l, _)| is_valid_slot(l)) || pool.is_empty());
     }
 
-    /// Evicts subscribers the failure detector reported (§3.3). Local.
+    /// Evicts subscribers the failure detector reported (§3.3) and
+    /// stages the surviving ring neighbours of every evicted slot: their
+    /// `pred`/`succ` is what the eviction changed.
     fn evict_suspected(&mut self) {
         if self.suspected.is_empty() {
             return;
         }
         let victims = std::mem::take(&mut self.suspected);
-        let before = self.database.len();
-        self.database.retain(|_, v| match v {
-            Some(node) => !victims.contains(node),
-            None => true,
+        let mut evicted: Vec<Label> = Vec::new();
+        self.database.retain(|l, v| match v {
+            Some(node) if victims.contains(node) => {
+                evicted.push(*l);
+                false
+            }
+            _ => true,
         });
-        self.db_epoch += (before - self.database.len()) as u64;
-        self.counters.evictions += (before - self.database.len()) as u64;
+        self.db_epoch += evicted.len() as u64;
+        self.counters.evictions += evicted.len() as u64;
+        for l in evicted {
+            let (pred, succ) = self.neighbors_of(l);
+            self.staged.extend([pred, succ].into_iter().flatten().map(|r| r.id));
+        }
     }
 
     /// Ring predecessor/successor of `label` in the database (wrapping),
@@ -271,33 +299,69 @@ impl Supervisor {
         );
     }
 
-    /// `Subscribe(v)` (Algorithm 3 lines 6–12).
-    pub(crate) fn on_subscribe(&mut self, ctx: &mut Ctx<'_, Msg>, v: NodeId) {
+    /// Stages `v`, whose label just changed, for this activation's flush
+    /// and for the next one's.
+    fn stage_relabelled(&mut self, v: NodeId) {
+        self.staged.insert(v);
+        self.relabelled.insert(v);
+    }
+
+    /// Sends every staged member the configuration the database holds
+    /// for it now — `SetData(⊥,⊥,⊥)` when it holds none — and stages the
+    /// relabelled members again for the next flush. Staged ids are
+    /// untrusted (corrupted initial states): each costs one message
+    /// whatever it names, and the supervisor never writes to itself.
+    fn flush_staged(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        if self.staged.is_empty() && self.relabelled.is_empty() {
+            return;
+        }
+        let mut due = std::mem::replace(&mut self.staged, std::mem::take(&mut self.relabelled));
+        due.remove(&self.id);
+        self.counters.staged_configs += due.len() as u64;
+        // One pass in label order: a member listed twice (corrupted
+        // database) is served at its lowest label, like `label_of`.
+        for (label, v) in &self.database {
+            if due.is_empty() {
+                break;
+            }
+            if let Some(v) = v {
+                if due.remove(v) {
+                    self.send_config(ctx, *label, *v);
+                }
+            }
+        }
+        for v in due {
+            ctx.send(
+                v,
+                Msg::SetData {
+                    pred: None,
+                    label: None,
+                    succ: None,
+                },
+            );
+        }
+    }
+
+    /// `Subscribe(v)` (Algorithm 3 lines 6–12). An already subscribed
+    /// `v` is re-sent its configuration.
+    pub(crate) fn on_subscribe(&mut self, v: NodeId) {
         if v == self.id {
             return;
         }
         self.record(RepOpKind::Subscribe { v });
         self.check_labels(); // keep the insert slot l(n) well-defined
-        match self.label_of(v) {
-            None => {
-                let n = self.database.len() as u64;
-                let label = Label::from_index(n);
-                self.database.insert(label, Some(v));
-                self.db_epoch += 1;
-                self.send_config(ctx, label, v);
-                self.counters.subscribe_msgs += 1;
-            }
-            Some(label) => {
-                // Already subscribed: just (re-)send the configuration.
-                self.send_config(ctx, label, v);
-            }
+        if self.label_of(v).is_none() {
+            let n = self.database.len() as u64;
+            self.database.insert(Label::from_index(n), Some(v));
+            self.db_epoch += 1;
         }
+        self.staged.insert(v);
     }
 
     /// `Unsubscribe(v)` (Algorithm 3 lines 13–23): the subscriber holding
     /// the *last* label takes over `v`'s label so the label set stays
     /// `{l(0), …, l(n−2)}`; `v` receives the departure permission.
-    pub(crate) fn on_unsubscribe(&mut self, ctx: &mut Ctx<'_, Msg>, v: NodeId) {
+    pub(crate) fn on_unsubscribe(&mut self, v: NodeId) {
         if v == self.id {
             return;
         }
@@ -314,22 +378,13 @@ impl Supervisor {
                 // paper-note: Alg. 3 line 20 writes SetData(pred_v,
                 // label_u, succ_v) with inconsistent naming; the intent is
                 // v's old label and its ring neighbours (DESIGN.md §7.1).
-                self.send_config(ctx, label_v, w);
-                self.counters.unsubscribe_msgs += 1;
+                self.stage_relabelled(w);
             } else {
                 self.database.remove(&label_v);
                 self.db_epoch += 1;
             }
         }
-        ctx.send(
-            v,
-            Msg::SetData {
-                pred: None,
-                label: None,
-                succ: None,
-            },
-        );
-        self.counters.unsubscribe_msgs += 1;
+        self.staged.insert(v);
     }
 
     /// `GetConfiguration(u)` (Algorithm 3 lines 24–30). Note the
@@ -349,32 +404,25 @@ impl Supervisor {
         }
         self.record(RepOpKind::GetConfig { u, requester });
         self.check_multiple_copies(u);
-        match self.label_of(u) {
-            Some(label) => self.send_config(ctx, label, u),
-            None => {
-                ctx.send(
-                    u,
-                    Msg::SetData {
-                        pred: None,
-                        label: None,
-                        succ: None,
-                    },
-                );
-                if let Some(req) = requester {
-                    if req != u {
-                        ctx.send(req, Msg::RemoveConnections { node: u });
-                    }
+        self.staged.insert(u);
+        if self.label_of(u).is_none() {
+            if let Some(req) = requester {
+                if req != u {
+                    ctx.send(req, Msg::RemoveConnections { node: u });
                 }
             }
         }
     }
 
-    /// The supervisor `Timeout` (Algorithm 3 lines 1–5), or the §6 token
-    /// bookkeeping when token mode is on.
+    /// The supervisor `Timeout` (Algorithm 3 lines 1–5): local repair,
+    /// the flush of this activation's staged configurations, then one
+    /// round-robin configuration — or the §6 token bookkeeping when token
+    /// mode is on.
     pub(crate) fn timeout(&mut self, ctx: &mut Ctx<'_, Msg>) {
         self.record(RepOpKind::Timeout);
         self.evict_suspected();
         self.check_labels();
+        self.flush_staged(ctx);
         let n = self.database.len() as u64;
         if n == 0 {
             self.token_outstanding = false;
@@ -445,42 +493,83 @@ mod tests {
         skippub_sim::testing::run_handler(s.id, 5, |ctx| f(s, ctx))
     }
 
+    /// One activation: `ops`, then the `Timeout`. Returns what the flush
+    /// sent — the round-robin configuration, always the last message of
+    /// a timeout, is cut off.
+    fn activate(s: &mut Supervisor, ops: impl FnOnce(&mut Supervisor)) -> Vec<(NodeId, Msg)> {
+        let roundrobin = s.counters.roundrobin_configs;
+        let mut sent = run(s, |s, ctx| {
+            ops(s);
+            s.timeout(ctx);
+        });
+        let cut = (s.counters.roundrobin_configs - roundrobin) as usize;
+        sent.truncate(sent.len() - cut);
+        sent
+    }
+
+    /// A supervisor with members `1..=n`, nothing staged.
+    fn with_members(n: u64) -> Supervisor {
+        let mut s = Supervisor::new(NodeId(0));
+        for i in 1..=n {
+            activate(&mut s, |s| s.on_subscribe(NodeId(i)));
+        }
+        assert!(s.staged.is_empty() && s.relabelled.is_empty());
+        s
+    }
+
     fn db_labels(s: &Supervisor) -> Vec<String> {
         s.database.keys().map(|l| l.to_string()).collect()
+    }
+
+    fn label_sent(msg: &Msg) -> Option<Label> {
+        match msg {
+            Msg::SetData { label, .. } => *label,
+            m => panic!("unexpected {m:?}"),
+        }
     }
 
     #[test]
     fn subscribe_assigns_sequential_labels() {
         let mut s = Supervisor::new(NodeId(0));
         for i in 1..=4 {
-            let sent = run(&mut s, |s, ctx| s.on_subscribe(ctx, NodeId(i)));
+            let sent = activate(&mut s, |s| s.on_subscribe(NodeId(i)));
             assert_eq!(sent.len(), 1, "subscribe costs exactly one message");
+            assert_eq!(sent[0].0, NodeId(i));
         }
         assert_eq!(db_labels(&s), ["0", "01", "1", "11"]);
-        assert_eq!(s.counters.subscribe_msgs, 4);
+        assert_eq!(s.counters.staged_configs, 4);
+    }
+
+    #[test]
+    fn handlers_send_nothing_before_the_timeout() {
+        let mut s = with_members(3);
+        let sent = run(&mut s, |s, ctx| {
+            s.on_subscribe(NodeId(4));
+            s.on_unsubscribe(NodeId(2));
+            s.on_get_configuration(ctx, NodeId(1), None);
+        });
+        assert!(sent.is_empty());
+        assert_eq!(
+            s.staged,
+            BTreeSet::from([NodeId(1), NodeId(2), NodeId(4)]),
+            "the requested, the leaver and the joiner are owed a configuration"
+        );
     }
 
     #[test]
     fn duplicate_subscribe_resends_config() {
-        let mut s = Supervisor::new(NodeId(0));
-        run(&mut s, |s, ctx| s.on_subscribe(ctx, NodeId(1)));
-        let sent = run(&mut s, |s, ctx| s.on_subscribe(ctx, NodeId(1)));
+        let mut s = with_members(1);
+        let sent = activate(&mut s, |s| s.on_subscribe(NodeId(1)));
         assert_eq!(s.n(), 1);
         assert_eq!(sent.len(), 1);
-        match &sent[0].1 {
-            Msg::SetData { label, .. } => assert_eq!(*label, Some(lab("0"))),
-            m => panic!("unexpected {m:?}"),
-        }
+        assert_eq!(label_sent(&sent[0].1), Some(lab("0")));
     }
 
     #[test]
     fn subscribe_config_has_ring_neighbors() {
-        let mut s = Supervisor::new(NodeId(0));
-        for i in 1..=3 {
-            run(&mut s, |s, ctx| s.on_subscribe(ctx, NodeId(i)));
-        }
+        let mut s = with_members(3);
         // Fourth subscriber gets l(3) = "11" with pred "1" and succ "0".
-        let sent = run(&mut s, |s, ctx| s.on_subscribe(ctx, NodeId(4)));
+        let sent = activate(&mut s, |s| s.on_subscribe(NodeId(4)));
         match &sent[0].1 {
             Msg::SetData { pred, label, succ } => {
                 assert_eq!(*label, Some(lab("11")));
@@ -492,44 +581,82 @@ mod tests {
     }
 
     #[test]
-    fn unsubscribe_relabels_last() {
-        let mut s = Supervisor::new(NodeId(0));
-        for i in 1..=4 {
-            run(&mut s, |s, ctx| s.on_subscribe(ctx, NodeId(i)));
-        }
+    fn unsubscribe_relabels_last_and_serves_it_twice() {
+        let mut s = with_members(4);
         // Node 2 holds l(1) = "1"; node 4 holds l(3) = "11" and must take
         // over "1".
-        let sent = run(&mut s, |s, ctx| s.on_unsubscribe(ctx, NodeId(2)));
-        assert_eq!(sent.len(), 2, "unsubscribe costs exactly two messages");
+        let sent = activate(&mut s, |s| s.on_unsubscribe(NodeId(2)));
         assert_eq!(db_labels(&s), ["0", "01", "1"]);
         assert_eq!(s.database[&lab("1")], Some(NodeId(4)));
-        // One SetData to the relabelled node, one permission to the leaver.
+        // One SetData to the relabelled node, one permission to the leaver…
+        assert_eq!(sent.len(), 2);
         let to_w = sent.iter().find(|(to, _)| *to == NodeId(4)).unwrap();
-        match &to_w.1 {
-            Msg::SetData { label, .. } => assert_eq!(*label, Some(lab("1"))),
-            m => panic!("unexpected {m:?}"),
-        }
+        assert_eq!(label_sent(&to_w.1), Some(lab("1")));
         let to_v = sent.iter().find(|(to, _)| *to == NodeId(2)).unwrap();
-        assert!(matches!(to_v.1, Msg::SetData { label: None, .. }));
+        assert_eq!(label_sent(&to_v.1), None);
+        // …and the relabelled node once more from the next activation.
+        let echo = activate(&mut s, |_| {});
+        assert_eq!(echo.len(), 1, "unsubscribe costs exactly three messages");
+        assert_eq!(echo[0].0, NodeId(4));
+        assert_eq!(label_sent(&echo[0].1), Some(lab("1")));
+        assert!(activate(&mut s, |_| {}).is_empty());
+        assert!(s.staged.is_empty() && s.relabelled.is_empty());
     }
 
     #[test]
     fn unsubscribe_last_label_just_removes() {
-        let mut s = Supervisor::new(NodeId(0));
-        for i in 1..=3 {
-            run(&mut s, |s, ctx| s.on_subscribe(ctx, NodeId(i)));
-        }
-        let sent = run(&mut s, |s, ctx| s.on_unsubscribe(ctx, NodeId(3)));
+        let mut s = with_members(3);
+        let sent = activate(&mut s, |s| s.on_unsubscribe(NodeId(3)));
         assert_eq!(db_labels(&s), ["0", "1"]);
         assert_eq!(sent.len(), 1, "only the permission message");
+        assert!(activate(&mut s, |_| {}).is_empty(), "nobody was relabelled");
     }
 
     #[test]
     fn unsubscribe_unknown_still_grants_permission() {
         let mut s = Supervisor::new(NodeId(0));
-        let sent = run(&mut s, |s, ctx| s.on_unsubscribe(ctx, NodeId(9)));
+        let sent = activate(&mut s, |s| s.on_unsubscribe(NodeId(9)));
         assert_eq!(sent.len(), 1);
-        assert!(matches!(sent[0].1, Msg::SetData { label: None, .. }));
+        assert_eq!(label_sent(&sent[0].1), None);
+    }
+
+    #[test]
+    fn one_activation_sends_one_configuration_per_member() {
+        let mut s = with_members(4);
+        // The joiner takes l(4), the leave moves it to the leaver's label:
+        // it hears the second label only, and the leaver only ⊥ however
+        // often it asks.
+        let sent = run(&mut s, |s, ctx| {
+            s.on_subscribe(NodeId(5));
+            s.on_unsubscribe(NodeId(2));
+            s.on_unsubscribe(NodeId(2));
+            s.on_get_configuration(ctx, NodeId(5), None);
+            s.on_subscribe(NodeId(5));
+            s.timeout(ctx);
+        });
+        let to = |v: u64| -> Vec<Option<Label>> {
+            sent.iter()
+                .filter(|(to, _)| *to == NodeId(v))
+                .map(|(_, m)| label_sent(m))
+                .collect()
+        };
+        assert_eq!(to(2), [None]);
+        // Node 5 holds l(3) = "11" after the leave: once from the flush,
+        // and this timeout's round-robin may land on it too.
+        assert_eq!(s.database[&lab("1")], Some(NodeId(5)));
+        assert!(to(5).len() <= 2 && to(5).iter().all(|l| *l == Some(lab("1"))));
+        assert_eq!(s.counters.staged_configs, 4 + 2);
+    }
+
+    #[test]
+    fn a_rejoin_inside_the_activation_beats_the_permission() {
+        let mut s = with_members(3);
+        let sent = activate(&mut s, |s| {
+            s.on_unsubscribe(NodeId(3));
+            s.on_subscribe(NodeId(3));
+        });
+        assert_eq!(sent.len(), 1);
+        assert_eq!(label_sent(&sent[0].1), Some(lab("01")));
     }
 
     #[test]
@@ -546,6 +673,9 @@ mod tests {
         let nodes: BTreeSet<NodeId> = s.database.values().map(|v| v.unwrap()).collect();
         assert_eq!(nodes.len(), 2);
         assert!(s.counters.repairs >= 3);
+        // Node 2 moved from "11" to "1": staged, and again for the echo.
+        assert_eq!(s.staged, BTreeSet::from([NodeId(2)]));
+        assert_eq!(s.relabelled, BTreeSet::from([NodeId(2)]));
     }
 
     #[test]
@@ -560,10 +690,7 @@ mod tests {
 
     #[test]
     fn timeout_round_robin_sends_one_config() {
-        let mut s = Supervisor::new(NodeId(0));
-        for i in 1..=3 {
-            run(&mut s, |s, ctx| s.on_subscribe(ctx, NodeId(i)));
-        }
+        let mut s = with_members(3);
         let mut recipients = BTreeSet::new();
         for _ in 0..3 {
             let sent = run(&mut s, |s, ctx| s.timeout(ctx));
@@ -581,11 +708,40 @@ mod tests {
     }
 
     #[test]
-    fn eviction_removes_and_repacks() {
-        let mut s = Supervisor::new(NodeId(0));
-        for i in 1..=4 {
-            run(&mut s, |s, ctx| s.on_subscribe(ctx, NodeId(i)));
-        }
+    fn the_last_leaver_gets_its_permission_from_an_empty_database() {
+        let mut s = with_members(1);
+        let sent = run(&mut s, |s, ctx| {
+            s.on_unsubscribe(NodeId(1));
+            s.timeout(ctx);
+        });
+        assert_eq!(s.n(), 0);
+        assert_eq!(sent.len(), 1);
+        assert_eq!(label_sent(&sent[0].1), None);
+    }
+
+    #[test]
+    fn eviction_removes_repacks_and_tells_who_it_touched() {
+        let mut s = with_members(6);
+        // Sorted: 0(n1) 001(n5) 01(n3) 011(n6) 1(n2) 11(n4); node 3 dies.
+        s.suspect(NodeId(3));
+        let sent = activate(&mut s, |_| {});
+        assert_eq!(s.n(), 5);
+        assert_eq!(db_labels(&s), ["0", "001", "01", "1", "11"]);
+        assert_eq!(s.counters.evictions, 1);
+        // Node 6 (maximum index) fills the hole at "01"; nodes 5 and 6
+        // were the dead slot's ring neighbours.
+        assert_eq!(s.database[&lab("01")], Some(NodeId(6)));
+        let told: BTreeSet<NodeId> = sent.iter().map(|(to, _)| *to).collect();
+        assert_eq!(told, BTreeSet::from([NodeId(5), NodeId(6)]));
+        assert_eq!(sent.len(), 2, "O(1) configurations per eviction");
+        let echo = activate(&mut s, |_| {});
+        assert_eq!(echo.len(), 1);
+        assert_eq!(echo[0].0, NodeId(6));
+    }
+
+    #[test]
+    fn eviction_of_several_leaves_a_packed_database() {
+        let mut s = with_members(4);
         s.suspect(NodeId(1));
         s.suspect(NodeId(3));
         run(&mut s, |s, ctx| s.timeout(ctx));
@@ -600,30 +756,56 @@ mod tests {
     fn get_configuration_for_unknown_resets() {
         let mut s = Supervisor::new(NodeId(0));
         let sent = run(&mut s, |s, ctx| {
-            s.on_get_configuration(ctx, NodeId(7), None)
+            s.on_get_configuration(ctx, NodeId(7), Some(NodeId(8)));
+            s.timeout(ctx);
         });
-        assert_eq!(sent.len(), 1);
-        assert_eq!(sent[0].0, NodeId(7));
-        assert!(matches!(sent[0].1, Msg::SetData { label: None, .. }));
+        assert_eq!(sent.len(), 2);
+        assert!(matches!(
+            sent[0],
+            (NodeId(8), Msg::RemoveConnections { node: NodeId(7) })
+        ));
+        assert_eq!(sent[1].0, NodeId(7));
+        assert_eq!(label_sent(&sent[1].1), None);
+    }
+
+    #[test]
+    fn a_corrupted_stage_costs_one_message_per_id_and_drains() {
+        let mut s = with_members(3);
+        // Unknown ids, a member, and the supervisor itself.
+        s.staged = BTreeSet::from([NodeId(0), NodeId(2), NodeId(70), NodeId(71)]);
+        s.relabelled = BTreeSet::from([NodeId(0), NodeId(72)]);
+        let first = activate(&mut s, |_| {});
+        let told: Vec<NodeId> = first.iter().map(|(to, _)| *to).collect();
+        assert_eq!(told, [NodeId(2), NodeId(70), NodeId(71)]);
+        assert_eq!(label_sent(&first[0].1), Some(lab("1")));
+        assert!(first[1..].iter().all(|(_, m)| label_sent(m).is_none()));
+        let second = activate(&mut s, |_| {});
+        assert_eq!(second.len(), 1);
+        assert_eq!(second[0].0, NodeId(72));
+        assert!(s.staged.is_empty() && s.relabelled.is_empty());
+        assert!(activate(&mut s, |_| {}).is_empty());
     }
 
     #[test]
     fn db_epoch_moves_iff_database_changes() {
         let mut s = Supervisor::new(NodeId(0));
         let e0 = s.db_epoch;
-        run(&mut s, |s, ctx| s.on_subscribe(ctx, NodeId(1)));
+        activate(&mut s, |s| s.on_subscribe(NodeId(1)));
         assert!(s.db_epoch > e0, "insert must bump the epoch");
         let e1 = s.db_epoch;
         // Duplicate subscribe resends the config; the database is
         // untouched, so the epoch must hold (the incremental checker's
         // cache stays valid through steady-state re-sends).
-        run(&mut s, |s, ctx| s.on_subscribe(ctx, NodeId(1)));
+        activate(&mut s, |s| s.on_subscribe(NodeId(1)));
         assert_eq!(s.db_epoch, e1);
         // Steady-state timeout: round-robin read, no repair, no move.
         run(&mut s, |s, ctx| s.timeout(ctx));
         assert_eq!(s.db_epoch, e1);
         // Unknown-target GetConfiguration: reply only.
-        run(&mut s, |s, ctx| s.on_get_configuration(ctx, NodeId(9), None));
+        run(&mut s, |s, ctx| {
+            s.on_get_configuration(ctx, NodeId(9), None);
+            s.timeout(ctx);
+        });
         assert_eq!(s.db_epoch, e1);
         // Eviction via the failure detector must bump.
         s.suspect(NodeId(1));
@@ -638,10 +820,7 @@ mod tests {
 
     #[test]
     fn neighbors_wrap_around() {
-        let mut s = Supervisor::new(NodeId(0));
-        for i in 1..=4 {
-            run(&mut s, |s, ctx| s.on_subscribe(ctx, NodeId(i)));
-        }
+        let s = with_members(4);
         // Labels sorted: 0(n1), 01(n3), 1(n2), 11(n4).
         let (pred, succ) = s.neighbors_of(lab("0"));
         assert_eq!(pred.unwrap().label, lab("11"));

@@ -71,7 +71,9 @@ pub enum MultiActor {
         /// single-topic backends self-heal here because the departed
         /// node keeps existing and re-sends `Unsubscribe`). The
         /// tombstone lets the client refuse membership-implying configs
-        /// for departed topics, restoring that self-healing.
+        /// for departed topics, restoring that self-healing — and answer
+        /// neighbours that still probe it with `RemoveConnections`, as
+        /// the unlabelled instance of the single-topic backends does.
         departed: BTreeMap<TopicId, NodeId>,
     },
 }
@@ -442,23 +444,33 @@ impl Protocol for MultiActor {
                     if pubs {
                         ctx.mark_dirty(crate::dirty::pubs_key(topic.0));
                     }
-                } else if let (Some(&sup), Msg::SetData { label: Some(_), .. }) =
-                    (departed.get(&topic), &msg)
-                {
-                    // A membership-implying config for a topic we left:
-                    // a stale `Subscribe` re-inserted us into the
-                    // supervisor's database after the granted departure.
-                    // Refuse, exactly as a still-running instance would
-                    // (the departure permission `SetData(⊥,⊥,⊥)` and
-                    // neighbour chatter stay ignored — no reply loops).
+                } else if let Some(&sup) = departed.get(&topic) {
+                    // A topic we left: answer exactly as a still-running
+                    // unlabelled instance would, so the world it left
+                    // self-heals. A membership-implying config means a
+                    // stale `Subscribe` re-inserted us into the
+                    // supervisor's database after the granted departure:
+                    // refuse it. A neighbour that still probes or
+                    // introduces us holds a reference nobody else will
+                    // ever correct (Lemma 6): ask it to drop it. Both
+                    // replies are terminal — the departure permission
+                    // `SetData(⊥,⊥,⊥)` and everything else stay ignored.
                     let me = ctx.me();
-                    ctx.send(
-                        sup,
-                        TopicMsg {
-                            topic,
-                            msg: Msg::Unsubscribe { node: me },
-                        },
-                    );
+                    let reply = match &msg {
+                        Msg::SetData { label: Some(_), .. } => {
+                            Some((sup, Msg::Unsubscribe { node: me }))
+                        }
+                        Msg::Check { sender: from, .. }
+                        | Msg::CheckShortcut { sender: from, .. }
+                        | Msg::Intro { node: from, .. }
+                        | Msg::IntroduceShortcut { node: from } => {
+                            Some((from.id, Msg::RemoveConnections { node: me }))
+                        }
+                        _ => None,
+                    };
+                    if let Some((to, msg)) = reply {
+                        ctx.send(to, TopicMsg { topic, msg });
+                    }
                 }
                 // Other messages for topics we never joined: corrupted
                 // content, consumed silently.
@@ -519,6 +531,7 @@ impl Protocol for MultiActor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::NodeRef;
     use skippub_sim::World;
 
     const SUP: NodeId = NodeId(0);
@@ -650,6 +663,70 @@ mod tests {
             w.node(NodeId(2)).unwrap().topic_subscriber(t).is_none(),
             "the refusal must not resurrect the instance"
         );
+    }
+
+    #[test]
+    fn departed_client_asks_probing_neighbours_to_forget_it() {
+        // The instance is dropped with the departure, so without the
+        // tombstone's reply a neighbour that still holds the leaver
+        // keeps checking a node that never answers — and the topic
+        // stays illegitimate until the round-robin comes by.
+        let mut w = multi_world(3, 27);
+        let t = TopicId(5);
+        for i in 1..=3u64 {
+            w.node_mut(NodeId(i)).unwrap().join_topic(t);
+        }
+        for _ in 0..120 {
+            w.run_round();
+        }
+        w.node_mut(NodeId(2)).unwrap().leave_topic(t);
+        for _ in 0..120 {
+            w.run_round();
+        }
+        assert!(w.node(NodeId(2)).unwrap().topic_subscriber(t).is_none());
+        let stale = NodeRef::new("1".parse().unwrap(), NodeId(2));
+        let prober = NodeRef::new("0".parse().unwrap(), NodeId(1));
+        w.node_mut(NodeId(1))
+            .unwrap()
+            .topic_subscriber_mut(t)
+            .unwrap()
+            .left = Some(stale);
+        let probes = [
+            Msg::Check {
+                sender: prober,
+                assumed: stale.label,
+                cyc: false,
+            },
+            Msg::CheckShortcut {
+                sender: prober,
+                assumed: stale.label,
+            },
+            Msg::Intro {
+                node: prober,
+                cyc: false,
+            },
+            Msg::IntroduceShortcut { node: prober },
+        ];
+        for msg in probes {
+            let sent = skippub_sim::testing::run_handler(NodeId(2), 1, |ctx| {
+                let mut leaver = w.node(NodeId(2)).unwrap().clone();
+                leaver.on_message(ctx, TopicMsg { topic: t, msg });
+            });
+            assert_eq!(sent.len(), 1);
+            assert_eq!(sent[0].0, NodeId(1));
+            assert!(matches!(
+                sent[0].1,
+                TopicMsg {
+                    topic,
+                    msg: Msg::RemoveConnections { node: NodeId(2) }
+                } if topic == t
+            ));
+        }
+        // End to end: node 1's corrupted edge is gone two rounds later.
+        w.run_round();
+        w.run_round();
+        let left = w.node(NodeId(1)).unwrap().topic_subscriber(t).unwrap().left;
+        assert!(left.is_none_or(|l| l.id != NodeId(2)));
     }
 
     #[test]

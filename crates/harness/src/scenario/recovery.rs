@@ -184,6 +184,12 @@ pub fn run_crash_recovery(
         .filter(|id| !warm.crashed.contains(id))
         .collect();
     let mut ps = restore_corrupted(&warm, &survivors, corrupt, spec.topics, spec.seed)?;
+    // The failure detector is the harness: a crash the schedule would
+    // have reported after the checkpoint is reported here, or the
+    // restored supervisor keeps a dead member forever.
+    for &id in &warm.crashed {
+        ps.report_crash(id);
+    }
     let mult = budget_multiplier(kind);
     // Let the corrupted channels drain first: legitimacy is a predicate
     // over node *state*, so bogus in-flight messages only disturb it

@@ -81,7 +81,7 @@ impl Network {
             next_id: 1,
             seed_ctr: Arc::new(AtomicU64::new(cfg.seed)),
         };
-        net.spawn_node(SUPERVISOR, Actor::Supervisor(Supervisor::new(SUPERVISOR)));
+        net.spawn_node(SUPERVISOR, Actor::Supervisor(Box::new(Supervisor::new(SUPERVISOR))));
         net
     }
 

@@ -6,7 +6,7 @@
 //! A snapshot is a single ASCII token stream (whitespace-separated), in
 //! three sections:
 //!
-//! 1. **header** — `skippubsnap 3 <kind>`: magic, format version, and
+//! 1. **header** — `skippubsnap 4 <kind>`: magic, format version, and
 //!    the backend kind tag restore dispatches on;
 //! 2. **node store** — the shared [`MemoryTrieDb`] every trie in the
 //!    snapshot committed into: a count followed by `(hash, node)` pairs
@@ -27,9 +27,11 @@ use skippub_trie::{MemoryTrieDb, PatriciaTrie, StoredNode, TrieDb};
 /// Format version in the header. Version 2 changed the `Subscriber` body
 /// (the relay pending set; a scalar flood-hop maximum); version 3 the
 /// pending set again (a hop count per key) and the bodies of the
-/// `PublishNew` and `CheckAndPublish` messages (batches). A stream of
-/// an older version would misparse, so it is rejected at the header.
-const FORMAT_VERSION: &str = "3";
+/// `PublishNew` and `CheckAndPublish` messages (batches); version 4 the
+/// `Supervisor` body (the staged and relabelled sets; one flush counter
+/// for the two per-operation ones). A stream of an older version would
+/// misparse, so it is rejected at the header.
+const FORMAT_VERSION: &str = "4";
 
 /// Errors surfaced while decoding a snapshot.
 #[derive(Clone, Debug, PartialEq, Eq)]

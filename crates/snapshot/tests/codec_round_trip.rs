@@ -100,11 +100,12 @@ fn truncated_and_corrupt_snapshots_fail_loudly() {
 
     assert!(BackendSnapshot::from_text("not a snapshot").is_err());
     assert!(BackendSnapshot::from_text("skippubsnap 9 t 0").is_err());
-    // The previous format versions (different `Subscriber` and message
-    // bodies).
+    // The previous format versions (different `Subscriber`, message and
+    // `Supervisor` bodies).
     assert!(BackendSnapshot::from_text("skippubsnap 1 t 0").is_err());
     assert!(BackendSnapshot::from_text("skippubsnap 2 t 0").is_err());
-    assert!(BackendSnapshot::from_text("skippubsnap 3 t 0").is_ok());
+    assert!(BackendSnapshot::from_text("skippubsnap 3 t 0").is_err());
+    assert!(BackendSnapshot::from_text("skippubsnap 4 t 0").is_ok());
 
     // Truncating the whole body token surfaces as Eof on load.
     let truncated = &text[..text.len() - 2];

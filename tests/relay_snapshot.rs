@@ -90,13 +90,14 @@ fn continue_for(ps: &mut dyn PubSub, ids: &[NodeId], rounds: usize) -> (Vec<Vec<
 fn older_format_versions_are_rejected_at_the_header() {
     let (ps, _) = legit_chaos(0x51A9);
     let text = ps.save_snapshot().expect("snapshot").as_text().to_string();
-    assert!(text.starts_with("skippubsnap 3 chaos "), "{}", &text[..40]);
+    assert!(text.starts_with("skippubsnap 4 chaos "), "{}", &text[..40]);
     assert!(BackendSnapshot::from_text(&text).is_ok());
     // The same body under an earlier version number: the `Subscriber`
-    // layout (1, 2) and the `PublishNew` / `CheckAndPublish` bodies (2)
-    // differ, so it must be refused with an error, not parsed.
-    for version in ["1", "2"] {
-        let old = text.replacen("skippubsnap 3 ", &format!("skippubsnap {version} "), 1);
+    // layout (1, 2), the `PublishNew` / `CheckAndPublish` bodies (2) and
+    // the `Supervisor` layout (3) differ, so it must be refused with an
+    // error, not parsed.
+    for version in ["1", "2", "3"] {
+        let old = text.replacen("skippubsnap 4 ", &format!("skippubsnap {version} "), 1);
         let err =
             BackendSnapshot::from_text(&old).expect_err("an older format version must be rejected");
         assert!(err.to_string().contains("version"), "{version}: {err}");

@@ -147,6 +147,49 @@ fn run_one(
     }
 }
 
+/// The backends an oracle mode sweeps: the chosen in-process one, or
+/// every backend the spec supports.
+fn oracle_kinds(spec: &ScenarioSpec, chosen: Option<Target>, threaded_msg: &str) -> Vec<BackendKind> {
+    match chosen {
+        Some(Target::InProcess(k)) => vec![k],
+        Some(Target::Threaded) => fail(threaded_msg),
+        None => spec.supported_backends(),
+    }
+}
+
+/// The oracle modes' one loop: run `oracle` (verdict + report JSON) on
+/// each backend, print the report, write `{name}.{kind}.{suffix}.json`
+/// under `--out`, and exit 1 if any verdict failed.
+fn oracle_sweep(
+    spec: &ScenarioSpec,
+    kinds: Vec<BackendKind>,
+    out_dir: Option<&str>,
+    mode: &str,
+    suffix: &str,
+    failed_label: &str,
+    oracle: impl Fn(BackendKind) -> Result<(bool, String), String>,
+) -> ! {
+    let mut failed = false;
+    for kind in kinds {
+        let started = std::time::Instant::now();
+        let (ok, json) = oracle(kind).unwrap_or_else(|e| fail(&e));
+        eprintln!(
+            "=== {mode} {} on {} ({:.2?}) {}",
+            spec.name,
+            kind.name(),
+            started.elapsed(),
+            if ok { "ok" } else { failed_label }
+        );
+        println!("{json}");
+        if let Some(dir) = out_dir {
+            let path = format!("{dir}/{}.{}.{suffix}.json", spec.name, kind.name());
+            std::fs::write(&path, &json).unwrap_or_else(|e| fail(&format!("write {path}: {e}")));
+        }
+        failed |= !ok;
+    }
+    std::process::exit(if failed { 1 } else { 0 });
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut name: Option<String> = None;
@@ -427,102 +470,31 @@ fn main() {
         // Supervisor-failover oracle: run the scenario's scheduled
         // supervisor-primary crashes, run the same schedule stripped of
         // them, and self-assert the two runs are observationally
-        // identical (delivered sets + final checker digests). Exit 1 on
-        // divergence.
+        // identical (delivered sets + final checker digests).
         if failover {
-            let kinds: Vec<BackendKind> = match chosen {
-                Some(Target::InProcess(k)) => vec![k],
-                Some(Target::Threaded) => {
-                    fail("the threaded runtime cannot run the failover oracle")
-                }
-                None => spec.supported_backends(),
-            };
-            let mut failed = false;
-            for kind in kinds {
-                let started = std::time::Instant::now();
-                let report =
-                    scenario::run_supervisor_crash(&spec, kind).unwrap_or_else(|e| fail(&e));
-                eprintln!(
-                    "=== supervisor-crash {} on {} ({:.2?}) {}",
-                    spec.name,
-                    kind.name(),
-                    started.elapsed(),
-                    if report.ok() { "ok" } else { "DIVERGED" }
-                );
-                println!("{}", report.to_json());
-                if let Some(dir) = &out_dir {
-                    let path = format!("{dir}/{}.{}.failover.json", spec.name, kind.name());
-                    std::fs::write(&path, report.to_json())
-                        .unwrap_or_else(|e| fail(&format!("write {path}: {e}")));
-                }
-                failed |= !report.ok();
-            }
-            std::process::exit(if failed { 1 } else { 0 });
+            let kinds = oracle_kinds(&spec, chosen, "the threaded runtime cannot run the failover oracle");
+            oracle_sweep(&spec, kinds, out_dir.as_deref(), "supervisor-crash", "failover", "DIVERGED", |kind| {
+                scenario::run_supervisor_crash(&spec, kind).map(|r| (r.ok(), r.to_json()))
+            });
         }
 
         // Link-fault-storm oracle: run the scenario's fault schedule
         // (builtin or injected via --faults), run the same schedule on
         // perfect links, and self-assert healing — re-legitimization,
         // re-convergence, partition-triggered failovers, and (for
-        // loss/delay-only schedules) delivered-set equality. Exit 1 on
-        // a failed verdict.
+        // loss/delay-only schedules) delivered-set equality.
         if storm {
-            let kinds: Vec<BackendKind> = match chosen {
-                Some(Target::InProcess(k)) => vec![k],
-                Some(Target::Threaded) => {
-                    fail("the threaded runtime cannot run the fault-storm oracle")
-                }
-                None => spec.supported_backends(),
-            };
-            let mut failed = false;
-            for kind in kinds {
-                let started = std::time::Instant::now();
-                let report = scenario::run_fault_storm(&spec, kind).unwrap_or_else(|e| fail(&e));
-                eprintln!(
-                    "=== fault-storm {} on {} ({:.2?}) {}",
-                    spec.name,
-                    kind.name(),
-                    started.elapsed(),
-                    if report.ok() { "ok" } else { "FAILED" }
-                );
-                println!("{}", report.to_json());
-                if let Some(dir) = &out_dir {
-                    let path = format!("{dir}/{}.{}.faultstorm.json", spec.name, kind.name());
-                    std::fs::write(&path, report.to_json())
-                        .unwrap_or_else(|e| fail(&format!("write {path}: {e}")));
-                }
-                failed |= !report.ok();
-            }
-            std::process::exit(if failed { 1 } else { 0 });
+            let kinds = oracle_kinds(&spec, chosen, "the threaded runtime cannot run the fault-storm oracle");
+            oracle_sweep(&spec, kinds, out_dir.as_deref(), "fault-storm", "faultstorm", "FAILED", |kind| {
+                scenario::run_fault_storm(&spec, kind).map(|r| (r.ok(), r.to_json()))
+            });
         }
 
         // Crash recovery: checkpoint mid-run, restore, corrupt, re-legit.
-        let kinds: Vec<BackendKind> = match chosen {
-            Some(Target::InProcess(k)) => vec![k],
-            Some(Target::Threaded) => fail("the threaded runtime cannot snapshot"),
-            None => spec.supported_backends(),
-        };
-        let mut failed = false;
-        for kind in kinds {
-            let started = std::time::Instant::now();
-            let report = scenario::run_crash_recovery(&spec, kind, corrupt)
-                .unwrap_or_else(|e| fail(&e));
-            eprintln!(
-                "=== crash-recovery {} on {} ({:.2?}) {}",
-                spec.name,
-                kind.name(),
-                started.elapsed(),
-                if report.ok() { "ok" } else { "FAILED" }
-            );
-            println!("{}", report.to_json());
-            if let Some(dir) = &out_dir {
-                let path = format!("{dir}/{}.{}.recovery.json", spec.name, kind.name());
-                std::fs::write(&path, report.to_json())
-                    .unwrap_or_else(|e| fail(&format!("write {path}: {e}")));
-            }
-            failed |= !report.ok();
-        }
-        std::process::exit(if failed { 1 } else { 0 });
+        let kinds = oracle_kinds(&spec, chosen, "the threaded runtime cannot snapshot");
+        oracle_sweep(&spec, kinds, out_dir.as_deref(), "crash-recovery", "recovery", "FAILED", |kind| {
+            scenario::run_crash_recovery(&spec, kind, corrupt).map(|r| (r.ok(), r.to_json()))
+        });
     }
 
     let mut failures = 0usize;

@@ -76,16 +76,22 @@ pub fn builder_for(spec: &ScenarioSpec) -> SystemBuilder {
         .protocol(spec.protocol)
 }
 
+/// The one "this backend cannot run this spec" error.
+fn ensure_supported(spec: &ScenarioSpec, kind: BackendKind) -> Result<(), String> {
+    if spec.supported(kind) {
+        return Ok(());
+    }
+    Err(format!(
+        "scenario {:?} needs {} topics; backend {} serves exactly one",
+        spec.name,
+        spec.topics,
+        kind.name()
+    ))
+}
+
 /// Builds the backend and runs the spec on it.
 pub fn run_spec(spec: &ScenarioSpec, kind: BackendKind) -> Result<ScenarioOutcome, String> {
-    if !spec.supported(kind) {
-        return Err(format!(
-            "scenario {:?} needs {} topics; backend {} serves exactly one",
-            spec.name,
-            spec.topics,
-            kind.name()
-        ));
-    }
+    ensure_supported(spec, kind)?;
     let mut ps = builder_for(spec).build(kind);
     Ok(execute(ps.as_mut(), spec, budget_multiplier(kind), None))
 }
@@ -96,13 +102,7 @@ pub fn run_recorded(
     spec: &ScenarioSpec,
     kind: BackendKind,
 ) -> Result<(ScenarioOutcome, Trace), String> {
-    if !spec.supported(kind) {
-        return Err(format!(
-            "scenario {:?} does not support backend {}",
-            spec.name,
-            kind.name()
-        ));
-    }
+    ensure_supported(spec, kind)?;
     let mut ps = builder_for(spec).build(kind);
     let mut trace = Trace::new(spec, kind.name());
     let outcome = execute(ps.as_mut(), spec, budget_multiplier(kind), Some(&mut trace));
@@ -114,6 +114,25 @@ pub fn run_recorded(
 /// the warm/stop/settle budgets.
 pub fn run_on(ps: &mut dyn PubSub, spec: &ScenarioSpec, budget_mult: u64) -> ScenarioOutcome {
     execute(ps, spec, budget_mult, None)
+}
+
+/// One side of a twin run: the outcome, and the backend it ran on.
+pub(super) type TwinSide = (ScenarioOutcome, Box<dyn PubSub>);
+
+/// The skeleton the perturbation oracles share: run `spec` and its
+/// unperturbed `baseline` on fresh `kind` backends under the same
+/// budgets, handing back each outcome with its backend so the oracle
+/// can read failovers, fault counts or checker digests off it.
+pub(super) fn run_twin(
+    spec: &ScenarioSpec,
+    baseline: &ScenarioSpec,
+    kind: BackendKind,
+) -> Result<[TwinSide; 2], String> {
+    ensure_supported(spec, kind)?;
+    Ok([spec, baseline].map(|spec| {
+        let mut ps = builder_for(spec).build(kind);
+        (run_on(ps.as_mut(), spec, budget_multiplier(kind)), ps)
+    }))
 }
 
 /// A mid-run checkpoint: the backend snapshot plus the engine's churn
@@ -216,13 +235,7 @@ pub fn run_spec_with_snapshot(
     kind: BackendKind,
     at_round: u64,
 ) -> Result<(ScenarioOutcome, WarmStart), String> {
-    if !spec.supported(kind) {
-        return Err(format!(
-            "scenario {:?} does not support backend {}",
-            spec.name,
-            kind.name()
-        ));
-    }
+    ensure_supported(spec, kind)?;
     let mut ps = builder_for(spec).build(kind);
     let (out, captured) = run_phases(
         ps.as_mut(),

@@ -13,7 +13,8 @@
 //! spec compiles to the byte-identical remaining schedule — the only
 //! difference between the two runs is the failovers themselves.
 
-use super::engine::{budget_multiplier, builder_for, run_on};
+use super::engine::run_twin;
+use super::report::json_str;
 use super::spec::ScenarioSpec;
 use skippub_core::{BackendKind, PubSub, TopicId};
 use std::fmt::Write as _;
@@ -95,8 +96,8 @@ impl FailoverReport {
     pub fn to_json(&self) -> String {
         let mut j = String::new();
         j.push_str("{\n  \"schema\": \"skippub-supervisor-failover/v1\",\n");
-        let _ = writeln!(j, "  \"scenario\": {:?},", self.scenario);
-        let _ = writeln!(j, "  \"backend\": {:?},", self.backend);
+        let _ = writeln!(j, "  \"scenario\": {},", json_str(&self.scenario));
+        let _ = writeln!(j, "  \"backend\": {},", json_str(&self.backend));
         let _ = writeln!(j, "  \"replicas\": {},", self.replicas);
         let _ = writeln!(
             j,
@@ -111,15 +112,15 @@ impl FailoverReport {
             self.delivered_match,
             self.digests == self.baseline_digests
         );
-        let _ = writeln!(j, "  \"fingerprint\": {:?},", self.fingerprint);
+        let _ = writeln!(j, "  \"fingerprint\": {},", json_str(&self.fingerprint));
         let _ = writeln!(
             j,
-            "  \"baseline_fingerprint\": {:?},",
-            self.baseline_fingerprint
+            "  \"baseline_fingerprint\": {},",
+            json_str(&self.baseline_fingerprint)
         );
         j.push_str("  \"digests\": [");
         for (i, d) in self.digests.iter().enumerate() {
-            let _ = write!(j, "{}{:?}", if i == 0 { "" } else { ", " }, d);
+            let _ = write!(j, "{}{}", if i == 0 { "" } else { ", " }, json_str(d));
         }
         j.push_str("],\n");
         let _ = writeln!(j, "  \"ok\": {}", self.ok());
@@ -148,44 +149,25 @@ pub fn run_supervisor_crash(
             spec.name
         ));
     }
-    if !spec.supported(kind) {
-        return Err(format!(
-            "scenario {:?} needs {} topics; backend {} serves exactly one",
-            spec.name,
-            spec.topics,
-            kind.name()
-        ));
-    }
-    let mult = budget_multiplier(kind);
-
-    let mut crash_ps = builder_for(spec).build(kind);
-    let crash_out = run_on(crash_ps.as_mut(), spec, mult);
-    let failovers = crash_ps.supervisor_failovers();
-    let digests: Vec<String> = (0..spec.topics)
-        .map(|t| topic_digest(crash_ps.as_ref(), TopicId(t)))
-        .collect();
-
     let mut baseline = spec.clone();
     baseline.sup_crashes.clear();
-    let mut base_ps = builder_for(&baseline).build(kind);
-    let base_out = run_on(base_ps.as_mut(), &baseline, mult);
-    let baseline_digests: Vec<String> = (0..spec.topics)
-        .map(|t| topic_digest(base_ps.as_ref(), TopicId(t)))
-        .collect();
-
+    let [(crash, crash_ps), (base, base_ps)] = run_twin(spec, &baseline, kind)?;
+    let digests = |ps: &dyn PubSub| -> Vec<String> {
+        (0..spec.topics).map(|t| topic_digest(ps, TopicId(t))).collect()
+    };
     Ok(FailoverReport {
         scenario: spec.name.clone(),
         backend: kind.name().to_string(),
         replicas: spec.replicas,
         crashes: spec.sup_crashes.len() as u64,
-        failovers,
-        crash_ok: crash_out.report.ok(),
-        baseline_ok: base_out.report.ok(),
-        fingerprint: crash_out.report.delivered_fingerprint.clone(),
-        baseline_fingerprint: base_out.report.delivered_fingerprint.clone(),
-        delivered_match: crash_out.delivered == base_out.delivered,
-        digests,
-        baseline_digests,
+        failovers: crash_ps.supervisor_failovers(),
+        crash_ok: crash.report.ok(),
+        baseline_ok: base.report.ok(),
+        delivered_match: crash.delivered == base.delivered,
+        fingerprint: crash.report.delivered_fingerprint,
+        baseline_fingerprint: base.report.delivered_fingerprint,
+        digests: digests(crash_ps.as_ref()),
+        baseline_digests: digests(base_ps.as_ref()),
     })
 }
 

@@ -22,7 +22,8 @@
 //! `crash_supervisor` anywhere in the schedule), and the oracle counts
 //! `failovers == severed-primary windows`.
 
-use super::engine::{budget_multiplier, builder_for, run_on};
+use super::engine::run_twin;
+use super::report::json_str;
 use super::spec::ScenarioSpec;
 use skippub_core::pubsub::SHARD_SUPERVISOR_BASE;
 use skippub_core::BackendKind;
@@ -124,8 +125,8 @@ impl FaultStormReport {
     pub fn to_json(&self) -> String {
         let mut j = String::new();
         j.push_str("{\n  \"schema\": \"skippub-fault-storm/v1\",\n");
-        let _ = writeln!(j, "  \"scenario\": {:?},", self.scenario);
-        let _ = writeln!(j, "  \"backend\": {:?},", self.backend);
+        let _ = writeln!(j, "  \"scenario\": {},", json_str(&self.scenario));
+        let _ = writeln!(j, "  \"backend\": {},", json_str(&self.backend));
         let _ = writeln!(
             j,
             "  \"schedule\": {{\"rules\": {}, \"severs\": {}, \"loss_delay_only\": {}, \"windows_closed\": {}}},",
@@ -154,11 +155,11 @@ impl FaultStormReport {
             self.severed_primaries, self.failovers
         );
         let _ = writeln!(j, "  \"delivery_ratio\": {:.4},", self.delivery_ratio);
-        let _ = writeln!(j, "  \"fingerprint\": {:?},", self.fingerprint);
+        let _ = writeln!(j, "  \"fingerprint\": {},", json_str(&self.fingerprint));
         let _ = writeln!(
             j,
-            "  \"baseline_fingerprint\": {:?},",
-            self.baseline_fingerprint
+            "  \"baseline_fingerprint\": {},",
+            json_str(&self.baseline_fingerprint)
         );
         let _ = writeln!(j, "  \"ok\": {}", self.ok());
         j.push('}');
@@ -181,14 +182,6 @@ pub fn run_fault_storm(
     if faults.rules.is_empty() && faults.severs.is_empty() {
         return Err(format!("scenario {:?} has an empty fault schedule", spec.name));
     }
-    if !spec.supported(kind) {
-        return Err(format!(
-            "scenario {:?} needs {} topics; backend {} serves exactly one",
-            spec.name,
-            spec.topics,
-            kind.name()
-        ));
-    }
     let endpoints = supervisor_endpoints(spec, kind);
     let severs_supervisor = faults
         .severs
@@ -201,19 +194,9 @@ pub fn run_fault_storm(
             spec.name, spec.replicas
         ));
     }
-    let mult = budget_multiplier(kind);
-
-    let mut faulted_ps = builder_for(spec).build(kind);
-    let faulted_out = run_on(faulted_ps.as_mut(), spec, mult);
-    let failovers = faulted_ps.supervisor_failovers();
-    let fault_counts = faulted_ps.fault_counts();
-
-    let baseline = spec.without_faults();
-    let mut base_ps = builder_for(&baseline).build(kind);
-    let base_out = run_on(base_ps.as_mut(), &baseline, mult);
-
-    let fr = &faulted_out.report;
-    let br = &base_out.report;
+    let [(faulted, faulted_ps), (base, _)] = run_twin(spec, &spec.without_faults(), kind)?;
+    let fr = &faulted.report;
+    let br = &base.report;
     Ok(FaultStormReport {
         scenario: spec.name.clone(),
         backend: kind.name().to_string(),
@@ -225,17 +208,17 @@ pub fn run_fault_storm(
         baseline_ok: br.ok(),
         relegitimized: fr.legit,
         reconverged: fr.pubs_converged,
-        fault_counts,
+        fault_counts: faulted_ps.fault_counts(),
         delivery_ratio: if br.stats.delivered == 0 {
             1.0
         } else {
             fr.stats.delivered as f64 / br.stats.delivered as f64
         },
         severed_primaries: severed_primaries(spec, kind),
-        failovers,
+        failovers: faulted_ps.supervisor_failovers(),
         fingerprint: fr.delivered_fingerprint.clone(),
         baseline_fingerprint: br.delivered_fingerprint.clone(),
-        delivered_match: faulted_out.delivered == base_out.delivered,
+        delivered_match: faulted.delivered == base.delivered,
     })
 }
 

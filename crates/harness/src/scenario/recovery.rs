@@ -12,6 +12,7 @@
 //! well-formed protocol messages with stale or fabricated labels.
 
 use super::engine::{budget_multiplier, run_spec_with_snapshot, WarmStart};
+use super::report::json_str;
 use super::schedule::compile;
 use super::spec::ScenarioSpec;
 use skippub_core::pubsub::{PartitionedBackend, SimBackend};
@@ -61,8 +62,8 @@ impl CrashRecoveryReport {
     pub fn to_json(&self) -> String {
         let mut j = String::new();
         j.push_str("{\n  \"schema\": \"skippub-crash-recovery/v1\",\n");
-        let _ = writeln!(j, "  \"scenario\": {:?},", self.scenario);
-        let _ = writeln!(j, "  \"backend\": {:?},", self.backend);
+        let _ = writeln!(j, "  \"scenario\": {},", json_str(&self.scenario));
+        let _ = writeln!(j, "  \"backend\": {},", json_str(&self.backend));
         let _ = writeln!(j, "  \"snapshot_round\": {},", self.snapshot_round);
         let _ = writeln!(j, "  \"snapshot_bytes\": {},", self.snapshot_bytes);
         let _ = writeln!(j, "  \"survivors\": {},", self.survivors);

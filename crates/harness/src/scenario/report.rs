@@ -9,6 +9,32 @@ use skippub_core::pubsub::Op;
 use skippub_core::Stats;
 use std::fmt::Write as _;
 
+/// `s` as a JSON string literal, quotes included: the one escaper of
+/// the reports and the bench artifacts. Names can come from a trace
+/// file, so `"`, `\` and control characters must not reach the output
+/// raw (Rust's `{:?}` spells the latter `\u{1}`, which is not JSON). For
+/// the builtin names, hex fingerprints and stop kinds it is the string
+/// between two quotes.
+pub fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if u32::from(c) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", u32::from(c));
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 /// Per-topic delivery summary.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TopicReport {
@@ -130,8 +156,8 @@ impl ScenarioReport {
     pub fn to_json(&self) -> String {
         let mut j = String::new();
         j.push_str("{\n  \"schema\": \"skippub-scenario-report/v1\",\n");
-        let _ = writeln!(j, "  \"scenario\": {:?},", self.scenario);
-        let _ = writeln!(j, "  \"backend\": {:?},", self.backend);
+        let _ = writeln!(j, "  \"scenario\": {},", json_str(&self.scenario));
+        let _ = writeln!(j, "  \"backend\": {},", json_str(&self.backend));
         let _ = writeln!(j, "  \"seed\": {},", self.seed);
         let _ = writeln!(j, "  \"topics\": {},", self.topics);
         let _ = writeln!(
@@ -143,11 +169,11 @@ impl ScenarioReport {
         let _ = writeln!(j, "  \"ok\": {},", self.ok());
         let _ = writeln!(
             j,
-            "  \"phases\": {{\"warm_rounds\": {}, \"warm_ok\": {}, \"scheduled_rounds\": {}, \"stop_kind\": {:?}, \"stop_rounds\": {}, \"stop_ok\": {}, \"settle_rounds\": {}}},",
+            "  \"phases\": {{\"warm_rounds\": {}, \"warm_ok\": {}, \"scheduled_rounds\": {}, \"stop_kind\": {}, \"stop_rounds\": {}, \"stop_ok\": {}, \"settle_rounds\": {}}},",
             self.warm_rounds,
             self.warm_ok,
             self.scheduled_rounds,
-            self.stop_kind,
+            json_str(self.stop_kind),
             self.stop_rounds,
             self.stop_ok,
             self.settle_rounds
@@ -161,19 +187,19 @@ impl ScenarioReport {
         for (i, t) in self.per_topic.iter().enumerate() {
             let _ = writeln!(
                 j,
-                "    {{\"topic\": {}, \"members\": {}, \"pubs\": {}, \"fingerprint\": {:?}}}{}",
+                "    {{\"topic\": {}, \"members\": {}, \"pubs\": {}, \"fingerprint\": {}}}{}",
                 t.topic,
                 t.members,
                 t.pubs,
-                t.fingerprint,
+                json_str(&t.fingerprint),
                 if i + 1 == self.per_topic.len() { "" } else { "," }
             );
         }
         j.push_str("  ],\n");
         let _ = writeln!(
             j,
-            "  \"delivered_fingerprint\": {:?},",
-            self.delivered_fingerprint
+            "  \"delivered_fingerprint\": {},",
+            json_str(&self.delivered_fingerprint)
         );
         let _ = writeln!(
             j,
@@ -328,6 +354,18 @@ mod tests {
         ] {
             assert!(a.contains(needle), "missing {needle} in {a}");
         }
+    }
+
+    #[test]
+    fn json_str_escapes_what_json_requires() {
+        assert_eq!(json_str("steady-state"), "\"steady-state\"");
+        assert_eq!(
+            json_str("q\" b\\ ctl\u{1} nul\0 nl\n é—"),
+            "\"q\\\" b\\\\ ctl\\u0001 nul\\u0000 nl\\n é—\""
+        );
+        let mut r = report();
+        r.scenario = "a\"b\u{1}".into();
+        assert!(r.to_json().contains("\"scenario\": \"a\\\"b\\u0001\","));
     }
 
     #[test]

@@ -92,6 +92,29 @@ fn probe_mode_from(name: &str) -> Result<ProbeMode, String> {
     }
 }
 
+/// A trace file is outside input, and its `scenario` header becomes a
+/// report file name (`{scenario}.{backend}.replay.json`) and a JSON
+/// string: only `[A-Za-z0-9._-]{1,64}` not starting with `.` gets in
+/// (every builtin name does), so no `/`, `..` prefix or control
+/// character reaches either.
+fn checked_scenario_name(name: &str) -> Result<String, String> {
+    let plain = |b: u8| b.is_ascii_alphanumeric() || matches!(b, b'.' | b'_' | b'-');
+    if (1..=64).contains(&name.len()) && !name.starts_with('.') && name.bytes().all(plain) {
+        Ok(name.to_string())
+    } else {
+        Err(format!("bad scenario name {name:?}: need 1-64 of [A-Za-z0-9._-], not starting with '.'"))
+    }
+}
+
+/// The `backend` header names an in-process kind or the threaded runtime.
+fn checked_backend_name(name: &str) -> Result<String, String> {
+    if name == "threaded" || BackendKind::all().into_iter().any(|k| k.name() == name) {
+        Ok(name.to_string())
+    } else {
+        Err(format!("unknown backend {name:?}"))
+    }
+}
+
 impl Trace {
     /// An empty trace carrying `spec`'s header, ready for the engine to
     /// append lines to.
@@ -184,8 +207,8 @@ impl Trace {
                 .split_once(' ')
                 .ok_or_else(|| format!("bad header line {line:?}"))?;
             match key {
-                "scenario" => scenario = Some(rest.to_string()),
-                "backend" => backend = Some(rest.to_string()),
+                "scenario" => scenario = Some(checked_scenario_name(rest)?),
+                "backend" => backend = Some(checked_backend_name(rest)?),
                 "seed" => seed = Some(rest.parse::<u64>().map_err(|e| e.to_string())?),
                 "topics" => topics = Some(rest.parse::<u32>().map_err(|e| e.to_string())?),
                 "shards" => shards = Some(rest.parse::<usize>().map_err(|e| e.to_string())?),
@@ -533,5 +556,17 @@ mod tests {
         let mut truncated = text.clone();
         truncated = truncated.replace("seed 91\n", "");
         assert!(Trace::parse(&truncated).is_err());
+        // The scenario header becomes a file name and a JSON string.
+        let long = "x".repeat(65);
+        for name in ["../escaped", "a/b", ".hidden", "ctl\u{1}name", long.as_str()] {
+            let forged = text.replace("scenario trace-test\n", &format!("scenario {name}\n"));
+            let err = Trace::parse(&forged).expect_err(name);
+            assert!(err.contains("scenario name"), "{name:?}: {err}");
+        }
+        assert!(Trace::parse(&text.replace("scenario trace-test", "scenario v1.2_ok-name")).is_ok());
+        // The backend header names a backend.
+        let err = Trace::parse(&text.replace("backend sim\n", "backend ../sim\n")).unwrap_err();
+        assert!(err.contains("unknown backend"), "{err}");
+        assert!(Trace::parse(&text.replace("backend sim\n", "backend threaded\n")).is_ok());
     }
 }

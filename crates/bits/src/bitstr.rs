@@ -110,7 +110,7 @@ impl BitStr {
     /// The logical backing words: exactly `len.div_ceil(64)` of them,
     /// MSB-first, bits past `len` zero.
     #[inline]
-    fn words(&self) -> &[u64] {
+    pub(crate) fn words(&self) -> &[u64] {
         match &self.repr {
             Repr::Inline(w) => {
                 let n = usize::from(self.len != 0);

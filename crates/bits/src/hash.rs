@@ -68,11 +68,16 @@ impl Hash128 {
     }
 
     /// Hashes a bit string, including its exact length (so `"0"` and
-    /// `"00"` produce different hashes).
+    /// `"00"` produce different hashes): [`Hash128::of_bytes`] of
+    /// [`BitStr::canonical_bytes`], absorbed word by word without
+    /// building the byte string — a trie insert hashes its leaf without
+    /// touching the heap.
     pub fn of_bits(bits: &BitStr) -> Self {
-        let mut bytes = Vec::with_capacity(8 + bits.len().div_ceil(8) + 8);
-        bits.canonical_bytes(&mut bytes);
-        Self::of_bytes(&bytes)
+        let words = bits.words();
+        Hash128(hash_words(
+            std::iter::once(bits.len() as u64).chain(words.iter().copied()),
+            8 * (1 + words.len() as u64),
+        ))
     }
 
     /// Leaf-node hash `h(t.label)` (paper §4.2).
@@ -156,6 +161,20 @@ mod tests {
         let a: BitStr = "0".parse().unwrap();
         let b: BitStr = "00".parse().unwrap();
         assert_ne!(Hash128::of_bits(&a), Hash128::of_bits(&b));
+    }
+
+    #[test]
+    fn bits_hash_as_their_canonical_bytes() {
+        for len in [0usize, 1, 63, 64, 65, 128, 129, 200] {
+            let bits: BitStr = (0..len).map(|i| i % 3 == 0 || i % 7 == 2).collect();
+            let mut bytes = Vec::new();
+            bits.canonical_bytes(&mut bytes);
+            assert_eq!(
+                Hash128::of_bits(&bits),
+                Hash128::of_bytes(&bytes),
+                "{len} bits"
+            );
+        }
     }
 
     #[test]

@@ -534,9 +534,12 @@ impl Subscriber {
         // The same applies to my *own* label: if I just took over a label
         // (e.g. from a departed node, §4.1 step 2), a stored edge to some
         // other node under that label is stale.
-        let mut authoritative = vec![(new_label, self.id)];
-        authoritative.extend(pred.iter().chain(succ.iter()).map(|p| (p.label, p.id)));
-        for (lab, id) in authoritative {
+        let authoritative = [
+            Some((new_label, self.id)),
+            pred.map(|p| (p.label, p.id)),
+            succ.map(|s| (s.label, s.id)),
+        ];
+        for (lab, id) in authoritative.into_iter().flatten() {
             if self.left.is_some_and(|l| l.label == lab && l.id != id) {
                 self.left = None;
             }

@@ -155,9 +155,7 @@ impl SnapWriter {
                 StoredNode::Leaf(p) => {
                     text.push_str(" 0");
                     let mut w = SnapWriter::new();
-                    p.key().save(&mut w);
-                    w.put_u64(p.author());
-                    w.put_bytes(p.payload());
+                    p.save(&mut w);
                     text.push(' ');
                     text.push_str(&w.body);
                 }
@@ -322,14 +320,7 @@ impl BackendSnapshot {
         for _ in 0..nodes {
             let hash = Hash128(r.u128()?);
             let node = match r.u64()? {
-                0 => {
-                    let key = skippub_bits::BitStr::load(&mut r)?;
-                    let author = r.u64()?;
-                    let payload = r.bytes()?;
-                    StoredNode::Leaf(skippub_trie::Publication::with_raw_key(
-                        key, author, payload,
-                    ))
-                }
+                0 => StoredNode::Leaf(Snap::load(&mut r)?),
                 1 => StoredNode::Inner {
                     left: Hash128(r.u128()?),
                     right: Hash128(r.u128()?),

@@ -10,7 +10,7 @@ use skippub_sim::{
     NodeId, NodeState, PartitionState, PartitionedState, Protocol, Sever, WorldState,
 };
 use skippub_ringmath::Label;
-use skippub_trie::{NodeSummary, PatriciaTrie, PayloadInterner, Publication};
+use skippub_trie::{NodeSummary, PatriciaTrie, PayloadInterner, Publication, MAX_KEY_BITS};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -302,7 +302,8 @@ impl Snap for PayloadInterner {
 
 /// Raw key + author + payload, restored verbatim (also exact for
 /// hand-built raw-key publications, which derived-key reconstruction
-/// would silently re-key).
+/// would silently re-key). A key no store would take
+/// ([`MAX_KEY_BITS`]) is malformed.
 impl Snap for Publication {
     fn save(&self, w: &mut SnapWriter) {
         self.key().save(w);
@@ -311,6 +312,12 @@ impl Snap for Publication {
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let key = BitStr::load(r)?;
+        if !(1..=MAX_KEY_BITS).contains(&key.len()) {
+            return Err(SnapError::Malformed(format!(
+                "publication key of {} bits, outside 1..={MAX_KEY_BITS}",
+                key.len()
+            )));
+        }
         let author = r.u64()?;
         let payload = r.bytes()?;
         Ok(Publication::with_raw_key(key, author, payload))

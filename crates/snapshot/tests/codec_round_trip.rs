@@ -69,6 +69,36 @@ fn publications_round_trip_including_raw_keys() {
 }
 
 #[test]
+fn publication_keys_outside_the_store_bound_are_malformed() {
+    let key = |bits: usize| -> BitStr { (0..bits).map(|i| i % 3 == 0).collect() };
+    let text_of = |p: &Publication| {
+        let mut w = SnapWriter::new();
+        p.save(&mut w);
+        w.finish("test").as_text().to_string()
+    };
+    for bits in [0usize, 129, 10_000] {
+        let p = Publication::with_raw_key(key(bits), 1, b"x".to_vec());
+        let snap = BackendSnapshot::from_text(&text_of(&p)).unwrap();
+        let mut r = snap.reader().unwrap();
+        assert!(
+            matches!(Publication::load(&mut r), Err(SnapError::Malformed(_))),
+            "{bits}-bit key read back"
+        );
+        // The same leaf inside the node store stops the reader itself.
+        let mut w = SnapWriter::new();
+        let leaf = skippub_trie::StoredNode::Leaf(p);
+        skippub_trie::TrieDb::put(w.db(), leaf.hash(), leaf);
+        let snap = BackendSnapshot::from_text(w.finish("test").as_text()).unwrap();
+        assert!(
+            matches!(snap.reader(), Err(SnapError::Malformed(_))),
+            "{bits}-bit leaf in the node store"
+        );
+    }
+    let p = Publication::with_raw_key(key(128), 1, b"x".to_vec());
+    assert_eq!(round_trip(&p).key(), p.key());
+}
+
+#[test]
 fn tries_round_trip_through_the_shared_node_store() {
     let mut trie = PatriciaTrie::new();
     for author in 0..50u64 {

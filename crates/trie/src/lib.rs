@@ -43,4 +43,4 @@ mod trie;
 pub use db::{MemoryTrieDb, StoredNode, TrieBatch, TrieDb, TrieDbError};
 pub use intern::PayloadInterner;
 pub use publication::Publication;
-pub use trie::{CheckOutcome, CheckReply, NodeSummary, PatriciaTrie, PubIter};
+pub use trie::{CheckOutcome, CheckReply, NodeSummary, PatriciaTrie, PubIter, MAX_KEY_BITS};

@@ -1,20 +1,45 @@
-//! The hashed Patricia trie (paper §4.2).
+//! The hashed Patricia trie (paper §4.2), stored as two arenas.
+//!
+//! `leaves` holds every publication once, with its cached leaf hash;
+//! `inner` holds the binary skeleton as 32-byte crit-bit records: the
+//! Merkle hash, two tagged child references, the label *length*, and the
+//! index of one leaf below the node — its *witness*. An inner node's
+//! label is `witness.key.prefix(len)`; it is never stored, only
+//! materialised where a [`NodeSummary`] leaves the trie. Leaves are never
+//! removed and an insert only ever splits an edge, so a witness stays
+//! below its node for good (DESIGN.md §8.6).
+//!
+//! Every descent is the crit-bit walk: branch on the query's bit at the
+//! node's `len`, and compare one stored key at the bottom. The labels
+//! passed on the way are prefixes of the key that is compared, so nothing
+//! is lost by not looking at them.
 //!
 //! Structure invariants (checked by `debug_validate` in tests):
 //!
-//! * Every inner node has exactly two children (Patricia compression).
-//! * A node's label is the longest common prefix of its children's labels;
-//!   a leaf's label is its publication's key.
+//! * Every inner node has exactly two children (Patricia compression),
+//!   so `m` leaves come with exactly `m − 1` inner nodes.
+//! * A child's label properly extends its parent's and continues with
+//!   the bit of the side it hangs on; a leaf's label is its
+//!   publication's key. (The parent's label is then the longest common
+//!   prefix of its children's.)
+//! * An inner node's witness is a leaf of its own subtrie.
 //! * `hash` of a leaf is `h(label)`; of an inner node
 //!   `h(c₀.hash ∘ c₁.hash)` where `c₀` is the child whose label continues
 //!   with bit 0.
-//! * All leaf keys have the same length `m` (the paper's fixed-length
-//!   publication keys); inserts violating this are rejected, which doubles
-//!   as a corruption guard in adversarial starts.
+//! * All leaf keys have the same length `m ∈ 1..=MAX_KEY_BITS` (the
+//!   paper's fixed-length publication keys); inserts violating this are
+//!   rejected, which doubles as a corruption guard in adversarial starts
+//!   and bounds every path by `MAX_KEY_BITS` inner nodes.
 
 use crate::db::{StoredNode, TrieDb, TrieDbError};
 use crate::Publication;
 use skippub_bits::{BitStr, Hash128};
+
+/// Longest publication key a trie stores, in bits (`publication_key`
+/// derives at most this many). It bounds the depth of every trie, which
+/// is what lets descents and iterators keep their path in a fixed-size
+/// array; keys outside `1..=MAX_KEY_BITS` are refused on every way in.
+pub const MAX_KEY_BITS: usize = 128;
 
 /// A `(label, hash)` pair as shipped inside `CheckTrie` /
 /// `CheckAndPublish` messages — the paper's "sending a node `t ∈ v.T`"
@@ -69,31 +94,89 @@ pub struct CheckReply {
     pub leaf_conflicts: usize,
 }
 
-#[derive(Clone, Debug)]
-enum Kind {
-    Leaf(Publication),
-    /// Children indices: `[bit-0 child, bit-1 child]`.
-    Inner([usize; 2]),
+/// A child reference: an index into `leaves` or `inner`, told apart by
+/// the top bit.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct Ref(u32);
+
+/// A decoded [`Ref`].
+#[derive(Clone, Copy)]
+enum At {
+    Leaf(usize),
+    Inner(usize),
 }
 
+impl Ref {
+    const LEAF_TAG: u32 = 1 << 31;
+
+    fn leaf(idx: usize) -> Ref {
+        assert!(idx < Self::LEAF_TAG as usize, "leaf arena is full");
+        Ref(idx as u32 | Self::LEAF_TAG)
+    }
+
+    fn inner(idx: usize) -> Ref {
+        assert!(idx < Self::LEAF_TAG as usize, "inner arena is full");
+        Ref(idx as u32)
+    }
+
+    #[inline]
+    fn at(self) -> At {
+        if self.0 & Self::LEAF_TAG != 0 {
+            At::Leaf((self.0 & !Self::LEAF_TAG) as usize)
+        } else {
+            At::Inner(self.0 as usize)
+        }
+    }
+}
+
+/// One stored publication. The hash is kept as its two words so the
+/// record stays 8-aligned: 72 bytes, not 80.
 #[derive(Clone, Debug)]
-struct Node {
-    label: BitStr,
+struct Leaf {
+    publication: Publication,
+    hash: [u64; 2],
+}
+
+impl Leaf {
+    fn new(publication: Publication) -> Leaf {
+        let hash = Hash128::leaf(publication.key()).words();
+        Leaf { publication, hash }
+    }
+
+    #[inline]
+    fn hash(&self) -> Hash128 {
+        Hash128((self.hash[0] as u128) << 64 | self.hash[1] as u128)
+    }
+}
+
+/// One node of the binary skeleton.
+#[derive(Clone, Debug)]
+struct Inner {
     hash: Hash128,
-    kind: Kind,
+    /// `[bit-0 child, bit-1 child]`.
+    children: [Ref; 2],
+    /// Index of a leaf below this node; its key carries the label.
+    witness: u32,
+    /// Label length, `< MAX_KEY_BITS`: the bit both children differ at.
+    len: u8,
+    /// Hash is stale; set only inside [`PatriciaTrie::apply_batch`].
+    dirty: bool,
 }
 
 /// The per-subscriber publication store `v.T`.
 #[derive(Clone, Debug, Default)]
 pub struct PatriciaTrie {
-    nodes: Vec<Node>,
-    free: Vec<usize>,
-    root: Option<usize>,
-    len: usize,
-    key_len: Option<usize>,
+    leaves: Vec<Leaf>,
+    inner: Vec<Inner>,
+    root: Option<Ref>,
 }
 
 impl PatriciaTrie {
+    /// Bytes one stored publication takes in the leaf arena.
+    pub const LEAF_BYTES: usize = std::mem::size_of::<Leaf>();
+    /// Bytes one inner node takes; a trie of `m` publications has `m − 1`.
+    pub const INNER_BYTES: usize = std::mem::size_of::<Inner>();
+
     /// Creates an empty trie.
     pub fn new() -> Self {
         Self::default()
@@ -102,13 +185,20 @@ impl PatriciaTrie {
     /// Number of stored publications.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.leaves.len()
     }
 
     /// Whether the trie holds no publications.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.leaves.is_empty()
+    }
+
+    /// Heap bytes the two arenas hold, spare capacity included (payload
+    /// bytes are shared with every other holder of the publication and
+    /// not counted).
+    pub fn heap_bytes(&self) -> usize {
+        self.leaves.capacity() * Self::LEAF_BYTES + self.inner.capacity() * Self::INNER_BYTES
     }
 
     /// Root summary, or `None` for an empty trie.
@@ -120,183 +210,173 @@ impl PatriciaTrie {
     /// publication *keys* iff their root hashes agree (up to 128-bit hash
     /// collisions).
     pub fn root_hash(&self) -> Option<Hash128> {
-        self.root.map(|r| self.nodes[r].hash)
+        self.root.map(|r| self.hash_of(r))
     }
 
-    fn summary(&self, idx: usize) -> NodeSummary {
-        NodeSummary {
-            label: self.nodes[idx].label.clone(),
-            hash: self.nodes[idx].hash,
+    /// The established key length `m`, once a publication is stored.
+    fn key_len(&self) -> Option<usize> {
+        self.leaves.first().map(|l| l.publication.key().len())
+    }
+
+    fn hash_of(&self, at: Ref) -> Hash128 {
+        match at.at() {
+            At::Leaf(i) => self.leaves[i].hash(),
+            At::Inner(i) => self.inner[i].hash,
         }
     }
 
-    fn alloc(&mut self, node: Node) -> usize {
-        if let Some(i) = self.free.pop() {
-            self.nodes[i] = node;
-            i
-        } else {
-            self.nodes.push(node);
-            self.nodes.len() - 1
-        }
-    }
-
-    /// Inserts a publication. Returns `false` (leaving the trie unchanged)
-    /// if its key is already present or has a different length than the
-    /// established key length.
-    pub fn insert(&mut self, publication: Publication) -> bool {
-        self.insert_inner(publication, None)
-    }
-
-    /// Structural insert shared by [`PatriciaTrie::insert`] (eager: the
-    /// root path is rehashed immediately) and the batched commit path
-    /// (deferred: `dirty` marks every touched node and
-    /// `recompute_hashes` settles each marked internal node exactly
-    /// once per batch — the starkware skeleton-commit pattern).
-    fn insert_inner(
-        &mut self,
-        publication: Publication,
-        mut dirty: Option<&mut Vec<bool>>,
-    ) -> bool {
-        let key = publication.key().clone();
-        if key.is_empty() {
-            return false;
-        }
-        match self.key_len {
-            None => self.key_len = Some(key.len()),
-            Some(m) if m != key.len() => return false,
-            Some(_) => {}
-        }
-        let Some(root) = self.root else {
-            let hash = Hash128::leaf(&key);
-            let idx = self.alloc(Node {
-                label: key,
-                hash,
-                kind: Kind::Leaf(publication),
-            });
-            self.root = Some(idx);
-            self.len = 1;
-            return true;
-        };
-
-        // Descend, remembering the path for rehashing.
-        let mut path: Vec<usize> = Vec::with_capacity(key.len().min(64));
-        let mut cur = root;
-        loop {
-            let lcp = self.nodes[cur].label.common_prefix_len(&key);
-            if lcp == self.nodes[cur].label.len() {
-                if self.nodes[cur].label.len() == key.len() {
-                    return false; // exact key already present
-                }
-                match self.nodes[cur].kind {
-                    Kind::Leaf(_) => {
-                        // cur.label is a proper prefix of key — impossible
-                        // with equal-length keys; reject defensively.
-                        return false;
-                    }
-                    Kind::Inner(children) => {
-                        path.push(cur);
-                        let bit = key.get(self.nodes[cur].label.len());
-                        cur = children[bit as usize];
-                    }
-                }
-            } else {
-                // Diverge inside cur.label: split above cur.
-                let prefix = key.prefix(lcp);
-                let new_leaf_hash = Hash128::leaf(&key);
-                let leaf = self.alloc(Node {
-                    label: key.clone(),
-                    hash: new_leaf_hash,
-                    kind: Kind::Leaf(publication),
-                });
-                let key_bit = key.get(lcp);
-                let mut children = [0usize; 2];
-                children[key_bit as usize] = leaf;
-                children[!key_bit as usize] = cur;
-                let inner_hash =
-                    Hash128::combine(self.nodes[children[0]].hash, self.nodes[children[1]].hash);
-                let inner = self.alloc(Node {
-                    label: prefix,
-                    hash: inner_hash,
-                    kind: Kind::Inner(children),
-                });
-                // Hook `inner` where `cur` used to hang.
-                match path.last() {
-                    None => self.root = Some(inner),
-                    Some(&parent) => {
-                        if let Kind::Inner(ref mut ch) = self.nodes[parent].kind {
-                            for c in ch.iter_mut() {
-                                if *c == cur {
-                                    *c = inner;
-                                }
-                            }
-                        }
-                    }
-                }
-                self.len += 1;
-                match dirty.as_deref_mut() {
-                    None => self.rehash_path(&path),
-                    Some(dirty) => {
-                        // The new inner's hash was computed from child
-                        // hashes that may themselves be stale within
-                        // this batch; mark it and the whole root path
-                        // for the single post-order settle.
-                        Self::mark(dirty, inner);
-                        for &idx in &path {
-                            Self::mark(dirty, idx);
-                        }
-                    }
-                }
-                return true;
+    /// The node's label as (a key that starts with it, its length).
+    fn label_of(&self, at: Ref) -> (&BitStr, usize) {
+        match at.at() {
+            At::Leaf(i) => {
+                let key = self.leaves[i].publication.key();
+                (key, key.len())
+            }
+            At::Inner(i) => {
+                let node = &self.inner[i];
+                let key = self.leaves[node.witness as usize].publication.key();
+                (key, node.len as usize)
             }
         }
     }
 
-    fn mark(dirty: &mut Vec<bool>, idx: usize) {
-        if dirty.len() <= idx {
-            dirty.resize(idx + 1, false);
+    fn label_len(&self, at: Ref) -> usize {
+        self.label_of(at).1
+    }
+
+    fn summary(&self, at: Ref) -> NodeSummary {
+        let (key, len) = self.label_of(at);
+        NodeSummary {
+            label: key.prefix(len),
+            hash: self.hash_of(at),
         }
-        dirty[idx] = true;
+    }
+
+    /// Inserts a publication. Returns `false` (leaving the trie unchanged)
+    /// if its key is already present, has a different length than the
+    /// established key length, or is not `1..=MAX_KEY_BITS` bits long.
+    pub fn insert(&mut self, publication: Publication) -> bool {
+        self.insert_inner(publication, false)
+    }
+
+    /// Structural insert shared by [`PatriciaTrie::insert`] (eager: the
+    /// root path is rehashed immediately) and the batched commit path
+    /// (`deferred`: the touched spine is marked dirty and
+    /// `settle_hashes` recomputes each marked inner node exactly once
+    /// per batch — the starkware skeleton-commit pattern).
+    fn insert_inner(&mut self, publication: Publication, deferred: bool) -> bool {
+        let key = publication.key();
+        if !(1..=MAX_KEY_BITS).contains(&key.len())
+            || self.key_len().is_some_and(|m| m != key.len())
+        {
+            return false;
+        }
+        let Some(root) = self.root else {
+            self.leaves.push(Leaf::new(publication));
+            self.root = Some(Ref::leaf(0));
+            return true;
+        };
+
+        // Walk to the stored key sharing the longest prefix with `key`,
+        // remembering the inner nodes passed.
+        let mut path = [0u32; MAX_KEY_BITS];
+        let mut depth = 0usize;
+        let mut cur = root;
+        while let At::Inner(i) = cur.at() {
+            path[depth] = i as u32;
+            depth += 1;
+            let node = &self.inner[i];
+            cur = node.children[key.get(node.len as usize) as usize];
+        }
+        let (nearest, _) = self.label_of(cur);
+        let lcp = nearest.common_prefix_len(key);
+        if lcp == key.len() {
+            return false; // exact key already present
+        }
+        // Labels grow along the path and none is `lcp` long (the walk
+        // would have taken the other side there): the new node splits
+        // the edge above the first one longer than `lcp`.
+        let above = path[..depth]
+            .iter()
+            .position(|&i| self.inner[i as usize].len as usize > lcp)
+            .unwrap_or(depth);
+        let below = if above == depth {
+            cur
+        } else {
+            Ref::inner(path[above] as usize)
+        };
+        let spine = &path[..above];
+        // `key` starts with every label on the spine: it hangs where it
+        // branches.
+        let hook = spine.last().map(|&parent| {
+            let side = key.get(self.inner[parent as usize].len as usize);
+            (parent as usize, side as usize)
+        });
+        let leaf = self.leaves.len();
+        let mut children = [below; 2];
+        children[key.get(lcp) as usize] = Ref::leaf(leaf);
+        self.leaves.push(Leaf::new(publication));
+        // Within a batch the child hashes may themselves be stale; the
+        // settle pass computes this one with the rest.
+        let hash = if deferred {
+            Hash128(0)
+        } else {
+            Hash128::combine(self.hash_of(children[0]), self.hash_of(children[1]))
+        };
+        let split = Ref::inner(self.inner.len());
+        self.inner.push(Inner {
+            hash,
+            children,
+            witness: leaf as u32,
+            len: lcp as u8,
+            dirty: deferred,
+        });
+        match hook {
+            None => self.root = Some(split),
+            Some((parent, side)) => self.inner[parent].children[side] = split,
+        }
+        for &i in spine.iter().rev() {
+            if deferred {
+                // Whatever is above a marked node is marked already.
+                if std::mem::replace(&mut self.inner[i as usize].dirty, true) {
+                    break;
+                }
+            } else {
+                let [c0, c1] = self.inner[i as usize].children;
+                self.inner[i as usize].hash = Hash128::combine(self.hash_of(c0), self.hash_of(c1));
+            }
+        }
+        true
     }
 
     /// Applies a whole batch of inserts structurally, then recomputes
     /// each touched internal hash exactly once ([`crate::TrieBatch`]).
     pub(crate) fn apply_batch(&mut self, pubs: Vec<Publication>) -> usize {
-        let mut dirty: Vec<bool> = vec![false; self.nodes.len()];
-        let mut added = 0usize;
+        let before = self.len();
         for p in pubs {
-            if self.insert_inner(p, Some(&mut dirty)) {
-                added += 1;
-            }
+            self.insert_inner(p, true);
         }
-        if added > 0 {
-            if let Some(root) = self.root {
-                self.recompute_hashes(root, &dirty);
-            }
+        if let Some(root) = self.root {
+            self.settle_hashes(root);
         }
-        added
+        self.len() - before
     }
 
     /// Post-order settle of a skeleton: recompute marked internal
     /// hashes bottom-up, pruning clean subtrees (their hashes are still
     /// valid). Leaf hashes are computed at creation and never go stale.
-    fn recompute_hashes(&mut self, idx: usize, dirty: &[bool]) -> Hash128 {
-        if !dirty.get(idx).copied().unwrap_or(false) {
-            return self.nodes[idx].hash;
+    fn settle_hashes(&mut self, at: Ref) -> Hash128 {
+        let At::Inner(i) = at.at() else {
+            return self.hash_of(at);
+        };
+        if self.inner[i].dirty {
+            let [c0, c1] = self.inner[i].children;
+            let hash = Hash128::combine(self.settle_hashes(c0), self.settle_hashes(c1));
+            let node = &mut self.inner[i];
+            node.hash = hash;
+            node.dirty = false;
         }
-        if let Kind::Inner([c0, c1]) = self.nodes[idx].kind {
-            let h0 = self.recompute_hashes(c0, dirty);
-            let h1 = self.recompute_hashes(c1, dirty);
-            self.nodes[idx].hash = Hash128::combine(h0, h1);
-        }
-        self.nodes[idx].hash
-    }
-
-    fn rehash_path(&mut self, path: &[usize]) {
-        for &idx in path.iter().rev() {
-            if let Kind::Inner([c0, c1]) = self.nodes[idx].kind {
-                self.nodes[idx].hash = Hash128::combine(self.nodes[c0].hash, self.nodes[c1].hash);
-            }
-        }
+        self.inner[i].hash
     }
 
     /// Whether a publication with this exact key is stored.
@@ -306,102 +386,69 @@ impl PatriciaTrie {
 
     /// The stored publication with this exact key, if any.
     pub fn get(&self, key: &BitStr) -> Option<&Publication> {
-        match &self.nodes[self.find_node(key)?].kind {
-            Kind::Leaf(p) => Some(p),
-            Kind::Inner(_) => None,
+        match self.find_node(key)?.at() {
+            At::Leaf(i) => Some(&self.leaves[i].publication),
+            At::Inner(_) => None,
         }
     }
 
-    /// Index of the node with *exactly* this label (inner or leaf).
-    fn find_node(&self, label: &BitStr) -> Option<usize> {
+    /// The topmost node whose label extends-or-equals `bits` — the root
+    /// of the subtrie holding exactly the keys under `bits`: follow
+    /// `bits` down to the first label at least as long, then compare.
+    fn locate(&self, bits: &BitStr) -> Option<Ref> {
         let mut cur = self.root?;
-        loop {
-            let node = &self.nodes[cur];
-            if node.label == *label {
-                return Some(cur);
+        while let At::Inner(i) = cur.at() {
+            let len = self.inner[i].len as usize;
+            if len >= bits.len() {
+                break;
             }
-            if !node.label.is_prefix_of(label) {
-                return None;
-            }
-            match node.kind {
-                Kind::Leaf(_) => return None,
-                Kind::Inner(children) => {
-                    // node.label is a proper prefix of label here.
-                    let bit = label.get(node.label.len());
-                    cur = children[bit as usize];
-                }
-            }
+            cur = self.inner[i].children[bits.get(len) as usize];
         }
+        bits.is_prefix_of(self.label_of(cur).0).then_some(cur)
+    }
+
+    /// The node with *exactly* this label (inner or leaf).
+    fn find_node(&self, label: &BitStr) -> Option<Ref> {
+        self.locate(label)
+            .filter(|&at| self.label_len(at) == label.len())
     }
 
     /// The `(label, hash)` summary of the node with exactly this label.
     pub fn node_summary(&self, label: &BitStr) -> Option<NodeSummary> {
-        self.find_node(label).map(|i| self.summary(i))
+        self.find_node(label).map(|at| self.summary(at))
     }
 
     /// Child summaries `(c₀, c₁)` of the *inner* node with this label.
     pub fn children(&self, label: &BitStr) -> Option<(NodeSummary, NodeSummary)> {
-        let idx = self.find_node(label)?;
-        match self.nodes[idx].kind {
-            Kind::Leaf(_) => None,
-            Kind::Inner([c0, c1]) => Some((self.summary(c0), self.summary(c1))),
+        match self.find_node(label)?.at() {
+            At::Leaf(_) => None,
+            At::Inner(i) => {
+                let [c0, c1] = self.inner[i].children;
+                Some((self.summary(c0), self.summary(c1)))
+            }
         }
     }
 
     /// The node `c` with minimal label length whose label *properly*
     /// extends `prefix` (`c.label = prefix ∘ b₁ ∘ … ∘ b_k`, `k ≥ 1`) —
-    /// Algorithm 5 line 19.
+    /// Algorithm 5 line 19: the top of the subtrie under `prefix` if its
+    /// label is longer, else the shorter of its children (both properly
+    /// extend `prefix`).
     pub fn min_cover(&self, prefix: &BitStr) -> Option<NodeSummary> {
-        let mut cur = self.root?;
-        loop {
-            let node = &self.nodes[cur];
-            if prefix.is_prefix_of(&node.label) && node.label.len() > prefix.len() {
-                return Some(self.summary(cur));
-            }
-            if node.label.len() >= prefix.len() {
-                // Equal label (not a proper extension) — take the shorter
-                // child; both properly extend `prefix`. Divergence — no
-                // cover exists.
-                if node.label == *prefix {
-                    if let Kind::Inner([c0, c1]) = node.kind {
-                        let (l0, l1) = (self.nodes[c0].label.len(), self.nodes[c1].label.len());
-                        return Some(self.summary(if l0 <= l1 { c0 } else { c1 }));
-                    }
-                }
-                return None;
-            }
-            if !node.label.is_prefix_of(prefix) {
-                return None;
-            }
-            match node.kind {
-                Kind::Leaf(_) => return None,
-                Kind::Inner(children) => {
-                    let bit = prefix.get(node.label.len());
-                    cur = children[bit as usize];
-                }
-            }
+        let top = self.locate(prefix)?;
+        if self.label_len(top) > prefix.len() {
+            return Some(self.summary(top));
         }
-    }
-
-    /// Index of the topmost node whose label extends-or-equals `prefix`
-    /// — the root of the subtrie holding exactly the keys under
-    /// `prefix`.
-    fn prefix_top(&self, prefix: &BitStr) -> Option<usize> {
-        let mut cur = self.root?;
-        loop {
-            let node = &self.nodes[cur];
-            if prefix.is_prefix_of(&node.label) {
-                return Some(cur);
-            }
-            if !node.label.is_prefix_of(prefix) {
-                return None;
-            }
-            match node.kind {
-                Kind::Leaf(_) => return None,
-                Kind::Inner(children) => {
-                    let bit = prefix.get(node.label.len());
-                    cur = children[bit as usize];
-                }
+        match top.at() {
+            At::Leaf(_) => None,
+            At::Inner(i) => {
+                let [c0, c1] = self.inner[i].children;
+                let shorter = if self.label_len(c0) <= self.label_len(c1) {
+                    c0
+                } else {
+                    c1
+                };
+                Some(self.summary(shorter))
             }
         }
     }
@@ -410,10 +457,7 @@ impl PatriciaTrie {
     /// `prefix`, in key order. Clones nothing — the form the batch
     /// committer and snapshot serialization read publications with.
     pub fn iter_publications_with_prefix(&self, prefix: &BitStr) -> PubIter<'_> {
-        PubIter {
-            trie: self,
-            stack: self.prefix_top(prefix).into_iter().collect(),
-        }
+        PubIter::below(self, self.locate(prefix))
     }
 
     /// All stored publications whose key starts with `prefix` (Algorithm 5
@@ -442,21 +486,19 @@ impl PatriciaTrie {
     /// All stored publications in key order — a `Vec` wrapper over the
     /// borrowing [`PatriciaTrie::iter_publications`].
     pub fn publications(&self) -> Vec<&Publication> {
-        let mut out = Vec::with_capacity(self.len);
+        let mut out = Vec::with_capacity(self.len());
         out.extend(self.iter_publications());
         out
     }
 
     /// Borrowing depth-first iterator over stored publications in key
     /// order. Unlike [`PatriciaTrie::publications`] it materializes no
-    /// `Vec` of references up front (only a small index stack), and
-    /// unlike [`PatriciaTrie::keys`] it clones nothing — the form hot
-    /// paths (event draining, convergence checking) iterate with.
+    /// `Vec` of references (its stack is a fixed array: it allocates
+    /// nothing), and unlike [`PatriciaTrie::keys`] it clones nothing —
+    /// the form hot paths (event draining, convergence checking)
+    /// iterate with.
     pub fn iter_publications(&self) -> PubIter<'_> {
-        PubIter {
-            trie: self,
-            stack: self.root.into_iter().collect(),
-        }
+        PubIter::below(self, self.root)
     }
 
     /// Borrowing iterator over stored keys in order — see
@@ -474,34 +516,34 @@ impl PatriciaTrie {
     /// Receiver-side handling of one `CheckTrie` tuple `(label, hash)` —
     /// the pure decision behind Algorithm 5 lines 12–23.
     pub fn check(&self, tuple: &NodeSummary) -> CheckOutcome {
-        match self.find_node(&tuple.label) {
-            Some(idx) => {
-                let node = &self.nodes[idx];
-                if node.hash == tuple.hash {
-                    CheckOutcome::Match
-                } else {
-                    match node.kind {
-                        Kind::Inner([c0, c1]) => {
-                            CheckOutcome::Descend(self.summary(c0), self.summary(c1))
-                        }
-                        Kind::Leaf(_) => CheckOutcome::LeafConflict,
+        let top = self.locate(&tuple.label);
+        if let Some(at) = top.filter(|&at| self.label_len(at) == tuple.label.len()) {
+            return if self.hash_of(at) == tuple.hash {
+                CheckOutcome::Match
+            } else {
+                match at.at() {
+                    At::Inner(i) => {
+                        let [c0, c1] = self.inner[i].children;
+                        CheckOutcome::Descend(self.summary(c0), self.summary(c1))
                     }
+                    At::Leaf(_) => CheckOutcome::LeafConflict,
+                }
+            };
+        }
+        // No node with that label: `top`, if any, is longer — the cover.
+        match top.map(|at| self.summary(at)) {
+            Some(cover) => {
+                // c.label = l ∘ b₁ ∘ …; missing prefix is l ∘ (1−b₁).
+                let b1 = cover.label.get(tuple.label.len());
+                let publish_prefix = tuple.label.child(!b1);
+                CheckOutcome::Missing {
+                    cover: Some(cover),
+                    publish_prefix,
                 }
             }
-            None => match self.min_cover(&tuple.label) {
-                Some(cover) => {
-                    // c.label = l ∘ b₁ ∘ …; missing prefix is l ∘ (1−b₁).
-                    let b1 = cover.label.get(tuple.label.len());
-                    let publish_prefix = tuple.label.child(!b1);
-                    CheckOutcome::Missing {
-                        cover: Some(cover),
-                        publish_prefix,
-                    }
-                }
-                None => CheckOutcome::Missing {
-                    cover: None,
-                    publish_prefix: tuple.label.clone(),
-                },
+            None => CheckOutcome::Missing {
+                cover: None,
+                publish_prefix: tuple.label.clone(),
             },
         }
     }
@@ -537,24 +579,25 @@ impl PatriciaTrie {
     pub fn commit_to(&self, db: &mut dyn TrieDb) -> Option<Hash128> {
         let root = self.root?;
         self.commit_node(root, db);
-        Some(self.nodes[root].hash)
+        Some(self.hash_of(root))
     }
 
-    fn commit_node(&self, idx: usize, db: &mut dyn TrieDb) {
-        let hash = self.nodes[idx].hash;
+    fn commit_node(&self, at: Ref, db: &mut dyn TrieDb) {
+        let hash = self.hash_of(at);
         if db.contains(hash) {
             return;
         }
-        match &self.nodes[idx].kind {
-            Kind::Leaf(p) => db.put(hash, StoredNode::Leaf(p.clone())),
-            Kind::Inner([c0, c1]) => {
-                self.commit_node(*c0, db);
-                self.commit_node(*c1, db);
+        match at.at() {
+            At::Leaf(i) => db.put(hash, StoredNode::Leaf(self.leaves[i].publication.clone())),
+            At::Inner(i) => {
+                let [c0, c1] = self.inner[i].children;
+                self.commit_node(c0, db);
+                self.commit_node(c1, db);
                 db.put(
                     hash,
                     StoredNode::Inner {
-                        left: self.nodes[*c0].hash,
-                        right: self.nodes[*c1].hash,
+                        left: self.hash_of(c0),
+                        right: self.hash_of(c1),
                     },
                 );
             }
@@ -570,38 +613,43 @@ impl PatriciaTrie {
     pub fn open_from(db: &dyn TrieDb, root: Option<Hash128>) -> Result<Self, TrieDbError> {
         let mut trie = PatriciaTrie::new();
         if let Some(root_hash) = root {
-            let idx = trie.load_node(db, root_hash)?;
-            trie.root = Some(idx);
+            trie.root = Some(trie.load_node(db, root_hash, 0)?);
         }
         Ok(trie)
     }
 
-    fn load_node(&mut self, db: &dyn TrieDb, hash: Hash128) -> Result<usize, TrieDbError> {
+    /// Loads the subtrie stored under `hash`, `depth` inner nodes below
+    /// the root.
+    fn load_node(
+        &mut self,
+        db: &dyn TrieDb,
+        hash: Hash128,
+        depth: usize,
+    ) -> Result<Ref, TrieDbError> {
         match db.get(hash).ok_or(TrieDbError::Missing(hash))? {
             StoredNode::Leaf(p) => {
+                let len = p.key().len();
+                if !(1..=MAX_KEY_BITS).contains(&len) {
+                    return Err(TrieDbError::Corrupt(format!(
+                        "leaf key length {len} outside 1..={MAX_KEY_BITS}"
+                    )));
+                }
                 if Hash128::leaf(p.key()) != hash {
                     return Err(TrieDbError::Corrupt(format!(
                         "leaf under {hash} hashes to {}",
                         Hash128::leaf(p.key())
                     )));
                 }
-                match self.key_len {
-                    None => self.key_len = Some(p.key().len()),
-                    Some(m) if m != p.key().len() => {
-                        return Err(TrieDbError::Corrupt(format!(
-                            "leaf key length {} != trie key length {m}",
-                            p.key().len()
-                        )))
-                    }
-                    Some(_) => {}
+                if let Some(m) = self.key_len().filter(|&m| m != len) {
+                    return Err(TrieDbError::Corrupt(format!(
+                        "leaf key length {len} != trie key length {m}"
+                    )));
                 }
-                self.len += 1;
-                let label = p.key().clone();
-                Ok(self.alloc(Node {
-                    label,
-                    hash,
-                    kind: Kind::Leaf(p),
-                }))
+                self.leaves.push(Leaf {
+                    publication: p,
+                    hash: hash.words(),
+                });
+                Ok(Ref::leaf(self.leaves.len() - 1))
             }
             StoredNode::Inner { left, right } => {
                 if Hash128::combine(left, right) != hash {
@@ -610,24 +658,36 @@ impl PatriciaTrie {
                         Hash128::combine(left, right)
                     )));
                 }
-                let c0 = self.load_node(db, left)?;
-                let c1 = self.load_node(db, right)?;
-                let (l0, l1) = (&self.nodes[c0].label, &self.nodes[c1].label);
-                let label = l0.common_prefix(l1);
-                if l0.len() <= label.len()
-                    || l1.len() <= label.len()
-                    || l0.get(label.len())
-                    || !l1.get(label.len())
-                {
+                // Labels grow by a bit per level at least, so no valid
+                // trie is deeper; a forged chain must not be followed.
+                if depth >= MAX_KEY_BITS {
                     return Err(TrieDbError::Corrupt(format!(
-                        "children {l0} / {l1} violate bit order under {hash}"
+                        "inner under {hash} lies deeper than {MAX_KEY_BITS} levels"
                     )));
                 }
-                Ok(self.alloc(Node {
-                    label,
+                let c0 = self.load_node(db, left, depth + 1)?;
+                let c1 = self.load_node(db, right, depth + 1)?;
+                let ((k0, l0), (k1, l1)) = (self.label_of(c0), self.label_of(c1));
+                let len = k0.common_prefix_len(k1).min(l0).min(l1);
+                if l0 <= len || l1 <= len || k0.get(len) || !k1.get(len) {
+                    return Err(TrieDbError::Corrupt(format!(
+                        "children {} / {} violate bit order under {hash}",
+                        k0.prefix(l0),
+                        k1.prefix(l1)
+                    )));
+                }
+                let witness = match c0.at() {
+                    At::Leaf(i) => i as u32,
+                    At::Inner(i) => self.inner[i].witness,
+                };
+                self.inner.push(Inner {
                     hash,
-                    kind: Kind::Inner([c0, c1]),
-                }))
+                    children: [c0, c1],
+                    witness,
+                    len: len as u8,
+                    dirty: false,
+                });
+                Ok(Ref::inner(self.inner.len() - 1))
             }
         }
     }
@@ -635,68 +695,89 @@ impl PatriciaTrie {
     /// Structural invariant check used by tests; returns a description of
     /// the first violation found.
     pub fn debug_validate(&self) -> Result<(), String> {
-        let Some(root) = self.root else {
-            return if self.len == 0 {
-                Ok(())
-            } else {
-                Err("len != 0 but no root".into())
-            };
-        };
-        let mut leaves = 0usize;
-        self.validate_node(root, None, &mut leaves)?;
-        if leaves != self.len {
-            return Err(format!("leaf count {leaves} != len {}", self.len));
+        let (mut leaves, mut inner) = (0usize, 0usize);
+        if let Some(root) = self.root {
+            self.validate_node(root, None, &mut leaves, &mut inner)?;
+        }
+        if leaves != self.leaves.len() {
+            return Err(format!(
+                "{leaves} leaves reachable, {} stored",
+                self.leaves.len()
+            ));
+        }
+        if inner != self.inner.len() || inner != leaves.saturating_sub(1) {
+            return Err(format!(
+                "{inner} inner nodes reachable, {} stored, {leaves} leaves",
+                self.inner.len()
+            ));
         }
         Ok(())
     }
 
+    /// Validates the subtrie at `at`, which hangs on side `parent.1` of
+    /// a node labelled `parent.0`.
     fn validate_node(
         &self,
-        idx: usize,
-        parent_label: Option<&BitStr>,
+        at: Ref,
+        parent: Option<(&BitStr, bool)>,
         leaves: &mut usize,
+        inner: &mut usize,
     ) -> Result<(), String> {
-        let node = &self.nodes[idx];
-        if let Some(pl) = parent_label {
-            if !pl.is_prefix_of(&node.label) || pl.len() >= node.label.len() {
+        let (key, len) = self.label_of(at);
+        let label = key.prefix(len);
+        if let Some((above, side)) = parent {
+            if above.len() >= len {
                 return Err(format!(
-                    "child label {} does not properly extend parent {}",
-                    node.label, pl
+                    "child label {label} is no longer than its parent's {above}"
                 ));
             }
-        }
-        match &node.kind {
-            Kind::Leaf(p) => {
-                *leaves += 1;
-                if p.key() != &node.label {
-                    return Err("leaf label != publication key".into());
-                }
-                if node.hash != Hash128::leaf(&node.label) {
-                    return Err(format!("stale leaf hash at {}", node.label));
-                }
-                if let Some(m) = self.key_len {
-                    if node.label.len() != m {
-                        return Err("leaf key length differs from trie key length".into());
-                    }
-                }
+            if !above.is_prefix_of(&label) {
+                return Err(format!(
+                    "child label {label} does not extend parent {above}"
+                ));
             }
-            Kind::Inner([c0, c1]) => {
-                let (l0, l1) = (&self.nodes[*c0].label, &self.nodes[*c1].label);
-                if l0.get(node.label.len()) || !l1.get(node.label.len()) {
-                    return Err(format!("child bit order wrong under {}", node.label));
-                }
-                let expect = l0.common_prefix(l1);
-                if expect != node.label {
+            if label.get(above.len()) != side {
+                return Err(format!("child bit order wrong under {above}"));
+            }
+        }
+        match at.at() {
+            At::Leaf(i) => {
+                *leaves += 1;
+                if !(1..=MAX_KEY_BITS).contains(&len) || Some(len) != self.key_len() {
                     return Err(format!(
-                        "inner label {} is not LCP of children ({} vs {})",
-                        node.label, l0, l1
+                        "leaf key length {len} differs from trie key length {:?}",
+                        self.key_len()
                     ));
                 }
-                if node.hash != Hash128::combine(self.nodes[*c0].hash, self.nodes[*c1].hash) {
-                    return Err(format!("stale inner hash at {}", node.label));
+                if self.leaves[i].hash() != Hash128::leaf(key) {
+                    return Err(format!("stale leaf hash at {label}"));
                 }
-                self.validate_node(*c0, Some(&node.label), leaves)?;
-                self.validate_node(*c1, Some(&node.label), leaves)?;
+            }
+            At::Inner(i) => {
+                *inner += 1;
+                let node = &self.inner[i];
+                if node.dirty {
+                    return Err(format!("inner node {label} left marked by a batch"));
+                }
+                // The witness is below the node iff following its key
+                // from here ends at it.
+                let mut cur = at;
+                while let At::Inner(j) = cur.at() {
+                    let below = &self.inner[j];
+                    if below.len as usize >= key.len() {
+                        return Err(format!("inner label under {label} outgrows the keys"));
+                    }
+                    cur = below.children[key.get(below.len as usize) as usize];
+                }
+                if cur != Ref::leaf(node.witness as usize) {
+                    return Err(format!("witness of {label} is not below it"));
+                }
+                let [c0, c1] = node.children;
+                if node.hash != Hash128::combine(self.hash_of(c0), self.hash_of(c1)) {
+                    return Err(format!("stale inner hash at {label}"));
+                }
+                self.validate_node(c0, Some((&label, false)), leaves, inner)?;
+                self.validate_node(c1, Some((&label, true)), leaves, inner)?;
             }
         }
         Ok(())
@@ -705,22 +786,42 @@ impl PatriciaTrie {
 
 /// Borrowing DFS over a trie's leaves in key order (child 0 before
 /// child 1 at every inner node) — see [`PatriciaTrie::iter_publications`].
+/// The stack holds one pending sibling per level and a path has at most
+/// [`MAX_KEY_BITS`] inner nodes, so it is an array.
 pub struct PubIter<'a> {
     trie: &'a PatriciaTrie,
-    stack: Vec<usize>,
+    stack: [Ref; MAX_KEY_BITS + 1],
+    depth: usize,
+}
+
+impl<'a> PubIter<'a> {
+    fn below(trie: &'a PatriciaTrie, top: Option<Ref>) -> Self {
+        let mut stack = [Ref(0); MAX_KEY_BITS + 1];
+        if let Some(top) = top {
+            stack[0] = top;
+        }
+        PubIter {
+            trie,
+            stack,
+            depth: usize::from(top.is_some()),
+        }
+    }
 }
 
 impl<'a> Iterator for PubIter<'a> {
     type Item = &'a Publication;
 
     fn next(&mut self) -> Option<&'a Publication> {
-        while let Some(idx) = self.stack.pop() {
-            match &self.trie.nodes[idx].kind {
-                Kind::Leaf(p) => return Some(p),
-                Kind::Inner([c0, c1]) => {
+        while self.depth > 0 {
+            self.depth -= 1;
+            match self.stack[self.depth].at() {
+                At::Leaf(i) => return Some(&self.trie.leaves[i].publication),
+                At::Inner(i) => {
                     // Push bit-1 first so bit-0 pops first: key order.
-                    self.stack.push(*c1);
-                    self.stack.push(*c0);
+                    let [c0, c1] = self.trie.inner[i].children;
+                    self.stack[self.depth] = c1;
+                    self.stack[self.depth + 1] = c0;
+                    self.depth += 2;
                 }
             }
         }
@@ -791,6 +892,99 @@ mod tests {
         assert!(!t.insert(raw("1010")));
         assert_eq!(t.len(), 1);
         t.debug_validate().unwrap();
+    }
+
+    fn key_of(bits: usize) -> BitStr {
+        (0..bits).map(|i| i % 3 == 0).collect()
+    }
+
+    #[test]
+    fn keys_outside_the_bound_are_refused_by_insert_and_batch() {
+        for bits in [0usize, 129, 10_000] {
+            let p = Publication::with_raw_key(key_of(bits), 0, Vec::new());
+            let mut t = PatriciaTrie::new();
+            assert!(!t.insert(p.clone()), "{bits}-bit key inserted");
+            let batch: crate::TrieBatch = [p.clone(), p].into_iter().collect();
+            assert_eq!(batch.apply(&mut t), 0, "{bits}-bit key batched in");
+            assert!(t.is_empty() && t.root_hash().is_none());
+            t.debug_validate().unwrap();
+        }
+        // The longest key there is works like any other, down to the
+        // last bit and on a path of 128 inner nodes.
+        let mut t = PatriciaTrie::new();
+        let base = key_of(MAX_KEY_BITS);
+        assert!(t.insert(Publication::with_raw_key(base.clone(), 0, Vec::new())));
+        for flip in 0..MAX_KEY_BITS {
+            let key: BitStr = (0..MAX_KEY_BITS)
+                .map(|i| base.get(i) != (i == flip))
+                .collect();
+            assert!(t.insert(Publication::with_raw_key(key, 0, Vec::new())));
+        }
+        assert_eq!(t.len(), MAX_KEY_BITS + 1);
+        assert_eq!(t.iter_publications().count(), MAX_KEY_BITS + 1);
+        assert!(t.contains_key(&base));
+        t.debug_validate().unwrap();
+        let mut db = crate::MemoryTrieDb::new();
+        let root = t.commit_to(&mut db);
+        let back = PatriciaTrie::open_from(&db, root).unwrap();
+        assert_eq!(back.keys(), t.keys());
+        back.debug_validate().unwrap();
+    }
+
+    #[test]
+    fn open_from_refuses_keys_outside_the_bound() {
+        for bits in [0usize, 129, 10_000] {
+            let leaf = StoredNode::Leaf(Publication::with_raw_key(key_of(bits), 0, Vec::new()));
+            let mut db = crate::MemoryTrieDb::new();
+            db.put(leaf.hash(), leaf.clone());
+            match PatriciaTrie::open_from(&db, Some(leaf.hash())) {
+                Err(TrieDbError::Corrupt(why)) => assert!(why.contains("key length"), "{why}"),
+                other => panic!("{bits}-bit leaf: {:?}", other.map(|t| t.len())),
+            }
+        }
+        let leaf = StoredNode::Leaf(Publication::with_raw_key(key_of(128), 0, Vec::new()));
+        let mut db = crate::MemoryTrieDb::new();
+        db.put(leaf.hash(), leaf.clone());
+        let t = PatriciaTrie::open_from(&db, Some(leaf.hash())).unwrap();
+        assert_eq!(t.len(), 1);
+        t.debug_validate().unwrap();
+    }
+
+    #[test]
+    fn open_from_does_not_follow_a_forged_chain() {
+        // Inner nodes that hash to their addresses but reach no leaf
+        // within the depth any trie can have: refused on the way down,
+        // before the recursion can run out of stack.
+        let mut db = crate::MemoryTrieDb::new();
+        let side = StoredNode::Leaf(raw("1"));
+        db.put(side.hash(), side.clone());
+        let bottom = StoredNode::Leaf(raw("0"));
+        db.put(bottom.hash(), bottom.clone());
+        let mut top = bottom.hash();
+        for _ in 0..50_000 {
+            let node = StoredNode::Inner {
+                left: top,
+                right: side.hash(),
+            };
+            top = node.hash();
+            db.put(top, node);
+        }
+        match PatriciaTrie::open_from(&db, Some(top)) {
+            Err(TrieDbError::Corrupt(why)) => assert!(why.contains("deeper"), "{why}"),
+            other => panic!("{:?}", other.map(|t| t.len())),
+        }
+    }
+
+    #[test]
+    fn heap_bytes_counts_both_arenas() {
+        const _: () = assert!(PatriciaTrie::LEAF_BYTES <= 72 && PatriciaTrie::INNER_BYTES <= 32);
+        let mut t = PatriciaTrie::new();
+        assert_eq!(t.heap_bytes(), 0);
+        for i in 0..100u64 {
+            t.insert(Publication::new(i, b"x".to_vec()));
+        }
+        let floor = 100 * PatriciaTrie::LEAF_BYTES + 99 * PatriciaTrie::INNER_BYTES;
+        assert!((floor..=2 * floor).contains(&t.heap_bytes()));
     }
 
     #[test]

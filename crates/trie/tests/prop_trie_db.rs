@@ -29,6 +29,14 @@ fn keys_of(t: &PatriciaTrie) -> Vec<BitStr> {
     t.keys()
 }
 
+/// Opens a complete store; whatever `open_from` hands back must hold
+/// every structure invariant before anything else touches it.
+fn reopen(db: &MemoryTrieDb, root: Option<skippub_bits::Hash128>) -> PatriciaTrie {
+    let trie = PatriciaTrie::open_from(db, root).expect("store is complete");
+    trie.debug_validate().expect("a reopened trie is valid");
+    trie
+}
+
 proptest! {
     #[test]
     fn batch_apply_equals_insert_loop(prefill in arb_pubs(60), batch in arb_pubs(120)) {
@@ -65,11 +73,10 @@ proptest! {
         let root = trie.commit_to(&mut db);
         prop_assert_eq!(root, trie.root_hash());
 
-        let reopened = PatriciaTrie::open_from(&db, root).expect("store is complete");
+        let reopened = reopen(&db, root);
         prop_assert_eq!(reopened.root_hash(), trie.root_hash());
         prop_assert_eq!(reopened.len(), trie.len());
         prop_assert_eq!(keys_of(&reopened), keys_of(&trie));
-        reopened.debug_validate().unwrap();
 
         // Reopened payloads are intact, not just keys.
         for (a, b) in reopened.iter_publications().zip(trie.iter_publications()) {
@@ -92,8 +99,8 @@ proptest! {
         let mut db = MemoryTrieDb::new();
         let root = original.commit_to(&mut db);
 
-        let mut twin_batched = PatriciaTrie::open_from(&db, root).unwrap();
-        let mut twin_looped = PatriciaTrie::open_from(&db, root).unwrap();
+        let mut twin_batched = reopen(&db, root);
+        let mut twin_looped = reopen(&db, root);
         prop_assert_eq!(twin_batched.root_hash(), twin_looped.root_hash());
 
         let b: TrieBatch = ops.iter().cloned().collect();
@@ -167,9 +174,7 @@ fn empty_trie_round_trips() {
     let mut db = MemoryTrieDb::new();
     assert_eq!(trie.commit_to(&mut db), None);
     assert_eq!(db.node_count(), 0);
-    let reopened = PatriciaTrie::open_from(&db, None).unwrap();
-    assert!(reopened.is_empty());
-    reopened.debug_validate().unwrap();
+    assert!(reopen(&db, None).is_empty());
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! # skippub-bench
 //!
-//! The `bench` runner and the criterion benchmarks.
+//! The `bench` runner.
 //!
 //! **`bench`** (`cargo run --release -p skippub-bench --bin bench --
 //! <scale|parallel|faults|snapshot> [--smoke] [--out FILE]`) runs one
@@ -11,19 +11,6 @@
 //! one argument parser ([`args`]), one JSON value and writer
 //! ([`json`]), one artifact stamp with its heap meter ([`stamp`]) and
 //! one splitmix/Zipf stream ([`zipf`]).
-//!
-//! **Criterion targets** measure the *cost* of each reproduced artefact
-//! at a fixed scale; the experiment harness (`skippub-harness`)
-//! regenerates the artefacts' *values*.
-//!
-//! * `substrates` — label algebra, bit strings, hashing, Patricia-trie
-//!   operations, simulator round throughput.
-//! * `figures` — Figure 1 (SR(16) protocol construction) and Figure 2
-//!   (two-trie reconciliation).
-//! * `tables` — one bench per quantitative-claim experiment (E4–E12) at a
-//!   representative n.
-//! * `baselines` — Chord routing, skip-graph search, broadcast load
-//!   computation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,12 +30,4 @@ pub fn legit_backend(n: usize, seed: u64) -> skippub_core::pubsub::SimBackend {
     let cfg = skippub_core::ProtocolConfig::default();
     let world = skippub_core::scenarios::legit_world(n, seed, cfg);
     skippub_core::pubsub::SimBackend::from_world(world, cfg)
-}
-
-/// Shared fixed scales so bench names stay comparable across runs.
-pub mod scales {
-    /// Default ring size used by table benches.
-    pub const N: usize = 64;
-    /// Publication count for anti-entropy benches.
-    pub const PUBS: usize = 64;
 }

@@ -153,10 +153,10 @@ fn measure_snapshot(n: usize, pubs_per_member: usize) -> Json {
             )
         })
         .collect();
-    let ids = ps.sim().subscriber_ids();
+    let ids = ps.subscriber_ids();
     let mut store_bytes = 0usize;
     for &id in &ids {
-        let world = ps.sim_mut().world_mut();
+        let world = ps.world_mut();
         if let Some(s) = world.node_mut(id).and_then(Actor::subscriber_mut) {
             for p in &working {
                 s.trie.insert(p.clone());

@@ -31,8 +31,10 @@
 //!   [`SystemBuilder`]: one client API over the single-topic simulator
 //!   (synchronous or chaos-scheduled), the multi-topic system, and the
 //!   sharded-supervisor system (the threaded backend lives in
-//!   `skippub-net`).
-//! * [`SkipRingSim`] — the single-topic simulator the sim backend wraps.
+//!   `skippub-net`). The single-topic simulator *is* its backend,
+//!   [`pubsub::SimBackend`]: it owns the world, and
+//!   `SimBackend::from_world` wraps a [`scenarios`] world for
+//!   experiments and white-box tests.
 //! * [`topics`] — the multi-topic system of §4 (one `BuildSR` per topic).
 //! * [`sharding`] — consistent-hashing of topics onto multiple
 //!   supervisors (§1.3 scaling remark).
@@ -57,11 +59,9 @@
 #![warn(missing_docs)]
 
 mod actor;
-mod api;
 pub mod checker;
 mod config;
 mod dirty;
-pub mod hierarchy;
 mod msg;
 mod publish;
 pub mod pubsub;
@@ -76,7 +76,6 @@ mod token_tests;
 pub mod topics;
 
 pub use actor::Actor;
-pub use api::SkipRingSim;
 pub use config::{ProbeMode, ProtocolConfig};
 pub use msg::{Msg, NodeRef};
 pub use pubsub::{BackendKind, Delivery, PartitionStats, PubSub, Stats, SystemBuilder};

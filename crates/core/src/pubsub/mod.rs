@@ -20,6 +20,13 @@
 //! sets* agree across backends, which is exactly the comparison
 //! PSVR-style related work makes central.
 //!
+//! There is no second, single-topic API below the facade: [`SimBackend`]
+//! owns its [`World`] directly, [`SimBackend::from_world`] wraps a world
+//! from the [`crate::scenarios`] builders (legitimate warm starts,
+//! adversarial initial states), and white-box probes read it through
+//! `world()` / `supervisor()` / `subscriber(id)` or corrupt it through
+//! `world_mut()`, which drops the cached checker verdicts.
+//!
 //! Clients observe deliveries through [`PubSub::drain_events`] instead of
 //! reaching into `subscriber.trie`; topology inspection goes through
 //! [`PubSub::snapshot`], which yields a per-topic [`World`] the
@@ -515,8 +522,7 @@ pub(crate) fn stats_of(m: &skippub_sim::Metrics, peak_in_flight: u64) -> Stats {
 }
 
 /// Constructs any simulated backend behind the [`PubSub`] facade from one
-/// set of knobs: topic count, shard count, [`ProtocolConfig`],
-/// [`ChaosConfig`], seed.
+/// set of knobs: topic count, shard count, [`ProtocolConfig`], seed.
 ///
 /// ```
 /// use skippub_core::pubsub::{PubSub, SystemBuilder};
@@ -535,32 +541,27 @@ pub struct SystemBuilder {
     seed: u64,
     topics: u32,
     shards: usize,
-    vnodes: usize,
     replicas: usize,
     threads: usize,
     rebalance_every: u64,
     protocol: ProtocolConfig,
-    chaos: Option<ChaosConfig>,
     budget: Option<u32>,
     faults: Option<FaultSpec>,
 }
 
 impl SystemBuilder {
     /// A builder with the given RNG seed and defaults: one topic, one
-    /// shard, 64 consistent-hash virtual nodes, one supervisor replica
-    /// (the paper's never-crashing supervisor), one worker thread,
-    /// default protocol, no chaos.
+    /// shard, one supervisor replica (the paper's never-crashing
+    /// supervisor), one worker thread, default protocol.
     pub fn new(seed: u64) -> Self {
         SystemBuilder {
             seed,
             topics: 1,
             shards: 1,
-            vnodes: 64,
             replicas: 1,
             threads: 1,
             rebalance_every: 0,
             protocol: ProtocolConfig::default(),
-            chaos: None,
             budget: None,
             faults: None,
         }
@@ -580,13 +581,6 @@ impl SystemBuilder {
     pub fn shards(mut self, k: usize) -> Self {
         assert!(k >= 1, "need at least one shard");
         self.shards = k;
-        self
-    }
-
-    /// Sets the virtual nodes per shard on the consistent-hash ring.
-    pub fn vnodes(mut self, v: usize) -> Self {
-        assert!(v >= 1);
-        self.vnodes = v;
         self
     }
 
@@ -631,13 +625,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Sets the chaos-scheduler tuning used by
-    /// [`SystemBuilder::build_chaos`].
-    pub fn chaos(mut self, cfg: ChaosConfig) -> Self {
-        self.chaos = Some(cfg);
-        self
-    }
-
     /// Sets the per-node per-step delivery budget (`≥ 1`). `None` (the
     /// default) is the paper's unbounded synchronous model and leaves
     /// trajectories byte-identical to builds without the knob; with
@@ -662,11 +649,6 @@ impl SystemBuilder {
         self
     }
 
-    /// The configured fault spec, if any.
-    pub fn faults_value(&self) -> Option<&FaultSpec> {
-        self.faults.as_ref()
-    }
-
     /// The configured RNG seed.
     pub fn seed(&self) -> u64 {
         self.seed
@@ -682,16 +664,6 @@ impl SystemBuilder {
         self.topics
     }
 
-    /// The configured per-node per-step delivery budget.
-    pub fn delivery_budget_value(&self) -> Option<u32> {
-        self.budget
-    }
-
-    /// The configured rebalancing cadence (`0` = disabled).
-    pub fn rebalance_every_value(&self) -> u64 {
-        self.rebalance_every
-    }
-
     /// Single-topic deterministic simulator (synchronous rounds).
     /// Requires `topics == 1`.
     pub fn build_sim(&self) -> SimBackend {
@@ -703,15 +675,12 @@ impl SystemBuilder {
         b
     }
 
-    /// Single-topic simulator under the chaos scheduler (the configured
-    /// [`ChaosConfig`], or its default). Requires `topics == 1`.
+    /// Single-topic simulator under the chaos scheduler (the default
+    /// [`ChaosConfig`]; [`SimBackend::with_chaos`] tunes it). Requires
+    /// `topics == 1`.
     pub fn build_chaos(&self) -> SimBackend {
         assert!(self.topics == 1, "sim backend serves exactly one topic");
-        let mut b = SimBackend::new(
-            self.seed,
-            self.protocol,
-            Some(self.chaos.unwrap_or_default()),
-        );
+        let mut b = SimBackend::new(self.seed, self.protocol, Some(ChaosConfig::default()));
         b.set_delivery_budget(self.budget);
         b.set_replicas(self.replicas);
         b.set_faults(self.faults.clone());
@@ -721,12 +690,14 @@ impl SystemBuilder {
     /// The partitioned backend over the given supervisor endpoints,
     /// with every knob both layouts share applied.
     fn build_partitioned(&self, sup_ids: Vec<NodeId>) -> PartitionedBackend {
+        /// Virtual nodes per shard on the consistent-hash ring.
+        const VNODES: usize = 64;
         let mut b = PartitionedBackend::new(
             self.seed,
             self.topics,
             sup_ids,
             self.shards,
-            self.vnodes,
+            VNODES,
             self.threads,
             self.protocol,
         );
@@ -779,7 +750,6 @@ mod tests {
         let b = SystemBuilder::new(9)
             .topics(3)
             .shards(2)
-            .vnodes(8)
             .replicas(3)
             .protocol(ProtocolConfig::topology_only());
         assert_eq!(b.seed(), 9);

@@ -4,13 +4,12 @@
 
 use super::incremental::SimChecker;
 use super::{BackendSnapshot, Delivery, EventCursor, PubSub, Stats};
-use crate::api::SkipRingSim;
-use crate::checker::LegitReport;
+use crate::checker::{self, LegitReport};
 use crate::dirty::{pubs_key, topo_key};
 use crate::replica::ReplicaGroup;
-use crate::scenarios::SUPERVISOR;
+use crate::scenarios::{self, SUPERVISOR};
 use crate::topics::TopicId;
-use crate::{Actor, ProtocolConfig};
+use crate::{Actor, ProbeMode, ProtocolConfig, Subscriber, Supervisor};
 use skippub_bits::BitStr;
 use skippub_sim::{ChaosConfig, FaultCounts, FaultSpec, Metrics, NodeId, World, WorldState};
 use skippub_snapshot::{Snap, SnapWriter};
@@ -23,7 +22,14 @@ use std::collections::BTreeSet;
 /// (random delays, reordering, probabilistic timeouts) when built via
 /// [`super::SystemBuilder::build_chaos`].
 pub struct SimBackend {
-    sim: SkipRingSim,
+    world: World<Actor>,
+    /// The protocol configuration new subscribers join with.
+    cfg: ProtocolConfig,
+    /// The ID the next [`PubSub::subscribe`] assigns.
+    next_id: u64,
+    /// The payload pool behind [`PubSub::publish`]: repeated payloads
+    /// collapse to one shared allocation.
+    interner: PayloadInterner,
     chaos: Option<ChaosConfig>,
     cursor: EventCursor,
     /// Incremental verdict cache (`RefCell`: the facade's polling
@@ -42,6 +48,12 @@ pub struct SimBackend {
 /// The one topic a single-topic backend serves.
 const TOPIC: TopicId = TopicId(0);
 
+/// The supervisor's state, mutably (a free function over the field so
+/// callers can hold the replica group at the same time).
+fn supervisor_mut(world: &mut World<Actor>) -> Option<&mut Supervisor> {
+    world.node_mut(SUPERVISOR).and_then(Actor::supervisor_mut)
+}
+
 fn assert_topic(topic: TopicId) {
     assert!(
         topic == TOPIC,
@@ -50,22 +62,28 @@ fn assert_topic(topic: TopicId) {
 }
 
 impl SimBackend {
+    /// A system with a supervisor and no subscribers.
     pub(crate) fn new(seed: u64, cfg: ProtocolConfig, chaos: Option<ChaosConfig>) -> Self {
+        let mut world = World::new(seed);
+        let mut sup = Supervisor::new(SUPERVISOR);
+        sup.token_enabled = cfg.probe_mode != ProbeMode::Randomized;
+        world.add_node(SUPERVISOR, Actor::Supervisor(Box::new(sup)));
         SimBackend {
-            sim: SkipRingSim::new(seed, cfg),
             chaos,
-            cursor: EventCursor::new(),
-            inc: RefCell::new(SimChecker::new()),
-            group: None,
-            sever_fired: BTreeSet::new(),
+            ..Self::from_world(world, cfg)
         }
     }
 
     /// Wraps an existing world (scenario builders: legitimate warm
-    /// starts, adversarial initial states).
+    /// starts, adversarial initial states). Fresh subscribers get the
+    /// IDs above the world's largest; the payload pool starts empty.
     pub fn from_world(world: World<Actor>, cfg: ProtocolConfig) -> Self {
+        let next_id = world.ids().iter().map(|id| id.0).max().unwrap_or(0) + 1;
         SimBackend {
-            sim: SkipRingSim::from_world(world, cfg),
+            world,
+            cfg,
+            next_id,
+            interner: PayloadInterner::new(),
             chaos: None,
             cursor: EventCursor::new(),
             inc: RefCell::new(SimChecker::new()),
@@ -81,46 +99,72 @@ impl SimBackend {
         self
     }
 
-    /// The wrapped single-topic simulator, for white-box probes the
-    /// facade does not cover.
-    pub fn sim(&self) -> &SkipRingSim {
-        &self.sim
+    /// Read access to the underlying world, for white-box probes the
+    /// facade does not cover (checkers, experiment counters).
+    pub fn world(&self) -> &World<Actor> {
+        &self.world
     }
 
-    /// Mutable access to the wrapped simulator (adversarial state
-    /// injection). Raw access may change anything, so every cached
+    /// Raw mutable access to the underlying world — the escape hatch for
+    /// adversarial initializers and white-box tests that corrupt protocol
+    /// state in place. Raw access may change anything, so every cached
     /// checker verdict is dropped.
-    pub fn sim_mut(&mut self) -> &mut SkipRingSim {
+    pub fn world_mut(&mut self) -> &mut World<Actor> {
         self.inc.get_mut().invalidate_all();
-        &mut self.sim
+        &mut self.world
+    }
+
+    /// The supervisor's state.
+    pub fn supervisor(&self) -> &Supervisor {
+        self.world
+            .node(SUPERVISOR)
+            .and_then(Actor::supervisor)
+            .expect("supervisor exists")
+    }
+
+    /// The state of subscriber `id`, if it is live.
+    pub fn subscriber(&self, id: NodeId) -> Option<&Subscriber> {
+        self.world.node(id).and_then(Actor::subscriber)
+    }
+
+    /// The payload pool backing [`PubSub::publish`].
+    pub fn payload_interner(&self) -> &PayloadInterner {
+        &self.interner
     }
 
     /// From-scratch legitimacy (the diagnostic checker) — the reference
     /// the incremental layer behind [`PubSub::is_legitimate`] is tested
     /// against.
     pub fn is_legitimate_full(&self) -> bool {
-        self.sim.is_legitimate()
+        checker::is_legitimate(&self.world)
     }
 
     /// From-scratch publication convergence, the reference for
     /// [`PubSub::publications_converged`].
     pub fn publications_converged_full(&self) -> (bool, usize) {
-        self.sim.publications_converged()
+        checker::publications_converged(&self.world)
     }
 
     /// Detailed legitimacy report for the topic.
     pub fn report(&self) -> LegitReport {
-        self.sim.report()
+        checker::check_topology(&self.world)
     }
 
     /// Simulator metrics (per-kind and per-node counters).
     pub fn metrics(&self) -> &Metrics {
-        self.sim.metrics()
+        self.world.metrics()
     }
 
     /// Sets the per-node per-step delivery budget (`None` = unbounded).
     pub fn set_delivery_budget(&mut self, budget: Option<u32>) {
-        self.sim.set_delivery_budget(budget);
+        self.world.set_delivery_budget(budget);
+    }
+
+    /// Membership moved: the member set is topology state, and a trie
+    /// entering or leaving changes the convergence predicate's scope.
+    fn bump_membership(&mut self) {
+        self.world.bump_dirty(topo_key(0));
+        self.world.bump_dirty(pubs_key(0));
     }
 
     /// Configures `k` supervisor replicas behind the endpoint. `k = 1`
@@ -128,12 +172,7 @@ impl SimBackend {
     /// the system: the replica log starts at the current state.
     pub fn set_replicas(&mut self, k: usize) {
         let mut token_enabled = false;
-        if let Some(sup) = self
-            .sim
-            .world_mut()
-            .node_mut(SUPERVISOR)
-            .and_then(Actor::supervisor_mut)
-        {
+        if let Some(sup) = supervisor_mut(&mut self.world) {
             sup.replicated = k >= 2;
             sup.outbox.clear();
             token_enabled = sup.token_enabled;
@@ -150,12 +189,7 @@ impl SimBackend {
         let Some(group) = self.group.as_mut() else {
             return;
         };
-        if let Some(sup) = self
-            .sim
-            .world_mut()
-            .node_mut(SUPERVISOR)
-            .and_then(Actor::supervisor_mut)
-        {
+        if let Some(sup) = supervisor_mut(&mut self.world) {
             let kinds = sup.drain_outbox();
             group.record_topic(TOPIC, kinds);
         }
@@ -191,7 +225,10 @@ impl SimBackend {
         let mut inc = SimChecker::new();
         inc.invalidate_all();
         Ok(SimBackend {
-            sim: SkipRingSim::from_parts(World::from_state(world), cfg, next_id, interner),
+            world: World::from_state(world),
+            cfg,
+            next_id,
+            interner,
             chaos,
             cursor,
             inc: RefCell::new(inc),
@@ -216,58 +253,67 @@ impl PubSub for SimBackend {
 
     fn subscribe(&mut self, topic: TopicId) -> NodeId {
         assert_topic(topic);
-        let id = self.sim.add_subscriber();
-        // The member set is topology state, and the fresh empty trie
-        // joins the convergence predicate's scope.
-        self.sim.world_mut().bump_dirty(topo_key(0));
-        self.sim.world_mut().bump_dirty(pubs_key(0));
+        // The join itself happens at the node's first timeout (§3.2.1
+        // action (i)).
+        let id = NodeId(self.next_id);
+        self.next_id += 1;
+        self.world.add_node(
+            id,
+            Actor::Subscriber(Box::new(Subscriber::new(id, SUPERVISOR, self.cfg))),
+        );
+        self.bump_membership();
         id
     }
 
     fn join(&mut self, id: NodeId, topic: TopicId) {
         assert_topic(topic);
-        if let Some(s) = self
-            .sim
-            .world_mut()
-            .node_mut(id)
-            .and_then(Actor::subscriber_mut)
-        {
+        if let Some(s) = self.world.node_mut(id).and_then(Actor::subscriber_mut) {
             s.wants_membership = true;
-            self.sim.world_mut().bump_dirty(topo_key(0));
-            self.sim.world_mut().bump_dirty(pubs_key(0));
+            self.bump_membership();
         }
     }
 
     fn unsubscribe(&mut self, id: NodeId, topic: TopicId) {
         assert_topic(topic);
-        self.sim.unsubscribe(id);
-        self.sim.world_mut().bump_dirty(topo_key(0));
-        self.sim.world_mut().bump_dirty(pubs_key(0));
+        // The node's next timeout sends `Unsubscribe`.
+        if let Some(s) = self.world.node_mut(id).and_then(Actor::subscriber_mut) {
+            s.wants_membership = false;
+        }
+        self.bump_membership();
     }
 
     fn publish(&mut self, id: NodeId, topic: TopicId, payload: Vec<u8>) -> Option<BitStr> {
         assert_topic(topic);
-        let key = self.sim.publish(id, payload);
-        if key.is_some() {
-            self.sim.world_mut().bump_dirty(pubs_key(0));
-        }
-        key
+        let shared = self.interner.intern(payload);
+        let key = self
+            .world
+            .with_node(id, |actor, ctx| {
+                actor
+                    .subscriber_mut()
+                    .map(|s| s.publish_local_shared(ctx, shared))
+            })
+            .flatten()?;
+        self.world.bump_dirty(pubs_key(0));
+        Some(key)
     }
 
     fn seed_publication(&mut self, id: NodeId, topic: TopicId, publication: Publication) -> bool {
         assert_topic(topic);
-        let fresh = self.sim.seed_publication(id, publication).unwrap_or(false);
+        let fresh = self
+            .world
+            .node_mut(id)
+            .and_then(Actor::subscriber_mut)
+            .is_some_and(|s| s.trie.insert(publication));
         if fresh {
-            self.sim.world_mut().bump_dirty(pubs_key(0));
+            self.world.bump_dirty(pubs_key(0));
         }
         fresh
     }
 
     fn crash(&mut self, id: NodeId) {
-        self.sim.crash(id);
+        self.world.crash(id);
         self.cursor.forget(id);
-        self.sim.world_mut().bump_dirty(topo_key(0));
-        self.sim.world_mut().bump_dirty(pubs_key(0));
+        self.bump_membership();
     }
 
     fn report_crash(&mut self, id: NodeId) {
@@ -282,14 +328,16 @@ impl PubSub for SimBackend {
         // Feeds `suspected` only; the database mutation happens at the
         // supervisor's next timeout, where the db-epoch delta marks the
         // channel — no bump needed here.
-        self.sim.report_crash(id);
+        if let Some(sup) = supervisor_mut(&mut self.world) {
+            sup.suspect(id);
+        }
         self.sync_group();
     }
 
     fn step(&mut self) {
         match self.chaos {
-            Some(cfg) => self.sim.world_mut().run_chaos_round(cfg),
-            None => self.sim.run_round(),
+            Some(cfg) => self.world.run_chaos_round(cfg),
+            None => self.world.run_round(),
         }
         self.sync_group();
         // A scheduled partition that isolates the supervisor endpoint
@@ -297,7 +345,7 @@ impl PubSub for SimBackend {
         // window's rising edge (once per sever), the replica group runs
         // its election — a *partition*, not a scripted crash, triggers
         // the failover. Unreplicated supervisors ride the window out.
-        if let Some(idx) = self.sim.world().active_sever_containing(SUPERVISOR) {
+        if let Some(idx) = self.world.active_sever_containing(SUPERVISOR) {
             if self.sever_fired.insert(idx as u64) {
                 self.crash_supervisor(TOPIC);
             }
@@ -309,57 +357,57 @@ impl PubSub for SimBackend {
         if !inc.replicas_agree(self.group.as_ref()) {
             return false;
         }
-        let version = self.sim.world().dirty_version(topo_key(0));
-        inc.legit(self.sim.world(), version)
+        let version = self.world.dirty_version(topo_key(0));
+        inc.legit(&self.world, version)
     }
 
     fn publications_converged(&self) -> (bool, usize) {
         let mut inc = self.inc.borrow_mut();
-        let version = self.sim.world().dirty_version(pubs_key(0));
-        inc.pubs(self.sim.world(), version)
+        let version = self.world.dirty_version(pubs_key(0));
+        inc.pubs(&self.world, version)
     }
 
     fn drain_events(&mut self, id: NodeId) -> Vec<Delivery> {
-        match self.sim.subscriber(id) {
+        match self.world.node(id).and_then(Actor::subscriber) {
             Some(s) => self.cursor.drain(id, [(TOPIC, &s.trie)]),
             None => Vec::new(),
         }
     }
 
     fn subscriber_ids(&self) -> Vec<NodeId> {
-        self.sim.subscriber_ids()
+        scenarios::subscriber_ids(&self.world)
     }
 
     fn snapshot(&self, topic: TopicId) -> World<Actor> {
         assert_topic(topic);
         let mut world = World::new(0);
-        for (id, actor) in self.sim.world().iter() {
+        for (id, actor) in self.world.iter() {
             world.add_node(id, actor.clone());
         }
         world
     }
 
     fn stats(&self) -> Stats {
-        let mut stats = super::stats_of(self.sim.metrics(), self.sim.peak_in_flight() as u64);
-        super::apply_fault_counts(&mut stats, self.sim.world().fault_counts());
+        let mut stats = super::stats_of(self.world.metrics(), self.world.peak_in_flight() as u64);
+        super::apply_fault_counts(&mut stats, self.world.fault_counts());
         stats
     }
 
     fn set_faults(&mut self, spec: Option<FaultSpec>) {
-        self.sim.world_mut().set_faults(spec);
+        self.world.set_faults(spec);
     }
 
     fn fault_counts(&self) -> FaultCounts {
-        self.sim.world().fault_counts()
+        self.world.fault_counts()
     }
 
     fn save_snapshot(&self) -> Result<BackendSnapshot, String> {
         let mut w = SnapWriter::new();
         self.chaos.save(&mut w);
-        self.sim.cfg().save(&mut w);
-        self.sim.next_id().save(&mut w);
-        self.sim.payload_interner().save(&mut w);
-        self.sim.world().export_state().save(&mut w);
+        self.cfg.save(&mut w);
+        self.next_id.save(&mut w);
+        self.interner.save(&mut w);
+        self.world.export_state().save(&mut w);
         self.cursor.save(&mut w);
         self.group.save(&mut w);
         self.sever_fired.save(&mut w);
@@ -390,15 +438,10 @@ impl PubSub for SimBackend {
         // addressed to the supervisor are re-homed without any
         // client-side redirect.
         let installed = group.primary_topic(TOPIC);
-        if let Some(sup) = self
-            .sim
-            .world_mut()
-            .node_mut(SUPERVISOR)
-            .and_then(Actor::supervisor_mut)
-        {
+        if let Some(sup) = supervisor_mut(&mut self.world) {
             *sup = installed;
         }
-        self.sim.world_mut().bump_dirty(topo_key(0));
+        self.world.bump_dirty(topo_key(0));
         self.inc.get_mut().invalidate_all();
         true
     }
@@ -414,11 +457,15 @@ mod tests {
         let mut ps = SystemBuilder::new(31).build_sim();
         let ids: Vec<NodeId> = (0..5).map(|_| ps.subscribe(TOPIC)).collect();
         assert_eq!(ids[0], NodeId(1), "client ids start at 1");
-        let (_, ok) = ps.until_legit(500);
-        assert!(ok);
+        let (rounds, ok) = ps.until_legit(500);
+        assert!(ok, "bootstrap must converge: {:?}", ps.report().issues);
+        assert!(rounds > 0);
+        assert_eq!(ps.supervisor().n(), 5);
         let key = ps.publish(ids[0], TOPIC, b"hi".to_vec()).unwrap();
-        let (_, ok) = ps.until_pubs_converged(100);
+        let (rounds, ok) = ps.until_pubs_converged(100);
         assert!(ok);
+        // Flooding delivers well under the anti-entropy bounds.
+        assert!(rounds <= 5, "flooding took {rounds} rounds");
         for &id in &ids {
             let ev = ps.drain_events(id);
             assert_eq!(ev.len(), 1);
@@ -441,6 +488,24 @@ mod tests {
     }
 
     #[test]
+    fn unsubscribe_shrinks_topic() {
+        let mut ps = SystemBuilder::new(13)
+            .protocol(ProtocolConfig::topology_only())
+            .build_sim();
+        let ids: Vec<NodeId> = (0..5).map(|_| ps.subscribe(TOPIC)).collect();
+        assert!(ps.until_legit(300).1);
+        ps.unsubscribe(ids[1], TOPIC);
+        let (_, ok) = ps.until_legit(300);
+        assert!(
+            ok,
+            "must re-stabilize after unsubscribe: {:?}",
+            ps.report().issues
+        );
+        assert_eq!(ps.supervisor().n(), 4);
+        assert!(ps.subscriber(ids[1]).unwrap().label.is_none());
+    }
+
+    #[test]
     fn crash_and_rejoin_through_facade() {
         let mut ps = SystemBuilder::new(33)
             .protocol(ProtocolConfig::topology_only())
@@ -454,6 +519,7 @@ mod tests {
         ps.report_crash(ids[1]);
         assert!(ps.until_legit(800).1);
         assert_eq!(ps.subscriber_ids().len(), 4);
+        assert_eq!(ps.supervisor().n(), 4);
         // Snapshot is judged by the same checker.
         let snap = ps.snapshot(TOPIC);
         assert!(crate::checker::is_legitimate(&snap));

@@ -15,6 +15,7 @@ use crate::subscriber::{Counters, Subscriber};
 use crate::supervisor::{Supervisor, SupervisorCounters};
 use crate::topics::{MultiActor, TopicId, TopicMsg};
 use skippub_snapshot::{snap_struct, Snap, SnapError, SnapReader, SnapVec, SnapWriter};
+use skippub_trie::MAX_KEY_BITS;
 
 impl Snap for ProbeMode {
     fn save(&self, w: &mut SnapWriter) {
@@ -34,15 +35,36 @@ impl Snap for ProbeMode {
     }
 }
 
-snap_struct!(ProtocolConfig {
-    key_bits,
-    anti_entropy,
-    flooding,
-    probes,
-    probe_mode,
-    shortcuts,
-    verify_shortcuts,
-});
+/// A key length outside `1..=`[`MAX_KEY_BITS`] is malformed: the first
+/// publish of a world restored with one would panic deriving its key.
+impl Snap for ProtocolConfig {
+    fn save(&self, w: &mut SnapWriter) {
+        self.key_bits.save(w);
+        self.anti_entropy.save(w);
+        self.flooding.save(w);
+        self.probes.save(w);
+        self.probe_mode.save(w);
+        self.shortcuts.save(w);
+        self.verify_shortcuts.save(w);
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let key_bits = usize::load(r)?;
+        if !(1..=MAX_KEY_BITS).contains(&key_bits) {
+            return Err(SnapError::Malformed(format!(
+                "key_bits {key_bits} outside 1..={MAX_KEY_BITS}"
+            )));
+        }
+        Ok(ProtocolConfig {
+            key_bits,
+            anti_entropy: Snap::load(r)?,
+            flooding: Snap::load(r)?,
+            probes: Snap::load(r)?,
+            probe_mode: Snap::load(r)?,
+            shortcuts: Snap::load(r)?,
+            verify_shortcuts: Snap::load(r)?,
+        })
+    }
+}
 
 snap_struct!(NodeRef { label, id });
 

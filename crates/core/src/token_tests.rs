@@ -1,7 +1,8 @@
 //! Tests for the §6 deterministic token-passing variant.
 
-use crate::scenarios::{self, Adversary};
-use crate::{Msg, ProbeMode, ProtocolConfig, SkipRingSim};
+use crate::pubsub::SimBackend;
+use crate::scenarios::{self, Adversary, SUPERVISOR};
+use crate::{Msg, ProbeMode, ProtocolConfig, PubSub};
 
 fn token_cfg() -> ProtocolConfig {
     ProtocolConfig {
@@ -13,9 +14,9 @@ fn token_cfg() -> ProtocolConfig {
 #[test]
 fn token_circulates_and_returns() {
     let cfg = token_cfg();
-    let mut sim = SkipRingSim::from_world(scenarios::legit_world(8, 1, cfg), cfg);
+    let mut sim = SimBackend::from_world(scenarios::legit_world(8, 1, cfg), cfg);
     for _ in 0..60 {
-        sim.run_round();
+        sim.step();
     }
     let sup = sim.supervisor();
     assert!(sup.counters.tokens_issued >= 1, "token must be issued");
@@ -36,9 +37,9 @@ fn token_circulates_and_returns() {
 #[test]
 fn token_mode_sends_no_randomized_probes() {
     let cfg = token_cfg();
-    let mut sim = SkipRingSim::from_world(scenarios::legit_world(16, 2, cfg), cfg);
+    let mut sim = SimBackend::from_world(scenarios::legit_world(16, 2, cfg), cfg);
     for _ in 0..200 {
-        sim.run_round();
+        sim.step();
     }
     for id in sim.subscriber_ids() {
         assert_eq!(
@@ -65,8 +66,8 @@ fn pure_token_converges_from_single_component_adversaries() {
         Adversary::CorruptChannels,
     ] {
         let world = scenarios::adversarial_world(12, 9, cfg, adv);
-        let mut sim = SkipRingSim::from_world(world, cfg);
-        let (rounds, ok) = sim.run_until_legit(30_000);
+        let mut sim = SimBackend::from_world(world, cfg);
+        let (rounds, ok) = sim.until_legit(30_000);
         assert!(
             ok,
             "{} stuck after {rounds} rounds under pure token mode",
@@ -79,8 +80,8 @@ fn pure_token_converges_from_single_component_adversaries() {
 fn pure_token_stalls_on_partitions_hybrid_does_not() {
     let pure = token_cfg();
     let world = scenarios::adversarial_world(12, 9, pure, Adversary::Partitioned(4));
-    let mut sim = SkipRingSim::from_world(world, pure);
-    let (_, ok) = sim.run_until_legit(4_000);
+    let mut sim = SimBackend::from_world(world, pure);
+    let (_, ok) = sim.until_legit(4_000);
     assert!(
         !ok,
         "pure token mode should exhibit the §6 multi-component stall"
@@ -91,8 +92,8 @@ fn pure_token_stalls_on_partitions_hybrid_does_not() {
         ..ProtocolConfig::topology_only()
     };
     let world = scenarios::adversarial_world(12, 9, hybrid, Adversary::Partitioned(4));
-    let mut sim = SkipRingSim::from_world(world, hybrid);
-    let (rounds, ok) = sim.run_until_legit(30_000);
+    let mut sim = SimBackend::from_world(world, hybrid);
+    let (rounds, ok) = sim.until_legit(30_000);
     assert!(ok, "hybrid mode stuck after {rounds} rounds");
 }
 
@@ -104,8 +105,8 @@ fn hybrid_converges_from_all_adversaries() {
     };
     for adv in Adversary::all() {
         let world = scenarios::adversarial_world(10, 13, cfg, adv);
-        let mut sim = SkipRingSim::from_world(world, cfg);
-        let (rounds, ok) = sim.run_until_legit(30_000);
+        let mut sim = SimBackend::from_world(world, cfg);
+        let (rounds, ok) = sim.until_legit(30_000);
         assert!(
             ok,
             "{} stuck after {rounds} rounds under hybrid mode",
@@ -117,9 +118,9 @@ fn hybrid_converges_from_all_adversaries() {
 #[test]
 fn token_regenerates_after_holder_crash() {
     let cfg = token_cfg();
-    let mut sim = SkipRingSim::from_world(scenarios::legit_world(8, 3, cfg), cfg);
+    let mut sim = SimBackend::from_world(scenarios::legit_world(8, 3, cfg), cfg);
     for _ in 0..10 {
-        sim.run_round();
+        sim.step();
     }
     let issued_before = sim.supervisor().counters.tokens_issued;
     // Crash a mid-ring node; any token it holds (or that is sent to it)
@@ -128,35 +129,34 @@ fn token_regenerates_after_holder_crash() {
     sim.crash(victim);
     sim.report_crash(victim);
     for _ in 0..(2 * 8 + 40) {
-        sim.run_round();
+        sim.step();
     }
     let sup = sim.supervisor();
     assert!(
         sup.counters.tokens_issued > issued_before,
         "token must be reissued after loss"
     );
-    let (_, ok) = sim.run_until_legit(10_000);
+    let (_, ok) = sim.until_legit(10_000);
     assert!(ok);
 }
 
 #[test]
 fn stale_token_returns_are_ignored() {
     let cfg = token_cfg();
-    let mut sim = SkipRingSim::from_world(scenarios::legit_world(4, 4, cfg), cfg);
+    let mut sim = SimBackend::from_world(scenarios::legit_world(4, 4, cfg), cfg);
     for _ in 0..10 {
-        sim.run_round();
+        sim.step();
     }
     let seq = sim.supervisor().token_seq;
     let outstanding = sim.supervisor().token_outstanding;
     // Inject a return for a long-gone issue number.
-    let sup_id = sim.supervisor_id();
     sim.world_mut().inject(
-        sup_id,
+        SUPERVISOR,
         Msg::TokenReturn {
             seq: seq.wrapping_sub(1),
         },
     );
-    sim.run_round();
+    sim.step();
     // An outstanding token stays outstanding despite the stale return
     // (modulo it genuinely returning this round — check only when it was
     // outstanding and the real return can't have been this fast).
@@ -204,17 +204,17 @@ fn token_mode_supervisor_load_is_comparable() {
             probe_mode: mode,
             ..ProtocolConfig::topology_only()
         };
-        let mut sim = SkipRingSim::from_world(scenarios::legit_world(32, 6, cfg), cfg);
+        let mut sim = SimBackend::from_world(scenarios::legit_world(32, 6, cfg), cfg);
         for _ in 0..50 {
-            sim.run_round(); // warm-up
+            sim.step(); // warm-up
         }
         let before = sim.metrics().clone();
         let window = 400u64;
         for _ in 0..window {
-            sim.run_round();
+            sim.step();
         }
         let d = sim.metrics().diff(&before);
-        d.sent_by(sim.supervisor_id()) as f64 / window as f64
+        d.sent_by(SUPERVISOR) as f64 / window as f64
     };
     let randomized = run(ProbeMode::Randomized);
     let token = run(ProbeMode::Token);
@@ -230,9 +230,9 @@ fn token_coverage_is_deterministic() {
     // window under token mode — no coupon-collector tail.
     let n = 24usize;
     let cfg = token_cfg();
-    let mut sim = SkipRingSim::from_world(scenarios::legit_world(n, 8, cfg), cfg);
+    let mut sim = SimBackend::from_world(scenarios::legit_world(n, 8, cfg), cfg);
     for _ in 0..(2 * n as u64 + 20) {
-        sim.run_round();
+        sim.step();
     }
     for id in sim.subscriber_ids() {
         assert!(

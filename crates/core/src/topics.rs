@@ -56,7 +56,7 @@ pub enum MultiActor {
     /// A client: one `BuildSR` subscriber instance per subscribed topic.
     Client {
         /// Per-topic subscriber state.
-        topics: BTreeMap<TopicId, Subscriber>,
+        topics: BTreeMap<TopicId, Box<Subscriber>>,
         /// Own id.
         id: NodeId,
         /// The (hard-coded) supervisor.
@@ -129,7 +129,7 @@ impl MultiActor {
             topics
                 .entry(topic)
                 .and_modify(|s| s.wants_membership = true)
-                .or_insert_with(|| Subscriber::new(*id, *supervisor, *cfg));
+                .or_insert_with(|| Box::new(Subscriber::new(*id, *supervisor, *cfg)));
         }
     }
 
@@ -150,7 +150,7 @@ impl MultiActor {
             topics
                 .entry(topic)
                 .and_modify(|s| s.wants_membership = true)
-                .or_insert_with(|| Subscriber::new(*id, supervisor, *cfg));
+                .or_insert_with(|| Box::new(Subscriber::new(*id, supervisor, *cfg)));
         }
     }
 
@@ -168,7 +168,7 @@ impl MultiActor {
     /// The subscriber instance for `topic`, if any.
     pub fn topic_subscriber(&self, topic: TopicId) -> Option<&Subscriber> {
         match self {
-            MultiActor::Client { topics, .. } => topics.get(&topic),
+            MultiActor::Client { topics, .. } => topics.get(&topic).map(|s| &**s),
             MultiActor::Supervisor { .. } => None,
         }
     }
@@ -176,7 +176,7 @@ impl MultiActor {
     /// Mutable subscriber instance for `topic`.
     pub fn topic_subscriber_mut(&mut self, topic: TopicId) -> Option<&mut Subscriber> {
         match self {
-            MultiActor::Client { topics, .. } => topics.get_mut(&topic),
+            MultiActor::Client { topics, .. } => topics.get_mut(&topic).map(|s| &mut **s),
             MultiActor::Supervisor { .. } => None,
         }
     }
@@ -203,7 +203,7 @@ impl MultiActor {
     /// lookups.
     pub fn subscriptions(&self) -> impl Iterator<Item = (TopicId, &Subscriber)> {
         match self {
-            MultiActor::Client { topics, .. } => Some(topics.iter().map(|(t, s)| (*t, s))),
+            MultiActor::Client { topics, .. } => Some(topics.iter().map(|(t, s)| (*t, &**s))),
             MultiActor::Supervisor { .. } => None,
         }
         .into_iter()

@@ -1,7 +1,9 @@
 //! Behavioural edge cases of the protocol, driven through the public API:
 //! targeted corruptions, extremum churn, rejoin cycles, and join bursts.
 
-use skippub_core::{scenarios, Actor, ProbeMode, ProtocolConfig, SkipRingSim};
+use skippub_core::pubsub::SimBackend;
+use skippub_core::scenarios::SUPERVISOR;
+use skippub_core::{scenarios, Actor, ProbeMode, ProtocolConfig, PubSub, SystemBuilder, TopicId};
 use skippub_ringmath::Label;
 use skippub_sim::NodeId;
 
@@ -14,7 +16,7 @@ fn stale_neighbor_label_belief_is_repaired() {
     // Corrupt one node's *belief* about its left neighbour's label — the
     // §2.2 extension (Check/label correction) must repair it.
     let cfg = ProtocolConfig::topology_only();
-    let mut sim = SkipRingSim::from_world(scenarios::legit_world(8, 1, cfg), cfg);
+    let mut sim = SimBackend::from_world(scenarios::legit_world(8, 1, cfg), cfg);
     let victim = sim.subscriber_ids()[3];
     {
         let s = sim.world_mut().node_mut(victim).unwrap().subscriber_mut().unwrap();
@@ -22,7 +24,7 @@ fn stale_neighbor_label_belief_is_repaired() {
         s.left = Some(skippub_core::NodeRef::new(lab("0001110011"), l.id));
     }
     assert!(!sim.is_legitimate());
-    let (rounds, ok) = sim.run_until_legit(500);
+    let (rounds, ok) = sim.until_legit(500);
     assert!(ok, "label-belief corruption not repaired: {:?}", sim.report().issues);
     assert!(rounds <= 40, "repair took {rounds} rounds");
 }
@@ -32,14 +34,14 @@ fn crossed_edges_are_relinearized() {
     // Swap two nodes' left pointers (each points at the other's correct
     // neighbour) — linearization must sort this out.
     let cfg = ProtocolConfig::topology_only();
-    let mut sim = SkipRingSim::from_world(scenarios::legit_world(10, 2, cfg), cfg);
+    let mut sim = SimBackend::from_world(scenarios::legit_world(10, 2, cfg), cfg);
     let ids = sim.subscriber_ids();
     let (a, b) = (ids[3], ids[7]);
     let la = sim.subscriber(a).unwrap().left;
     let lb = sim.subscriber(b).unwrap().left;
     sim.world_mut().node_mut(a).unwrap().subscriber_mut().unwrap().left = lb;
     sim.world_mut().node_mut(b).unwrap().subscriber_mut().unwrap().left = la;
-    let (_, ok) = sim.run_until_legit(2000);
+    let (_, ok) = sim.until_legit(2000);
     assert!(ok, "{:?}", sim.report().issues);
 }
 
@@ -48,14 +50,14 @@ fn unsubscribe_of_the_minimum_relabels_cleanly() {
     // The node holding label "0" leaves; the last-labelled node must take
     // over "0" and the ring must close around it.
     let cfg = ProtocolConfig::topology_only();
-    let mut sim = SkipRingSim::from_world(scenarios::legit_world(8, 3, cfg), cfg);
+    let mut sim = SimBackend::from_world(scenarios::legit_world(8, 3, cfg), cfg);
     let min = sim
         .subscriber_ids()
         .into_iter()
         .find(|id| sim.subscriber(*id).unwrap().label == Some(lab("0")))
         .expect("someone holds l(0)");
-    sim.unsubscribe(min);
-    let (_, ok) = sim.run_until_legit(2000);
+    sim.unsubscribe(min, TopicId(0));
+    let (_, ok) = sim.until_legit(2000);
     assert!(ok, "{:?}", sim.report().issues);
     assert_eq!(sim.supervisor().n(), 7);
     assert!(sim
@@ -67,7 +69,7 @@ fn unsubscribe_of_the_minimum_relabels_cleanly() {
 #[test]
 fn crash_both_extrema_simultaneously() {
     let cfg = ProtocolConfig::topology_only();
-    let mut sim = SkipRingSim::from_world(scenarios::legit_world(10, 4, cfg), cfg);
+    let mut sim = SimBackend::from_world(scenarios::legit_world(10, 4, cfg), cfg);
     let by_label = |want: Label| {
         sim.subscriber_ids()
             .into_iter()
@@ -85,12 +87,12 @@ fn crash_both_extrema_simultaneously() {
         sim.crash(v);
     }
     for _ in 0..3 {
-        sim.run_round();
+        sim.step();
     }
     for &v in &victims {
         sim.report_crash(v);
     }
-    let (_, ok) = sim.run_until_legit(30_000);
+    let (_, ok) = sim.until_legit(30_000);
     assert!(ok, "{:?}", sim.report().issues);
     assert_eq!(sim.supervisor().n(), 8);
 }
@@ -98,18 +100,18 @@ fn crash_both_extrema_simultaneously() {
 #[test]
 fn empty_topic_then_repopulate() {
     let cfg = ProtocolConfig::topology_only();
-    let mut sim = SkipRingSim::from_world(scenarios::legit_world(4, 5, cfg), cfg);
+    let mut sim = SimBackend::from_world(scenarios::legit_world(4, 5, cfg), cfg);
     for id in sim.subscriber_ids() {
-        sim.unsubscribe(id);
+        sim.unsubscribe(id, TopicId(0));
     }
-    let (_, ok) = sim.run_until_legit(2000);
+    let (_, ok) = sim.until_legit(2000);
     assert!(ok);
     assert_eq!(sim.supervisor().n(), 0);
     // Repopulate.
     for _ in 0..5 {
-        sim.add_subscriber();
+        sim.subscribe(TopicId(0));
     }
-    let (_, ok) = sim.run_until_legit(2000);
+    let (_, ok) = sim.until_legit(2000);
     assert!(ok);
     assert_eq!(sim.supervisor().n(), 5);
 }
@@ -117,15 +119,15 @@ fn empty_topic_then_repopulate() {
 #[test]
 fn resubscribe_after_leaving() {
     let cfg = ProtocolConfig::topology_only();
-    let mut sim = SkipRingSim::from_world(scenarios::legit_world(5, 6, cfg), cfg);
+    let mut sim = SimBackend::from_world(scenarios::legit_world(5, 6, cfg), cfg);
     let v = sim.subscriber_ids()[2];
-    sim.unsubscribe(v);
-    let (_, ok) = sim.run_until_legit(2000);
+    sim.unsubscribe(v, TopicId(0));
+    let (_, ok) = sim.until_legit(2000);
     assert!(ok);
     assert_eq!(sim.supervisor().n(), 4);
     // Change of heart: wants membership again.
     sim.world_mut().node_mut(v).unwrap().subscriber_mut().unwrap().wants_membership = true;
-    let (_, ok) = sim.run_until_legit(2000);
+    let (_, ok) = sim.until_legit(2000);
     assert!(ok, "{:?}", sim.report().issues);
     assert_eq!(sim.supervisor().n(), 5);
     assert!(sim.subscriber(v).unwrap().label.is_some());
@@ -134,11 +136,11 @@ fn resubscribe_after_leaving() {
 #[test]
 fn join_burst_into_existing_ring() {
     let cfg = ProtocolConfig::topology_only();
-    let mut sim = SkipRingSim::from_world(scenarios::legit_world(16, 7, cfg), cfg);
+    let mut sim = SimBackend::from_world(scenarios::legit_world(16, 7, cfg), cfg);
     for _ in 0..48 {
-        sim.add_subscriber();
+        sim.subscribe(TopicId(0));
     }
-    let (rounds, ok) = sim.run_until_legit(30_000);
+    let (rounds, ok) = sim.until_legit(30_000);
     assert!(ok, "{:?}", sim.report().issues);
     assert_eq!(sim.supervisor().n(), 64);
     assert!(rounds < 2000, "join burst took {rounds} rounds");
@@ -147,17 +149,17 @@ fn join_burst_into_existing_ring() {
 #[test]
 fn single_node_topic_full_lifecycle() {
     let cfg = ProtocolConfig::default();
-    let mut sim = SkipRingSim::new(8, cfg);
-    let solo = sim.add_subscriber();
-    let (_, ok) = sim.run_until_legit(200);
+    let mut sim = SystemBuilder::new(8).protocol(cfg).build_sim();
+    let solo = sim.subscribe(TopicId(0));
+    let (_, ok) = sim.until_legit(200);
     assert!(ok);
-    sim.publish(solo, b"talking to myself".to_vec());
-    let (_, ok) = sim.run_until_pubs_converged(50);
+    sim.publish(solo, TopicId(0), b"talking to myself".to_vec());
+    let (_, ok) = sim.until_pubs_converged(50);
     assert!(ok);
     // A second node arrives and inherits the history.
-    let second = sim.add_subscriber();
-    sim.run_until_legit(2000);
-    let (_, ok) = sim.run_until_pubs_converged(2000);
+    let second = sim.subscribe(TopicId(0));
+    sim.until_legit(2000);
+    let (_, ok) = sim.until_pubs_converged(2000);
     assert!(ok);
     assert_eq!(sim.subscriber(second).unwrap().trie.len(), 1);
 }
@@ -168,20 +170,20 @@ fn token_mode_survives_mid_circulation_unsubscribes() {
         probe_mode: ProbeMode::TokenHybrid,
         ..ProtocolConfig::topology_only()
     };
-    let mut sim = SkipRingSim::from_world(scenarios::legit_world(12, 9, cfg), cfg);
+    let mut sim = SimBackend::from_world(scenarios::legit_world(12, 9, cfg), cfg);
     for _ in 0..6 {
-        sim.run_round(); // token in flight
+        sim.step(); // token in flight
     }
     for id in sim.subscriber_ids().into_iter().step_by(3).take(3) {
-        sim.unsubscribe(id);
+        sim.unsubscribe(id, TopicId(0));
     }
-    let (_, ok) = sim.run_until_legit(30_000);
+    let (_, ok) = sim.until_legit(30_000);
     assert!(ok, "{:?}", sim.report().issues);
     assert_eq!(sim.supervisor().n(), 9);
     // Token keeps circulating afterwards.
     let issued = sim.supervisor().counters.tokens_issued;
     for _ in 0..40 {
-        sim.run_round();
+        sim.step();
     }
     assert!(
         sim.supervisor().counters.tokens_returned > 0 || sim.supervisor().counters.tokens_issued > issued,
@@ -192,7 +194,7 @@ fn token_mode_survives_mid_circulation_unsubscribes() {
 #[test]
 fn corrupted_shortcut_values_to_live_nodes_heal() {
     let cfg = ProtocolConfig::topology_only();
-    let mut sim = SkipRingSim::from_world(scenarios::legit_world(16, 10, cfg), cfg);
+    let mut sim = SimBackend::from_world(scenarios::legit_world(16, 10, cfg), cfg);
     let ids = sim.subscriber_ids();
     // Point every resolved shortcut at the wrong (but live) node.
     let wrong = ids[0];
@@ -205,7 +207,7 @@ fn corrupted_shortcut_values_to_live_nodes_heal() {
         }
     }
     assert!(!sim.is_legitimate());
-    let (rounds, ok) = sim.run_until_legit(5000);
+    let (rounds, ok) = sim.until_legit(5000);
     assert!(ok, "{:?}", sim.report().issues);
     assert!(rounds <= 200, "shortcut healing took {rounds} rounds");
 }
@@ -216,10 +218,9 @@ fn supervisor_database_fully_scrambled() {
     // valid, all nodes live): the round-robin + SetData authority must
     // relabel the whole ring.
     let cfg = ProtocolConfig::topology_only();
-    let mut sim = SkipRingSim::from_world(scenarios::legit_world(10, 11, cfg), cfg);
+    let mut sim = SimBackend::from_world(scenarios::legit_world(10, 11, cfg), cfg);
     {
-        let sup_id = sim.supervisor_id();
-        let sup = sim.world_mut().node_mut(sup_id).unwrap().supervisor_mut().unwrap();
+        let sup = sim.world_mut().node_mut(SUPERVISOR).unwrap().supervisor_mut().unwrap();
         let labels: Vec<Label> = sup.database.keys().copied().collect();
         let nodes: Vec<Option<NodeId>> = sup.database.values().copied().collect();
         let n = nodes.len();
@@ -228,7 +229,7 @@ fn supervisor_database_fully_scrambled() {
         }
     }
     assert!(!sim.is_legitimate());
-    let (_, ok) = sim.run_until_legit(30_000);
+    let (_, ok) = sim.until_legit(30_000);
     assert!(ok, "{:?}", sim.report().issues);
 }
 
@@ -236,7 +237,7 @@ fn supervisor_database_fully_scrambled() {
 fn actor_enum_roundtrip_via_world() {
     // Sanity on the Actor plumbing used everywhere above.
     let cfg = ProtocolConfig::default();
-    let sim = SkipRingSim::from_world(scenarios::legit_world(3, 12, cfg), cfg);
+    let sim = SimBackend::from_world(scenarios::legit_world(3, 12, cfg), cfg);
     let mut supers = 0;
     let mut subs = 0;
     for (_, a) in sim.world().iter() {

@@ -10,25 +10,26 @@
 //! running in the same process could move the counter.
 
 use skippub_bits::BitStr;
+use skippub_core::pubsub::SimBackend;
 use skippub_core::scenarios::legit_world;
-use skippub_core::{ProtocolConfig, SkipRingSim};
+use skippub_core::{ProtocolConfig, PubSub};
 
 #[test]
 fn steady_state_rounds_at_100k_allocate_no_bitstr_heap_memory() {
     // Topology-only keeps the workload to the hot maintenance traffic
     // (timeouts, probes, ring repair) without publication flooding.
     let cfg = ProtocolConfig::topology_only();
-    let mut sim = SkipRingSim::from_world(legit_world(100_000, 0xA110C, cfg), cfg);
+    let mut sim = SimBackend::from_world(legit_world(100_000, 0xA110C, cfg), cfg);
 
     // Let the first wave of timeouts fire and the answering probes
     // drain, so the measured window is genuine steady state.
     for _ in 0..2 {
-        sim.run_round();
+        sim.step();
     }
 
     let before = BitStr::heap_allocations();
     for _ in 0..3 {
-        sim.run_round();
+        sim.step();
     }
     let spilled = BitStr::heap_allocations() - before;
     assert_eq!(

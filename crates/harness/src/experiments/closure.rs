@@ -6,7 +6,9 @@
 
 use crate::table::f2;
 use crate::{Report, Scale, Table};
-use skippub_core::{scenarios, ProtocolConfig, SkipRingSim};
+use skippub_core::pubsub::SimBackend;
+use skippub_core::scenarios::{self, SUPERVISOR};
+use skippub_core::{ProtocolConfig, PubSub};
 
 /// Runs E12.
 pub fn run(scale: Scale, seed: u64) -> Report {
@@ -14,12 +16,12 @@ pub fn run(scale: Scale, seed: u64) -> Report {
     let rounds = scale.pick(150u64, 1000u64);
     let cfg = ProtocolConfig::topology_only();
     let world = scenarios::legit_world(n, seed, cfg);
-    let mut sim = SkipRingSim::from_world(world, cfg);
+    let mut sim = SimBackend::from_world(world, cfg);
 
     let before = sim.metrics().clone();
     let mut legit_every_round = true;
     for _ in 0..rounds {
-        sim.run_round();
+        sim.step();
         if !sim.is_legitimate() {
             legit_every_round = false;
         }
@@ -58,7 +60,7 @@ pub fn run(scale: Scale, seed: u64) -> Report {
             "supervisor msgs/round",
         ],
     );
-    let sup_rate = d.sent_by(sim.supervisor_id()) as f64 / rounds as f64;
+    let sup_rate = d.sent_by(SUPERVISOR) as f64 / rounds as f64;
     summary.row(vec![
         legit_every_round.to_string(),
         mutating.to_string(),

@@ -5,8 +5,9 @@
 
 use crate::table::f2;
 use crate::{Report, Scale, Table};
+use skippub_core::pubsub::SimBackend;
 use skippub_core::scenarios::{adversarial_world, cold_world, Adversary};
-use skippub_core::{ProtocolConfig, SkipRingSim};
+use skippub_core::{ProtocolConfig, PubSub};
 
 /// Runs E6.
 pub fn run(scale: Scale, seed: u64) -> Report {
@@ -33,8 +34,8 @@ pub fn run(scale: Scale, seed: u64) -> Report {
             let mut ok_all = true;
             for s in 0..seeds {
                 let world = adversarial_world(n, seed.wrapping_add(s), cfg, adv);
-                let mut sim = SkipRingSim::from_world(world, cfg);
-                let (rounds, ok) = sim.run_until_legit(budget(n));
+                let mut sim = SimBackend::from_world(world, cfg);
+                let (rounds, ok) = sim.until_legit(budget(n));
                 total += rounds;
                 worst = worst.max(rounds);
                 ok_all &= ok;
@@ -51,8 +52,8 @@ pub fn run(scale: Scale, seed: u64) -> Report {
     }
     // Cold bootstrap for reference.
     for &n in sweep {
-        let mut sim = SkipRingSim::from_world(cold_world(n, seed, cfg), cfg);
-        let (rounds, ok) = sim.run_until_legit(budget(n));
+        let mut sim = SimBackend::from_world(cold_world(n, seed, cfg), cfg);
+        let (rounds, ok) = sim.until_legit(budget(n));
         all_ok &= ok;
         t.row(vec![
             "cold-bootstrap".into(),

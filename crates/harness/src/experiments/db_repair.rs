@@ -3,7 +3,9 @@
 //! a legitimate state.
 
 use crate::{Report, Scale, Table};
-use skippub_core::{scenarios, ProtocolConfig, SkipRingSim, Supervisor};
+use skippub_core::pubsub::SimBackend;
+use skippub_core::scenarios::{self, SUPERVISOR};
+use skippub_core::{ProtocolConfig, PubSub, Supervisor};
 use skippub_ringmath::Label;
 
 fn corrupt(sup: &mut Supervisor, class: &str, n: usize) {
@@ -81,11 +83,10 @@ pub fn run(scale: Scale, seed: u64) -> Report {
     let mut all_local = true;
     for class in classes {
         let world = scenarios::legit_world(n, seed, cfg);
-        let mut sim = SkipRingSim::from_world(world, cfg);
-        let sup_id = sim.supervisor_id();
+        let mut sim = SimBackend::from_world(world, cfg);
         if let Some(s) = sim
             .world_mut()
-            .node_mut(sup_id)
+            .node_mut(SUPERVISOR)
             .and_then(skippub_core::Actor::supervisor_mut)
         {
             corrupt(s, class, n)
@@ -95,16 +96,16 @@ pub fn run(scale: Scale, seed: u64) -> Report {
         let before = sim.metrics().clone();
         let mut to_valid = 0u64;
         while !db_valid(sim.supervisor()) && to_valid < 100 {
-            sim.run_round();
+            sim.step();
             to_valid += 1;
         }
         // Repair itself must be local: the only supervisor messages are
         // the usual round-robin SetData (1/round) and probe replies.
         let d = sim.metrics().diff(&before);
-        let sup_msgs = d.sent_by(sup_id);
+        let sup_msgs = d.sent_by(SUPERVISOR);
         let local = sup_msgs <= 2 * to_valid + 2;
         all_local &= local;
-        let (rounds, ok) = sim.run_until_legit(800 * n as u64);
+        let (rounds, ok) = sim.until_legit(800 * n as u64);
         all_repaired &= ok && db_valid(sim.supervisor());
         t.row(vec![
             class.into(),

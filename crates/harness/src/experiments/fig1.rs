@@ -6,7 +6,8 @@
 //! (cold bootstrap of 16 subscribers) matches the ideal edge-for-edge.
 
 use crate::{Report, Scale, Table};
-use skippub_core::{scenarios, ProtocolConfig, SkipRingSim};
+use skippub_core::pubsub::SimBackend;
+use skippub_core::{scenarios, ProtocolConfig, PubSub};
 use skippub_ringmath::{IdealSkipRing, Label};
 
 /// Runs E1.
@@ -46,8 +47,8 @@ pub fn run(_scale: Scale, seed: u64) -> Report {
 
     // Protocol-built SR(16) must equal the ideal.
     let cfg = ProtocolConfig::topology_only();
-    let mut sim = SkipRingSim::from_world(scenarios::cold_world(16, seed, cfg), cfg);
-    let (rounds, converged) = sim.run_until_legit(2000);
+    let mut sim = SimBackend::from_world(scenarios::cold_world(16, seed, cfg), cfg);
+    let (rounds, converged) = sim.until_legit(2000);
     let mut verdicts = vec![
         (
             "edge counts match Figure 1 (16/8/4/1)".to_string(),

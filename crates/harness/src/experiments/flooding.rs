@@ -5,7 +5,8 @@
 use crate::table::f2;
 use crate::{Report, Scale, Table};
 use skippub_baselines::RingCast;
-use skippub_core::{scenarios, ProtocolConfig, SkipRingSim};
+use skippub_core::pubsub::SimBackend;
+use skippub_core::{scenarios, ProtocolConfig, PubSub, TopicId};
 use skippub_ringmath::{analytics, IdealSkipRing, Label};
 
 /// Runs E9.
@@ -28,7 +29,7 @@ pub fn run(scale: Scale, seed: u64) -> Report {
     let mut all_beat_ring = true;
     for &n in sweep {
         let world = scenarios::legit_world(n, seed, cfg);
-        let mut sim = SkipRingSim::from_world(world, cfg);
+        let mut sim = SimBackend::from_world(world, cfg);
         // Publish at the subscriber holding label l(n−1) (a newest-
         // generation node — worst placed, fewest shortcuts).
         let src_label = Label::from_index(n as u64 - 1);
@@ -37,8 +38,9 @@ pub fn run(scale: Scale, seed: u64) -> Report {
             .into_iter()
             .find(|id| sim.subscriber(*id).and_then(|s| s.label) == Some(src_label))
             .expect("legit world labels everyone");
-        sim.publish(src, b"flash".to_vec()).expect("publish");
-        let (_, ok) = sim.run_until_pubs_converged(200);
+        sim.publish(src, TopicId(0), b"flash".to_vec())
+            .expect("publish");
+        let (_, ok) = sim.until_pubs_converged(200);
         let max_hops = sim
             .subscriber_ids()
             .iter()

@@ -13,7 +13,9 @@
 
 use crate::table::f2;
 use crate::{Report, Scale, Table};
-use skippub_core::{scenarios, ProtocolConfig, SkipRingSim};
+use skippub_core::pubsub::SimBackend;
+use skippub_core::scenarios::{self, SUPERVISOR};
+use skippub_core::{Msg, ProtocolConfig, PubSub, TopicId};
 
 /// 1 staged configuration, plus the joiner's repeated `Subscribe` and
 /// probes while it settles in (measured ≈ 2.0–2.2 at every n).
@@ -39,25 +41,27 @@ pub fn run(scale: Scale, seed: u64) -> Report {
 
     for &n in sweep {
         // --- subscribes ---
-        let mut sim = SkipRingSim::from_world(scenarios::legit_world(n, seed, cfg), cfg);
-        let sup = sim.supervisor_id();
+        let mut sim = SimBackend::from_world(scenarios::legit_world(n, seed, cfg), cfg);
         // Background supervisor rate: 1 round-robin config per round plus
         // probe responses. Measure it first.
         let before = sim.metrics().clone();
         let warm = 50u64;
         for _ in 0..warm {
-            sim.run_round();
+            sim.step();
         }
         let bg = sim.metrics().diff(&before);
-        let bg_rate = bg.sent_by(sup) as f64 / warm as f64;
+        let bg_rate = bg.sent_by(SUPERVISOR) as f64 / warm as f64;
         // Now the ops, one per round.
         let before = sim.metrics().clone();
         for _ in 0..ops {
-            sim.add_subscriber_eager();
-            sim.run_round();
+            // Straight into the supervisor's channel: skips the joiner's
+            // first-timeout latency so each round measures one subscribe.
+            let node = sim.subscribe(TopicId(0));
+            sim.world_mut().inject(SUPERVISOR, Msg::Subscribe { node });
+            sim.step();
         }
         let d = sim.metrics().diff(&before);
-        let per_sub = (d.sent_by(sup) as f64 - bg_rate * ops as f64) / ops as f64;
+        let per_sub = (d.sent_by(SUPERVISOR) as f64 - bg_rate * ops as f64) / ops as f64;
         sub_const &= per_sub <= SUBSCRIBE_BUDGET;
         t.row(vec![
             n.to_string(),
@@ -67,16 +71,15 @@ pub fn run(scale: Scale, seed: u64) -> Report {
         ]);
 
         // --- unsubscribes ---
-        let mut sim = SkipRingSim::from_world(scenarios::legit_world(n, seed ^ 1, cfg), cfg);
-        let sup = sim.supervisor_id();
-        let (_, ok) = sim.run_until_legit(10);
+        let mut sim = SimBackend::from_world(scenarios::legit_world(n, seed ^ 1, cfg), cfg);
+        let (_, ok) = sim.until_legit(10);
         debug_assert!(ok);
         let before = sim.metrics().clone();
         for _ in 0..warm {
-            sim.run_round();
+            sim.step();
         }
         let bg = sim.metrics().diff(&before);
-        let bg_rate = bg.sent_by(sup) as f64 / warm as f64;
+        let bg_rate = bg.sent_by(SUPERVISOR) as f64 / warm as f64;
         let victims: Vec<_> = sim
             .subscriber_ids()
             .into_iter()
@@ -85,12 +88,12 @@ pub fn run(scale: Scale, seed: u64) -> Report {
         let before = sim.metrics().clone();
         let mut rounds = 0u64;
         for v in victims {
-            sim.unsubscribe(v);
-            sim.run_round();
+            sim.unsubscribe(v, TopicId(0));
+            sim.step();
             rounds += 1;
         }
         let d = sim.metrics().diff(&before);
-        let per_unsub = (d.sent_by(sup) as f64 - bg_rate * rounds as f64) / ops as f64;
+        let per_unsub = (d.sent_by(SUPERVISOR) as f64 - bg_rate * rounds as f64) / ops as f64;
         unsub_const &= per_unsub <= UNSUBSCRIBE_BUDGET;
         t.row(vec![
             n.to_string(),

@@ -4,7 +4,8 @@
 
 use crate::table::f2;
 use crate::{Report, Scale, Table};
-use skippub_core::{scenarios, ProtocolConfig, SkipRingSim};
+use skippub_core::pubsub::SimBackend;
+use skippub_core::{scenarios, ProtocolConfig, PubSub};
 use skippub_ringmath::analytics;
 
 /// Runs E4.
@@ -28,10 +29,10 @@ pub fn run(scale: Scale, seed: u64) -> Report {
     let mut all_close = true;
     for &n in sweep {
         let world = scenarios::legit_world(n, seed, cfg);
-        let mut sim = SkipRingSim::from_world(world, cfg);
+        let mut sim = SimBackend::from_world(world, cfg);
         let before = sim.metrics().clone();
         for _ in 0..rounds {
-            sim.run_round();
+            sim.step();
         }
         let diff = sim.metrics().diff(&before);
         let probes = diff.kind("GetConfiguration");

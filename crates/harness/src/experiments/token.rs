@@ -18,8 +18,9 @@
 
 use crate::table::f2;
 use crate::{Report, Scale, Table};
-use skippub_core::scenarios::{adversarial_world, legit_world, Adversary};
-use skippub_core::{ProbeMode, ProtocolConfig, SkipRingSim};
+use skippub_core::pubsub::SimBackend;
+use skippub_core::scenarios::{adversarial_world, legit_world, Adversary, SUPERVISOR};
+use skippub_core::{ProbeMode, ProtocolConfig, PubSub};
 
 fn cfg_for(mode: ProbeMode) -> ProtocolConfig {
     ProtocolConfig {
@@ -62,9 +63,9 @@ pub fn run(scale: Scale, seed: u64) -> Report {
         ProbeMode::TokenHybrid,
     ] {
         let cfg = cfg_for(mode);
-        let mut sim = SkipRingSim::from_world(legit_world(n, seed, cfg), cfg);
+        let mut sim = SimBackend::from_world(legit_world(n, seed, cfg), cfg);
         for _ in 0..50 {
-            sim.run_round();
+            sim.step();
         }
         let before = sim.metrics().clone();
         let configs_before: Vec<u64> = sim
@@ -73,10 +74,10 @@ pub fn run(scale: Scale, seed: u64) -> Report {
             .map(|id| sim.subscriber(*id).expect("live").counters.configs_received)
             .collect();
         for _ in 0..window {
-            sim.run_round();
+            sim.step();
         }
         let d = sim.metrics().diff(&before);
-        let sup_rate = d.sent_by(sim.supervisor_id()) as f64 / window as f64;
+        let sup_rate = d.sent_by(SUPERVISOR) as f64 / window as f64;
         let probe_rate = d.kind("GetConfiguration") as f64 / window as f64;
         let configs_delta: Vec<u64> = sim
             .subscriber_ids()
@@ -126,8 +127,8 @@ pub fn run(scale: Scale, seed: u64) -> Report {
     ] {
         let cfg = cfg_for(mode);
         let world = adversarial_world(n.min(24), seed, cfg, Adversary::Partitioned(4));
-        let mut sim = SkipRingSim::from_world(world, cfg);
-        let (rounds, ok) = sim.run_until_legit(budget);
+        let mut sim = SimBackend::from_world(world, cfg);
+        let (rounds, ok) = sim.until_legit(budget);
         match mode {
             ProbeMode::Token => pure_stalls = !ok,
             ProbeMode::Randomized | ProbeMode::TokenHybrid => hybrid_recovers &= ok,

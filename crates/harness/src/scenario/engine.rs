@@ -16,7 +16,7 @@
 
 use super::report::{OpCounts, ScenarioReport, TopicReport};
 use super::schedule::{compile, PlannedOp};
-use super::spec::{ScenarioSpec, Stop};
+use super::spec::{serves, ScenarioSpec, Stop};
 use super::trace::{Trace, TraceLine};
 use skippub_bits::Hash128;
 use skippub_core::pubsub::{BackendSnapshot, Delivery, Op};
@@ -76,22 +76,25 @@ pub fn builder_for(spec: &ScenarioSpec) -> SystemBuilder {
         .protocol(spec.protocol)
 }
 
-/// The one "this backend cannot run this spec" error.
-fn ensure_supported(spec: &ScenarioSpec, kind: BackendKind) -> Result<(), String> {
-    if spec.supported(kind) {
+/// The one "this backend cannot run this scenario" error, for specs
+/// and for the headers of recorded traces.
+pub(super) fn ensure_supported(
+    scenario: &str,
+    topics: u32,
+    kind: BackendKind,
+) -> Result<(), String> {
+    if serves(kind, topics) {
         return Ok(());
     }
     Err(format!(
-        "scenario {:?} needs {} topics; backend {} serves exactly one",
-        spec.name,
-        spec.topics,
+        "scenario {scenario:?} needs {topics} topics; backend {} serves exactly one",
         kind.name()
     ))
 }
 
 /// Builds the backend and runs the spec on it.
 pub fn run_spec(spec: &ScenarioSpec, kind: BackendKind) -> Result<ScenarioOutcome, String> {
-    ensure_supported(spec, kind)?;
+    ensure_supported(&spec.name, spec.topics, kind)?;
     let mut ps = builder_for(spec).build(kind);
     Ok(execute(ps.as_mut(), spec, budget_multiplier(kind), None))
 }
@@ -102,7 +105,7 @@ pub fn run_recorded(
     spec: &ScenarioSpec,
     kind: BackendKind,
 ) -> Result<(ScenarioOutcome, Trace), String> {
-    ensure_supported(spec, kind)?;
+    ensure_supported(&spec.name, spec.topics, kind)?;
     let mut ps = builder_for(spec).build(kind);
     let mut trace = Trace::new(spec, kind.name());
     let outcome = execute(ps.as_mut(), spec, budget_multiplier(kind), Some(&mut trace));
@@ -128,7 +131,7 @@ pub(super) fn run_twin(
     baseline: &ScenarioSpec,
     kind: BackendKind,
 ) -> Result<[TwinSide; 2], String> {
-    ensure_supported(spec, kind)?;
+    ensure_supported(&spec.name, spec.topics, kind)?;
     Ok([spec, baseline].map(|spec| {
         let mut ps = builder_for(spec).build(kind);
         (run_on(ps.as_mut(), spec, budget_multiplier(kind)), ps)
@@ -235,7 +238,7 @@ pub fn run_spec_with_snapshot(
     kind: BackendKind,
     at_round: u64,
 ) -> Result<(ScenarioOutcome, WarmStart), String> {
-    ensure_supported(spec, kind)?;
+    ensure_supported(&spec.name, spec.topics, kind)?;
     let mut ps = builder_for(spec).build(kind);
     let (out, captured) = run_phases(
         ps.as_mut(),

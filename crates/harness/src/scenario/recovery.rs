@@ -146,7 +146,7 @@ fn restore_corrupted(
             for _ in 0..k {
                 let (to, about) = (pick(&mut state), pick(&mut state));
                 let msg = bogus_msg(&mut state, about);
-                b.sim_mut().world_mut().inject(to, msg);
+                b.world_mut().inject(to, msg);
             }
             Ok(Box::new(b))
         }

@@ -412,10 +412,7 @@ impl ScenarioSpec {
     /// Whether `kind` can execute this spec (single-topic backends only
     /// serve `topics == 1`; multi-topic and sharded serve any count).
     pub fn supported(&self, kind: BackendKind) -> bool {
-        match kind {
-            BackendKind::Sim | BackendKind::Chaos => self.topics == 1,
-            BackendKind::MultiTopic | BackendKind::Sharded => true,
-        }
+        serves(kind, self.topics)
     }
 
     /// The in-process backends this spec runs on, in conformance-sweep
@@ -425,6 +422,14 @@ impl ScenarioSpec {
             .into_iter()
             .filter(|k| self.supported(*k))
             .collect()
+    }
+}
+
+/// Whether `kind` can serve `topics` topics.
+pub(super) fn serves(kind: BackendKind, topics: u32) -> bool {
+    match kind {
+        BackendKind::Sim | BackendKind::Chaos => topics == 1,
+        BackendKind::MultiTopic | BackendKind::Sharded => true,
     }
 }
 

@@ -13,13 +13,14 @@
 //! The threaded backend can be *recorded* (via the CLI) but not
 //! byte-replayed: wall-clock slices are not reproducible.
 
-use super::engine::{assemble_report, stop_met, Phases, RunMeta};
+use super::engine::{assemble_report, ensure_supported, stop_met, Phases, RunMeta};
 use super::report::{OpCounts, ScenarioReport};
 use super::spec::{ScenarioSpec, Stop};
 use skippub_core::pubsub::ops;
 use skippub_core::pubsub::{Delivery, Op};
 use skippub_core::{BackendKind, ProbeMode, ProtocolConfig, PubSub, SystemBuilder};
 use skippub_sim::{FaultSpec, NodeId};
+use skippub_trie::MAX_KEY_BITS;
 use std::collections::BTreeMap;
 
 /// One body line of a trace.
@@ -112,6 +113,22 @@ fn checked_backend_name(name: &str) -> Result<String, String> {
         Ok(name.to_string())
     } else {
         Err(format!("unknown backend {name:?}"))
+    }
+}
+
+/// The most shards, worker threads or supervisor replicas a header may
+/// ask for: far above any recorded run, far below what exhausts memory.
+const MAX_HEADER_COUNT: usize = 1024;
+
+/// A header count the builder asserts on (`≥ 1`) and allocates by: a
+/// trace file is outside input, so out of range is an `Err` here rather
+/// than a panic or a gigabyte there.
+fn checked_count(key: &str, text: &str, max: usize) -> Result<usize, String> {
+    let n = text.parse::<usize>().map_err(|e| e.to_string())?;
+    if (1..=max).contains(&n) {
+        Ok(n)
+    } else {
+        Err(format!("{key} {n} outside 1..={max}"))
     }
 }
 
@@ -210,10 +227,10 @@ impl Trace {
                 "scenario" => scenario = Some(checked_scenario_name(rest)?),
                 "backend" => backend = Some(checked_backend_name(rest)?),
                 "seed" => seed = Some(rest.parse::<u64>().map_err(|e| e.to_string())?),
-                "topics" => topics = Some(rest.parse::<u32>().map_err(|e| e.to_string())?),
-                "shards" => shards = Some(rest.parse::<usize>().map_err(|e| e.to_string())?),
-                "threads" => threads = Some(rest.parse::<usize>().map_err(|e| e.to_string())?),
-                "replicas" => replicas = Some(rest.parse::<usize>().map_err(|e| e.to_string())?),
+                "topics" => topics = Some(checked_count(key, rest, u32::MAX as usize)? as u32),
+                "shards" => shards = Some(checked_count(key, rest, MAX_HEADER_COUNT)?),
+                "threads" => threads = Some(checked_count(key, rest, MAX_HEADER_COUNT)?),
+                "replicas" => replicas = Some(checked_count(key, rest, MAX_HEADER_COUNT)?),
                 "rebalance" => rebalance = Some(rest.parse::<u64>().map_err(|e| e.to_string())?),
                 "faults" => faults = Some(FaultSpec::parse_line(rest)?),
                 "warm" => warm = Some(rest.parse::<bool>().map_err(|e| e.to_string())?),
@@ -233,7 +250,7 @@ impl Trace {
                     }
                     let b = |s: &str| s.parse::<bool>().map_err(|e| e.to_string());
                     protocol = Some(ProtocolConfig {
-                        key_bits: f[0].parse().map_err(|e: std::num::ParseIntError| e.to_string())?,
+                        key_bits: checked_count("key_bits", f[0], MAX_KEY_BITS)?,
                         anti_entropy: b(f[1])?,
                         flooding: b(f[2])?,
                         probes: b(f[3])?,
@@ -313,6 +330,10 @@ impl Trace {
                 self.backend
             )
         })?;
+        ensure_supported(&self.scenario, self.topics, kind)?;
+        if kind == BackendKind::Sharded && self.rebalance_every > 0 && self.replicas >= 2 {
+            return Err("rebalancing and supervisor replication are mutually exclusive".into());
+        }
         let builder = SystemBuilder::new(self.seed)
             .topics(self.topics)
             .shards(self.shards)
@@ -568,5 +589,61 @@ mod tests {
         let err = Trace::parse(&text.replace("backend sim\n", "backend ../sim\n")).unwrap_err();
         assert!(err.contains("unknown backend"), "{err}");
         assert!(Trace::parse(&text.replace("backend sim\n", "backend threaded\n")).is_ok());
+    }
+
+    /// Everything a header (of a trace, or of a warm-start snapshot)
+    /// hands to an `assert!` downstream is refused with an `Err`.
+    #[test]
+    fn hostile_headers_are_errors_not_panics() {
+        let (_, trace) = run_recorded(&spec(), BackendKind::Sim).unwrap();
+        let text = trace.serialize();
+        let protocol = "protocol 64 ";
+        for (from, to) in [
+            ("topics 1\n", "topics 0\n"),
+            ("shards 1\n", "shards 0\n"),
+            ("shards 1\n", "shards 100000000\n"),
+            ("threads 1\n", "threads 0\n"),
+            ("threads 1\n", "threads 1025\n"),
+            ("replicas 1\n", "replicas 0\n"),
+            ("replicas 1\n", "replicas 1025\n"),
+            (protocol, "protocol 0 "),
+            (protocol, "protocol 129 "),
+            (protocol, "protocol 100000 "),
+        ] {
+            assert!(
+                text.contains(from),
+                "the recorded header lacks {from:?}:\n{text}"
+            );
+            let err = Trace::parse(&text.replace(from, to)).expect_err(to);
+            assert!(err.contains("outside 1..="), "{to:?}: {err}");
+        }
+        // In range, but more topics than a single-topic backend serves,
+        // or two features the sharded backend cannot combine: parses,
+        // and the replay says no.
+        let err = Trace::parse(&text.replace("topics 1\n", "topics 5\n"))
+            .expect("parse")
+            .replay()
+            .expect_err("five topics on the sim backend");
+        assert!(err.contains("serves exactly one"), "{err}");
+        let forged = text
+            .replace("backend sim\n", "backend sharded\n")
+            .replace("replicas 1\nrebalance 0\n", "replicas 2\nrebalance 4\n");
+        let err = Trace::parse(&forged).expect("parse").replay().unwrap_err();
+        assert!(err.contains("mutually exclusive"), "{err}");
+
+        // A snapshot's protocol configuration is read the same way: a
+        // restored world must not panic at its first publish.
+        use skippub_core::pubsub::{restore, BackendSnapshot};
+        let snap = SystemBuilder::new(1).build_sim().save_snapshot().unwrap();
+        let toks: Vec<&str> = snap.as_text().split(' ').collect();
+        // magic, version, kind, empty node store, no chaos, key_bits.
+        assert_eq!(toks[3..6], ["0", "0", "64"], "{}", snap.as_text());
+        for bits in ["0", "129", "100000"] {
+            let mut forged = toks.clone();
+            forged[5] = bits;
+            let forged = BackendSnapshot::from_text(&forged.join(" ")).expect("header");
+            let err = restore(&forged).err().expect(bits);
+            assert!(err.contains("key_bits"), "{bits}: {err}");
+        }
     }
 }

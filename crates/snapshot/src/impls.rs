@@ -93,6 +93,16 @@ impl Snap for Arc<[u8]> {
     }
 }
 
+/// Transparent: a box is where a value lives, not part of the value.
+impl<T: Snap> Snap for Box<T> {
+    fn save(&self, w: &mut SnapWriter) {
+        (**self).save(w);
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        T::load(r).map(Box::new)
+    }
+}
+
 impl<T: Snap> Snap for Option<T> {
     fn save(&self, w: &mut SnapWriter) {
         match self {

@@ -99,16 +99,17 @@ fn broker_fanout_vs_supervisor_zero_publish_load() {
     broker.publish(1);
     assert!(broker.msgs_per_publication() >= 500.0);
 
-    use skippub_core::{scenarios, ProtocolConfig, SkipRingSim};
+    use skippub_core::pubsub::SimBackend;
+    use skippub_core::scenarios::{self, SUPERVISOR};
+    use skippub_core::{ProtocolConfig, PubSub, TopicId};
     let cfg = ProtocolConfig::default();
-    let mut sim = SkipRingSim::from_world(scenarios::legit_world(32, 4, cfg), cfg);
-    let sup = sim.supervisor_id();
-    let before = sim.metrics().sent_by(sup);
+    let mut sim = SimBackend::from_world(scenarios::legit_world(32, 4, cfg), cfg);
+    let before = sim.metrics().sent_by(SUPERVISOR);
     let src = sim.subscriber_ids()[0];
-    sim.publish(src, b"load test".to_vec());
-    let (_, ok) = sim.run_until_pubs_converged(50);
+    sim.publish(src, TopicId(0), b"load test".to_vec());
+    let (_, ok) = sim.until_pubs_converged(50);
     assert!(ok);
-    let sup_msgs = sim.metrics().sent_by(sup) - before;
+    let sup_msgs = sim.metrics().sent_by(SUPERVISOR) - before;
     // Only background round-robin/probe traffic — bounded by rounds, not
     // by subscriber count.
     assert!(

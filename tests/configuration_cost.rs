@@ -170,6 +170,7 @@ fn sharded_supervisor_work_is_constant_per_operation() {
 /// once — with what the database says when the timeout fires.
 #[test]
 fn requests_inside_one_activation_are_answered_once() {
+    use skippub_core::scenarios::SUPERVISOR;
     use skippub_core::Msg;
     let cfg = ProtocolConfig {
         probes: false,
@@ -178,28 +179,27 @@ fn requests_inside_one_activation_are_answered_once() {
     let mut ps = SystemBuilder::new(0xD0B1).protocol(cfg).build_sim();
     let ids: Vec<NodeId> = (0..8).map(|_| ps.subscribe(T)).collect();
     assert!(ps.until_legit(2_000).1);
-    let sup = ps.sim().supervisor_id();
     // Three members, three requests each, all in the supervisor's next
     // inbox: a node nobody has met, a member that leaves, and a member
     // that merely asks.
     let (stranger, leaver, asker) = (NodeId(1_000), ids[3], ids[5]);
-    let world = ps.sim_mut().world_mut();
+    let world = ps.world_mut();
     for _ in 0..3 {
-        world.inject(sup, Msg::Subscribe { node: stranger });
-        world.inject(sup, Msg::Unsubscribe { node: leaver });
+        world.inject(SUPERVISOR, Msg::Subscribe { node: stranger });
+        world.inject(SUPERVISOR, Msg::Unsubscribe { node: leaver });
         world.inject(
-            sup,
+            SUPERVISOR,
             Msg::GetConfiguration {
                 node: asker,
                 requester: None,
             },
         );
     }
-    let before = ps.sim().supervisor().counters.staged_configs;
+    let before = ps.supervisor().counters.staged_configs;
     ps.step();
     // The stranger, the leaver, the asker, and the member relabelled
     // into the leaver's slot — unless that is the asker.
-    let flushed = ps.sim().supervisor().counters.staged_configs - before;
+    let flushed = ps.supervisor().counters.staged_configs - before;
     assert!(
         (3..=4).contains(&flushed),
         "nine requests about three members were answered with {flushed} configurations"

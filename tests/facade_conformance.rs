@@ -744,7 +744,7 @@ fn restored_interner_still_pools_known_payloads() {
     ps.publish(a, T, b"evergreen payload".to_vec()).unwrap();
     ps.publish(b, T, b"evergreen payload".to_vec()).unwrap();
     let (unique, hits) = {
-        let pool = ps.sim().payload_interner();
+        let pool = ps.payload_interner();
         (pool.unique(), pool.hits())
     };
     assert_eq!((unique, hits), (1, 1));
@@ -752,12 +752,12 @@ fn restored_interner_still_pools_known_payloads() {
     let saved = ps.save_snapshot().expect("sim snapshots");
     let mut restored =
         skippub_core::pubsub::SimBackend::from_snapshot(&saved).expect("restore");
-    let pool = restored.sim().payload_interner();
+    let pool = restored.payload_interner();
     assert_eq!((pool.unique(), pool.hits()), (unique, hits));
     restored
         .publish(a, T, b"evergreen payload".to_vec())
         .unwrap();
-    let pool = restored.sim().payload_interner();
+    let pool = restored.payload_interner();
     assert_eq!(
         (pool.unique(), pool.hits()),
         (1, 2),

@@ -150,7 +150,6 @@ fn raw_world_access_invalidates_cached_verdicts() {
     assert!(ps.until_legit(2_000).1);
     assert!(ps.is_legitimate());
     let s = ps
-        .sim_mut()
         .world_mut()
         .node_mut(a)
         .unwrap()

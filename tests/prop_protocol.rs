@@ -2,8 +2,9 @@
 //! adversarial instances and random operation sequences.
 
 use proptest::prelude::*;
+use skippub_core::pubsub::SimBackend;
 use skippub_core::scenarios::{adversarial_world, legit_world, Adversary};
-use skippub_core::{ProtocolConfig, PubSub, SkipRingSim, SystemBuilder, TopicId};
+use skippub_core::{ProtocolConfig, PubSub, SystemBuilder, TopicId};
 use skippub_sim::{FaultRule, FaultSpec, LinkClass, NodeId, Sever};
 
 fn arb_adversary() -> impl Strategy<Value = Adversary> {
@@ -27,8 +28,8 @@ proptest! {
     ) {
         let cfg = ProtocolConfig::topology_only();
         let world = adversarial_world(n, seed, cfg, adv);
-        let mut sim = SkipRingSim::from_world(world, cfg);
-        let (rounds, ok) = sim.run_until_legit(30_000);
+        let mut sim = SimBackend::from_world(world, cfg);
+        let (rounds, ok) = sim.until_legit(30_000);
         prop_assert!(ok, "{:?} n={} seed={} stuck after {} rounds", adv, n, seed, rounds);
         // Closure: a state snapshot can look legitimate while corrupted
         // messages are still in flight (Definition 1 legitimacy includes
@@ -37,7 +38,7 @@ proptest! {
         let mut streak = 0;
         let mut budget = 30_000u32;
         while streak < 20 && budget > 0 {
-            sim.run_round();
+            sim.step();
             budget -= 1;
             streak = if sim.is_legitimate() { streak + 1 } else { 0 };
         }
@@ -50,34 +51,34 @@ proptest! {
         ops in proptest::collection::vec(0u8..4, 1..18),
     ) {
         let cfg = ProtocolConfig::topology_only();
-        let mut sim = SkipRingSim::from_world(legit_world(6, seed, cfg), cfg);
+        let mut sim = SimBackend::from_world(legit_world(6, seed, cfg), cfg);
         for op in ops {
             match op {
                 0 => {
-                    sim.add_subscriber();
+                    sim.subscribe(TopicId(0));
                 }
                 1 => {
                     if let Some(&id) = sim.subscriber_ids().first() {
-                        sim.unsubscribe(id);
+                        sim.unsubscribe(id, TopicId(0));
                     }
                 }
                 2 => {
                     if sim.subscriber_ids().len() > 1 {
                         let id = *sim.subscriber_ids().last().expect("non-empty");
                         sim.crash(id);
-                        sim.run_round();
+                        sim.step();
                         sim.report_crash(id);
                     }
                 }
                 _ => {
                     for _ in 0..3 {
-                        sim.run_round();
+                        sim.step();
                     }
                 }
             }
         }
         // Whatever happened, the system must re-stabilize...
-        let (rounds, ok) = sim.run_until_legit(30_000);
+        let (rounds, ok) = sim.until_legit(30_000);
         prop_assert!(ok, "seed={} stuck after {} rounds: {:?}", seed, rounds,
             sim.report().issues.iter().take(3).collect::<Vec<_>>());
         // ...and the database must exactly mirror the survivors.
@@ -95,13 +96,13 @@ proptest! {
         assignment in proptest::collection::vec(0usize..5, 0..24),
     ) {
         let cfg = ProtocolConfig { flooding: false, ..ProtocolConfig::default() };
-        let mut sim = SkipRingSim::from_world(legit_world(5, seed, cfg), cfg);
+        let mut sim = SimBackend::from_world(legit_world(5, seed, cfg), cfg);
         let ids = sim.subscriber_ids();
         for (i, &host) in assignment.iter().enumerate() {
             let p = skippub_trie::Publication::new(i as u64, format!("{i}").into_bytes());
-            sim.seed_publication(ids[host], p);
+            sim.seed_publication(ids[host], TopicId(0), p);
         }
-        let (_, ok) = sim.run_until_pubs_converged(30_000);
+        let (_, ok) = sim.until_pubs_converged(30_000);
         prop_assert!(ok);
         let (converged, total) = sim.publications_converged();
         prop_assert!(converged);

@@ -40,10 +40,9 @@ fn seed_stories(ps: &mut SimBackend, ids: &[NodeId]) -> BTreeSet<String> {
 /// Hop counts of every pending entry: 0 marks a repaired publication,
 /// anything else a flood-learned one.
 fn pending_hops(ps: &SimBackend) -> Vec<u32> {
-    let sim = ps.sim();
-    sim.subscriber_ids()
+    ps.subscriber_ids()
         .iter()
-        .filter_map(|&id| sim.subscriber(id))
+        .filter_map(|&id| ps.subscriber(id))
         .flat_map(|s| s.relay_pending.values().copied())
         .collect()
 }
@@ -54,7 +53,7 @@ fn pending_total(ps: &SimBackend) -> usize {
 
 /// Sizes of the `PublishNew` batches sitting in channels.
 fn batches_in_flight(ps: &SimBackend) -> Vec<usize> {
-    let state = ps.sim().world().export_state();
+    let state = ps.world().export_state();
     state
         .partition
         .nodes
@@ -161,7 +160,6 @@ fn corrupt_pending_entries_are_never_delivered() {
     for (k, &id) in ids.iter().enumerate() {
         let bogus = Publication::new(id.0, format!("never published {k}").into_bytes());
         let sub = ps
-            .sim_mut()
             .world_mut()
             .node_mut(id)
             .and_then(Actor::subscriber_mut)

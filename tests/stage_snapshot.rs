@@ -8,6 +8,7 @@
 //! it for their second configuration.
 
 use skippub_core::pubsub::{restore, BackendSnapshot, SimBackend};
+use skippub_core::scenarios::SUPERVISOR;
 use skippub_core::{Actor, BackendKind, PubSub, Supervisor, SystemBuilder, TopicId};
 use skippub_sim::NodeId;
 use std::collections::BTreeSet;
@@ -15,15 +16,9 @@ use std::collections::BTreeSet;
 const T: TopicId = TopicId(0);
 const MEMBERS: usize = 24;
 
-fn supervisor(ps: &SimBackend) -> &Supervisor {
-    ps.sim().supervisor()
-}
-
 fn supervisor_mut(ps: &mut SimBackend) -> &mut Supervisor {
-    let id = ps.sim().supervisor_id();
-    ps.sim_mut()
-        .world_mut()
-        .node_mut(id)
+    ps.world_mut()
+        .node_mut(SUPERVISOR)
         .and_then(Actor::supervisor_mut)
         .expect("the supervisor")
 }
@@ -74,7 +69,7 @@ fn a_snapshot_between_handler_and_timeout_keeps_the_owed_configurations() {
         original.unsubscribe(ids[k * 5], T);
     }
     let mut waited = 0;
-    while supervisor(&original).relabelled.is_empty() {
+    while original.supervisor().relabelled.is_empty() {
         original.step();
         waited += 1;
         assert!(
@@ -82,7 +77,7 @@ fn a_snapshot_between_handler_and_timeout_keeps_the_owed_configurations() {
             "never caught the supervisor between handler and timeout"
         );
     }
-    assert!(!supervisor(&original).staged.is_empty());
+    assert!(!original.supervisor().staged.is_empty());
     assert!(!original.is_legitimate(), "saved mid-operation");
 
     let mut restored = round_trip(&original);
@@ -144,10 +139,9 @@ fn a_corrupted_stage_costs_one_message_per_entry_and_drains() {
     ps.crash(crashed);
     // Arbitrary initial state: ids nobody has ever met (10⁴ of them), a
     // crashed member, live members, and the supervisor itself.
-    let sup_id = ps.sim().supervisor_id();
     let strangers = (0..10_000).map(|k| NodeId(1_000_000 + k));
-    let staged: BTreeSet<NodeId> = strangers.chain([sup_id, crashed, ids[1]]).collect();
-    let relabelled = BTreeSet::from([sup_id, NodeId(2_000_000), ids[2]]);
+    let staged: BTreeSet<NodeId> = strangers.chain([SUPERVISOR, crashed, ids[1]]).collect();
+    let relabelled = BTreeSet::from([SUPERVISOR, NodeId(2_000_000), ids[2]]);
     let bogus = (staged.len() + relabelled.len()) as u64 - 2; // never itself
     let sup = supervisor_mut(&mut ps);
     sup.staged = staged;
@@ -162,7 +156,7 @@ fn a_corrupted_stage_costs_one_message_per_entry_and_drains() {
         sent <= bogus + 2 + MEMBERS as u64,
         "{sent} configurations for {bogus} corrupted entries"
     );
-    let sup = supervisor(&ps);
+    let sup = ps.supervisor();
     assert!(
         sup.staged.is_empty() && sup.relabelled.is_empty(),
         "the stage must be empty two activations later"

@@ -9,6 +9,13 @@
 //! repeat exactly per seed on every 64-bit machine. The hot paths of the
 //! store are gated beside it: they allocate nothing.
 //!
+//! Beside it, the per-client footprint of the partitioned backend
+//! (DESIGN.md §11.3): a client's per-topic `BuildSR` instances sit in a
+//! map, and a map that holds the 344-byte instance inline gives a client
+//! of one topic an eleven-slot leaf of them — 6 149 B live per
+//! legitimate client on one supervisor and 6 356 B on four shards,
+//! against 2 797 B and 3 004 B with the instance boxed.
+//!
 //! This file holds exactly one test so no parallel test thread can
 //! pollute the counters.
 
@@ -57,6 +64,12 @@ const BUDGET: usize = 6_500_000;
 // A record that outgrows its size stops the build of this gate.
 const _: () = assert!(PatriciaTrie::LEAF_BYTES <= 72 && PatriciaTrie::INNER_BYTES <= 32);
 
+/// Clients of the partitioned-layout case, spread over its topics.
+const CLIENTS: usize = 1_000;
+const TOPICS: u32 = 4;
+/// Live heap bytes per legitimate one-topic client, no publications.
+const CLIENT_BUDGET: usize = 3_500;
+
 /// Heap allocations `f` performs.
 fn allocs_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOCS.load(Ordering::Relaxed);
@@ -91,6 +104,27 @@ fn converged_world_fits_the_budget() {
     );
 }
 
+fn one_topic_clients_are_small_on_the_partitioned_layouts() {
+    for (kind, shards) in [(BackendKind::MultiTopic, 1), (BackendKind::Sharded, 4)] {
+        let before = LIVE.load(Ordering::Relaxed);
+        let mut ps = SystemBuilder::new(0xF008)
+            .topics(TOPICS)
+            .shards(shards)
+            .build(kind);
+        for k in 0..CLIENTS {
+            ps.subscribe(TopicId(k as u32 % TOPICS));
+        }
+        assert!(ps.until_legit(4_000).1, "{}: bootstrap", kind.name());
+        let per_client = (LIVE.load(Ordering::Relaxed) - before) / CLIENTS;
+        eprintln!("{}: {per_client} B live per client", kind.name());
+        assert!(
+            per_client <= CLIENT_BUDGET,
+            "{}: {per_client} B live per one-topic client, budget {CLIENT_BUDGET}",
+            kind.name()
+        );
+    }
+}
+
 fn store_hot_paths_allocate_nothing() {
     let pubs: Vec<Publication> = (0..1_000u64)
         .map(|i| Publication::new(i % 9, format!("item {i}").into_bytes()))
@@ -122,4 +156,5 @@ fn store_hot_paths_allocate_nothing() {
 fn the_store_is_small_and_its_hot_paths_allocate_nothing() {
     store_hot_paths_allocate_nothing();
     converged_world_fits_the_budget();
+    one_topic_clients_are_small_on_the_partitioned_layouts();
 }

@@ -1,9 +1,9 @@
 //! Every `"key":` of a committed `BENCH_<suite>.json` must still appear
 //! in that suite's smoke artifact, so a dropped field fails here instead
 //! of in a later reader. Running the suites also runs their in-run
-//! asserts (thread-count determinism, the lock bound, budget-digest
-//! equality, batched-equals-per-insert roots, the heal bound, the loss
-//! sweep's monotonicity, the fault-storm oracle).
+//! asserts (thread-count determinism, the lock bound,
+//! batched-equals-per-insert roots, the heal bound, the loss sweep's
+//! monotonicity, the fault-storm oracle).
 
 use std::collections::BTreeSet;
 

@@ -18,12 +18,12 @@
 //! subscribers' Patricia tries contain the same publication set.
 
 use crate::actor::Actor;
-use crate::msg::{Msg, NodeRef};
+use crate::msg::NodeRef;
 use crate::subscriber::Subscriber;
 use crate::supervisor::Supervisor;
 use skippub_bits::Hash128;
 use skippub_ringmath::{shortcut, Label};
-use skippub_sim::{NodeId, Protocol, World};
+use skippub_sim::{NodeId, World};
 use std::collections::BTreeMap;
 
 /// Outcome of a legitimacy check.
@@ -452,39 +452,6 @@ where
         None => (true, 0),
     }
 }
-
-/// Snapshot of message-kind counters for closure experiments: in a
-/// legitimate state, topology-mutating messages must stay absent.
-pub fn mutating_kinds() -> &'static [&'static str] {
-    &[
-        "Intro",
-        "SetData",
-        "Subscribe",
-        "Unsubscribe",
-        "RemoveConnections",
-    ]
-}
-
-/// Count of topology-mutating messages sent so far in a world.
-pub fn mutating_msgs(world: &World<Actor>) -> u64 {
-    mutating_kinds()
-        .iter()
-        .map(|k| world.metrics().kind(k))
-        .sum()
-}
-
-/// Helper for experiments: a stricter legitimacy that also requires the
-/// in-flight channels to carry no mutating messages. Note `SetData`
-/// *does* keep flowing in legitimate states (the supervisor's round-robin
-/// refresh), so it is exempted here; closure is about *effect*, which
-/// experiment E12 verifies by diffing state snapshots.
-pub fn world_quiescent(world: &World<Actor>) -> bool {
-    is_legitimate(world)
-}
-
-// `Protocol` must be in scope for `World::<Actor>` methods used here.
-#[allow(unused)]
-fn _assert_protocol<T: Protocol<Msg = Msg>>() {}
 
 #[cfg(test)]
 mod tests {

@@ -24,7 +24,8 @@
 //!   `SetData` refreshes and `Check`/`CheckShortcut` probes flow every
 //!   round in legitimate states without changing anything — and too
 //!   narrow: `IntroduceShortcut` and `CheckShortcut` mutate shortcut
-//!   slots yet are not in [`crate::checker::mutating_kinds`].
+//!   slots yet are none of the topology-mutating kinds (`Intro`,
+//!   `SetData`, `Subscribe`, `Unsubscribe`, `RemoveConnections`).
 //! * **External operations** (subscribe/join/leave/crash/publish/seed
 //!   calls through a backend) bump the affected channels directly via
 //!   `World::bump_dirty` — the facade intercepts every one of them.

@@ -545,7 +545,6 @@ pub struct SystemBuilder {
     threads: usize,
     rebalance_every: u64,
     protocol: ProtocolConfig,
-    budget: Option<u32>,
     faults: Option<FaultSpec>,
 }
 
@@ -562,7 +561,6 @@ impl SystemBuilder {
             threads: 1,
             rebalance_every: 0,
             protocol: ProtocolConfig::default(),
-            budget: None,
             faults: None,
         }
     }
@@ -625,20 +623,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Sets the per-node per-step delivery budget (`≥ 1`). `None` (the
-    /// default) is the paper's unbounded synchronous model and leaves
-    /// trajectories byte-identical to builds without the knob; with
-    /// `Some(b)` every node processes at most `b` messages per step and
-    /// carries the rest over, bounding in-flight memory under bursts
-    /// (e.g. flooding) at the cost of added delivery latency.
-    pub fn delivery_budget(mut self, budget: Option<u32>) -> Self {
-        if let Some(b) = budget {
-            assert!(b >= 1, "a zero budget would never deliver anything");
-        }
-        self.budget = budget;
-        self
-    }
-
     /// Arms the deterministic link-fault plane at build time: every
     /// simulated backend starts with the given loss / duplication /
     /// reordering / delay rules and scheduled partitions, with windows
@@ -669,7 +653,6 @@ impl SystemBuilder {
     pub fn build_sim(&self) -> SimBackend {
         assert!(self.topics == 1, "sim backend serves exactly one topic");
         let mut b = SimBackend::new(self.seed, self.protocol, None);
-        b.set_delivery_budget(self.budget);
         b.set_replicas(self.replicas);
         b.set_faults(self.faults.clone());
         b
@@ -681,7 +664,6 @@ impl SystemBuilder {
     pub fn build_chaos(&self) -> SimBackend {
         assert!(self.topics == 1, "sim backend serves exactly one topic");
         let mut b = SimBackend::new(self.seed, self.protocol, Some(ChaosConfig::default()));
-        b.set_delivery_budget(self.budget);
         b.set_replicas(self.replicas);
         b.set_faults(self.faults.clone());
         b
@@ -701,7 +683,6 @@ impl SystemBuilder {
             self.threads,
             self.protocol,
         );
-        b.set_delivery_budget(self.budget);
         b.set_replicas(self.replicas);
         b.set_faults(self.faults.clone());
         b

@@ -412,12 +412,6 @@ impl PartitionedBackend {
         self.world.metrics()
     }
 
-    /// Sets the per-node per-step delivery budget on every partition
-    /// (`None` = unbounded).
-    pub fn set_delivery_budget(&mut self, budget: Option<u32>) {
-        self.world.set_delivery_budget(budget);
-    }
-
     /// Runs `n` synchronous rounds, identical in every observable
     /// (snapshot bytes included) to `n` [`PubSub::step`] calls — and to
     /// any worker count. When no round needs facade work in between (no

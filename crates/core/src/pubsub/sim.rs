@@ -155,11 +155,6 @@ impl SimBackend {
         self.world.metrics()
     }
 
-    /// Sets the per-node per-step delivery budget (`None` = unbounded).
-    pub fn set_delivery_budget(&mut self, budget: Option<u32>) {
-        self.world.set_delivery_budget(budget);
-    }
-
     /// Membership moved: the member set is topology state, and a trie
     /// entering or leaving changes the convergence predicate's scope.
     fn bump_membership(&mut self) {
@@ -194,11 +189,6 @@ impl SimBackend {
             group.record_topic(TOPIC, kinds);
         }
         group.anti_entropy();
-    }
-
-    /// The replica group, when replication is configured.
-    pub fn replica_group(&self) -> Option<&ReplicaGroup> {
-        self.group.as_ref()
     }
 
     /// Rebuilds a backend from a `sim`/`chaos` snapshot. The checker

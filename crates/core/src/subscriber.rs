@@ -144,11 +144,6 @@ impl Subscriber {
         }
     }
 
-    /// This node's self-reference (requires a label).
-    pub fn self_ref(&self) -> Option<NodeRef> {
-        self.label.map(|l| NodeRef::new(l, self.id))
-    }
-
     #[inline]
     fn my_key(&self) -> Option<(u64, u8, u64)> {
         self.label.map(|l| place_key(l, self.id))

@@ -89,17 +89,6 @@ impl MultiActor {
         }
     }
 
-    /// New multi-topic supervisor whose topic instances record their
-    /// operations for a replica group.
-    pub fn new_replicated_supervisor(id: NodeId) -> Self {
-        MultiActor::Supervisor {
-            topics: BTreeMap::new(),
-            id,
-            replicated: true,
-            moved: BTreeMap::new(),
-        }
-    }
-
     /// New client with no subscriptions.
     pub fn new_client(id: NodeId, supervisor: NodeId, cfg: ProtocolConfig) -> Self {
         MultiActor::Client {

@@ -14,23 +14,23 @@
 //! relative execution speeds, and neither does this runtime.
 //!
 //! ```no_run
-//! use skippub_net::{NetConfig, Network};
+//! use skippub_core::{PubSub, TopicId};
+//! use skippub_net::{NetBackend, NetConfig};
 //!
-//! let mut net = Network::start(NetConfig::default());
-//! let a = net.spawn_subscriber();
-//! let _b = net.spawn_subscriber();
-//! assert!(net.await_legitimate(std::time::Duration::from_secs(10)));
-//! net.publish(a, b"hello".to_vec());
-//! assert!(net.await_pubs_converged(std::time::Duration::from_secs(10)));
+//! let mut net = NetBackend::start(NetConfig::default());
+//! let a = net.subscribe(TopicId(0));
+//! let _b = net.subscribe(TopicId(0));
+//! // Step budgets are polls of the 10 ms slice: 1 000 polls ≈ 10 s.
+//! assert!(net.until_legit(1_000).1);
+//! net.publish(a, TopicId(0), b"hello".to_vec());
+//! assert!(net.until_pubs_converged(1_000).1);
 //! net.shutdown();
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod facade;
 mod runtime;
 mod wire;
 
-pub use facade::NetBackend;
-pub use runtime::{NetConfig, Network, SUPERVISOR};
+pub use runtime::{NetBackend, NetConfig, SUPERVISOR};

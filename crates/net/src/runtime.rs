@@ -1,12 +1,23 @@
-//! Node threads and the [`Network`] controller.
+//! [`NetBackend`]: node threads, the wire, and the [`PubSub`] facade
+//! over them.
+//!
+//! Under real concurrency there is no global round, so one facade
+//! [`PubSub::step`] is a short **wall-clock slice** and the `until_*`
+//! drivers become quiescence polling: snapshot the live node states,
+//! judge them with the very same checker the simulator uses, sleep,
+//! repeat. Budgets passed to `until_legit` / `until_pubs_converged` are
+//! therefore *time* budgets (`max_steps × poll interval`), not round
+//! counts.
 
 use crate::wire::{spawn_wire, NodeEvent, Registry, WireEvent, WireHandle};
 use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
 use parking_lot::{Mutex, RwLock};
 use skippub_bits::BitStr;
-use skippub_core::{checker, Actor, Msg, ProtocolConfig, Subscriber, Supervisor};
-use skippub_trie::Publication;
+use skippub_core::checker;
+use skippub_core::pubsub::{Delivery, EventCursor, PubSub, Stats, SystemBuilder};
+use skippub_core::{Actor, Msg, ProtocolConfig, Subscriber, Supervisor, TopicId};
 use skippub_sim::{NodeId, Protocol, World};
+use skippub_trie::Publication;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -43,18 +54,7 @@ impl Default for NetConfig {
 struct NodeHandle {
     state: Arc<Mutex<Actor>>,
     inbox: Sender<NodeEvent>,
-    join: Option<std::thread::JoinHandle<()>>,
-}
-
-/// A running multi-threaded deployment of one topic.
-pub struct Network {
-    cfg: NetConfig,
-    registry: Registry,
-    wire: WireHandle,
-    wire_join: Option<std::thread::JoinHandle<()>>,
-    nodes: BTreeMap<NodeId, NodeHandle>,
-    next_id: u64,
-    seed_ctr: Arc<AtomicU64>,
+    join: std::thread::JoinHandle<()>,
 }
 
 /// The supervisor's well-known address — the *same* definition the
@@ -62,8 +62,36 @@ pub struct Network {
 /// so the two deployments can never drift apart).
 pub use skippub_core::scenarios::SUPERVISOR;
 
-impl Network {
-    /// Starts the wire and the supervisor.
+/// The one topic a single-topic backend serves.
+const TOPIC: TopicId = TopicId(0);
+
+fn assert_topic(topic: TopicId) {
+    assert!(
+        topic == TOPIC,
+        "single-topic backend serves only TopicId(0), got {topic:?}"
+    );
+}
+
+/// The threaded single-topic backend: every node on its own OS thread,
+/// messages through the delay-and-reorder wire. Dropping it (or
+/// [`NetBackend::shutdown`]) stops every thread.
+pub struct NetBackend {
+    cfg: NetConfig,
+    registry: Registry,
+    wire: WireHandle,
+    wire_join: Option<std::thread::JoinHandle<()>>,
+    nodes: BTreeMap<NodeId, NodeHandle>,
+    /// The ID the next [`PubSub::subscribe`] assigns.
+    next_id: u64,
+    /// Per-handler-call RNG seeds, shared with every node thread.
+    seed_ctr: Arc<AtomicU64>,
+    cursor: EventCursor,
+    steps: u64,
+    poll: Duration,
+}
+
+impl NetBackend {
+    /// Starts the wire and the supervisor, with a 10 ms poll slice.
     pub fn start(cfg: NetConfig) -> Self {
         let registry: Registry = Arc::new(RwLock::new(BTreeMap::new()));
         let (wire, wire_join) = spawn_wire(
@@ -72,7 +100,7 @@ impl Network {
             cfg.min_delay,
             cfg.max_delay,
         );
-        let mut net = Network {
+        let mut net = NetBackend {
             cfg,
             registry,
             wire,
@@ -80,10 +108,42 @@ impl Network {
             nodes: BTreeMap::new(),
             next_id: 1,
             seed_ctr: Arc::new(AtomicU64::new(cfg.seed)),
+            cursor: EventCursor::new(),
+            steps: 0,
+            poll: Duration::from_millis(10),
         };
-        net.spawn_node(SUPERVISOR, Actor::Supervisor(Box::new(Supervisor::new(SUPERVISOR))));
+        net.spawn_node(
+            SUPERVISOR,
+            Actor::Supervisor(Box::new(Supervisor::new(SUPERVISOR))),
+        );
         net
     }
+
+    /// Builds the threaded backend from the same [`SystemBuilder`] the
+    /// simulated backends use (seed and protocol knobs are carried
+    /// over; wire delays/timeout period keep the `NetConfig` defaults).
+    /// Panics if the builder asks for more than one topic.
+    pub fn from_builder(builder: &SystemBuilder) -> Self {
+        assert!(
+            builder.topic_count() == 1,
+            "threaded backend serves exactly one topic"
+        );
+        Self::start(NetConfig {
+            seed: builder.seed(),
+            protocol: builder.protocol_config(),
+            ..NetConfig::default()
+        })
+    }
+
+    /// Overrides the wall-clock duration of one facade step.
+    pub fn with_poll_interval(mut self, poll: Duration) -> Self {
+        self.poll = poll;
+        self
+    }
+
+    /// Stops every thread and tears the network down (what dropping the
+    /// backend does).
+    pub fn shutdown(self) {}
 
     fn spawn_node(&mut self, id: NodeId, actor: Actor) {
         let state = Arc::new(Mutex::new(actor));
@@ -130,18 +190,9 @@ impl Network {
             NodeHandle {
                 state,
                 inbox: tx,
-                join: Some(join),
+                join,
             },
         );
-    }
-
-    /// Spawns a fresh subscriber thread; it joins via its first timeout.
-    pub fn spawn_subscriber(&mut self) -> NodeId {
-        let id = NodeId(self.next_id);
-        self.next_id += 1;
-        let sub = Subscriber::new(id, SUPERVISOR, self.cfg.protocol);
-        self.spawn_node(id, Actor::Subscriber(Box::new(sub)));
-        id
     }
 
     /// Runs an operation against a node's live state, routing whatever it
@@ -163,136 +214,25 @@ impl Network {
         out
     }
 
-    /// Publishes `payload` at subscriber `id`; returns the key.
-    pub fn publish(&self, id: NodeId, payload: Vec<u8>) -> Option<BitStr> {
-        self.with_actor(id, |actor, ctx| {
-            actor
-                .subscriber_mut()
-                .map(|s| s.publish_local(ctx, payload))
-        })?
-    }
-
-    /// Asks subscriber `id` to leave the topic.
-    pub fn unsubscribe(&self, id: NodeId) {
+    /// Sets subscriber `id`'s membership intent; its next timeout
+    /// subscribes or unsubscribes.
+    fn set_membership(&self, id: NodeId, wanted: bool) {
         self.with_actor(id, |actor, _| {
             if let Some(s) = actor.subscriber_mut() {
-                s.wants_membership = false;
+                s.wants_membership = wanted;
             }
         });
     }
+}
 
-    /// Re-affirms membership of a previously unsubscribed (but still
-    /// running) subscriber: its next timeout re-subscribes.
-    pub fn rejoin(&self, id: NodeId) {
-        self.with_actor(id, |actor, _| {
-            if let Some(s) = actor.subscriber_mut() {
-                s.wants_membership = true;
-            }
-        });
-    }
-
-    /// Inserts `publication` directly into `id`'s store, bypassing
-    /// flooding (models out-of-band receipt; Theorem 17's arbitrary
-    /// initial distribution). Returns whether it was new, or `None` if
-    /// `id` is not a live subscriber.
-    pub fn seed_publication(&self, id: NodeId, publication: Publication) -> Option<bool> {
-        self.with_actor(id, |actor, _| {
-            actor.subscriber_mut().map(|s| s.trie.insert(publication))
-        })?
-    }
-
-    /// Crashes a node abruptly: thread stops, state vanishes, in-flight
-    /// messages to it are consumed by the wire (§3.3).
-    pub fn crash(&mut self, id: NodeId) {
-        self.registry.write().remove(&id);
-        if let Some(mut h) = self.nodes.remove(&id) {
-            let _ = h.inbox.send(NodeEvent::Stop);
-            if let Some(j) = h.join.take() {
-                let _ = j.join();
-            }
-        }
-    }
-
-    /// Failure-detector feed: report `id` crashed to the supervisor.
-    pub fn report_crash(&self, id: NodeId) {
-        self.with_actor(SUPERVISOR, |actor, _| {
-            if let Some(sup) = actor.supervisor_mut() {
-                sup.suspect(id);
-            }
-        });
-    }
-
-    /// Runs `f` against subscriber `id`'s live state — one lock, no
-    /// world clone (the cheap path for per-node reads like delivery
-    /// draining). Returns `None` if `id` is gone or not a subscriber.
-    pub fn with_subscriber<R>(&self, id: NodeId, f: impl FnOnce(&Subscriber) -> R) -> Option<R> {
-        let handle = self.nodes.get(&id)?;
-        let actor = handle.state.lock();
-        actor.subscriber().map(f)
-    }
-
-    /// Clones every node's state into a deterministic [`World`] snapshot
-    /// so the simulator's checker can judge the live deployment.
-    pub fn snapshot(&self) -> World<Actor> {
-        let mut world = World::new(0);
-        for (id, h) in &self.nodes {
-            world.add_node(*id, h.state.lock().clone());
-        }
-        world
-    }
-
-    /// Whether the current snapshot is topology-legitimate.
-    pub fn is_legitimate(&self) -> bool {
-        checker::is_legitimate(&self.snapshot())
-    }
-
-    /// Polls until the topology is legitimate or `timeout` elapses.
-    pub fn await_legitimate(&self, timeout: Duration) -> bool {
-        self.await_cond(timeout, checker::is_legitimate)
-    }
-
-    /// Polls until all tries agree (Theorem 17) or `timeout` elapses.
-    pub fn await_pubs_converged(&self, timeout: Duration) -> bool {
-        self.await_cond(timeout, |w| checker::publications_converged(w).0)
-    }
-
-    fn await_cond(&self, timeout: Duration, pred: impl Fn(&World<Actor>) -> bool) -> bool {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if pred(&self.snapshot()) {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-    }
-
-    /// Wire counters: `(sent, delivered, dropped)`.
-    pub fn wire_stats(&self) -> (u64, u64, u64) {
-        (
-            self.wire.stats.sent.load(Ordering::Relaxed),
-            self.wire.stats.delivered.load(Ordering::Relaxed),
-            self.wire.stats.dropped.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Live node IDs (including the supervisor).
-    pub fn ids(&self) -> Vec<NodeId> {
-        self.nodes.keys().copied().collect()
-    }
-
-    /// Stops every thread and tears the network down.
-    pub fn shutdown(mut self) {
-        for (_, h) in self.nodes.iter() {
+impl Drop for NetBackend {
+    fn drop(&mut self) {
+        for h in self.nodes.values() {
             let _ = h.inbox.send(NodeEvent::Stop);
         }
         self.registry.write().clear();
-        for (_, h) in self.nodes.iter_mut() {
-            if let Some(j) = h.join.take() {
-                let _ = j.join();
-            }
+        for (_, h) in std::mem::take(&mut self.nodes) {
+            let _ = h.join.join();
         }
         let _ = self.wire.tx.send(WireEvent::Stop);
         if let Some(j) = self.wire_join.take() {
@@ -304,6 +244,131 @@ impl Network {
 fn route(wire: &Sender<WireEvent>, sends: Vec<(NodeId, Msg)>) {
     for (to, msg) in sends {
         let _ = wire.send(WireEvent::Send { to, msg });
+    }
+}
+
+impl PubSub for NetBackend {
+    fn backend_name(&self) -> &'static str {
+        "threaded"
+    }
+
+    fn topic_count(&self) -> u32 {
+        1
+    }
+
+    /// Spawns a fresh subscriber thread; it joins via its first timeout.
+    fn subscribe(&mut self, topic: TopicId) -> NodeId {
+        assert_topic(topic);
+        let id = NodeId(self.next_id);
+        self.next_id += 1;
+        let sub = Subscriber::new(id, SUPERVISOR, self.cfg.protocol);
+        self.spawn_node(id, Actor::Subscriber(Box::new(sub)));
+        id
+    }
+
+    fn join(&mut self, id: NodeId, topic: TopicId) {
+        assert_topic(topic);
+        self.set_membership(id, true);
+    }
+
+    fn unsubscribe(&mut self, id: NodeId, topic: TopicId) {
+        assert_topic(topic);
+        self.set_membership(id, false);
+    }
+
+    fn publish(&mut self, id: NodeId, topic: TopicId, payload: Vec<u8>) -> Option<BitStr> {
+        assert_topic(topic);
+        self.with_actor(id, |actor, ctx| {
+            actor
+                .subscriber_mut()
+                .map(|s| s.publish_local(ctx, payload))
+        })?
+    }
+
+    fn seed_publication(&mut self, id: NodeId, topic: TopicId, publication: Publication) -> bool {
+        assert_topic(topic);
+        self.with_actor(id, |actor, _| {
+            actor.subscriber_mut().map(|s| s.trie.insert(publication))
+        })
+        .flatten()
+        .unwrap_or(false)
+    }
+
+    /// Stops the node's thread: its state vanishes, and in-flight
+    /// messages to it are consumed by the wire (§3.3).
+    fn crash(&mut self, id: NodeId) {
+        self.registry.write().remove(&id);
+        if let Some(h) = self.nodes.remove(&id) {
+            let _ = h.inbox.send(NodeEvent::Stop);
+            let _ = h.join.join();
+        }
+        self.cursor.forget(id);
+    }
+
+    fn report_crash(&mut self, id: NodeId) {
+        self.with_actor(SUPERVISOR, |actor, _| {
+            if let Some(sup) = actor.supervisor_mut() {
+                sup.suspect(id);
+            }
+        });
+    }
+
+    fn step(&mut self) {
+        std::thread::sleep(self.poll);
+        self.steps += 1;
+    }
+
+    fn is_legitimate(&self) -> bool {
+        checker::is_legitimate(&self.snapshot(TOPIC))
+    }
+
+    fn publications_converged(&self) -> (bool, usize) {
+        checker::publications_converged(&self.snapshot(TOPIC))
+    }
+
+    fn drain_events(&mut self, id: NodeId) -> Vec<Delivery> {
+        // One lock on the one node — not a full-world snapshot.
+        let Some(h) = self.nodes.get(&id) else {
+            return Vec::new();
+        };
+        match h.state.lock().subscriber() {
+            Some(s) => self.cursor.drain(id, [(TOPIC, &s.trie)]),
+            None => Vec::new(),
+        }
+    }
+
+    fn subscriber_ids(&self) -> Vec<NodeId> {
+        self.nodes
+            .keys()
+            .copied()
+            .filter(|&id| id != SUPERVISOR)
+            .collect()
+    }
+
+    /// Clones every node's state into a deterministic [`World`] so the
+    /// simulator's checkers can judge the live deployment.
+    fn snapshot(&self, topic: TopicId) -> World<Actor> {
+        assert_topic(topic);
+        let mut world = World::new(0);
+        for (id, h) in &self.nodes {
+            world.add_node(*id, h.state.lock().clone());
+        }
+        world
+    }
+
+    /// Wire counters; `steps` counts poll slices.
+    fn stats(&self) -> Stats {
+        Stats {
+            steps: self.steps,
+            sent: self.wire.stats.sent.load(Ordering::Relaxed),
+            delivered: self.wire.stats.delivered.load(Ordering::Relaxed),
+            dropped: self.wire.stats.dropped.load(Ordering::Relaxed),
+            // The threaded transport has no synchronized round boundary
+            // to sample a coherent in-flight total at, and no fault
+            // plane (real channels cannot be deterministically faulted).
+            peak_in_flight: 0,
+            ..Stats::default()
+        }
     }
 }
 
@@ -321,30 +386,51 @@ mod tests {
         }
     }
 
+    /// Polls of the default 10 ms slice in `secs` seconds.
+    fn polls(secs: u64) -> u64 {
+        secs * 100
+    }
+
+    #[test]
+    fn facade_drives_the_threaded_runtime() {
+        let mut ps = NetBackend::from_builder(&SystemBuilder::new(71))
+            .with_poll_interval(Duration::from_millis(5));
+        let ids: Vec<NodeId> = (0..4).map(|_| ps.subscribe(TOPIC)).collect();
+        let (_, ok) = ps.until_legit(6000);
+        assert!(ok, "threaded bootstrap must stabilize");
+        ps.publish(ids[0], TOPIC, b"over threads".to_vec()).unwrap();
+        let (_, ok) = ps.until_pubs_converged(6000);
+        assert!(ok);
+        for &id in &ids {
+            assert_eq!(ps.drain_events(id).len(), 1);
+        }
+        assert!(ps.stats().sent > 0);
+        ps.shutdown();
+    }
+
     #[test]
     fn threaded_bootstrap_converges() {
-        let mut net = Network::start(fast_cfg(1));
+        let mut net = NetBackend::start(fast_cfg(1));
         for _ in 0..8 {
-            net.spawn_subscriber();
+            net.subscribe(TOPIC);
         }
         assert!(
-            net.await_legitimate(Duration::from_secs(30)),
+            net.until_legit(polls(30)).1,
             "threaded bootstrap must stabilize"
         );
-        let (sent, _, _) = net.wire_stats();
-        assert!(sent > 0);
+        assert!(net.stats().sent > 0);
         net.shutdown();
     }
 
     #[test]
     fn threaded_publish_floods() {
-        let mut net = Network::start(fast_cfg(2));
-        let ids: Vec<NodeId> = (0..6).map(|_| net.spawn_subscriber()).collect();
-        assert!(net.await_legitimate(Duration::from_secs(30)));
-        net.publish(ids[0], b"breaking".to_vec()).unwrap();
-        net.publish(ids[3], b"news".to_vec()).unwrap();
+        let mut net = NetBackend::start(fast_cfg(2));
+        let ids: Vec<NodeId> = (0..6).map(|_| net.subscribe(TOPIC)).collect();
+        assert!(net.until_legit(polls(30)).1);
+        net.publish(ids[0], TOPIC, b"breaking".to_vec()).unwrap();
+        net.publish(ids[3], TOPIC, b"news".to_vec()).unwrap();
         assert!(
-            net.await_pubs_converged(Duration::from_secs(30)),
+            net.until_pubs_converged(polls(30)).1,
             "publications must reach every subscriber"
         );
         net.shutdown();
@@ -352,19 +438,16 @@ mod tests {
 
     #[test]
     fn threaded_churn_recovers() {
-        let mut net = Network::start(fast_cfg(3));
-        let ids: Vec<NodeId> = (0..8).map(|_| net.spawn_subscriber()).collect();
-        assert!(net.await_legitimate(Duration::from_secs(30)));
+        let mut net = NetBackend::start(fast_cfg(3));
+        let ids: Vec<NodeId> = (0..8).map(|_| net.subscribe(TOPIC)).collect();
+        assert!(net.until_legit(polls(30)).1);
         // One graceful leave, one crash.
-        net.unsubscribe(ids[1]);
+        net.unsubscribe(ids[1], TOPIC);
         net.crash(ids[5]);
         std::thread::sleep(Duration::from_millis(50));
         net.report_crash(ids[5]);
-        assert!(
-            net.await_legitimate(Duration::from_secs(60)),
-            "churn must re-stabilize"
-        );
-        let snap = net.snapshot();
+        assert!(net.until_legit(polls(60)).1, "churn must re-stabilize");
+        let snap = net.snapshot(TOPIC);
         let sup = snap
             .iter()
             .find_map(|(_, a)| a.supervisor())

@@ -1,8 +1,11 @@
 //! Wire-level semantics of the threaded runtime: reliability accounting,
 //! crash consumption, and reordering evidence.
 
-use skippub_net::{NetConfig, Network};
+use skippub_core::{PubSub, TopicId};
+use skippub_net::{NetBackend, NetConfig};
 use std::time::Duration;
+
+const T: TopicId = TopicId(0);
 
 fn cfg(seed: u64, min_us: u64, max_ms: u64) -> NetConfig {
     NetConfig {
@@ -14,39 +17,44 @@ fn cfg(seed: u64, min_us: u64, max_ms: u64) -> NetConfig {
     }
 }
 
+/// Polls of the default 10 ms slice in `secs` seconds.
+fn polls(secs: u64) -> u64 {
+    secs * 100
+}
+
 #[test]
 fn wire_accounts_for_every_message() {
-    let mut net = Network::start(cfg(71, 10, 1));
+    let mut net = NetBackend::start(cfg(71, 10, 1));
     for _ in 0..6 {
-        net.spawn_subscriber();
+        net.subscribe(T);
     }
-    assert!(net.await_legitimate(Duration::from_secs(60)));
+    assert!(net.until_legit(polls(60)).1);
     // Quiesce briefly, then check conservation: sent ≥ delivered, and the
     // difference is bounded by dropped + a small in-flight residue.
     std::thread::sleep(Duration::from_millis(50));
-    let (sent, delivered, dropped) = net.wire_stats();
-    assert!(sent > 0);
-    assert!(delivered <= sent);
-    assert!(delivered + dropped <= sent + 1);
+    let stats = net.stats();
+    assert!(stats.sent > 0);
+    assert!(stats.delivered <= stats.sent);
+    assert!(stats.delivered + stats.dropped <= stats.sent + 1);
     net.shutdown();
 }
 
 #[test]
 fn crashes_show_up_as_dropped_messages() {
-    let mut net = Network::start(cfg(72, 10, 1));
-    let ids: Vec<_> = (0..6).map(|_| net.spawn_subscriber()).collect();
-    assert!(net.await_legitimate(Duration::from_secs(60)));
-    let (_, _, dropped_before) = net.wire_stats();
+    let mut net = NetBackend::start(cfg(72, 10, 1));
+    let ids: Vec<_> = (0..6).map(|_| net.subscribe(T)).collect();
+    assert!(net.until_legit(polls(60)).1);
+    let dropped_before = net.stats().dropped;
     net.crash(ids[2]);
     // Neighbours keep Check-ing the dead node for a while.
     std::thread::sleep(Duration::from_millis(60));
-    let (_, _, dropped_after) = net.wire_stats();
+    let dropped_after = net.stats().dropped;
     assert!(
         dropped_after > dropped_before,
         "messages to the crashed node must be consumed by the wire"
     );
     net.report_crash(ids[2]);
-    assert!(net.await_legitimate(Duration::from_secs(120)));
+    assert!(net.until_legit(polls(120)).1);
     net.shutdown();
 }
 
@@ -54,12 +62,12 @@ fn crashes_show_up_as_dropped_messages() {
 fn snapshot_is_consistent_under_load() {
     // Snapshots lock node-by-node while traffic flows; the checker must
     // never panic on them and node counts must be exact.
-    let mut net = Network::start(cfg(73, 1, 2));
+    let mut net = NetBackend::start(cfg(73, 1, 2));
     for _ in 0..8 {
-        net.spawn_subscriber();
+        net.subscribe(T);
     }
     for _ in 0..20 {
-        let snap = net.snapshot();
+        let snap = net.snapshot(T);
         assert_eq!(snap.len(), 9, "8 subscribers + supervisor");
         let _ = skippub_core::checker::check_topology(&snap);
         std::thread::sleep(Duration::from_millis(5));
@@ -69,10 +77,10 @@ fn snapshot_is_consistent_under_load() {
 
 #[test]
 fn shutdown_is_idempotent_under_traffic() {
-    let mut net = Network::start(cfg(74, 10, 1));
-    let a = net.spawn_subscriber();
-    let _b = net.spawn_subscriber();
+    let mut net = NetBackend::start(cfg(74, 10, 1));
+    let a = net.subscribe(T);
+    let _b = net.subscribe(T);
     std::thread::sleep(Duration::from_millis(20));
-    net.publish(a, b"going down".to_vec());
+    net.publish(a, T, b"going down".to_vec());
     net.shutdown(); // must join all threads without deadlock
 }

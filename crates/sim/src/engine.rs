@@ -231,7 +231,8 @@ pub(crate) fn detached_ctx_run<M>(
 /// in a channel forever — once its age exceeds the bound it is
 /// force-delivered), and `timeout_prob` realizes the weakly fair
 /// periodic `Timeout` action (over infinitely many rounds every node
-/// fires infinitely often).
+/// fires infinitely often). The synchronous round is the same model
+/// under [`ChaosConfig::SYNCHRONOUS`].
 #[derive(Clone, Copy, Debug)]
 pub struct ChaosConfig {
     /// Probability an in-flight message is delivered this round.
@@ -240,6 +241,19 @@ pub struct ChaosConfig {
     pub timeout_prob: f64,
     /// Forced delivery after this many rounds in flight (fair receipt).
     pub max_age: u32,
+}
+
+impl ChaosConfig {
+    /// The paper's synchronous "timeout interval" (§3.3): every message
+    /// is over-age from birth, so all are delivered, and every node
+    /// fires `Timeout`. Draws nothing beyond the two shuffles — a
+    /// Bernoulli draw at p ≥ 1 consumes no randomness, and a forced
+    /// delivery skips its draw.
+    pub const SYNCHRONOUS: ChaosConfig = ChaosConfig {
+        delivery_prob: 1.0,
+        timeout_prob: 1.0,
+        max_age: 0,
+    };
 }
 
 impl Default for ChaosConfig {
@@ -320,11 +334,6 @@ pub(crate) struct Partition<P: Protocol> {
     round: u64,
     /// Serial-world routing policy (see type docs).
     local_only: bool,
-    /// Per-node per-round delivery budget; `None` = unbounded (the
-    /// paper's synchronous model, byte-identical to the pre-budget
-    /// engine). With `Some(b)` a node delivers at most `b` messages per
-    /// activation and carries the rest over with age+1.
-    budget: Option<u32>,
     /// High-water mark of [`Partition::in_flight`], sampled at the top
     /// of every round (after the executor's mailbox drain, so
     /// cross-partition arrivals are counted where they land).
@@ -350,8 +359,7 @@ pub(crate) struct Partition<P: Protocol> {
     scratch_order: Vec<u32>,
     /// Scratch: the inbox snapshot being drained for one node.
     scratch_inbox: Vec<(u32, P::Msg)>,
-    /// Scratch: chaos-mode / over-budget messages kept in flight for
-    /// one node.
+    /// Scratch: undelivered messages kept in flight for one node.
     scratch_kept: Vec<(u32, P::Msg)>,
     /// Scratch: the outbox handed to each handler invocation.
     scratch_out: Vec<(NodeId, P::Msg)>,
@@ -378,7 +386,6 @@ impl<P: Protocol> Partition<P> {
             dirty: DirtyTable::default(),
             round: 0,
             local_only,
-            budget: None,
             peak_in_flight: 0,
             outbox: Vec::new(),
             seq: 0,
@@ -470,8 +477,8 @@ impl<P: Protocol> Partition<P> {
     }
 
     /// Installs a node extracted from a sibling partition, restoring
-    /// its pending channel contents (message ages included, so budget
-    /// carry-over and chaos aging continue exactly where they left off).
+    /// its pending channel contents (message ages included, so chaos
+    /// aging continues exactly where it left off).
     pub(crate) fn install_node(&mut self, id: NodeId, proto: P, pending: Channel<P>) {
         self.add_node(id, proto);
         let s = self.slot_of[&id.0] as usize;
@@ -594,16 +601,6 @@ impl<P: Protocol> Partition<P> {
     /// Cumulative mailbox lock acquisitions (see field docs).
     pub(crate) fn lock_acquisitions(&self) -> u64 {
         self.lock_acquisitions
-    }
-
-    /// Sets the per-node per-round delivery budget (`None` = unbounded).
-    pub(crate) fn set_budget(&mut self, budget: Option<u32>) {
-        self.budget = budget;
-    }
-
-    /// The current delivery budget.
-    pub(crate) fn budget(&self) -> Option<u32> {
-        self.budget
     }
 
     /// Arms (or disarms) the link-fault plane for this partition;
@@ -840,53 +837,10 @@ impl<P: Protocol> Partition<P> {
     /// activated, then executes `Timeout` exactly once. Messages a node
     /// sends to itself while processing are handled next round.
     ///
-    /// With a delivery [budget](Partition::set_budget) set, a node
-    /// processes at most `b` messages of its shuffled inbox and carries
-    /// the rest over to the next round with age+1, so in-flight memory
-    /// stays O(n·b) under bursts instead of O(n·degree). `None` (the
-    /// default) is byte-identical to the unbudgeted engine — the budget
-    /// branch consumes no randomness of its own.
-    ///
-    /// Steady-state calls allocate nothing (module-level invariant).
+    /// It is [`Partition::run_chaos_round`] under
+    /// [`ChaosConfig::SYNCHRONOUS`].
     pub(crate) fn run_round(&mut self) {
-        self.peak_in_flight = self.peak_in_flight.max(self.in_flight());
-        self.round += 1;
-        self.release_due();
-        let order = self.shuffled_order();
-        for &s in &order {
-            let Some(mut inbox) = self.take_inbox(s) else {
-                continue;
-            };
-            self.stepped += 1;
-            inbox.shuffle(&mut self.rng);
-            match self.budget {
-                None => {
-                    for (_, msg) in inbox.drain(..) {
-                        self.deliver_slot(s, msg);
-                    }
-                }
-                Some(b) => {
-                    let b = b as usize;
-                    let mut kept = mem::take(&mut self.scratch_kept);
-                    debug_assert!(kept.is_empty());
-                    for (i, (age, msg)) in inbox.drain(..).enumerate() {
-                        if i < b {
-                            self.deliver_slot(s, msg);
-                        } else {
-                            kept.push((age + 1, msg));
-                        }
-                    }
-                    if !kept.is_empty() {
-                        self.keep_in_channel(s, &mut kept);
-                    }
-                    self.scratch_kept = kept;
-                }
-            }
-            self.scratch_inbox = inbox;
-            self.fire_timeout_slot(s);
-        }
-        self.scratch_order = order;
-        self.metrics.rounds += 1;
+        self.run_chaos_round(ChaosConfig::SYNCHRONOUS);
     }
 
     /// One **chaos round**: every node, in random order, delivers a
@@ -895,21 +849,14 @@ impl<P: Protocol> Partition<P> {
     /// exceeds [`ChaosConfig::max_age`] (the paper's fair message
     /// receipt: unbounded but finite delay) — and fires `Timeout` with
     /// probability [`ChaosConfig::timeout_prob`] (weak fairness comes
-    /// from infinitely many rounds).
-    ///
-    /// A delivery [budget](Partition::set_budget) caps deliveries per
-    /// node per round; once exhausted the remaining messages are kept
-    /// with age+1 **without** consuming a delivery draw, so a `None`
-    /// budget leaves the RNG stream untouched. The cap defers even
-    /// over-age messages — fair receipt is then guaranteed by budget
-    /// ≥ 1 per round (ages only grow), not by `max_age` alone.
+    /// from infinitely many rounds). A forced delivery consumes no
+    /// delivery draw.
     ///
     /// Steady-state calls allocate nothing (module-level invariant).
     pub(crate) fn run_chaos_round(&mut self, cfg: ChaosConfig) {
         self.peak_in_flight = self.peak_in_flight.max(self.in_flight());
         self.round += 1;
         self.release_due();
-        let cap = self.budget.map_or(usize::MAX, |b| b as usize);
         let order = self.shuffled_order();
         for &s in &order {
             let Some(mut inbox) = self.take_inbox(s) else {
@@ -919,16 +866,9 @@ impl<P: Protocol> Partition<P> {
             inbox.shuffle(&mut self.rng);
             let mut kept = mem::take(&mut self.scratch_kept);
             debug_assert!(kept.is_empty());
-            let mut delivered = 0usize;
             for (age, msg) in inbox.drain(..) {
-                if delivered >= cap {
-                    kept.push((age + 1, msg));
-                    continue;
-                }
-                let force = age >= cfg.max_age;
-                if force || self.rng.random_bool(cfg.delivery_prob) {
+                if age >= cfg.max_age || self.rng.random_bool(cfg.delivery_prob) {
                     self.deliver_slot(s, msg);
-                    delivered += 1;
                 } else {
                     kept.push((age + 1, msg));
                 }
@@ -1076,7 +1016,6 @@ impl<P: Protocol> Partition<P> {
                 .collect(),
             rng: self.rng.state(),
             round: self.round,
-            budget: self.budget,
             metrics: self.metrics.export(),
             dirty: self.dirty.export(),
             peak_in_flight: self.peak_in_flight as u64,
@@ -1106,7 +1045,6 @@ impl<P: Protocol> Partition<P> {
         p.rng = StdRng::from_state(state.rng);
         p.dirty = DirtyTable::import(state.dirty);
         p.round = state.round;
-        p.budget = state.budget;
         p.peak_in_flight = state.peak_in_flight as usize;
         p.seq = state.seq;
         p.cross_sent = state.cross_sent;

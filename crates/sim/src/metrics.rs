@@ -13,6 +13,11 @@ use crate::NodeId;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Mutex, OnceLock};
 
+/// Most distinct message kinds one [`Metrics`] interns — a protocol
+/// defines about fifteen. Restores reject a [`MetricsState`] above it
+/// before any name reaches the process-wide pool.
+pub const MAX_KINDS: usize = 256;
+
 /// Cumulative message counters maintained by the [`World`](crate::World).
 ///
 /// Experiments measure *rates* by cloning the metrics before a window
@@ -134,7 +139,7 @@ impl Metrics {
                 return i as u16;
             }
         }
-        assert!(self.kind_names.len() < u16::MAX as usize, "too many kinds");
+        assert!(self.kind_names.len() < MAX_KINDS, "too many kinds");
         self.kind_names.push(kind);
         self.kind_counts.push(0);
         (self.kind_names.len() - 1) as u16

@@ -348,19 +348,6 @@ impl<P: Protocol> PartitionedWorld<P> {
         self.partitions[i].peak_in_flight()
     }
 
-    /// Sets the per-node per-round delivery budget on every partition
-    /// (see [`World::set_delivery_budget`]).
-    pub fn set_delivery_budget(&mut self, budget: Option<u32>) {
-        for p in &mut self.partitions {
-            p.set_budget(budget);
-        }
-    }
-
-    /// The current per-node per-round delivery budget.
-    pub fn delivery_budget(&self) -> Option<u32> {
-        self.partitions.first().and_then(|p| p.budget())
-    }
-
     /// Arms (or disarms) the link-fault plane on every partition.
     /// Window offsets in `spec` are relative to the **current round**
     /// (the arming base). Each partition derives its own fault streams
@@ -728,20 +715,6 @@ mod tests {
         b.run_rounds(30);
         assert_eq!(a.metrics(), b.metrics());
         assert_eq!(a.round(), b.round());
-    }
-
-    #[test]
-    fn budgeted_partitioned_run_still_delivers_and_caps_per_round() {
-        let mut w = ring(8, 4, 2, 31);
-        w.set_delivery_budget(Some(1));
-        assert_eq!(w.delivery_budget(), Some(1));
-        w.inject(NodeId(0), Token(20));
-        for _ in 0..80 {
-            w.run_round();
-        }
-        let total: u64 = w.iter().map(|(_, t)| t.tokens_seen).sum();
-        assert_eq!(total, 21, "budgeted rounds must still deliver all hops");
-        assert!(w.peak_in_flight() >= 1);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   channel contents (message ages included, so chaos-mode fairness
 //!   clocks survive);
 //! * the xoshiro256** RNG state words of every stream;
-//! * every engine register (round, budget, peaks, sequence numbers);
+//! * every engine register (round, peaks, sequence numbers);
 //! * metrics and dirty-table counters in intern order (see
 //!   [`MetricsState`](crate::MetricsState)).
 //!
@@ -43,8 +43,6 @@ pub struct PartitionState<P: Protocol> {
     pub rng: [u64; 4],
     /// Rounds stepped so far.
     pub round: u64,
-    /// Per-node per-round delivery budget (`None` = unbounded).
-    pub budget: Option<u32>,
     /// Cumulative metrics (intern order preserved).
     pub metrics: MetricsState,
     /// Raw dirty-channel version counters, indexed by key.
@@ -156,14 +154,12 @@ mod tests {
     fn serial_restore_continues_byte_identically() {
         let mut reference = ring(10, 42);
         reference.inject(NodeId(0), Token(300));
-        reference.set_delivery_budget(Some(2));
         for _ in 0..20 {
             reference.run_round();
         }
 
         let mut original = ring(10, 42);
         original.inject(NodeId(0), Token(300));
-        original.set_delivery_budget(Some(2));
         for _ in 0..10 {
             original.run_round();
         }

@@ -125,20 +125,6 @@ impl<P: Protocol> World<P> {
         self.p.peak_in_flight()
     }
 
-    /// Sets the per-node per-round delivery budget. `None` (the
-    /// default) is the paper's synchronous model and is byte-identical
-    /// to the unbudgeted engine; `Some(b)` makes every node process at
-    /// most `b` messages per activation and carry the rest over to the
-    /// next round, bounding in-flight memory under bursts.
-    pub fn set_delivery_budget(&mut self, budget: Option<u32>) {
-        self.p.set_budget(budget);
-    }
-
-    /// The current per-node per-round delivery budget.
-    pub fn delivery_budget(&self) -> Option<u32> {
-        self.p.budget()
-    }
-
     /// Arms (or disarms) the link-fault plane. Window offsets in
     /// `spec` are relative to the **current round** (the arming base),
     /// so the same spec means the same schedule regardless of warm-up
@@ -204,7 +190,8 @@ impl<P: Protocol> World<P> {
     /// every live node, in random order, first processes (in random
     /// order) all messages that were in its channel when it was
     /// activated, then executes `Timeout` exactly once. Messages a node
-    /// sends to itself while processing are handled next round.
+    /// sends to itself while processing are handled next round. It is
+    /// the chaos round under [`ChaosConfig::SYNCHRONOUS`].
     ///
     /// Steady-state calls allocate nothing (module-level invariant).
     pub fn run_round(&mut self) {
@@ -392,6 +379,7 @@ mod tests {
         for _ in 0..20 {
             w.inject(NodeId(2), ToyMsg::Ping);
         }
+        assert_eq!(w.peak_in_flight(), 0, "peak samples at round starts");
         let cfg = ChaosConfig {
             delivery_prob: 0.2,
             timeout_prob: 0.3,
@@ -402,48 +390,7 @@ mod tests {
         });
         assert!(done, "fair receipt must deliver all pings");
         assert_eq!(w.in_flight(), 0);
-    }
-
-    #[test]
-    fn delivery_budget_carries_messages_over() {
-        let mut w = ring_world(3, 12);
-        w.set_delivery_budget(Some(1));
-        assert_eq!(w.delivery_budget(), Some(1));
-        for _ in 0..5 {
-            w.inject(NodeId(0), ToyMsg::Ping);
-        }
-        assert_eq!(w.peak_in_flight(), 0, "peak samples at round starts");
-        w.run_round();
-        // One delivered, four carried over to the next round.
-        assert_eq!(w.node(NodeId(0)).unwrap().pings_seen, 1);
-        assert_eq!(w.channel_len(NodeId(0)), 4);
-        assert_eq!(w.peak_in_flight(), 5);
-        for _ in 0..4 {
-            w.run_round();
-        }
-        assert_eq!(w.node(NodeId(0)).unwrap().pings_seen, 5);
-        assert_eq!(w.in_flight(), 0);
-        assert_eq!(w.peak_in_flight(), 5, "peak is a high-water mark");
-    }
-
-    #[test]
-    fn budgeted_chaos_still_delivers_everything() {
-        let mut w = ring_world(4, 13);
-        w.set_delivery_budget(Some(1));
-        for _ in 0..12 {
-            w.inject(NodeId(1), ToyMsg::Ping);
-        }
-        let cfg = ChaosConfig {
-            delivery_prob: 0.3,
-            timeout_prob: 0.3,
-            max_age: 4,
-        };
-        let (_, done) = w.run_chaos_until(cfg, 400, |w| {
-            w.node(NodeId(1)).map(|t| t.pings_seen) == Some(12)
-        });
-        assert!(done, "budget ≥ 1 must preserve fair receipt");
-        assert_eq!(w.in_flight(), 0);
-        assert!(w.peak_in_flight() >= 12);
+        assert_eq!(w.peak_in_flight(), 20, "peak is a high-water mark");
     }
 
     #[test]

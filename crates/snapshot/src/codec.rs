@@ -6,7 +6,7 @@
 //! A snapshot is a single ASCII token stream (whitespace-separated), in
 //! three sections:
 //!
-//! 1. **header** — `skippubsnap 4 <kind>`: magic, format version, and
+//! 1. **header** — `skippubsnap 5 <kind>`: magic, format version, and
 //!    the backend kind tag restore dispatches on;
 //! 2. **node store** — the shared [`MemoryTrieDb`] every trie in the
 //!    snapshot committed into: a count followed by `(hash, node)` pairs
@@ -29,9 +29,10 @@ use skippub_trie::{MemoryTrieDb, PatriciaTrie, StoredNode, TrieDb};
 /// pending set again (a hop count per key) and the bodies of the
 /// `PublishNew` and `CheckAndPublish` messages (batches); version 4 the
 /// `Supervisor` body (the staged and relabelled sets; one flush counter
-/// for the two per-operation ones). A stream of an older version would
-/// misparse, so it is rejected at the header.
-const FORMAT_VERSION: &str = "4";
+/// for the two per-operation ones); version 5 the engine partition body
+/// (no delivery budget). A stream of an older version would misparse,
+/// so it is rejected at the header.
+const FORMAT_VERSION: &str = "5";
 
 /// Errors surfaced while decoding a snapshot.
 #[derive(Clone, Debug, PartialEq, Eq)]

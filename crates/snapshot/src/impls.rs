@@ -7,7 +7,7 @@ use crate::codec::{Snap, SnapError, SnapReader, SnapWriter};
 use skippub_bits::{BitStr, Hash128};
 use skippub_sim::{
     ChaosConfig, Envelope, FaultCounts, FaultPlane, FaultRule, FaultSpec, LinkClass, MetricsState,
-    NodeId, NodeState, PartitionState, PartitionedState, Protocol, Sever, WorldState,
+    NodeId, NodeState, PartitionState, PartitionedState, Protocol, Sever, WorldState, MAX_KINDS,
 };
 use skippub_ringmath::Label;
 use skippub_trie::{NodeSummary, PatriciaTrie, PayloadInterner, Publication, MAX_KEY_BITS};
@@ -358,6 +358,10 @@ impl Snap for NodeId {
     }
 }
 
+/// The kind list is checked here, where it enters: more than
+/// [`MAX_KINDS`] names, or one name twice, is malformed — `Metrics::import`
+/// would otherwise panic on the count (after leaking every name into the
+/// process-wide pool) or silently merge the duplicates.
 impl Snap for MetricsState {
     fn save(&self, w: &mut SnapWriter) {
         self.sent_total.save(w);
@@ -368,12 +372,30 @@ impl Snap for MetricsState {
         SnapVec(self.nodes.clone()).save(w);
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let sent_total = Snap::load(r)?;
+        let delivered_total = Snap::load(r)?;
+        let dropped = Snap::load(r)?;
+        let rounds = Snap::load(r)?;
+        let len = r.u64()?;
+        if len > MAX_KINDS as u64 {
+            return Err(SnapError::Malformed(format!(
+                "{len} message kinds, above {MAX_KINDS}"
+            )));
+        }
+        let mut kinds: Vec<(String, u64)> = Vec::with_capacity(len as usize);
+        for _ in 0..len {
+            let (name, count) = <(String, u64)>::load(r)?;
+            if kinds.iter().any(|(k, _)| *k == name) {
+                return Err(SnapError::Malformed(format!("message kind {name:?} twice")));
+            }
+            kinds.push((name, count));
+        }
         Ok(MetricsState {
-            sent_total: Snap::load(r)?,
-            delivered_total: Snap::load(r)?,
-            dropped: Snap::load(r)?,
-            rounds: Snap::load(r)?,
-            kinds: SnapVec::load(r)?.0,
+            sent_total,
+            delivered_total,
+            dropped,
+            rounds,
+            kinds,
             nodes: SnapVec::load(r)?.0,
         })
     }
@@ -603,7 +625,6 @@ where
         }
         self.rng.save(w);
         self.round.save(w);
-        self.budget.save(w);
         self.metrics.save(w);
         SnapVec(self.dirty.clone()).save(w);
         self.peak_in_flight.save(w);
@@ -622,7 +643,6 @@ where
             nodes,
             rng: Snap::load(r)?,
             round: Snap::load(r)?,
-            budget: Snap::load(r)?,
             metrics: Snap::load(r)?,
             dirty: SnapVec::load(r)?.0,
             peak_in_flight: Snap::load(r)?,

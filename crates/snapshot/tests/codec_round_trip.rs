@@ -130,12 +130,13 @@ fn truncated_and_corrupt_snapshots_fail_loudly() {
 
     assert!(BackendSnapshot::from_text("not a snapshot").is_err());
     assert!(BackendSnapshot::from_text("skippubsnap 9 t 0").is_err());
-    // The previous format versions (different `Subscriber`, message and
-    // `Supervisor` bodies).
+    // The previous format versions (different `Subscriber`, message,
+    // `Supervisor` and partition bodies).
     assert!(BackendSnapshot::from_text("skippubsnap 1 t 0").is_err());
     assert!(BackendSnapshot::from_text("skippubsnap 2 t 0").is_err());
     assert!(BackendSnapshot::from_text("skippubsnap 3 t 0").is_err());
-    assert!(BackendSnapshot::from_text("skippubsnap 4 t 0").is_ok());
+    assert!(BackendSnapshot::from_text("skippubsnap 4 t 0").is_err());
+    assert!(BackendSnapshot::from_text("skippubsnap 5 t 0").is_ok());
 
     // Truncating the whole body token surfaces as Eof on load.
     let truncated = &text[..text.len() - 2];
@@ -314,6 +315,34 @@ fn mid_fault_window_snapshot_is_byte_exact() {
     assert_eq!(a, b);
     assert_eq!(restored.metrics(), reference.metrics());
     assert_eq!(restored.fault_counts(), reference.fault_counts());
+}
+
+/// A metrics section naming more message kinds than any protocol has,
+/// or one kind twice, is refused at load — not interned (quadratically,
+/// into a process-wide pool) until the restore panics.
+#[test]
+fn hostile_metrics_sections_are_malformed_not_restored() {
+    let load = |kinds: Vec<(String, u64)>| {
+        let mut state = ring(3, 5).export_state();
+        state.partition.metrics.kinds = kinds;
+        let mut w = SnapWriter::new();
+        state.save(&mut w);
+        let snap = BackendSnapshot::from_text(w.finish("hostile").as_text()).unwrap();
+        let mut r = snap.reader().unwrap();
+        let t0 = std::time::Instant::now();
+        let loaded = skippub_sim::WorldState::<Toy>::load(&mut r).map(World::from_state);
+        (loaded.map(|w| w.metrics().clone()), t0.elapsed())
+    };
+    let many = (0..70_000).map(|i| (format!("kind{i}"), 1)).collect();
+    let (loaded, took) = load(many);
+    assert!(matches!(loaded, Err(SnapError::Malformed(_))));
+    assert!(took < std::time::Duration::from_secs(1), "{took:?}");
+    let twice = vec![("token".to_string(), 1), ("token".to_string(), 2)];
+    assert!(matches!(load(twice).0, Err(SnapError::Malformed(_))));
+    let bound = (0..skippub_sim::MAX_KINDS)
+        .map(|i| (format!("k{i}"), 1))
+        .collect();
+    assert_eq!(load(bound).0.expect("at the bound").kind("k255"), 1);
 }
 
 #[test]

@@ -1,8 +1,9 @@
 //! `bench parallel` → `BENCH_parallel.json`: round throughput of the
 //! partitioned sharded backend under 1, 2, 4, and 8 worker threads,
-//! against the monolithic single-world baseline (every shard supervisor
-//! and every client in one serial `World<MultiActor>` — exactly how the
-//! sharded backend executed before it was partitioned).
+//! against the monolithic single-world baseline (every topic instance of
+//! every shard supervisor and every client in one serial `World<Actor>`,
+//! at the same addresses — how the sharded backend executes without
+//! partitions).
 //!
 //! Honesty notes, baked into the artifact:
 //!
@@ -22,8 +23,8 @@ use crate::obj;
 use crate::stamp::{cores, stamp};
 use skippub_core::pubsub::{PartitionedBackend, PubSub, SystemBuilder, SHARD_SUPERVISOR_BASE};
 use skippub_core::sharding::SupervisorShards;
-use skippub_core::topics::{MultiActor, TopicId};
-use skippub_core::ProtocolConfig;
+use skippub_core::topics::TopicId;
+use skippub_core::{Actor, ProtocolConfig, Subscriber, Supervisor};
 use skippub_sim::{NodeId, World};
 use std::time::Instant;
 
@@ -83,24 +84,25 @@ fn sharded_system(a: &Sizes, threads: usize) -> PartitionedBackend {
     ps
 }
 
-/// The monolithic baseline: identical supervisors, clients, and topic
-/// routing, but every node in one serial `World` — the pre-partitioning
-/// execution of the sharded backend.
-fn monolithic_system(a: &Sizes) -> World<MultiActor> {
+/// The monolithic baseline: identical supervisor instances, client
+/// instances, addresses and topic routing, but every node in one serial
+/// `World` — the unpartitioned execution of the sharded backend.
+fn monolithic_system(a: &Sizes) -> World<Actor> {
     let sup_ids: Vec<NodeId> = (0..a.shards as u64)
         .map(|i| NodeId(SHARD_SUPERVISOR_BASE + i))
         .collect();
     let shards = SupervisorShards::new(&sup_ids, 64);
     let mut world = World::new(SEED);
-    for &s in &sup_ids {
-        world.add_node(s, MultiActor::new_supervisor(s));
+    for t in 0..a.topics {
+        let sup = TopicId(t).at(shards.supervisor_for(TopicId(t)));
+        world.add_node(sup, Actor::Supervisor(Box::new(Supervisor::new(sup))));
     }
     for i in 0..a.n {
-        let id = NodeId(i + 1);
         let topic = TopicId((i % a.topics as u64) as u32);
-        let mut client = MultiActor::new_client(id, sup_ids[0], ProtocolConfig::default());
-        client.join_topic_at(topic, shards.supervisor_for(topic));
-        world.add_node(id, client);
+        let id = topic.at(NodeId(i + 1));
+        let sup = topic.at(shards.supervisor_for(topic));
+        let client = Subscriber::new(id, sup, ProtocolConfig::default());
+        world.add_node(id, Actor::Subscriber(Box::new(client)));
     }
     for _ in 0..a.warmup {
         world.run_round();
@@ -155,7 +157,7 @@ fn speedup_note(cores: usize) -> String {
         1 => "1 here: on one core it cannot exceed 1.0 and thread overhead makes it slightly below; the scaling headroom only shows on multi-core hardware".to_string(),
         c => format!("{c} here: a reading above {c} is measurement noise, each rate being its system's best block and a row moving by about a tenth from run to run, and rows with more than {c} threads share cores, so they show oversubscription cost, not further scaling"),
     };
-    format!("speedup_vs_threads1 is bounded by cores ({bound}); determinism (byte-identical metrics for every thread count) and the lock/imbalance counters are the machine-independent claims. speedup_vs_monolithic compares against the old single-world serial execution on the same population.")
+    format!("speedup_vs_threads1 is bounded by cores ({bound}); determinism (byte-identical metrics for every thread count) and the lock/imbalance counters are the machine-independent claims. speedup_vs_monolithic compares against the same instances stepped in one serial world.")
 }
 
 /// Runs the measurement and returns the `BENCH_parallel.json` artifact.
@@ -274,7 +276,7 @@ pub fn run(smoke: bool) -> Json {
         "parallel",
         SEED,
         smoke,
-        "Partitioned sharded backend round throughput vs worker threads, against the monolithic single-world serial baseline (the pre-partitioning execution).",
+        "Partitioned sharded backend round throughput vs worker threads, against the monolithic single-world serial baseline (the same instances and addresses in one serial world).",
     );
     artifact.extend([
         ("config", obj! {"n": a.n, "topics": a.topics, "shards": a.shards, "warmup_rounds": a.warmup, "block_rounds": block_rounds, "blocks": BLOCKS}),

@@ -1,5 +1,6 @@
-//! The [`Actor`] enum: one process of the system — either the supervisor
-//! or a subscriber — implementing the simulator's [`Protocol`] trait.
+//! The [`Actor`] enum: one `BuildSR` instance — either a topic's
+//! supervisor or one of its subscribers — implementing the simulator's
+//! [`Protocol`] trait.
 //!
 //! Stray messages (a subscriber receiving `Subscribe`, the supervisor
 //! receiving `Check`, …) are possible in corrupted initial states; they
@@ -10,13 +11,16 @@
 use crate::msg::Msg;
 use crate::subscriber::Subscriber;
 use crate::supervisor::Supervisor;
+use crate::topics::TopicId;
 use skippub_sim::{Ctx, Protocol};
 
-/// A process: supervisor or subscriber.
+/// One `BuildSR` instance of a process: a topic's supervisor or one of
+/// its subscribers. A multi-topic process runs one per topic, each its
+/// own engine node (`crate::topics`).
 #[derive(Clone, Debug)]
 pub enum Actor {
-    /// The topic's supervisor (boxed: a world holds one of them, and a
-    /// slab slot should not be sized for it).
+    /// The topic's supervisor (boxed: a slab slot should not be sized
+    /// for it).
     Supervisor(Box<Supervisor>),
     /// A subscriber (boxed: subscribers carry a Patricia trie).
     Subscriber(Box<Subscriber>),
@@ -59,7 +63,7 @@ impl Actor {
 /// Routes a message to the right supervisor handler. Messages that make
 /// no sense at a supervisor are corrupted channel content: consumed,
 /// never propagated.
-pub(crate) fn dispatch_supervisor(sup: &mut Supervisor, ctx: &mut Ctx<'_, Msg>, msg: Msg) {
+fn dispatch_supervisor(sup: &mut Supervisor, ctx: &mut Ctx<'_, Msg>, msg: Msg) {
     match msg {
         Msg::Subscribe { node } => sup.on_subscribe(node),
         Msg::Unsubscribe { node } => sup.on_unsubscribe(node),
@@ -70,7 +74,7 @@ pub(crate) fn dispatch_supervisor(sup: &mut Supervisor, ctx: &mut Ctx<'_, Msg>, 
 }
 
 /// Routes a message to the right subscriber handler.
-pub(crate) fn dispatch_subscriber(sub: &mut Subscriber, ctx: &mut Ctx<'_, Msg>, msg: Msg) {
+fn dispatch_subscriber(sub: &mut Subscriber, ctx: &mut Ctx<'_, Msg>, msg: Msg) {
     match msg {
         Msg::Check {
             sender,
@@ -102,49 +106,51 @@ impl Protocol for Actor {
     type Msg = Msg;
 
     // Every dispatch is wrapped in state-change detection feeding the
-    // single topic's dirty channels (keys `topo_key(0)` / `pubs_key(0)`)
-    // so the incremental checker re-judges only after an actual change —
-    // see `crate::dirty` for why detection is state-driven, not
-    // message-kind-driven.
+    // dirty channels of the instance's topic, read off its address
+    // (`crate::topics`; 0 on a single-topic world) — so the incremental
+    // checker re-judges only after an actual change; see `crate::dirty`
+    // for why detection is state-driven, not message-kind-driven.
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, msg: Msg) {
+        let topic = TopicId::of(ctx.me()).0;
         match self {
             Actor::Supervisor(sup) => {
                 let epoch = sup.db_epoch;
                 dispatch_supervisor(sup, ctx, msg);
                 if sup.db_epoch != epoch {
-                    ctx.mark_dirty(crate::dirty::topo_key(0));
+                    ctx.mark_dirty(crate::dirty::topo_key(topic));
                 }
             }
             Actor::Subscriber(sub) => {
                 let (topo, pubs) =
                     crate::dirty::subscriber_delta(sub, |sub| dispatch_subscriber(sub, ctx, msg));
                 if topo {
-                    ctx.mark_dirty(crate::dirty::topo_key(0));
+                    ctx.mark_dirty(crate::dirty::topo_key(topic));
                 }
                 if pubs {
-                    ctx.mark_dirty(crate::dirty::pubs_key(0));
+                    ctx.mark_dirty(crate::dirty::pubs_key(topic));
                 }
             }
         }
     }
 
     fn on_timeout(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        let topic = TopicId::of(ctx.me()).0;
         match self {
             Actor::Supervisor(sup) => {
                 let epoch = sup.db_epoch;
                 sup.timeout(ctx);
                 if sup.db_epoch != epoch {
-                    ctx.mark_dirty(crate::dirty::topo_key(0));
+                    ctx.mark_dirty(crate::dirty::topo_key(topic));
                 }
             }
             Actor::Subscriber(sub) => {
                 let (topo, pubs) = crate::dirty::subscriber_delta(sub, |sub| sub.timeout(ctx));
                 if topo {
-                    ctx.mark_dirty(crate::dirty::topo_key(0));
+                    ctx.mark_dirty(crate::dirty::topo_key(topic));
                 }
                 if pubs {
-                    ctx.mark_dirty(crate::dirty::pubs_key(0));
+                    ctx.mark_dirty(crate::dirty::pubs_key(topic));
                 }
             }
         }

@@ -35,7 +35,9 @@
 //!   [`pubsub::SimBackend`]: it owns the world, and
 //!   `SimBackend::from_world` wraps a [`scenarios`] world for
 //!   experiments and white-box tests.
-//! * [`topics`] — the multi-topic system of §4 (one `BuildSR` per topic).
+//! * [`topics`] — the multi-topic system of §4: one `BuildSR` instance
+//!   per topic, each a plain [`Actor`] at its own address (lane `t` of
+//!   its process).
 //! * [`sharding`] — consistent-hashing of topics onto multiple
 //!   supervisors (§1.3 scaling remark).
 //!
@@ -82,4 +84,4 @@ pub use pubsub::{BackendKind, Delivery, PartitionStats, PubSub, Stats, SystemBui
 pub use replica::{RepOp, RepOpKind, ReplicaGroup, ReplicaLog, SupervisorReplica};
 pub use subscriber::{Counters, Subscriber};
 pub use supervisor::{Supervisor, SupervisorCounters};
-pub use topics::TopicId;
+pub use topics::{TopicId, MAX_TOPICS};

@@ -190,12 +190,14 @@ impl Subscriber {
     ///
     /// A local publish happens outside any activation, so it does not
     /// wait for `relay_timeout`: the batch of one leaves in this call.
+    /// The author is the process, not this topic's instance of it
+    /// (`crate::topics`), so a key does not depend on the topic.
     pub fn publish_local_shared(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
         payload: std::sync::Arc<[u8]>,
     ) -> BitStr {
-        let p = Publication::from_shared(self.id.0, payload, self.cfg.key_bits);
+        let p = Publication::from_shared(self.id.process().0, payload, self.cfg.key_bits);
         let key = p.key().clone();
         if self.trie.insert(p.clone()) {
             self.flood(ctx, vec![(p, 1)]);

@@ -23,9 +23,9 @@
 
 use crate::checker::{self, CheckScratch};
 use crate::replica::ReplicaGroup;
-use crate::topics::{MultiActor, TopicId};
+use crate::topics::TopicId;
 use crate::{Actor, Supervisor};
-use skippub_sim::{NodeId, NodeView, World};
+use skippub_sim::{NodeId, PartitionedWorld, World};
 
 /// One cached boolean verdict: valid while the topic's dirty-channel
 /// version still equals `version`.
@@ -84,16 +84,15 @@ impl ReplicaAgreement {
     }
 }
 
-/// Verdict caches + per-topic member index for the multi-topic world
-/// shapes (serial and partitioned).
+/// Verdict caches + per-topic member index for the partitioned world,
+/// where every topic instance is its own node ([`crate::topics`]).
 pub(crate) struct IncChecker {
     topo: Vec<Cached<bool>>,
     pubs: Vec<Cached<(bool, usize)>>,
-    /// Per-topic member ids, ascending. A superset of the true member
-    /// set between re-judges (ids whose instance dropped are purged on
-    /// the next re-judge, which the instance-drop bump guarantees
-    /// happens before the verdict is read); never missing a true member
-    /// unless `members_stale`.
+    /// Per-topic subscriber-instance addresses, ascending. Exact between
+    /// facade calls — joins add, crashes remove, and a departed instance
+    /// stays a (non-wanting) member, as on the single-topic path — unless
+    /// `members_stale`.
     members: Vec<Vec<NodeId>>,
     scratch: CheckScratch,
     /// Set by the raw-world escape hatch: the next judge rebuilds the
@@ -135,30 +134,30 @@ impl IncChecker {
         self.members_stale = true;
     }
 
-    /// Records `id` as a member of `topic` (subscribe/join ops).
-    pub(crate) fn add_member(&mut self, topic: TopicId, id: NodeId) {
-        let list = &mut self.members[topic.0 as usize];
-        if let Err(pos) = list.binary_search(&id) {
-            list.insert(pos, id);
+    /// Records the instance at `addr` as a member of its topic (joins).
+    pub(crate) fn add_member(&mut self, addr: NodeId) {
+        let list = &mut self.members[TopicId::of(addr).0 as usize];
+        if let Err(pos) = list.binary_search(&addr) {
+            list.insert(pos, addr);
         }
     }
 
-    /// Removes `id` from `topic`'s index (crash ops).
-    pub(crate) fn remove_member(&mut self, topic: TopicId, id: NodeId) {
-        let list = &mut self.members[topic.0 as usize];
-        if let Ok(pos) = list.binary_search(&id) {
+    /// Removes the instance at `addr` from its topic's index (crashes).
+    pub(crate) fn remove_member(&mut self, addr: NodeId) {
+        let list = &mut self.members[TopicId::of(addr).0 as usize];
+        if let Ok(pos) = list.binary_search(&addr) {
             list.remove(pos);
         }
     }
 
-    fn rebuild_members<V: NodeView<MultiActor>>(&mut self, world: &V) {
+    fn rebuild_members(&mut self, world: &PartitionedWorld<Actor>) {
         for list in &mut self.members {
             list.clear();
         }
-        for (id, actor) in world.nodes() {
-            for (t, _) in actor.subscriptions() {
-                // World iteration ascends by id, so pushes stay sorted.
-                self.members[t.0 as usize].push(id);
+        for (addr, actor) in world.iter() {
+            if actor.subscriber().is_some() {
+                // World iteration ascends by address, so pushes stay sorted.
+                self.members[TopicId::of(addr).0 as usize].push(addr);
             }
         }
         self.members_stale = false;
@@ -166,10 +165,10 @@ impl IncChecker {
 
     /// Whole-system legitimacy: every topic's cached-or-rejudged
     /// verdict. `topo_version(t)` reads topic `t`'s topology channel,
-    /// `sup_of(t)` names its responsible supervisor.
-    pub(crate) fn all_legit<V: NodeView<MultiActor>>(
+    /// `sup_of(t)` names its supervisor instance.
+    pub(crate) fn all_legit(
         &mut self,
-        world: &V,
+        world: &PartitionedWorld<Actor>,
         topics: u32,
         topo_version: impl Fn(u32) -> u64,
         sup_of: impl Fn(TopicId) -> NodeId,
@@ -183,9 +182,9 @@ impl IncChecker {
     /// Whole-system publication convergence: converged iff every topic
     /// converged; the total is the sum of per-topic union sizes either
     /// way (matching the single-topic backends).
-    pub(crate) fn all_pubs<V: NodeView<MultiActor>>(
+    pub(crate) fn all_pubs(
         &mut self,
-        world: &V,
+        world: &PartitionedWorld<Actor>,
         topics: u32,
         pubs_version: impl Fn(u32) -> u64,
     ) -> (bool, usize) {
@@ -200,9 +199,9 @@ impl IncChecker {
     }
 
     /// Topology verdict for one topic: cached while `version` holds.
-    fn topic_legit<V: NodeView<MultiActor>>(
+    fn topic_legit(
         &mut self,
-        world: &V,
+        world: &PartitionedWorld<Actor>,
         version: u64,
         sup_id: NodeId,
         topic: TopicId,
@@ -214,16 +213,15 @@ impl IncChecker {
         if self.members_stale {
             self.rebuild_members(world);
         }
-        // Purge ids whose instance is gone (departures completed since
-        // the last judge), then judge the remaining members by reference.
-        self.members[t]
-            .retain(|id| world.peek(*id).is_some_and(|a| a.topic_subscriber(topic).is_some()));
-        let members = self.members[t]
-            .iter()
-            .filter_map(|id| world.peek(*id).and_then(|a| a.topic_subscriber(topic).map(|s| (*id, s))));
-        let ok = match world.peek(sup_id).and_then(|a| a.topic_supervisor(topic)) {
+        let members = self.members[t].iter().filter_map(|id| {
+            world
+                .node(*id)
+                .and_then(Actor::subscriber)
+                .map(|s| (*id, s))
+        });
+        let ok = match world.node(sup_id).and_then(Actor::supervisor) {
             Some(sup) => checker::fast_check_parts(sup, members, &mut self.scratch),
-            // Topic never contacted: judged against an empty supervisor.
+            // No subscriber ever joined: judged against an empty supervisor.
             None => checker::fast_check_parts(&Supervisor::new(sup_id), members, &mut self.scratch),
         };
         self.topo[t] = Cached { version, value: ok };
@@ -232,9 +230,9 @@ impl IncChecker {
 
     /// Publication-convergence verdict for one topic: cached while
     /// `version` holds; root-hash fast path on a re-judge.
-    fn topic_pubs<V: NodeView<MultiActor>>(
+    fn topic_pubs(
         &mut self,
-        world: &V,
+        world: &PartitionedWorld<Actor>,
         version: u64,
         topic: TopicId,
     ) -> (bool, usize) {
@@ -245,13 +243,10 @@ impl IncChecker {
         if self.members_stale {
             self.rebuild_members(world);
         }
-        // Ids without an instance are skipped, not purged — purging is
-        // the topology judge's job, and a dropped instance (always
-        // non-membership-wanting by then) cannot affect this predicate.
         let value = checker::pubs_converged_fast(|| {
             self.members[t]
                 .iter()
-                .filter_map(|id| world.peek(*id).and_then(|a| a.topic_subscriber(topic)))
+                .filter_map(|id| world.node(*id).and_then(Actor::subscriber))
         });
         self.pubs[t] = Cached { version, value };
         value

@@ -10,7 +10,7 @@
 //! |---|---|---|
 //! | [`SimBackend`] | [`SystemBuilder::build_sim`] | single-topic deterministic simulator (synchronous rounds) |
 //! | [`SimBackend`] (chaos) | [`SystemBuilder::build_chaos`] | same, under the chaos scheduler (random delay/reorder) |
-//! | [`PartitionedBackend`] (`multi-topic`) | [`SystemBuilder::build_multi`] | one `BuildSR` instance per topic at one supervisor (§4) |
+//! | [`PartitionedBackend`] (`multi-topic`) | [`SystemBuilder::build_multi`] | one `BuildSR` instance per topic at one supervisor (§4), each its own engine node |
 //! | [`PartitionedBackend`] (`sharded`) | [`SystemBuilder::build_sharded`] | the same backend with topics consistent-hashed onto multiple supervisors (§1.3) |
 //! | `NetBackend` (in `skippub-net`) | `NetBackend::from_builder` | one OS thread per node, real delays; rounds become wall-clock quiescence polling |
 //!
@@ -565,9 +565,15 @@ impl SystemBuilder {
         }
     }
 
-    /// Sets the number of topics (`≥ 1`); topics are `TopicId(0..n)`.
+    /// Sets the number of topics (`1..=`[`MAX_TOPICS`](crate::topics::MAX_TOPICS));
+    /// topics are `TopicId(0..n)`, one address lane each.
     pub fn topics(mut self, n: u32) -> Self {
         assert!(n >= 1, "need at least one topic");
+        assert!(
+            n <= crate::topics::MAX_TOPICS,
+            "{n} topics outside 1..={}",
+            crate::topics::MAX_TOPICS
+        );
         self.topics = n;
         self
     }

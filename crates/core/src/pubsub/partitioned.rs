@@ -1,8 +1,18 @@
 //! [`PartitionedBackend`]: the multi-topic system behind the [`PubSub`]
 //! facade — every topic runs its own `BuildSR` instance (§4), hosted by
-//! one of `k ≥ 1` supervisor nodes, executing on a
+//! one of `k ≥ 1` supervisor processes, executing on a
 //! [`PartitionedWorld`] stepped by the deterministic parallel round
 //! executor.
+//!
+//! Every instance is its own engine node, a plain [`Actor`]: topic `t`'s
+//! instance of client process `p` runs at address `t.at(p)` (lane `t` of
+//! `p`, see [`crate::topics`]), and topic `t`'s supervisor instance at
+//! lane `t` of the supervisor process the consistent-hash ring names for
+//! `t` ([`PartitionedBackend::supervisor_for`]). Nothing multiplexes:
+//! a message carries no topic, and an instance knows only addresses of
+//! its own topic. The facade speaks processes, and the backend maps them
+//! onto instances through `met` (process → joined topics): `crash`,
+//! `report_crash`, `drain_events` and `subscriber_ids`.
 //!
 //! The paper's §4 system (one supervisor hosting every topic) and its
 //! §1.3 scaling remark (topics consistent-hashed onto several
@@ -15,7 +25,8 @@
 //! | `multi-topic` | `[NodeId(0)]` | [`SystemBuilder::build_multi`](super::SystemBuilder::build_multi) |
 //! | `sharded` | `[SHARD_SUPERVISOR_BASE + i]`, one per partition | [`SystemBuilder::build_sharded`](super::SystemBuilder::build_sharded) |
 //!
-//! Placement policy: supervisor `i` lives in partition `i`. When every
+//! Placement policy: shard `i`'s supervisor instances live in partition
+//! `i`. A client process's instances live together. When every
 //! partition has its own supervisor, a client is homed in the partition
 //! of the shard serving its *first* topic — so the common case (a
 //! client's whole life on one shard) is entirely intra-partition, and
@@ -33,10 +44,12 @@ use crate::dirty::{pubs_key, topo_key};
 use crate::replica::ReplicaGroup;
 use crate::scenarios::SUPERVISOR;
 use crate::sharding::SupervisorShards;
-use crate::topics::{MultiActor, TopicId};
-use crate::{Actor, ProtocolConfig, Supervisor};
+use crate::topics::{TopicId, MAX_TOPICS};
+use crate::{Actor, ProtocolConfig, Subscriber, Supervisor};
 use skippub_bits::BitStr;
-use skippub_sim::{FaultCounts, FaultSpec, Metrics, NodeId, PartitionedState, PartitionedWorld, World};
+use skippub_sim::{
+    FaultCounts, FaultSpec, Metrics, NodeId, PartitionedState, PartitionedWorld, World,
+};
 use skippub_snapshot::{Snap, SnapVec, SnapWriter};
 use skippub_trie::{PayloadInterner, Publication};
 use std::cell::RefCell;
@@ -47,6 +60,10 @@ use std::collections::{BTreeMap, BTreeSet};
 /// backends); shard supervisors live far above any realistic client
 /// population.
 pub const SHARD_SUPERVISOR_BASE: u64 = 1 << 32;
+
+// Every shard supervisor a builder or trace header can name (at most
+// 1024 shards) is a process id: lane 0 of its own address.
+const _: () = assert!(NodeId(SHARD_SUPERVISOR_BASE + 1024).lane() == 0);
 
 /// Name (and snapshot kind tag) of a supervisor layout, `None` for a
 /// list that is neither of the two layouts this backend runs.
@@ -60,30 +77,29 @@ fn layout_name(sup_ids: &[NodeId]) -> Option<&'static str> {
     }
 }
 
-/// The partitioned multi-topic backend: `k ≥ 1` supervisors, each
-/// responsible for the topics whose hash falls in its sub-interval of
-/// the consistent-hash ring (all of them when `k = 1`). Clients route
-/// every subscribe/publish for a topic to that topic's supervisor; a
-/// supervisor failure therefore only affects its own sub-interval of
-/// topics. The world is a [`PartitionedWorld`], stepped in parallel by
-/// up to `threads` workers with bit-identical results for any worker
-/// count.
+/// The partitioned multi-topic backend: `k ≥ 1` supervisor processes,
+/// each responsible for the topics whose hash falls in its sub-interval
+/// of the consistent-hash ring (all of them when `k = 1`). A supervisor
+/// failure therefore only affects its own sub-interval of topics. The
+/// world is a [`PartitionedWorld`] of one node per topic instance,
+/// stepped in parallel by up to `threads` workers with bit-identical
+/// results for any worker count.
 pub struct PartitionedBackend {
-    world: PartitionedWorld<MultiActor>,
+    world: PartitionedWorld<Actor>,
     shards: SupervisorShards,
-    /// The supervisor endpoints, in shard-index order — the one datum
+    /// The supervisor processes, in shard-index order — the one datum
     /// the `multi-topic` and `sharded` layouts differ in (module docs).
     sup_ids: Vec<NodeId>,
     cfg: ProtocolConfig,
     topics: u32,
     next_id: u64,
     cursor: EventCursor,
-    /// Which shards each client has ever been routed to (registration-
-    /// time membership): the failure-detector feed consults this so a
-    /// crash report only reaches the shard(s) that actually met the
-    /// node, instead of linearly scanning every shard per suspect.
-    /// Entries persist across the node's crash — the report arrives
-    /// *after* the crash — and are bounded by total registrations.
+    /// Topics each client process has ever joined, ascending: its
+    /// instances are `t.at(p)` for these `t`. Maps the facade's process
+    /// verbs onto instances, and routes a crash report to the supervisor
+    /// instances of exactly the topics that met the process. Entries
+    /// persist across the process's crash — the report arrives *after*
+    /// the crash — and are bounded by total registrations.
     met: BTreeMap<u64, Vec<u32>>,
     /// Incremental verdict caches + member index (`RefCell`: the
     /// facade's polling predicates take `&self`).
@@ -91,17 +107,19 @@ pub struct PartitionedBackend {
     interner: PayloadInterner,
     /// Supervisor replica groups, one per shard, in shard-index order.
     /// Empty = the paper's unreplicated supervisors. One group covers
-    /// every topic of its shard (the replica log tags each operation
-    /// with its topic), and each shard fails over independently: a
-    /// primary crash only affects its own sub-interval of topics.
+    /// every topic instance of its shard's supervisor process (the
+    /// replica log tags each operation with its topic), and each shard
+    /// fails over independently: a primary crash only affects its own
+    /// sub-interval of topics.
     groups: Vec<ReplicaGroup>,
     /// Topic → shard placement overrides installed by the deterministic
-    /// rebalancer; consulted before the consistent-hash ring. Empty
-    /// until the first rebalance moves a topic.
+    /// rebalancer: the shard whose partition hosts the topic's
+    /// supervisor instance, consulted before the consistent-hash ring.
+    /// Empty until the first rebalance moves a topic.
     overrides: BTreeMap<u32, u32>,
     /// Rebalance cadence in rounds (0 = off): at every round multiple,
     /// per-partition delivered-work deltas are examined and skewed topic
-    /// placements corrected via supervisor-mediated handoff.
+    /// placements corrected by moving supervisor instances.
     rebalance_every: u64,
     /// Completed topic handoffs (for reports and tests).
     rebalances: u64,
@@ -120,7 +138,7 @@ impl PartitionedBackend {
     /// A backend with supervisors `sup_ids` (one of the two layouts in
     /// the module docs) over `partitions` partitions: either every
     /// partition has its own supervisor, or one supervisor fronts them
-    /// all.
+    /// all. No node exists until the first subscribe.
     pub(crate) fn new(
         seed: u64,
         topics: u32,
@@ -130,15 +148,14 @@ impl PartitionedBackend {
         threads: usize,
         cfg: ProtocolConfig,
     ) -> Self {
-        assert!(layout_name(&sup_ids).is_some(), "unsupported supervisor layout");
+        assert!(
+            layout_name(&sup_ids).is_some(),
+            "unsupported supervisor layout"
+        );
         assert!(sup_ids.len() == 1 || sup_ids.len() == partitions);
-        let mut world = PartitionedWorld::new(seed, partitions, threads);
-        for (i, &s) in sup_ids.iter().enumerate() {
-            world.add_node(s, MultiActor::new_supervisor(s), i as u32);
-        }
         PartitionedBackend {
             shards: SupervisorShards::new(&sup_ids, vnodes),
-            world,
+            world: PartitionedWorld::new(seed, partitions, threads),
             sup_ids,
             cfg,
             topics,
@@ -165,14 +182,16 @@ impl PartitionedBackend {
             "topic rebalancing and supervisor replication are mutually \
              exclusive (a handoff would have to transfer the replica log)"
         );
-        for &s in &self.sup_ids {
-            if let Some(sup) = self.world.node_mut(s) {
-                sup.set_replicated(k >= 2);
+        for t in 0..self.topics {
+            let addr = self.supervisor_for(TopicId(t));
+            if let Some(sup) = self.world.node_mut(addr).and_then(Actor::supervisor_mut) {
+                sup.replicated = k >= 2;
+                sup.outbox.clear();
             }
         }
         self.groups = if k >= 2 {
-            // Lazily instantiated topic supervisors run with the token
-            // machinery off, so replicas replay with the same setting.
+            // Supervisor instances run with the token machinery off, so
+            // replicas replay with the same setting.
             self.sup_ids
                 .iter()
                 .map(|&s| ReplicaGroup::new(k, s, false))
@@ -182,26 +201,37 @@ impl PartitionedBackend {
         };
     }
 
-    /// Drains every shard endpoint's recorded operations (shards in
-    /// index order, topics ascending within a shard — deterministic for
-    /// any worker count, since the outboxes are part of the bit-exact
-    /// world state) and runs one anti-entropy round per group. Called
-    /// after every facade operation that can execute supervisor
-    /// handlers, so outboxes are always empty at facade boundaries.
+    /// Drains every supervisor instance's recorded operations into its
+    /// shard's group (topics ascending — deterministic for any worker
+    /// count, since the outboxes are part of the bit-exact world state)
+    /// and runs one anti-entropy round per group. Called after every
+    /// facade operation that can execute supervisor handlers, so
+    /// outboxes are always empty at facade boundaries.
     fn sync_groups(&mut self) {
-        for (i, group) in self.groups.iter_mut().enumerate() {
-            if let Some(sup) = self.world.node_mut(self.sup_ids[i]) {
-                for (topic, kinds) in sup.drain_outboxes() {
-                    group.record_topic(topic, kinds);
-                }
+        if self.groups.is_empty() {
+            return;
+        }
+        for t in 0..self.topics {
+            let topic = TopicId(t);
+            let owner = self.shards.supervisor_for(topic);
+            let i = self.shard_index(owner) as usize;
+            if let Some(sup) = self
+                .world
+                .node_mut(topic.at(owner))
+                .and_then(Actor::supervisor_mut)
+            {
+                self.groups[i].record_topic(topic, sup.drain_outbox());
             }
+        }
+        for group in &mut self.groups {
             group.anti_entropy();
         }
     }
 
     /// Fails shard `i`'s primary replica and installs the electee's
-    /// replayed per-topic state at the shard endpoint. Returns `false`
-    /// when no failover is possible (unreplicated, or no live backup).
+    /// replayed state at every instance of the shard's supervisor
+    /// process, at the same addresses. Returns `false` when no failover
+    /// is possible (unreplicated, or no live backup).
     fn fail_shard(&mut self, i: usize) -> bool {
         self.sync_groups();
         let Some(group) = self.groups.get_mut(i) else {
@@ -210,9 +240,12 @@ impl PartitionedBackend {
         if !group.fail_primary() {
             return false;
         }
-        let installed = group.primary_topics();
-        if let Some(sup) = self.world.node_mut(self.sup_ids[i]) {
-            sup.install_topics(installed);
+        let (group, sup) = (&self.groups[i], self.sup_ids[i]);
+        for t in 0..self.topics {
+            let instance = self.world.node_mut(TopicId(t).at(sup));
+            if let Some(s) = instance.and_then(Actor::supervisor_mut) {
+                *s = group.primary_topic(TopicId(t));
+            }
         }
         // Only this shard's sub-interval of topics changed, but the
         // verdict caches are all dropped anyway by invalidate_all.
@@ -223,21 +256,29 @@ impl PartitionedBackend {
         true
     }
 
+    /// `topic`'s subscriber instances with their addresses, ascending —
+    /// a whole-world scan, for the reference checkers and snapshots.
+    fn members_of(&self, topic: TopicId) -> impl Iterator<Item = (NodeId, &Subscriber)> {
+        self.world
+            .iter()
+            .filter(move |&(id, _)| TopicId::of(id) == topic)
+            .filter_map(|(id, a)| a.subscriber().map(|s| (id, s)))
+    }
+
     /// From-scratch legitimacy over every topic: one whole-world scan
     /// per topic through the diagnostic checker, by reference (no world
     /// cloning). The reference the incremental layer behind
     /// [`PubSub::is_legitimate`] is tested against.
     pub fn is_legitimate_full(&self) -> bool {
         (0..self.topics).map(TopicId).all(|topic| {
-            let sup_id = self.supervisor_for(topic);
-            let members = self
-                .world
-                .iter()
-                .filter_map(|(id, a)| a.topic_subscriber(topic).map(|s| (id, s)));
-            match self.world.node(sup_id).and_then(|a| a.topic_supervisor(topic)) {
+            let members = self.members_of(topic);
+            match self.supervisor(topic) {
                 Some(sup) => checker::check_topology_parts(sup, members).ok(),
-                // Topic never contacted: judged against an empty supervisor.
-                None => checker::check_topology_parts(&Supervisor::new(sup_id), members).ok(),
+                // No subscriber ever joined: judged against an empty supervisor.
+                None => {
+                    let empty = Supervisor::new(self.supervisor_for(topic));
+                    checker::check_topology_parts(&empty, members).ok()
+                }
             }
         })
     }
@@ -251,30 +292,57 @@ impl PartitionedBackend {
         let mut all_ok = true;
         let mut total = 0;
         for t in 0..self.topics {
-            let (ok, n) = checker::publications_converged_of(
-                self.world
-                    .iter()
-                    .filter_map(|(_, a)| a.topic_subscriber(TopicId(t))),
-            );
+            let members = self.members_of(TopicId(t)).map(|(_, s)| s);
+            let (ok, n) = checker::publications_converged_of(members);
             all_ok &= ok;
             total += n;
         }
         (all_ok, total)
     }
 
-    /// IDs of the supervisors, in shard-index order.
+    /// IDs of the supervisor processes, in shard-index order.
     pub fn supervisor_ids(&self) -> &[NodeId] {
         &self.sup_ids
     }
 
-    /// The supervisor responsible for `topic`: a rebalancer override if
-    /// one is installed, the consistent-hash ring otherwise (with one
-    /// supervisor the ring has one owner). Every routing decision in the
-    /// backend goes through here.
+    /// The address of `topic`'s supervisor instance: lane `topic` of
+    /// the supervisor process the consistent-hash ring names (with one
+    /// supervisor the ring has one owner). A rebalance moves the
+    /// instance to another partition, never to another address, so
+    /// every routing decision in the backend goes through here.
     pub fn supervisor_for(&self, topic: TopicId) -> NodeId {
+        topic.at(self.shards.supervisor_for(topic))
+    }
+
+    /// `topic`'s supervisor instance, if a subscriber ever joined it.
+    pub fn supervisor(&self, topic: TopicId) -> Option<&Supervisor> {
+        self.world
+            .node(self.supervisor_for(topic))
+            .and_then(Actor::supervisor)
+    }
+
+    /// Client process `id`'s instance of `topic`, while it is live —
+    /// including after a granted departure (it stays an unlabelled
+    /// subscriber that no longer wants membership, until a re-join).
+    pub fn subscriber(&self, id: NodeId, topic: TopicId) -> Option<&Subscriber> {
+        self.world.node(topic.at(id)).and_then(Actor::subscriber)
+    }
+
+    /// Process `p`'s live subscriber instances, in topic order.
+    fn subscriptions(&self, p: NodeId) -> impl Iterator<Item = (TopicId, &Subscriber)> {
+        self.met
+            .get(&p.0)
+            .into_iter()
+            .flatten()
+            .filter_map(move |&t| self.subscriber(p, TopicId(t)).map(|s| (TopicId(t), s)))
+    }
+
+    /// The shard whose partition hosts `topic`'s supervisor instance: a
+    /// rebalancer override if one is installed, the ring owner otherwise.
+    fn shard_of(&self, topic: TopicId) -> u32 {
         match self.overrides.get(&topic.0) {
-            Some(&shard) => self.sup_ids[shard as usize],
-            None => self.shards.supervisor_for(topic),
+            Some(&shard) => shard,
+            None => self.shard_index(self.shards.supervisor_for(topic)),
         }
     }
 
@@ -297,14 +365,14 @@ impl PartitionedBackend {
     }
 
     /// The underlying partitioned world, for white-box probes.
-    pub fn world(&self) -> &PartitionedWorld<MultiActor> {
+    pub fn world(&self) -> &PartitionedWorld<Actor> {
         &self.world
     }
 
     /// Mutable access to the underlying world (adversarial injection).
     /// Raw access may change anything, so every cached checker verdict
     /// is dropped and the member index is rebuilt on the next poll.
-    pub fn world_mut(&mut self) -> &mut PartitionedWorld<MultiActor> {
+    pub fn world_mut(&mut self) -> &mut PartitionedWorld<Actor> {
         self.inc.get_mut().invalidate_all();
         &mut self.world
     }
@@ -326,6 +394,11 @@ impl PartitionedBackend {
         let err = |e: skippub_snapshot::SnapError| e.to_string();
         let cfg = ProtocolConfig::load(&mut r).map_err(err)?;
         let topics = u32::load(&mut r).map_err(err)?;
+        if !(1..=MAX_TOPICS).contains(&topics) {
+            return Err(format!(
+                "snapshot serves {topics} topics, outside 1..={MAX_TOPICS}"
+            ));
+        }
         let next_id = u64::load(&mut r).map_err(err)?;
         let vnodes = usize::load(&mut r).map_err(err)?;
         let sup_ids = SnapVec::<NodeId>::load(&mut r).map_err(err)?.0;
@@ -333,11 +406,11 @@ impl PartitionedBackend {
         let mut met = BTreeMap::new();
         for _ in 0..met_len {
             let key = u64::load(&mut r).map_err(err)?;
-            let shards = SnapVec::<u32>::load(&mut r).map_err(err)?.0;
-            met.insert(key, shards);
+            let joined = SnapVec::<u32>::load(&mut r).map_err(err)?.0;
+            met.insert(key, joined);
         }
         let interner = PayloadInterner::load(&mut r).map_err(err)?;
-        let world = PartitionedState::<MultiActor>::load(&mut r).map_err(err)?;
+        let world = PartitionedState::<Actor>::load(&mut r).map_err(err)?;
         let cursor = EventCursor::load(&mut r).map_err(err)?;
         let group_len = u64::load(&mut r).map_err(err)? as usize;
         let mut groups = Vec::new();
@@ -365,27 +438,50 @@ impl PartitionedBackend {
         if sup_ids.iter().collect::<BTreeSet<_>>().len() != shard_count {
             return Err("snapshot lists a supervisor twice".to_string());
         }
-        if !sup_ids.iter().all(|&s| world.node(s).is_some_and(|a| !a.is_client())) {
-            return Err("snapshot lists a supervisor its world does not host".to_string());
-        }
         if shard_count != 1 && shard_count != partitions {
             return Err("snapshot supervisors disagree with partition count".to_string());
         }
         if !groups.is_empty() && groups.len() != shard_count {
             return Err("snapshot replica groups disagree with shard count".to_string());
         }
-        if met.values().flatten().any(|&s| s as usize >= shard_count) {
-            return Err("snapshot detector routing names a shard out of range".to_string());
+        let ascending = |joined: &[u32]| joined.windows(2).all(|w| w[0] < w[1]);
+        if met
+            .values()
+            .any(|joined| !ascending(joined) || joined.last().is_some_and(|&t| t >= topics))
+        {
+            return Err(
+                "snapshot detector routing names a topic out of range or twice".to_string(),
+            );
         }
         if overrides.values().any(|&s| s as usize >= shard_count)
             || last_delivered.len() != partitions
         {
             return Err("snapshot rebalancer state disagrees with shard count".to_string());
         }
+        let shards = SupervisorShards::new(&sup_ids, vnodes);
+        for (addr, actor) in world.iter() {
+            let topic = TopicId::of(addr);
+            if topic.0 >= topics {
+                return Err(format!(
+                    "snapshot world hosts {addr}, of a topic out of range"
+                ));
+            }
+            let named = match actor {
+                Actor::Supervisor(_) => topic.at(shards.supervisor_for(topic)) == addr,
+                Actor::Subscriber(_) => met
+                    .get(&addr.process().0)
+                    .is_some_and(|joined| joined.binary_search(&topic.0).is_ok()),
+            };
+            if !named {
+                return Err(format!(
+                    "snapshot world hosts {addr}, which its supervisor list or detector routing does not name"
+                ));
+            }
+        }
         let mut inc = IncChecker::new(topics);
         inc.invalidate_all();
         Ok(PartitionedBackend {
-            shards: SupervisorShards::new(&sup_ids, vnodes),
+            shards,
             world,
             sup_ids,
             cfg,
@@ -405,9 +501,10 @@ impl PartitionedBackend {
     }
 
     /// Aggregated simulator metrics over all partitions (per-kind and
-    /// per-node counters; per-supervisor load is
-    /// `metrics().sent_by(supervisor_id)`). Per-partition metrics are
-    /// available via [`PartitionedWorld::partition_metrics`].
+    /// per-node counters; one supervisor process's load is the sum of
+    /// `metrics().sent_by(t.at(supervisor_id))` over its topics).
+    /// Per-partition metrics are available via
+    /// [`PartitionedWorld::partition_metrics`].
     pub fn metrics(&self) -> Metrics {
         self.world.metrics()
     }
@@ -434,7 +531,7 @@ impl PartitionedBackend {
         }
     }
 
-    /// Index of supervisor `sup` in the shard order.
+    /// Index of supervisor process `sup` in the shard order.
     fn shard_index(&self, sup: NodeId) -> u32 {
         self.sup_ids
             .iter()
@@ -442,10 +539,10 @@ impl PartitionedBackend {
             .expect("routing only ever names a listed supervisor") as u32
     }
 
-    /// Fires replica-group failovers for shards whose supervisor sits
-    /// inside an active sever window — once per `(sever, shard)` pair,
-    /// at the window's rising edge: the scheduled *partition* (not a
-    /// scripted crash) is what takes the primary down. Sampled at
+    /// Fires replica-group failovers for shards whose supervisor process
+    /// sits inside an active sever window — once per `(sever, shard)`
+    /// pair, at the window's rising edge: the scheduled *partition* (not
+    /// a scripted crash) is what takes the primary down. Sampled at
     /// stepping boundaries, so the edge is seen on the first step
     /// inside the window.
     fn watch_severs(&mut self) {
@@ -459,20 +556,43 @@ impl PartitionedBackend {
         }
     }
 
-    /// Records that `id` was routed to `shard` (detector-feed routing).
-    fn note_met(&mut self, id: NodeId, shard: u32) {
-        let shards = self.met.entry(id.0).or_default();
-        if !shards.contains(&shard) {
-            shards.push(shard);
-        }
-    }
-
     fn assert_topic(&self, topic: TopicId) {
         assert!(
             topic.0 < self.topics,
             "topic {topic:?} outside 0..{}",
             self.topics
         );
+    }
+
+    /// Both dirty channels of `topic`: its member set moved.
+    fn bump(&mut self, topic: TopicId) {
+        self.world.bump_dirty(topo_key(topic.0));
+        self.world.bump_dirty(pubs_key(topic.0));
+    }
+
+    /// Starts process `p`'s instance of `topic` in `partition`. The
+    /// topic's first subscriber brings its supervisor instance up — a
+    /// message never creates one (§3.3: it is consumed like any message
+    /// to an address no node hosts).
+    fn add_instance(&mut self, p: NodeId, topic: TopicId, partition: u32) {
+        let sup = self.supervisor_for(topic);
+        if !self.world.is_alive(sup) {
+            let mut s = Supervisor::new(sup);
+            s.replicated = !self.groups.is_empty();
+            let home = self.shard_of(topic);
+            self.world
+                .add_node(sup, Actor::Supervisor(Box::new(s)), home);
+        }
+        let addr = topic.at(p);
+        let sub = Subscriber::new(addr, sup, self.cfg);
+        self.world
+            .add_node(addr, Actor::Subscriber(Box::new(sub)), partition);
+        let joined = self.met.entry(p.0).or_default();
+        if let Err(i) = joined.binary_search(&topic.0) {
+            joined.insert(i, topic.0);
+        }
+        self.inc.get_mut().add_member(addr);
+        self.bump(topic);
     }
 
     /// Fires a rebalance decision when the cadence says so. Decisions
@@ -522,18 +642,9 @@ impl PartitionedBackend {
             return; // max/mean ≤ 1.25 — balanced enough, don't churn
         }
         let owner: Vec<u32> = (0..self.topics)
-            .map(|t| self.shard_index(self.supervisor_for(TopicId(t))))
+            .map(|t| self.shard_of(TopicId(t)))
             .collect();
-        let members: Vec<u64> = (0..self.topics as usize)
-            .map(|t| {
-                let sup = self.sup_ids[owner[t] as usize];
-                self.world
-                    .node(sup)
-                    .and_then(|a| a.topic_supervisor(TopicId(t as u32)))
-                    .map(|s| s.n() as u64)
-                    .unwrap_or(0)
-            })
-            .collect();
+        let members = self.member_counts();
         let members_of: Vec<u64> = (0..parts)
             .map(|p| {
                 (0..self.topics as usize)
@@ -545,7 +656,9 @@ impl PartitionedBackend {
         let load: Vec<u64> = (0..self.topics as usize)
             .map(|t| {
                 let p = owner[t] as usize;
-                (delta[p] * members[t]).checked_div(members_of[p]).unwrap_or(0)
+                (delta[p] * members[t])
+                    .checked_div(members_of[p])
+                    .unwrap_or(0)
             })
             .collect();
         let mut hot: Vec<usize> = (0..self.topics as usize).filter(|&t| load[t] > 0).collect();
@@ -567,15 +680,23 @@ impl PartitionedBackend {
         self.rebalance_clients();
     }
 
-    /// Spreads subscriber actors over partitions. A topic's delivered
-    /// work (flood fan-out, ring probes) runs at its *subscribers*, and
-    /// subscribers of one topic need not be co-located — cross-partition
-    /// gossip rides the batched mailbox path. So after the supervisor
-    /// endpoints are placed, clients get their own LPT pass: per-client
-    /// load proxy = Σ member-count over its subscriptions (the messages
-    /// a client handles per publish scale with topic size), heaviest
-    /// client first onto the currently lightest partition, ties broken
-    /// by lowest id / lowest partition. Pure function of
+    /// Supervisor-side member count of every topic, in topic order.
+    fn member_counts(&self) -> Vec<u64> {
+        (0..self.topics)
+            .map(|t| self.supervisor(TopicId(t)).map_or(0, |s| s.n() as u64))
+            .collect()
+    }
+
+    /// Spreads client processes over partitions, each process's
+    /// instances together. A topic's delivered work (flood fan-out, ring
+    /// probes) runs at its *subscribers*, and subscribers of one topic
+    /// need not be co-located — cross-partition gossip rides the batched
+    /// mailbox path. So after the supervisor instances are placed,
+    /// clients get their own LPT pass: per-process load proxy = Σ
+    /// member-count over the topics it wants membership in (the
+    /// messages a client handles per publish scale with topic size),
+    /// heaviest process first onto the currently lightest partition,
+    /// ties broken by lowest id / lowest partition. Pure function of
     /// round-synchronous supervisor state, so placement is identical at
     /// every thread count.
     fn rebalance_clients(&mut self) {
@@ -583,85 +704,49 @@ impl PartitionedBackend {
         if parts < 2 {
             return;
         }
-        let members: Vec<u64> = (0..self.topics)
-            .map(|t| {
-                let sup = self.supervisor_for(TopicId(t));
-                self.world
-                    .node(sup)
-                    .and_then(|a| a.topic_supervisor(TopicId(t)))
-                    .map(|s| s.n() as u64)
-                    .unwrap_or(0)
-            })
-            .collect();
+        let members = self.member_counts();
         let mut clients: Vec<(u64, NodeId)> = self
-            .world
-            .iter()
-            .filter(|(_, a)| a.is_client())
-            .map(|(id, a)| {
-                let load: u64 = a
-                    .topic_ids()
-                    .iter()
-                    .map(|t| members.get(t.0 as usize).copied().unwrap_or(0))
+            .met
+            .keys()
+            .filter_map(|&p| {
+                let mut subs = self.subscriptions(NodeId(p)).peekable();
+                subs.peek()?;
+                let load = subs
+                    .filter(|(_, s)| s.wants_membership)
+                    .map(|(t, _)| members[t.0 as usize])
                     .sum();
-                (load, id)
+                Some((load, NodeId(p)))
             })
             .collect();
         clients.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
         let mut new_load = vec![0u64; parts];
-        for (load, id) in clients {
+        for (load, p) in clients {
             let best = (0..parts)
                 .min_by_key(|&p| (new_load[p], p))
                 .expect("parts >= 2");
             // `max(1)` so idle clients still round-robin instead of
             // piling onto partition 0.
             new_load[best] += load.max(1);
-            self.world.move_node(id, best as u32);
+            let instances: Vec<NodeId> = self.subscriptions(p).map(|(t, _)| t.at(p)).collect();
+            for addr in instances {
+                self.world.move_node(addr, best as u32);
+            }
         }
     }
 
-    /// Hands `topic` off to shard `dest`: extracts the supervisor
-    /// instance from the old owner (leaving a forwarding tombstone for
-    /// stale in-flight messages), installs it at the new owner under its
-    /// identity, retargets every subscribed client's instance in
-    /// ascending id order, and installs the routing override. Client
-    /// *placement* is handled separately by [`Self::rebalance_clients`]
-    /// — the supervisor endpoint and the subscriber work it fronts are
-    /// balanced independently.
+    /// Hands `topic` off to shard `dest`: its supervisor instance moves
+    /// to `dest`'s partition with its channel and in-flight envelopes
+    /// and keeps its address, so no subscriber is retargeted and no
+    /// message needs forwarding; the override records the placement.
+    /// Client *placement* is handled separately by
+    /// [`Self::rebalance_clients`] — the supervisor instance and the
+    /// subscriber work it fronts are balanced independently.
     fn move_topic(&mut self, topic: TopicId, dest: u32) {
-        let old = self.supervisor_for(topic);
-        let new = self.sup_ids[dest as usize];
-        if old == new {
+        if self.shard_of(topic) == dest {
             return;
         }
-        let instance = self
-            .world
-            .node_mut(old)
-            .and_then(|a| a.begin_move(topic, new));
-        if let Some(instance) = instance {
-            if let Some(a) = self.world.node_mut(new) {
-                a.adopt_topic(topic, instance);
-            }
-        }
-        let subscribed: Vec<NodeId> = self
-            .world
-            .iter()
-            .filter(|(_, a)| {
-                a.topic_subscriber(topic).is_some()
-                    || matches!(a, MultiActor::Client { departed, .. }
-                        if departed.contains_key(&topic))
-            })
-            .map(|(id, _)| id)
-            .collect();
+        self.world.move_node(self.supervisor_for(topic), dest);
         self.overrides.insert(topic.0, dest);
-        for &id in &subscribed {
-            if let Some(a) = self.world.node_mut(id) {
-                a.retarget_topic(topic, new);
-            }
-            self.note_met(id, dest);
-        }
-        self.world.bump_dirty(topo_key(topic.0));
-        self.world.bump_dirty(pubs_key(topic.0));
-        self.inc.get_mut().invalidate_all();
         self.rebalances += 1;
     }
 }
@@ -679,10 +764,6 @@ impl PubSub for PartitionedBackend {
         self.assert_topic(topic);
         let id = NodeId(self.next_id);
         self.next_id += 1;
-        let sup = self.supervisor_for(topic);
-        let shard = self.shard_index(sup);
-        let mut client = MultiActor::new_client(id, self.sup_ids[0], self.cfg);
-        client.join_topic_at(topic, sup);
         // Home partition (module docs): the shard of the client's first
         // topic when every partition has its own supervisor — later
         // joins to other shards stay cross-partition — and round-robin
@@ -691,45 +772,54 @@ impl PubSub for PartitionedBackend {
         // trajectory — is identical for every thread count.
         let partitions = self.world.partition_count();
         let home = if self.sup_ids.len() == partitions {
-            shard
+            self.shard_of(topic)
         } else {
             (id.0 % partitions as u64) as u32
         };
-        self.world.add_node(id, client, home);
-        self.note_met(id, shard);
-        self.inc.get_mut().add_member(topic, id);
-        self.world.bump_dirty(topo_key(topic.0));
-        self.world.bump_dirty(pubs_key(topic.0));
+        self.add_instance(id, topic, home);
         id
     }
 
     fn join(&mut self, id: NodeId, topic: TopicId) {
         self.assert_topic(topic);
-        let sup = self.supervisor_for(topic);
-        let shard = self.shard_index(sup);
-        if let Some(a) = self.world.node_mut(id) {
-            a.join_topic_at(topic, sup);
-            self.note_met(id, shard);
-            self.inc.get_mut().add_member(topic, id);
-            self.world.bump_dirty(topo_key(topic.0));
-            self.world.bump_dirty(pubs_key(topic.0));
+        if let Some(sub) = self
+            .world
+            .node_mut(topic.at(id))
+            .and_then(Actor::subscriber_mut)
+        {
+            // A re-join flips a departing or departed instance back.
+            sub.wants_membership = true;
+            self.bump(topic);
+            return;
+        }
+        // A live process's new topic: its instance joins the process's
+        // other instances.
+        let home = self.subscriptions(id).next().map(|(t, _)| t.at(id));
+        if let Some(home) = home.and_then(|addr| self.world.partition_of(addr)) {
+            self.add_instance(id, topic, home);
         }
     }
 
     fn unsubscribe(&mut self, id: NodeId, topic: TopicId) {
         self.assert_topic(topic);
-        if let Some(a) = self.world.node_mut(id) {
-            a.leave_topic(topic);
-            self.world.bump_dirty(topo_key(topic.0));
-            self.world.bump_dirty(pubs_key(topic.0));
+        if let Some(sub) = self
+            .world
+            .node_mut(topic.at(id))
+            .and_then(Actor::subscriber_mut)
+        {
+            // The instance's next timeout sends `Unsubscribe`.
+            sub.wants_membership = false;
+            self.bump(topic);
         }
     }
 
     fn publish(&mut self, id: NodeId, topic: TopicId, payload: Vec<u8>) -> Option<BitStr> {
         self.assert_topic(topic);
         let shared = self.interner.intern(payload);
-        let key = self.world.with_node(id, |actor, ctx| {
-            actor.publish_local_shared(ctx, topic, shared)
+        let key = self.world.with_node(topic.at(id), |actor, ctx| {
+            actor
+                .subscriber_mut()
+                .map(|s| s.publish_local_shared(ctx, shared))
         })??;
         self.world.bump_dirty(pubs_key(topic.0));
         Some(key)
@@ -739,9 +829,9 @@ impl PubSub for PartitionedBackend {
         self.assert_topic(topic);
         let fresh = self
             .world
-            .node_mut(id)
-            .map(|a| a.seed_publication(topic, publication))
-            .unwrap_or(false);
+            .node_mut(topic.at(id))
+            .and_then(Actor::subscriber_mut)
+            .is_some_and(|s| s.trie.insert(publication));
         if fresh {
             self.world.bump_dirty(pubs_key(topic.0));
         }
@@ -749,22 +839,26 @@ impl PubSub for PartitionedBackend {
     }
 
     fn crash(&mut self, id: NodeId) {
-        if let Some(actor) = self.world.node(id) {
-            let topics: Vec<TopicId> = actor.topic_ids();
-            let inc = self.inc.get_mut();
-            for t in topics {
-                inc.remove_member(t, id);
-                self.world.bump_dirty(topo_key(t.0));
-                self.world.bump_dirty(pubs_key(t.0));
+        // Every instance of the client process dies with it (supervisor
+        // processes die through `crash_supervisor`).
+        let Self {
+            world, met, inc, ..
+        } = self;
+        for &t in met.get(&id.0).into_iter().flatten() {
+            let addr = TopicId(t).at(id);
+            if world.is_alive(addr) {
+                inc.get_mut().remove_member(addr);
+                world.crash(addr);
+                world.bump_dirty(topo_key(t));
+                world.bump_dirty(pubs_key(t));
             }
         }
-        self.world.crash(id);
         self.cursor.forget(id);
     }
 
     fn report_crash(&mut self, id: NodeId) {
         if let Some(i) = self.sup_ids.iter().position(|&s| s == id) {
-            // A crash report on a supervisor endpoint routes to that
+            // A crash report on a supervisor process routes to that
             // shard's replica group (supervisors never appear in
             // `met`): with live backups this triggers failover;
             // unreplicated it stays a uniform no-op.
@@ -772,15 +866,17 @@ impl PubSub for PartitionedBackend {
             return;
         }
         // The detector feed is routed by registration-time membership:
-        // only the shard(s) that met the node are told. Suspecting a
-        // node no shard ever met is a true no-op (regression-tested).
-        let Some(shards) = self.met.get(&id.0) else {
+        // only the supervisor instances of the topics the process joined
+        // are told, each about that topic's instance of it. Suspecting a
+        // process nobody ever met is a true no-op (regression-tested).
+        let Some(joined) = self.met.get(&id.0) else {
             return;
         };
-        for &shard in shards {
-            let sup = self.sup_ids[shard as usize];
-            if let Some(s) = self.world.node_mut(sup) {
-                s.suspect(id);
+        for &t in joined {
+            let topic = TopicId(t);
+            let sup = topic.at(self.shards.supervisor_for(topic));
+            if let Some(s) = self.world.node_mut(sup).and_then(Actor::supervisor_mut) {
+                s.suspect(topic.at(id));
             }
         }
         self.sync_groups();
@@ -814,22 +910,33 @@ impl PubSub for PartitionedBackend {
     }
 
     fn drain_events(&mut self, id: NodeId) -> Vec<Delivery> {
-        let Some(actor) = self.world.node(id) else {
+        let Self {
+            world, met, cursor, ..
+        } = self;
+        let Some(joined) = met.get(&id.0) else {
             return Vec::new();
         };
-        // Borrowing subscription walk — no per-call topic-id or trie-ref
-        // Vecs; combined with the cursor's root-hash short-circuit, a
-        // drain of a quiet client allocates nothing beyond the (empty)
-        // result.
-        self.cursor
-            .drain(id, actor.subscriptions().map(|(t, s)| (t, &s.trie)))
+        // Borrowing walk over the process's instances — no per-call
+        // topic-id or trie-ref Vecs; combined with the cursor's root-hash
+        // short-circuit, a drain of a quiet client allocates nothing
+        // beyond the (empty) result.
+        cursor.drain(
+            id,
+            joined.iter().filter_map(|&t| {
+                let topic = TopicId(t);
+                world
+                    .node(topic.at(id))
+                    .and_then(Actor::subscriber)
+                    .map(|s| (topic, &s.trie))
+            }),
+        )
     }
 
     fn subscriber_ids(&self) -> Vec<NodeId> {
-        self.world
-            .iter()
-            .filter(|(_, a)| a.is_client())
-            .map(|(id, _)| id)
+        self.met
+            .keys()
+            .map(|&p| NodeId(p))
+            .filter(|&p| self.subscriptions(p).next().is_some())
             .collect()
     }
 
@@ -838,22 +945,18 @@ impl PubSub for PartitionedBackend {
         let sup_id = self.supervisor_for(topic);
         let mut out = World::new(0);
         let sup = self
-            .world
-            .node(sup_id)
-            .and_then(|a| a.topic_supervisor(topic).cloned())
+            .supervisor(topic)
+            .cloned()
             .unwrap_or_else(|| Supervisor::new(sup_id));
         out.add_node(sup_id, Actor::Supervisor(Box::new(sup)));
-        for (id, actor) in self.world.iter() {
-            if let Some(s) = actor.topic_subscriber(topic) {
-                out.add_node(id, Actor::Subscriber(Box::new(s.clone())));
-            }
+        for (id, s) in self.members_of(topic) {
+            out.add_node(id, Actor::Subscriber(Box::new(s.clone())));
         }
         out
     }
 
     fn stats(&self) -> Stats {
-        let mut stats =
-            super::stats_of(&self.world.metrics(), self.world.peak_in_flight() as u64);
+        let mut stats = super::stats_of(&self.world.metrics(), self.world.peak_in_flight() as u64);
         super::apply_fault_counts(&mut stats, self.world.fault_counts());
         stats.per_partition = (0..self.world.partition_count())
             .map(|i| {
@@ -891,9 +994,9 @@ impl PubSub for PartitionedBackend {
         self.shards.replicas().save(&mut w);
         SnapVec(self.sup_ids.clone()).save(&mut w);
         w.put_u64(self.met.len() as u64);
-        for (key, shards) in &self.met {
+        for (key, joined) in &self.met {
             key.save(&mut w);
-            SnapVec(shards.clone()).save(&mut w);
+            SnapVec(joined.clone()).save(&mut w);
         }
         self.interner.save(&mut w);
         self.world.export_state().save(&mut w);
@@ -925,10 +1028,9 @@ impl PubSub for PartitionedBackend {
 
     fn crash_supervisor(&mut self, topic: TopicId) -> bool {
         self.assert_topic(topic);
-        // The whole per-topic map of the shard owning `topic` dies and
-        // is re-installed from the electee's replayed state.
-        let sup = self.supervisor_for(topic);
-        let idx = self.shard_index(sup) as usize;
+        // Every topic instance of the shard owning `topic` dies and is
+        // re-installed from the electee's replayed state.
+        let idx = self.shard_index(self.shards.supervisor_for(topic)) as usize;
         self.fail_shard(idx)
     }
 }
@@ -936,11 +1038,65 @@ impl PubSub for PartitionedBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::{Msg, NodeRef};
     use crate::pubsub::SystemBuilder;
+    use skippub_sim::Protocol;
 
     /// The same knobs built as each layout of the one backend.
     fn both_layouts(b: &SystemBuilder) -> [PartitionedBackend; 2] {
         [b.build_multi(), b.build_sharded()]
+    }
+
+    /// Topology-only systems of `topics` topics on both layouts.
+    fn topology_only(seed: u64, topics: u32) -> [PartitionedBackend; 2] {
+        let b = SystemBuilder::new(seed)
+            .topics(topics)
+            .shards(2)
+            .protocol(ProtocolConfig::topology_only());
+        both_layouts(&b)
+    }
+
+    /// `n` subscribers of `topic`, legitimate.
+    fn members(ps: &mut PartitionedBackend, topic: TopicId, n: usize) -> Vec<NodeId> {
+        let ids = (0..n).map(|_| ps.subscribe(topic)).collect();
+        assert!(ps.until_legit(4_000).1, "{}: bootstrap", ps.backend_name());
+        ids
+    }
+
+    /// Steps until `leaver`'s instance of `topic` has been granted its
+    /// departure (label cleared) and the topic is legitimate again.
+    fn depart(ps: &mut PartitionedBackend, leaver: NodeId, topic: TopicId) {
+        ps.unsubscribe(leaver, topic);
+        assert!(ps.until_legit(4_000).1, "{}: departure", ps.backend_name());
+        let s = ps
+            .subscriber(leaver, topic)
+            .expect("a departed instance stays");
+        assert!(!s.wants_membership && s.label.is_none());
+    }
+
+    #[test]
+    fn instances_live_at_their_topic_lanes() {
+        for mut ps in topology_only(40, 3) {
+            let a = ps.subscribe(TopicId(0));
+            ps.join(a, TopicId(2));
+            // Topic 0's instance is the plain process id.
+            assert!(ps.world().node(a).and_then(Actor::subscriber).is_some());
+            let sub = ps.subscriber(a, TopicId(2)).expect("joined");
+            assert_eq!(
+                (sub.id, sub.supervisor),
+                (TopicId(2).at(a), ps.supervisor_for(TopicId(2)))
+            );
+            assert!(ps.subscriber(a, TopicId(1)).is_none());
+            // A process's instances share its partition.
+            assert_eq!(
+                ps.world().partition_of(a),
+                ps.world().partition_of(TopicId(2).at(a))
+            );
+            assert_eq!(ps.subscriber_ids(), vec![a]);
+            ps.crash(a);
+            assert!(ps.subscriber_ids().is_empty());
+            assert!(!ps.world().is_alive(TopicId(2).at(a)));
+        }
     }
 
     #[test]
@@ -960,6 +1116,7 @@ mod tests {
                 let ev = ps.drain_events(m);
                 assert_eq!(ev.len(), 1, "topic-a member sees the story");
                 assert_eq!(ev[0].topic, ta);
+                assert_eq!(ev[0].author, a_members[1].0, "the author is the process");
             }
             for &m in &b_members {
                 assert!(
@@ -967,6 +1124,180 @@ mod tests {
                     "topic-b members must not see topic-a content"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn two_topics_stabilize_independently() {
+        for mut ps in topology_only(21, 3) {
+            let (ta, tb) = (TopicId(1), TopicId(2));
+            let ids: Vec<NodeId> = (0..4).map(|_| ps.subscribe(ta)).collect();
+            for &id in &ids[2..] {
+                ps.join(id, tb);
+            }
+            ps.subscribe(tb);
+            ps.subscribe(tb);
+            assert!(ps.until_legit(4_000).1, "{}", ps.backend_name());
+            assert_eq!(ps.supervisor(ta).unwrap().n(), 4);
+            assert_eq!(ps.supervisor(tb).unwrap().n(), 4);
+            // One process, one label per topic instance.
+            assert!(ps.subscriber(ids[2], ta).unwrap().label.is_some());
+            assert!(ps.subscriber(ids[2], tb).unwrap().label.is_some());
+            assert!(ps.supervisor(TopicId(0)).is_none(), "nobody joined topic 0");
+        }
+    }
+
+    #[test]
+    fn a_leave_drops_membership() {
+        for mut ps in topology_only(22, 2) {
+            let t = TopicId(1);
+            let ids = members(&mut ps, t, 3);
+            depart(&mut ps, ids[1], t);
+            assert_eq!(ps.supervisor(t).unwrap().n(), 2);
+            let snap = ps.snapshot(t);
+            assert_eq!(scenarios_supervisor(&snap).n(), 2);
+        }
+    }
+
+    fn scenarios_supervisor(world: &World<Actor>) -> &Supervisor {
+        world
+            .iter()
+            .find_map(|(_, a)| a.supervisor())
+            .expect("supervisor")
+    }
+
+    #[test]
+    fn rejoin_during_pending_departure_keeps_membership() {
+        for mut ps in topology_only(24, 2) {
+            let t = TopicId(1);
+            let ids = members(&mut ps, t, 3);
+            // Leave, then immediately rejoin before the supervisor grants
+            // the departure: the node must stay a member (same semantics
+            // as the single-topic backends' rejoin).
+            ps.unsubscribe(ids[1], t);
+            ps.join(ids[1], t);
+            for _ in 0..120 {
+                ps.step();
+            }
+            let sub = ps.subscriber(ids[1], t).expect("instance kept");
+            assert!(sub.wants_membership);
+            assert!(sub.label.is_some());
+            assert_eq!(ps.supervisor(t).unwrap().n(), 3);
+            assert!(ps.is_legitimate());
+        }
+    }
+
+    #[test]
+    fn stale_subscribe_after_departure_self_heals() {
+        // Regression (found by the scenario engine's churn workloads): a
+        // `Subscribe` still in flight when the supervisor grants the
+        // sender's departure re-inserts the leaver into the database.
+        // The departed instance keeps running unlabelled, so the
+        // configuration that follows reaches it and it asks to leave
+        // again — as a departed node of a single-topic world does.
+        for mut ps in topology_only(25, 2) {
+            let t = TopicId(1);
+            let ids = members(&mut ps, t, 4);
+            depart(&mut ps, ids[1], t);
+            // The stale (re-ordered) Subscribe arrives after the departure.
+            let leaver = t.at(ids[1]);
+            let sup = ps.supervisor_for(t);
+            ps.world_mut().inject(sup, Msg::Subscribe { node: leaver });
+            ps.step();
+            let poisoned = ps.supervisor(t).unwrap();
+            assert!(
+                poisoned.database.values().any(|v| *v == Some(leaver)),
+                "stale Subscribe must have re-inserted the leaver"
+            );
+            assert!(ps.until_legit(400).1, "{}", ps.backend_name());
+            let sup = ps.supervisor(t).unwrap();
+            assert!(
+                sup.database.values().all(|v| *v != Some(leaver)),
+                "database must drop the departed node again"
+            );
+            assert_eq!(sup.n(), 3);
+            let s = ps.subscriber(ids[1], t).unwrap();
+            assert!(!s.wants_membership && s.label.is_none(), "still departed");
+        }
+    }
+
+    #[test]
+    fn departed_instance_asks_probing_neighbours_to_forget_it() {
+        // A neighbour that still holds the leaver keeps checking it; the
+        // departed instance answers every probe with `RemoveConnections`
+        // (Lemma 6), so the topic does not wait for the round-robin.
+        for mut ps in topology_only(27, 2) {
+            let t = TopicId(1);
+            let ids = members(&mut ps, t, 3);
+            depart(&mut ps, ids[1], t);
+            let (leaver, prober) = (t.at(ids[1]), t.at(ids[0]));
+            let stale = NodeRef::new("1".parse().unwrap(), leaver);
+            let me = NodeRef::new("0".parse().unwrap(), prober);
+            let probes = [
+                Msg::Check {
+                    sender: me,
+                    assumed: stale.label,
+                    cyc: false,
+                },
+                Msg::CheckShortcut {
+                    sender: me,
+                    assumed: stale.label,
+                },
+                Msg::Intro {
+                    node: me,
+                    cyc: false,
+                },
+                Msg::IntroduceShortcut { node: me },
+            ];
+            for msg in probes {
+                let mut departed = ps.world().node(leaver).unwrap().clone();
+                let sent = skippub_sim::testing::run_handler(leaver, 1, |ctx| {
+                    departed.on_message(ctx, msg);
+                });
+                assert_eq!(sent.len(), 1);
+                assert_eq!(sent[0].0, prober);
+                assert!(matches!(sent[0].1, Msg::RemoveConnections { node } if node == leaver));
+            }
+            // End to end: the corrupted edge is gone a few rounds later.
+            let sub = ps
+                .world_mut()
+                .node_mut(prober)
+                .and_then(Actor::subscriber_mut);
+            sub.unwrap().left = Some(stale);
+            for _ in 0..4 {
+                ps.step();
+            }
+            let left = ps.subscriber(ids[0], t).unwrap().left;
+            assert!(left.is_none_or(|l| l.id != leaver));
+        }
+    }
+
+    #[test]
+    fn messages_to_unhosted_addresses_are_consumed() {
+        for mut ps in topology_only(23, 4) {
+            let id = ps.subscribe(TopicId(0));
+            ps.step();
+            let before = ps.stats().dropped;
+            // A topic the process never joined, and a topic nobody
+            // joined: neither message creates an instance.
+            let set_data = Msg::SetData {
+                pred: None,
+                label: None,
+                succ: None,
+            };
+            ps.world_mut().inject(TopicId(3).at(id), set_data);
+            let sup = ps.supervisor_for(TopicId(2));
+            ps.world_mut().inject(
+                sup,
+                Msg::Subscribe {
+                    node: TopicId(2).at(id),
+                },
+            );
+            ps.step();
+            assert_eq!(ps.stats().dropped, before + 2);
+            assert!(ps.subscriber(id, TopicId(3)).is_none());
+            assert!(ps.supervisor(TopicId(2)).is_none());
+            assert!(ps.until_legit(400).1);
         }
     }
 
@@ -979,12 +1310,7 @@ mod tests {
             assert!(ps.until_legit(2000).1);
             ps.unsubscribe(ids[1], t);
             assert!(ps.until_legit(2000).1);
-            let snap = ps.snapshot(t);
-            let sup = snap
-                .iter()
-                .find_map(|(_, a)| a.supervisor())
-                .expect("supervisor");
-            assert_eq!(sup.n(), 3);
+            assert_eq!(scenarios_supervisor(&ps.snapshot(t)).n(), 3);
         }
     }
 
@@ -997,8 +1323,8 @@ mod tests {
             .protocol(ProtocolConfig::topology_only())
             .build_sharded();
         // Routing must spread topics over more than one shard.
-        let distinct: std::collections::BTreeSet<NodeId> = (0..topics)
-            .map(|t| ps.supervisor_for(TopicId(t)))
+        let distinct: BTreeSet<NodeId> = (0..topics)
+            .map(|t| ps.supervisor_for(TopicId(t)).process())
             .collect();
         assert!(distinct.len() > 1, "consistent hashing must shard topics");
         for t in 0..topics {
@@ -1008,7 +1334,7 @@ mod tests {
         }
         let (_, ok) = ps.until_legit(4000);
         assert!(ok, "every shard's topics must stabilize");
-        // Each topic's snapshot places its own shard as the supervisor.
+        // Each topic's snapshot names its own instance as the supervisor.
         for t in 0..topics {
             let snap = ps.snapshot(TopicId(t));
             let sup_id = crate::scenarios::supervisor_id(&snap);
@@ -1018,10 +1344,7 @@ mod tests {
 
     #[test]
     fn publish_is_shard_local() {
-        let mut ps = SystemBuilder::new(52)
-            .topics(4)
-            .shards(2)
-            .build_sharded();
+        let mut ps = SystemBuilder::new(52).topics(4).shards(2).build_sharded();
         let t = TopicId(2);
         let ids: Vec<NodeId> = (0..3).map(|_| ps.subscribe(t)).collect();
         assert!(ps.until_legit(4000).1);
@@ -1032,19 +1355,14 @@ mod tests {
             assert_eq!(ev.len(), 1);
             assert_eq!(ev[0].topic, t);
         }
-        // Only the responsible shard carries the topic's database.
-        let sup = ps.supervisor_for(t);
+        // Only the responsible shard hosts the topic's instance.
+        let owner = ps.supervisor_for(t).process();
         for &s in ps.supervisor_ids() {
-            let hosts = ps
-                .world()
-                .node(s)
-                .and_then(|a| a.topic_supervisor(t))
-                .map(|sv| sv.n())
-                .unwrap_or(0);
-            if s == sup {
-                assert_eq!(hosts, 3);
+            let hosted = ps.world().node(t.at(s)).and_then(Actor::supervisor);
+            if s == owner {
+                assert_eq!(hosted.map(Supervisor::n), Some(3));
             } else {
-                assert_eq!(hosts, 0, "shard {s} must not host topic {t:?}");
+                assert!(hosted.is_none(), "shard {s} must not host topic {t:?}");
             }
         }
     }
@@ -1063,11 +1381,11 @@ mod tests {
                 .build_sharded();
             let ids: Vec<NodeId> = (0..12).map(|i| ps.subscribe(TopicId(i % 6))).collect();
             assert!(ps.until_legit(6000).1, "threads={threads} must stabilize");
-            ps.publish(ids[0], TopicId(0), b"parallel".to_vec()).unwrap();
+            ps.publish(ids[0], TopicId(0), b"parallel".to_vec())
+                .unwrap();
             ps.publish(ids[1], TopicId(1), b"worlds".to_vec()).unwrap();
             assert!(ps.until_pubs_converged(4000).1);
-            let delivered: Vec<Vec<Delivery>> =
-                ids.iter().map(|&id| ps.drain_events(id)).collect();
+            let delivered: Vec<Vec<Delivery>> = ids.iter().map(|&id| ps.drain_events(id)).collect();
             (ps.metrics(), ps.stats(), delivered)
         };
         let reference = run(1);
@@ -1077,32 +1395,28 @@ mod tests {
     }
 
     #[test]
-    fn report_crash_routes_only_to_met_shards() {
+    fn report_crash_routes_only_to_met_topics() {
         let topics = 8u32;
         let mut ps = SystemBuilder::new(54)
             .topics(topics)
             .shards(4)
             .protocol(ProtocolConfig::topology_only())
             .build_sharded();
-        // One client per topic; each client meets exactly one shard.
+        // One client per topic; each client meets exactly one topic.
         let ids: Vec<NodeId> = (0..topics).map(|t| ps.subscribe(TopicId(t))).collect();
         assert!(ps.until_legit(4000).1);
         let victim = ids[0];
-        let victim_sup = ps.supervisor_for(TopicId(0));
         ps.crash(victim);
         ps.report_crash(victim);
-        for &s in ps.supervisor_ids() {
-            let sup = ps.world().node(s).expect("supervisor alive");
-            let suspected: usize = sup
-                .topic_ids()
-                .into_iter()
-                .filter_map(|t| sup.topic_supervisor(t))
-                .map(|sv| sv.suspected.len())
-                .sum();
-            if s == victim_sup {
-                assert!(suspected > 0, "the victim's shard must hear the report");
+        for t in 0..topics {
+            let suspected = &ps.supervisor(TopicId(t)).expect("joined").suspected;
+            if t == 0 {
+                assert!(
+                    suspected.contains(&TopicId(0).at(victim)),
+                    "the victim's topic must hear about its instance"
+                );
             } else {
-                assert_eq!(suspected, 0, "shard {s} never met {victim}");
+                assert!(suspected.is_empty(), "topic {t} never met {victim}");
             }
         }
         assert!(ps.until_legit(4000).1, "eviction must re-stabilize");
@@ -1123,14 +1437,11 @@ mod tests {
             // A suspect no supervisor has ever met: nothing may change —
             // no supervisor state, no traffic.
             ps.report_crash(NodeId(0xDEAD_BEEF));
-            for &s in ps.supervisor_ids() {
-                let sup = ps.world().node(s).expect("supervisor alive");
-                for t in sup.topic_ids() {
-                    assert!(
-                        sup.topic_supervisor(t).unwrap().suspected.is_empty(),
-                        "unknown suspect leaked into supervisor {s}"
-                    );
-                }
+            for t in 0..4 {
+                assert!(
+                    ps.supervisor(TopicId(t)).unwrap().suspected.is_empty(),
+                    "unknown suspect leaked into topic {t}"
+                );
             }
             assert_eq!(ps.metrics(), before, "no traffic may result");
             assert!(ps.is_legitimate());
@@ -1146,7 +1457,8 @@ mod tests {
             .build_sharded();
         let ids: Vec<NodeId> = (0..12).map(|i| ps.subscribe(TopicId(i % 6))).collect();
         assert!(ps.until_legit(6000).1);
-        ps.publish(ids[0], TopicId(0), b"sum check".to_vec()).unwrap();
+        ps.publish(ids[0], TopicId(0), b"sum check".to_vec())
+            .unwrap();
         assert!(ps.until_pubs_converged(4000).1);
         let stats = ps.stats();
         assert_eq!(stats.per_partition.len(), 3);
@@ -1167,5 +1479,29 @@ mod tests {
         let agg = ps.metrics();
         assert_eq!(agg.sent_total, stats.sent);
         assert_eq!(agg.delivered_total, stats.delivered);
+    }
+
+    #[test]
+    fn hostile_topic_counts_are_rejected_at_restore() {
+        let ps = SystemBuilder::new(57).topics(2).build_multi();
+        let text = ps.save_snapshot().unwrap().as_text().to_string();
+        // magic, version, kind, empty node store, then the body opens
+        // with the protocol configuration's seven fields and `topics`.
+        let toks: Vec<&str> = text.split(' ').collect();
+        assert_eq!(toks[11], "2", "{text}");
+        for topics in ["0", "65537", "4000000000"] {
+            let mut forged = toks.clone();
+            forged[11] = topics;
+            let snap = BackendSnapshot::from_text(&forged.join(" ")).expect("header");
+            let t0 = std::time::Instant::now();
+            let err = PartitionedBackend::from_snapshot(&snap)
+                .err()
+                .expect(topics);
+            assert!(err.contains("outside 1..=65536"), "{topics}: {err}");
+            assert!(
+                t0.elapsed().as_secs_f64() < 0.5,
+                "{topics}: rejected slowly"
+            );
+        }
     }
 }

@@ -39,7 +39,7 @@
 
 use crate::msg::Msg;
 use crate::supervisor::Supervisor;
-use crate::topics::TopicId;
+use crate::topics::{TopicId, MAX_TOPICS};
 use skippub_bits::Hash128;
 use skippub_sim::NodeId;
 use skippub_snapshot::{Snap, SnapError, SnapReader, SnapVec, SnapWriter};
@@ -177,14 +177,23 @@ impl Snap for RepOpKind {
     }
 }
 
+/// A topic past [`MAX_TOPICS`] is malformed: replay runs the topic's
+/// supervisor at its instance address, which has no lane for it.
 impl Snap for RepOp {
     fn save(&self, w: &mut SnapWriter) {
         self.topic.save(w);
         self.kind.save(w);
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let topic = TopicId::load(r)?;
+        if topic.0 >= MAX_TOPICS {
+            return Err(SnapError::Malformed(format!(
+                "rep-op topic {} outside 0..{MAX_TOPICS}",
+                topic.0
+            )));
+        }
         Ok(RepOp {
-            topic: Snap::load(r)?,
+            topic,
             kind: Snap::load(r)?,
         })
     }
@@ -285,23 +294,25 @@ impl Snap for ReplicaLog {
 }
 
 /// Applies one logged operation to a replica's state map by running the
-/// *same* supervisor handler the live endpoint ran. Sends produced by
-/// the handler are dropped: backups simulate, only the live endpoint
-/// talks to the network.
+/// *same* supervisor handler the live endpoint ran — the topic's
+/// instance, at its address `topic.at(sup_id)`. Sends produced by the
+/// handler are dropped: backups simulate, only the live endpoint talks
+/// to the network.
 fn apply_rep_op(
     state: &mut BTreeMap<TopicId, Supervisor>,
     sup_id: NodeId,
     token_enabled: bool,
     op: &RepOp,
 ) {
+    let me = op.topic.at(sup_id);
     let sup = state.entry(op.topic).or_insert_with(|| {
-        let mut s = Supervisor::new(sup_id);
+        let mut s = Supervisor::new(me);
         s.token_enabled = token_enabled;
         s
     });
     let kind = op.kind.clone();
     let _dropped: Vec<(NodeId, Msg)> =
-        skippub_sim::testing::run_handler(sup_id, REPLAY_SEED, |ctx| match kind {
+        skippub_sim::testing::run_handler(me, REPLAY_SEED, |ctx| match kind {
             RepOpKind::Subscribe { v } => sup.on_subscribe(v),
             RepOpKind::Unsubscribe { v } => sup.on_unsubscribe(v),
             RepOpKind::GetConfig { u, requester } => sup.on_get_configuration(ctx, u, requester),
@@ -442,7 +453,8 @@ impl Snap for SupervisorReplica {
 /// never-replaced supervisor); `k ≥ 2` tolerates primary crashes.
 #[derive(Clone, Debug)]
 pub struct ReplicaGroup {
-    /// The logical supervisor endpoint the group shadows.
+    /// The supervisor process the group shadows: topic `t`'s instance
+    /// of it runs at `t.at(sup_id)`.
     sup_id: NodeId,
     /// Seed value for `token_enabled` on replayed topic supervisors
     /// (mirrors how the backend constructs its live supervisor).
@@ -662,32 +674,20 @@ impl ReplicaGroup {
         Hash128::of_bytes(&buf)
     }
 
-    /// Clones of the new primary's replayed topic supervisors, marked
-    /// live (`replicated = true`, empty outbox) — ready to install at
-    /// the protocol endpoint after a failover.
-    pub fn primary_topics(&self) -> BTreeMap<TopicId, Supervisor> {
-        let pidx = self.primary_index();
-        self.replicas[pidx]
-            .state
-            .iter()
-            .map(|(t, s)| {
-                let mut s = s.clone();
-                s.replicated = true;
-                s.outbox.clear();
-                (*t, s)
-            })
-            .collect()
-    }
-
-    /// Like [`ReplicaGroup::primary_topics`] for a single topic; a
-    /// fresh supervisor when the log never touched `topic`.
+    /// A clone of the new primary's replayed supervisor of `topic`,
+    /// marked live (`replicated = true`, empty outbox) — ready to
+    /// install at the topic's instance after a failover; a fresh
+    /// supervisor when the log never touched `topic`.
     pub fn primary_topic(&self, topic: TopicId) -> Supervisor {
-        self.primary_topics().remove(&topic).unwrap_or_else(|| {
-            let mut s = Supervisor::new(self.sup_id);
+        let replayed = self.replicas[self.primary_index()].state.get(&topic);
+        let mut s = replayed.cloned().unwrap_or_else(|| {
+            let mut s = Supervisor::new(topic.at(self.sup_id));
             s.token_enabled = self.token_enabled;
-            s.replicated = true;
             s
-        })
+        });
+        s.replicated = true;
+        s.outbox.clear();
+        s
     }
 }
 

@@ -1,7 +1,7 @@
 //! [`Snap`] implementations for the protocol layer: messages, actor
 //! state, and configuration. Together with the foundation impls in
 //! `skippub-snapshot`, these make `WorldState<Actor>` and
-//! `WorldState<MultiActor>` fully serializable — the backbone of the
+//! `PartitionedState<Actor>` fully serializable — the backbone of the
 //! backend checkpoints in [`crate::pubsub`].
 //!
 //! Every impl here is exact: restored state continues byte-identically
@@ -13,7 +13,7 @@ use crate::config::{ProbeMode, ProtocolConfig};
 use crate::msg::{Msg, NodeRef};
 use crate::subscriber::{Counters, Subscriber};
 use crate::supervisor::{Supervisor, SupervisorCounters};
-use crate::topics::{MultiActor, TopicId, TopicMsg};
+use crate::topics::TopicId;
 use skippub_snapshot::{snap_struct, Snap, SnapError, SnapReader, SnapVec, SnapWriter};
 use skippub_trie::MAX_KEY_BITS;
 
@@ -335,60 +335,5 @@ impl Snap for TopicId {
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(TopicId(Snap::load(r)?))
-    }
-}
-
-snap_struct!(TopicMsg { topic, msg });
-
-impl Snap for MultiActor {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            MultiActor::Supervisor {
-                topics,
-                id,
-                replicated,
-                moved,
-            } => {
-                w.put_u64(0);
-                topics.save(w);
-                id.save(w);
-                replicated.save(w);
-                moved.save(w);
-            }
-            MultiActor::Client {
-                topics,
-                id,
-                supervisor,
-                cfg,
-                departed,
-            } => {
-                w.put_u64(1);
-                topics.save(w);
-                id.save(w);
-                supervisor.save(w);
-                cfg.save(w);
-                departed.save(w);
-            }
-        }
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u64()? {
-            0 => Ok(MultiActor::Supervisor {
-                topics: Snap::load(r)?,
-                id: Snap::load(r)?,
-                replicated: Snap::load(r)?,
-                moved: Snap::load(r)?,
-            }),
-            1 => Ok(MultiActor::Client {
-                topics: Snap::load(r)?,
-                id: Snap::load(r)?,
-                supervisor: Snap::load(r)?,
-                cfg: Snap::load(r)?,
-                departed: Snap::load(r)?,
-            }),
-            n => Err(SnapError::Malformed(format!(
-                "unknown multi-actor tag {n}"
-            ))),
-        }
     }
 }

@@ -48,7 +48,12 @@ pub fn run(scale: Scale, seed: u64) -> Report {
                 ps.step();
             }
             let d = ps.metrics().diff(&before);
-            let rate = d.sent_by(ps.supervisor_ids()[0]) as f64 / measure as f64;
+            // The supervisor process's load: its one instance per topic.
+            let sup = ps.supervisor_ids()[0];
+            let sent: u64 = (0..topics as u32)
+                .map(|t| d.sent_by(TopicId(t).at(sup)))
+                .sum();
+            let rate = sent as f64 / measure as f64;
             loads.insert((topics, subs), rate);
             t.row(vec![
                 topics.to_string(),

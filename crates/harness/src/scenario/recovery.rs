@@ -16,7 +16,6 @@ use super::report::json_str;
 use super::schedule::compile;
 use super::spec::ScenarioSpec;
 use skippub_core::pubsub::{PartitionedBackend, SimBackend};
-use skippub_core::topics::TopicMsg;
 use skippub_core::{BackendKind, Msg, NodeRef, PubSub, TopicId};
 use skippub_ringmath::Label;
 use skippub_sim::NodeId;
@@ -151,12 +150,16 @@ fn restore_corrupted(
             Ok(Box::new(b))
         }
         "multi-topic" | "sharded" => {
+            // Each topic's instances are their own nodes: a bogus message
+            // for topic `t` goes to `t`'s instance of the target and
+            // names `t`'s instance of the subject (no node hosts the
+            // address when the target never joined `t`: consumed, §3.3).
             let mut b = PartitionedBackend::from_snapshot(&warm.snapshot)?;
             for _ in 0..k {
                 let (to, about) = (pick(&mut state), pick(&mut state));
                 let topic = TopicId((mix(&mut state) % topics.max(1) as u64) as u32);
-                let msg = bogus_msg(&mut state, about);
-                b.world_mut().inject(to, TopicMsg { topic, msg });
+                let msg = bogus_msg(&mut state, topic.at(about));
+                b.world_mut().inject(topic.at(to), msg);
             }
             Ok(Box::new(b))
         }

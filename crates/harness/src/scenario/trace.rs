@@ -18,7 +18,7 @@ use super::report::{OpCounts, ScenarioReport};
 use super::spec::{ScenarioSpec, Stop};
 use skippub_core::pubsub::ops;
 use skippub_core::pubsub::{Delivery, Op};
-use skippub_core::{BackendKind, ProbeMode, ProtocolConfig, PubSub, SystemBuilder};
+use skippub_core::{BackendKind, ProbeMode, ProtocolConfig, PubSub, SystemBuilder, MAX_TOPICS};
 use skippub_sim::{FaultSpec, NodeId};
 use skippub_trie::MAX_KEY_BITS;
 use std::collections::BTreeMap;
@@ -227,7 +227,7 @@ impl Trace {
                 "scenario" => scenario = Some(checked_scenario_name(rest)?),
                 "backend" => backend = Some(checked_backend_name(rest)?),
                 "seed" => seed = Some(rest.parse::<u64>().map_err(|e| e.to_string())?),
-                "topics" => topics = Some(checked_count(key, rest, u32::MAX as usize)? as u32),
+                "topics" => topics = Some(checked_count(key, rest, MAX_TOPICS as usize)? as u32),
                 "shards" => shards = Some(checked_count(key, rest, MAX_HEADER_COUNT)?),
                 "threads" => threads = Some(checked_count(key, rest, MAX_HEADER_COUNT)?),
                 "replicas" => replicas = Some(checked_count(key, rest, MAX_HEADER_COUNT)?),
@@ -600,6 +600,12 @@ mod tests {
         let protocol = "protocol 64 ";
         for (from, to) in [
             ("topics 1\n", "topics 0\n"),
+            // One address lane per topic: past the last lane a replay
+            // would abort allocating per-topic state, so it is refused
+            // at the header.
+            ("topics 1\n", "topics 65537\n"),
+            ("topics 1\n", "topics 60000000\n"),
+            ("topics 1\n", "topics 4000000000\n"),
             ("shards 1\n", "shards 0\n"),
             ("shards 1\n", "shards 100000000\n"),
             ("threads 1\n", "threads 0\n"),

@@ -39,8 +39,45 @@ use std::mem;
 /// Unique node identifier (`v.id ∈ N` in the paper). The protocol layer
 /// reserves an ID for the supervisor; the simulator treats all nodes
 /// uniformly.
+///
+/// An id is also an **address**: a process half (the low
+/// 64 − [`LANE_BITS`](NodeId::LANE_BITS) bits) and a lane (the top
+/// bits). One process can host one engine node per lane — the pub-sub
+/// layer runs topic `t`'s `BuildSR` instance of process `p` at lane `t`
+/// of `p` (§4). Lane 0 of `p` is `NodeId(p)` itself, so a world that
+/// only uses lane 0 is a world of plain process ids. The fault plane
+/// compares the process half: a [`Sever`](crate::Sever) naming a
+/// process cuts every lane of it.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u64);
+
+impl NodeId {
+    /// Bits of an address that name its lane.
+    pub const LANE_BITS: u32 = 16;
+    /// Lanes one process can host: lanes are `0..LANES`.
+    pub const LANES: u32 = 1 << Self::LANE_BITS;
+    /// Mask of the process half.
+    const PROCESS_MASK: u64 = u64::MAX >> Self::LANE_BITS;
+
+    /// The process half of this address (lane 0 of the same process).
+    #[inline]
+    pub const fn process(self) -> NodeId {
+        NodeId(self.0 & Self::PROCESS_MASK)
+    }
+
+    /// The lane half of this address.
+    #[inline]
+    pub const fn lane(self) -> u32 {
+        (self.0 >> (64 - Self::LANE_BITS)) as u32
+    }
+
+    /// The address of lane `lane` of this address's process.
+    #[inline]
+    pub const fn with_lane(self, lane: u32) -> NodeId {
+        assert!(lane < Self::LANES, "lane out of range");
+        NodeId(self.process().0 | (lane as u64) << (64 - Self::LANE_BITS))
+    }
+}
 
 impl fmt::Debug for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -174,29 +211,6 @@ impl<M> Ctx<'_, M> {
     #[inline]
     pub fn mark_dirty(&mut self, key: u32) {
         self.dirty.bump(key);
-    }
-
-    /// Runs `f` with a **nested** context of a different message type,
-    /// collecting its sends into `out` — the hook for adapter protocols
-    /// that wrap an inner protocol and re-tag its messages (the §4
-    /// multi-topic construction). The nested context shares this
-    /// context's node identity, round, and RNG stream, so the adapter
-    /// pays no per-call RNG construction and no allocation beyond the
-    /// caller-provided (reusable) buffer.
-    #[inline]
-    pub fn nest<M2>(
-        &mut self,
-        out: &mut Vec<(NodeId, M2)>,
-        f: impl FnOnce(&mut Ctx<'_, M2>),
-    ) {
-        let mut inner = Ctx {
-            me: self.me,
-            round: self.round,
-            out,
-            rng: self.rng,
-            dirty: self.dirty,
-        };
-        f(&mut inner);
     }
 }
 
@@ -1064,5 +1078,47 @@ impl<P: Protocol> Partition<P> {
             self.scratch_kept.capacity(),
             self.scratch_out.capacity(),
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::NodeId;
+
+    #[test]
+    fn lane_zero_is_the_process_id() {
+        for p in [0u64, 1, 7, 1 << 32, (1 << 48) - 1] {
+            let id = NodeId(p);
+            assert_eq!(id.with_lane(0), id);
+            assert_eq!((id.process(), id.lane()), (id, 0));
+        }
+    }
+
+    #[test]
+    fn addresses_round_trip_at_the_edges() {
+        let last_lane = NodeId::LANES - 1;
+        for p in [0u64, 1, (1 << 32) + 5, (1 << 48) - 1] {
+            for lane in [0, 1, 4_000, last_lane] {
+                let a = NodeId(p).with_lane(lane);
+                assert_eq!((a.process(), a.lane()), (NodeId(p), lane));
+                // Re-laning replaces the lane, never the process.
+                assert_eq!(a.with_lane(3), NodeId(p).with_lane(3));
+            }
+        }
+        assert_eq!(NodeId::LANES, 1 << 16);
+        assert_eq!(NodeId(1).with_lane(last_lane).0, u64::MAX << 48 | 1);
+    }
+
+    #[test]
+    fn one_lane_orders_like_its_processes() {
+        let (a, b) = (NodeId(3).with_lane(9), NodeId(12).with_lane(9));
+        assert!(a < b);
+        assert!(NodeId(12) < a, "lane 0 sorts before every other lane");
+    }
+
+    #[test]
+    #[should_panic(expected = "lane out of range")]
+    fn a_lane_past_the_last_panics() {
+        let _ = NodeId(1).with_lane(NodeId::LANES);
     }
 }

@@ -118,7 +118,7 @@ pub enum LinkClass {
         /// The partition index.
         partition: u32,
     },
-    /// The edge set between a node-id group and its complement —
+    /// The edge set between a process-id group and its complement —
     /// exactly the edges a [`Sever`] with the same group cuts. Checked
     /// at the sender for both local and cross destinations.
     Group(Vec<u64>),
@@ -180,16 +180,16 @@ pub struct Sever {
     pub from_round: u64,
     /// Window end, relative (exclusive).
     pub to_round: u64,
-    /// Node ids on one side of the cut (sorted at arming).
+    /// Process ids on one side of the cut (sorted at arming): every
+    /// lane of a listed process is inside it.
     pub group: Vec<u64>,
 }
 
-impl Sever {
-    /// Whether `id` is in the severed group (group must be sorted).
-    #[inline]
-    fn contains(&self, id: u64) -> bool {
-        self.group.binary_search(&id).is_ok()
-    }
+/// Whether the process of address `id` is in `group` (sorted) — the
+/// one membership test of [`Sever`] windows and [`LinkClass::Group`].
+#[inline]
+fn in_group(group: &[u64], id: u64) -> bool {
+    group.binary_search(&NodeId(id).process().0).is_ok()
 }
 
 /// A complete fault schedule: its own seed (independent of the world
@@ -492,10 +492,11 @@ impl<M> FaultPlane<M> {
             return false;
         }
         let rel = self.rel(round);
-        self.spec
-            .severs
-            .iter()
-            .any(|s| s.from_round <= rel && rel < s.to_round && (s.contains(a) != s.contains(b)))
+        self.spec.severs.iter().any(|s| {
+            s.from_round <= rel
+                && rel < s.to_round
+                && in_group(&s.group, a) != in_group(&s.group, b)
+        })
     }
 
     /// Index of the first active sever window containing `id`, if any —
@@ -506,7 +507,7 @@ impl<M> FaultPlane<M> {
         self.spec
             .severs
             .iter()
-            .position(|s| s.from_round <= rel && rel < s.to_round && s.contains(id))
+            .position(|s| s.from_round <= rel && rel < s.to_round && in_group(&s.group, id))
     }
 
     /// Sender-side fate for a message `from → to` (`local_dest`: the
@@ -524,9 +525,7 @@ impl<M> FaultPlane<M> {
                 return false;
             }
             match &r.link {
-                LinkClass::Group(g) => {
-                    (g.binary_search(&from).is_ok()) != (g.binary_search(&to).is_ok())
-                }
+                LinkClass::Group(g) => in_group(g, from) != in_group(g, to),
                 LinkClass::All => local_dest,
                 LinkClass::AnyLocal => local_dest,
                 LinkClass::Local { partition } => local_dest && *partition == me,
@@ -767,6 +766,40 @@ mod tests {
         assert_eq!(plane.active_sever_containing(110, 1), Some(0));
         assert_eq!(plane.active_sever_containing(110, 5), None);
         assert_eq!(plane.active_sever_containing(121, 1), None);
+    }
+
+    /// A group names processes: every lane (per-topic instance) of a
+    /// listed process is inside the cut, and its lanes stay connected
+    /// to each other.
+    #[test]
+    fn a_sever_naming_a_process_cuts_every_one_of_its_instances() {
+        let lane = |p: u64, l: u32| NodeId(p).with_lane(l).0;
+        let spec = FaultSpec {
+            seed: 0,
+            rules: vec![FaultRule {
+                drop: 1.0,
+                ..FaultRule::pass(0, 10, LinkClass::Group(vec![7]))
+            }],
+            severs: vec![Sever {
+                from_round: 0,
+                to_round: 10,
+                group: vec![7],
+            }],
+        };
+        let mut plane: FaultPlane<()> = FaultPlane::new(spec, 0, 0);
+        for l in [0, 1, 500, NodeId::LANES - 1] {
+            let (inside, peer) = (lane(7, l), lane(7, 0));
+            assert!(plane.severed(3, inside, lane(8, l)), "lane {l} is cut off");
+            assert!(plane.severed(3, lane(9, 0), inside), "both directions");
+            assert!(!plane.severed(3, inside, peer), "a process stays whole");
+            assert!(!plane.severed(3, lane(8, l), lane(9, l)), "outsiders pass");
+            assert_eq!(plane.active_sever_containing(3, inside), Some(0));
+            let out = plane.sender_fate(3, inside, lane(8, 2), true);
+            assert!(matches!(out, Fate::Drop));
+            let within = plane.sender_fate(3, inside, peer, true);
+            assert!(matches!(within, Fate::Deliver));
+        }
+        assert_eq!(plane.active_sever_containing(3, lane(8, 7)), None);
     }
 
     #[test]

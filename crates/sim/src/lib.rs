@@ -34,6 +34,6 @@ mod world;
 pub use engine::{ChaosConfig, Ctx, DirtyTable, Envelope, NodeId, Protocol};
 pub use faults::{FaultCounts, FaultPlane, FaultRule, FaultSpec, LinkClass, Sever};
 pub use metrics::{Metrics, MetricsState, MAX_KINDS};
-pub use partitioned::{NodeView, PartitionedWorld};
+pub use partitioned::PartitionedWorld;
 pub use state::{NodeState, PartitionState, PartitionedState, WorldState};
 pub use world::World;

@@ -46,49 +46,9 @@
 use crate::engine::{Envelope, Partition};
 use crate::fx::FxBuildHasher;
 use crate::state::PartitionedState;
-use crate::{Ctx, Metrics, NodeId, Protocol, World};
+use crate::{Ctx, Metrics, NodeId, Protocol};
 use std::collections::HashMap;
 use std::sync::{Barrier, Mutex};
-
-/// Shared read access to a simulated system's protocol states —
-/// implemented by both the serial [`World`] and the parallel
-/// [`PartitionedWorld`], so checkers and snapshot builders can be
-/// written once against either.
-pub trait NodeView<P: Protocol> {
-    /// Immutable access to node `id`'s protocol state, if alive.
-    fn peek(&self, id: NodeId) -> Option<&P>;
-
-    /// Iterates `(id, state)` over live nodes in ascending id order.
-    fn nodes<'a>(&'a self) -> impl Iterator<Item = (NodeId, &'a P)>
-    where
-        P: 'a;
-}
-
-impl<P: Protocol> NodeView<P> for World<P> {
-    fn peek(&self, id: NodeId) -> Option<&P> {
-        self.node(id)
-    }
-
-    fn nodes<'a>(&'a self) -> impl Iterator<Item = (NodeId, &'a P)>
-    where
-        P: 'a,
-    {
-        self.iter()
-    }
-}
-
-impl<P: Protocol> NodeView<P> for PartitionedWorld<P> {
-    fn peek(&self, id: NodeId) -> Option<&P> {
-        self.node(id)
-    }
-
-    fn nodes<'a>(&'a self) -> impl Iterator<Item = (NodeId, &'a P)>
-    where
-        P: 'a,
-    {
-        self.iter()
-    }
-}
 
 /// Derives partition `i`'s RNG stream seed from the world seed
 /// (SplitMix64 finalizer over `seed ⊕ (i+1)·φ`).
@@ -318,7 +278,7 @@ impl<P: Protocol> PartitionedWorld<P> {
     }
 
     /// Bumps dirty channel `key` from outside the protocol (external
-    /// operations; see [`World::bump_dirty`]).
+    /// operations; see [`World::bump_dirty`](crate::World::bump_dirty)).
     pub fn bump_dirty(&mut self, key: u32) {
         self.extra_dirty.bump(key);
     }

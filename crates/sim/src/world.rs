@@ -504,22 +504,4 @@ mod tests {
         }
         assert_eq!(w.scratch_capacities(), warmed);
     }
-
-    #[test]
-    fn nested_ctx_shares_identity_and_rng() {
-        // `Ctx::nest` is the adapter hook (§4 multi-topic re-tagging):
-        // the inner context must report the same node id and feed sends
-        // into the caller's buffer, without constructing a fresh RNG.
-        let mut w = ring_world(2, 11);
-        let mut inner_sends: Vec<(NodeId, u8)> = Vec::new();
-        w.with_node(NodeId(0), |_t, ctx| {
-            ctx.nest(&mut inner_sends, |ictx| {
-                assert_eq!(ictx.me(), NodeId(0));
-                let _ = ictx.random_bool(0.5);
-                ictx.send(NodeId(1), 42u8);
-            });
-        })
-        .unwrap();
-        assert_eq!(inner_sends, vec![(NodeId(1), 42u8)]);
-    }
 }

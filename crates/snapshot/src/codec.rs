@@ -6,7 +6,7 @@
 //! A snapshot is a single ASCII token stream (whitespace-separated), in
 //! three sections:
 //!
-//! 1. **header** — `skippubsnap 5 <kind>`: magic, format version, and
+//! 1. **header** — `skippubsnap 6 <kind>`: magic, format version, and
 //!    the backend kind tag restore dispatches on;
 //! 2. **node store** — the shared [`MemoryTrieDb`] every trie in the
 //!    snapshot committed into: a count followed by `(hash, node)` pairs
@@ -30,9 +30,11 @@ use skippub_trie::{MemoryTrieDb, PatriciaTrie, StoredNode, TrieDb};
 /// `PublishNew` and `CheckAndPublish` messages (batches); version 4 the
 /// `Supervisor` body (the staged and relabelled sets; one flush counter
 /// for the two per-operation ones); version 5 the engine partition body
-/// (no delivery budget). A stream of an older version would misparse,
-/// so it is rejected at the header.
-const FORMAT_VERSION: &str = "5";
+/// (no delivery budget); version 6 the `multi-topic`/`sharded` body (one
+/// plain actor per topic instance instead of a multiplexing actor per
+/// process, and topics per process in the detector routing). A stream
+/// of an older version would misparse, so it is rejected at the header.
+const FORMAT_VERSION: &str = "6";
 
 /// Errors surfaced while decoding a snapshot.
 #[derive(Clone, Debug, PartialEq, Eq)]

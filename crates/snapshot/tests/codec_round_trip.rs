@@ -131,12 +131,11 @@ fn truncated_and_corrupt_snapshots_fail_loudly() {
     assert!(BackendSnapshot::from_text("not a snapshot").is_err());
     assert!(BackendSnapshot::from_text("skippubsnap 9 t 0").is_err());
     // The previous format versions (different `Subscriber`, message,
-    // `Supervisor` and partition bodies).
-    assert!(BackendSnapshot::from_text("skippubsnap 1 t 0").is_err());
-    assert!(BackendSnapshot::from_text("skippubsnap 2 t 0").is_err());
-    assert!(BackendSnapshot::from_text("skippubsnap 3 t 0").is_err());
-    assert!(BackendSnapshot::from_text("skippubsnap 4 t 0").is_err());
-    assert!(BackendSnapshot::from_text("skippubsnap 5 t 0").is_ok());
+    // `Supervisor`, partition and partitioned-backend bodies).
+    for old in 1..=5 {
+        assert!(BackendSnapshot::from_text(&format!("skippubsnap {old} t 0")).is_err());
+    }
+    assert!(BackendSnapshot::from_text("skippubsnap 6 t 0").is_ok());
 
     // Truncating the whole body token surfaces as Eof on load.
     let truncated = &text[..text.len() - 2];

@@ -131,9 +131,8 @@ fn supervisor_work_is_constant_per_operation(kind: BackendKind, n: usize) {
         (OPS..=PER_UNSUBSCRIBE * OPS).contains(&staged),
         "{name} n={n}: {staged} configurations for {OPS} unsubscribes"
     );
-    // Requests of members that left meanwhile are no longer counted on
-    // the sharded backend (the instance is dropped), so this is a bound
-    // on the survivors' share only there.
+    // Members that left meanwhile are still counted: a departed instance
+    // stays an unlabelled subscriber on every backend.
     assert!(
         left.requests.saturating_sub(joined.requests) <= REQUESTS_PER_UNSUBSCRIBE * OPS,
         "{name} n={n}: configuration requests after {OPS} unsubscribes"

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use skippub_core::pubsub::{PartitionedBackend, SimBackend};
-use skippub_core::{PubSub, SystemBuilder, TopicId};
+use skippub_core::{Actor, PubSub, SystemBuilder, TopicId};
 use skippub_sim::NodeId;
 
 /// Drives `rounds` rounds of randomized churn (arrivals, joins, leaves,
@@ -138,8 +138,7 @@ fn raw_world_access_invalidates_cached_verdicts() {
     assert!(ps.until_legit(4_000).1);
     assert!(ps.is_legitimate());
     let world = ps.world_mut();
-    let actor = world.node_mut(a).unwrap();
-    let sub = actor.topic_subscriber_mut(TopicId(0)).unwrap();
+    let sub = world.node_mut(a).and_then(Actor::subscriber_mut).unwrap();
     sub.label = Some("111111".parse().unwrap());
     assert!(!ps.is_legitimate(), "corruption behind the facade must be seen");
     assert_eq!(ps.is_legitimate(), ps.is_legitimate_full());

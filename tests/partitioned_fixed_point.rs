@@ -21,7 +21,14 @@
 //! member hears twice, and references to departed members are answered
 //! and verified instead of forwarded, so churn settles in fewer steps
 //! (`supervisor-crash-churn` 139 → 27 and 196 → 35) — the delivered
-//! fingerprints still have not moved.
+//! fingerprints still have not moved. The last re-derivation came when
+//! every topic's `BuildSR` instance became its own engine node
+//! (DESIGN.md §11): activation shuffles run over instances instead of
+//! processes, supervisor instances exist from the first subscribe
+//! instead of the first message, a departed instance stays an
+//! unlabelled subscriber, and `topic_digest` names instance addresses —
+//! so traffic, RNG trajectories and digests moved, and what is
+//! delivered did not.
 //!
 //! A mismatch means a trajectory changed. To re-derive after an
 //! *intended* change, run the test: the failure message prints the full
@@ -48,13 +55,13 @@ struct Pin {
 
 #[rustfmt::skip] // one row per line reads as a table
 const PINS: &[Pin] = &[
-    Pin { scenario: "zipf-fanout", kind: BackendKind::MultiTopic, shards: 1, rebalance: 0, fingerprint: "9137af0f01e29bfd1fd32e377a99eda5", totals: (23, 3219, 3155), stats: "e2adb129dee9c1891b8bcd65ac893ea2", digests: "5838c4480c98f2bb450722799d3bd26a" },
-    Pin { scenario: "zipf-fanout", kind: BackendKind::MultiTopic, shards: 4, rebalance: 0, fingerprint: "9137af0f01e29bfd1fd32e377a99eda5", totals: (22, 3085, 2972), stats: "f1fe06f0dcd459458e674a3d43e4a31c", digests: "0459dbcfb1c5e247f5da1c3ed3d0d8d9" },
-    Pin { scenario: "shard-churn", kind: BackendKind::MultiTopic, shards: 1, rebalance: 0, fingerprint: "a5fbc34835eb2793534e981a3090f86d", totals: (24, 2138, 2039), stats: "c5449995922c63e3b15e732cbafa3425", digests: "4adee160a5eee3d050a51c7bb0726b8b" },
-    Pin { scenario: "shard-churn", kind: BackendKind::MultiTopic, shards: 4, rebalance: 0, fingerprint: "a5fbc34835eb2793534e981a3090f86d", totals: (25, 2232, 2122), stats: "ad0f66268104bb62cd7079991ea72bfa", digests: "492792049ce9d08adc9e503961687c56" },
-    Pin { scenario: "supervisor-crash-churn", kind: BackendKind::MultiTopic, shards: 1, rebalance: 0, fingerprint: "593dc0a16723dba96047a1f0c2fe61da", totals: (27, 2811, 2751), stats: "ae3cf55c274ee7365d00e3d85506c99c", digests: "ca5244b44645aa7e16a3a4905c63d2c2" },
-    Pin { scenario: "supervisor-crash-churn", kind: BackendKind::MultiTopic, shards: 4, rebalance: 0, fingerprint: "593dc0a16723dba96047a1f0c2fe61da", totals: (35, 3462, 3382), stats: "570d0daefdcf0b1ffa2a38b6d88d25a1", digests: "5c49e88d577e4d099f13d4a76fae35f3" },
-    Pin { scenario: "zipf-fanout", kind: BackendKind::Sharded, shards: 3, rebalance: 5, fingerprint: "9137af0f01e29bfd1fd32e377a99eda5", totals: (23, 3155, 3027), stats: "6fe2feaa2a301262d0e5984c4a1b461a", digests: "4b4a3c3c07dc81d29041bb022cc2d247" },
+    Pin { scenario: "zipf-fanout", kind: BackendKind::MultiTopic, shards: 1, rebalance: 0, fingerprint: "9137af0f01e29bfd1fd32e377a99eda5", totals: (21, 2965, 2872), stats: "dfcd6f69abf30e1d0ea32e33029e438c", digests: "a10707ab6191b96f2e73ad87cf5cca9f" },
+    Pin { scenario: "zipf-fanout", kind: BackendKind::MultiTopic, shards: 4, rebalance: 0, fingerprint: "9137af0f01e29bfd1fd32e377a99eda5", totals: (22, 3060, 2935), stats: "18c59f58926f3d7cbbec6f4980cd71ef", digests: "ff14be9596aca8ff02e278774168f5f4" },
+    Pin { scenario: "shard-churn", kind: BackendKind::MultiTopic, shards: 1, rebalance: 0, fingerprint: "a5fbc34835eb2793534e981a3090f86d", totals: (24, 2121, 2023), stats: "45694f5e29b81d8bc8ad2605a05a1509", digests: "199f02340bd31b42b3a4dfd16f2aac9f" },
+    Pin { scenario: "shard-churn", kind: BackendKind::MultiTopic, shards: 4, rebalance: 0, fingerprint: "a5fbc34835eb2793534e981a3090f86d", totals: (24, 2188, 2068), stats: "42afedd5c7091faa218d41be64f6a75d", digests: "422dfbafd849b6c3eaf7c087c0ba16f3" },
+    Pin { scenario: "supervisor-crash-churn", kind: BackendKind::MultiTopic, shards: 1, rebalance: 0, fingerprint: "593dc0a16723dba96047a1f0c2fe61da", totals: (27, 2657, 2621), stats: "5e765ec26bd08a391d330592287da640", digests: "1026464c898bb3c7daaf25592730b426" },
+    Pin { scenario: "supervisor-crash-churn", kind: BackendKind::MultiTopic, shards: 4, rebalance: 0, fingerprint: "593dc0a16723dba96047a1f0c2fe61da", totals: (36, 3603, 3519), stats: "6ca696c14aa9a4bb87ebbbf001e44ace", digests: "56686319bcaa21ab5925832f56612e53" },
+    Pin { scenario: "zipf-fanout", kind: BackendKind::Sharded, shards: 3, rebalance: 5, fingerprint: "9137af0f01e29bfd1fd32e377a99eda5", totals: (23, 3225, 3117), stats: "3c069d26380771ecabefe2c335a7f5f9", digests: "47a1aeedf55fd0ff6d0870ec1f1179a2" },
 ];
 
 fn hex(text: &str) -> String {

@@ -90,7 +90,7 @@ fn inconsistent_snapshots_are_rejected_not_panicked_on() {
 
     // The body opens `cfg topics next_id vnodes`, then the supervisor
     // list `2 BASE BASE+1`, then the detector-routing map
-    // `1  1 1 <shard>` (one entry: client 1 met one shard).
+    // `1  1 1 0` (one entry: client 1 joined topic 0).
     let (sup0, sup1) = (
         SHARD_SUPERVISOR_BASE.to_string(),
         (SHARD_SUPERVISOR_BASE + 1).to_string(),
@@ -102,8 +102,12 @@ fn inconsistent_snapshots_are_rejected_not_panicked_on() {
         .expect("supervisor list");
     assert_eq!(
         toks[first - 1..first + 6],
-        ["2", &sup0, &sup1, "1", "1", "1", toks[first + 5]]
+        ["2", &sup0, &sup1, "1", "1", "1", "0"]
     );
+    // The list entry of the process hosting topic 0's supervisor
+    // instance, the one supervisor instance the world holds.
+    let host_is_sup1 = ps.supervisor_for(TopicId(0)).process().0 != SHARD_SUPERVISOR_BASE;
+    let host = first + usize::from(host_is_sup1);
     let absent = (SHARD_SUPERVISOR_BASE + 7).to_string();
     // (what is wrong, the mutated text, what the error must name)
     let hostile = [
@@ -118,14 +122,19 @@ fn inconsistent_snapshots_are_rejected_not_panicked_on() {
             "twice",
         ),
         (
-            "supervisor the world does not host",
-            with_token(text, first + 1, &absent),
-            "does not host",
+            "supervisor instance hosted by a process the list does not name",
+            with_token(text, host, &absent),
+            "does not name",
         ),
         (
-            "detector routing to a shard out of range",
+            "detector routing to a topic out of range",
             with_token(text, first + 5, "7"),
             "out of range",
+        ),
+        (
+            "more topics than addresses have lanes",
+            with_token(text, first - 4, "4000000000"),
+            "outside 1..=",
         ),
         (
             "kind tag of the other layout",

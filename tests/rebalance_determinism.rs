@@ -4,9 +4,9 @@
 //! a zipf-skewed churning workload with rebalancing **enabled** must
 //! stay byte-identical across worker-thread counts — delivered sets,
 //! traffic stats (incl. per-partition), and every topic's final
-//! checker-snapshot digest. A snapshot taken mid-handoff (forwarding
-//! tombstones live, subscribers freshly migrated) must round-trip
-//! byte-exactly and continue identically.
+//! checker-snapshot digest. A snapshot taken mid-handoff (supervisor
+//! instances freshly moved, subscribers freshly migrated) must
+//! round-trip byte-exactly and continue identically.
 
 use skippub_core::pubsub::{PartitionedBackend, PubSub};
 use skippub_core::{SystemBuilder, TopicId};
@@ -87,7 +87,7 @@ fn both_layouts_are_byte_identical_across_thread_counts() {
 }
 
 /// Snapshot round-trip mid-handoff: run a skewed population until the
-/// first rebalance decision fires (forwarding tombstones live, clients
+/// first rebalance decision fires (supervisor instances and clients
 /// freshly migrated), save, restore, re-save — the re-saved snapshot
 /// must be byte-equal — then continue both runs and require identical
 /// stats, rebalance counts, and checker digests.

@@ -46,9 +46,9 @@ use crate::{Actor, ProtocolConfig};
 use skippub_bits::BitStr;
 use skippub_sim::{ChaosConfig, FaultCounts, FaultSpec, NodeId, World};
 pub use skippub_snapshot::BackendSnapshot;
-use skippub_snapshot::{Snap, SnapError, SnapReader, SnapWriter};
+use skippub_snapshot::{Snap, SnapError, SnapReader, SnapVec, SnapWriter};
 use skippub_trie::{PatriciaTrie, Publication};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// One publication observed in a subscriber's store — the unit returned
 /// by [`PubSub::drain_events`]. Includes the subscriber's own
@@ -394,24 +394,32 @@ pub trait PubSub {
     }
 }
 
-/// Per-`(node, topic)` cursor state: the key set already reported, plus
-/// the trie's Merkle root hash at the last drain. An unchanged root
-/// hash means an unchanged key set (the trie crate pins this), so a
-/// repeat drain of a quiet topic is **O(1) with zero allocation** — no
-/// leaf walk, no key clones.
+/// Per-`(node, topic)` cursor state: a position in the store's arrival
+/// log. A store's leaf arena only ever grows at the end (DESIGN.md
+/// §8.6), so `pos` leaves of it have been reported and every later one
+/// has not; `pos == len` is a repeat drain of a quiet topic, **O(1)
+/// with zero allocation**.
 #[derive(Clone, Debug, Default)]
-struct SeenTopic {
-    root: Option<skippub_bits::Hash128>,
-    keys: BTreeSet<BitStr>,
+struct Seen {
+    pos: usize,
+    /// Keys a snapshot listed as stored but not yet reported: a restored
+    /// store is reopened in key order, not arrival order, so its
+    /// position starts at its end and these are what lies behind it.
+    /// Empty except between a restore and the next drain.
+    pending: Vec<BitStr>,
 }
 
 /// Bookkeeping helper for implementing [`PubSub::drain_events`] on a new
-/// backend: remembers, per `(node, topic)`, which publication keys have
-/// already been reported, and diffs a trie against that cursor.
+/// backend: remembers, per `(node, topic)`, how much of the store's
+/// arrival log has been reported, and hands out the rest.
 #[derive(Clone, Debug, Default)]
 pub struct EventCursor {
-    seen: BTreeMap<(u64, u32), SeenTopic>,
+    seen: BTreeMap<(u64, u32), Seen>,
 }
+
+/// Where a backend's cursor finds the store of process `node`'s
+/// instance of `topic` — `None` when no live subscriber is there.
+pub(crate) type StoreOf<'a> = dyn Fn(NodeId, TopicId) -> Option<&'a PatriciaTrie> + 'a;
 
 impl EventCursor {
     /// Fresh cursor: every stored publication counts as undelivered.
@@ -420,18 +428,24 @@ impl EventCursor {
     }
 
     /// Drops all bookkeeping for `id`. Backends call this when a node
-    /// crashes so dead nodes' key sets do not accumulate across a
+    /// crashes so dead nodes' positions do not accumulate across a
     /// long-running churn workload.
     pub fn forget(&mut self, id: NodeId) {
-        self.seen.retain(|&(nid, _), _| nid != id.0);
+        self.seen
+            .extract_if((id.0, 0)..=(id.0, u32::MAX), |_, _| true)
+            .for_each(drop);
     }
 
-    /// Diffs the given per-topic tries of node `id` against the cursor,
-    /// returning (and remembering) every publication not yet reported.
-    /// A drain whose tries are all unchanged since the last call (the
-    /// common polling case) returns an empty `Vec` without allocating:
-    /// the per-topic root-hash short-circuit skips the leaf walks, and
-    /// an empty `Vec` holds no heap buffer.
+    /// Returns (and remembers) every publication of node `id`'s given
+    /// per-topic stores not yet reported, ordered by topic, then key:
+    /// the arrivals since the last drain. A drain with nothing new on
+    /// any topic (the common polling case) returns an empty `Vec`
+    /// without allocating.
+    ///
+    /// A store replaced wholesale (white-box corruption through a
+    /// backend's `world_mut`) is read from wherever the position falls
+    /// in its own arena: the drain does not panic, and exactly-once
+    /// holds again for what arrives after it.
     pub fn drain<'a>(
         &mut self,
         id: NodeId,
@@ -440,54 +454,92 @@ impl EventCursor {
         let mut out = Vec::new();
         for (topic, trie) in tries {
             let seen = self.seen.entry((id.0, topic.0)).or_default();
-            // Root-hash short-circuit: same Merkle root ⇔ same key set
-            // as the last drain ⇒ nothing new on this topic.
-            let root = trie.root_hash();
-            if seen.root == root {
-                continue;
-            }
-            for p in trie.iter_publications() {
-                if !seen.keys.contains(p.key()) {
-                    seen.keys.insert(p.key().clone());
-                    out.push(Delivery {
-                        topic,
-                        key: p.key().clone(),
-                        author: p.author(),
-                        payload: p.payload().to_vec(),
-                    });
-                }
-            }
-            seen.root = root;
+            let restored = std::mem::take(&mut seen.pending);
+            let arrived = restored
+                .iter()
+                .filter_map(|key| trie.get(key))
+                .chain(trie.publications_since(seen.pos));
+            out.extend(arrived.map(|p| Delivery {
+                topic,
+                key: p.key().clone(),
+                author: p.author(),
+                payload: p.payload().to_vec(),
+            }));
+            seen.pos = trie.len();
         }
-        out.sort_by(|a, b| (a.topic, &a.key).cmp(&(b.topic, &b.key)));
+        out.sort_unstable_by(|a, b| (a.topic, &a.key).cmp(&(b.topic, &b.key)));
         out
     }
-}
 
-impl Snap for SeenTopic {
-    fn save(&self, w: &mut SnapWriter) {
-        self.root.save(w);
-        self.keys.save(w);
+    /// Serializes the cursor. Which publications have already been
+    /// reported to the client is observable state (a restored backend
+    /// must not re-deliver, nor swallow undelivered ones), but positions
+    /// do not survive a restore — the store comes back in another arena
+    /// order — so each drained `(node, topic)` whose store `store` still
+    /// finds is written as the keys it holds but has not reported,
+    /// ascending: none after a full drain.
+    pub(crate) fn save_with(&self, w: &mut SnapWriter, store: &StoreOf<'_>) {
+        let entries: Vec<((u64, u32), Vec<&BitStr>)> = self
+            .seen
+            .iter()
+            .filter_map(|(&(node, topic), seen)| {
+                let trie = store(NodeId(node), TopicId(topic))?;
+                let mut unreported: Vec<&BitStr> = seen
+                    .pending
+                    .iter()
+                    .chain(trie.publications_since(seen.pos).map(Publication::key))
+                    .collect();
+                unreported.sort_unstable();
+                Some(((node, topic), unreported))
+            })
+            .collect();
+        w.put_u64(entries.len() as u64);
+        for (at, unreported) in &entries {
+            at.save(w);
+            w.put_seq(unreported.iter().copied());
+        }
     }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(SeenTopic {
-            root: Snap::load(r)?,
-            keys: Snap::load(r)?,
-        })
-    }
-}
 
-/// Cursors are part of a backend snapshot: which publications have
-/// already been reported to the client is observable state (a restored
-/// backend must not re-deliver, nor swallow undelivered ones).
-impl Snap for EventCursor {
-    fn save(&self, w: &mut SnapWriter) {
-        self.seen.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(EventCursor {
-            seen: Snap::load(r)?,
-        })
+    /// Reads a cursor written by [`EventCursor::save_with`] against the
+    /// restored world's stores: each entry's position is its store's
+    /// length and its keys are reported by the next drain. An entry for
+    /// an instance `store` does not find, a key its store does not hold,
+    /// keys out of order or an entry twice is malformed.
+    pub(crate) fn load_with(
+        r: &mut SnapReader<'_>,
+        store: &StoreOf<'_>,
+    ) -> Result<Self, SnapError> {
+        let len = r.u64()?;
+        let mut seen = BTreeMap::new();
+        for _ in 0..len {
+            let (node, topic) = <(u64, u32)>::load(r)?;
+            let pending = SnapVec::<BitStr>::load(r)?.0;
+            let trie = store(NodeId(node), TopicId(topic)).ok_or_else(|| {
+                SnapError::Malformed(format!(
+                    "cursor names node {node} on topic {topic}, which hosts no subscriber"
+                ))
+            })?;
+            if !pending.windows(2).all(|w| w[0] < w[1]) {
+                return Err(SnapError::Malformed(format!(
+                    "cursor keys of node {node} on topic {topic} are not ascending"
+                )));
+            }
+            if let Some(key) = pending.iter().find(|key| !trie.contains_key(key)) {
+                return Err(SnapError::Malformed(format!(
+                    "cursor of node {node} on topic {topic} names key {key}, which its store does not hold"
+                )));
+            }
+            let entry = Seen {
+                pos: trie.len(),
+                pending,
+            };
+            if seen.insert((node, topic), entry).is_some() {
+                return Err(SnapError::Malformed(format!(
+                    "cursor names node {node} on topic {topic} twice"
+                )));
+            }
+        }
+        Ok(EventCursor { seen })
     }
 }
 

@@ -51,7 +51,7 @@ use skippub_sim::{
     FaultCounts, FaultSpec, Metrics, NodeId, PartitionedState, PartitionedWorld, World,
 };
 use skippub_snapshot::{Snap, SnapVec, SnapWriter};
-use skippub_trie::{PayloadInterner, Publication};
+use skippub_trie::{PatriciaTrie, PayloadInterner, Publication};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -74,6 +74,17 @@ fn layout_name(sup_ids: &[NodeId]) -> Option<&'static str> {
         Some("sharded")
     } else {
         None
+    }
+}
+
+/// The cursor's view of the world: the store of process `node`'s
+/// instance of `topic`.
+fn store_of<'a>(
+    world: &'a PartitionedWorld<Actor>,
+) -> impl Fn(NodeId, TopicId) -> Option<&'a PatriciaTrie> + 'a {
+    move |node, topic| {
+        let sub = world.node(topic.at(node)).and_then(Actor::subscriber)?;
+        Some(&sub.trie)
     }
 }
 
@@ -410,8 +421,9 @@ impl PartitionedBackend {
             met.insert(key, joined);
         }
         let interner = PayloadInterner::load(&mut r).map_err(err)?;
-        let world = PartitionedState::<Actor>::load(&mut r).map_err(err)?;
-        let cursor = EventCursor::load(&mut r).map_err(err)?;
+        let world =
+            PartitionedWorld::from_state(PartitionedState::<Actor>::load(&mut r).map_err(err)?);
+        let cursor = EventCursor::load_with(&mut r, &store_of(&world)).map_err(err)?;
         let group_len = u64::load(&mut r).map_err(err)? as usize;
         let mut groups = Vec::new();
         for _ in 0..group_len {
@@ -424,7 +436,6 @@ impl PartitionedBackend {
         let sever_fired = BTreeSet::<(u64, u64)>::load(&mut r).map_err(err)?;
         r.finish().map_err(err)?;
 
-        let world = PartitionedWorld::from_state(world);
         let (shard_count, partitions) = (sup_ids.len(), world.partition_count());
         if layout_name(&sup_ids) != Some(snap.kind.as_str()) {
             return Err(format!(
@@ -917,18 +928,14 @@ impl PubSub for PartitionedBackend {
             return Vec::new();
         };
         // Borrowing walk over the process's instances — no per-call
-        // topic-id or trie-ref Vecs; combined with the cursor's root-hash
-        // short-circuit, a drain of a quiet client allocates nothing
-        // beyond the (empty) result.
+        // topic-id or trie-ref Vecs, so a drain of a quiet client
+        // allocates nothing beyond the (empty) result.
+        let store = store_of(world);
         cursor.drain(
             id,
-            joined.iter().filter_map(|&t| {
-                let topic = TopicId(t);
-                world
-                    .node(topic.at(id))
-                    .and_then(Actor::subscriber)
-                    .map(|s| (topic, &s.trie))
-            }),
+            joined
+                .iter()
+                .filter_map(|&t| Some((TopicId(t), store(id, TopicId(t))?))),
         )
     }
 
@@ -992,15 +999,15 @@ impl PubSub for PartitionedBackend {
         self.topics.save(&mut w);
         self.next_id.save(&mut w);
         self.shards.replicas().save(&mut w);
-        SnapVec(self.sup_ids.clone()).save(&mut w);
+        w.put_seq(self.sup_ids.iter());
         w.put_u64(self.met.len() as u64);
         for (key, joined) in &self.met {
             key.save(&mut w);
-            SnapVec(joined.clone()).save(&mut w);
+            w.put_seq(joined.iter());
         }
         self.interner.save(&mut w);
         self.world.export_state().save(&mut w);
-        self.cursor.save(&mut w);
+        self.cursor.save_with(&mut w, &store_of(&self.world));
         w.put_u64(self.groups.len() as u64);
         for g in &self.groups {
             g.save(&mut w);
@@ -1008,7 +1015,7 @@ impl PubSub for PartitionedBackend {
         self.overrides.save(&mut w);
         self.rebalance_every.save(&mut w);
         self.rebalances.save(&mut w);
-        SnapVec(self.last_delivered.clone()).save(&mut w);
+        w.put_seq(self.last_delivered.iter());
         self.sever_fired.save(&mut w);
         Ok(w.finish(self.backend_name()))
     }

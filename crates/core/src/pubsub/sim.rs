@@ -13,7 +13,7 @@ use crate::{Actor, ProbeMode, ProtocolConfig, Subscriber, Supervisor};
 use skippub_bits::BitStr;
 use skippub_sim::{ChaosConfig, FaultCounts, FaultSpec, Metrics, NodeId, World, WorldState};
 use skippub_snapshot::{Snap, SnapWriter};
-use skippub_trie::{PayloadInterner, Publication};
+use skippub_trie::{PatriciaTrie, PayloadInterner, Publication};
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 
@@ -52,6 +52,17 @@ const TOPIC: TopicId = TopicId(0);
 /// callers can hold the replica group at the same time).
 fn supervisor_mut(world: &mut World<Actor>) -> Option<&mut Supervisor> {
     world.node_mut(SUPERVISOR).and_then(Actor::supervisor_mut)
+}
+
+/// The cursor's view of the world: subscriber `node`'s store, on the
+/// one topic.
+fn store_of<'a>(
+    world: &'a World<Actor>,
+) -> impl Fn(NodeId, TopicId) -> Option<&'a PatriciaTrie> + 'a {
+    move |node, topic| {
+        let sub = world.node(node).and_then(Actor::subscriber)?;
+        (topic == TOPIC).then_some(&sub.trie)
+    }
 }
 
 fn assert_topic(topic: TopicId) {
@@ -204,8 +215,8 @@ impl SimBackend {
         let cfg = ProtocolConfig::load(&mut r).map_err(err)?;
         let next_id = u64::load(&mut r).map_err(err)?;
         let interner = PayloadInterner::load(&mut r).map_err(err)?;
-        let world = WorldState::<Actor>::load(&mut r).map_err(err)?;
-        let cursor = EventCursor::load(&mut r).map_err(err)?;
+        let world = World::from_state(WorldState::<Actor>::load(&mut r).map_err(err)?);
+        let cursor = EventCursor::load_with(&mut r, &store_of(&world)).map_err(err)?;
         let group = Option::<ReplicaGroup>::load(&mut r).map_err(err)?;
         let sever_fired = BTreeSet::<u64>::load(&mut r).map_err(err)?;
         r.finish().map_err(err)?;
@@ -215,7 +226,7 @@ impl SimBackend {
         let mut inc = SimChecker::new();
         inc.invalidate_all();
         Ok(SimBackend {
-            world: World::from_state(world),
+            world,
             cfg,
             next_id,
             interner,
@@ -358,10 +369,8 @@ impl PubSub for SimBackend {
     }
 
     fn drain_events(&mut self, id: NodeId) -> Vec<Delivery> {
-        match self.world.node(id).and_then(Actor::subscriber) {
-            Some(s) => self.cursor.drain(id, [(TOPIC, &s.trie)]),
-            None => Vec::new(),
-        }
+        let trie = store_of(&self.world)(id, TOPIC);
+        self.cursor.drain(id, trie.map(|trie| (TOPIC, trie)))
     }
 
     fn subscriber_ids(&self) -> Vec<NodeId> {
@@ -398,7 +407,7 @@ impl PubSub for SimBackend {
         self.next_id.save(&mut w);
         self.interner.save(&mut w);
         self.world.export_state().save(&mut w);
-        self.cursor.save(&mut w);
+        self.cursor.save_with(&mut w, &store_of(&self.world));
         self.group.save(&mut w);
         self.sever_fired.save(&mut w);
         Ok(w.finish(self.backend_name()))

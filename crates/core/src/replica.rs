@@ -281,7 +281,7 @@ impl Snap for ReplicaLog {
     fn save(&self, w: &mut SnapWriter) {
         // Hashes are recomputed on load — saving them would only add
         // bytes that must agree with the ops anyway.
-        SnapVec(self.ops.clone()).save(w);
+        w.put_seq(self.ops.iter());
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let ops: Vec<RepOp> = SnapVec::load(r)?.0;
@@ -699,7 +699,7 @@ impl Snap for ReplicaGroup {
         self.primary.save(w);
         self.version.save(w);
         self.failovers.save(w);
-        SnapVec(self.replicas.clone()).save(w);
+        w.put_seq(self.replicas.iter());
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let sup_id = Snap::load(r)?;

@@ -130,7 +130,7 @@ impl Snap for Msg {
             Msg::CheckTrie { sender, tuples } => {
                 w.put_u64(11);
                 sender.save(w);
-                SnapVec(tuples.clone()).save(w);
+                w.put_seq(tuples.iter());
             }
             Msg::CheckAndPublish {
                 sender,
@@ -139,16 +139,16 @@ impl Snap for Msg {
             } => {
                 w.put_u64(12);
                 sender.save(w);
-                SnapVec(tuples.clone()).save(w);
-                SnapVec(prefixes.clone()).save(w);
+                w.put_seq(tuples.iter());
+                w.put_seq(prefixes.iter());
             }
             Msg::Publish { pubs } => {
                 w.put_u64(13);
-                SnapVec(pubs.clone()).save(w);
+                w.put_seq(pubs.iter());
             }
             Msg::PublishNew { pubs } => {
                 w.put_u64(14);
-                SnapVec(pubs.clone()).save(w);
+                w.put_seq(pubs.iter());
             }
         }
     }

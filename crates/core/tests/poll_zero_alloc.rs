@@ -6,6 +6,11 @@
 //! version moves, so each poll is a cache hit: version reads + a
 //! boolean, no world scan, no `BTreeMap`s, no `String`s.
 //!
+//! The client's other poll, `drain_events`, is gated beside it: a repeat
+//! drain with nothing new compares the cursor's position with the
+//! store's length per topic and returns an empty `Vec`, allocating
+//! nothing.
+//!
 //! One test per file so no parallel test thread pollutes the counter;
 //! residual harness noise is removed by taking the minimum over several
 //! attempts.
@@ -72,6 +77,34 @@ fn assert_poll_allocs_nothing(ps: &mut dyn PubSub, name: &str) {
     assert!(acc > 0, "polls must have returned verdicts");
 }
 
+/// Publishes on every topic, converges, drains every client once, then
+/// measures repeat drains: nothing new, so nothing allocated.
+fn assert_repeat_drain_allocs_nothing(ps: &mut dyn PubSub, name: &str) {
+    let ids = ps.subscriber_ids();
+    for t in 0..ps.topic_count() {
+        let topic = TopicId(t);
+        let author = ids.iter().copied().find(|&id| {
+            ps.publish(id, topic, format!("story {t}").into_bytes())
+                .is_some()
+        });
+        assert!(author.is_some(), "{name}: topic {t} has a member");
+    }
+    assert!(ps.until_pubs_converged(6_000).1, "{name} must converge");
+    let first: usize = ids.iter().map(|&id| ps.drain_events(id).len()).sum();
+    assert!(first >= ids.len(), "{name}: every client drained a story");
+    let mut again = 0usize;
+    let drains = min_allocs(|| {
+        for &id in &ids {
+            again += ps.drain_events(id).len();
+        }
+    });
+    assert_eq!(again, 0, "{name}: a repeat drain hands out nothing");
+    assert_eq!(
+        drains, 0,
+        "{name}: a repeat drain with nothing new must not allocate"
+    );
+}
+
 #[test]
 fn steady_state_polls_allocate_nothing() {
     // Both layouts of the partitioned backend (version reads sum
@@ -83,12 +116,19 @@ fn steady_state_polls_allocate_nothing() {
         }
         let name = ps.backend_name();
         assert_poll_allocs_nothing(&mut ps, name);
+        assert_repeat_drain_allocs_nothing(&mut ps, name);
     }
 
-    // Single-topic sim backend.
-    let mut ps = SystemBuilder::new(73).build_sim();
-    for _ in 0..8 {
-        ps.subscribe(TopicId(0));
+    // Single-topic sim backend, synchronous and chaos-scheduled.
+    for mut ps in [
+        SystemBuilder::new(73).build_sim(),
+        SystemBuilder::new(73).build_chaos(),
+    ] {
+        for _ in 0..8 {
+            ps.subscribe(TopicId(0));
+        }
+        let name = ps.backend_name();
+        assert_poll_allocs_nothing(&mut ps, name);
+        assert_repeat_drain_allocs_nothing(&mut ps, name);
     }
-    assert_poll_allocs_nothing(&mut ps, "sim");
 }

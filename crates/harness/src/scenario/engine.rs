@@ -610,16 +610,13 @@ fn run_phases(
 
     // 7. drain surviving members
     rec.phase("drain");
-    let mut membership: BTreeMap<u32, Vec<NodeId>> = BTreeMap::new();
-    let mut drained: BTreeMap<NodeId, Vec<Delivery>> = BTreeMap::new();
+    let mut tally = DeliveredTally::new(spec.topics);
     for (topic, slots) in schedule.survivors_by_topic(spec.topics) {
-        let entry = membership.entry(topic).or_default();
         for slot in slots {
             let id = churn.slot_ids[slot];
-            entry.push(id);
             rec.member(id, topic);
             let events = rec.drain(ps, id);
-            drained.insert(id, events);
+            tally.member(topic, &events);
         }
     }
 
@@ -648,8 +645,7 @@ fn run_phases(
         // graceful leavers remain live nodes on every backend.
         final_population: slot_ids.len() - crashed.len(),
     };
-    let (report, delivered) =
-        assemble_report(ps, &meta, phases, &membership, &drained, rec.ops);
+    let (report, delivered) = assemble_report(ps, &meta, phases, tally, rec.ops);
     (
         ScenarioOutcome {
             report,
@@ -675,6 +671,52 @@ fn fingerprint(set: &DeliveredSet) -> String {
     format!("{:032x}", Hash128::of_bytes(&buf).0)
 }
 
+/// The drain phase's per-topic delivered sets, fed one member at a time
+/// in drain order — by the live engine and the trace replayer alike. A
+/// topic's first member's set is kept as its common set; every later
+/// member's is compared against it and dropped, so beside the common
+/// sets at most one member's set is ever held.
+pub(crate) struct DeliveredTally {
+    topics: BTreeMap<u32, TopicTally>,
+}
+
+#[derive(Default)]
+struct TopicTally {
+    members: usize,
+    /// The first member's set; identical to every other member's when
+    /// they agree, a diagnostic view (flagged by `disagree`, which fails
+    /// the report) when they don't.
+    common: DeliveredSet,
+    disagree: bool,
+}
+
+impl DeliveredTally {
+    /// A tally of topics `0..topics`, none with a member yet: a topic
+    /// whose members all churned away still appears (empty) in the
+    /// report.
+    pub(crate) fn new(topics: u32) -> Self {
+        DeliveredTally {
+            topics: (0..topics).map(|t| (t, TopicTally::default())).collect(),
+        }
+    }
+
+    /// Adds one member of `topic` whose drain returned `events`.
+    pub(crate) fn member(&mut self, topic: u32, events: &[Delivery]) {
+        let set: DeliveredSet = events
+            .iter()
+            .filter(|d| d.topic.0 == topic)
+            .map(|d| (d.author, d.payload.clone(), d.key.to_string()))
+            .collect();
+        let tally = self.topics.entry(topic).or_default();
+        if tally.members == 0 {
+            tally.common = set;
+        } else {
+            tally.disagree |= set != tally.common;
+        }
+        tally.members += 1;
+    }
+}
+
 /// Builds the report (and the per-topic common delivered sets) from the
 /// final backend state plus the run's bookkeeping. Shared by live
 /// execution and trace replay so both assemble byte-identical JSON.
@@ -682,44 +724,24 @@ pub(crate) fn assemble_report(
     ps: &dyn PubSub,
     meta: &RunMeta<'_>,
     phases: Phases,
-    membership: &BTreeMap<u32, Vec<NodeId>>,
-    drained: &BTreeMap<NodeId, Vec<Delivery>>,
+    tally: DeliveredTally,
     ops: OpCounts,
 ) -> (ScenarioReport, BTreeMap<u32, DeliveredSet>) {
     let mut members_agree = true;
     let mut per_topic = Vec::new();
     let mut delivered: BTreeMap<u32, DeliveredSet> = BTreeMap::new();
     let mut all = Vec::new();
-    for (&topic, members) in membership {
-        let sets: Vec<DeliveredSet> = members
-            .iter()
-            .map(|id| {
-                drained
-                    .get(id)
-                    .map(|events| {
-                        events
-                            .iter()
-                            .filter(|d| d.topic.0 == topic)
-                            .map(|d| (d.author, d.payload.clone(), d.key.to_string()))
-                            .collect()
-                    })
-                    .unwrap_or_default()
-            })
-            .collect();
-        members_agree &= sets.windows(2).all(|w| w[0] == w[1]);
-        // First member's set; identical to all others when members
-        // agree, a diagnostic view (flagged by members_agree=false,
-        // which fails the report) when they don't.
-        let common = sets.into_iter().next().unwrap_or_default();
-        let fp = fingerprint(&common);
+    for (topic, tally) in tally.topics {
+        members_agree &= !tally.disagree;
+        let fp = fingerprint(&tally.common);
         all.extend_from_slice(format!("t{topic}:{fp};").as_bytes());
         per_topic.push(TopicReport {
             topic,
-            members: members.len(),
-            pubs: common.len(),
+            members: tally.members,
+            pubs: tally.common.len(),
             fingerprint: fp,
         });
-        delivered.insert(topic, common);
+        delivered.insert(topic, tally.common);
     }
     let (pubs_converged, total_pubs) = ps.publications_converged();
     debug_assert_eq!(

@@ -13,11 +13,11 @@
 //! The threaded backend can be *recorded* (via the CLI) but not
 //! byte-replayed: wall-clock slices are not reproducible.
 
-use super::engine::{assemble_report, ensure_supported, stop_met, Phases, RunMeta};
+use super::engine::{assemble_report, ensure_supported, stop_met, DeliveredTally, Phases, RunMeta};
 use super::report::{OpCounts, ScenarioReport};
 use super::spec::{ScenarioSpec, Stop};
 use skippub_core::pubsub::ops;
-use skippub_core::pubsub::{Delivery, Op};
+use skippub_core::pubsub::Op;
 use skippub_core::{BackendKind, ProbeMode, ProtocolConfig, PubSub, SystemBuilder, MAX_TOPICS};
 use skippub_sim::{FaultSpec, NodeId};
 use skippub_trie::MAX_KEY_BITS;
@@ -353,13 +353,14 @@ impl Trace {
         let mut ops = OpCounts::default();
         let mut warm_ok = !self.warm;
         let mut stop_ok = false;
-        // Pre-seed every topic, mirroring the live engine's
+        // Every topic is tallied, mirroring the live engine's
         // `survivors_by_topic`: a topic whose members all churned away
         // still appears (empty) in the report, and `member` lines alone
-        // would drop it.
-        let mut membership: BTreeMap<u32, Vec<NodeId>> =
-            (0..self.topics).map(|t| (t, Vec::new())).collect();
-        let mut drained: BTreeMap<NodeId, Vec<Delivery>> = BTreeMap::new();
+        // would drop it. A member's set is what the first drain of it
+        // after its `member` line returned (the engine records the two
+        // back to back); a member never drained counts as empty.
+        let mut tally = DeliveredTally::new(self.topics);
+        let mut undrained: Vec<(NodeId, u32)> = Vec::new();
         // Live-client bookkeeping from the op stream (distinct crashed
         // ids: traces come from files, so a hand-edited double-crash or
         // crash-without-subscribe must not underflow or miscount).
@@ -413,13 +414,17 @@ impl Trace {
                     }
                     op.apply(ps);
                 }
-                TraceLine::Member(id, topic) => {
-                    membership.entry(*topic).or_default().push(*id);
-                }
+                TraceLine::Member(id, topic) => undrained.push((*id, *topic)),
                 TraceLine::Drain(id) => {
-                    drained.insert(*id, ps.drain_events(*id));
+                    let events = ps.drain_events(*id);
+                    for (_, topic) in undrained.extract_if(.., |(member, _)| member == id) {
+                        tally.member(topic, &events);
+                    }
                 }
             }
+        }
+        for (_, topic) in undrained {
+            tally.member(topic, &[]);
         }
         if !phase.is_empty() {
             end_phase(phase, ps);
@@ -445,7 +450,7 @@ impl Trace {
             // underflowing.
             final_population: spawned.saturating_sub(crashed.len()),
         };
-        let (report, _) = assemble_report(ps, &meta, phases, &membership, &drained, ops);
+        let (report, _) = assemble_report(ps, &meta, phases, tally, ops);
         Ok(report)
     }
 }

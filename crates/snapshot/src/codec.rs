@@ -6,7 +6,7 @@
 //! A snapshot is a single ASCII token stream (whitespace-separated), in
 //! three sections:
 //!
-//! 1. **header** — `skippubsnap 6 <kind>`: magic, format version, and
+//! 1. **header** — `skippubsnap 7 <kind>`: magic, format version, and
 //!    the backend kind tag restore dispatches on;
 //! 2. **node store** — the shared [`MemoryTrieDb`] every trie in the
 //!    snapshot committed into: a count followed by `(hash, node)` pairs
@@ -32,9 +32,11 @@ use skippub_trie::{MemoryTrieDb, PatriciaTrie, StoredNode, TrieDb};
 /// for the two per-operation ones); version 5 the engine partition body
 /// (no delivery budget); version 6 the `multi-topic`/`sharded` body (one
 /// plain actor per topic instance instead of a multiplexing actor per
-/// process, and topics per process in the detector routing). A stream
+/// process, and topics per process in the detector routing); version 7
+/// the delivery cursor (per drained instance the keys stored but not yet
+/// reported, instead of every reported key and a root hash). A stream
 /// of an older version would misparse, so it is rejected at the header.
-const FORMAT_VERSION: &str = "6";
+const FORMAT_VERSION: &str = "7";
 
 /// Errors surfaced while decoding a snapshot.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -119,6 +121,16 @@ impl SnapWriter {
     /// Writes a UTF-8 string (as its bytes).
     pub fn put_str(&mut self, s: &str) {
         self.put_bytes(s.as_bytes());
+    }
+
+    /// Writes a length-prefixed sequence from borrowed items — the
+    /// tokens [`SnapVec`](crate::SnapVec) writes for the same items,
+    /// without an owned copy of them to wrap.
+    pub fn put_seq<'a, T: Snap + 'a>(&mut self, items: impl ExactSizeIterator<Item = &'a T>) {
+        self.put_u64(items.len() as u64);
+        for v in items {
+            v.save(self);
+        }
     }
 
     /// The shared node store tries commit into (serialized before the

@@ -128,10 +128,7 @@ macro_rules! snap_seq {
     ($ty:ident, $bound:ident $(+ $extra:ident)*) => {
         impl<T: Snap $(+ $extra)*> Snap for $ty<T> {
             fn save(&self, w: &mut SnapWriter) {
-                w.put_u64(self.len() as u64);
-                for v in self.iter() {
-                    v.save(w);
-                }
+                w.put_seq(self.iter());
             }
             fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
                 let len = r.u64()? as usize;
@@ -143,17 +140,15 @@ macro_rules! snap_seq {
 
 /// Length-prefixed `Vec` of non-byte elements — a coherence wrapper:
 /// `Vec<u8>` has its own compact hex impl above, so a blanket
-/// `Vec<T: Snap>` impl would overlap it; wrap other element vectors in
-/// `SnapVec` at save/load sites instead.
+/// `Vec<T: Snap>` impl would overlap it; load other element vectors
+/// through `SnapVec` at load sites instead, and write them with
+/// [`SnapWriter::put_seq`], which borrows them.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SnapVec<T>(pub Vec<T>);
 
 impl<T: Snap> Snap for SnapVec<T> {
     fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(self.0.len() as u64);
-        for v in &self.0 {
-            v.save(w);
-        }
+        w.put_seq(self.0.iter());
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let len = r.u64()? as usize;
@@ -368,8 +363,8 @@ impl Snap for MetricsState {
         self.delivered_total.save(w);
         self.dropped.save(w);
         self.rounds.save(w);
-        SnapVec(self.kinds.clone()).save(w);
-        SnapVec(self.nodes.clone()).save(w);
+        w.put_seq(self.kinds.iter());
+        w.put_seq(self.nodes.iter());
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let sent_total = Snap::load(r)?;
@@ -433,7 +428,7 @@ impl Snap for LinkClass {
             }
             LinkClass::Group(ids) => {
                 w.put_u64(5);
-                SnapVec(ids.clone()).save(w);
+                w.put_seq(ids.iter());
             }
         }
     }
@@ -488,7 +483,7 @@ impl Snap for Sever {
     fn save(&self, w: &mut SnapWriter) {
         self.from_round.save(w);
         self.to_round.save(w);
-        SnapVec(self.group.clone()).save(w);
+        w.put_seq(self.group.iter());
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(Sever {
@@ -502,8 +497,8 @@ impl Snap for Sever {
 impl Snap for FaultSpec {
     fn save(&self, w: &mut SnapWriter) {
         self.seed.save(w);
-        SnapVec(self.rules.clone()).save(w);
-        SnapVec(self.severs.clone()).save(w);
+        w.put_seq(self.rules.iter());
+        w.put_seq(self.severs.iter());
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(FaultSpec {
@@ -539,7 +534,7 @@ impl<M: Snap> Snap for FaultPlane<M> {
         self.spec.save(w);
         self.base.save(w);
         self.me.save(w);
-        SnapVec(self.cross.clone()).save(w);
+        w.put_seq(self.cross.iter());
         self.local.save(w);
         self.pending_seq.save(w);
         self.counts.save(w);
@@ -602,7 +597,7 @@ where
     fn save(&self, w: &mut SnapWriter) {
         self.id.save(w);
         self.proto.save(w);
-        SnapVec(self.channel.clone()).save(w);
+        w.put_seq(self.channel.iter());
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(NodeState {
@@ -626,7 +621,7 @@ where
         self.rng.save(w);
         self.round.save(w);
         self.metrics.save(w);
-        SnapVec(self.dirty.clone()).save(w);
+        w.put_seq(self.dirty.iter());
         self.peak_in_flight.save(w);
         self.seq.save(w);
         self.cross_sent.save(w);
@@ -682,11 +677,11 @@ where
         }
         w.put_u64(self.mailboxes.len() as u64);
         for m in &self.mailboxes {
-            SnapVec(m.clone()).save(w);
+            w.put_seq(m.iter());
         }
         self.threads.save(w);
         self.round.save(w);
-        SnapVec(self.extra_dirty.clone()).save(w);
+        w.put_seq(self.extra_dirty.iter());
         self.orphan.save(w);
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {

@@ -501,6 +501,21 @@ impl PatriciaTrie {
         PubIter::below(self, self.root)
     }
 
+    /// The publications stored after the first `pos`, in arrival order:
+    /// the leaf arena from `pos` on (empty for `pos ≥ len`). Leaves are
+    /// never removed and an insert only appends (DESIGN.md §8.6), so
+    /// `len()` is a position in the store's arrival log, and a reader
+    /// that remembers it sees each later publication exactly once. A
+    /// trie reopened by [`PatriciaTrie::open_from`] has its own arena
+    /// order (key order), so positions do not carry across a reopen.
+    pub fn publications_since(&self, pos: usize) -> impl ExactSizeIterator<Item = &Publication> {
+        self.leaves
+            .get(pos..)
+            .unwrap_or_default()
+            .iter()
+            .map(|l| &l.publication)
+    }
+
     /// Borrowing iterator over stored keys in order — see
     /// [`PatriciaTrie::iter_publications`].
     pub fn iter_keys(&self) -> impl Iterator<Item = &BitStr> {
@@ -882,6 +897,33 @@ mod tests {
         assert!(t.insert(raw("101")));
         assert!(!t.insert(raw("101")));
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn publications_since_reads_the_arrival_log() {
+        let mut t = PatriciaTrie::new();
+        for k in ["110", "001", "101"] {
+            assert!(t.insert(raw(k)));
+        }
+        let since = |t: &PatriciaTrie, pos| -> Vec<String> {
+            t.publications_since(pos)
+                .map(|p| p.key().to_string())
+                .collect()
+        };
+        assert_eq!(
+            since(&t, 0),
+            ["110", "001", "101"],
+            "arrival, not key order"
+        );
+        assert_eq!(since(&t, 2), ["101"]);
+        assert!(since(&t, 3).is_empty() && since(&t, 99).is_empty());
+        // A duplicate appends nothing; a batch appends its new keys.
+        assert!(!t.insert(raw("001")));
+        let mut batch = crate::TrieBatch::new();
+        batch.push(raw("000"));
+        batch.push(raw("110"));
+        batch.apply(&mut t);
+        assert_eq!(since(&t, 3), ["000"]);
     }
 
     #[test]

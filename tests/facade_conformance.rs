@@ -935,7 +935,7 @@ fn snapshot_unsupported_and_unknown_kinds_fail_cleanly() {
     net.shutdown();
     assert!(err.contains("does not support snapshots"), "{err}");
 
-    let alien = skippub_core::pubsub::BackendSnapshot::from_text("skippubsnap 6 alien 0")
+    let alien = skippub_core::pubsub::BackendSnapshot::from_text("skippubsnap 7 alien 0")
         .expect("well-formed header");
     let err = match skippub_core::pubsub::restore(&alien) {
         Ok(_) => panic!("restoring an unknown kind must fail"),

@@ -21,7 +21,7 @@ use crate::actor::Actor;
 use crate::msg::NodeRef;
 use crate::subscriber::Subscriber;
 use crate::supervisor::Supervisor;
-use skippub_bits::Hash128;
+use skippub_bits::{BitStr, Hash128};
 use skippub_ringmath::{shortcut, Label};
 use skippub_sim::{NodeId, World};
 use std::collections::BTreeMap;
@@ -265,6 +265,11 @@ pub struct CheckScratch {
     by_id: Vec<(u64, u32)>,
     /// Shortcut-derivation buffer.
     expected: Vec<shortcut::ShortcutTarget>,
+    /// The distinct root hashes of a topic's stores, sorted.
+    roots: Vec<Hash128>,
+    /// Keys the other stores hold outside the largest (inline up to 64
+    /// bits, so growing the buffer is the only allocation).
+    outside: Vec<BitStr>,
 }
 
 /// Boolean twin of [`check_topology_parts`]: same verdict on every
@@ -281,7 +286,9 @@ pub fn fast_check_parts<'a>(
     members: impl IntoIterator<Item = (NodeId, &'a Subscriber)>,
     scratch: &mut CheckScratch,
 ) -> bool {
-    let CheckScratch { db, by_id, expected } = scratch;
+    let CheckScratch {
+        db, by_id, expected, ..
+    } = scratch;
     db.clear();
     by_id.clear();
 
@@ -419,38 +426,63 @@ pub fn publications_converged_of<'a>(
     (ok, union.len())
 }
 
-/// Root-hash fast path for Theorem 17: two tries hold the same key set
-/// **iff** their Merkle root hashes agree (pinned by the trie crate's
-/// `root_hash_equality_iff_same_keys` test), so when every
-/// membership-wanting subscriber reports the same root hash the stores
-/// are converged and the union size can be read off any one trie — O(1)
-/// per subscriber, no key-set union, no allocation. Only when hashes
-/// *disagree* (a transient, pre-convergence state) does it fall back to
-/// the exact union of [`publications_converged_of`], so the returned
-/// pair is identical to the from-scratch computation on every input.
+/// Publication convergence by comparing stores, not merging them: the
+/// pair [`publications_converged_of`] returns, on every input
+/// (property-tested in `tests/checker_equiv.rs`).
 ///
-/// `subs` is a closure because the fallback needs a second pass.
-pub fn pubs_converged_fast<'a, I, F>(subs: F) -> (bool, usize)
-where
-    F: Fn() -> I,
-    I: IntoIterator<Item = &'a Subscriber>,
-{
-    let mut first: Option<(Option<Hash128>, usize)> = None;
-    for s in subs() {
-        if !s.wants_membership {
+/// Two tries hold the same key set **iff** their Merkle root hashes
+/// agree (pinned by the trie crate's `root_hash_equality_iff_same_keys`
+/// test), so the stores are converged iff the membership-wanting
+/// subscribers report one root hash (an empty store's included), and
+/// each distinct hash needs looking at once. The largest store seen so
+/// far is the base; every other distinct store reports the keys it holds
+/// outside the base through the hash-pruned
+/// [`PatriciaTrie::for_each_key_not_in`](skippub_trie::PatriciaTrie::for_each_key_not_in).
+/// The union size is the base's length plus those keys, deduplicated.
+///
+/// One pass over `subs`, O(members + Σ |store ∖ base| · depth) instead
+/// of a `BTreeSet` of every stored key: converged stores cost O(1)
+/// each, and with a warm `scratch` (distinct hashes and outside keys,
+/// owned) nothing is allocated.
+pub fn pubs_converged_fast<'a>(
+    subs: impl IntoIterator<Item = &'a Subscriber>,
+    scratch: &mut CheckScratch,
+) -> (bool, usize) {
+    let CheckScratch { roots, outside, .. } = scratch;
+    roots.clear();
+    outside.clear();
+    let mut empty = false;
+    let mut base: Option<&skippub_trie::PatriciaTrie> = None;
+    for s in subs.into_iter().filter(|s| s.wants_membership) {
+        // An empty store adds no key.
+        let Some(h) = s.trie.root_hash() else {
+            empty = true;
             continue;
-        }
-        let h = s.trie.root_hash();
-        match first {
-            None => first = Some((h, s.trie.len())),
-            Some((f, _)) if f == h => {}
-            Some(_) => return publications_converged_of(subs()),
+        };
+        let Err(i) = roots.binary_search(&h) else {
+            continue;
+        };
+        roots.insert(i, h);
+        let store = &s.trie;
+        match base {
+            None => base = Some(store),
+            Some(b) if store.len() > b.len() => {
+                // What the stores seen so far hold outside the new base:
+                // what they held outside the old one and the new one
+                // lacks, plus what the old base holds outside the new.
+                outside.retain(|k| !store.contains_key(k));
+                b.for_each_key_not_in(store, |k| outside.push(k.clone()));
+                base = Some(store);
+            }
+            Some(b) => {
+                store.for_each_key_not_in(b, |k| outside.push(k.clone()));
+            }
         }
     }
-    match first {
-        Some((_, len)) => (true, len),
-        None => (true, 0),
-    }
+    outside.sort_unstable();
+    outside.dedup();
+    let converged = roots.len() + usize::from(empty) <= 1;
+    (converged, base.map_or(0, |b| b.len()) + outside.len())
 }
 
 #[cfg(test)]
@@ -610,9 +642,10 @@ mod tests {
                 .cloned()
                 .collect::<Vec<_>>()
         };
-        let check = |w: &World<Actor>| {
+        let mut scratch = CheckScratch::default();
+        let mut check = |w: &World<Actor>| {
             let owned = subs(w);
-            let fast = pubs_converged_fast(|| owned.iter());
+            let fast = pubs_converged_fast(&owned, &mut scratch);
             let full = publications_converged_of(owned.iter());
             assert_eq!(fast, full);
             fast

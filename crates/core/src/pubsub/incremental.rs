@@ -243,11 +243,12 @@ impl IncChecker {
         if self.members_stale {
             self.rebuild_members(world);
         }
-        let value = checker::pubs_converged_fast(|| {
+        let value = checker::pubs_converged_fast(
             self.members[t]
                 .iter()
-                .filter_map(|id| world.node(*id).and_then(Actor::subscriber))
-        });
+                .filter_map(|id| world.node(*id).and_then(Actor::subscriber)),
+            &mut self.scratch,
+        );
         self.pubs[t] = Cached { version, value };
         value
     }
@@ -298,9 +299,10 @@ impl SimChecker {
         if self.pubs.version == version {
             return self.pubs.value;
         }
-        let value = checker::pubs_converged_fast(|| {
-            world.iter().filter_map(|(_, a)| a.subscriber())
-        });
+        let value = checker::pubs_converged_fast(
+            world.iter().filter_map(|(_, a)| a.subscriber()),
+            &mut self.scratch,
+        );
         self.pubs = Cached { version, value };
         value
     }

@@ -3,7 +3,10 @@
 //! on randomly corrupted worlds (label flips, dropped/garbled edges,
 //! stale database entries, membership flips, shortcut poisoning) and on
 //! every mid-stabilization snapshot of a cold bootstrap — the
-//! correctness bar of the incremental checking layer.
+//! correctness bar of the incremental checking layer. Beside it, the
+//! publication-convergence fast path:
+//! `pubs_converged_fast(subs, scratch) == publications_converged_of(subs)`
+//! on random store families.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -11,6 +14,7 @@ use skippub_core::checker::{self, CheckScratch};
 use skippub_core::{scenarios, ProtocolConfig};
 use skippub_ringmath::Label;
 use skippub_sim::{NodeId, World};
+use skippub_trie::{PatriciaTrie, Publication};
 
 /// One random corruption, interpreted against the world's population
 /// (indices taken modulo the relevant collection sizes so every drawn
@@ -145,5 +149,53 @@ fn scratch_is_reusable_across_divergent_worlds() {
     for n in [1usize, 16, 2, 33, 1] {
         let world = scenarios::legit_world(n, 5, ProtocolConfig::default());
         assert_paths_agree(&world, &mut scratch);
+    }
+}
+
+/// `(author, payload)` pairs that become publications.
+type Items = Vec<(u64, Vec<u8>)>;
+
+fn items(max: usize) -> impl Strategy<Value = Items> {
+    vec((0u64..32, vec(any::<u8>(), 0..4)), 0..max)
+}
+
+fn store(items: &[(u64, Vec<u8>)], m: usize) -> PatriciaTrie {
+    let mut trie = PatriciaTrie::new();
+    for (author, payload) in items {
+        trie.insert(Publication::with_key_bits(*author, payload.clone(), m));
+    }
+    trie
+}
+
+proptest! {
+    // No fixed case count: `PROPTEST_CASES` scales this exactness check.
+    #[test]
+    fn fast_pubs_equal_the_union_on_random_store_families(
+        seed in any::<u64>(),
+        common in items(48),
+        members in vec((any::<u8>(), any::<u8>(), items(8)), 1..12),
+    ) {
+        let world = scenarios::legit_world(members.len(), seed, ProtocolConfig::default());
+        let mut subs: Vec<skippub_core::Subscriber> =
+            world.iter().filter_map(|(_, a)| a.subscriber()).cloned().collect();
+        for (s, (kind, cut, extra)) in subs.iter_mut().zip(&members) {
+            // A prefix of the shared items (members that took the same
+            // one and no extras hold one key set), plus extras.
+            let cut = *cut as usize % (common.len() + 1);
+            let held: Items = common[..cut].iter().chain(extra).cloned().collect();
+            s.trie = match kind % 8 {
+                0 => PatriciaTrie::new(),
+                1 => store(&held, 12), // another key length
+                _ => store(&held, 20),
+            };
+            // Departed members hold stores the verdict must ignore.
+            s.wants_membership = kind % 5 != 0;
+        }
+        let mut scratch = CheckScratch::default();
+        for end in 0..=subs.len() {
+            let family = &subs[..end];
+            let fast = checker::pubs_converged_fast(family, &mut scratch);
+            prop_assert_eq!(fast, checker::publications_converged_of(family.iter()));
+        }
     }
 }

@@ -6,6 +6,11 @@
 //! version moves, so each poll is a cache hit: version reads + a
 //! boolean, no world scan, no `BTreeMap`s, no `String`s.
 //!
+//! A *dirty* convergence poll — the stores disagree, so the verdict is
+//! recomputed by comparing them — allocates nothing either, once the
+//! checker's scratch has seen a divergence as wide: it keeps owned root
+//! hashes and inline keys, never a union of the stores.
+//!
 //! The client's other poll, `drain_events`, is gated beside it: a repeat
 //! drain with nothing new compares the cursor's position with the
 //! store's length per topic and returns an empty `Vec`, allocating
@@ -105,6 +110,49 @@ fn assert_repeat_drain_allocs_nothing(ps: &mut dyn PubSub, name: &str) {
     );
 }
 
+/// Sizes the checker's scratch on the widest divergence a topic can
+/// have — every member holds a publication of its own — then, after
+/// convergence, dirties the stores again with two new publications and
+/// measures the one poll that recomputes the verdict.
+fn assert_dirty_poll_allocs_nothing(ps: &mut dyn PubSub, name: &str) {
+    let ids = ps.subscriber_ids();
+    let publish_everywhere = |ps: &mut dyn PubSub, tag: &str| {
+        for t in 0..ps.topic_count() {
+            for &id in &ids {
+                let _ = ps.publish(id, TopicId(t), format!("{tag} {id} {t}").into_bytes());
+            }
+        }
+    };
+    publish_everywhere(ps, "own");
+    assert!(!ps.publications_converged().0, "{name}: stores must disagree");
+    assert!(ps.until_pubs_converged(6_000).1, "{name} must converge");
+    let polls = (0..4)
+        .map(|round| {
+            // The first two members of topic 0 publish.
+            let authors = ids
+                .iter()
+                .filter(|&&id| {
+                    let payload = format!("again {round} {id}").into_bytes();
+                    ps.publish(id, TopicId(0), payload).is_some()
+                })
+                .take(2)
+                .count();
+            assert_eq!(authors, 2, "{name}: topic 0 has two members");
+            let before = ALLOCS.load(Ordering::Relaxed);
+            let (converged, _) = ps.publications_converged();
+            let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+            assert!(!converged, "{name}: the poll must see the new divergence");
+            assert!(ps.until_pubs_converged(6_000).1, "{name} must converge");
+            allocs
+        })
+        .min()
+        .expect("nonempty");
+    assert_eq!(
+        polls, 0,
+        "{name}: a dirty convergence poll with a warm scratch must not allocate"
+    );
+}
+
 #[test]
 fn steady_state_polls_allocate_nothing() {
     // Both layouts of the partitioned backend (version reads sum
@@ -117,6 +165,7 @@ fn steady_state_polls_allocate_nothing() {
         let name = ps.backend_name();
         assert_poll_allocs_nothing(&mut ps, name);
         assert_repeat_drain_allocs_nothing(&mut ps, name);
+        assert_dirty_poll_allocs_nothing(&mut ps, name);
     }
 
     // Single-topic sim backend, synchronous and chaos-scheduled.
@@ -130,5 +179,6 @@ fn steady_state_polls_allocate_nothing() {
         let name = ps.backend_name();
         assert_poll_allocs_nothing(&mut ps, name);
         assert_repeat_drain_allocs_nothing(&mut ps, name);
+        assert_dirty_poll_allocs_nothing(&mut ps, name);
     }
 }

@@ -673,9 +673,13 @@ fn fingerprint(set: &DeliveredSet) -> String {
 
 /// The drain phase's per-topic delivered sets, fed one member at a time
 /// in drain order — by the live engine and the trace replayer alike. A
-/// topic's first member's set is kept as its common set; every later
-/// member's is compared against it and dropped, so beside the common
-/// sets at most one member's set is ever held.
+/// topic's first member's drained deliveries are kept as its common
+/// set; every later member's drain is compared against them in place,
+/// so nothing per member is built or held.
+///
+/// A drain is ordered by (topic, key) and a store holds each key once,
+/// so two members' deliveries of a topic are equal as sequences exactly
+/// when their `(author, payload, key)` sets are equal.
 pub(crate) struct DeliveredTally {
     topics: BTreeMap<u32, TopicTally>,
 }
@@ -683,10 +687,11 @@ pub(crate) struct DeliveredTally {
 #[derive(Default)]
 struct TopicTally {
     members: usize,
-    /// The first member's set; identical to every other member's when
-    /// they agree, a diagnostic view (flagged by `disagree`, which fails
-    /// the report) when they don't.
-    common: DeliveredSet,
+    /// The first member's deliveries of the topic, in key order;
+    /// identical to every other member's when they agree, a diagnostic
+    /// view (flagged by `disagree`, which fails the report) when they
+    /// don't.
+    common: Vec<Delivery>,
     disagree: bool,
 }
 
@@ -702,16 +707,12 @@ impl DeliveredTally {
 
     /// Adds one member of `topic` whose drain returned `events`.
     pub(crate) fn member(&mut self, topic: u32, events: &[Delivery]) {
-        let set: DeliveredSet = events
-            .iter()
-            .filter(|d| d.topic.0 == topic)
-            .map(|d| (d.author, d.payload.clone(), d.key.to_string()))
-            .collect();
+        let of_topic = events.iter().filter(|d| d.topic.0 == topic);
         let tally = self.topics.entry(topic).or_default();
         if tally.members == 0 {
-            tally.common = set;
+            tally.common = of_topic.cloned().collect();
         } else {
-            tally.disagree |= set != tally.common;
+            tally.disagree |= !of_topic.eq(&tally.common);
         }
         tally.members += 1;
     }
@@ -733,15 +734,20 @@ pub(crate) fn assemble_report(
     let mut all = Vec::new();
     for (topic, tally) in tally.topics {
         members_agree &= !tally.disagree;
-        let fp = fingerprint(&tally.common);
+        let set: DeliveredSet = tally
+            .common
+            .into_iter()
+            .map(|d| (d.author, d.payload, d.key.to_string()))
+            .collect();
+        let fp = fingerprint(&set);
         all.extend_from_slice(format!("t{topic}:{fp};").as_bytes());
         per_topic.push(TopicReport {
             topic,
             members: tally.members,
-            pubs: tally.common.len(),
+            pubs: set.len(),
             fingerprint: fp,
         });
-        delivered.insert(topic, tally.common);
+        delivered.insert(topic, set);
     }
     let (pubs_converged, total_pubs) = ps.publications_converged();
     debug_assert_eq!(
@@ -880,6 +886,164 @@ mod tests {
         let mut reseeded = small_spec();
         reseeded.seed = 99;
         assert!(resume_spec(&reseeded, &warm).is_err(), "wrong seed");
+    }
+
+    /// One member's drain: deliveries of `(topic, author, payload)`, in
+    /// the (topic, key) order every backend's `drain_events` returns.
+    fn drain(items: &[(u32, u64, &str)]) -> Vec<Delivery> {
+        let mut out: Vec<Delivery> = items
+            .iter()
+            .map(|&(topic, author, payload)| Delivery {
+                topic: TopicId(topic),
+                key: skippub_bits::publication_key(author, payload.as_bytes(), 64),
+                author,
+                payload: payload.as_bytes().to_vec(),
+            })
+            .collect();
+        out.sort_unstable_by(|a, b| (a.topic, &a.key).cmp(&(b.topic, &b.key)));
+        out
+    }
+
+    /// The report a tally assembles (on an empty backend).
+    fn tallied(
+        topics: u32,
+        members: &[(u32, Vec<Delivery>)],
+    ) -> (ScenarioReport, BTreeMap<u32, DeliveredSet>) {
+        let mut tally = DeliveredTally::new(topics);
+        for (topic, events) in members {
+            tally.member(*topic, events);
+        }
+        let ps = SystemBuilder::new(1).topics(topics).build(BackendKind::MultiTopic);
+        let meta = RunMeta {
+            scenario: "tally",
+            seed: 1,
+            topics,
+            shards: 1,
+            threads: 1,
+            final_population: 0,
+        };
+        let phases = Phases {
+            warm_rounds: 0,
+            warm_ok: true,
+            scheduled_rounds: 0,
+            stop_kind: Stop::FixedRounds.name(),
+            stop_rounds: 0,
+            stop_ok: true,
+            settle_rounds: 0,
+        };
+        assemble_report(ps.as_ref(), &meta, phases, tally, OpCounts::default())
+    }
+
+    #[test]
+    fn tally_compares_each_drain_with_the_first() {
+        let base = [(0, 1, "a"), (0, 2, "b"), (0, 3, "c")];
+        let agreeing = drain(&base);
+        // Another topic's deliveries in the same drain are not compared.
+        let with_other_topic = drain(&[base[0], base[1], base[2], (1, 9, "z")]);
+        let (report, delivered) = tallied(
+            2,
+            &[(0, agreeing.clone()), (0, with_other_topic), (0, agreeing.clone())],
+        );
+        assert!(report.members_agree);
+        assert_eq!((report.per_topic[0].members, report.per_topic[0].pubs), (3, 3));
+        let expect: DeliveredSet = agreeing
+            .iter()
+            .map(|d| (d.author, d.payload.clone(), d.key.to_string()))
+            .collect();
+        assert_eq!(delivered[&0], expect);
+
+        let extra = drain(&[base[0], base[1], base[2], (0, 4, "d")]);
+        let missing = drain(&base[..2]);
+        // The same key with another payload.
+        let mut altered = agreeing.clone();
+        altered[1].payload = b"forged".to_vec();
+        for (what, odd) in [("extra", extra), ("missing", missing), ("altered", altered)] {
+            // Wherever the odd member comes, first included.
+            for at in 0..=2 {
+                let mut members = vec![(0, agreeing.clone()), (0, agreeing.clone())];
+                members.insert(at, (0, odd.clone()));
+                let (report, _) = tallied(1, &members);
+                assert!(!report.members_agree, "{what} delivery must flip members_agree");
+                assert!(!report.ok(), "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn tally_reports_a_topic_without_members_as_empty() {
+        let (report, delivered) = tallied(3, &[(1, drain(&[(1, 5, "only")]))]);
+        assert!(report.members_agree);
+        let empty = fingerprint(&DeliveredSet::new());
+        for topic in [0, 2] {
+            let t = &report.per_topic[topic as usize];
+            assert_eq!((t.topic, t.members, t.pubs), (topic, 0, 0));
+            assert_eq!(t.fingerprint, empty);
+            assert!(delivered[&topic].is_empty());
+        }
+        assert_eq!(report.per_topic[1].pubs, 1);
+    }
+
+    #[test]
+    fn replay_counts_an_undrained_member_as_empty() {
+        let (out, mut trace) = run_recorded(&small_spec(), BackendKind::Sim).expect("supported");
+        assert!(out.report.members_agree && out.report.total_pubs > 0);
+        assert_eq!(trace.replay().expect("replays").to_json(), out.report.to_json());
+        let last_drain = trace
+            .lines
+            .iter()
+            .rposition(|l| matches!(l, TraceLine::Drain(_)))
+            .expect("the drain phase drains every survivor");
+        trace.lines.remove(last_drain);
+        let replayed = trace.replay().expect("replays");
+        assert!(!replayed.members_agree, "{}", replayed.to_json());
+        // The first member's set still stands for the topic.
+        assert_eq!(replayed.per_topic[0].pubs, out.report.per_topic[0].pubs);
+    }
+
+    /// Delivered-set fingerprints of builtin scenarios, as the `scenarios`
+    /// CLI reports them. Trace replay only compares a build with itself;
+    /// this pins the report against drift between builds.
+    #[test]
+    fn builtin_reports_keep_their_pinned_fingerprints() {
+        use crate::scenario::library;
+        use BackendKind::{Chaos, MultiTopic, Sharded, Sim};
+        let empty = "703265576c9403db430734875aaf7179";
+        assert_eq!(fingerprint(&DeliveredSet::new()), empty);
+        let steady = ["19149dd49efa2431c711804f2cf09c30"];
+        // shard-churn's topics 6–11 deliver nothing.
+        let mut churn = vec![
+            "6979de484a17f673d411b728b96f7643",
+            "fe158383c5eb236e962582414f48ac70",
+            "62d78693d7f0fd0149116f79a7590f15",
+            "408fd6e5adf8c4369a047cae87b8a8bc",
+            "675d982a7491311519291847b6826f84",
+            "773d8674e8da6d4fb0b2b8fb7c3c3a95",
+        ];
+        churn.extend([empty; 6]);
+        let table = [
+            (
+                library::steady_state(),
+                &[Sim, Chaos, MultiTopic, Sharded][..],
+                &steady[..],
+                "2eedcdd8cd2f0b398fb6b4a821a95b8f",
+            ),
+            (
+                library::shard_churn(),
+                &[MultiTopic, Sharded][..],
+                &churn[..],
+                "a5fbc34835eb2793534e981a3090f86d",
+            ),
+        ];
+        for (spec, kinds, topics, all) in table {
+            for &kind in kinds {
+                let r = run_spec(&spec, kind).expect("supported").report;
+                let what = format!("{} on {}", spec.name, kind.name());
+                assert!(r.ok(), "{what}: {}", r.to_json());
+                let got: Vec<&str> = r.per_topic.iter().map(|t| t.fingerprint.as_str()).collect();
+                assert_eq!(got, topics, "{what}");
+                assert_eq!(r.delivered_fingerprint, all, "{what}");
+            }
+        }
     }
 
     #[test]

@@ -396,15 +396,24 @@ impl PatriciaTrie {
     /// of the subtrie holding exactly the keys under `bits`: follow
     /// `bits` down to the first label at least as long, then compare.
     fn locate(&self, bits: &BitStr) -> Option<Ref> {
-        let mut cur = self.root?;
+        self.locate_from(self.root?, bits, bits.len())
+    }
+
+    /// [`PatriciaTrie::locate`] for the label `key.prefix(len)`, started
+    /// at `cur`, a node whose subtrie holds every key under that label:
+    /// the crit-bit walk, then one `common_prefix_len` against the key
+    /// it ends at, so the label is never materialised. (The walk stops
+    /// at an inner label at least `len` long, and a leaf's label is its
+    /// whole key, so a match of `len` bits means the label extends it.)
+    fn locate_from(&self, mut cur: Ref, key: &BitStr, len: usize) -> Option<Ref> {
         while let At::Inner(i) = cur.at() {
-            let len = self.inner[i].len as usize;
-            if len >= bits.len() {
+            let node = &self.inner[i];
+            if node.len as usize >= len {
                 break;
             }
-            cur = self.inner[i].children[bits.get(len) as usize];
+            cur = node.children[key.get(node.len as usize) as usize];
         }
-        bits.is_prefix_of(self.label_of(cur).0).then_some(cur)
+        (self.label_of(cur).0.common_prefix_len(key) >= len).then_some(cur)
     }
 
     /// The node with *exactly* this label (inner or leaf).
@@ -583,6 +592,51 @@ impl PatriciaTrie {
             }
         }
         reply
+    }
+
+    /// Calls `f` with every stored key that `other` does not hold, in
+    /// key order and each once, and returns how many nodes of `self` it
+    /// visited. The walk is a DFS over `self` that skips every subtrie
+    /// `other` also holds under the same label with the same Merkle hash:
+    /// the pruning [`PatriciaTrie::check_all`] does across the wire, run
+    /// locally. Each step looks `other` up from its match for the parent,
+    /// so it costs O(|self ∖ other| · depth) visits; identical tries
+    /// visit only the root. The stack is a fixed array: nothing is
+    /// allocated. Keys of another length than `other`'s are never held
+    /// there, so a trie with another key length yields all its keys.
+    pub fn for_each_key_not_in(&self, other: &PatriciaTrie, mut f: impl FnMut(&BitStr)) -> usize {
+        let Some(root) = self.root else {
+            return 0;
+        };
+        // A node of `self`, and the topmost node of `other` whose label
+        // extends-or-equals its label (`None`: `other` holds nothing
+        // under it). A path has at most `MAX_KEY_BITS` inner nodes, each
+        // leaving one sibling pending.
+        let mut stack = [(root, None::<Ref>); MAX_KEY_BITS + 1];
+        stack[0] = (root, other.root);
+        let mut depth = 1;
+        let mut visited = 0;
+        while depth > 0 {
+            depth -= 1;
+            visited += 1;
+            let (at, from) = stack[depth];
+            let (key, len) = self.label_of(at);
+            let twin = from.and_then(|o| other.locate_from(o, key, len));
+            if twin.is_some_and(|t| other.label_len(t) == len && other.hash_of(t) == self.hash_of(at)) {
+                continue;
+            }
+            match at.at() {
+                At::Leaf(_) => f(key),
+                At::Inner(i) => {
+                    // Bit-1 side below bit-0 so bit-0 pops first: key order.
+                    let [c0, c1] = self.inner[i].children;
+                    stack[depth] = (c1, twin);
+                    stack[depth + 1] = (c0, twin);
+                    depth += 2;
+                }
+            }
+        }
+        visited
     }
 
     /// Commits the trie into a node-addressed store: every node is
@@ -1181,6 +1235,25 @@ mod tests {
             u.check_all(&[u.root_summary().unwrap()]),
             CheckReply::default()
         );
+    }
+
+    #[test]
+    fn difference_walk_prunes_shared_subtries() {
+        let (u, v) = figure2();
+        let not_in = |a: &PatriciaTrie, b: &PatriciaTrie| {
+            let mut keys = Vec::new();
+            let visited = a.for_each_key_not_in(b, |k| keys.push(k.to_string()));
+            (keys, visited)
+        };
+        // u's root differs, "0" matches v's, and "10" is missing there:
+        // both of its leaves are looked at, and only "101" is new.
+        assert_eq!(not_in(&u, &v), (vec!["101".to_string()], 5));
+        // v's "100" hangs under the root and matches u's leaf.
+        assert_eq!(not_in(&v, &u), (vec![], 3));
+        assert_eq!(not_in(&u, &u), (vec![], 1));
+        let empty = PatriciaTrie::new();
+        assert_eq!(not_in(&empty, &u), (vec![], 0));
+        assert_eq!(not_in(&u, &empty).0, ["000", "010", "100", "101"]);
     }
 
     #[test]

@@ -465,3 +465,59 @@ proptest! {
         }
     }
 }
+
+/// The keys `for_each_key_not_in` reports, in report order, and the
+/// nodes it visited.
+fn walk(a: &PatriciaTrie, b: &PatriciaTrie) -> (Vec<BitStr>, usize) {
+    let mut keys = Vec::new();
+    let visited = a.for_each_key_not_in(b, |k| keys.push(k.clone()));
+    (keys, visited)
+}
+
+fn trie_of<'a>(items: impl IntoIterator<Item = &'a (u64, Vec<u8>)>, m: usize) -> PatriciaTrie {
+    let mut trie = PatriciaTrie::new();
+    for (author, payload) in items {
+        trie.insert(Publication::with_key_bits(*author, payload.clone(), m));
+    }
+    trie
+}
+
+/// The difference walk against the naive sorted set difference, both
+/// ways round: each key of `a` outside `b` exactly once, in key order.
+fn walk_is_set_difference(a: &PatriciaTrie, b: &PatriciaTrie) -> Result<(), TestCaseError> {
+    for (x, y) in [(a, b), (b, a)] {
+        let theirs: BTreeSet<BitStr> = y.keys().into_iter().collect();
+        let expect: Vec<BitStr> = x.keys().into_iter().filter(|k| !theirs.contains(k)).collect();
+        let (got, visited) = walk(x, y);
+        prop_assert_eq!(got, expect);
+        // A trie of m leaves has 2m − 1 nodes; the walk sees each once.
+        prop_assert!(visited <= (2 * x.len()).saturating_sub(1));
+    }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn difference_walk_is_the_sorted_set_difference(
+        m in 1usize..24,
+        common in arb_items(120),
+        only_a in arb_items(30),
+        only_b in arb_items(30),
+        other_m in 1usize..24,
+    ) {
+        // Shared keys plus extras on both sides.
+        let a = trie_of(common.iter().chain(&only_a), m);
+        let b = trie_of(common.iter().chain(&only_b), m);
+        walk_is_set_difference(&a, &b)?;
+        // One side empty.
+        walk_is_set_difference(&a, &PatriciaTrie::new())?;
+        // Disjoint.
+        walk_is_set_difference(&trie_of(&only_a, m), &trie_of(&common, m))?;
+        // Another key length: nothing is shared unless the lengths agree.
+        walk_is_set_difference(&a, &trie_of(&only_b, other_m))?;
+        // Identical tries, built in another order, visit only the root.
+        let twin = trie_of(only_a.iter().rev().chain(common.iter().rev()), m);
+        walk_is_set_difference(&a, &twin)?;
+        prop_assert_eq!(walk(&a, &twin), (Vec::new(), usize::from(!a.is_empty())));
+    }
+}

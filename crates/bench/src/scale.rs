@@ -6,7 +6,7 @@
 //!
 //! * `stabilization_rounds` (cold) — rounds for the whole Zipf mass
 //!   join (hot topics large, the tail thin — the realistic pub-sub
-//!   shape) to reach legitimacy;
+//!   shape) to reach legitimacy, and `stabilization_secs` its wall time;
 //! * `steady_rounds_per_sec` — maintenance-round throughput
 //!   (timeouts, probes, ring repair, anti-entropy);
 //! * `join_stabilization_rounds` (warm) — rounds for a join batch to be
@@ -35,18 +35,18 @@ pub const DESCRIPTION: &str = "Scale sweep for the inline-BitStr + interner + So
 /// The artifact's `methodology`: how to read its gauges.
 pub const METHODOLOGY: &str = "alloc_high_water_mb is the high-water mark of live heap bytes (allocations minus frees) tracked by a counting global allocator; per row it is a delta from the level just before that population builds, at the top level it is the whole run's. It is a deterministic RSS proxy: it excludes allocator slack, code and stacks, so it understates OS RSS, but it is reproducible and comparable across runs. steady_rounds_per_sec is wall-clock over the timed rounds on the cores recorded above.";
 /// The artifact's `note`: how to read the rows.
-pub const NOTE: &str = "The scaling story: skippub join_stabilization_rounds and chord/skipgraph route hops grow ~log n, while the broker's per-publication fan-out and ringcast's broadcast steps grow linearly with the hot topic's membership. Cold mass-join stabilization (cold_zipf) takes 14 rounds at 10k and 21 at 100k: with coalesced configurations the round count grows slowly in n. Populations listed in cold_skipped run the warm leg only because of per-round cost, not round count: from 10k to 100k a cold round's messages (sent_total / stabilization_rounds) grow ~9x, the cold leg's live heap ~10x and its wall time ~120x (0.9 s to 108 s on the cores recorded above), so cold 1M would hold ~3 GB and run for hours.";
+pub const NOTE: &str = "The scaling story: skippub join_stabilization_rounds and chord/skipgraph route hops grow ~log n, while the broker's per-publication fan-out and ringcast's broadcast steps grow linearly with the hot topic's membership. Cold mass-join stabilization (cold_zipf) runs at every population up to cold_max, 1M included; stabilization_secs is its wall time on the cores recorded above. The supervisor keeps an inverse index beside its label database and runs its full repair pass only while the database is not known to be a bijection onto l(0..n) (DESIGN.md 3), so its local work per join or leave is O(log n): a cold round costs about what its messages (sent_total / stabilization_rounds) cost. While every supervisor handler rescanned the database, the cold 100k leg took 96-168 s on 2 cores (the same 25 rounds and messages) and 1M was skipped.";
 const TOPICS: u32 = 64;
 const SHARDS: usize = 8;
 const ZIPF_S: f64 = 1.0;
 /// Round budget of every until-legitimate wait.
 const WARM_BUDGET: u64 = 50_000;
-/// Largest population that runs the cold leg. The cold round count
-/// grows slowly (14 rounds at 10k, 21 at 100k), but a cold round's cost
-/// does not: from 10k to 100k the leg's wall time grew ~120× (0.9 s →
-/// 108 s on 2 cores) and its live heap ~10× (29 → 292 MB), so cold 1M
-/// would run for hours in ~3 GB.
-const COLD_MAX: usize = 100_000;
+/// Largest population that runs the cold leg: all of them. While every
+/// supervisor handler rescanned its database, a cold round's cost grew
+/// with the hot topic's membership squared — the 100k leg took 96–168 s
+/// on 2 cores and 1M was skipped. The supervisor's inverse index
+/// (DESIGN.md §3) makes that work O(log n) per join.
+const COLD_MAX: usize = 1_000_000;
 /// Fresh joiners the warm leg feeds a legitimate ring.
 const JOIN_BATCH: usize = 64;
 
@@ -105,6 +105,7 @@ fn measure_cold(n: usize, topics: &[u32], hot_members: usize, steady_rounds: u64
         "n": n,
         "hot_topic_members": hot_members,
         "stabilization_rounds": stabilization_rounds,
+        "stabilization_secs": Fixed(secs, 1),
         "steady_rounds_per_sec": steady_rounds_per_sec,
         "peak_in_flight": stats.peak_in_flight,
         "alloc_high_water_mb": Fixed(peak_mb_above(baseline), 1),

@@ -41,3 +41,48 @@ fn smoke_artifacts_keep_every_committed_key_and_the_stamp() {
         );
     }
 }
+
+/// The value of the first `"description"` member of a JSON text (the
+/// artifacts hold no escaped quotes).
+fn description(json: &str) -> &str {
+    const KEY: &str = "\"description\": \"";
+    let start = json.find(KEY).expect("a description") + KEY.len();
+    let len = json[start..].find('"').expect("a closed string");
+    &json[start..start + len]
+}
+
+#[test]
+fn every_committed_artifact_names_its_suite_or_is_marked_historical() {
+    let root = format!("{}/../..", env!("CARGO_MANIFEST_DIR"));
+    let mut artifacts = 0;
+    for entry in std::fs::read_dir(&root).unwrap_or_else(|e| panic!("{root}: {e}")) {
+        let file = entry.unwrap().file_name().into_string().unwrap();
+        let Some(stem) = file
+            .strip_prefix("BENCH_")
+            .and_then(|f| f.strip_suffix(".json"))
+        else {
+            continue;
+        };
+        artifacts += 1;
+        let text = std::fs::read_to_string(format!("{root}/{file}")).unwrap();
+        let description = description(&text);
+        match description.split_once(" Regenerate with: ") {
+            Some((_, command)) => {
+                let suite =
+                    command.strip_prefix("cargo run --release -p skippub-bench --bin bench -- ");
+                assert!(
+                    skippub_bench::args::SUITES
+                        .iter()
+                        .any(|(name, _)| Some(*name) == suite),
+                    "{file}: {command:?} runs no suite of `bench`"
+                );
+                assert_eq!(suite, Some(stem), "{file}: regenerated by another suite");
+            }
+            None => assert!(
+                description.contains("Historical:"),
+                "{file}: no regenerate command, and not marked historical"
+            ),
+        }
+    }
+    assert!(artifacts >= skippub_bench::args::SUITES.len());
+}

@@ -15,8 +15,11 @@
 //! encoding are all defined over the *logical* word sequence and therefore
 //! representation-independent by construction. Spill events are counted in
 //! a process-wide gauge ([`BitStr::heap_allocations`]) so tests can prove
-//! that protocol steady state never leaves the inline path.
+//! that protocol steady state never leaves the inline path; a per-thread
+//! gauge ([`BitStr::thread_heap_allocations`]) lets a unit test do so
+//! beside others that spill concurrently.
 
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -28,6 +31,18 @@ const WORD_BITS: usize = 64;
 
 /// Process-wide count of heap (spill) allocations made by `BitStr`.
 static HEAP_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// The calling thread's share of [`HEAP_ALLOCATIONS`].
+    static THREAD_HEAP_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one spill allocation in the process-wide and per-thread gauges.
+#[inline]
+fn count_heap_allocation() {
+    HEAP_ALLOCATIONS.fetch_add(1, AtomicOrdering::Relaxed);
+    THREAD_HEAP_ALLOCATIONS.with(|c| c.set(c.get() + 1));
+}
 
 /// Backing storage: a single inline word for strings of at most 64 bits,
 /// a word vector beyond that. `Spilled` is only ever constructed for
@@ -56,7 +71,7 @@ impl Clone for BitStr {
         let repr = match &self.repr {
             Repr::Inline(w) => Repr::Inline(*w),
             Repr::Spilled(v) => {
-                HEAP_ALLOCATIONS.fetch_add(1, AtomicOrdering::Relaxed);
+                count_heap_allocation();
                 Repr::Spilled(v.clone())
             }
         };
@@ -101,6 +116,13 @@ impl BitStr {
         HEAP_ALLOCATIONS.load(AtomicOrdering::Relaxed)
     }
 
+    /// The calling thread's share of [`BitStr::heap_allocations`]: what a
+    /// test can read without seeing spills of tests running beside it.
+    #[inline]
+    pub fn thread_heap_allocations() -> u64 {
+        THREAD_HEAP_ALLOCATIONS.with(Cell::get)
+    }
+
     /// Whether this string is stored inline (no heap allocation).
     #[inline]
     pub fn is_inline(&self) -> bool {
@@ -124,7 +146,7 @@ impl BitStr {
     /// No-op if already spilled (beyond a `reserve`).
     fn spill(&mut self, total: usize) {
         if let Repr::Inline(w) = self.repr {
-            HEAP_ALLOCATIONS.fetch_add(1, AtomicOrdering::Relaxed);
+            count_heap_allocation();
             let mut v = Vec::with_capacity(total.div_ceil(WORD_BITS));
             if self.len != 0 {
                 v.push(w);
@@ -866,15 +888,21 @@ mod tests {
 
     #[test]
     fn heap_allocation_gauge_moves_only_on_spill() {
-        let before = BitStr::heap_allocations();
+        // Per thread: sibling tests in this binary spill concurrently,
+        // so the process-wide gauge can move under this test.
+        let before = BitStr::thread_heap_allocations();
         let mut s = BitStr::from_u64_msb(0xABCD, 16);
         for _ in 0..48 {
             s.push(false);
         }
         let t = s.clone();
         let _ = t.prefix(10);
-        assert_eq!(BitStr::heap_allocations(), before, "inline path allocated");
+        assert_eq!(
+            BitStr::thread_heap_allocations(),
+            before,
+            "inline path allocated"
+        );
         s.push(true); // 65th bit: spill
-        assert!(BitStr::heap_allocations() > before);
+        assert_eq!(BitStr::thread_heap_allocations(), before + 1);
     }
 }

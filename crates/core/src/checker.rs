@@ -134,8 +134,8 @@ pub fn check_topology_parts<'a>(
     let mut report = LegitReport::default();
 
     // --- database validity (Lemma 9) ---
-    let mut db: Vec<(Label, NodeId)> = Vec::with_capacity(sup.database.len());
-    for (l, v) in &sup.database {
+    let mut db: Vec<(Label, NodeId)> = Vec::with_capacity(sup.database().len());
+    for (l, v) in sup.database() {
         match v {
             None => report.note(format!("database has (label {l}, ⊥)")),
             Some(node) => db.push((*l, *node)),
@@ -293,7 +293,7 @@ pub fn fast_check_parts<'a>(
     by_id.clear();
 
     // --- database validity (Lemma 9) ---
-    for (l, v) in &sup.database {
+    for (l, v) in sup.database() {
         match v {
             None => return false, // (label, ⊥)
             Some(node) => db.push((*l, *node)),
@@ -525,7 +525,7 @@ mod tests {
         let sup_id = scenarios::supervisor_id(&world);
         let sup = world.node_mut(sup_id).unwrap().supervisor_mut().unwrap();
         let l: Label = "0101".parse().unwrap();
-        sup.database.insert(l, None);
+        sup.database_mut().insert(l, None);
         assert!(!is_legitimate(&world));
     }
 
@@ -584,7 +584,7 @@ mod tests {
         let sup_id = scenarios::supervisor_id(&world);
         let sup = world.node_mut(sup_id).unwrap().supervisor_mut().unwrap();
         let l: Label = "0101".parse().unwrap();
-        sup.database.insert(l, None);
+        sup.database_mut().insert(l, None);
         assert!(!agree(&world, &mut scratch));
         // Poisoned shortcut slot.
         let mut world = scenarios::legit_world(8, 7, ProtocolConfig::default());

@@ -1213,13 +1213,13 @@ mod tests {
             ps.step();
             let poisoned = ps.supervisor(t).unwrap();
             assert!(
-                poisoned.database.values().any(|v| *v == Some(leaver)),
+                poisoned.database().values().any(|v| *v == Some(leaver)),
                 "stale Subscribe must have re-inserted the leaver"
             );
             assert!(ps.until_legit(400).1, "{}", ps.backend_name());
             let sup = ps.supervisor(t).unwrap();
             assert!(
-                sup.database.values().all(|v| *v != Some(leaver)),
+                sup.database().values().all(|v| *v != Some(leaver)),
                 "database must drop the departed node again"
             );
             assert_eq!(sup.n(), 3);

@@ -331,7 +331,7 @@ fn write_sup_digest(out: &mut String, topic: TopicId, s: &Supervisor) {
         topic.0, s.id.0, s.next, s.db_epoch, s.token_enabled, s.token_seq, s.token_outstanding,
         s.token_age
     );
-    for (l, v) in &s.database {
+    for (l, v) in s.database() {
         let _ = write!(out, "{l:?}->{v:?};");
     }
     for (tag, set) in [
@@ -875,7 +875,7 @@ mod tests {
         g.record_topic(TopicId(0), live.outbox.clone());
         g.anti_entropy();
         let replayed = g.primary_topic(TopicId(0));
-        assert_eq!(replayed.database, live.database);
+        assert_eq!(replayed.database(), live.database());
         assert_eq!(replayed.next, live.next);
         assert_eq!(replayed.db_epoch, live.db_epoch);
         assert_eq!(replayed.suspected, live.suspected);

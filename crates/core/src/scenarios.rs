@@ -51,9 +51,8 @@ pub fn legit_world(n: usize, seed: u64, cfg: ProtocolConfig) -> World<Actor> {
     let mut db: Vec<(Label, NodeId)> = (0..n as u64)
         .map(|i| (Label::from_index(i), NodeId(i + 1)))
         .collect();
-    for (l, v) in &db {
-        sup.database.insert(*l, Some(*v));
-    }
+    sup.database_mut()
+        .extend(db.iter().map(|(l, v)| (*l, Some(*v))));
     world.add_node(SUPERVISOR, Actor::Supervisor(Box::new(sup)));
     // Ring order.
     db.sort_by_key(|(l, _)| *l);
@@ -249,15 +248,14 @@ pub fn adversarial_world(
             let ids = subscriber_ids(&world);
             let sup = world.node_mut(sup_id).unwrap().supervisor_mut().unwrap();
             // (i) a ⊥ tuple, (iv) an out-of-range label.
-            sup.database.insert(random_label(&mut rng, 12), None);
-            sup.database
-                .insert(Label::from_index(4 * n as u64 + 7), Some(ids[0]));
+            let db = sup.database_mut();
+            db.insert(random_label(&mut rng, 12), None);
+            db.insert(Label::from_index(4 * n as u64 + 7), Some(ids[0]));
             // (ii) duplicate subscriber under a second label.
-            sup.database
-                .insert(Label::from_index(2 * n as u64 + 3), Some(ids[n / 2]));
+            db.insert(Label::from_index(2 * n as u64 + 3), Some(ids[n / 2]));
             // (iii) a missing slot: drop one legitimate entry.
             let drop_at = Label::from_index((n / 3) as u64);
-            sup.database.remove(&drop_at);
+            db.remove(&drop_at);
             world
         }
         Adversary::ShuffledLabels => {

@@ -268,13 +268,15 @@ snap_struct!(SupervisorCounters {
     tokens_returned,
 });
 
-// Manual impl: `outbox` is intentionally not serialized. Backends drain
-// it after every step and facade call, so it is always empty at
-// snapshot boundaries; restore starts it empty.
+// Manual impl: `outbox`, the inverse index and the visit gauge are
+// intentionally not serialized. Backends drain `outbox` after every
+// step and facade call, so it is always empty at snapshot boundaries;
+// the index is derived from `database` by the next full `CheckLabels`
+// pass. Restore starts from `Supervisor::new`, so all three start empty.
 impl Snap for Supervisor {
     fn save(&self, w: &mut SnapWriter) {
         self.id.save(w);
-        self.database.save(w);
+        self.database().save(w);
         self.next.save(w);
         self.db_epoch.save(w);
         self.suspected.save(w);
@@ -288,22 +290,20 @@ impl Snap for Supervisor {
         self.replicated.save(w);
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Supervisor {
-            id: Snap::load(r)?,
-            database: Snap::load(r)?,
-            next: Snap::load(r)?,
-            db_epoch: Snap::load(r)?,
-            suspected: Snap::load(r)?,
-            staged: Snap::load(r)?,
-            relabelled: Snap::load(r)?,
-            token_enabled: Snap::load(r)?,
-            token_seq: Snap::load(r)?,
-            token_outstanding: Snap::load(r)?,
-            token_age: Snap::load(r)?,
-            counters: Snap::load(r)?,
-            replicated: Snap::load(r)?,
-            outbox: Vec::new(),
-        })
+        let mut s = Supervisor::new(Snap::load(r)?);
+        *s.database_mut() = Snap::load(r)?;
+        s.next = Snap::load(r)?;
+        s.db_epoch = Snap::load(r)?;
+        s.suspected = Snap::load(r)?;
+        s.staged = Snap::load(r)?;
+        s.relabelled = Snap::load(r)?;
+        s.token_enabled = Snap::load(r)?;
+        s.token_seq = Snap::load(r)?;
+        s.token_outstanding = Snap::load(r)?;
+        s.token_age = Snap::load(r)?;
+        s.counters = Snap::load(r)?;
+        s.replicated = Snap::load(r)?;
+        Ok(s)
     }
 }
 

@@ -19,6 +19,17 @@
 //! next activation's flush, because two configurations sent in
 //! consecutive activations can still reach it in one inbox, in either
 //! order.
+//!
+//! **Clean-database fast path** (DESIGN.md §3): beside `database` the
+//! supervisor keeps a derived inverse index `NodeId → Label`, present
+//! exactly while the database is known to be a bijection onto `l(0..n)`.
+//! A full `CheckLabels` pass builds it; `Subscribe`'s insert at `l(n)`
+//! and `Unsubscribe`'s move-last-into-the-gap keep it; an eviction and
+//! every write through [`Supervisor::database_mut`] drop it. While it is
+//! present the repair passes are no-ops and return at once, and lookups
+//! and the flush are O(log n) per member — the same messages as the
+//! full pass, without the Θ(n) scans. It is never serialized: restore
+//! and replay start without it.
 
 use crate::msg::{Msg, NodeRef};
 use crate::replica::RepOpKind;
@@ -27,7 +38,7 @@ use skippub_sim::{Ctx, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Supervisor-side experiment counters.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SupervisorCounters {
     /// Configurations pushed by the round-robin `Timeout`.
     pub roundrobin_configs: u64,
@@ -50,8 +61,18 @@ pub struct Supervisor {
     pub id: NodeId,
     /// `database`: label → subscriber. `None` values model the paper's
     /// corrupted `(label, ⊥)` tuples (class (i)) and only ever exist in
-    /// adversarial initial states.
-    pub database: BTreeMap<Label, Option<NodeId>>,
+    /// adversarial initial states. Read through
+    /// [`Supervisor::database`]; written by the handlers below and by
+    /// [`Supervisor::database_mut`], which drops [`Supervisor::inverse`].
+    database: BTreeMap<Label, Option<NodeId>>,
+    /// The inverse of `database`, present only while `database` is a
+    /// bijection onto `l(0..n)` (the *clean* flag is `is_some()`).
+    /// Derived state, not a protocol variable: never serialized.
+    inverse: Option<BTreeMap<NodeId, Label>>,
+    /// Database entries visited by linear passes (full repair passes,
+    /// scans for one member, the eviction sweep).
+    /// A cost gauge like `outbox`: never serialized.
+    db_visits: u64,
     /// Round-robin pointer for configuration dissemination.
     pub next: u64,
     /// Monotone **database epoch**: bumped by every mutation of
@@ -102,6 +123,8 @@ impl Supervisor {
         Supervisor {
             id,
             database: BTreeMap::new(),
+            inverse: None,
+            db_visits: 0,
             next: 0,
             db_epoch: 0,
             suspected: BTreeSet::new(),
@@ -134,6 +157,34 @@ impl Supervisor {
         self.database.len()
     }
 
+    /// The database: label → subscriber, `None` for a corrupted
+    /// `(label, ⊥)` tuple.
+    pub fn database(&self) -> &BTreeMap<Label, Option<NodeId>> {
+        &self.database
+    }
+
+    /// Write access to the database from outside the protocol —
+    /// initializers, corrupted-state injection, tests. Drops the inverse
+    /// index, so the next activation runs the full `CheckLabels` pass.
+    /// Bumps no `db_epoch`: the write is not a protocol step.
+    pub fn database_mut(&mut self) -> &mut BTreeMap<Label, Option<NodeId>> {
+        self.inverse = None;
+        &mut self.database
+    }
+
+    /// The inverse index `subscriber → label`, when the database is known
+    /// to be a bijection onto `l(0..n)`; `None` until the next full
+    /// `CheckLabels` pass otherwise.
+    pub fn inverse_index(&self) -> Option<&BTreeMap<NodeId, Label>> {
+        self.inverse.as_ref()
+    }
+
+    /// Database entries visited by linear passes since this supervisor
+    /// was built or restored.
+    pub fn db_entries_visited(&self) -> u64 {
+        self.db_visits
+    }
+
     /// Failure-detector input: mark `v` as crashed.
     pub fn suspect(&mut self, v: NodeId) {
         self.record(RepOpKind::Suspect { v });
@@ -141,16 +192,45 @@ impl Supervisor {
     }
 
     /// Looks up the entry for subscriber `v` (first match in label order).
-    fn label_of(&self, v: NodeId) -> Option<Label> {
-        self.database
+    fn label_of(&mut self, v: NodeId) -> Option<Label> {
+        if let Some(inverse) = &self.inverse {
+            return inverse.get(&v).copied();
+        }
+        let mut visited = 0;
+        let found = self
+            .database
             .iter()
+            .inspect(|_| visited += 1)
             .find(|(_, node)| **node == Some(v))
-            .map(|(l, _)| *l)
+            .map(|(l, _)| *l);
+        self.db_visits += visited;
+        found
+    }
+
+    /// Writes `v` at `label`, keeping the inverse index.
+    fn put(&mut self, label: Label, v: NodeId) {
+        self.database.insert(label, Some(v));
+        if let Some(inverse) = &mut self.inverse {
+            inverse.insert(v, label);
+        }
+    }
+
+    /// Removes the entry at `label`, keeping the inverse index.
+    fn take(&mut self, label: Label) -> Option<NodeId> {
+        let v = self.database.remove(&label).flatten();
+        if let (Some(inverse), Some(v)) = (&mut self.inverse, v) {
+            inverse.remove(&v);
+        }
+        v
     }
 
     /// `CheckMultipleCopies(v)` (Algorithm 3 lines 31–37): keep only the
-    /// lowest-label entry for `v`.
+    /// lowest-label entry for `v`. A no-op on a clean database.
     fn check_multiple_copies(&mut self, v: NodeId) {
+        if self.inverse.is_some() {
+            return;
+        }
+        self.db_visits += self.database.len() as u64;
         let mut seen = false;
         let dups: Vec<Label> = self
             .database
@@ -176,13 +256,20 @@ impl Supervisor {
     /// subscriber elimination: after this runs, the database is exactly a
     /// bijection `{l(0), …, l(n−1)} → V`. All work is local — no messages;
     /// every member it moves to another label is staged as relabelled.
+    /// A no-op on a clean database, so it returns at once there; a full
+    /// pass ends by building the inverse index.
     pub fn check_labels(&mut self) {
+        if self.inverse.is_some() {
+            return;
+        }
         // (i): remove (label, ⊥) tuples.
         let before = self.database.len();
+        self.db_visits += before as u64;
         self.database.retain(|_, v| v.is_some());
         self.db_epoch += (before - self.database.len()) as u64;
         self.counters.repairs += (before - self.database.len()) as u64;
         // (ii): multiple labels for one subscriber — keep the lowest.
+        self.db_visits += self.database.len() as u64;
         let mut seen: BTreeSet<NodeId> = BTreeSet::new();
         let dups: Vec<Label> = self
             .database
@@ -203,6 +290,8 @@ impl Supervisor {
         }
         // (iii)/(iv): re-pack labels onto the valid slots l(0..n).
         let n = self.database.len() as u64;
+        // Two more linear passes: the pool below and the index at the end.
+        self.db_visits += 2 * n;
         let is_valid_slot = |l: &Label| matches!(l.index(), Some(i) if i < n);
         // Pool of entries parked on invalid slots, ordered by "maximum j
         // first" (the paper's relabelling choice); labels outside l's
@@ -227,16 +316,24 @@ impl Supervisor {
             }
         }
         debug_assert!(pool.iter().all(|(l, _)| is_valid_slot(l)) || pool.is_empty());
+        self.inverse = Some(
+            self.database
+                .iter()
+                .map(|(l, v)| (v.expect("no ⊥"), *l))
+                .collect(),
+        );
     }
 
     /// Evicts subscribers the failure detector reported (§3.3) and
     /// stages the surviving ring neighbours of every evicted slot: their
-    /// `pred`/`succ` is what the eviction changed.
+    /// `pred`/`succ` is what the eviction changed. An eviction leaves
+    /// holes, so it drops the inverse index.
     fn evict_suspected(&mut self) {
         if self.suspected.is_empty() {
             return;
         }
         let victims = std::mem::take(&mut self.suspected);
+        self.db_visits += self.database.len() as u64;
         let mut evicted: Vec<Label> = Vec::new();
         self.database.retain(|l, v| match v {
             Some(node) if victims.contains(node) => {
@@ -245,6 +342,9 @@ impl Supervisor {
             }
             _ => true,
         });
+        if !evicted.is_empty() {
+            self.inverse = None;
+        }
         self.db_epoch += evicted.len() as u64;
         self.counters.evictions += evicted.len() as u64;
         for l in evicted {
@@ -307,10 +407,11 @@ impl Supervisor {
     }
 
     /// Sends every staged member the configuration the database holds
-    /// for it now — `SetData(⊥,⊥,⊥)` when it holds none — and stages the
-    /// relabelled members again for the next flush. Staged ids are
-    /// untrusted (corrupted initial states): each costs one message
-    /// whatever it names, and the supervisor never writes to itself.
+    /// for it now — `SetData(⊥,⊥,⊥)` when it holds none, after the
+    /// members in label order — and stages the relabelled members again
+    /// for the next flush. Staged ids are untrusted (corrupted initial
+    /// states): each costs one message whatever it names, and the
+    /// supervisor never writes to itself. Runs after `check_labels`.
     fn flush_staged(&mut self, ctx: &mut Ctx<'_, Msg>) {
         if self.staged.is_empty() && self.relabelled.is_empty() {
             return;
@@ -318,17 +419,18 @@ impl Supervisor {
         let mut due = std::mem::replace(&mut self.staged, std::mem::take(&mut self.relabelled));
         due.remove(&self.id);
         self.counters.staged_configs += due.len() as u64;
-        // One pass in label order: a member listed twice (corrupted
-        // database) is served at its lowest label, like `label_of`.
-        for (label, v) in &self.database {
-            if due.is_empty() {
-                break;
-            }
-            if let Some(v) = v {
-                if due.remove(v) {
-                    self.send_config(ctx, *label, *v);
-                }
-            }
+        // The timeout's `check_labels` just ran, so the database is clean:
+        // each member holds one label, and the members found sorted by
+        // label are served in the order a walk of the database meets them.
+        let inverse = self.inverse.as_ref().expect("check_labels ran");
+        let mut hits: Vec<(Label, NodeId)> = due
+            .iter()
+            .filter_map(|v| inverse.get(v).map(|l| (*l, *v)))
+            .collect();
+        hits.sort_unstable();
+        for (label, v) in hits {
+            due.remove(&v);
+            self.send_config(ctx, label, v);
         }
         for v in due {
             ctx.send(
@@ -352,7 +454,7 @@ impl Supervisor {
         self.check_labels(); // keep the insert slot l(n) well-defined
         if self.label_of(v).is_none() {
             let n = self.database.len() as u64;
-            self.database.insert(Label::from_index(n), Some(v));
+            self.put(Label::from_index(n), v);
             self.db_epoch += 1;
         }
         self.staged.insert(v);
@@ -372,15 +474,16 @@ impl Supervisor {
             let n = self.database.len() as u64;
             let last = Label::from_index(n - 1);
             if n > 1 && label_v != last {
-                let w = self.database.remove(&last).flatten().expect("repaired db");
-                self.database.insert(label_v, Some(w));
+                let w = self.take(last).expect("repaired db");
+                self.take(label_v);
+                self.put(label_v, w);
                 self.db_epoch += 1;
                 // paper-note: Alg. 3 line 20 writes SetData(pred_v,
                 // label_u, succ_v) with inconsistent naming; the intent is
                 // v's old label and its ring neighbours (DESIGN.md §7.1).
                 self.stage_relabelled(w);
             } else {
-                self.database.remove(&label_v);
+                self.take(label_v);
                 self.db_epoch += 1;
             }
         }
@@ -664,10 +767,11 @@ mod tests {
         let mut s = Supervisor::new(NodeId(0));
         // (i) ⊥ value, (ii) duplicate node, (iii) missing l(1),
         // (iv) label with index ≥ n.
-        s.database.insert(lab("0"), Some(NodeId(1)));
-        s.database.insert(lab("11"), Some(NodeId(2))); // l(3) but n will be 3
-        s.database.insert(lab("0001"), None); // class (i)
-        s.database.insert(lab("001"), Some(NodeId(1))); // class (ii) dup of node 1
+        let db = s.database_mut();
+        db.insert(lab("0"), Some(NodeId(1)));
+        db.insert(lab("11"), Some(NodeId(2))); // l(3) but n will be 3
+        db.insert(lab("0001"), None); // class (i)
+        db.insert(lab("001"), Some(NodeId(1))); // class (ii) dup of node 1
         s.check_labels();
         assert_eq!(db_labels(&s), ["0", "1"]);
         let nodes: BTreeSet<NodeId> = s.database.values().map(|v| v.unwrap()).collect();
@@ -682,8 +786,9 @@ mod tests {
     fn check_labels_handles_non_canonical_labels() {
         let mut s = Supervisor::new(NodeId(0));
         // "10" is not in the image of l.
-        s.database.insert(lab("10"), Some(NodeId(1)));
-        s.database.insert(lab("110"), Some(NodeId(2)));
+        let db = s.database_mut();
+        db.insert(lab("10"), Some(NodeId(1)));
+        db.insert(lab("110"), Some(NodeId(2)));
         s.check_labels();
         assert_eq!(db_labels(&s), ["0", "1"]);
     }
@@ -771,14 +876,17 @@ mod tests {
     #[test]
     fn a_corrupted_stage_costs_one_message_per_id_and_drains() {
         let mut s = with_members(3);
-        // Unknown ids, a member, and the supervisor itself.
-        s.staged = BTreeSet::from([NodeId(0), NodeId(2), NodeId(70), NodeId(71)]);
+        // Unknown ids, two members, and the supervisor itself. Members
+        // are served in label order — node 3 holds "01", node 2 "1" —
+        // and the rest in id order.
+        s.staged = BTreeSet::from([NodeId(0), NodeId(2), NodeId(3), NodeId(70), NodeId(71)]);
         s.relabelled = BTreeSet::from([NodeId(0), NodeId(72)]);
         let first = activate(&mut s, |_| {});
         let told: Vec<NodeId> = first.iter().map(|(to, _)| *to).collect();
-        assert_eq!(told, [NodeId(2), NodeId(70), NodeId(71)]);
-        assert_eq!(label_sent(&first[0].1), Some(lab("1")));
-        assert!(first[1..].iter().all(|(_, m)| label_sent(m).is_none()));
+        assert_eq!(told, [NodeId(3), NodeId(2), NodeId(70), NodeId(71)]);
+        assert_eq!(label_sent(&first[0].1), Some(lab("01")));
+        assert_eq!(label_sent(&first[1].1), Some(lab("1")));
+        assert!(first[2..].iter().all(|(_, m)| label_sent(m).is_none()));
         let second = activate(&mut s, |_| {});
         assert_eq!(second.len(), 1);
         assert_eq!(second[0].0, NodeId(72));
@@ -813,7 +921,7 @@ mod tests {
         assert!(s.db_epoch > e1, "eviction must bump the epoch");
         // Repairs bump too.
         let e2 = s.db_epoch;
-        s.database.insert(lab("0001"), None);
+        s.database_mut().insert(lab("0001"), None);
         s.check_labels();
         assert!(s.db_epoch > e2, "repair must bump the epoch");
     }

@@ -221,11 +221,11 @@ fn supervisor_database_fully_scrambled() {
     let mut sim = SimBackend::from_world(scenarios::legit_world(10, 11, cfg), cfg);
     {
         let sup = sim.world_mut().node_mut(SUPERVISOR).unwrap().supervisor_mut().unwrap();
-        let labels: Vec<Label> = sup.database.keys().copied().collect();
-        let nodes: Vec<Option<NodeId>> = sup.database.values().copied().collect();
+        let labels: Vec<Label> = sup.database().keys().copied().collect();
+        let nodes: Vec<Option<NodeId>> = sup.database().values().copied().collect();
         let n = nodes.len();
         for (i, l) in labels.iter().enumerate() {
-            sup.database.insert(*l, nodes[(i + n / 2) % n]);
+            sup.database_mut().insert(*l, nodes[(i + n / 2) % n]);
         }
     }
     assert!(!sim.is_legitimate());

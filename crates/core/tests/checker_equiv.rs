@@ -52,12 +52,12 @@ fn apply(world: &mut World<skippub_core::Actor>, (kind, a, b): Corruption) {
         3 => {
             // Stale db entry: (label, ⊥).
             let sup = world.node_mut(sup_id).unwrap().supervisor_mut().unwrap();
-            sup.database.insert(lab, None);
+            sup.database_mut().insert(lab, None);
         }
         4 => {
             // Duplicate db value under an extra label.
             let sup = world.node_mut(sup_id).unwrap().supervisor_mut().unwrap();
-            sup.database.insert(lab, Some(victim));
+            sup.database_mut().insert(lab, Some(victim));
         }
         5 => {
             // Membership-intent flip (an "unsubscribing but still
@@ -79,7 +79,7 @@ fn apply(world: &mut World<skippub_core::Actor>, (kind, a, b): Corruption) {
         _ => {
             // db entry redirected to a dead/unknown node.
             let sup = world.node_mut(sup_id).unwrap().supervisor_mut().unwrap();
-            if let Some(v) = sup.database.values_mut().next() {
+            if let Some(v) = sup.database_mut().values_mut().next() {
                 *v = Some(NodeId(0xDEAD_0000 + a));
             }
         }

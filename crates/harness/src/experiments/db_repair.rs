@@ -9,54 +9,36 @@ use skippub_core::{ProtocolConfig, PubSub, Supervisor};
 use skippub_ringmath::Label;
 
 fn corrupt(sup: &mut Supervisor, class: &str, n: usize) {
+    let db = sup.database_mut();
     match class {
         "(i) ⊥-valued tuple" => {
-            sup.database
-                .insert(Label::from_parts(0xDEAD << 32, 14).unwrap(), None);
+            db.insert(Label::from_parts(0xDEAD << 32, 14).unwrap(), None);
         }
         "(ii) duplicate subscriber" => {
-            let v = sup
-                .database
-                .values()
-                .next()
-                .copied()
-                .flatten()
-                .expect("nonempty");
-            sup.database
-                .insert(Label::from_index(3 * n as u64), Some(v));
+            let v = db.values().next().copied().flatten().expect("nonempty");
+            db.insert(Label::from_index(3 * n as u64), Some(v));
         }
         "(iii) missing label" => {
             let victim = Label::from_index((n / 2) as u64);
-            let node = sup.database.remove(&victim).flatten().expect("present");
+            let node = db.remove(&victim).flatten().expect("present");
             // Park the node on an out-of-range slot so n stays the same.
-            sup.database
-                .insert(Label::from_index(5 * n as u64), Some(node));
+            db.insert(Label::from_index(5 * n as u64), Some(node));
         }
         "(iv) out-of-range label" => {
             // An entry with l(j), j ≥ n. Per the paper's model (§1.1)
             // node IDs are never corrupted, so the entry references a
             // live subscriber.
-            let v = sup
-                .database
-                .values()
-                .last()
-                .copied()
-                .flatten()
-                .expect("nonempty");
-            sup.database
-                .insert(Label::from_index(7 * n as u64 + 3), Some(v));
+            let v = db.values().last().copied().flatten().expect("nonempty");
+            db.insert(Label::from_index(7 * n as u64 + 3), Some(v));
         }
         _ => unreachable!(),
     }
 }
 
 fn db_valid(sup: &Supervisor) -> bool {
-    let n = sup.database.len() as u64;
-    sup.database.values().all(Option::is_some)
-        && sup
-            .database
-            .keys()
-            .all(|l| matches!(l.index(), Some(i) if i < n))
+    let db = sup.database();
+    let n = db.len() as u64;
+    db.values().all(Option::is_some) && db.keys().all(|l| matches!(l.index(), Some(i) if i < n))
 }
 
 /// Runs E7.

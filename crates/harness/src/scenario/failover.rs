@@ -29,7 +29,7 @@ pub fn topic_digest(ps: &dyn PubSub, topic: TopicId) -> String {
     for (id, actor) in snap.iter() {
         if let Some(sup) = actor.supervisor() {
             let _ = write!(text, "S{}:n={};", id.0, sup.n());
-            for (label, node) in &sup.database {
+            for (label, node) in sup.database() {
                 let _ = write!(text, "{label:?}->{node:?};");
             }
         } else if let Some(sub) = actor.subscriber() {

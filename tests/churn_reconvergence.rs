@@ -49,7 +49,7 @@ fn stale_labels(ps: &dyn PubSub, members: &[NodeId]) -> Vec<NodeId> {
     let assigned: BTreeMap<NodeId, Label> = world
         .iter()
         .filter_map(|(_, actor)| actor.supervisor())
-        .flat_map(|sup| &sup.database)
+        .flat_map(|sup| sup.database())
         .filter_map(|(label, id)| id.map(|id| (id, *label)))
         .collect();
     members

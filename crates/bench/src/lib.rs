@@ -26,8 +26,8 @@ pub mod zipf;
 
 /// A legitimate `n`-subscriber single-topic backend, built directly: the
 /// suites measure steady state, faults and checkpoints, not bootstrap.
-pub fn legit_backend(n: usize, seed: u64) -> skippub_core::pubsub::SimBackend {
+pub fn legit_backend(n: usize, seed: u64) -> skippub_core::pubsub::PartitionedBackend {
     let cfg = skippub_core::ProtocolConfig::default();
     let world = skippub_core::scenarios::legit_world(n, seed, cfg);
-    skippub_core::pubsub::SimBackend::from_world(world, cfg)
+    skippub_core::pubsub::PartitionedBackend::from_world(world, cfg)
 }

@@ -28,13 +28,13 @@
 //!   replicated op log with deterministic primary election, lifting the
 //!   paper's "supervisor never crashes" assumption (`ReplicaGroup`).
 //! * [`pubsub`] — the backend-agnostic [`PubSub`] facade +
-//!   [`SystemBuilder`]: one client API over the single-topic simulator
-//!   (synchronous or chaos-scheduled), the multi-topic system, and the
-//!   sharded-supervisor system (the threaded backend lives in
-//!   `skippub-net`). The single-topic simulator *is* its backend,
-//!   [`pubsub::SimBackend`]: it owns the world, and
-//!   `SimBackend::from_world` wraps a [`scenarios`] world for
-//!   experiments and white-box tests.
+//!   [`SystemBuilder`]: one client API over one simulated backend,
+//!   [`pubsub::PartitionedBackend`], in four layouts — the single-topic
+//!   simulator (synchronous or chaos-scheduled), the multi-topic system,
+//!   and the sharded-supervisor system (the threaded backend lives in
+//!   `skippub-net`). `PartitionedBackend::from_world` continues a
+//!   [`scenarios`] world as the single-topic layout for experiments and
+//!   white-box tests.
 //! * [`topics`] — the multi-topic system of §4: one `BuildSR` instance
 //!   per topic, each a plain [`Actor`] at its own address (lane `t` of
 //!   its process).

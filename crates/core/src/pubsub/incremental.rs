@@ -25,7 +25,7 @@ use crate::checker::{self, CheckScratch};
 use crate::replica::ReplicaGroup;
 use crate::topics::TopicId;
 use crate::{Actor, Supervisor};
-use skippub_sim::{NodeId, PartitionedWorld, World};
+use skippub_sim::{NodeId, PartitionedWorld};
 
 /// One cached boolean verdict: valid while the topic's dirty-channel
 /// version still equals `version`.
@@ -91,8 +91,7 @@ pub(crate) struct IncChecker {
     pubs: Vec<Cached<(bool, usize)>>,
     /// Per-topic subscriber-instance addresses, ascending. Exact between
     /// facade calls — joins add, crashes remove, and a departed instance
-    /// stays a (non-wanting) member, as on the single-topic path — unless
-    /// `members_stale`.
+    /// stays a (non-wanting) member — unless `members_stale`.
     members: Vec<Vec<NodeId>>,
     scratch: CheckScratch,
     /// Set by the raw-world escape hatch: the next judge rebuilds the
@@ -181,7 +180,7 @@ impl IncChecker {
 
     /// Whole-system publication convergence: converged iff every topic
     /// converged; the total is the sum of per-topic union sizes either
-    /// way (matching the single-topic backends).
+    /// way.
     pub(crate) fn all_pubs(
         &mut self,
         world: &PartitionedWorld<Actor>,
@@ -250,60 +249,6 @@ impl IncChecker {
             &mut self.scratch,
         );
         self.pubs[t] = Cached { version, value };
-        value
-    }
-}
-
-/// Verdict caches for the single-topic [`World<Actor>`] backend: same
-/// version-keyed invalidation; a re-judge runs the boolean whole-world
-/// checker (one topic, so the member index degenerates to "the world").
-pub(crate) struct SimChecker {
-    topo: Cached<bool>,
-    pubs: Cached<(bool, usize)>,
-    scratch: CheckScratch,
-    /// Replica-agreement verdict (replicated supervisors).
-    replicas: ReplicaAgreement,
-}
-
-impl SimChecker {
-    pub(crate) fn new() -> Self {
-        SimChecker {
-            topo: Cached::default(),
-            pubs: Cached::default(),
-            scratch: CheckScratch::default(),
-            replicas: ReplicaAgreement::default(),
-        }
-    }
-
-    /// Cached replica-agreement component of the legitimacy predicate.
-    pub(crate) fn replicas_agree(&mut self, group: Option<&ReplicaGroup>) -> bool {
-        self.replicas.check(group.map_or(&[], std::slice::from_ref))
-    }
-
-    pub(crate) fn invalidate_all(&mut self) {
-        self.topo.version = INVALID;
-        self.pubs.version = INVALID;
-        self.replicas.invalidate();
-    }
-
-    pub(crate) fn legit(&mut self, world: &World<Actor>, version: u64) -> bool {
-        if self.topo.version == version {
-            return self.topo.value;
-        }
-        let ok = checker::fast_check_topology(world, &mut self.scratch);
-        self.topo = Cached { version, value: ok };
-        ok
-    }
-
-    pub(crate) fn pubs(&mut self, world: &World<Actor>, version: u64) -> (bool, usize) {
-        if self.pubs.version == version {
-            return self.pubs.value;
-        }
-        let value = checker::pubs_converged_fast(
-            world.iter().filter_map(|(_, a)| a.subscriber()),
-            &mut self.scratch,
-        );
-        self.pubs = Cached { version, value };
         value
     }
 }

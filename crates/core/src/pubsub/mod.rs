@@ -8,8 +8,8 @@
 //!
 //! | backend | construction | what runs underneath |
 //! |---|---|---|
-//! | [`SimBackend`] | [`SystemBuilder::build_sim`] | single-topic deterministic simulator (synchronous rounds) |
-//! | [`SimBackend`] (chaos) | [`SystemBuilder::build_chaos`] | same, under the chaos scheduler (random delay/reorder) |
+//! | [`PartitionedBackend`] (`sim`) | [`SystemBuilder::build_sim`] | one topic, one supervisor, one partition: the single-topic simulator (synchronous rounds) |
+//! | [`PartitionedBackend`] (`chaos`) | [`SystemBuilder::build_chaos`] | the same layout under the chaos scheduler (random delay/reorder) |
 //! | [`PartitionedBackend`] (`multi-topic`) | [`SystemBuilder::build_multi`] | one `BuildSR` instance per topic at one supervisor (§4), each its own engine node |
 //! | [`PartitionedBackend`] (`sharded`) | [`SystemBuilder::build_sharded`] | the same backend with topics consistent-hashed onto multiple supervisors (§1.3) |
 //! | `NetBackend` (in `skippub-net`) | `NetBackend::from_builder` | one OS thread per node, real delays; rounds become wall-clock quiescence polling |
@@ -20,11 +20,11 @@
 //! sets* agree across backends, which is exactly the comparison
 //! PSVR-style related work makes central.
 //!
-//! There is no second, single-topic API below the facade: [`SimBackend`]
-//! owns its [`World`] directly, [`SimBackend::from_world`] wraps a world
-//! from the [`crate::scenarios`] builders (legitimate warm starts,
-//! adversarial initial states), and white-box probes read it through
-//! `world()` / `supervisor()` / `subscriber(id)` or corrupt it through
+//! Every simulated kind is one struct: [`PartitionedBackend::from_world`]
+//! continues a [`World`] from the [`crate::scenarios`] builders
+//! (legitimate warm starts, adversarial initial states) as the `sim`
+//! layout, and white-box probes read it through `world()` /
+//! `supervisor(topic)` / `subscriber(id, topic)` or corrupt it through
 //! `world_mut()`, which drops the cached checker verdicts.
 //!
 //! Clients observe deliveries through [`PubSub::drain_events`] instead of
@@ -35,12 +35,11 @@
 mod incremental;
 pub mod ops;
 mod partitioned;
-mod sim;
 
 pub use ops::Op;
 pub use partitioned::{PartitionedBackend, SHARD_SUPERVISOR_BASE};
-pub use sim::SimBackend;
 
+use crate::scenarios::SUPERVISOR;
 use crate::topics::TopicId;
 use crate::{Actor, ProtocolConfig};
 use skippub_bits::BitStr;
@@ -93,10 +92,11 @@ pub struct Stats {
     pub reordered: u64,
     /// Messages held back extra rounds by delay faults.
     pub delayed: u64,
-    /// Per-partition counters, indexed by partition (= shard) — empty
-    /// for unpartitioned backends. The existing total fields above stay
-    /// the sum over partitions, so parallel runs remain comparable with
-    /// serial ones while staying observable per shard.
+    /// Per-partition counters, indexed by partition (= shard): one entry
+    /// on `sim` and `chaos`, empty for the threaded backend. The total
+    /// fields above stay the sum over partitions, so parallel runs
+    /// remain comparable with serial ones while staying observable per
+    /// shard.
     pub per_partition: Vec<PartitionStats>,
 }
 
@@ -552,8 +552,9 @@ impl EventCursor {
 /// restored backends against uninterrupted references to pin this.
 pub fn restore(snap: &BackendSnapshot) -> Result<Box<dyn PubSub>, String> {
     match snap.kind.as_str() {
-        "sim" | "chaos" => Ok(Box::new(SimBackend::from_snapshot(snap)?)),
-        "multi-topic" | "sharded" => Ok(Box::new(PartitionedBackend::from_snapshot(snap)?)),
+        "sim" | "chaos" | "multi-topic" | "sharded" => {
+            Ok(Box::new(PartitionedBackend::from_snapshot(snap)?))
+        }
         kind => Err(format!("unknown snapshot kind {kind:?}")),
     }
 }
@@ -652,10 +653,11 @@ impl SystemBuilder {
         self
     }
 
-    /// Sets the worker-thread cap (`≥ 1`) for the partitioned backend's
-    /// parallel round executor. Purely an execution knob: results are
-    /// byte-identical for every value (the executor never uses more
-    /// workers than partitions). The single-topic backends ignore it.
+    /// Sets the worker-thread cap (`≥ 1`) for the parallel round
+    /// executor. Purely an execution knob: results are byte-identical
+    /// for every value (the executor never uses more workers than
+    /// partitions, so the one-partition `sim` and `chaos` layouts step
+    /// on one).
     pub fn threads(mut self, t: usize) -> Self {
         assert!(t >= 1, "need at least one worker thread");
         self.threads = t;
@@ -667,9 +669,9 @@ impl SystemBuilder {
     /// per-partition delivered-work counters and moves hot topics off
     /// overloaded shards (`0`, the default, disables it). The decision
     /// reads only round-synchronous state, so trajectories stay
-    /// byte-identical across thread counts. Backends with a single
-    /// supervisor (sim, chaos, multi-topic) have nothing to move and
-    /// ignore the knob; mutually exclusive with `replicas ≥ 2`.
+    /// byte-identical across thread counts. The layouts with one
+    /// supervisor (`sim`, `chaos`, `multi-topic`) have nothing to move
+    /// and ignore the knob; mutually exclusive with `replicas ≥ 2`.
     pub fn rebalance_every(mut self, r: u64) -> Self {
         self.rebalance_every = r;
         self
@@ -706,43 +708,52 @@ impl SystemBuilder {
         self.topics
     }
 
-    /// Single-topic deterministic simulator (synchronous rounds).
-    /// Requires `topics == 1`.
-    pub fn build_sim(&self) -> SimBackend {
-        assert!(self.topics == 1, "sim backend serves exactly one topic");
-        let mut b = SimBackend::new(self.seed, self.protocol, None);
-        b.set_replicas(self.replicas);
-        b.set_faults(self.faults.clone());
-        b
+    /// Single-topic deterministic simulator (synchronous rounds): the
+    /// one-topic, one-partition layout, whose partition keeps the raw
+    /// seed. Requires `topics == 1`.
+    pub fn build_sim(&self) -> PartitionedBackend {
+        self.build_partitioned(BackendKind::Sim)
     }
 
-    /// Single-topic simulator under the chaos scheduler (the default
-    /// [`ChaosConfig`]; [`SimBackend::with_chaos`] tunes it). Requires
-    /// `topics == 1`.
-    pub fn build_chaos(&self) -> SimBackend {
-        assert!(self.topics == 1, "sim backend serves exactly one topic");
-        let mut b = SimBackend::new(self.seed, self.protocol, Some(ChaosConfig::default()));
-        b.set_replicas(self.replicas);
-        b.set_faults(self.faults.clone());
-        b
+    /// The single-topic simulator under the chaos scheduler (the
+    /// default [`ChaosConfig`]; [`PartitionedBackend::with_chaos`] tunes
+    /// it). Requires `topics == 1`.
+    pub fn build_chaos(&self) -> PartitionedBackend {
+        self.build_partitioned(BackendKind::Chaos)
     }
 
-    /// The partitioned backend over the given supervisor endpoints,
-    /// with every knob both layouts share applied.
-    fn build_partitioned(&self, sup_ids: Vec<NodeId>) -> PartitionedBackend {
-        /// Virtual nodes per shard on the consistent-hash ring.
-        const VNODES: usize = 64;
-        let mut b = PartitionedBackend::new(
-            self.seed,
-            self.topics,
-            sup_ids,
-            self.shards,
-            VNODES,
-            self.threads,
-            self.protocol,
-        );
+    /// The backend in layout `kind`, with every knob the layouts share
+    /// applied.
+    fn build_partitioned(&self, kind: BackendKind) -> PartitionedBackend {
+        let multi = |sup_ids| {
+            PartitionedBackend::new(
+                self.seed,
+                self.topics,
+                sup_ids,
+                self.shards,
+                self.threads,
+                self.protocol,
+            )
+        };
+        let one_topic = || {
+            assert!(self.topics == 1, "sim backend serves exactly one topic");
+            PartitionedBackend::one_topic_from_seed(self.seed, self.protocol)
+        };
+        let mut b = match kind {
+            BackendKind::Sim => one_topic(),
+            BackendKind::Chaos => one_topic().with_chaos(ChaosConfig::default()),
+            BackendKind::MultiTopic => multi(vec![SUPERVISOR]),
+            BackendKind::Sharded => multi(
+                (0..self.shards as u64)
+                    .map(|i| NodeId(SHARD_SUPERVISOR_BASE + i))
+                    .collect(),
+            ),
+        };
         b.set_replicas(self.replicas);
         b.set_faults(self.faults.clone());
+        if kind == BackendKind::Sharded {
+            b.set_rebalance_every(self.rebalance_every);
+        }
         b
     }
 
@@ -752,7 +763,7 @@ impl SystemBuilder {
     /// stepped by up to [`SystemBuilder::threads`] workers (defaults:
     /// one of each — the serial execution).
     pub fn build_multi(&self) -> PartitionedBackend {
-        self.build_partitioned(vec![crate::scenarios::SUPERVISOR])
+        self.build_partitioned(BackendKind::MultiTopic)
     }
 
     /// Sharded multi-topic system (§1.3): topics consistent-hashed onto
@@ -760,23 +771,13 @@ impl SystemBuilder {
     /// round executor (stepped by up to [`SystemBuilder::threads`]
     /// workers).
     pub fn build_sharded(&self) -> PartitionedBackend {
-        let sup_ids = (0..self.shards as u64)
-            .map(|i| NodeId(SHARD_SUPERVISOR_BASE + i))
-            .collect();
-        let mut b = self.build_partitioned(sup_ids);
-        b.set_rebalance_every(self.rebalance_every);
-        b
+        self.build_partitioned(BackendKind::Sharded)
     }
 
     /// Builds the requested backend kind behind a trait object — the
     /// entry point for scenario scripts that sweep backends.
     pub fn build(&self, kind: BackendKind) -> Box<dyn PubSub> {
-        match kind {
-            BackendKind::Sim => Box::new(self.build_sim()),
-            BackendKind::Chaos => Box::new(self.build_chaos()),
-            BackendKind::MultiTopic => Box::new(self.build_multi()),
-            BackendKind::Sharded => Box::new(self.build_sharded()),
-        }
+        Box::new(self.build_partitioned(kind))
     }
 }
 

@@ -1,6 +1,6 @@
-//! [`PartitionedBackend`]: the multi-topic system behind the [`PubSub`]
-//! facade — every topic runs its own `BuildSR` instance (§4), hosted by
-//! one of `k ≥ 1` supervisor processes, executing on a
+//! [`PartitionedBackend`]: the one simulated system behind the
+//! [`PubSub`] facade — every topic runs its own `BuildSR` instance (§4),
+//! hosted by one of `k ≥ 1` supervisor processes, executing on a
 //! [`PartitionedWorld`] stepped by the deterministic parallel round
 //! executor.
 //!
@@ -14,16 +14,22 @@
 //! onto instances through `met` (process → joined topics): `crash`,
 //! `report_crash`, `drain_events` and `subscriber_ids`.
 //!
-//! The paper's §4 system (one supervisor hosting every topic) and its
-//! §1.3 scaling remark (topics consistent-hashed onto several
-//! supervisors via [`SupervisorShards`]) are the same system with a
-//! different supervisor list, and that list is the *only* thing that
-//! tells the two layouts apart:
+//! The paper's single-topic system, its §4 system (one supervisor
+//! hosting every topic) and its §1.3 scaling remark (topics
+//! consistent-hashed onto several supervisors via [`SupervisorShards`])
+//! are the same system in four layouts:
 //!
-//! | layout | supervisors | built by |
-//! |---|---|---|
-//! | `multi-topic` | `[NodeId(0)]` | [`SystemBuilder::build_multi`](super::SystemBuilder::build_multi) |
-//! | `sharded` | `[SHARD_SUPERVISOR_BASE + i]`, one per partition | [`SystemBuilder::build_sharded`](super::SystemBuilder::build_sharded) |
+//! | layout | topics | supervisors | partitions | rounds | built by |
+//! |---|---|---|---|---|---|
+//! | `sim` | 1 | `[NodeId(0)]` | 1 | synchronous | [`SystemBuilder::build_sim`](super::SystemBuilder::build_sim), [`PartitionedBackend::from_world`] |
+//! | `chaos` | 1 | `[NodeId(0)]` | 1 | [`ChaosConfig`] | [`SystemBuilder::build_chaos`](super::SystemBuilder::build_chaos), [`PartitionedBackend::with_chaos`] |
+//! | `multi-topic` | any | `[NodeId(0)]` | `shards` | synchronous | [`SystemBuilder::build_multi`](super::SystemBuilder::build_multi) |
+//! | `sharded` | any | `[SHARD_SUPERVISOR_BASE + i]`, one per partition | `shards` | synchronous | [`SystemBuilder::build_sharded`](super::SystemBuilder::build_sharded) |
+//!
+//! The one-topic layouts continue a serial [`World`]: their partition is
+//! the world's own, raw seed included, so a scenario world steps exactly
+//! as it would alone, and they read and write the `sim`/`chaos` snapshot
+//! body. In them every process id below `next_id` has met topic 0.
 //!
 //! Placement policy: shard `i`'s supervisor instances live in partition
 //! `i`. A client process's instances live together. When every
@@ -38,17 +44,18 @@
 //! worker count is an execution knob, never a semantics knob.
 
 use super::incremental::IncChecker;
-use super::{BackendSnapshot, Delivery, EventCursor, PartitionStats, PubSub, Stats};
-use crate::checker;
+use super::{BackendKind, BackendSnapshot, Delivery, EventCursor, PartitionStats, PubSub, Stats};
+use crate::checker::{self, LegitReport};
 use crate::dirty::{pubs_key, topo_key};
 use crate::replica::ReplicaGroup;
 use crate::scenarios::SUPERVISOR;
 use crate::sharding::SupervisorShards;
 use crate::topics::{TopicId, MAX_TOPICS};
-use crate::{Actor, ProtocolConfig, Subscriber, Supervisor};
+use crate::{Actor, ProbeMode, ProtocolConfig, Subscriber, Supervisor};
 use skippub_bits::BitStr;
 use skippub_sim::{
-    FaultCounts, FaultSpec, Metrics, NodeId, PartitionedState, PartitionedWorld, World,
+    ChaosConfig, FaultCounts, FaultSpec, Metrics, NodeId, PartitionedState, PartitionedWorld,
+    World, WorldState,
 };
 use skippub_snapshot::{Snap, SnapVec, SnapWriter};
 use skippub_trie::{PatriciaTrie, PayloadInterner, Publication};
@@ -65,16 +72,24 @@ pub const SHARD_SUPERVISOR_BASE: u64 = 1 << 32;
 // 1024 shards) is a process id: lane 0 of its own address.
 const _: () = assert!(NodeId(SHARD_SUPERVISOR_BASE + 1024).lane() == 0);
 
-/// Name (and snapshot kind tag) of a supervisor layout, `None` for a
-/// list that is neither of the two layouts this backend runs.
-fn layout_name(sup_ids: &[NodeId]) -> Option<&'static str> {
+/// Virtual nodes per supervisor on the consistent-hash ring.
+const VNODES: usize = 64;
+
+/// The multi-topic layout a supervisor list makes, `None` for a list
+/// that is neither `multi-topic` nor `sharded`.
+fn layout_of(sup_ids: &[NodeId]) -> Option<BackendKind> {
     if sup_ids == [SUPERVISOR] {
-        Some("multi-topic")
+        Some(BackendKind::MultiTopic)
     } else if !sup_ids.is_empty() && sup_ids.iter().all(|s| s.0 >= SHARD_SUPERVISOR_BASE) {
-        Some("sharded")
+        Some(BackendKind::Sharded)
     } else {
         None
     }
+}
+
+/// Whether supervisor instances run the token machinery under `cfg`.
+fn token_enabled(cfg: &ProtocolConfig) -> bool {
+    cfg.probe_mode != ProbeMode::Randomized
 }
 
 /// The cursor's view of the world: the store of process `node`'s
@@ -88,14 +103,20 @@ fn store_of<'a>(
     }
 }
 
-/// The partitioned multi-topic backend: `k ≥ 1` supervisor processes,
-/// each responsible for the topics whose hash falls in its sub-interval
-/// of the consistent-hash ring (all of them when `k = 1`). A supervisor
+/// The simulated backend: `k ≥ 1` supervisor processes, each
+/// responsible for the topics whose hash falls in its sub-interval of
+/// the consistent-hash ring (all of them when `k = 1`). A supervisor
 /// failure therefore only affects its own sub-interval of topics. The
 /// world is a [`PartitionedWorld`] of one node per topic instance,
 /// stepped in parallel by up to `threads` workers with bit-identical
-/// results for any worker count.
+/// results for any worker count. Which of the four layouts in the
+/// module docs it is fixes its name and snapshot kind.
 pub struct PartitionedBackend {
+    /// The layout (module docs).
+    kind: BackendKind,
+    /// The round scheduler: [`ChaosConfig::SYNCHRONOUS`] on every layout
+    /// but `chaos`.
+    chaos: ChaosConfig,
     world: PartitionedWorld<Actor>,
     shards: SupervisorShards,
     /// The supervisor processes, in shard-index order — the one datum
@@ -146,26 +167,25 @@ pub struct PartitionedBackend {
 }
 
 impl PartitionedBackend {
-    /// A backend with supervisors `sup_ids` (one of the two layouts in
-    /// the module docs) over `partitions` partitions: either every
-    /// partition has its own supervisor, or one supervisor fronts them
-    /// all. No node exists until the first subscribe.
+    /// A backend with supervisors `sup_ids` (the `multi-topic` or
+    /// `sharded` layout in the module docs) over `partitions`
+    /// partitions: either every partition has its own supervisor, or one
+    /// supervisor fronts them all. No node exists until the first
+    /// subscribe.
     pub(crate) fn new(
         seed: u64,
         topics: u32,
         sup_ids: Vec<NodeId>,
         partitions: usize,
-        vnodes: usize,
         threads: usize,
         cfg: ProtocolConfig,
     ) -> Self {
-        assert!(
-            layout_name(&sup_ids).is_some(),
-            "unsupported supervisor layout"
-        );
+        let kind = layout_of(&sup_ids).expect("unsupported supervisor layout");
         assert!(sup_ids.len() == 1 || sup_ids.len() == partitions);
         PartitionedBackend {
-            shards: SupervisorShards::new(&sup_ids, vnodes),
+            kind,
+            chaos: ChaosConfig::SYNCHRONOUS,
+            shards: SupervisorShards::new(&sup_ids, VNODES),
             world: PartitionedWorld::new(seed, partitions, threads),
             sup_ids,
             cfg,
@@ -182,6 +202,65 @@ impl PartitionedBackend {
             last_delivered: vec![0; partitions],
             sever_fired: BTreeSet::new(),
         }
+    }
+
+    /// The `sim` layout from scratch: a world of `seed` holding only the
+    /// supervisor.
+    pub(crate) fn one_topic_from_seed(seed: u64, cfg: ProtocolConfig) -> Self {
+        let mut world = World::new(seed);
+        let mut sup = Supervisor::new(SUPERVISOR);
+        sup.token_enabled = token_enabled(&cfg);
+        world.add_node(SUPERVISOR, Actor::Supervisor(Box::new(sup)));
+        Self::from_world(world, cfg)
+    }
+
+    /// The `sim` layout continuing `world` exactly (module docs): the
+    /// scenario builders' legitimate warm starts and adversarial initial
+    /// states, with the supervisor at [`SUPERVISOR`] and subscribers at
+    /// plain process ids. Fresh subscribers get the ids above the
+    /// world's largest; the payload pool starts empty.
+    pub fn from_world(world: World<Actor>, cfg: ProtocolConfig) -> Self {
+        let next_id = world.ids().last().map_or(0, |id| id.0) + 1;
+        Self::one_topic(PartitionedWorld::from_world(world), cfg, next_id)
+    }
+
+    /// The `sim` layout over a one-partition `world`; every process id
+    /// below `next_id` has met topic 0. The checker starts cold.
+    fn one_topic(world: PartitionedWorld<Actor>, cfg: ProtocolConfig, next_id: u64) -> Self {
+        let mut inc = IncChecker::new(1);
+        inc.invalidate_all();
+        PartitionedBackend {
+            kind: BackendKind::Sim,
+            chaos: ChaosConfig::SYNCHRONOUS,
+            shards: SupervisorShards::new(&[SUPERVISOR], VNODES),
+            world,
+            sup_ids: vec![SUPERVISOR],
+            cfg,
+            topics: 1,
+            next_id,
+            cursor: EventCursor::new(),
+            met: (1..next_id).map(|p| (p, vec![0])).collect(),
+            inc: RefCell::new(inc),
+            interner: PayloadInterner::new(),
+            groups: Vec::new(),
+            overrides: BTreeMap::new(),
+            rebalance_every: 0,
+            rebalances: 0,
+            last_delivered: vec![0],
+            sever_fired: BTreeSet::new(),
+        }
+    }
+
+    /// Turns the one-topic layout into `chaos`: every step is one chaos
+    /// round under `chaos`.
+    pub fn with_chaos(mut self, chaos: ChaosConfig) -> Self {
+        assert!(
+            matches!(self.kind, BackendKind::Sim | BackendKind::Chaos),
+            "only the one-topic layout runs chaos rounds"
+        );
+        self.kind = BackendKind::Chaos;
+        self.chaos = chaos;
+        self
     }
 
     /// Configures `k` supervisor replicas behind every shard endpoint.
@@ -201,11 +280,11 @@ impl PartitionedBackend {
             }
         }
         self.groups = if k >= 2 {
-            // Supervisor instances run with the token machinery off, so
-            // replicas replay with the same setting.
+            // Replicas replay with the supervisor instances' token setting.
+            let token = token_enabled(&self.cfg);
             self.sup_ids
                 .iter()
-                .map(|&s| ReplicaGroup::new(k, s, false))
+                .map(|&s| ReplicaGroup::new(k, s, token))
                 .collect()
         } else {
             Vec::new()
@@ -276,22 +355,25 @@ impl PartitionedBackend {
             .filter_map(|(id, a)| a.subscriber().map(|s| (id, s)))
     }
 
-    /// From-scratch legitimacy over every topic: one whole-world scan
-    /// per topic through the diagnostic checker, by reference (no world
-    /// cloning). The reference the incremental layer behind
-    /// [`PubSub::is_legitimate`] is tested against.
-    pub fn is_legitimate_full(&self) -> bool {
-        (0..self.topics).map(TopicId).all(|topic| {
-            let members = self.members_of(topic);
-            match self.supervisor(topic) {
-                Some(sup) => checker::check_topology_parts(sup, members).ok(),
-                // No subscriber ever joined: judged against an empty supervisor.
-                None => {
-                    let empty = Supervisor::new(self.supervisor_for(topic));
-                    checker::check_topology_parts(&empty, members).ok()
-                }
+    /// Detailed legitimacy report for `topic`: one whole-world scan
+    /// through the diagnostic checker, by reference (no world cloning).
+    pub fn report(&self, topic: TopicId) -> LegitReport {
+        let members = self.members_of(topic);
+        match self.supervisor(topic) {
+            Some(sup) => checker::check_topology_parts(sup, members),
+            // No subscriber ever joined: judged against an empty supervisor.
+            None => {
+                let empty = Supervisor::new(self.supervisor_for(topic));
+                checker::check_topology_parts(&empty, members)
             }
-        })
+        }
+    }
+
+    /// From-scratch legitimacy over every topic — the reference the
+    /// incremental layer behind [`PubSub::is_legitimate`] is tested
+    /// against.
+    pub fn is_legitimate_full(&self) -> bool {
+        (0..self.topics).all(|t| self.report(TopicId(t)).ok())
     }
 
     /// From-scratch publication convergence (a per-topic global key
@@ -375,6 +457,11 @@ impl PartitionedBackend {
         self.rebalances
     }
 
+    /// The payload pool backing [`PubSub::publish`].
+    pub fn payload_interner(&self) -> &PayloadInterner {
+        &self.interner
+    }
+
     /// The underlying partitioned world, for white-box probes.
     pub fn world(&self) -> &PartitionedWorld<Actor> {
         &self.world
@@ -388,9 +475,9 @@ impl PartitionedBackend {
         &mut self.world
     }
 
-    /// Rebuilds a backend from a `multi-topic` or `sharded` snapshot —
-    /// one layout; the kind tag must be the one the serialized
-    /// supervisor list derives. The consistent-hash ring is **not**
+    /// Rebuilds a backend from a snapshot of any layout; for
+    /// `multi-topic` and `sharded` the kind tag must be the one the
+    /// serialized supervisor list derives. The consistent-hash ring is **not**
     /// serialized: it is a pure function of the supervisor IDs and
     /// virtual-node count, both of which are, so restore rebuilds it.
     /// The checker restarts cold with an invalidated member index (a
@@ -401,6 +488,9 @@ impl PartitionedBackend {
     /// Every index the backend later uses unchecked is validated here:
     /// an inconsistent snapshot is an `Err`, never a panic further on.
     pub fn from_snapshot(snap: &BackendSnapshot) -> Result<Self, String> {
+        if snap.kind == "sim" || snap.kind == "chaos" {
+            return Self::from_one_topic_snapshot(snap);
+        }
         let mut r = snap.reader().map_err(|e| e.to_string())?;
         let err = |e: skippub_snapshot::SnapError| e.to_string();
         let cfg = ProtocolConfig::load(&mut r).map_err(err)?;
@@ -437,12 +527,12 @@ impl PartitionedBackend {
         r.finish().map_err(err)?;
 
         let (shard_count, partitions) = (sup_ids.len(), world.partition_count());
-        if layout_name(&sup_ids) != Some(snap.kind.as_str()) {
+        let Some(kind) = layout_of(&sup_ids).filter(|k| k.name() == snap.kind) else {
             return Err(format!(
                 "snapshot kind {:?} disagrees with its supervisor list {sup_ids:?}",
                 snap.kind
             ));
-        }
+        };
         if vnodes == 0 {
             return Err("snapshot needs >=1 ring point per supervisor".to_string());
         }
@@ -492,6 +582,8 @@ impl PartitionedBackend {
         let mut inc = IncChecker::new(topics);
         inc.invalidate_all();
         Ok(PartitionedBackend {
+            kind,
+            chaos: ChaosConfig::SYNCHRONOUS,
             shards,
             world,
             sup_ids,
@@ -511,6 +603,61 @@ impl PartitionedBackend {
         })
     }
 
+    /// Rebuilds the one-topic layout from a `sim`/`chaos` snapshot body
+    /// (the serial world's state plus the facade's bookkeeping; format 7
+    /// as the single-topic simulator wrote it).
+    fn from_one_topic_snapshot(snap: &BackendSnapshot) -> Result<Self, String> {
+        let mut r = snap.reader().map_err(|e| e.to_string())?;
+        let err = |e: skippub_snapshot::SnapError| e.to_string();
+        let chaos = Option::<ChaosConfig>::load(&mut r).map_err(err)?;
+        let cfg = ProtocolConfig::load(&mut r).map_err(err)?;
+        let next_id = u64::load(&mut r).map_err(err)?;
+        let interner = PayloadInterner::load(&mut r).map_err(err)?;
+        let world = World::from_state(WorldState::<Actor>::load(&mut r).map_err(err)?);
+        if world.ids().last().is_some_and(|id| id.0 >= next_id) {
+            return Err("snapshot world hosts an id at or above its next client id".to_string());
+        }
+        let mut b = Self::one_topic(PartitionedWorld::from_world(world), cfg, next_id);
+        b.cursor = EventCursor::load_with(&mut r, &store_of(&b.world)).map_err(err)?;
+        b.groups = Option::<ReplicaGroup>::load(&mut r)
+            .map_err(err)?
+            .into_iter()
+            .collect();
+        let sever_fired = BTreeSet::<u64>::load(&mut r).map_err(err)?;
+        r.finish().map_err(err)?;
+        if chaos.is_some() != (snap.kind == "chaos") {
+            return Err("snapshot kind disagrees with chaos config presence".to_string());
+        }
+        b.interner = interner;
+        b.sever_fired = sever_fired.into_iter().map(|idx| (idx, 0)).collect();
+        Ok(match chaos {
+            Some(chaos) => b.with_chaos(chaos),
+            None => b,
+        })
+    }
+
+    /// Writes the `sim`/`chaos` snapshot body [`Self::from_snapshot`]
+    /// reads back: `met` is not written, it is `1..next_id`.
+    fn save_one_topic(&self, w: &mut SnapWriter) {
+        (self.kind == BackendKind::Chaos)
+            .then_some(self.chaos)
+            .save(w);
+        self.cfg.save(w);
+        self.next_id.save(w);
+        self.interner.save(w);
+        self.world.export_world_state().save(w);
+        self.cursor.save_with(w, &store_of(&self.world));
+        match self.groups.first() {
+            Some(group) => {
+                w.put_u64(1);
+                group.save(w);
+            }
+            None => w.put_u64(0),
+        }
+        let fired: BTreeSet<u64> = self.sever_fired.iter().map(|&(idx, _)| idx).collect();
+        fired.save(w);
+    }
+
     /// Aggregated simulator metrics over all partitions (per-kind and
     /// per-node counters; one supervisor process's load is the sum of
     /// `metrics().sent_by(t.at(supervisor_id))` over its topics).
@@ -520,9 +667,9 @@ impl PartitionedBackend {
         self.world.metrics()
     }
 
-    /// Runs `n` synchronous rounds, identical in every observable
-    /// (snapshot bytes included) to `n` [`PubSub::step`] calls — and to
-    /// any worker count. When no round needs facade work in between (no
+    /// Runs `n` rounds, identical in every observable (snapshot bytes
+    /// included) to `n` [`PubSub::step`] calls — and to any worker
+    /// count. When no round needs facade work in between (no
     /// replica groups to sync, no rebalance cadence, no scheduled sever
     /// to watch) the whole batch runs inside the executor, so with
     /// `threads > 1` the worker scope is spawned once instead of per
@@ -538,7 +685,7 @@ impl PartitionedBackend {
                 self.step();
             }
         } else {
-            self.world.run_rounds(n);
+            self.world.run_chaos_rounds(n, self.chaos);
         }
     }
 
@@ -590,6 +737,7 @@ impl PartitionedBackend {
         if !self.world.is_alive(sup) {
             let mut s = Supervisor::new(sup);
             s.replicated = !self.groups.is_empty();
+            s.token_enabled = token_enabled(&self.cfg);
             let home = self.shard_of(topic);
             self.world
                 .add_node(sup, Actor::Supervisor(Box::new(s)), home);
@@ -764,7 +912,7 @@ impl PartitionedBackend {
 
 impl PubSub for PartitionedBackend {
     fn backend_name(&self) -> &'static str {
-        layout_name(&self.sup_ids).expect("checked at construction and restore")
+        self.kind.name()
     }
 
     fn topic_count(&self) -> u32 {
@@ -894,7 +1042,7 @@ impl PubSub for PartitionedBackend {
     }
 
     fn step(&mut self) {
-        self.world.run_round();
+        self.world.run_chaos_rounds(1, self.chaos);
         self.sync_groups();
         self.maybe_rebalance();
         self.watch_severs();
@@ -995,6 +1143,10 @@ impl PubSub for PartitionedBackend {
 
     fn save_snapshot(&self) -> Result<BackendSnapshot, String> {
         let mut w = SnapWriter::new();
+        if matches!(self.kind, BackendKind::Sim | BackendKind::Chaos) {
+            self.save_one_topic(&mut w);
+            return Ok(w.finish(self.backend_name()));
+        }
         self.cfg.save(&mut w);
         self.topics.save(&mut w);
         self.next_id.save(&mut w);
@@ -1079,6 +1231,52 @@ mod tests {
             .subscriber(leaver, topic)
             .expect("a departed instance stays");
         assert!(!s.wants_membership && s.label.is_none());
+    }
+
+    #[test]
+    fn one_topic_layouts_bootstrap_publish_and_drain() {
+        let b = SystemBuilder::new(31);
+        for (mut ps, budget) in [(b.build_sim(), 500), (b.build_chaos(), 5_000)] {
+            let t = TopicId(0);
+            let ids: Vec<NodeId> = (0..5).map(|_| ps.subscribe(t)).collect();
+            assert_eq!(ids[0], NodeId(1), "client ids start at 1");
+            let (rounds, ok) = ps.until_legit(budget);
+            assert!(ok, "{}: {:?}", ps.backend_name(), ps.report(t).issues);
+            assert!(rounds > 0);
+            assert_eq!(ps.supervisor(t).unwrap().n(), 5);
+            assert_eq!(ps.stats().per_partition.len(), 1);
+            let key = ps.publish(ids[0], t, b"hi".to_vec()).unwrap();
+            assert!(ps.until_pubs_converged(budget).1);
+            for &id in &ids {
+                let ev = ps.drain_events(id);
+                assert_eq!(ev.len(), 1);
+                assert_eq!((&ev[0].key, ev[0].author), (&key, ids[0].0));
+            }
+            // Drains are cursored: nothing new the second time.
+            assert!(ps.drain_events(ids[0]).is_empty());
+        }
+    }
+
+    #[test]
+    fn one_topic_crash_and_report_restabilize() {
+        let mut ps = SystemBuilder::new(33)
+            .protocol(ProtocolConfig::topology_only())
+            .build_sim();
+        let t = TopicId(0);
+        let ids: Vec<NodeId> = (0..5).map(|_| ps.subscribe(t)).collect();
+        assert!(ps.until_legit(500).1);
+        ps.unsubscribe(ids[2], t);
+        assert!(ps.until_legit(300).1);
+        assert!(ps.subscriber(ids[2], t).unwrap().label.is_none());
+        ps.crash(ids[1]);
+        for _ in 0..3 {
+            ps.step();
+        }
+        ps.report_crash(ids[1]);
+        assert!(ps.until_legit(800).1);
+        assert_eq!(ps.subscriber_ids().len(), 4);
+        assert_eq!(ps.supervisor(t).unwrap().n(), 3);
+        assert!(crate::checker::is_legitimate(&ps.snapshot(t)));
     }
 
     #[test]

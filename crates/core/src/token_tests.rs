@@ -1,8 +1,8 @@
 //! Tests for the §6 deterministic token-passing variant.
 
-use crate::pubsub::SimBackend;
+use crate::pubsub::PartitionedBackend;
 use crate::scenarios::{self, Adversary, SUPERVISOR};
-use crate::{Msg, ProbeMode, ProtocolConfig, PubSub};
+use crate::{Msg, ProbeMode, ProtocolConfig, PubSub, SystemBuilder, TopicId};
 
 fn token_cfg() -> ProtocolConfig {
     ProtocolConfig {
@@ -14,11 +14,11 @@ fn token_cfg() -> ProtocolConfig {
 #[test]
 fn token_circulates_and_returns() {
     let cfg = token_cfg();
-    let mut sim = SimBackend::from_world(scenarios::legit_world(8, 1, cfg), cfg);
+    let mut sim = PartitionedBackend::from_world(scenarios::legit_world(8, 1, cfg), cfg);
     for _ in 0..60 {
         sim.step();
     }
-    let sup = sim.supervisor();
+    let sup = sim.supervisor(TopicId(0)).unwrap();
     assert!(sup.counters.tokens_issued >= 1, "token must be issued");
     assert!(
         sup.counters.tokens_returned >= 1,
@@ -28,22 +28,62 @@ fn token_circulates_and_returns() {
     // Every subscriber was visited.
     for id in sim.subscriber_ids() {
         assert!(
-            sim.subscriber(id).expect("live").counters.tokens_seen >= 1,
+            sim.subscriber(id, TopicId(0))
+                .expect("live")
+                .counters
+                .tokens_seen
+                >= 1,
             "{id} never saw the token"
         );
     }
 }
 
 #[test]
+fn token_probing_runs_on_every_layout() {
+    // Supervisor instances follow the configured probe mode on every
+    // layout, and their replicas replay with the same setting.
+    let b = SystemBuilder::new(5).protocol(token_cfg());
+    for k in [1, 2] {
+        let b = b.clone().replicas(k);
+        for mut ps in [
+            b.build_sim(),
+            b.build_chaos(),
+            b.build_multi(),
+            b.build_sharded(),
+        ] {
+            for _ in 0..16 {
+                ps.subscribe(TopicId(0));
+            }
+            let (_, ok) = ps.until_legit(20_000);
+            ps.run_rounds(100);
+            let m = ps.metrics();
+            let name = ps.backend_name();
+            assert!(ok, "{name}, {k} replicas: must stabilize");
+            assert!(
+                m.kind("Token") > 0 && m.kind("TokenReturn") > 0,
+                "{name}, {k} replicas: {m:?}"
+            );
+            assert!(
+                ps.is_legitimate(),
+                "{name}, {k} replicas: replicas must agree"
+            );
+        }
+    }
+}
+
+#[test]
 fn token_mode_sends_no_randomized_probes() {
     let cfg = token_cfg();
-    let mut sim = SimBackend::from_world(scenarios::legit_world(16, 2, cfg), cfg);
+    let mut sim = PartitionedBackend::from_world(scenarios::legit_world(16, 2, cfg), cfg);
     for _ in 0..200 {
         sim.step();
     }
     for id in sim.subscriber_ids() {
         assert_eq!(
-            sim.subscriber(id).expect("live").counters.config_probes,
+            sim.subscriber(id, TopicId(0))
+                .expect("live")
+                .counters
+                .config_probes,
             0,
             "randomized action-(ii)/(iv) probes must be silent in a legitimate token run"
         );
@@ -66,7 +106,7 @@ fn pure_token_converges_from_single_component_adversaries() {
         Adversary::CorruptChannels,
     ] {
         let world = scenarios::adversarial_world(12, 9, cfg, adv);
-        let mut sim = SimBackend::from_world(world, cfg);
+        let mut sim = PartitionedBackend::from_world(world, cfg);
         let (rounds, ok) = sim.until_legit(30_000);
         assert!(
             ok,
@@ -80,7 +120,7 @@ fn pure_token_converges_from_single_component_adversaries() {
 fn pure_token_stalls_on_partitions_hybrid_does_not() {
     let pure = token_cfg();
     let world = scenarios::adversarial_world(12, 9, pure, Adversary::Partitioned(4));
-    let mut sim = SimBackend::from_world(world, pure);
+    let mut sim = PartitionedBackend::from_world(world, pure);
     let (_, ok) = sim.until_legit(4_000);
     assert!(
         !ok,
@@ -92,7 +132,7 @@ fn pure_token_stalls_on_partitions_hybrid_does_not() {
         ..ProtocolConfig::topology_only()
     };
     let world = scenarios::adversarial_world(12, 9, hybrid, Adversary::Partitioned(4));
-    let mut sim = SimBackend::from_world(world, hybrid);
+    let mut sim = PartitionedBackend::from_world(world, hybrid);
     let (rounds, ok) = sim.until_legit(30_000);
     assert!(ok, "hybrid mode stuck after {rounds} rounds");
 }
@@ -105,7 +145,7 @@ fn hybrid_converges_from_all_adversaries() {
     };
     for adv in Adversary::all() {
         let world = scenarios::adversarial_world(10, 13, cfg, adv);
-        let mut sim = SimBackend::from_world(world, cfg);
+        let mut sim = PartitionedBackend::from_world(world, cfg);
         let (rounds, ok) = sim.until_legit(30_000);
         assert!(
             ok,
@@ -118,11 +158,11 @@ fn hybrid_converges_from_all_adversaries() {
 #[test]
 fn token_regenerates_after_holder_crash() {
     let cfg = token_cfg();
-    let mut sim = SimBackend::from_world(scenarios::legit_world(8, 3, cfg), cfg);
+    let mut sim = PartitionedBackend::from_world(scenarios::legit_world(8, 3, cfg), cfg);
     for _ in 0..10 {
         sim.step();
     }
-    let issued_before = sim.supervisor().counters.tokens_issued;
+    let issued_before = sim.supervisor(TopicId(0)).unwrap().counters.tokens_issued;
     // Crash a mid-ring node; any token it holds (or that is sent to it)
     // vanishes. The supervisor must regenerate within its age bound.
     let victim = sim.subscriber_ids()[3];
@@ -131,7 +171,7 @@ fn token_regenerates_after_holder_crash() {
     for _ in 0..(2 * 8 + 40) {
         sim.step();
     }
-    let sup = sim.supervisor();
+    let sup = sim.supervisor(TopicId(0)).unwrap();
     assert!(
         sup.counters.tokens_issued > issued_before,
         "token must be reissued after loss"
@@ -143,12 +183,12 @@ fn token_regenerates_after_holder_crash() {
 #[test]
 fn stale_token_returns_are_ignored() {
     let cfg = token_cfg();
-    let mut sim = SimBackend::from_world(scenarios::legit_world(4, 4, cfg), cfg);
+    let mut sim = PartitionedBackend::from_world(scenarios::legit_world(4, 4, cfg), cfg);
     for _ in 0..10 {
         sim.step();
     }
-    let seq = sim.supervisor().token_seq;
-    let outstanding = sim.supervisor().token_outstanding;
+    let seq = sim.supervisor(TopicId(0)).unwrap().token_seq;
+    let outstanding = sim.supervisor(TopicId(0)).unwrap().token_outstanding;
     // Inject a return for a long-gone issue number.
     sim.world_mut().inject(
         SUPERVISOR,
@@ -160,9 +200,10 @@ fn stale_token_returns_are_ignored() {
     // An outstanding token stays outstanding despite the stale return
     // (modulo it genuinely returning this round — check only when it was
     // outstanding and the real return can't have been this fast).
-    if outstanding && sim.supervisor().token_age > 0 {
+    if outstanding && sim.supervisor(TopicId(0)).unwrap().token_age > 0 {
         assert!(
-            sim.supervisor().token_outstanding || sim.supervisor().counters.tokens_returned > 0
+            sim.supervisor(TopicId(0)).unwrap().token_outstanding
+                || sim.supervisor(TopicId(0)).unwrap().counters.tokens_returned > 0
         );
     }
 }
@@ -204,7 +245,7 @@ fn token_mode_supervisor_load_is_comparable() {
             probe_mode: mode,
             ..ProtocolConfig::topology_only()
         };
-        let mut sim = SimBackend::from_world(scenarios::legit_world(32, 6, cfg), cfg);
+        let mut sim = PartitionedBackend::from_world(scenarios::legit_world(32, 6, cfg), cfg);
         for _ in 0..50 {
             sim.step(); // warm-up
         }
@@ -230,13 +271,17 @@ fn token_coverage_is_deterministic() {
     // window under token mode — no coupon-collector tail.
     let n = 24usize;
     let cfg = token_cfg();
-    let mut sim = SimBackend::from_world(scenarios::legit_world(n, 8, cfg), cfg);
+    let mut sim = PartitionedBackend::from_world(scenarios::legit_world(n, 8, cfg), cfg);
     for _ in 0..(2 * n as u64 + 20) {
         sim.step();
     }
     for id in sim.subscriber_ids() {
         assert!(
-            sim.subscriber(id).expect("live").counters.configs_received >= 1,
+            sim.subscriber(id, TopicId(0))
+                .expect("live")
+                .counters
+                .configs_received
+                >= 1,
             "{id} not verified within one guaranteed circulation window"
         );
     }

@@ -10,7 +10,7 @@
 //! running in the same process could move the counter.
 
 use skippub_bits::BitStr;
-use skippub_core::pubsub::SimBackend;
+use skippub_core::pubsub::PartitionedBackend;
 use skippub_core::scenarios::legit_world;
 use skippub_core::{ProtocolConfig, PubSub};
 
@@ -19,7 +19,7 @@ fn steady_state_rounds_at_100k_allocate_no_bitstr_heap_memory() {
     // Topology-only keeps the workload to the hot maintenance traffic
     // (timeouts, probes, ring repair) without publication flooding.
     let cfg = ProtocolConfig::topology_only();
-    let mut sim = SimBackend::from_world(legit_world(100_000, 0xA110C, cfg), cfg);
+    let mut sim = PartitionedBackend::from_world(legit_world(100_000, 0xA110C, cfg), cfg);
 
     // Let the first wave of timeouts fire and the answering probes
     // drain, so the measured window is genuine steady state.

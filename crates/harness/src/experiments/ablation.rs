@@ -6,13 +6,13 @@
 //! the deviation quantitatively.
 
 use crate::{Report, Scale, Table};
-use skippub_core::pubsub::SimBackend;
+use skippub_core::pubsub::PartitionedBackend;
 use skippub_core::scenarios::{adversarial_world, Adversary};
 use skippub_core::{ProtocolConfig, PubSub};
 
 fn rounds_to_legit(n: usize, seed: u64, cfg: ProtocolConfig, budget: u64) -> (u64, bool) {
     let world = adversarial_world(n, seed, cfg, Adversary::Partitioned(4));
-    let mut sim = SimBackend::from_world(world, cfg);
+    let mut sim = PartitionedBackend::from_world(world, cfg);
     sim.until_legit(budget)
 }
 

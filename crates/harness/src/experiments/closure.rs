@@ -6,7 +6,7 @@
 
 use crate::table::f2;
 use crate::{Report, Scale, Table};
-use skippub_core::pubsub::SimBackend;
+use skippub_core::pubsub::PartitionedBackend;
 use skippub_core::scenarios::{self, SUPERVISOR};
 use skippub_core::{ProtocolConfig, PubSub};
 
@@ -16,7 +16,7 @@ pub fn run(scale: Scale, seed: u64) -> Report {
     let rounds = scale.pick(150u64, 1000u64);
     let cfg = ProtocolConfig::topology_only();
     let world = scenarios::legit_world(n, seed, cfg);
-    let mut sim = SimBackend::from_world(world, cfg);
+    let mut sim = PartitionedBackend::from_world(world, cfg);
 
     let before = sim.metrics().clone();
     let mut legit_every_round = true;

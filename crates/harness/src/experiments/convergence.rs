@@ -5,7 +5,7 @@
 
 use crate::table::f2;
 use crate::{Report, Scale, Table};
-use skippub_core::pubsub::SimBackend;
+use skippub_core::pubsub::PartitionedBackend;
 use skippub_core::scenarios::{adversarial_world, cold_world, Adversary};
 use skippub_core::{ProtocolConfig, PubSub};
 
@@ -34,7 +34,7 @@ pub fn run(scale: Scale, seed: u64) -> Report {
             let mut ok_all = true;
             for s in 0..seeds {
                 let world = adversarial_world(n, seed.wrapping_add(s), cfg, adv);
-                let mut sim = SimBackend::from_world(world, cfg);
+                let mut sim = PartitionedBackend::from_world(world, cfg);
                 let (rounds, ok) = sim.until_legit(budget(n));
                 total += rounds;
                 worst = worst.max(rounds);
@@ -52,7 +52,7 @@ pub fn run(scale: Scale, seed: u64) -> Report {
     }
     // Cold bootstrap for reference.
     for &n in sweep {
-        let mut sim = SimBackend::from_world(cold_world(n, seed, cfg), cfg);
+        let mut sim = PartitionedBackend::from_world(cold_world(n, seed, cfg), cfg);
         let (rounds, ok) = sim.until_legit(budget(n));
         all_ok &= ok;
         t.row(vec![

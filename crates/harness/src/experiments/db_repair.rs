@@ -3,9 +3,9 @@
 //! a legitimate state.
 
 use crate::{Report, Scale, Table};
-use skippub_core::pubsub::SimBackend;
+use skippub_core::pubsub::PartitionedBackend;
 use skippub_core::scenarios::{self, SUPERVISOR};
-use skippub_core::{ProtocolConfig, PubSub, Supervisor};
+use skippub_core::{ProtocolConfig, PubSub, Supervisor, TopicId};
 use skippub_ringmath::Label;
 
 fn corrupt(sup: &mut Supervisor, class: &str, n: usize) {
@@ -65,7 +65,7 @@ pub fn run(scale: Scale, seed: u64) -> Report {
     let mut all_local = true;
     for class in classes {
         let world = scenarios::legit_world(n, seed, cfg);
-        let mut sim = SimBackend::from_world(world, cfg);
+        let mut sim = PartitionedBackend::from_world(world, cfg);
         if let Some(s) = sim
             .world_mut()
             .node_mut(SUPERVISOR)
@@ -73,11 +73,14 @@ pub fn run(scale: Scale, seed: u64) -> Report {
         {
             corrupt(s, class, n)
         }
-        assert!(!db_valid(sim.supervisor()), "{class}: corruption must take");
+        assert!(
+            !db_valid(sim.supervisor(TopicId(0)).unwrap()),
+            "{class}: corruption must take"
+        );
         // Count supervisor timeouts (= rounds) until the db is valid.
         let before = sim.metrics().clone();
         let mut to_valid = 0u64;
-        while !db_valid(sim.supervisor()) && to_valid < 100 {
+        while !db_valid(sim.supervisor(TopicId(0)).unwrap()) && to_valid < 100 {
             sim.step();
             to_valid += 1;
         }
@@ -88,7 +91,7 @@ pub fn run(scale: Scale, seed: u64) -> Report {
         let local = sup_msgs <= 2 * to_valid + 2;
         all_local &= local;
         let (rounds, ok) = sim.until_legit(800 * n as u64);
-        all_repaired &= ok && db_valid(sim.supervisor());
+        all_repaired &= ok && db_valid(sim.supervisor(TopicId(0)).unwrap());
         t.row(vec![
             class.into(),
             to_valid.to_string(),

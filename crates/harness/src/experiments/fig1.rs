@@ -6,8 +6,8 @@
 //! (cold bootstrap of 16 subscribers) matches the ideal edge-for-edge.
 
 use crate::{Report, Scale, Table};
-use skippub_core::pubsub::SimBackend;
-use skippub_core::{scenarios, ProtocolConfig, PubSub};
+use skippub_core::pubsub::PartitionedBackend;
+use skippub_core::{scenarios, ProtocolConfig, PubSub, TopicId};
 use skippub_ringmath::{IdealSkipRing, Label};
 
 /// Runs E1.
@@ -47,7 +47,7 @@ pub fn run(_scale: Scale, seed: u64) -> Report {
 
     // Protocol-built SR(16) must equal the ideal.
     let cfg = ProtocolConfig::topology_only();
-    let mut sim = SimBackend::from_world(scenarios::cold_world(16, seed, cfg), cfg);
+    let mut sim = PartitionedBackend::from_world(scenarios::cold_world(16, seed, cfg), cfg);
     let (rounds, converged) = sim.until_legit(2000);
     let mut verdicts = vec![
         (
@@ -63,7 +63,7 @@ pub fn run(_scale: Scale, seed: u64) -> Report {
     let mut all_match = converged;
     if converged {
         for id in sim.subscriber_ids() {
-            let s = sim.subscriber(id).expect("live");
+            let s = sim.subscriber(id, TopicId(0)).expect("live");
             let label = s.label.expect("labelled in legit state");
             let (il, ir) = sr.ring_neighbors(label);
             let el = s.eff_left().map(|r| r.label);

@@ -5,7 +5,7 @@
 use crate::table::f2;
 use crate::{Report, Scale, Table};
 use skippub_baselines::RingCast;
-use skippub_core::pubsub::SimBackend;
+use skippub_core::pubsub::PartitionedBackend;
 use skippub_core::{scenarios, ProtocolConfig, PubSub, TopicId};
 use skippub_ringmath::{analytics, IdealSkipRing, Label};
 
@@ -29,14 +29,14 @@ pub fn run(scale: Scale, seed: u64) -> Report {
     let mut all_beat_ring = true;
     for &n in sweep {
         let world = scenarios::legit_world(n, seed, cfg);
-        let mut sim = SimBackend::from_world(world, cfg);
+        let mut sim = PartitionedBackend::from_world(world, cfg);
         // Publish at the subscriber holding label l(n−1) (a newest-
         // generation node — worst placed, fewest shortcuts).
         let src_label = Label::from_index(n as u64 - 1);
         let src = sim
             .subscriber_ids()
             .into_iter()
-            .find(|id| sim.subscriber(*id).and_then(|s| s.label) == Some(src_label))
+            .find(|id| sim.subscriber(*id, TopicId(0)).and_then(|s| s.label) == Some(src_label))
             .expect("legit world labels everyone");
         sim.publish(src, TopicId(0), b"flash".to_vec())
             .expect("publish");
@@ -44,7 +44,7 @@ pub fn run(scale: Scale, seed: u64) -> Report {
         let max_hops = sim
             .subscriber_ids()
             .iter()
-            .filter_map(|id| sim.subscriber(*id))
+            .filter_map(|id| sim.subscriber(*id, TopicId(0)))
             .map(|s| s.counters.max_flood_hops)
             .max()
             .unwrap_or(0) as usize;

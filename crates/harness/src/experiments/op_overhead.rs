@@ -13,7 +13,7 @@
 
 use crate::table::f2;
 use crate::{Report, Scale, Table};
-use skippub_core::pubsub::SimBackend;
+use skippub_core::pubsub::PartitionedBackend;
 use skippub_core::scenarios::{self, SUPERVISOR};
 use skippub_core::{Msg, ProtocolConfig, PubSub, TopicId};
 
@@ -41,7 +41,7 @@ pub fn run(scale: Scale, seed: u64) -> Report {
 
     for &n in sweep {
         // --- subscribes ---
-        let mut sim = SimBackend::from_world(scenarios::legit_world(n, seed, cfg), cfg);
+        let mut sim = PartitionedBackend::from_world(scenarios::legit_world(n, seed, cfg), cfg);
         // Background supervisor rate: 1 round-robin config per round plus
         // probe responses. Measure it first.
         let before = sim.metrics().clone();
@@ -71,7 +71,7 @@ pub fn run(scale: Scale, seed: u64) -> Report {
         ]);
 
         // --- unsubscribes ---
-        let mut sim = SimBackend::from_world(scenarios::legit_world(n, seed ^ 1, cfg), cfg);
+        let mut sim = PartitionedBackend::from_world(scenarios::legit_world(n, seed ^ 1, cfg), cfg);
         let (_, ok) = sim.until_legit(10);
         debug_assert!(ok);
         let before = sim.metrics().clone();

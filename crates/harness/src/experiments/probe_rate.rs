@@ -4,7 +4,7 @@
 
 use crate::table::f2;
 use crate::{Report, Scale, Table};
-use skippub_core::pubsub::SimBackend;
+use skippub_core::pubsub::PartitionedBackend;
 use skippub_core::{scenarios, ProtocolConfig, PubSub};
 use skippub_ringmath::analytics;
 
@@ -29,7 +29,7 @@ pub fn run(scale: Scale, seed: u64) -> Report {
     let mut all_close = true;
     for &n in sweep {
         let world = scenarios::legit_world(n, seed, cfg);
-        let mut sim = SimBackend::from_world(world, cfg);
+        let mut sim = PartitionedBackend::from_world(world, cfg);
         let before = sim.metrics().clone();
         for _ in 0..rounds {
             sim.step();

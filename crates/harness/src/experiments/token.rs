@@ -18,9 +18,9 @@
 
 use crate::table::f2;
 use crate::{Report, Scale, Table};
-use skippub_core::pubsub::SimBackend;
+use skippub_core::pubsub::PartitionedBackend;
 use skippub_core::scenarios::{adversarial_world, legit_world, Adversary, SUPERVISOR};
-use skippub_core::{ProbeMode, ProtocolConfig, PubSub};
+use skippub_core::{ProbeMode, ProtocolConfig, PubSub, TopicId};
 
 fn cfg_for(mode: ProbeMode) -> ProtocolConfig {
     ProtocolConfig {
@@ -63,7 +63,7 @@ pub fn run(scale: Scale, seed: u64) -> Report {
         ProbeMode::TokenHybrid,
     ] {
         let cfg = cfg_for(mode);
-        let mut sim = SimBackend::from_world(legit_world(n, seed, cfg), cfg);
+        let mut sim = PartitionedBackend::from_world(legit_world(n, seed, cfg), cfg);
         for _ in 0..50 {
             sim.step();
         }
@@ -71,7 +71,12 @@ pub fn run(scale: Scale, seed: u64) -> Report {
         let configs_before: Vec<u64> = sim
             .subscriber_ids()
             .iter()
-            .map(|id| sim.subscriber(*id).expect("live").counters.configs_received)
+            .map(|id| {
+                sim.subscriber(*id, TopicId(0))
+                    .expect("live")
+                    .counters
+                    .configs_received
+            })
             .collect();
         for _ in 0..window {
             sim.step();
@@ -83,7 +88,13 @@ pub fn run(scale: Scale, seed: u64) -> Report {
             .subscriber_ids()
             .iter()
             .zip(&configs_before)
-            .map(|(id, b)| sim.subscriber(*id).expect("live").counters.configs_received - b)
+            .map(|(id, b)| {
+                sim.subscriber(*id, TopicId(0))
+                    .expect("live")
+                    .counters
+                    .configs_received
+                    - b
+            })
             .collect();
         let min_setdata = configs_delta.iter().copied().min().unwrap_or(0);
         let unverified = configs_delta.iter().filter(|&&c| c == 0).count();
@@ -127,7 +138,7 @@ pub fn run(scale: Scale, seed: u64) -> Report {
     ] {
         let cfg = cfg_for(mode);
         let world = adversarial_world(n.min(24), seed, cfg, Adversary::Partitioned(4));
-        let mut sim = SimBackend::from_world(world, cfg);
+        let mut sim = PartitionedBackend::from_world(world, cfg);
         let (rounds, ok) = sim.until_legit(budget);
         match mode {
             ProbeMode::Token => pure_stalls = !ok,

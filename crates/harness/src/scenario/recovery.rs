@@ -15,7 +15,7 @@ use super::engine::{budget_multiplier, run_spec_with_snapshot, WarmStart};
 use super::report::json_str;
 use super::schedule::compile;
 use super::spec::ScenarioSpec;
-use skippub_core::pubsub::{PartitionedBackend, SimBackend};
+use skippub_core::pubsub::PartitionedBackend;
 use skippub_core::{BackendKind, Msg, NodeRef, PubSub, TopicId};
 use skippub_ringmath::Label;
 use skippub_sim::NodeId;
@@ -123,10 +123,10 @@ fn bogus_msg(state: &mut u64, about: NodeId) -> Msg {
     }
 }
 
-/// Restores the checkpoint into a concrete backend and injects `k`
+/// Restores the checkpoint into the concrete backend and injects `k`
 /// bogus messages into survivor channels. The facade deliberately has
 /// no injection surface, so restoration goes through the concrete
-/// types' `world_mut` escape hatches.
+/// type's `world_mut` escape hatch.
 fn restore_corrupted(
     warm: &WarmStart,
     targets: &[NodeId],
@@ -139,32 +139,18 @@ fn restore_corrupted(
     }
     let mut state = seed ^ 0xC0FF_EE00_D15E_A5E5;
     let pick = |state: &mut u64| targets[(mix(state) as usize) % targets.len()];
-    match warm.snapshot.kind.as_str() {
-        "sim" | "chaos" => {
-            let mut b = SimBackend::from_snapshot(&warm.snapshot)?;
-            for _ in 0..k {
-                let (to, about) = (pick(&mut state), pick(&mut state));
-                let msg = bogus_msg(&mut state, about);
-                b.world_mut().inject(to, msg);
-            }
-            Ok(Box::new(b))
-        }
-        "multi-topic" | "sharded" => {
-            // Each topic's instances are their own nodes: a bogus message
-            // for topic `t` goes to `t`'s instance of the target and
-            // names `t`'s instance of the subject (no node hosts the
-            // address when the target never joined `t`: consumed, §3.3).
-            let mut b = PartitionedBackend::from_snapshot(&warm.snapshot)?;
-            for _ in 0..k {
-                let (to, about) = (pick(&mut state), pick(&mut state));
-                let topic = TopicId((mix(&mut state) % topics.max(1) as u64) as u32);
-                let msg = bogus_msg(&mut state, topic.at(about));
-                b.world_mut().inject(topic.at(to), msg);
-            }
-            Ok(Box::new(b))
-        }
-        kind => Err(format!("crash recovery cannot restore kind {kind:?}")),
+    // Each topic's instances are their own nodes: a bogus message for
+    // topic `t` goes to `t`'s instance of the target and names `t`'s
+    // instance of the subject (no node hosts the address when the target
+    // never joined `t`: consumed, §3.3).
+    let mut b = PartitionedBackend::from_snapshot(&warm.snapshot)?;
+    for _ in 0..k {
+        let (to, about) = (pick(&mut state), pick(&mut state));
+        let topic = TopicId((mix(&mut state) % topics.max(1) as u64) as u32);
+        let msg = bogus_msg(&mut state, topic.at(about));
+        b.world_mut().inject(topic.at(to), msg);
     }
+    Ok(Box::new(b))
 }
 
 /// Runs the crash-recovery family: execute `spec` on `kind` while

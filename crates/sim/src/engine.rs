@@ -319,9 +319,10 @@ pub(crate) type Channel<P> = Vec<(u32, <P as Protocol>::Msg)>;
 /// One partition of a simulated system: the slab engine extracted from
 /// the serial `World`.
 ///
-/// In **local-only** mode (the serial world) a send to an id this
-/// partition does not host is consumed and counted dropped (§3.3: the
-/// destination does not exist anywhere). Otherwise the send is staged
+/// In **local-only** mode (the serial world, and the lone partition of a
+/// one-partition [`PartitionedWorld`](crate::PartitionedWorld)) a send
+/// to an id this partition does not host is consumed and counted dropped
+/// (§3.3: the destination does not exist anywhere). Otherwise the send is staged
 /// in the partition's `outbox` for the executor to route — the
 /// destination may live in a sibling partition.
 pub(crate) struct Partition<P: Protocol> {

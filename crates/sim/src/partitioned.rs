@@ -42,11 +42,21 @@
 //! `(seed, partition count)` and entirely independent of the worker
 //! count. Worker threads only decide *which CPU* steps a partition,
 //! never *what* it computes.
+//!
+//! # One partition is a serial world
+//!
+//! A world of one partition is **local-only**, like [`World`]: no
+//! sibling can host an id the partition does not, so a send or inject
+//! to an unhosted id is the partition's own §3.3 drop, before the fault
+//! plane sees it. [`PartitionedWorld::from_world`] wraps a [`World`]'s
+//! partition as it is (its raw seed's stream included), and stepping
+//! the result is identical to stepping the [`World`] — node states,
+//! metrics, fault counts and in-flight counts, round by round.
 
 use crate::engine::{Envelope, Partition};
 use crate::fx::FxBuildHasher;
-use crate::state::PartitionedState;
-use crate::{Ctx, Metrics, NodeId, Protocol};
+use crate::state::{PartitionedState, WorldState};
+use crate::{ChaosConfig, Ctx, Metrics, NodeId, Protocol, World};
 use std::collections::HashMap;
 use std::sync::{Barrier, Mutex};
 
@@ -93,14 +103,31 @@ impl<P: Protocol> PartitionedWorld<P> {
     pub fn new(seed: u64, partitions: usize, threads: usize) -> Self {
         assert!(partitions >= 1, "need at least one partition");
         assert!(threads >= 1, "need at least one worker");
+        let local_only = partitions == 1;
         PartitionedWorld {
             partitions: (0..partitions)
-                .map(|i| Partition::new(split_seed(seed, i as u64), false))
+                .map(|i| Partition::new(split_seed(seed, i as u64), local_only))
                 .collect(),
             mailboxes: (0..partitions).map(|_| Mutex::new(Vec::new())).collect(),
             home: HashMap::default(),
             threads,
             round: 0,
+            extra_dirty: crate::DirtyTable::default(),
+            orphan: Metrics::default(),
+        }
+    }
+
+    /// The one-partition world that continues `world` exactly (module
+    /// docs): its partition, RNG stream and counters move over as they
+    /// are.
+    pub fn from_world(world: World<P>) -> Self {
+        let p = world.into_partition();
+        PartitionedWorld {
+            home: p.order().iter().map(|&(id, _)| (id, 0)).collect(),
+            round: p.round(),
+            partitions: vec![p],
+            mailboxes: vec![Mutex::new(Vec::new())],
+            threads: 1,
             extra_dirty: crate::DirtyTable::default(),
             orphan: Metrics::default(),
         }
@@ -232,10 +259,11 @@ impl<P: Protocol> PartitionedWorld<P> {
     /// Injects a message from outside the system into `to`'s channel.
     /// An inject to an id no partition hosts is counted exactly like
     /// the serial world counts it: one send of its kind, immediately
-    /// dropped (§3.3).
+    /// dropped (§3.3) — by a lone local-only partition itself.
     pub fn inject(&mut self, to: NodeId, msg: P::Msg) {
         match self.partition_of(to) {
             Some(p) => self.partitions[p as usize].inject(to, msg),
+            None if self.partitions.len() == 1 => self.partitions[0].inject(to, msg),
             None => {
                 self.orphan.note_sent(to, P::msg_kind(&msg));
                 self.orphan.dropped += 1;
@@ -407,18 +435,40 @@ impl<P: Protocol> PartitionedWorld<P> {
         }
     }
 
+    /// The serial world's state of a one-partition world: what
+    /// [`World::from_state`] and then [`PartitionedWorld::from_world`]
+    /// continue exactly. The world-level dirty bumps fold into the
+    /// partition's table (versions are sums either way). Panics on more
+    /// than one partition; call at a round boundary only.
+    pub fn export_world_state(&self) -> WorldState<P>
+    where
+        P: Clone,
+    {
+        assert_eq!(self.partitions.len(), 1, "a serial world has one partition");
+        let mut partition = self.partitions[0].export_state();
+        let extra = self.extra_dirty.export();
+        if partition.dirty.len() < extra.len() {
+            partition.dirty.resize(extra.len(), 0);
+        }
+        for (v, e) in partition.dirty.iter_mut().zip(extra) {
+            *v += e;
+        }
+        WorldState { partition }
+    }
+
     /// Rebuilds a world from an exported state; the id → partition home
     /// map is reconstructed from the partition node lists. Stepping the
     /// restored world is byte-identical to stepping the original, for
     /// every worker-thread count.
     pub fn from_state(state: PartitionedState<P>) -> Self {
         let mut home: HashMap<u64, u32, FxBuildHasher> = HashMap::default();
+        let local_only = state.partitions.len() == 1;
         let mut partitions = Vec::with_capacity(state.partitions.len());
         for (i, ps) in state.partitions.into_iter().enumerate() {
             for node in &ps.nodes {
                 home.insert(node.id.0, i as u32);
             }
-            partitions.push(Partition::from_state(ps, false));
+            partitions.push(Partition::from_state(ps, local_only));
         }
         PartitionedWorld {
             partitions,
@@ -457,11 +507,18 @@ where
         self.run_rounds(1);
     }
 
-    /// Runs `n` synchronous rounds. With `threads > 1` the worker scope
-    /// is spawned once for the whole batch, so driving the world in
-    /// batches amortizes thread start-up; single-round calls remain
-    /// correct (and remain deterministic) either way.
+    /// Runs `n` synchronous rounds: [`PartitionedWorld::run_chaos_rounds`]
+    /// under [`ChaosConfig::SYNCHRONOUS`].
     pub fn run_rounds(&mut self, n: u64) {
+        self.run_chaos_rounds(n, ChaosConfig::SYNCHRONOUS);
+    }
+
+    /// Runs `n` rounds in which every partition steps one chaos round
+    /// under `cfg` (see [`World::run_chaos_round`]). With `threads > 1`
+    /// the worker scope is spawned once for the whole batch, so driving
+    /// the world in batches amortizes thread start-up; single-round
+    /// calls remain correct (and remain deterministic) either way.
+    pub fn run_chaos_rounds(&mut self, n: u64, cfg: ChaosConfig) {
         if n == 0 {
             return;
         }
@@ -472,7 +529,7 @@ where
                     p.drain_inbound(&self.mailboxes[i]);
                 }
                 for (i, p) in self.partitions.iter_mut().enumerate() {
-                    p.run_round();
+                    p.run_chaos_round(cfg);
                     p.flush_outbox(i as u32, &self.home, &self.mailboxes);
                 }
             }
@@ -493,7 +550,7 @@ where
                             }
                             barrier.wait();
                             for (j, p) in parts.iter_mut().enumerate() {
-                                p.run_round();
+                                p.run_chaos_round(cfg);
                                 p.flush_outbox((base + j) as u32, home, mailboxes);
                             }
                             barrier.wait();

@@ -11,7 +11,8 @@
 //! engine paid per message. A [`World`] is exactly **one partition in
 //! local-only mode** (sends to unknown ids are consumed, §3.3); the
 //! multi-partition executor over the same core is
-//! [`crate::PartitionedWorld`].
+//! [`crate::PartitionedWorld`], and [`crate::PartitionedWorld::from_world`]
+//! continues a [`World`] as its one-partition case.
 //!
 //! # Zero-allocation invariant
 //!
@@ -262,6 +263,12 @@ impl<P: Protocol> World<P> {
         World {
             p: Partition::from_state(state.partition, true),
         }
+    }
+
+    /// The world's one local-only partition, for
+    /// [`crate::PartitionedWorld::from_world`].
+    pub(crate) fn into_partition(self) -> Partition<P> {
+        self.p
     }
 
     /// Capacity currently reserved by the engine's scratch buffers —

@@ -2,16 +2,16 @@
 //! state — partitioned components with conflicting labels, garbage in
 //! every channel — and watch the legitimate-state checker's issue count
 //! fall to zero (Theorem 8). The corrupted worlds are wrapped in the
-//! `PubSub` facade's sim backend (`SimBackend::from_world`) and driven
+//! `PubSub` facade's sim backend (`PartitionedBackend::from_world`) and driven
 //! with facade steps.
 //!
 //! ```text
 //! cargo run --release --example adversarial_start
 //! ```
 
-use skippub_core::pubsub::SimBackend;
+use skippub_core::pubsub::PartitionedBackend;
 use skippub_core::scenarios::{adversarial_world, Adversary};
-use skippub_core::{ProtocolConfig, PubSub};
+use skippub_core::{ProtocolConfig, PubSub, TopicId};
 
 fn main() {
     let n = 24;
@@ -19,12 +19,12 @@ fn main() {
 
     for adversary in Adversary::all() {
         let world = adversarial_world(n, 99, cfg, adversary);
-        let mut ps = SimBackend::from_world(world, cfg);
+        let mut ps = PartitionedBackend::from_world(world, cfg);
         println!("\n▶ initial state: {} (n = {n})", adversary.name());
         let mut round = 0u64;
         let mut last_issues = usize::MAX;
         loop {
-            let issues = ps.report().issues.len();
+            let issues = ps.report(TopicId(0)).issues.len();
             if issues != last_issues && (round.is_multiple_of(5) || issues == 0) {
                 println!("  round {round:>4}: {issues:>3} invariant violations");
                 last_issues = issues;

@@ -99,11 +99,11 @@ fn broker_fanout_vs_supervisor_zero_publish_load() {
     broker.publish(1);
     assert!(broker.msgs_per_publication() >= 500.0);
 
-    use skippub_core::pubsub::SimBackend;
+    use skippub_core::pubsub::PartitionedBackend;
     use skippub_core::scenarios::{self, SUPERVISOR};
     use skippub_core::{ProtocolConfig, PubSub, TopicId};
     let cfg = ProtocolConfig::default();
-    let mut sim = SimBackend::from_world(scenarios::legit_world(32, 4, cfg), cfg);
+    let mut sim = PartitionedBackend::from_world(scenarios::legit_world(32, 4, cfg), cfg);
     let before = sim.metrics().sent_by(SUPERVISOR);
     let src = sim.subscriber_ids()[0];
     sim.publish(src, TopicId(0), b"load test".to_vec());

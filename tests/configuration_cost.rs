@@ -194,11 +194,11 @@ fn requests_inside_one_activation_are_answered_once() {
             },
         );
     }
-    let before = ps.supervisor().counters.staged_configs;
+    let before = ps.supervisor(TopicId(0)).unwrap().counters.staged_configs;
     ps.step();
     // The stranger, the leaver, the asker, and the member relabelled
     // into the leaver's slot — unless that is the asker.
-    let flushed = ps.supervisor().counters.staged_configs - before;
+    let flushed = ps.supervisor(TopicId(0)).unwrap().counters.staged_configs - before;
     assert!(
         (3..=4).contains(&flushed),
         "nine requests about three members were answered with {flushed} configurations"

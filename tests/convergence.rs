@@ -2,9 +2,9 @@
 //! full stack (core protocol + simulator + checker), in both schedulers,
 //! driven through the backend-agnostic [`PubSub`] facade.
 
-use skippub_core::pubsub::SimBackend;
+use skippub_core::pubsub::PartitionedBackend;
 use skippub_core::scenarios::{adversarial_world, cold_world, legit_world, Adversary};
-use skippub_core::{checker, ProtocolConfig, PubSub};
+use skippub_core::{checker, ProtocolConfig, PubSub, TopicId};
 use skippub_sim::ChaosConfig;
 
 const CFG_BUDGET: u64 = 40_000;
@@ -16,13 +16,17 @@ fn all_adversaries_converge_round_mode() {
         for n in [4usize, 13, 32] {
             for seed in [1u64, 2] {
                 let world = adversarial_world(n, seed, cfg, adv);
-                let mut ps = SimBackend::from_world(world, cfg);
+                let mut ps = PartitionedBackend::from_world(world, cfg);
                 let (rounds, ok) = ps.until_legit(CFG_BUDGET);
                 assert!(
                     ok,
                     "{} n={n} seed={seed} stuck after {rounds} rounds: {:?}",
                     adv.name(),
-                    ps.report().issues.iter().take(4).collect::<Vec<_>>()
+                    ps.report(TopicId(0))
+                        .issues
+                        .iter()
+                        .take(4)
+                        .collect::<Vec<_>>()
                 );
             }
         }
@@ -43,7 +47,7 @@ fn adversaries_converge_under_chaos_scheduler() {
         Adversary::Partitioned(3),
     ] {
         let world = adversarial_world(20, 5, cfg, adv);
-        let mut ps = SimBackend::from_world(world, cfg).with_chaos(chaos);
+        let mut ps = PartitionedBackend::from_world(world, cfg).with_chaos(chaos);
         let (rounds, ok) = ps.until_legit(CFG_BUDGET);
         assert!(ok, "{} stuck under chaos after {rounds} rounds", adv.name());
     }
@@ -55,7 +59,7 @@ fn convergence_with_full_protocol_enabled() {
     // impede topology stabilization.
     let cfg = ProtocolConfig::default();
     let world = adversarial_world(24, 9, cfg, Adversary::RandomState);
-    let mut ps = SimBackend::from_world(world, cfg);
+    let mut ps = PartitionedBackend::from_world(world, cfg);
     let (_, ok) = ps.until_legit(CFG_BUDGET);
     assert!(ok);
 }
@@ -63,7 +67,7 @@ fn convergence_with_full_protocol_enabled() {
 #[test]
 fn closure_holds_for_hundreds_of_rounds() {
     let cfg = ProtocolConfig::default();
-    let mut ps = SimBackend::from_world(legit_world(48, 3, cfg), cfg);
+    let mut ps = PartitionedBackend::from_world(legit_world(48, 3, cfg), cfg);
     for round in 0..400 {
         ps.step();
         assert!(ps.is_legitimate(), "closure violated at round {round}");
@@ -79,7 +83,7 @@ fn closure_holds_for_hundreds_of_rounds() {
 fn cold_bootstrap_scales() {
     let cfg = ProtocolConfig::topology_only();
     for n in [1usize, 2, 3, 50, 200] {
-        let mut ps = SimBackend::from_world(cold_world(n, 8, cfg), cfg);
+        let mut ps = PartitionedBackend::from_world(cold_world(n, 8, cfg), cfg);
         let (rounds, ok) = ps.until_legit(CFG_BUDGET);
         assert!(ok, "cold n={n} stuck");
         // Eager joining makes this fast — far below the round-robin bound.
@@ -108,7 +112,7 @@ fn convergence_rounds_grow_roughly_linearly() {
         let mut total = 0u64;
         for seed in [1u64, 2, 3] {
             let world = adversarial_world(n, seed, cfg, Adversary::ShuffledLabels);
-            let mut ps = SimBackend::from_world(world, cfg);
+            let mut ps = PartitionedBackend::from_world(world, cfg);
             let (r, ok) = ps.until_legit(CFG_BUDGET);
             assert!(ok);
             total += r;

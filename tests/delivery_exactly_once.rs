@@ -11,7 +11,7 @@
 //! hold and an instance nobody hosts, and both must fail the restore.
 
 use skippub_bits::BitStr;
-use skippub_core::pubsub::{restore, BackendSnapshot, Delivery, SimBackend};
+use skippub_core::pubsub::{restore, BackendSnapshot, Delivery, PartitionedBackend};
 use skippub_core::{Actor, BackendKind, PubSub, SystemBuilder, TopicId};
 use skippub_sim::NodeId;
 use skippub_trie::{PatriciaTrie, Publication};
@@ -276,8 +276,8 @@ fn a_drain_after_a_replaced_store_does_not_panic() {
     // the position lies past the end.
     let (ps, reader, _) = pending_reader(BackendKind::Sim);
     let snap = ps.save_snapshot().unwrap();
-    let mut ps = SimBackend::from_snapshot(&snap).unwrap();
-    let replace = |ps: &mut SimBackend, trie: PatriciaTrie| {
+    let mut ps = PartitionedBackend::from_snapshot(&snap).unwrap();
+    let replace = |ps: &mut PartitionedBackend, trie: PatriciaTrie| {
         let sub = ps
             .world_mut()
             .node_mut(reader)

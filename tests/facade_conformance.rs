@@ -680,7 +680,7 @@ fn restored_interner_still_pools_known_payloads() {
 
     let saved = ps.save_snapshot().expect("sim snapshots");
     let mut restored =
-        skippub_core::pubsub::SimBackend::from_snapshot(&saved).expect("restore");
+        skippub_core::pubsub::PartitionedBackend::from_snapshot(&saved).expect("restore");
     let pool = restored.payload_interner();
     assert_eq!((pool.unique(), pool.hits()), (unique, hits));
     restored

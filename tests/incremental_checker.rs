@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use skippub_core::pubsub::{PartitionedBackend, SimBackend};
+use skippub_core::pubsub::PartitionedBackend;
 use skippub_core::{Actor, PubSub, SystemBuilder, TopicId};
 use skippub_sim::NodeId;
 
@@ -120,7 +120,7 @@ fn sim_and_chaos_incremental_matches_full_under_churn() {
     for chaos in [false, true] {
         let b = SystemBuilder::new(0xFACADE);
         let mut ps = if chaos { b.build_chaos() } else { b.build_sim() };
-        churn_conformance(&mut ps, 1, 19, 120, |ps: &SimBackend| {
+        churn_conformance(&mut ps, 1, 19, 120, |ps: &PartitionedBackend| {
             (ps.is_legitimate_full(), ps.publications_converged_full())
         });
     }

@@ -2,7 +2,7 @@
 //! adversarial instances and random operation sequences.
 
 use proptest::prelude::*;
-use skippub_core::pubsub::SimBackend;
+use skippub_core::pubsub::PartitionedBackend;
 use skippub_core::scenarios::{adversarial_world, legit_world, Adversary};
 use skippub_core::{ProtocolConfig, PubSub, SystemBuilder, TopicId};
 use skippub_sim::{FaultRule, FaultSpec, LinkClass, NodeId, Sever};
@@ -28,7 +28,7 @@ proptest! {
     ) {
         let cfg = ProtocolConfig::topology_only();
         let world = adversarial_world(n, seed, cfg, adv);
-        let mut sim = SimBackend::from_world(world, cfg);
+        let mut sim = PartitionedBackend::from_world(world, cfg);
         let (rounds, ok) = sim.until_legit(30_000);
         prop_assert!(ok, "{:?} n={} seed={} stuck after {} rounds", adv, n, seed, rounds);
         // Closure: a state snapshot can look legitimate while corrupted
@@ -51,7 +51,7 @@ proptest! {
         ops in proptest::collection::vec(0u8..4, 1..18),
     ) {
         let cfg = ProtocolConfig::topology_only();
-        let mut sim = SimBackend::from_world(legit_world(6, seed, cfg), cfg);
+        let mut sim = PartitionedBackend::from_world(legit_world(6, seed, cfg), cfg);
         for op in ops {
             match op {
                 0 => {
@@ -80,14 +80,14 @@ proptest! {
         // Whatever happened, the system must re-stabilize...
         let (rounds, ok) = sim.until_legit(30_000);
         prop_assert!(ok, "seed={} stuck after {} rounds: {:?}", seed, rounds,
-            sim.report().issues.iter().take(3).collect::<Vec<_>>());
+            sim.report(TopicId(0)).issues.iter().take(3).collect::<Vec<_>>());
         // ...and the database must exactly mirror the survivors.
         let wanting: usize = sim
             .subscriber_ids()
             .iter()
-            .filter(|id| sim.subscriber(**id).expect("live").wants_membership)
+            .filter(|id| sim.subscriber(**id, TopicId(0)).expect("live").wants_membership)
             .count();
-        prop_assert_eq!(sim.supervisor().n(), wanting);
+        prop_assert_eq!(sim.supervisor(TopicId(0)).unwrap().n(), wanting);
     }
 
     #[test]
@@ -96,7 +96,7 @@ proptest! {
         assignment in proptest::collection::vec(0usize..5, 0..24),
     ) {
         let cfg = ProtocolConfig { flooding: false, ..ProtocolConfig::default() };
-        let mut sim = SimBackend::from_world(legit_world(5, seed, cfg), cfg);
+        let mut sim = PartitionedBackend::from_world(legit_world(5, seed, cfg), cfg);
         let ids = sim.subscriber_ids();
         for (i, &host) in assignment.iter().enumerate() {
             let p = skippub_trie::Publication::new(i as u64, format!("{i}").into_bytes());

@@ -6,7 +6,7 @@
 //! All on the chaos scheduler, where a node's `Timeout` need not follow
 //! its inbox in the same round, so pending sets outlive rounds.
 
-use skippub_core::pubsub::{restore, BackendSnapshot, SimBackend};
+use skippub_core::pubsub::{restore, BackendSnapshot, PartitionedBackend};
 use skippub_core::{Actor, Msg, PubSub, SystemBuilder, TopicId};
 use skippub_sim::NodeId;
 use skippub_trie::Publication;
@@ -16,7 +16,7 @@ const T: TopicId = TopicId(0);
 const MEMBERS: usize = 24;
 
 /// A legitimate chaos-scheduled world of `MEMBERS` subscribers.
-fn legit_chaos(seed: u64) -> (SimBackend, Vec<NodeId>) {
+fn legit_chaos(seed: u64) -> (PartitionedBackend, Vec<NodeId>) {
     let mut ps = SystemBuilder::new(seed).build_chaos();
     let ids: Vec<NodeId> = (0..MEMBERS).map(|_| ps.subscribe(T)).collect();
     assert!(ps.until_legit(20_000).1, "bootstrap must stabilize");
@@ -25,7 +25,7 @@ fn legit_chaos(seed: u64) -> (SimBackend, Vec<NodeId>) {
 
 /// Publications placed in single stores behind flooding's back, so only
 /// anti-entropy (and the relay) can spread them.
-fn seed_stories(ps: &mut SimBackend, ids: &[NodeId]) -> BTreeSet<String> {
+fn seed_stories(ps: &mut PartitionedBackend, ids: &[NodeId]) -> BTreeSet<String> {
     (0..6)
         .map(|k| {
             let holder = ids[k * 4];
@@ -39,25 +39,25 @@ fn seed_stories(ps: &mut SimBackend, ids: &[NodeId]) -> BTreeSet<String> {
 
 /// Hop counts of every pending entry: 0 marks a repaired publication,
 /// anything else a flood-learned one.
-fn pending_hops(ps: &SimBackend) -> Vec<u32> {
+fn pending_hops(ps: &PartitionedBackend) -> Vec<u32> {
     ps.subscriber_ids()
         .iter()
-        .filter_map(|&id| ps.subscriber(id))
+        .filter_map(|&id| ps.subscriber(id, TopicId(0)))
         .flat_map(|s| s.relay_pending.values().copied())
         .collect()
 }
 
-fn pending_total(ps: &SimBackend) -> usize {
+fn pending_total(ps: &PartitionedBackend) -> usize {
     pending_hops(ps).len()
 }
 
 /// Sizes of the `PublishNew` batches sitting in channels.
-fn batches_in_flight(ps: &SimBackend) -> Vec<usize> {
+fn batches_in_flight(ps: &PartitionedBackend) -> Vec<usize> {
     let state = ps.world().export_state();
     state
-        .partition
-        .nodes
+        .partitions
         .iter()
+        .flat_map(|p| &p.nodes)
         .flat_map(|node| &node.channel)
         .filter_map(|(_, msg)| match msg {
             Msg::PublishNew { pubs } => Some(pubs.len()),

@@ -7,7 +7,7 @@
 //! inbox; on the round-driven backends the relabelled members wait in
 //! it for their second configuration.
 
-use skippub_core::pubsub::{restore, BackendSnapshot, SimBackend};
+use skippub_core::pubsub::{restore, BackendSnapshot, PartitionedBackend};
 use skippub_core::scenarios::SUPERVISOR;
 use skippub_core::{Actor, BackendKind, PubSub, Supervisor, SystemBuilder, TopicId};
 use skippub_sim::NodeId;
@@ -16,7 +16,7 @@ use std::collections::BTreeSet;
 const T: TopicId = TopicId(0);
 const MEMBERS: usize = 24;
 
-fn supervisor_mut(ps: &mut SimBackend) -> &mut Supervisor {
+fn supervisor_mut(ps: &mut PartitionedBackend) -> &mut Supervisor {
     ps.world_mut()
         .node_mut(SUPERVISOR)
         .and_then(Actor::supervisor_mut)
@@ -69,7 +69,12 @@ fn a_snapshot_between_handler_and_timeout_keeps_the_owed_configurations() {
         original.unsubscribe(ids[k * 5], T);
     }
     let mut waited = 0;
-    while original.supervisor().relabelled.is_empty() {
+    while original
+        .supervisor(TopicId(0))
+        .unwrap()
+        .relabelled
+        .is_empty()
+    {
         original.step();
         waited += 1;
         assert!(
@@ -77,7 +82,7 @@ fn a_snapshot_between_handler_and_timeout_keeps_the_owed_configurations() {
             "never caught the supervisor between handler and timeout"
         );
     }
-    assert!(!original.supervisor().staged.is_empty());
+    assert!(!original.supervisor(TopicId(0)).unwrap().staged.is_empty());
     assert!(!original.is_legitimate(), "saved mid-operation");
 
     let mut restored = round_trip(&original);
@@ -156,7 +161,7 @@ fn a_corrupted_stage_costs_one_message_per_entry_and_drains() {
         sent <= bogus + 2 + MEMBERS as u64,
         "{sent} configurations for {bogus} corrupted entries"
     );
-    let sup = ps.supervisor();
+    let sup = ps.supervisor(TopicId(0)).unwrap();
     assert!(
         sup.staged.is_empty() && sup.relabelled.is_empty(),
         "the stage must be empty two activations later"

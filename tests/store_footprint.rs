@@ -17,20 +17,21 @@
 //! Beside it, the per-client footprint of the partitioned backend
 //! (DESIGN.md §11.3), 1 000 one-topic clients over four topics. Each
 //! per-topic `BuildSR` instance is its own engine node, a 16-byte
-//! `Actor` slot over a boxed `Subscriber`: 2 283 B live per legitimate
-//! client on one supervisor and 2 484 B on four shards. Before, a
-//! client was one multiplexing actor holding its instances in a map
-//! (2 797–2 889 B and 3 004 B), and with the instance inline in that
-//! map 6 149 B and 6 356 B. The gate is the larger figure + 5 %.
+//! `Actor` slot over a boxed `Subscriber`: 2 322 B live per legitimate
+//! client on one supervisor and 2 524 B on four shards (2 283 B and
+//! 2 484 B before the supervisor kept an inverse label index). As one
+//! multiplexing actor holding its instances in a map a client took
+//! 2 797–2 889 B and 3 004 B, and with the instance inline in that map
+//! 6 149 B and 6 356 B. The gate is the larger figure + 5 %.
 //!
-//! The `sim` backend holds 2 292 B per client of one 1 000-member ring.
-//! The same ring on the one-supervisor layout holds 2 454 B: of the
-//! 162 B between them, 35 B are the world's address → partition home
-//! map, 80 B the backend's `met` map (a B-tree entry and its topic
-//! list) and 8 B the checker's member index; the other 39 B are channel
-//! capacity a different bootstrap trajectory leaves behind. Four topics
-//! make smaller rings with fewer shortcuts, which is why the gated
-//! one-supervisor figure lands below `sim`'s.
+//! The `sim` layout is the one-supervisor layout of one topic on one
+//! partition, gated the same way: 2 456 B per client of one 1 000-member
+//! ring. As a serial backend of its own it held 2 331 B on the same
+//! trajectory. The 125 B between them are, by the breakdown measured
+//! when the two were separate backends, the world's address → partition
+//! home map (35 B), the backend's `met` map (80 B: a B-tree entry and
+//! its topic list) and the checker's member index (8 B). Four topics make smaller rings with fewer shortcuts,
+//! which is why the one-supervisor figure lands below `sim`'s.
 //!
 //! This file holds exactly one test so no parallel test thread can
 //! pollute the counters.
@@ -146,14 +147,18 @@ fn converged_world_fits_the_budget() {
 }
 
 fn one_topic_clients_are_small_on_the_partitioned_layouts() {
-    for (kind, shards) in [(BackendKind::MultiTopic, 1), (BackendKind::Sharded, 4)] {
+    for (kind, topics, shards) in [
+        (BackendKind::Sim, 1, 1),
+        (BackendKind::MultiTopic, TOPICS, 1),
+        (BackendKind::Sharded, TOPICS, 4),
+    ] {
         let before = LIVE.load(Ordering::Relaxed);
         let mut ps = SystemBuilder::new(0xF008)
-            .topics(TOPICS)
+            .topics(topics)
             .shards(shards)
             .build(kind);
         for k in 0..CLIENTS {
-            ps.subscribe(TopicId(k as u32 % TOPICS));
+            ps.subscribe(TopicId(k as u32 % topics));
         }
         assert!(ps.until_legit(4_000).1, "{}: bootstrap", kind.name());
         let per_client = (LIVE.load(Ordering::Relaxed) - before) / CLIENTS;

@@ -15,7 +15,7 @@
 //! cost one sweep and one full pass, and a corrupted database must still
 //! be repaired by the next timeout.
 
-use skippub_core::pubsub::SimBackend;
+use skippub_core::pubsub::PartitionedBackend;
 use skippub_core::scenarios::{self, SUPERVISOR};
 use skippub_core::{Msg, ProtocolConfig, PubSub, Supervisor, TopicId};
 use skippub_ringmath::Label;
@@ -37,28 +37,36 @@ fn full_pass(n: usize) -> u64 {
 /// A legitimate `N`-member world whose supervisor has run its first
 /// full pass (the builder writes the database from outside the
 /// protocol, which leaves the index down).
-fn warm() -> SimBackend {
+fn warm() -> PartitionedBackend {
     let cfg = ProtocolConfig::default();
-    let mut sim = SimBackend::from_world(scenarios::legit_world(N, 0xC057, cfg), cfg);
-    assert!(sim.supervisor().inverse_index().is_none());
+    let mut sim = PartitionedBackend::from_world(scenarios::legit_world(N, 0xC057, cfg), cfg);
+    assert!(sim
+        .supervisor(TopicId(0))
+        .unwrap()
+        .inverse_index()
+        .is_none());
     sim.step();
     assert!(visited(&sim) <= full_pass(N) + BOUND);
-    assert!(sim.supervisor().inverse_index().is_some());
+    assert!(sim
+        .supervisor(TopicId(0))
+        .unwrap()
+        .inverse_index()
+        .is_some());
     sim
 }
 
-fn visited(sim: &SimBackend) -> u64 {
-    sim.supervisor().db_entries_visited()
+fn visited(sim: &PartitionedBackend) -> u64 {
+    sim.supervisor(TopicId(0)).unwrap().db_entries_visited()
 }
 
 /// Runs one round and returns the entries the supervisor visited in it.
-fn step(sim: &mut SimBackend) -> u64 {
+fn step(sim: &mut PartitionedBackend) -> u64 {
     let before = visited(sim);
     sim.step();
     visited(sim) - before
 }
 
-fn supervisor_mut(sim: &mut SimBackend) -> &mut Supervisor {
+fn supervisor_mut(sim: &mut PartitionedBackend) -> &mut Supervisor {
     sim.world_mut()
         .node_mut(SUPERVISOR)
         .and_then(|a| a.supervisor_mut())
@@ -100,8 +108,12 @@ fn a_legitimate_supervisor_visits_logarithmically_few_entries() {
         worst = worst.max(cost);
     }
     eprintln!("n = {N}: at most {worst} entries per activation");
-    assert_eq!(sim.supervisor().n(), N);
-    assert!(sim.supervisor().inverse_index().is_some());
+    assert_eq!(sim.supervisor(TopicId(0)).unwrap().n(), N);
+    assert!(sim
+        .supervisor(TopicId(0))
+        .unwrap()
+        .inverse_index()
+        .is_some());
 }
 
 #[test]
@@ -116,7 +128,7 @@ fn an_eviction_costs_one_sweep_and_one_full_pass_and_then_nothing() {
         cost <= N as u64 + full_pass(N) + BOUND,
         "eviction: {cost} entries"
     );
-    assert_eq!(sim.supervisor().n(), N - 1);
+    assert_eq!(sim.supervisor(TopicId(0)).unwrap().n(), N - 1);
     for r in 0..8 {
         let cost = step(&mut sim);
         assert!(
@@ -137,16 +149,24 @@ fn a_corrupted_database_is_repaired_by_the_next_timeout() {
     db.insert(Label::from_index(3 * N as u64), Some(ids[7]));
     let moved = db.remove(&Label::from_index(N as u64 / 2)).flatten();
     db.insert(Label::from_index(5 * N as u64), moved);
-    assert!(sim.supervisor().inverse_index().is_none());
+    assert!(sim
+        .supervisor(TopicId(0))
+        .unwrap()
+        .inverse_index()
+        .is_none());
     // Requests that reach the supervisor before this timeout scan the
     // corrupted database, so this round's cost is not bounded here.
     sim.step();
     assert!(
-        repaired(sim.supervisor()),
+        repaired(sim.supervisor(TopicId(0)).unwrap()),
         "one timeout repairs the database"
     );
-    assert_eq!(sim.supervisor().n(), N);
-    assert!(sim.supervisor().inverse_index().is_some());
+    assert_eq!(sim.supervisor(TopicId(0)).unwrap().n(), N);
+    assert!(sim
+        .supervisor(TopicId(0))
+        .unwrap()
+        .inverse_index()
+        .is_some());
     let cost = step(&mut sim);
     assert!(cost <= BOUND, "after the repair: {cost} entries");
 }

@@ -375,28 +375,6 @@ pub fn fast_check_parts<'a>(
     matched == n
 }
 
-/// Boolean twin of [`check_topology`] over a whole single-topic world —
-/// the supervisor-count gate plus [`fast_check_parts`]. Allocation-free
-/// with a warm scratch.
-pub fn fast_check_topology(world: &World<Actor>, scratch: &mut CheckScratch) -> bool {
-    let mut sup = None;
-    for (_, a) in world.iter() {
-        if let Some(s) = a.supervisor() {
-            if sup.replace(s).is_some() {
-                return false; // more than one supervisor
-            }
-        }
-    }
-    let Some(sup) = sup else {
-        return false; // no supervisor at all
-    };
-    fast_check_parts(
-        sup,
-        world.iter().filter_map(|(id, a)| a.subscriber().map(|s| (id, s))),
-        scratch,
-    )
-}
-
 /// Publication convergence (Theorem 17): every membership-wanting
 /// subscriber stores the same key set, which is the union of all stored
 /// key sets. Returns `(converged, union_size)`.
@@ -561,7 +539,18 @@ mod tests {
         let mut scratch = CheckScratch::default();
         let agree = |world: &World<Actor>, scratch: &mut CheckScratch| {
             let full = check_topology(world).ok();
-            let fast = fast_check_topology(world, scratch);
+            // `check_topology` also demands exactly one supervisor.
+            let mut sups = world.iter().filter_map(|(_, a)| a.supervisor());
+            let fast = match (sups.next(), sups.next()) {
+                (Some(sup), None) => fast_check_parts(
+                    sup,
+                    world
+                        .iter()
+                        .filter_map(|(id, a)| a.subscriber().map(|s| (id, s))),
+                    scratch,
+                ),
+                _ => false,
+            };
             assert_eq!(fast, full, "paths disagree: {:?}", check_topology(world).issues);
             full
         };

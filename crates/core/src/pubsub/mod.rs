@@ -174,22 +174,6 @@ pub struct PartitionStats {
     pub delayed: u64,
 }
 
-/// Copies simulator [`FaultCounts`] onto the matching [`Stats`] fields.
-pub(crate) fn apply_fault_counts(stats: &mut Stats, c: FaultCounts) {
-    stats.dropped_by_fault = c.dropped_by_fault;
-    stats.duplicated = c.duplicated;
-    stats.reordered = c.reordered;
-    stats.delayed = c.delayed;
-}
-
-/// Copies one partition's [`FaultCounts`] onto its [`PartitionStats`].
-pub(crate) fn apply_partition_fault_counts(p: &mut PartitionStats, c: FaultCounts) {
-    p.dropped_by_fault = c.dropped_by_fault;
-    p.duplicated = c.duplicated;
-    p.reordered = c.reordered;
-    p.delayed = c.delayed;
-}
-
 /// The simulated backends a [`SystemBuilder`] can construct behind a
 /// `Box<dyn PubSub>`. (The threaded backend lives in `skippub-net`,
 /// which depends on this crate; build it with `NetBackend::from_builder`.)
@@ -556,21 +540,6 @@ pub fn restore(snap: &BackendSnapshot) -> Result<Box<dyn PubSub>, String> {
             Ok(Box::new(PartitionedBackend::from_snapshot(snap)?))
         }
         kind => Err(format!("unknown snapshot kind {kind:?}")),
-    }
-}
-
-/// Maps simulator [`Metrics`](skippub_sim::Metrics) onto the
-/// backend-agnostic [`Stats`] — shared by every simulated backend.
-/// `peak_in_flight` comes from the world, not the metrics (it is slab
-/// state, not a traffic counter).
-pub(crate) fn stats_of(m: &skippub_sim::Metrics, peak_in_flight: u64) -> Stats {
-    Stats {
-        steps: m.rounds,
-        sent: m.sent_total,
-        delivered: m.delivered_total,
-        dropped: m.dropped,
-        peak_in_flight,
-        ..Stats::default()
     }
 }
 

@@ -29,7 +29,8 @@
 //! The one-topic layouts continue a serial [`World`]: their partition is
 //! the world's own, raw seed included, so a scenario world steps exactly
 //! as it would alone, and they read and write the `sim`/`chaos` snapshot
-//! body. In them every process id below `next_id` has met topic 0.
+//! body. In them every process id in `1..next_id` has met topic 0, so
+//! they keep no `met` table.
 //!
 //! Placement policy: shard `i`'s supervisor instances live in partition
 //! `i`. A client process's instances live together. When every
@@ -87,6 +88,35 @@ fn layout_of(sup_ids: &[NodeId]) -> Option<BackendKind> {
     }
 }
 
+/// Whether `kind` is a one-topic layout (`sim` or `chaos`).
+fn is_one_topic(kind: BackendKind) -> bool {
+    matches!(kind, BackendKind::Sim | BackendKind::Chaos)
+}
+
+/// The topics process `p` has ever joined, ascending. The one-topic
+/// layouts keep no `met` table: in them every id in `1..next_id` has met
+/// topic 0, so a snapshot's `next_id` costs no memory.
+fn joined(met: &BTreeMap<u64, Vec<u32>>, kind: BackendKind, next_id: u64, p: NodeId) -> &[u32] {
+    if !is_one_topic(kind) {
+        met.get(&p.0).map_or(&[], Vec::as_slice)
+    } else if (1..next_id).contains(&p.0) {
+        &[0]
+    } else {
+        &[]
+    }
+}
+
+/// A snapshot's next client id must leave fresh ids inside the process
+/// half of an address (a larger one would hand out lane addresses).
+fn check_next_id(next_id: u64) -> Result<(), String> {
+    if next_id > 1 << (64 - NodeId::LANE_BITS) {
+        return Err(format!(
+            "snapshot next client id {next_id} is no process id"
+        ));
+    }
+    Ok(())
+}
+
 /// Whether supervisor instances run the token machinery under `cfg`.
 fn token_enabled(cfg: &ProtocolConfig) -> bool {
     cfg.probe_mode != ProbeMode::Randomized
@@ -131,7 +161,8 @@ pub struct PartitionedBackend {
     /// verbs onto instances, and routes a crash report to the supervisor
     /// instances of exactly the topics that met the process. Entries
     /// persist across the process's crash — the report arrives *after*
-    /// the crash — and are bounded by total registrations.
+    /// the crash — and are bounded by total registrations. Empty on the
+    /// one-topic layouts, which compute it ([`joined`]).
     met: BTreeMap<u64, Vec<u32>>,
     /// Incremental verdict caches + member index (`RefCell`: the
     /// facade's polling predicates take `&self`).
@@ -218,44 +249,24 @@ impl PartitionedBackend {
     /// scenario builders' legitimate warm starts and adversarial initial
     /// states, with the supervisor at [`SUPERVISOR`] and subscribers at
     /// plain process ids. Fresh subscribers get the ids above the
-    /// world's largest; the payload pool starts empty.
+    /// world's largest; the payload pool starts empty and the checker
+    /// cold.
     pub fn from_world(world: World<Actor>, cfg: ProtocolConfig) -> Self {
-        let next_id = world.ids().last().map_or(0, |id| id.0) + 1;
-        Self::one_topic(PartitionedWorld::from_world(world), cfg, next_id)
-    }
-
-    /// The `sim` layout over a one-partition `world`; every process id
-    /// below `next_id` has met topic 0. The checker starts cold.
-    fn one_topic(world: PartitionedWorld<Actor>, cfg: ProtocolConfig, next_id: u64) -> Self {
-        let mut inc = IncChecker::new(1);
-        inc.invalidate_all();
-        PartitionedBackend {
-            kind: BackendKind::Sim,
-            chaos: ChaosConfig::SYNCHRONOUS,
-            shards: SupervisorShards::new(&[SUPERVISOR], VNODES),
-            world,
-            sup_ids: vec![SUPERVISOR],
-            cfg,
-            topics: 1,
-            next_id,
-            cursor: EventCursor::new(),
-            met: (1..next_id).map(|p| (p, vec![0])).collect(),
-            inc: RefCell::new(inc),
-            interner: PayloadInterner::new(),
-            groups: Vec::new(),
-            overrides: BTreeMap::new(),
-            rebalance_every: 0,
-            rebalances: 0,
-            last_delivered: vec![0],
-            sever_fired: BTreeSet::new(),
-        }
+        // The one-supervisor, one-partition layout, with `world`'s
+        // partition in place of a fresh one.
+        let mut b = Self::new(0, 1, vec![SUPERVISOR], 1, 1, cfg);
+        b.kind = BackendKind::Sim;
+        b.next_id = world.ids().last().map_or(0, |id| id.0) + 1;
+        b.world = PartitionedWorld::from_world(world);
+        b.inc.get_mut().invalidate_all();
+        b
     }
 
     /// Turns the one-topic layout into `chaos`: every step is one chaos
     /// round under `chaos`.
     pub fn with_chaos(mut self, chaos: ChaosConfig) -> Self {
         assert!(
-            matches!(self.kind, BackendKind::Sim | BackendKind::Chaos),
+            is_one_topic(self.kind),
             "only the one-topic layout runs chaos rounds"
         );
         self.kind = BackendKind::Chaos;
@@ -423,10 +434,8 @@ impl PartitionedBackend {
 
     /// Process `p`'s live subscriber instances, in topic order.
     fn subscriptions(&self, p: NodeId) -> impl Iterator<Item = (TopicId, &Subscriber)> {
-        self.met
-            .get(&p.0)
-            .into_iter()
-            .flatten()
+        joined(&self.met, self.kind, self.next_id, p)
+            .iter()
             .filter_map(move |&t| self.subscriber(p, TopicId(t)).map(|s| (TopicId(t), s)))
     }
 
@@ -526,6 +535,7 @@ impl PartitionedBackend {
         let sever_fired = BTreeSet::<(u64, u64)>::load(&mut r).map_err(err)?;
         r.finish().map_err(err)?;
 
+        check_next_id(next_id)?;
         let (shard_count, partitions) = (sup_ids.len(), world.partition_count());
         let Some(kind) = layout_of(&sup_ids).filter(|k| k.name() == snap.kind) else {
             return Err(format!(
@@ -613,11 +623,13 @@ impl PartitionedBackend {
         let cfg = ProtocolConfig::load(&mut r).map_err(err)?;
         let next_id = u64::load(&mut r).map_err(err)?;
         let interner = PayloadInterner::load(&mut r).map_err(err)?;
+        check_next_id(next_id)?;
         let world = World::from_state(WorldState::<Actor>::load(&mut r).map_err(err)?);
         if world.ids().last().is_some_and(|id| id.0 >= next_id) {
             return Err("snapshot world hosts an id at or above its next client id".to_string());
         }
-        let mut b = Self::one_topic(PartitionedWorld::from_world(world), cfg, next_id);
+        let mut b = Self::from_world(world, cfg);
+        b.next_id = next_id;
         b.cursor = EventCursor::load_with(&mut r, &store_of(&b.world)).map_err(err)?;
         b.groups = Option::<ReplicaGroup>::load(&mut r)
             .map_err(err)?
@@ -746,9 +758,11 @@ impl PartitionedBackend {
         let sub = Subscriber::new(addr, sup, self.cfg);
         self.world
             .add_node(addr, Actor::Subscriber(Box::new(sub)), partition);
-        let joined = self.met.entry(p.0).or_default();
-        if let Err(i) = joined.binary_search(&topic.0) {
-            joined.insert(i, topic.0);
+        if !is_one_topic(self.kind) {
+            let joined = self.met.entry(p.0).or_default();
+            if let Err(i) = joined.binary_search(&topic.0) {
+                joined.insert(i, topic.0);
+            }
         }
         self.inc.get_mut().add_member(addr);
         self.bump(topic);
@@ -1001,9 +1015,14 @@ impl PubSub for PartitionedBackend {
         // Every instance of the client process dies with it (supervisor
         // processes die through `crash_supervisor`).
         let Self {
-            world, met, inc, ..
+            world,
+            met,
+            inc,
+            kind,
+            next_id,
+            ..
         } = self;
-        for &t in met.get(&id.0).into_iter().flatten() {
+        for &t in joined(met, *kind, *next_id, id) {
             let addr = TopicId(t).at(id);
             if world.is_alive(addr) {
                 inc.get_mut().remove_member(addr);
@@ -1028,10 +1047,11 @@ impl PubSub for PartitionedBackend {
         // only the supervisor instances of the topics the process joined
         // are told, each about that topic's instance of it. Suspecting a
         // process nobody ever met is a true no-op (regression-tested).
-        let Some(joined) = self.met.get(&id.0) else {
+        let topics = joined(&self.met, self.kind, self.next_id, id);
+        if topics.is_empty() {
             return;
-        };
-        for &t in joined {
+        }
+        for &t in topics {
             let topic = TopicId(t);
             let sup = topic.at(self.shards.supervisor_for(topic));
             if let Some(s) = self.world.node_mut(sup).and_then(Actor::supervisor_mut) {
@@ -1070,11 +1090,17 @@ impl PubSub for PartitionedBackend {
 
     fn drain_events(&mut self, id: NodeId) -> Vec<Delivery> {
         let Self {
-            world, met, cursor, ..
+            world,
+            met,
+            cursor,
+            kind,
+            next_id,
+            ..
         } = self;
-        let Some(joined) = met.get(&id.0) else {
+        let joined = joined(met, *kind, *next_id, id);
+        if joined.is_empty() {
             return Vec::new();
-        };
+        }
         // Borrowing walk over the process's instances — no per-call
         // topic-id or trie-ref Vecs, so a drain of a quiet client
         // allocates nothing beyond the (empty) result.
@@ -1088,6 +1114,12 @@ impl PubSub for PartitionedBackend {
     }
 
     fn subscriber_ids(&self) -> Vec<NodeId> {
+        if is_one_topic(self.kind) {
+            // Every live subscriber is a process's topic-0 instance.
+            return (self.world.iter())
+                .filter_map(|(id, a)| a.subscriber().map(|_| id))
+                .collect();
+        }
         self.met
             .keys()
             .map(|&p| NodeId(p))
@@ -1111,26 +1143,38 @@ impl PubSub for PartitionedBackend {
     }
 
     fn stats(&self) -> Stats {
-        let mut stats = super::stats_of(&self.world.metrics(), self.world.peak_in_flight() as u64);
-        super::apply_fault_counts(&mut stats, self.world.fault_counts());
-        stats.per_partition = (0..self.world.partition_count())
-            .map(|i| {
-                let m = self.world.partition_metrics(i);
-                let mut p = PartitionStats {
-                    sent: m.sent_total,
-                    delivered: m.delivered_total,
-                    dropped: m.dropped,
-                    cross_envelopes: self.world.cross_envelopes(i),
-                    peak_in_flight: self.world.partition_peak_in_flight(i) as u64,
-                    stepped: self.world.partition_stepped(i),
-                    lock_acquisitions: self.world.partition_lock_acquisitions(i),
-                    ..PartitionStats::default()
-                };
-                super::apply_partition_fault_counts(&mut p, self.world.partition_fault_counts(i));
-                p
-            })
-            .collect();
-        stats
+        let w = &self.world;
+        let (m, f) = (w.metrics(), w.fault_counts());
+        Stats {
+            steps: m.rounds,
+            sent: m.sent_total,
+            delivered: m.delivered_total,
+            dropped: m.dropped,
+            // Slab state of the world, not a traffic counter.
+            peak_in_flight: w.peak_in_flight() as u64,
+            dropped_by_fault: f.dropped_by_fault,
+            duplicated: f.duplicated,
+            reordered: f.reordered,
+            delayed: f.delayed,
+            per_partition: (0..w.partition_count())
+                .map(|i| {
+                    let (m, f) = (w.partition_metrics(i), w.partition_fault_counts(i));
+                    PartitionStats {
+                        sent: m.sent_total,
+                        delivered: m.delivered_total,
+                        dropped: m.dropped,
+                        cross_envelopes: w.cross_envelopes(i),
+                        peak_in_flight: w.partition_peak_in_flight(i) as u64,
+                        stepped: w.partition_stepped(i),
+                        lock_acquisitions: w.partition_lock_acquisitions(i),
+                        dropped_by_fault: f.dropped_by_fault,
+                        duplicated: f.duplicated,
+                        reordered: f.reordered,
+                        delayed: f.delayed,
+                    }
+                })
+                .collect(),
+        }
     }
 
     fn set_faults(&mut self, spec: Option<FaultSpec>) {
@@ -1143,7 +1187,7 @@ impl PubSub for PartitionedBackend {
 
     fn save_snapshot(&self) -> Result<BackendSnapshot, String> {
         let mut w = SnapWriter::new();
-        if matches!(self.kind, BackendKind::Sim | BackendKind::Chaos) {
+        if is_one_topic(self.kind) {
             self.save_one_topic(&mut w);
             return Ok(w.finish(self.backend_name()));
         }
@@ -1236,17 +1280,27 @@ mod tests {
     #[test]
     fn one_topic_layouts_bootstrap_publish_and_drain() {
         let b = SystemBuilder::new(31);
-        for (mut ps, budget) in [(b.build_sim(), 500), (b.build_chaos(), 5_000)] {
+        for (mut ps, name, budget) in [
+            (b.build_sim(), "sim", 500),
+            (b.build_chaos(), "chaos", 5_000),
+        ] {
+            assert_eq!(ps.backend_name(), name);
             let t = TopicId(0);
             let ids: Vec<NodeId> = (0..5).map(|_| ps.subscribe(t)).collect();
             assert_eq!(ids[0], NodeId(1), "client ids start at 1");
             let (rounds, ok) = ps.until_legit(budget);
-            assert!(ok, "{}: {:?}", ps.backend_name(), ps.report(t).issues);
+            assert!(ok, "{name}: {:?}", ps.report(t).issues);
             assert!(rounds > 0);
             assert_eq!(ps.supervisor(t).unwrap().n(), 5);
             assert_eq!(ps.stats().per_partition.len(), 1);
             let key = ps.publish(ids[0], t, b"hi".to_vec()).unwrap();
-            assert!(ps.until_pubs_converged(budget).1);
+            let (rounds, ok) = ps.until_pubs_converged(budget);
+            assert!(ok, "{name}: publications must converge");
+            // Synchronous flooding delivers well under the anti-entropy
+            // bounds.
+            if name == "sim" {
+                assert!(rounds <= 5, "flooding took {rounds} rounds");
+            }
             for &id in &ids {
                 let ev = ps.drain_events(id);
                 assert_eq!(ev.len(), 1);
@@ -1277,6 +1331,7 @@ mod tests {
         assert_eq!(ps.subscriber_ids().len(), 4);
         assert_eq!(ps.supervisor(t).unwrap().n(), 3);
         assert!(crate::checker::is_legitimate(&ps.snapshot(t)));
+        assert!(ps.stats().sent > 0);
     }
 
     #[test]

@@ -86,9 +86,25 @@ fn apply(world: &mut World<skippub_core::Actor>, (kind, a, b): Corruption) {
     }
 }
 
+/// The fast verdict on a whole single-topic world: exactly one
+/// supervisor (as `check_topology` demands), then `fast_check_parts`.
+fn fast_check(world: &World<skippub_core::Actor>, scratch: &mut CheckScratch) -> bool {
+    let mut sups = world.iter().filter_map(|(_, a)| a.supervisor());
+    match (sups.next(), sups.next()) {
+        (Some(sup), None) => checker::fast_check_parts(
+            sup,
+            world
+                .iter()
+                .filter_map(|(id, a)| a.subscriber().map(|s| (id, s))),
+            scratch,
+        ),
+        _ => false,
+    }
+}
+
 fn assert_paths_agree(world: &World<skippub_core::Actor>, scratch: &mut CheckScratch) {
     let full = checker::check_topology(world);
-    let fast = checker::fast_check_topology(world, scratch);
+    let fast = fast_check(world, scratch);
     assert_eq!(
         fast,
         full.ok(),
@@ -109,11 +125,11 @@ proptest! {
         let mut world = scenarios::legit_world(n, seed, ProtocolConfig::default());
         let mut scratch = CheckScratch::default();
         // Sanity: the uncorrupted world agrees (and is legitimate).
-        prop_assert!(checker::fast_check_topology(&world, &mut scratch));
+        prop_assert!(fast_check(&world, &mut scratch));
         for c in corruptions {
             apply(&mut world, c);
             let full = checker::check_topology(&world).ok();
-            let fast = checker::fast_check_topology(&world, &mut scratch);
+            let fast = fast_check(&world, &mut scratch);
             prop_assert_eq!(fast, full);
         }
     }
@@ -130,7 +146,7 @@ proptest! {
         let mut scratch = CheckScratch::default();
         for _ in 0..120 {
             let full = checker::check_topology(&world).ok();
-            let fast = checker::fast_check_topology(&world, &mut scratch);
+            let fast = fast_check(&world, &mut scratch);
             prop_assert_eq!(fast, full);
             if full {
                 break;

@@ -36,7 +36,7 @@
 use crate::engine::Partition;
 use crate::state::WorldState;
 use crate::Metrics;
-pub use crate::engine::{ChaosConfig, Ctx, NodeId, Protocol};
+pub use crate::engine::{ChaosConfig, NodeId, Protocol};
 
 /// The simulated distributed system.
 ///
@@ -162,9 +162,9 @@ impl<P: Protocol> World<P> {
     }
 
     /// Current version of dirty channel `key` — monotone, bumped by
-    /// handlers via [`Ctx::mark_dirty`] and by [`World::bump_dirty`].
-    /// Observers cache work keyed on a channel and redo it only when the
-    /// version moved. Never allocates.
+    /// handlers via [`Ctx::mark_dirty`](crate::Ctx::mark_dirty) and by
+    /// [`World::bump_dirty`]. Observers cache work keyed on a channel and
+    /// redo it only when the version moved. Never allocates.
     pub fn dirty_version(&self, key: u32) -> u64 {
         self.p.dirty().version(key)
     }
@@ -174,17 +174,6 @@ impl<P: Protocol> World<P> {
     /// change observable state without a handler running.
     pub fn bump_dirty(&mut self, key: u32) {
         self.p.dirty_mut().bump(key);
-    }
-
-    /// Lets the harness drive a node as if it acted locally: runs `f` with
-    /// the node's state and a context, then routes whatever it sent.
-    /// Returns `None` if the node does not exist.
-    pub fn with_node<R>(
-        &mut self,
-        id: NodeId,
-        f: impl FnOnce(&mut P, &mut Ctx<'_, P::Msg>) -> R,
-    ) -> Option<R> {
-        self.p.with_node(id, f)
     }
 
     /// One **synchronous round** — the paper's §3.3 "timeout interval":
@@ -283,6 +272,7 @@ impl<P: Protocol> World<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Ctx;
 
     /// Toy protocol: counts pings, forwards a token around a fixed ring.
     #[derive(Clone)]
@@ -419,18 +409,6 @@ mod tests {
             "only node 0 sees the token before it hits the crash"
         );
         assert_eq!(w.len(), 2);
-    }
-
-    #[test]
-    fn with_node_routes_sends() {
-        let mut w = ring_world(2, 5);
-        w.with_node(NodeId(0), |_t, ctx| {
-            ctx.send(NodeId(1), ToyMsg::Ping);
-            assert_eq!(ctx.me(), NodeId(0));
-        })
-        .unwrap();
-        assert_eq!(w.channel_len(NodeId(1)), 1);
-        assert!(w.with_node(NodeId(99), |_, _| ()).is_none());
     }
 
     #[test]

@@ -270,6 +270,32 @@ fn hostile_cursor_entries_fail_the_restore() {
 }
 
 #[test]
+fn a_hostile_next_client_id_restores_cheaply_or_fails() {
+    let (ps, ..) = pending_reader(BackendKind::Sim);
+    let text = ps.save_snapshot().unwrap().as_text().to_string();
+    // The `sim` body opens with no chaos config (`0`), the default
+    // protocol config and the next client id: four subscribed, so 5.
+    let prefix = |next_id: u64| format!(" 0 64 1 1 1 0 1 1 {next_id} ");
+    assert_eq!(text.matches(&prefix(5)).count(), 1, "body prefix");
+    let with_next_id = |next_id: u64| {
+        let hostile = text.replace(&prefix(5), &prefix(next_id));
+        restore(&BackendSnapshot::from_text(&hostile).expect("header intact"))
+    };
+    // A huge id is consistent (ids may have been handed out and
+    // crashed) and costs nothing: fresh ids continue from it.
+    let mut far = with_next_id(1 << 40).expect("a huge next id restores");
+    assert_eq!(far.subscriber_ids(), ps.subscriber_ids());
+    assert_eq!(far.subscribe(TopicId(0)), NodeId(1 << 40));
+    // Past the process half of an address it is an Err, not a panic.
+    for next_id in [(1 << 48) + 1, u64::MAX] {
+        match with_next_id(next_id) {
+            Ok(_) => panic!("next client id {next_id} restored"),
+            Err(e) => assert!(e.contains("next client id"), "{e}"),
+        }
+    }
+}
+
+#[test]
 fn a_drain_after_a_replaced_store_does_not_panic() {
     // Restored with the key pending, then the store swapped for an
     // empty one behind the cursor's back: the pending key is gone and

@@ -20,7 +20,7 @@ const SEED: u64 = 0x5A4B_17CE;
 /// The artifact's `description`: what the suite measures.
 pub const DESCRIPTION: &str = "Checkpoint/restore subsystem: (1) Zipf-fanout publication storm through a storage-backed PatriciaTrie, per-insert (eager root-path rehash + commit_to the TrieDb after every publication) vs batched (TrieBatch::apply hashes each dirty node once per commit, one commit_to per chunk), min-of-blocks, root-hash equality and open_from round-trips asserted every block; (2) facade save_snapshot -> token text -> pubsub::restore round trip on a legitimate n-subscriber world with a converged working set, byte-exactness asserted in-run.";
 /// The artifact's `note`: what is asserted in-run and how to read the rows.
-pub const NOTE: &str = "batched_matches_per_insert is asserted in-run every block; restore byte-exactness is asserted in-run at every n (a divergence aborts before any JSON is written). The storm carries ~3% exact duplicates, which both insert paths must reject identically. Round-trip members share one converged working set written directly into their stores, so the node-store section stores each trie node once across all replicas. store_bytes_per_pub is PatriciaTrie::heap_bytes summed over the members over stored_pubs: both arenas with their spare capacity, payload bytes (shared) not counted.";
+pub const NOTE: &str = "batched_matches_per_insert is asserted in-run every block; restore byte-exactness is asserted in-run at every n (a divergence aborts before any JSON is written). The storm carries ~3% exact duplicates, which both insert paths must reject identically. Round-trip members share one converged working set written directly into their stores, so the node-store section stores each trie node once across all replicas. store_bytes_per_pub is PatriciaTrie::heap_bytes summed over the members over stored_pubs: both arenas with their spare capacity. A stored publication costs an 8-byte handle to its one shared record plus its share of the inner arena, not a copy of the publication; the records and their payloads are shared and not counted.";
 /// Distinct authors of the storm.
 const AUTHORS: usize = 128;
 

@@ -95,7 +95,7 @@ fn dispatch_subscriber(sub: &mut Subscriber, ctx: &mut Ctx<'_, Msg>, msg: Msg) {
             prefixes,
         } => sub.on_check_and_publish(ctx, sender, tuples, prefixes),
         Msg::Publish { pubs } => sub.on_publish(pubs),
-        Msg::PublishNew { pubs } => sub.on_publish_new(pubs),
+        Msg::PublishNew { pubs } => sub.on_publish_new(&pubs),
         Msg::Subscribe { .. } | Msg::Unsubscribe { .. } | Msg::GetConfiguration { .. } => {
             sub.counters.ignored_msgs += 1;
         }

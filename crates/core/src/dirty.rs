@@ -18,7 +18,7 @@
 //!   dispatch in **O(1)** ([`subscriber_delta`]: `Copy` fields exactly,
 //!   the shortcut map via its monotone
 //!   [`shortcut_epoch`](crate::Subscriber::shortcut_epoch), the trie
-//!   via `(len, root hash)`; supervisors compare their
+//!   via its `len`; supervisors compare their
 //!   [`db_epoch`](crate::Supervisor::db_epoch)) and mark only on an
 //!   actual change. Kind-based gating would be both too coarse —
 //!   `SetData` refreshes and `Check`/`CheckShortcut` probes flow every
@@ -50,8 +50,10 @@ pub(crate) fn pubs_key(topic: u32) -> u32 {
 /// fields); the shortcut map compares via its monotone
 /// [`shortcut_epoch`](Subscriber::shortcut_epoch) (bumped by every
 /// protocol-path mutation — see the field docs); the trie compares via
-/// `(len, root hash)` (the Merkle root pins the key set, which is all
-/// the convergence predicate sees).
+/// its `len`. A store only grows — the trie has no removal, and no
+/// handler replaces it — so on every protocol path an unchanged `len`
+/// means an unchanged key set, which is all the convergence predicate
+/// sees.
 pub(crate) fn subscriber_delta(
     s: &mut Subscriber,
     f: impl FnOnce(&mut Subscriber),
@@ -64,7 +66,7 @@ pub(crate) fn subscriber_delta(
         s.wants_membership,
         s.shortcut_epoch,
     );
-    let pubs_before = (s.trie.len(), s.trie.root_hash());
+    let pubs_before = s.trie.len();
     f(s);
     let topo = topo_before
         != (
@@ -75,7 +77,7 @@ pub(crate) fn subscriber_delta(
             s.wants_membership,
             s.shortcut_epoch,
         );
-    let pubs = pubs_before != (s.trie.len(), s.trie.root_hash());
+    let pubs = pubs_before != s.trie.len();
     (topo, pubs)
 }
 

@@ -9,6 +9,7 @@
 use skippub_ringmath::Label;
 use skippub_sim::NodeId;
 use skippub_trie::{NodeSummary, Publication};
+use std::sync::Arc;
 
 /// A remote reference: the paper's tuple `t = (label_t, v_t)`.
 ///
@@ -169,15 +170,20 @@ pub enum Msg {
     },
     /// `PublishNew(P)` — flood fresh publications along all edges
     /// (§4.3): everything the sender first learned in one activation, as
-    /// one batch per edge (DESIGN.md §7.6). Each publication travels
-    /// with its own hop counter — measurement metadata for experiment E9
-    /// (delivery distance); protocol logic never branches on it.
+    /// one batch that every edge's message shares (DESIGN.md §7.6). Each
+    /// publication travels with its own hop counter — measurement
+    /// metadata for experiment E9 (delivery distance); protocol logic
+    /// never branches on it.
     PublishNew {
         /// The new publications, each with the hops it has travelled so
         /// far (1 = direct from the author or from a repaired store).
-        pubs: Vec<(Publication, u32)>,
+        pubs: Arc<[(Publication, u32)]>,
     },
 }
+
+// Every message in flight sits in a channel slot this size; the label
+// niche keeps `SetData`'s optional references untagged.
+const _: () = assert!(std::mem::size_of::<Msg>() <= 72);
 
 impl Msg {
     /// Metrics classification (see [`skippub_sim::Protocol::msg_kind`]).
@@ -247,7 +253,7 @@ mod tests {
             },
             Msg::Publish { pubs: vec![] },
             Msg::PublishNew {
-                pubs: vec![(Publication::new(1, b"x".to_vec()), 1)],
+                pubs: Arc::new([(Publication::new(1, b"x".to_vec()), 1)]),
             },
         ];
         let mut kinds: Vec<&str> = msgs.iter().map(|m| m.kind()).collect();

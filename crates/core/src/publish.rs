@@ -35,6 +35,7 @@ use crate::subscriber::Subscriber;
 use skippub_bits::BitStr;
 use skippub_sim::{Ctx, NodeId};
 use skippub_trie::{NodeSummary, Publication, TrieBatch};
+use std::sync::Arc;
 
 impl Subscriber {
     /// `PublishTimeout` (Algorithm 5 lines 1–4): send the trie root to a
@@ -150,8 +151,8 @@ impl Subscriber {
     /// Handles `PublishNew(P)` (Algorithm 5 lines 30–34): insert what is
     /// new and keep flooding it — from [`Subscriber::relay_timeout`], not
     /// from here; drop what is already known.
-    pub(crate) fn on_publish_new(&mut self, pubs: Vec<(Publication, u32)>) {
-        let (learned, farthest) = self.learn(pubs);
+    pub(crate) fn on_publish_new(&mut self, pubs: &[(Publication, u32)]) {
+        let (learned, farthest) = self.learn(pubs.iter().cloned());
         if learned > 0 {
             self.counters.pubs_via_flood += learned;
             self.counters.max_flood_hops = self.counters.max_flood_hops.max(farthest);
@@ -160,12 +161,13 @@ impl Subscriber {
 
     /// Coalesced dissemination (DESIGN.md §7.6): sends what this
     /// activation added to the store — flooded or repaired — on along
-    /// every edge, as one `PublishNew` batch per neighbour in key order,
-    /// each publication one hop further than it arrived. Coalescing
-    /// here, not forwarding from inside the handlers, keeps a burst to
-    /// one message per edge per activation. The batch is read back from
-    /// the store, so an entry the store does not hold (a corrupted
-    /// initial state, a rejected insert) is dropped, never sent.
+    /// every edge, as one `PublishNew` batch in key order that every
+    /// neighbour's message shares, each publication one hop further than
+    /// it arrived. Coalescing here, not forwarding from inside the
+    /// handlers, keeps a burst to one message per edge per activation.
+    /// The batch is read back from the store, so an entry the store does
+    /// not hold (a corrupted initial state, a rejected insert) is
+    /// dropped, never sent.
     pub(crate) fn relay_timeout(&mut self, ctx: &mut Ctx<'_, Msg>) {
         let pending = std::mem::take(&mut self.relay_pending);
         let pubs = pending
@@ -185,18 +187,15 @@ impl Subscriber {
     /// [`publish_local`](Self::publish_local) over an already-shared
     /// payload (e.g. from a backend's
     /// [`PayloadInterner`](skippub_trie::PayloadInterner)): the bytes are
-    /// never copied — the trie copy, every flood copy and the caller's
-    /// pool entry all reference one allocation.
+    /// never copied — the publication's one record, shared by the store
+    /// and the flood batch, and the caller's pool entry all reference one
+    /// allocation.
     ///
     /// A local publish happens outside any activation, so it does not
     /// wait for `relay_timeout`: the batch of one leaves in this call.
     /// The author is the process, not this topic's instance of it
     /// (`crate::topics`), so a key does not depend on the topic.
-    pub fn publish_local_shared(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        payload: std::sync::Arc<[u8]>,
-    ) -> BitStr {
+    pub fn publish_local_shared(&mut self, ctx: &mut Ctx<'_, Msg>, payload: Arc<[u8]>) -> BitStr {
         let p = Publication::from_shared(self.id.process().0, payload, self.cfg.key_bits);
         let key = p.key().clone();
         if self.trie.insert(p.clone()) {
@@ -205,17 +204,21 @@ impl Subscriber {
         key
     }
 
-    /// Broadcast along all edges: `{left, right, ring} ∪ shortcuts`.
+    /// Broadcast along all edges: `{left, right, ring} ∪ shortcuts`. Every
+    /// edge's message shares the one batch.
     fn flood(&self, ctx: &mut Ctx<'_, Msg>, pubs: Vec<(Publication, u32)>) {
         if !self.cfg.flooding || pubs.is_empty() {
             return;
         }
+        let pubs: Arc<[(Publication, u32)]> = pubs.into();
         self.with_edges(true, |targets| {
-            if let Some((&last, rest)) = targets.split_last() {
-                for &t in rest {
-                    ctx.send(t, Msg::PublishNew { pubs: pubs.clone() });
-                }
-                ctx.send(last, Msg::PublishNew { pubs });
+            for &t in targets {
+                ctx.send(
+                    t,
+                    Msg::PublishNew {
+                        pubs: Arc::clone(&pubs),
+                    },
+                );
             }
         });
     }
@@ -298,7 +301,7 @@ mod tests {
         let mut s = sub(3, "0");
         s.right = Some(NodeRef::new(lab("01"), NodeId(4)));
         let p = Publication::new(9, b"x".to_vec());
-        s.on_publish_new(vec![(p.clone(), 1)]);
+        s.on_publish_new(&[(p.clone(), 1)]);
         assert_eq!(s.counters.pubs_via_flood, 1);
         assert_eq!(s.counters.max_flood_hops, 1);
         let sent = run(&mut s, |s, ctx| s.relay_timeout(ctx));
@@ -308,7 +311,7 @@ mod tests {
             "forwarded to the one neighbour, one hop further"
         );
         // Second arrival is dropped.
-        s.on_publish_new(vec![(p.clone(), 2)]);
+        s.on_publish_new(&[(p.clone(), 2)]);
         assert!(s.relay_pending.is_empty());
         assert!(run(&mut s, |s, ctx| s.relay_timeout(ctx)).is_empty());
         assert_eq!((s.trie.len(), s.counters.pubs_via_flood), (1, 1));
@@ -321,9 +324,9 @@ mod tests {
         let pubs: Vec<Publication> = (0..5u8).map(|i| Publication::new(9, vec![i])).collect();
         // Five arrivals over three messages, at different distances; the
         // second copy of `pubs[1]` arrives later and farther.
-        s.on_publish_new(vec![(pubs[0].clone(), 1), (pubs[1].clone(), 4)]);
-        s.on_publish_new(vec![(pubs[2].clone(), 2)]);
-        s.on_publish_new(vec![
+        s.on_publish_new(&[(pubs[0].clone(), 1), (pubs[1].clone(), 4)]);
+        s.on_publish_new(&[(pubs[2].clone(), 2)]);
+        s.on_publish_new(&[
             (pubs[1].clone(), 7),
             (pubs[3].clone(), 3),
             (pubs[4].clone(), 1),
@@ -412,7 +415,7 @@ mod tests {
         // Repairs and a flood arrival in one activation share the batch.
         s.on_publish(vec![a.clone()]);
         s.on_publish(vec![b.clone(), a.clone()]);
-        s.on_publish_new(vec![(c.clone(), 3), (a.clone(), 3)]);
+        s.on_publish_new(&[(c.clone(), 3), (a.clone(), 3)]);
         assert_eq!(
             (s.counters.pubs_via_sync, s.counters.pubs_via_flood),
             (2, 1)
@@ -618,7 +621,7 @@ mod tests {
                         prefixes,
                     } => target.on_check_and_publish(ctx, sender, tuples, prefixes),
                     Msg::Publish { pubs } => target.on_publish(pubs),
-                    Msg::PublishNew { pubs } => target.on_publish_new(pubs),
+                    Msg::PublishNew { pubs } => target.on_publish_new(&pubs),
                     _ => {}
                 });
                 queue.extend(more);

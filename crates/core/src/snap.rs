@@ -209,7 +209,7 @@ impl Snap for Msg {
                 pubs: SnapVec::load(r)?.0,
             },
             14 => Msg::PublishNew {
-                pubs: SnapVec::load(r)?.0,
+                pubs: SnapVec::load(r)?.0.into(),
             },
             n => return Err(SnapError::Malformed(format!("unknown message tag {n}"))),
         })

@@ -123,6 +123,10 @@ pub struct Subscriber {
     pub counters: Counters,
 }
 
+// Every client holds one per topic (DESIGN.md §11.3): the label niche
+// keeps the `Option<Label>` / `Option<NodeRef>` fields untagged.
+const _: () = assert!(std::mem::size_of::<Subscriber>() <= 312);
+
 impl Subscriber {
     /// A fresh subscriber that will join via its first `Timeout`
     /// (action (i): `label = ⊥` → `Subscribe`).

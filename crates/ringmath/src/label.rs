@@ -3,6 +3,7 @@
 use skippub_bits::BitStr;
 use std::cmp::Ordering;
 use std::fmt;
+use std::num::NonZeroU8;
 
 /// A subscriber label `y ∈ {0,1}*` of length 1..=64, stored canonically as
 /// the exact dyadic fraction `r(y) = frac / 2⁶⁴` plus the bit length.
@@ -11,6 +12,9 @@ use std::fmt;
 /// `frac`, so `r(y) = Σ yᵢ/2ⁱ` holds by construction and comparing ring
 /// positions is a plain integer comparison of `frac`.
 ///
+/// The length is a `NonZeroU8`, so `Option<Label>` (and every reference
+/// that embeds one) needs no separate tag.
+///
 /// The 64-bit bound caps the system at `2⁶⁴` subscribers per topic; the
 /// protocol only ever compares/stores/sends labels (the paper's
 /// compare-store-send restriction applies to node *IDs*, while labels are
@@ -18,7 +22,7 @@ use std::fmt;
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Label {
     frac: u64,
-    len: u8,
+    len: NonZeroU8,
 }
 
 impl Label {
@@ -26,16 +30,23 @@ impl Label {
     pub const MAX_LEN: u8 = 64;
 
     /// The label `"0"` — position `r = 0`, held by the oldest subscriber.
-    pub const ZERO: Label = Label { frac: 0, len: 1 };
+    pub const ZERO: Label = Label {
+        frac: 0,
+        len: NonZeroU8::MIN,
+    };
+
+    /// A label length known to lie in `1..=MAX_LEN`.
+    fn checked_len(len: u32) -> NonZeroU8 {
+        debug_assert!(len <= Self::MAX_LEN as u32);
+        NonZeroU8::new(len as u8).expect("label lengths start at 1")
+    }
 
     /// Constructs a label from its dyadic fraction and explicit length.
     ///
     /// Bits of `frac` below the length are truncated (they would encode a
     /// longer label). Returns `None` for `len == 0` or `len > 64`.
     pub fn from_parts(frac: u64, len: u8) -> Option<Label> {
-        if len == 0 || len > Self::MAX_LEN {
-            return None;
-        }
+        let nonzero = NonZeroU8::new(len).filter(|l| l.get() <= Self::MAX_LEN)?;
         let keep = if len == 64 {
             u64::MAX
         } else {
@@ -43,7 +54,7 @@ impl Label {
         };
         Some(Label {
             frac: frac & keep,
-            len,
+            len: nonzero,
         })
     }
 
@@ -58,7 +69,7 @@ impl Label {
         } else {
             Label {
                 frac,
-                len: (64 - frac.trailing_zeros()) as u8,
+                len: Self::checked_len(64 - frac.trailing_zeros()),
             }
         }
     }
@@ -76,14 +87,14 @@ impl Label {
             return Label::ZERO;
         }
         let d = 63 - x.leading_zeros(); // position of the leading 1 bit
-        let len = (d + 1) as u8;
+        let len = d + 1;
         // Label bits, MSB-first: x_{d-1}, …, x_0, then x_d (= 1).
         let low = x & !(1u64 << d); // x without its leading bit, i.e. x_{d-1}…x₀
         let body = if d == 0 { 0 } else { low << (64 - d) };
-        let last = 1u64 << (64 - len as u32); // the moved leading bit at position `len`
+        let last = 1u64 << (64 - len); // the moved leading bit at position `len`
         Label {
             frac: body | last,
-            len,
+            len: Self::checked_len(len),
         }
     }
 
@@ -94,7 +105,7 @@ impl Label {
         if *self == Label::ZERO {
             return Some(0);
         }
-        let k = self.len as u32;
+        let k = self.len() as u32;
         // Must end in 1: y_k = 1.
         if !self.bit(k as u8) {
             return None;
@@ -113,9 +124,9 @@ impl Label {
     #[inline]
     pub fn bit(&self, i: u8) -> bool {
         assert!(
-            i >= 1 && i <= self.len,
+            i >= 1 && i <= self.len(),
             "label bit index {i} out of 1..={}",
-            self.len
+            self.len()
         );
         (self.frac >> (64 - i as u32)) & 1 == 1
     }
@@ -123,7 +134,7 @@ impl Label {
     /// Label length `|y|` in bits.
     #[inline]
     pub fn len(&self) -> u8 {
-        self.len
+        self.len.get()
     }
 
     /// Labels are never empty; provided for clippy symmetry.
@@ -159,7 +170,7 @@ impl Label {
     /// Whether this label is canonical (shortest encoding of its fraction):
     /// ends in `1`, or is exactly `"0"`.
     pub fn is_canonical(&self) -> bool {
-        *self == Label::ZERO || self.bit(self.len)
+        *self == Label::ZERO || self.bit(self.len())
     }
 
     /// Clockwise ring distance from `self` to `other` in fractional units,
@@ -179,7 +190,7 @@ impl Label {
 
     /// Converts to a [`BitStr`] (e.g. to use a label as a trie key).
     pub fn to_bits(&self) -> BitStr {
-        BitStr::from_frac_u64(self.frac, self.len as usize)
+        BitStr::from_frac_u64(self.frac, self.len() as usize)
     }
 
     /// Converts from a [`BitStr`] of length 1..=64.
@@ -209,7 +220,7 @@ impl PartialOrd for Label {
 
 impl fmt::Display for Label {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for i in 1..=self.len {
+        for i in 1..=self.len() {
             f.write_str(if self.bit(i) { "1" } else { "0" })?;
         }
         Ok(())

@@ -53,7 +53,7 @@ impl StoredNode {
     /// leaf, `h(left ∘ right)` for an inner node (paper §4.2).
     pub fn hash(&self) -> Hash128 {
         match self {
-            StoredNode::Leaf(p) => Hash128::leaf(p.key()),
+            StoredNode::Leaf(p) => p.leaf_hash(),
             StoredNode::Inner { left, right } => Hash128::combine(*left, *right),
         }
     }
@@ -86,8 +86,9 @@ impl std::error::Error for TrieDbError {}
 /// a persistent backend can slot in without touching the trie
 /// (ROADMAP follow-up).
 pub trait TrieDb {
-    /// Fetches the node addressed by `hash` (a cheap clone: labels are
-    /// inline up to 64 bits and payloads are `Arc`-shared).
+    /// Fetches the node addressed by `hash` (a cheap clone: a leaf is a
+    /// handle to its publication's shared record, so every trie opened
+    /// from one store shares that record).
     fn get(&self, hash: Hash128) -> Option<StoredNode>;
 
     /// Stores `node` under `hash`. First writer wins: storing under an

@@ -2,20 +2,23 @@
 //! sharing via `Arc`.
 //!
 //! Publication payloads are hash-derived duplicates by design — the same
-//! `(author, payload)` pair always maps to the same key, repeated template
-//! payloads (heartbeats, topic banners, benchmark workloads) recur across
-//! publishes, and every subscriber of a topic stores its own copy of each
-//! publication. [`Publication`](crate::Publication) already shares one
-//! payload allocation across all clones of a *single* publication; the
-//! interner extends that to *independently constructed* duplicates: a
-//! backend routes every published payload through [`PayloadInterner::intern`]
-//! and equal byte strings collapse to one `Arc<[u8]>` no matter how many
+//! `(author, payload)` pair always maps to the same key, and repeated
+//! template payloads (heartbeats, topic banners, benchmark workloads)
+//! recur across publishes. A [`Publication`](crate::Publication) is a
+//! handle to one shared record, so every subscriber that stores it and
+//! every flood batch that carries it already shares that record and its
+//! payload. The interner sits under the records and extends the sharing
+//! to *independently constructed* duplicates: a backend routes every
+//! published payload through [`PayloadInterner::intern`] and equal byte
+//! strings collapse to one `Arc<[u8]>` no matter how many publications,
 //! authors or topics they appear under.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
-/// Deduplicating pool of shared payloads.
+/// Deduplicating pool of shared payloads, beneath the publication
+/// records: one record per publication, one payload per distinct byte
+/// string.
 ///
 /// `intern` returns a refcounted handle; equal inputs return clones of the
 /// same allocation. The pool holds one strong reference per distinct
@@ -124,7 +127,7 @@ mod tests {
         let trie_copy = p.clone();
         assert!(Arc::ptr_eq(p.shared_payload(), flood_copy.shared_payload()));
         assert!(Arc::ptr_eq(p.shared_payload(), trie_copy.shared_payload()));
-        // Strong count: pool + p + 2 clones.
-        assert_eq!(Arc::strong_count(p.shared_payload()), 4);
+        // Strong count: the pool and the one record all three handles share.
+        assert_eq!(Arc::strong_count(p.shared_payload()), 2);
     }
 }

@@ -1,7 +1,8 @@
 //! Publications: the data items disseminated through a topic.
 
-use skippub_bits::{publication_key, BitStr};
+use skippub_bits::{publication_key, BitStr, Hash128};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Default publication-key length `m` in bits (paper §4.2: a constant `m`
@@ -15,17 +16,23 @@ pub const DEFAULT_KEY_BITS: usize = 64;
 /// receive the same `(author, payload)` pair compute the same key, which is
 /// what lets Patricia-trie hashes agree once the publication sets agree.
 ///
-/// The payload is reference-counted (`Arc<[u8]>`): cloning a publication —
-/// which flooding does once per edge and every subscriber's trie does once
-/// on insert — shares a single payload allocation instead of re-copying
-/// the bytes. Combined with the inline `BitStr` key (≤ 64 bits, no heap),
-/// a clone allocates nothing. Equality and hashing are by value (key,
-/// author, payload bytes), unchanged from the owned-`Vec` representation.
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct Publication {
+/// A `Publication` is a handle (one pointer) to a single immutable,
+/// reference-counted record: the key, the author, the shared payload and
+/// the trie leaf hash `h(key)`, computed once when the publication is
+/// created. Every store that holds the publication and every flood batch
+/// that carries it shares that one record, so a clone allocates nothing
+/// and a store pays 8 bytes per publication (DESIGN.md §8.6). Equality
+/// and hashing are by value (key, author, payload bytes); the cached
+/// leaf hash is a function of the key and takes no part in identity.
+#[derive(Clone)]
+pub struct Publication(Arc<Record>);
+
+/// The one record behind every handle of a publication.
+struct Record {
     key: BitStr,
     author: u64,
     payload: Arc<[u8]>,
+    leaf_hash: Hash128,
 }
 
 impl Publication {
@@ -45,40 +52,42 @@ impl Publication {
     /// copying the bytes.
     pub fn from_shared(author: u64, payload: Arc<[u8]>, m: usize) -> Self {
         let key = publication_key(author, &payload, m);
-        Publication {
-            key,
-            author,
-            payload,
-        }
+        Self::record(key, author, payload)
     }
 
     /// Test/fixture constructor with a hand-picked key — used to reproduce
     /// the paper's Figure 2, where publications carry literal 3-bit keys
     /// `000, 010, 100, 101`. Not used by the protocol itself.
     pub fn with_raw_key(key: BitStr, author: u64, payload: impl Into<Vec<u8>>) -> Self {
-        Publication {
+        Self::record(key, author, Arc::from(payload.into()))
+    }
+
+    fn record(key: BitStr, author: u64, payload: Arc<[u8]>) -> Self {
+        let leaf_hash = Hash128::leaf(&key);
+        Publication(Arc::new(Record {
             key,
             author,
-            payload: Arc::from(payload.into()),
-        }
+            payload,
+            leaf_hash,
+        }))
     }
 
     /// The trie key (leaf label) of this publication.
     #[inline]
     pub fn key(&self) -> &BitStr {
-        &self.key
+        &self.0.key
     }
 
     /// ID of the subscriber that generated the publication.
     #[inline]
     pub fn author(&self) -> u64 {
-        self.author
+        self.0.author
     }
 
     /// The published content.
     #[inline]
     pub fn payload(&self) -> &[u8] {
-        &self.payload
+        &self.0.payload
     }
 
     /// The shared payload handle. Cloning it bumps a refcount instead of
@@ -86,7 +95,33 @@ impl Publication {
     /// floods) should prefer this over `payload().to_vec()`.
     #[inline]
     pub fn shared_payload(&self) -> &Arc<[u8]> {
-        &self.payload
+        &self.0.payload
+    }
+
+    /// The trie leaf hash `h(key)` (paper §4.2), computed once at
+    /// creation.
+    #[inline]
+    pub(crate) fn leaf_hash(&self) -> Hash128 {
+        self.0.leaf_hash
+    }
+}
+
+impl PartialEq for Publication {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+            || (self.0.key == other.0.key
+                && self.0.author == other.0.author
+                && self.0.payload == other.0.payload)
+    }
+}
+
+impl Eq for Publication {}
+
+impl Hash for Publication {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.key.hash(state);
+        self.0.author.hash(state);
+        self.0.payload.hash(state);
     }
 }
 
@@ -95,9 +130,9 @@ impl fmt::Debug for Publication {
         write!(
             f,
             "Pub[{} by {} ({} B)]",
-            self.key,
-            self.author,
-            self.payload.len()
+            self.0.key,
+            self.0.author,
+            self.0.payload.len()
         )
     }
 }
@@ -122,6 +157,26 @@ mod tests {
         assert_eq!(p.key().to_string(), "101");
         assert_eq!(p.author(), 9);
         assert_eq!(p.payload(), b"x");
+    }
+
+    #[test]
+    fn identity_is_by_value_not_by_record() {
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |p: &Publication| {
+            let mut h = DefaultHasher::new();
+            p.hash(&mut h);
+            h.finish()
+        };
+        let a = Publication::new(1, b"x".to_vec());
+        let b = Publication::new(1, b"x".to_vec());
+        assert!(!Arc::ptr_eq(&a.0, &b.0));
+        assert_eq!(a, b);
+        assert_eq!(hash(&a), hash(&b));
+        assert_ne!(
+            a,
+            Publication::with_raw_key(a.key().clone(), 1, b"y".to_vec())
+        );
+        assert_eq!(a.leaf_hash(), Hash128::leaf(a.key()));
     }
 
     #[test]

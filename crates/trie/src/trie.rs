@@ -1,13 +1,14 @@
 //! The hashed Patricia trie (paper §4.2), stored as two arenas.
 //!
-//! `leaves` holds every publication once, with its cached leaf hash;
-//! `inner` holds the binary skeleton as 32-byte crit-bit records: the
-//! Merkle hash, two tagged child references, the label *length*, and the
-//! index of one leaf below the node — its *witness*. An inner node's
-//! label is `witness.key.prefix(len)`; it is never stored, only
-//! materialised where a [`NodeSummary`] leaves the trie. Leaves are never
-//! removed and an insert only ever splits an edge, so a witness stays
-//! below its node for good (DESIGN.md §8.6).
+//! `leaves` holds an 8-byte handle to every publication's shared record,
+//! which caches the leaf hash; `inner` holds the binary skeleton as
+//! 32-byte crit-bit records: the Merkle hash, two tagged child
+//! references, the label *length*, and the index of one leaf below the
+//! node — its *witness*. An inner node's label is
+//! `witness.key.prefix(len)`; it is never stored, only materialised where
+//! a [`NodeSummary`] leaves the trie. Leaves are never removed and an
+//! insert only ever splits an edge, so a witness stays below its node for
+//! good (DESIGN.md §8.6).
 //!
 //! Every descent is the crit-bit walk: branch on the query's bit at the
 //! node's `len`, and compare one stored key at the bottom. The labels
@@ -129,26 +130,6 @@ impl Ref {
     }
 }
 
-/// One stored publication. The hash is kept as its two words so the
-/// record stays 8-aligned: 72 bytes, not 80.
-#[derive(Clone, Debug)]
-struct Leaf {
-    publication: Publication,
-    hash: [u64; 2],
-}
-
-impl Leaf {
-    fn new(publication: Publication) -> Leaf {
-        let hash = Hash128::leaf(publication.key()).words();
-        Leaf { publication, hash }
-    }
-
-    #[inline]
-    fn hash(&self) -> Hash128 {
-        Hash128((self.hash[0] as u128) << 64 | self.hash[1] as u128)
-    }
-}
-
 /// One node of the binary skeleton.
 #[derive(Clone, Debug)]
 struct Inner {
@@ -166,14 +147,15 @@ struct Inner {
 /// The per-subscriber publication store `v.T`.
 #[derive(Clone, Debug, Default)]
 pub struct PatriciaTrie {
-    leaves: Vec<Leaf>,
+    leaves: Vec<Publication>,
     inner: Vec<Inner>,
     root: Option<Ref>,
 }
 
 impl PatriciaTrie {
-    /// Bytes one stored publication takes in the leaf arena.
-    pub const LEAF_BYTES: usize = std::mem::size_of::<Leaf>();
+    /// Bytes one stored publication takes in the leaf arena: a handle
+    /// to the publication's shared record.
+    pub const LEAF_BYTES: usize = std::mem::size_of::<Publication>();
     /// Bytes one inner node takes; a trie of `m` publications has `m − 1`.
     pub const INNER_BYTES: usize = std::mem::size_of::<Inner>();
 
@@ -194,9 +176,9 @@ impl PatriciaTrie {
         self.leaves.is_empty()
     }
 
-    /// Heap bytes the two arenas hold, spare capacity included (payload
-    /// bytes are shared with every other holder of the publication and
-    /// not counted).
+    /// Heap bytes the two arenas hold, spare capacity included (the
+    /// publication records and their payloads are shared with every
+    /// other holder of the publication and not counted).
     pub fn heap_bytes(&self) -> usize {
         self.leaves.capacity() * Self::LEAF_BYTES + self.inner.capacity() * Self::INNER_BYTES
     }
@@ -215,12 +197,12 @@ impl PatriciaTrie {
 
     /// The established key length `m`, once a publication is stored.
     fn key_len(&self) -> Option<usize> {
-        self.leaves.first().map(|l| l.publication.key().len())
+        self.leaves.first().map(|p| p.key().len())
     }
 
     fn hash_of(&self, at: Ref) -> Hash128 {
         match at.at() {
-            At::Leaf(i) => self.leaves[i].hash(),
+            At::Leaf(i) => self.leaves[i].leaf_hash(),
             At::Inner(i) => self.inner[i].hash,
         }
     }
@@ -229,12 +211,12 @@ impl PatriciaTrie {
     fn label_of(&self, at: Ref) -> (&BitStr, usize) {
         match at.at() {
             At::Leaf(i) => {
-                let key = self.leaves[i].publication.key();
+                let key = self.leaves[i].key();
                 (key, key.len())
             }
             At::Inner(i) => {
                 let node = &self.inner[i];
-                let key = self.leaves[node.witness as usize].publication.key();
+                let key = self.leaves[node.witness as usize].key();
                 (key, node.len as usize)
             }
         }
@@ -272,7 +254,7 @@ impl PatriciaTrie {
             return false;
         }
         let Some(root) = self.root else {
-            self.leaves.push(Leaf::new(publication));
+            self.leaves.push(publication);
             self.root = Some(Ref::leaf(0));
             return true;
         };
@@ -315,7 +297,7 @@ impl PatriciaTrie {
         let leaf = self.leaves.len();
         let mut children = [below; 2];
         children[key.get(lcp) as usize] = Ref::leaf(leaf);
-        self.leaves.push(Leaf::new(publication));
+        self.leaves.push(publication);
         // Within a batch the child hashes may themselves be stale; the
         // settle pass computes this one with the rest.
         let hash = if deferred {
@@ -387,7 +369,7 @@ impl PatriciaTrie {
     /// The stored publication with this exact key, if any.
     pub fn get(&self, key: &BitStr) -> Option<&Publication> {
         match self.find_node(key)?.at() {
-            At::Leaf(i) => Some(&self.leaves[i].publication),
+            At::Leaf(i) => Some(&self.leaves[i]),
             At::Inner(_) => None,
         }
     }
@@ -522,7 +504,6 @@ impl PatriciaTrie {
             .get(pos..)
             .unwrap_or_default()
             .iter()
-            .map(|l| &l.publication)
     }
 
     /// Borrowing iterator over stored keys in order — see
@@ -657,7 +638,7 @@ impl PatriciaTrie {
             return;
         }
         match at.at() {
-            At::Leaf(i) => db.put(hash, StoredNode::Leaf(self.leaves[i].publication.clone())),
+            At::Leaf(i) => db.put(hash, StoredNode::Leaf(self.leaves[i].clone())),
             At::Inner(i) => {
                 let [c0, c1] = self.inner[i].children;
                 self.commit_node(c0, db);
@@ -714,10 +695,7 @@ impl PatriciaTrie {
                         "leaf key length {len} != trie key length {m}"
                     )));
                 }
-                self.leaves.push(Leaf {
-                    publication: p,
-                    hash: hash.words(),
-                });
+                self.leaves.push(p);
                 Ok(Ref::leaf(self.leaves.len() - 1))
             }
             StoredNode::Inner { left, right } => {
@@ -818,7 +796,7 @@ impl PatriciaTrie {
                         self.key_len()
                     ));
                 }
-                if self.leaves[i].hash() != Hash128::leaf(key) {
+                if self.leaves[i].leaf_hash() != Hash128::leaf(key) {
                     return Err(format!("stale leaf hash at {label}"));
                 }
             }
@@ -884,7 +862,7 @@ impl<'a> Iterator for PubIter<'a> {
         while self.depth > 0 {
             self.depth -= 1;
             match self.stack[self.depth].at() {
-                At::Leaf(i) => return Some(&self.trie.leaves[i].publication),
+                At::Leaf(i) => return Some(&self.trie.leaves[i]),
                 At::Inner(i) => {
                     // Push bit-1 first so bit-0 pops first: key order.
                     let [c0, c1] = self.trie.inner[i].children;
@@ -1073,7 +1051,8 @@ mod tests {
 
     #[test]
     fn heap_bytes_counts_both_arenas() {
-        const _: () = assert!(PatriciaTrie::LEAF_BYTES <= 72 && PatriciaTrie::INNER_BYTES <= 32);
+        const _: () = assert!(PatriciaTrie::LEAF_BYTES <= 8 && PatriciaTrie::INNER_BYTES <= 32);
+        const _: () = assert!(std::mem::size_of::<Publication>() == 8);
         let mut t = PatriciaTrie::new();
         assert_eq!(t.heap_bytes(), 0);
         for i in 0..100u64 {

@@ -4,10 +4,15 @@
 //!
 //! 100 subscribers of one topic holding 320 converged publications: with
 //! one 112-byte record per trie node the world held 11.9 MB live, 11.5 MB
-//! of it node arenas; split into 72-byte leaves and 32-byte inner nodes
-//! it holds 5.8 MB. The gate sits between the two, on byte counts that
-//! repeat exactly per seed on every 64-bit machine. The hot paths of the
-//! store are gated beside it: they allocate nothing.
+//! of it node arenas; split into 72-byte leaves (a copy of the
+//! publication and its hash per store) and 32-byte inner nodes it held
+//! 5.8 MB. With one shared record per publication and an 8-byte handle
+//! per leaf it holds 2.49 MB. The gate sits between the last two, on
+//! byte counts that repeat exactly per seed on every 64-bit machine. A
+//! restore of that world, from its own snapshot text, may hold at most
+//! its live heap + 5 % (2.25 MB of 2.49 MB): the restored stores share
+//! their records through the snapshot's node store. The hot paths of
+//! the store are gated beside it: they allocate nothing.
 //!
 //! Draining all 100 members then leaves at most 256 B live per member:
 //! the delivery cursor is a position in each store's arrival log. When
@@ -17,25 +22,26 @@
 //! Beside it, the per-client footprint of the partitioned backend
 //! (DESIGN.md §11.3), 1 000 one-topic clients over four topics. Each
 //! per-topic `BuildSR` instance is its own engine node, a 16-byte
-//! `Actor` slot over a boxed `Subscriber`: 2 322 B live per legitimate
-//! client on one supervisor and 2 524 B on four shards (2 283 B and
-//! 2 484 B before the supervisor kept an inverse label index). As one
+//! `Actor` slot over a boxed 312-byte `Subscriber`: 2 062 B live per
+//! legitimate client on one supervisor and 2 233 B on four shards
+//! (2 322 B and 2 524 B while a label's length took a tag byte in every
+//! `Option<Label>` and `Option<NodeRef>`, and a message 88 B). As one
 //! multiplexing actor holding its instances in a map a client took
 //! 2 797–2 889 B and 3 004 B, and with the instance inline in that map
 //! 6 149 B and 6 356 B. The gate is the larger figure + 5 %.
 //!
 //! The `sim` layout is the one-supervisor layout of one topic on one
-//! partition, gated the same way: 2 456 B per client of one 1 000-member
-//! ring. As a serial backend of its own it held 2 331 B on the same
-//! trajectory. The 125 B between them are, by the breakdown measured
-//! when the two were separate backends, the world's address → partition
-//! home map (35 B), the backend's `met` map (80 B: a B-tree entry and
-//! its topic list) and the checker's member index (8 B). Four topics make smaller rings with fewer shortcuts,
-//! which is why the one-supervisor figure lands below `sim`'s.
+//! partition, gated the same way: 2 099 B per client of one 1 000-member
+//! ring (2 376 B with tagged labels). Beyond a multi-topic client it
+//! holds the world's address → partition home map, the backend's `met`
+//! map and the checker's member index; four topics make smaller rings
+//! with fewer shortcuts, which is why the one-supervisor figure lands
+//! below `sim`'s.
 //!
 //! This file holds exactly one test so no parallel test thread can
 //! pollute the counters.
 
+use skippub_core::pubsub::{restore, BackendSnapshot};
 use skippub_core::{BackendKind, SystemBuilder, TopicId};
 use skippub_sim::NodeId;
 use skippub_trie::{PatriciaTrie, Publication};
@@ -86,18 +92,20 @@ const MEMBERS: usize = 100;
 const PUBLISHERS: usize = 8;
 const ROUNDS: usize = 40;
 /// Live heap bytes the converged world may hold.
-const BUDGET: usize = 6_500_000;
+const BUDGET: usize = 3_200_000;
 /// Live heap bytes a full drain may leave behind per member.
 const DRAIN_BUDGET: usize = 256;
 
-// A record that outgrows its size stops the build of this gate.
-const _: () = assert!(PatriciaTrie::LEAF_BYTES <= 72 && PatriciaTrie::INNER_BYTES <= 32);
+// A record that outgrows its size stops the build of this gate: a leaf
+// is a handle to the publication's one shared record.
+const _: () = assert!(PatriciaTrie::LEAF_BYTES <= 8 && PatriciaTrie::INNER_BYTES <= 32);
+const _: () = assert!(std::mem::size_of::<Publication>() == 8);
 
 /// Clients of the partitioned-layout case, spread over its topics.
 const CLIENTS: usize = 1_000;
 const TOPICS: u32 = 4;
 /// Live heap bytes per legitimate one-topic client, no publications.
-const CLIENT_BUDGET: usize = 2_608;
+const CLIENT_BUDGET: usize = 2_345;
 
 /// Heap allocations `f` performs.
 fn allocs_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
@@ -144,6 +152,25 @@ fn converged_world_fits_the_budget() {
         per_member <= DRAIN_BUDGET,
         "{per_member} B live per drained member, budget {DRAIN_BUDGET}"
     );
+
+    // A restored world shares one record per publication through the
+    // snapshot's node store, as the running world does; one record per
+    // store would add ≈ 100 B per member and publication.
+    let held = LIVE.load(Ordering::Relaxed) - before;
+    let text = ps.save_snapshot().expect("sim saves").as_text().to_owned();
+    let snap = BackendSnapshot::from_text(&text).expect("own snapshot parses");
+    let before_restore = LIVE.load(Ordering::Relaxed);
+    let restored = restore(&snap).expect("own snapshot restores");
+    let restored_live = LIVE.load(Ordering::Relaxed) - before_restore;
+    eprintln!(
+        "restored from {} B of text: {restored_live} B live, {held} B before",
+        text.len()
+    );
+    assert!(
+        restored_live <= held + held / 20,
+        "{restored_live} B live after a restore of a world holding {held} B"
+    );
+    drop(restored);
 }
 
 fn one_topic_clients_are_small_on_the_partitioned_layouts() {

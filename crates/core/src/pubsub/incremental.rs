@@ -25,7 +25,7 @@ use crate::checker::{self, CheckScratch};
 use crate::replica::ReplicaGroup;
 use crate::topics::TopicId;
 use crate::{Actor, Supervisor};
-use skippub_sim::{NodeId, PartitionedWorld};
+use skippub_sim::{NodeId, World};
 
 /// One cached boolean verdict: valid while the topic's dirty-channel
 /// version still equals `version`.
@@ -149,7 +149,7 @@ impl IncChecker {
         }
     }
 
-    fn rebuild_members(&mut self, world: &PartitionedWorld<Actor>) {
+    fn rebuild_members(&mut self, world: &World<Actor>) {
         for list in &mut self.members {
             list.clear();
         }
@@ -167,7 +167,7 @@ impl IncChecker {
     /// `sup_of(t)` names its supervisor instance.
     pub(crate) fn all_legit(
         &mut self,
-        world: &PartitionedWorld<Actor>,
+        world: &World<Actor>,
         topics: u32,
         topo_version: impl Fn(u32) -> u64,
         sup_of: impl Fn(TopicId) -> NodeId,
@@ -183,7 +183,7 @@ impl IncChecker {
     /// way.
     pub(crate) fn all_pubs(
         &mut self,
-        world: &PartitionedWorld<Actor>,
+        world: &World<Actor>,
         topics: u32,
         pubs_version: impl Fn(u32) -> u64,
     ) -> (bool, usize) {
@@ -200,7 +200,7 @@ impl IncChecker {
     /// Topology verdict for one topic: cached while `version` holds.
     fn topic_legit(
         &mut self,
-        world: &PartitionedWorld<Actor>,
+        world: &World<Actor>,
         version: u64,
         sup_id: NodeId,
         topic: TopicId,
@@ -231,7 +231,7 @@ impl IncChecker {
     /// `version` holds; root-hash fast path on a re-judge.
     fn topic_pubs(
         &mut self,
-        world: &PartitionedWorld<Actor>,
+        world: &World<Actor>,
         version: u64,
         topic: TopicId,
     ) -> (bool, usize) {

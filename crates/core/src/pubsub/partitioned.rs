@@ -1,8 +1,7 @@
 //! [`PartitionedBackend`]: the one simulated system behind the
 //! [`PubSub`] facade — every topic runs its own `BuildSR` instance (§4),
 //! hosted by one of `k ≥ 1` supervisor processes, executing on a
-//! [`PartitionedWorld`] stepped by the deterministic parallel round
-//! executor.
+//! [`World`] stepped by the deterministic parallel round executor.
 //!
 //! Every instance is its own engine node, a plain [`Actor`]: topic `t`'s
 //! instance of client process `p` runs at address `t.at(p)` (lane `t` of
@@ -26,11 +25,11 @@
 //! | `multi-topic` | any | `[NodeId(0)]` | `shards` | synchronous | [`SystemBuilder::build_multi`](super::SystemBuilder::build_multi) |
 //! | `sharded` | any | `[SHARD_SUPERVISOR_BASE + i]`, one per partition | `shards` | synchronous | [`SystemBuilder::build_sharded`](super::SystemBuilder::build_sharded) |
 //!
-//! The one-topic layouts continue a serial [`World`]: their partition is
-//! the world's own, raw seed included, so a scenario world steps exactly
-//! as it would alone, and they read and write the `sim`/`chaos` snapshot
-//! body. In them every process id in `1..next_id` has met topic 0, so
-//! they keep no `met` table.
+//! The one-topic layouts run a one-partition [`World::new`] world: a
+//! scenario world is taken over as it is, raw seed included, so it steps
+//! exactly as it would alone, and the `sim`/`chaos` snapshot body is its
+//! one partition's state. In them every process id in `1..next_id` has
+//! met topic 0, so they keep no `met` table.
 //!
 //! Placement policy: shard `i`'s supervisor instances live in partition
 //! `i`. A client process's instances live together. When every
@@ -55,8 +54,7 @@ use crate::topics::{TopicId, MAX_TOPICS};
 use crate::{Actor, ProbeMode, ProtocolConfig, Subscriber, Supervisor};
 use skippub_bits::BitStr;
 use skippub_sim::{
-    ChaosConfig, FaultCounts, FaultSpec, Metrics, NodeId, PartitionedState, PartitionedWorld,
-    World, WorldState,
+    ChaosConfig, FaultCounts, FaultSpec, Metrics, NodeId, PartitionState, World, WorldState,
 };
 use skippub_snapshot::{Snap, SnapVec, SnapWriter};
 use skippub_trie::{PatriciaTrie, PayloadInterner, Publication};
@@ -125,7 +123,7 @@ fn token_enabled(cfg: &ProtocolConfig) -> bool {
 /// The cursor's view of the world: the store of process `node`'s
 /// instance of `topic`.
 fn store_of<'a>(
-    world: &'a PartitionedWorld<Actor>,
+    world: &'a World<Actor>,
 ) -> impl Fn(NodeId, TopicId) -> Option<&'a PatriciaTrie> + 'a {
     move |node, topic| {
         let sub = world.node(topic.at(node)).and_then(Actor::subscriber)?;
@@ -137,7 +135,7 @@ fn store_of<'a>(
 /// responsible for the topics whose hash falls in its sub-interval of
 /// the consistent-hash ring (all of them when `k = 1`). A supervisor
 /// failure therefore only affects its own sub-interval of topics. The
-/// world is a [`PartitionedWorld`] of one node per topic instance,
+/// world is a [`World`] of one node per topic instance,
 /// stepped in parallel by up to `threads` workers with bit-identical
 /// results for any worker count. Which of the four layouts in the
 /// module docs it is fixes its name and snapshot kind.
@@ -147,7 +145,7 @@ pub struct PartitionedBackend {
     /// The round scheduler: [`ChaosConfig::SYNCHRONOUS`] on every layout
     /// but `chaos`.
     chaos: ChaosConfig,
-    world: PartitionedWorld<Actor>,
+    world: World<Actor>,
     shards: SupervisorShards,
     /// The supervisor processes, in shard-index order — the one datum
     /// the `multi-topic` and `sharded` layouts differ in (module docs).
@@ -198,6 +196,45 @@ pub struct PartitionedBackend {
 }
 
 impl PartitionedBackend {
+    /// The one constructor: layout `kind` over `world`, with supervisors
+    /// `sup_ids` on a ring of `vnodes` points each serving `topics`
+    /// topics, no replica groups and no rebalancing. A non-empty world
+    /// first rebuilds the checker's member index from a world scan (a
+    /// fresh index is empty and would judge against no members).
+    fn over(
+        kind: BackendKind,
+        world: World<Actor>,
+        topics: u32,
+        sup_ids: Vec<NodeId>,
+        vnodes: usize,
+        cfg: ProtocolConfig,
+    ) -> Self {
+        let mut inc = IncChecker::new(topics);
+        if !world.is_empty() {
+            inc.invalidate_all();
+        }
+        PartitionedBackend {
+            kind,
+            chaos: ChaosConfig::SYNCHRONOUS,
+            shards: SupervisorShards::new(&sup_ids, vnodes),
+            last_delivered: vec![0; world.partition_count()],
+            world,
+            sup_ids,
+            cfg,
+            topics,
+            next_id: 1,
+            cursor: EventCursor::new(),
+            met: BTreeMap::new(),
+            inc: RefCell::new(inc),
+            interner: PayloadInterner::new(),
+            groups: Vec::new(),
+            overrides: BTreeMap::new(),
+            rebalance_every: 0,
+            rebalances: 0,
+            sever_fired: BTreeSet::new(),
+        }
+    }
+
     /// A backend with supervisors `sup_ids` (the `multi-topic` or
     /// `sharded` layout in the module docs) over `partitions`
     /// partitions: either every partition has its own supervisor, or one
@@ -213,26 +250,8 @@ impl PartitionedBackend {
     ) -> Self {
         let kind = layout_of(&sup_ids).expect("unsupported supervisor layout");
         assert!(sup_ids.len() == 1 || sup_ids.len() == partitions);
-        PartitionedBackend {
-            kind,
-            chaos: ChaosConfig::SYNCHRONOUS,
-            shards: SupervisorShards::new(&sup_ids, VNODES),
-            world: PartitionedWorld::new(seed, partitions, threads),
-            sup_ids,
-            cfg,
-            topics,
-            next_id: 1,
-            cursor: EventCursor::new(),
-            met: BTreeMap::new(),
-            inc: RefCell::new(IncChecker::new(topics)),
-            interner: PayloadInterner::new(),
-            groups: Vec::new(),
-            overrides: BTreeMap::new(),
-            rebalance_every: 0,
-            rebalances: 0,
-            last_delivered: vec![0; partitions],
-            sever_fired: BTreeSet::new(),
-        }
+        let world = World::partitioned(seed, partitions, threads);
+        Self::over(kind, world, topics, sup_ids, VNODES, cfg)
     }
 
     /// The `sim` layout from scratch: a world of `seed` holding only the
@@ -252,13 +271,9 @@ impl PartitionedBackend {
     /// world's largest; the payload pool starts empty and the checker
     /// cold.
     pub fn from_world(world: World<Actor>, cfg: ProtocolConfig) -> Self {
-        // The one-supervisor, one-partition layout, with `world`'s
-        // partition in place of a fresh one.
-        let mut b = Self::new(0, 1, vec![SUPERVISOR], 1, 1, cfg);
-        b.kind = BackendKind::Sim;
-        b.next_id = world.ids().last().map_or(0, |id| id.0) + 1;
-        b.world = PartitionedWorld::from_world(world);
-        b.inc.get_mut().invalidate_all();
+        let next_id = world.ids().last().map_or(0, |id| id.0) + 1;
+        let mut b = Self::over(BackendKind::Sim, world, 1, vec![SUPERVISOR], VNODES, cfg);
+        b.next_id = next_id;
         b
     }
 
@@ -471,15 +486,15 @@ impl PartitionedBackend {
         &self.interner
     }
 
-    /// The underlying partitioned world, for white-box probes.
-    pub fn world(&self) -> &PartitionedWorld<Actor> {
+    /// The underlying world, for white-box probes.
+    pub fn world(&self) -> &World<Actor> {
         &self.world
     }
 
     /// Mutable access to the underlying world (adversarial injection).
     /// Raw access may change anything, so every cached checker verdict
     /// is dropped and the member index is rebuilt on the next poll.
-    pub fn world_mut(&mut self) -> &mut PartitionedWorld<Actor> {
+    pub fn world_mut(&mut self) -> &mut World<Actor> {
         self.inc.get_mut().invalidate_all();
         &mut self.world
     }
@@ -520,8 +535,7 @@ impl PartitionedBackend {
             met.insert(key, joined);
         }
         let interner = PayloadInterner::load(&mut r).map_err(err)?;
-        let world =
-            PartitionedWorld::from_state(PartitionedState::<Actor>::load(&mut r).map_err(err)?);
+        let world = World::from_state(WorldState::<Actor>::load(&mut r).map_err(err)?)?;
         let cursor = EventCursor::load_with(&mut r, &store_of(&world)).map_err(err)?;
         let group_len = u64::load(&mut r).map_err(err)? as usize;
         let mut groups = Vec::new();
@@ -569,8 +583,8 @@ impl PartitionedBackend {
         {
             return Err("snapshot rebalancer state disagrees with shard count".to_string());
         }
-        let shards = SupervisorShards::new(&sup_ids, vnodes);
-        for (addr, actor) in world.iter() {
+        let mut b = Self::over(kind, world, topics, sup_ids, vnodes, cfg);
+        for (addr, actor) in b.world.iter() {
             let topic = TopicId::of(addr);
             if topic.0 >= topics {
                 return Err(format!(
@@ -578,7 +592,7 @@ impl PartitionedBackend {
                 ));
             }
             let named = match actor {
-                Actor::Supervisor(_) => topic.at(shards.supervisor_for(topic)) == addr,
+                Actor::Supervisor(_) => topic.at(b.shards.supervisor_for(topic)) == addr,
                 Actor::Subscriber(_) => met
                     .get(&addr.process().0)
                     .is_some_and(|joined| joined.binary_search(&topic.0).is_ok()),
@@ -589,33 +603,22 @@ impl PartitionedBackend {
                 ));
             }
         }
-        let mut inc = IncChecker::new(topics);
-        inc.invalidate_all();
-        Ok(PartitionedBackend {
-            kind,
-            chaos: ChaosConfig::SYNCHRONOUS,
-            shards,
-            world,
-            sup_ids,
-            cfg,
-            topics,
-            next_id,
-            cursor,
-            met,
-            inc: RefCell::new(inc),
-            interner,
-            groups,
-            overrides,
-            rebalance_every,
-            rebalances,
-            last_delivered,
-            sever_fired,
-        })
+        b.next_id = next_id;
+        b.cursor = cursor;
+        b.met = met;
+        b.interner = interner;
+        b.groups = groups;
+        b.overrides = overrides;
+        b.rebalance_every = rebalance_every;
+        b.rebalances = rebalances;
+        b.last_delivered = last_delivered;
+        b.sever_fired = sever_fired;
+        Ok(b)
     }
 
     /// Rebuilds the one-topic layout from a `sim`/`chaos` snapshot body
-    /// (the serial world's state plus the facade's bookkeeping; format 7
-    /// as the single-topic simulator wrote it).
+    /// (the world's one partition plus the facade's bookkeeping; format
+    /// 7 as the single-topic simulator wrote it).
     fn from_one_topic_snapshot(snap: &BackendSnapshot) -> Result<Self, String> {
         let mut r = snap.reader().map_err(|e| e.to_string())?;
         let err = |e: skippub_snapshot::SnapError| e.to_string();
@@ -624,7 +627,8 @@ impl PartitionedBackend {
         let next_id = u64::load(&mut r).map_err(err)?;
         let interner = PayloadInterner::load(&mut r).map_err(err)?;
         check_next_id(next_id)?;
-        let world = World::from_state(WorldState::<Actor>::load(&mut r).map_err(err)?);
+        let partition = PartitionState::<Actor>::load(&mut r).map_err(err)?;
+        let world = World::from_partition_state(partition)?;
         if world.ids().last().is_some_and(|id| id.0 >= next_id) {
             return Err("snapshot world hosts an id at or above its next client id".to_string());
         }
@@ -657,7 +661,7 @@ impl PartitionedBackend {
         self.cfg.save(w);
         self.next_id.save(w);
         self.interner.save(w);
-        self.world.export_world_state().save(w);
+        self.world.export_partition_state().save(w);
         self.cursor.save_with(w, &store_of(&self.world));
         match self.groups.first() {
             Some(group) => {
@@ -674,7 +678,7 @@ impl PartitionedBackend {
     /// per-node counters; one supervisor process's load is the sum of
     /// `metrics().sent_by(t.at(supervisor_id))` over its topics).
     /// Per-partition metrics are available via
-    /// [`PartitionedWorld::partition_metrics`].
+    /// [`World::partition_metrics`].
     pub fn metrics(&self) -> Metrics {
         self.world.metrics()
     }
@@ -752,12 +756,12 @@ impl PartitionedBackend {
             s.token_enabled = token_enabled(&self.cfg);
             let home = self.shard_of(topic);
             self.world
-                .add_node(sup, Actor::Supervisor(Box::new(s)), home);
+                .add_node_in(sup, Actor::Supervisor(Box::new(s)), home);
         }
         let addr = topic.at(p);
         let sub = Subscriber::new(addr, sup, self.cfg);
         self.world
-            .add_node(addr, Actor::Subscriber(Box::new(sub)), partition);
+            .add_node_in(addr, Actor::Subscriber(Box::new(sub)), partition);
         if !is_one_topic(self.kind) {
             let joined = self.met.entry(p.0).or_default();
             if let Err(i) = joined.binary_search(&topic.0) {

@@ -1,7 +1,7 @@
 //! [`Snap`] implementations for the protocol layer: messages, actor
 //! state, and configuration. Together with the foundation impls in
 //! `skippub-snapshot`, these make `WorldState<Actor>` and
-//! `PartitionedState<Actor>` fully serializable — the backbone of the
+//! `PartitionState<Actor>` fully serializable — the backbone of the
 //! backend checkpoints in [`crate::pubsub`].
 //!
 //! Every impl here is exact: restored state continues byte-identically

@@ -168,6 +168,50 @@ fn scratch_is_reusable_across_divergent_worlds() {
     }
 }
 
+/// FNV-1a over `text`'s bytes.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The diagnostic checker's text, not just its verdict, on a fixed list
+/// of corruptions: every kind `apply` knows, alone and paired with
+/// another, on three seeded 64-member worlds. The pinned hash was
+/// recorded from the linear-scan checker, so a faster lookup that
+/// changes one issue, its wording or its order fails here.
+#[test]
+fn diagnostic_text_is_pinned_on_fixed_corruptions() {
+    let mut text = String::new();
+    for seed in [1u64, 2, 3] {
+        for kind in 0..8u8 {
+            let (a, b) = (seed * 31 + u64::from(kind), seed + 5 * u64::from(kind));
+            let pairs: [&[Corruption]; 2] = [
+                &[(kind, a, b)],
+                &[(kind, a, b), ((kind + 3) % 8, b, a)],
+            ];
+            for corruptions in pairs {
+                let mut world = scenarios::legit_world(64, seed, ProtocolConfig::default());
+                for &c in corruptions {
+                    apply(&mut world, c);
+                }
+                for issue in checker::check_topology(&world).issues {
+                    text.push_str(&issue);
+                    text.push('\n');
+                }
+            }
+        }
+    }
+    for part in ["shortcut", "missing from database", "database says", "expected"] {
+        assert!(text.contains(part), "the list must reach {part:?} issues");
+    }
+    if std::env::var("FIXTURE_PRINT").is_ok() {
+        println!("{} lines, {:#018x}", text.lines().count(), fnv1a(&text));
+    }
+    assert_eq!(text.lines().count(), 108, "issue count moved:\n{text}");
+    assert_eq!(fnv1a(&text), 0xb5c4_0997_0570_e22e, "issue text moved:\n{text}");
+}
+
 /// `(author, payload)` pairs that become publications.
 type Items = Vec<(u64, Vec<u8>)>;
 

@@ -11,6 +11,18 @@
 use skippub_core::{BackendKind, ProtocolConfig};
 use skippub_sim::FaultSpec;
 
+/// Whether `name` may name a scenario: 1-64 of `[A-Za-z0-9._-]`, not
+/// starting with `.`. A name becomes a report file name
+/// (`{scenario}.{backend}.replay.json`), a JSON string, a trace header
+/// and a warm-start header token, so no `/`, `..` prefix, whitespace or
+/// control character may reach any of them. [`ScenarioSpec::new`]
+/// asserts it and `Trace::parse` rejects a header that fails it, so
+/// every trace and warm start a spec writes parses back.
+pub(crate) fn is_scenario_name(name: &str) -> bool {
+    let plain = |b: u8| b.is_ascii_alphanumeric() || matches!(b, b'.' | b'_' | b'-');
+    (1..=64).contains(&name.len()) && !name.starts_with('.') && name.bytes().all(plain)
+}
+
 /// How subscribers (initial population and arrivals) pick their topic.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Popularity {
@@ -216,13 +228,14 @@ pub struct ScenarioSpec {
 impl ScenarioSpec {
     /// A minimal spec: one topic, default protocol, warm start, no
     /// churn, no publishes, fixed 0 rounds. Build it up with the
-    /// chaining setters. The name must be non-empty and single-line (it
-    /// is a trace-header line and a report field).
+    /// chaining setters. Panics unless `name` is 1-64 of
+    /// `[A-Za-z0-9._-]` not starting with `.` (it becomes a file name
+    /// and a trace and warm-start header token).
     pub fn new(name: impl Into<String>, seed: u64) -> Self {
         let name = name.into();
         assert!(
-            !name.trim().is_empty() && !name.contains('\n'),
-            "scenario name must be non-empty and single-line, got {name:?}"
+            is_scenario_name(&name),
+            "bad scenario name {name:?}: need 1-64 of [A-Za-z0-9._-], not starting with '.'"
         );
         ScenarioSpec {
             name,
@@ -436,6 +449,12 @@ pub(super) fn serves(kind: BackendKind, topics: u32) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "bad scenario name")]
+    fn a_name_no_trace_header_parses_back_is_refused() {
+        let _ = ScenarioSpec::new("a b", 1);
+    }
 
     #[test]
     fn builder_chain_sets_fields() {

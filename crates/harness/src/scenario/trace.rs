@@ -15,7 +15,7 @@
 
 use super::engine::{assemble_report, ensure_supported, stop_met, DeliveredTally, Phases, RunMeta};
 use super::report::{OpCounts, ScenarioReport};
-use super::spec::{ScenarioSpec, Stop};
+use super::spec::{is_scenario_name, ScenarioSpec, Stop};
 use skippub_core::pubsub::ops;
 use skippub_core::pubsub::Op;
 use skippub_core::{BackendKind, ProbeMode, ProtocolConfig, PubSub, SystemBuilder, MAX_TOPICS};
@@ -94,13 +94,10 @@ fn probe_mode_from(name: &str) -> Result<ProbeMode, String> {
 }
 
 /// A trace file is outside input, and its `scenario` header becomes a
-/// report file name (`{scenario}.{backend}.replay.json`) and a JSON
-/// string: only `[A-Za-z0-9._-]{1,64}` not starting with `.` gets in
-/// (every builtin name does), so no `/`, `..` prefix or control
-/// character reaches either.
+/// report file name and a JSON string: only a name
+/// [`ScenarioSpec::new`] accepts gets in ([`is_scenario_name`]).
 fn checked_scenario_name(name: &str) -> Result<String, String> {
-    let plain = |b: u8| b.is_ascii_alphanumeric() || matches!(b, b'.' | b'_' | b'-');
-    if (1..=64).contains(&name.len()) && !name.starts_with('.') && name.bytes().all(plain) {
+    if is_scenario_name(name) {
         Ok(name.to_string())
     } else {
         Err(format!("bad scenario name {name:?}: need 1-64 of [A-Za-z0-9._-], not starting with '.'"))

@@ -2,15 +2,14 @@
 //!
 //! A [`Partition`] is one self-contained slice of a simulated system:
 //! a dense node slab, its own seeded RNG stream, reusable scratch
-//! buffers, and per-partition [`Metrics`]. The serial [`World`]
-//! (`crate::World`) is exactly one partition in *local-only* mode
-//! (sends to unknown nodes are dropped, §3.3); the parallel
-//! [`PartitionedWorld`](crate::PartitionedWorld) owns many partitions
-//! and routes sends between them as [`Envelope`]s.
+//! buffers, and per-partition [`Metrics`]. A [`World`](crate::World)
+//! owns one or more partitions and routes sends between them as
+//! [`Envelope`]s; a lone partition is in *local-only* mode (sends to
+//! unknown nodes are dropped, §3.3).
 //!
 //! The slab layout, zero-allocation invariant, and RNG-consumption
-//! order documented on [`crate::World`] all live *here* — the wrapper
-//! types add routing policy, never stepping semantics.
+//! order documented on [`crate::World`] all live *here* — the world
+//! adds routing policy, never stepping semantics.
 //!
 //! # Struct-of-arrays slab
 //!
@@ -116,8 +115,8 @@ pub trait Protocol {
 /// Monotone per-key change counters — the engine's **dirty-channel
 /// table**. Protocols report "something checkable changed on channel
 /// `key`" via [`Ctx::mark_dirty`]; observers read the counters through
-/// [`World::dirty_version`](crate::World::dirty_version) (or the
-/// partitioned aggregate) and re-examine a channel only when its version
+/// [`World::dirty_version`](crate::World::dirty_version) (summed over
+/// partitions) and re-examine a channel only when its version
 /// moved. The engine attaches no meaning to keys: the protocol layer
 /// picks the keying scheme (the pub-sub layer uses two keys per topic —
 /// topology and publications).
@@ -281,7 +280,7 @@ impl Default for ChaosConfig {
 }
 
 /// A cross-partition message in flight between two partitions of a
-/// [`PartitionedWorld`](crate::PartitionedWorld): stamped with its
+/// [`World`](crate::World): stamped with its
 /// source partition and a per-source monotone sequence number, so the
 /// receiving partition can merge its inbound batch in the canonical
 /// `(src, seq)` order regardless of which worker thread enqueued what
@@ -316,11 +315,10 @@ struct Meta {
 /// migration.
 pub(crate) type Channel<P> = Vec<(u32, <P as Protocol>::Msg)>;
 
-/// One partition of a simulated system: the slab engine extracted from
-/// the serial `World`.
+/// One partition of a simulated system: the slab engine.
 ///
-/// In **local-only** mode (the serial world, and the lone partition of a
-/// one-partition [`PartitionedWorld`](crate::PartitionedWorld)) a send
+/// In **local-only** mode (the lone partition of a one-partition
+/// [`World`](crate::World)) a send
 /// to an id this partition does not host is consumed and counted dropped
 /// (§3.3: the destination does not exist anywhere). Otherwise the send is staged
 /// in the partition's `outbox` for the executor to route — the
@@ -500,22 +498,6 @@ impl<P: Protocol> Partition<P> {
         self.channels[s] = pending;
     }
 
-    /// Whether `id` is currently hosted live here.
-    pub(crate) fn is_alive(&self, id: NodeId) -> bool {
-        self.slot_of.contains_key(&id.0)
-    }
-
-    /// IDs of all live nodes, sorted. Allocates — external convenience
-    /// only; the round loop uses the internal order scratch.
-    pub(crate) fn ids(&self) -> Vec<NodeId> {
-        self.order.iter().map(|&(i, _)| NodeId(i)).collect()
-    }
-
-    /// Number of live nodes.
-    pub(crate) fn len(&self) -> usize {
-        self.order.len()
-    }
-
     #[inline]
     fn slot(&self, id: NodeId) -> Option<u32> {
         self.slot_of.get(&id.0).copied()
@@ -535,16 +517,8 @@ impl<P: Protocol> Partition<P> {
         self.protos[s as usize].as_mut()
     }
 
-    /// Iterates over `(id, state)` of live nodes in id order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (NodeId, &P)> {
-        self.order.iter().map(|&(i, s)| {
-            let proto = self.protos[s as usize].as_ref().expect("live slot");
-            (NodeId(i), proto)
-        })
-    }
-
     /// Live `(id, slot)` pairs in id order — the k-way merge input for
-    /// [`PartitionedWorld::iter`](crate::PartitionedWorld::iter).
+    /// [`World::iter`](crate::World::iter).
     pub(crate) fn order(&self) -> &[(u64, u32)] {
         &self.order
     }
@@ -593,16 +567,6 @@ impl<P: Protocol> Partition<P> {
         &self.dirty
     }
 
-    /// Mutable dirty-channel table (external-operation bumps).
-    pub(crate) fn dirty_mut(&mut self) -> &mut DirtyTable {
-        &mut self.dirty
-    }
-
-    /// Rounds this partition has stepped.
-    pub(crate) fn round(&self) -> u64 {
-        self.round
-    }
-
     /// Cumulative cross-partition envelopes emitted by this partition.
     pub(crate) fn cross_sent(&self) -> u64 {
         self.cross_sent
@@ -620,7 +584,7 @@ impl<P: Protocol> Partition<P> {
 
     /// Arms (or disarms) the link-fault plane for this partition;
     /// window offsets in `spec` are relative to the current round.
-    /// `me` is this partition's index (0 for the serial world).
+    /// `me` is this partition's index (0 for a one-partition world).
     pub(crate) fn set_faults(&mut self, spec: Option<FaultSpec>, me: u32) {
         self.faults = spec.map(|s| FaultPlane::new(s, self.round, me));
     }
@@ -846,18 +810,6 @@ impl<P: Protocol> Partition<P> {
         }
     }
 
-    /// One **synchronous round** — the paper's §3.3 "timeout interval":
-    /// every live node, in random order, first processes (in random
-    /// order) all messages that were in its channel when it was
-    /// activated, then executes `Timeout` exactly once. Messages a node
-    /// sends to itself while processing are handled next round.
-    ///
-    /// It is [`Partition::run_chaos_round`] under
-    /// [`ChaosConfig::SYNCHRONOUS`].
-    pub(crate) fn run_round(&mut self) {
-        self.run_chaos_round(ChaosConfig::SYNCHRONOUS);
-    }
-
     /// One **chaos round**: every node, in random order, delivers a
     /// random subset of its channel — each message independently with
     /// probability [`ChaosConfig::delivery_prob`], *forced* once its age
@@ -865,7 +817,8 @@ impl<P: Protocol> Partition<P> {
     /// receipt: unbounded but finite delay) — and fires `Timeout` with
     /// probability [`ChaosConfig::timeout_prob`] (weak fairness comes
     /// from infinitely many rounds). A forced delivery consumes no
-    /// delivery draw.
+    /// delivery draw. Under [`ChaosConfig::SYNCHRONOUS`] it is the
+    /// synchronous round: every message due, every timeout fired.
     ///
     /// Steady-state calls allocate nothing (module-level invariant).
     pub(crate) fn run_chaos_round(&mut self, cfg: ChaosConfig) {

@@ -95,8 +95,8 @@ fn bounded(state: &mut u64, n: u32) -> u32 {
 }
 
 /// Which links a [`FaultRule`] governs. Partition indices refer to the
-/// engine's partitions (the serial world is a single partition, so
-/// only `All`, `AnyLocal`, `Local { partition: 0 }`, and `Group` ever
+/// engine's partitions (a [`World::new`](crate::World::new) world is a
+/// single partition, so only `All`, `AnyLocal`, `Local { partition: 0 }`, and `Group` ever
 /// match there — backend-portable specs use those).
 #[derive(Clone, Debug, PartialEq)]
 pub enum LinkClass {
@@ -440,7 +440,7 @@ pub struct FaultPlane<M> {
     /// Absolute round the plane was armed at; windows are relative to
     /// this.
     pub base: u64,
-    /// This partition's index (0 for the serial world).
+    /// This partition's index (0 for a one-partition world).
     pub me: u32,
     /// Per-source-partition stream states for receiver-side draws,
     /// grown on demand (entry `i` is a pure function of

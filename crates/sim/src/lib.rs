@@ -15,6 +15,10 @@
 //! * nodes may **crash without warning**: messages to a crashed node are
 //!   consumed without invoking any action (§3.3).
 //!
+//! One type, [`World`], runs the model: one partition on the raw seed
+//! ([`World::new`]), or several stepped in parallel with bit-identical
+//! results for every worker count ([`World::partitioned`]).
+//!
 //! Protocols implement [`Protocol`] as pure state machines; the same state
 //! machines are also driven by the threaded runtime in `skippub-net`, so
 //! simulated and concurrent executions cannot diverge semantically.
@@ -29,11 +33,9 @@ mod metrics;
 mod partitioned;
 mod state;
 pub mod testing;
-mod world;
 
 pub use engine::{ChaosConfig, Ctx, DirtyTable, Envelope, NodeId, Protocol};
 pub use faults::{FaultCounts, FaultPlane, FaultRule, FaultSpec, LinkClass, Sever};
 pub use metrics::{Metrics, MetricsState, MAX_KINDS};
-pub use partitioned::PartitionedWorld;
-pub use state::{NodeState, PartitionState, PartitionedState, WorldState};
-pub use world::World;
+pub use partitioned::World;
+pub use state::{NodeState, PartitionState, WorldState};

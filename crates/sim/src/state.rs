@@ -34,8 +34,9 @@ pub struct NodeState<P: Protocol> {
     pub channel: Vec<(u32, P::Msg)>,
 }
 
-/// Exact state of one engine partition (the serial world is a single
-/// partition): everything [`crate::World`]'s stepping reads.
+/// Exact state of one engine partition: everything its stepping reads.
+/// The `sim`/`chaos` snapshot body is one of these
+/// ([`World::export_partition_state`](crate::World::export_partition_state)).
 pub struct PartitionState<P: Protocol> {
     /// Live nodes in ascending id order.
     pub nodes: Vec<NodeState<P>>,
@@ -63,17 +64,11 @@ pub struct PartitionState<P: Protocol> {
     pub faults: Option<FaultPlane<P::Msg>>,
 }
 
-/// Exact state of a serial [`crate::World`].
-pub struct WorldState<P: Protocol> {
-    /// The world's single (local-only) partition.
-    pub partition: PartitionState<P>,
-}
-
-/// Exact state of a [`crate::PartitionedWorld`].
+/// Exact state of a [`crate::World`].
 ///
 /// The id → partition home map is *not* stored: it is exactly "which
 /// partition's node list contains the id", so restore rebuilds it.
-pub struct PartitionedState<P: Protocol> {
+pub struct WorldState<P: Protocol> {
     /// Per-partition states, in partition-index order.
     pub partitions: Vec<PartitionState<P>>,
     /// Per-destination-partition inbound mailbox contents —
@@ -92,7 +87,7 @@ pub struct PartitionedState<P: Protocol> {
 
 #[cfg(test)]
 mod tests {
-    use crate::{ChaosConfig, Ctx, NodeId, PartitionedWorld, Protocol, World};
+    use crate::{ChaosConfig, Ctx, Envelope, NodeId, Protocol, World, WorldState};
 
     /// Toy protocol: forwards a decrementing token, draws randomness.
     #[derive(Clone, Debug, PartialEq, Eq)]
@@ -163,7 +158,7 @@ mod tests {
         for _ in 0..10 {
             original.run_round();
         }
-        let mut restored = World::from_state(original.export_state());
+        let mut restored = World::from_state(original.export_state()).unwrap();
         for _ in 0..10 {
             restored.run_round();
         }
@@ -189,7 +184,7 @@ mod tests {
         for _ in 0..13 {
             original.run_chaos_round(cfg);
         }
-        let mut restored = World::from_state(original.export_state());
+        let mut restored = World::from_state(original.export_state()).unwrap();
         for _ in 0..17 {
             restored.run_chaos_round(cfg);
         }
@@ -215,7 +210,7 @@ mod tests {
             reference.run_round();
         }
         let original = build(true);
-        let mut restored = World::from_state(original.export_state());
+        let mut restored = World::from_state(original.export_state()).unwrap();
         // Sends to the crashed id must still drop (slot map miss).
         for _ in 0..15 {
             restored.run_round();
@@ -273,9 +268,9 @@ mod tests {
         }
         // Mid-window: pending buffer should be non-empty.
         let snap = original.export_state();
-        let fp = snap.partition.faults.as_ref().expect("plane armed");
+        let fp = snap.partitions[0].faults.as_ref().expect("plane armed");
         assert!(!fp.pending.is_empty(), "snapshot must catch held messages");
-        let mut restored = World::from_state(snap);
+        let mut restored = World::from_state(snap).unwrap();
         for _ in 0..35 {
             restored.run_round();
         }
@@ -283,24 +278,24 @@ mod tests {
         assert_eq!(restored.fault_counts(), reference.fault_counts());
     }
 
+    /// 16 ring nodes over 4 partitions, node `i` in partition `i % 4`.
+    fn partitioned_ring(threads: usize) -> World<Toy> {
+        let mut w = World::partitioned(5, 4, threads);
+        for i in 0..16u64 {
+            let toy = Toy {
+                next: NodeId((i + 1) % 16),
+                tokens_seen: 0,
+                coin_flips: 0,
+            };
+            w.add_node_in(NodeId(i), toy, (i % 4) as u32);
+        }
+        w.inject(NodeId(0), Token(200));
+        w
+    }
+
     #[test]
     fn partitioned_restore_is_identical_for_every_thread_count() {
-        let build = |threads: usize| {
-            let mut w: PartitionedWorld<Toy> = PartitionedWorld::new(5, 4, threads);
-            for i in 0..16u64 {
-                w.add_node(
-                    NodeId(i),
-                    Toy {
-                        next: NodeId((i + 1) % 16),
-                        tokens_seen: 0,
-                        coin_flips: 0,
-                    },
-                    (i % 4) as u32,
-                );
-            }
-            w.inject(NodeId(0), Token(200));
-            w
-        };
+        let build = partitioned_ring;
         let mut reference = build(1);
         reference.run_rounds(40);
         let ref_states: Vec<(NodeId, Toy)> =
@@ -311,7 +306,7 @@ mod tests {
             let mut original = build(threads);
             original.run_rounds(17);
             // Mid-flight snapshot: mailboxes may be non-empty.
-            let mut restored = PartitionedWorld::from_state(original.export_state());
+            let mut restored = World::from_state(original.export_state()).unwrap();
             restored.run_rounds(23);
             let states: Vec<(NodeId, Toy)> =
                 restored.iter().map(|(id, t)| (id, t.clone())).collect();
@@ -319,5 +314,71 @@ mod tests {
             assert_eq!(restored.metrics(), ref_metrics);
             assert_eq!(restored.round(), reference.round());
         }
+    }
+
+    /// `state` with `edit` applied must fail to restore, naming `why`.
+    fn rejected(edit: impl FnOnce(&mut WorldState<Toy>), why: &str) {
+        let mut w = partitioned_ring(1);
+        w.run_rounds(3);
+        let mut state = w.export_state();
+        edit(&mut state);
+        match World::from_state(state) {
+            Ok(_) => panic!("a state with {why} must not restore"),
+            Err(e) => assert!(e.contains(why), "rejected for another reason: {e}"),
+        }
+    }
+
+    #[test]
+    fn a_state_without_partitions_is_rejected() {
+        rejected(
+            |s| {
+                s.partitions.clear();
+                s.mailboxes.clear();
+            },
+            "no partition",
+        );
+    }
+
+    #[test]
+    fn a_state_missing_a_mailbox_is_rejected() {
+        rejected(
+            |s| {
+                s.mailboxes.pop();
+            },
+            "3 mailboxes for 4 partitions",
+        );
+    }
+
+    #[test]
+    fn a_node_hosted_by_two_partitions_is_rejected() {
+        rejected(
+            |s| {
+                let first = &s.partitions[0].nodes[0];
+                let twin = crate::NodeState {
+                    id: first.id,
+                    proto: first.proto.clone(),
+                    channel: Vec::new(),
+                };
+                s.partitions[1].nodes.insert(0, twin);
+            },
+            "hosts node n0 twice",
+        );
+    }
+
+    /// A forged `src` would size the receiver's per-source fault stream
+    /// table by it (2³² entries for `u32::MAX`).
+    #[test]
+    fn an_envelope_from_no_partition_is_rejected() {
+        rejected(
+            |s| {
+                s.mailboxes[1].push(Envelope {
+                    src: u32::MAX,
+                    seq: 0,
+                    to: NodeId(1),
+                    msg: Token(0),
+                });
+            },
+            "from partition 4294967295 of 4",
+        );
     }
 }

@@ -15,7 +15,9 @@
 //! skippub-sim --test determinism_fixtures -- --nocapture` and say so in
 //! the changelog.
 
-use skippub_sim::{ChaosConfig, Ctx, NodeId, Protocol, World};
+use skippub_sim::{
+    ChaosConfig, Ctx, FaultRule, FaultSpec, LinkClass, NodeId, Protocol, Sever, World,
+};
 
 /// Gossip protocol: forwards each rumor to two random peers while its
 /// TTL lasts; drops it otherwise. Exercises handler RNG draws heavily.
@@ -193,5 +195,192 @@ fn same_seed_reproduces_golden_fingerprints() {
 fn two_runs_in_one_process_agree() {
     for seed in [2u64, 5, 0xFEED] {
         assert_eq!(run_workload(seed), run_workload(seed));
+    }
+}
+
+/// Live nodes at the start of the storm workload: ids `0..STORM_NODES`.
+const STORM_NODES: u64 = 12;
+/// Ids a storm rumour is sent to: the nodes plus four no node ever hosts.
+const STORM_NAMED: u64 = STORM_NODES + 4;
+const STORM_ROUNDS: u64 = 60;
+
+/// Spreads rumours to random ids, dead ones included.
+#[derive(Clone)]
+struct Spread {
+    heard: u64,
+    timeouts: u64,
+}
+
+#[derive(Clone, Debug)]
+struct Rumour(u32);
+
+impl Protocol for Spread {
+    type Msg = Rumour;
+
+    fn on_message(&mut self, ctx: &mut Ctx<'_, Rumour>, msg: Rumour) {
+        self.heard += 1;
+        if msg.0 > 0 {
+            let to = NodeId(ctx.random_range(STORM_NAMED as usize) as u64);
+            ctx.send(to, Rumour(msg.0 - 1));
+        }
+    }
+
+    fn on_timeout(&mut self, ctx: &mut Ctx<'_, Rumour>) {
+        self.timeouts += 1;
+        if ctx.random_bool(0.3) {
+            let to = NodeId(ctx.random_range(STORM_NAMED as usize) as u64);
+            ctx.send(to, Rumour(3));
+        }
+    }
+
+    fn msg_kind(_: &Rumour) -> &'static str {
+        "rumour"
+    }
+}
+
+/// Loss, duplication, delay and reordering on every link, a `Group`
+/// rule and a sever whose groups name dead ids (13, 14, 15) beside live
+/// ones.
+fn storm_spec() -> FaultSpec {
+    let noisy = |link| FaultRule {
+        drop: 0.1,
+        dup: 0.1,
+        delay: 0.15,
+        delay_rounds: 2,
+        reorder: 0.1,
+        reorder_max: 3,
+        ..FaultRule::pass(0, STORM_ROUNDS, link)
+    };
+    FaultSpec {
+        seed: 5,
+        rules: vec![
+            noisy(LinkClass::Group(vec![1, 3, 5, 13, 14])),
+            noisy(LinkClass::All),
+        ],
+        severs: vec![Sever {
+            from_round: 20,
+            to_round: 35,
+            group: vec![2, 4, 12, 15],
+        }],
+    }
+}
+
+/// The storm workload: rumours to live and dead ids under `chaos`
+/// rounds, two crashes, outside injects to live and dead ids, and
+/// optionally the storm fault plane. A `World::new` world is
+/// local-only (§3.3): a send to an id it does not host is dropped
+/// before the fault plane sees it. Routed through the plane, the
+/// `Group` rule and the sever naming dead ids would act on such sends
+/// and move every fingerprint below.
+fn run_storm(seed: u64, chaos: ChaosConfig, faults: bool) -> u64 {
+    let mut w = World::new(seed);
+    for i in 0..STORM_NODES {
+        w.add_node(
+            NodeId(i),
+            Spread {
+                heard: 0,
+                timeouts: 0,
+            },
+        );
+    }
+    if faults {
+        w.set_faults(Some(storm_spec()));
+    }
+    for i in [0, 4, 8] {
+        w.inject(NodeId(i), Rumour(40));
+    }
+    for r in 0..STORM_ROUNDS {
+        if r == 10 || r == 25 {
+            w.crash(NodeId(r % STORM_NODES));
+        }
+        if r >= 3 && r % 7 == 0 {
+            for to in [NodeId(2), NodeId(13), NodeId(10)] {
+                w.inject(to, Rumour(5));
+            }
+        }
+        w.run_chaos_round(chaos);
+    }
+    let m = w.metrics();
+    assert!(m.dropped > 0, "sends to dead ids must happen");
+    let c = w.fault_counts();
+    if faults {
+        assert!(
+            c.dropped_by_fault > 0 && c.duplicated > 0 && c.delayed > 0 && c.reordered > 0,
+            "the storm must exercise every fault kind: {c:?}"
+        );
+    }
+    let mut h = 0xcbf29ce484222325u64;
+    for v in [m.sent_total, m.delivered_total, m.dropped, m.rounds, m.kind("rumour")] {
+        fnv(&mut h, v);
+    }
+    for id in (0..STORM_NAMED).map(NodeId) {
+        fnv(&mut h, m.sent_by(id));
+        fnv(&mut h, m.received_by(id));
+        fnv(&mut h, w.channel_len(id) as u64);
+    }
+    for (id, s) in w.iter() {
+        fnv(&mut h, id.0);
+        fnv(&mut h, s.heard);
+        fnv(&mut h, s.timeouts);
+    }
+    for v in [c.dropped_by_fault, c.duplicated, c.delayed, c.reordered] {
+        fnv(&mut h, v);
+    }
+    fnv(&mut h, w.in_flight() as u64);
+    fnv(&mut h, w.peak_in_flight() as u64);
+    fnv(&mut h, w.round());
+    h
+}
+
+/// The chaos scheduler the storm's chaos pins run under.
+const STORM_CHAOS: ChaosConfig = ChaosConfig {
+    delivery_prob: 0.4,
+    timeout_prob: 0.6,
+    max_age: 4,
+};
+
+/// Storm fingerprints recorded from the serial world before it folded
+/// into the partitioned one: `(seed, chaos rounds?, faults?) → expected`.
+const STORM_GOLDEN: &[(u64, bool, bool, u64)] = &[
+    (1, false, false, 0xe261ad6fe8a66eb8),
+    (1, false, true, 0x80c7bbefbceccbda),
+    (7, false, false, 0x64906809128d7818),
+    (7, false, true, 0x2ed11dd1afda6d65),
+    (42, false, false, 0x5db9e767628b2837),
+    (42, false, true, 0x1d9b1866f565b659),
+    (3, true, false, 0xbe3d3983a1049480),
+    (3, true, true, 0x8dc6efaf0994936e),
+    (11, true, false, 0xf5de2f746122d26c),
+    (11, true, true, 0xc78b030ce28606ec),
+    (99, true, false, 0x93718b2e7e522944),
+    (99, true, true, 0x0a76ff1b0f74384f),
+];
+
+#[test]
+fn storm_reproduces_golden_fingerprints() {
+    let print = std::env::var("FIXTURE_PRINT").is_ok();
+    let mut cases = Vec::new();
+    for (seeds, chaos) in [([1, 7, 42], false), ([3, 11, 99], true)] {
+        for seed in seeds {
+            for faults in [false, true] {
+                cases.push((seed, chaos, faults));
+            }
+        }
+    }
+    if !print {
+        let pinned: Vec<_> = STORM_GOLDEN.iter().map(|&(s, c, f, _)| (s, c, f)).collect();
+        assert_eq!(pinned, cases, "every storm case is pinned");
+    }
+    for (i, (seed, chaos, faults)) in cases.into_iter().enumerate() {
+        let cfg = if chaos { STORM_CHAOS } else { ChaosConfig::SYNCHRONOUS };
+        let got = run_storm(seed, cfg, faults);
+        if print {
+            println!("    ({seed}, {chaos}, {faults}, {got:#018x}),");
+            continue;
+        }
+        assert_eq!(
+            got, STORM_GOLDEN[i].3,
+            "storm fingerprint changed for seed {seed}, chaos {chaos}, faults {faults}"
+        );
     }
 }

@@ -7,7 +7,7 @@ use crate::codec::{Snap, SnapError, SnapReader, SnapWriter};
 use skippub_bits::{BitStr, Hash128};
 use skippub_sim::{
     ChaosConfig, Envelope, FaultCounts, FaultPlane, FaultRule, FaultSpec, LinkClass, MetricsState,
-    NodeId, NodeState, PartitionState, PartitionedState, Protocol, Sever, WorldState, MAX_KINDS,
+    NodeId, NodeState, PartitionState, Protocol, Sever, WorldState, MAX_KINDS,
 };
 use skippub_ringmath::Label;
 use skippub_trie::{NodeSummary, PatriciaTrie, PayloadInterner, Publication, MAX_KEY_BITS};
@@ -656,21 +656,6 @@ where
     P::Msg: Snap,
 {
     fn save(&self, w: &mut SnapWriter) {
-        self.partition.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(WorldState {
-            partition: Snap::load(r)?,
-        })
-    }
-}
-
-impl<P> Snap for PartitionedState<P>
-where
-    P: Protocol + Snap,
-    P::Msg: Snap,
-{
-    fn save(&self, w: &mut SnapWriter) {
         w.put_u64(self.partitions.len() as u64);
         for p in &self.partitions {
             p.save(w);
@@ -693,7 +678,7 @@ where
         let mailboxes = (0..nm)
             .map(|_| Ok(SnapVec::load(r)?.0))
             .collect::<Result<_, _>>()?;
-        Ok(PartitionedState {
+        Ok(WorldState {
             partitions,
             mailboxes,
             threads: Snap::load(r)?,

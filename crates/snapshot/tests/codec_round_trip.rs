@@ -3,7 +3,7 @@
 //! byte-identically.
 
 use skippub_bits::BitStr;
-use skippub_sim::{ChaosConfig, Ctx, NodeId, PartitionedWorld, Protocol, World};
+use skippub_sim::{ChaosConfig, Ctx, NodeId, Protocol, World};
 use skippub_snapshot::{snap_struct, BackendSnapshot, Snap, SnapError, SnapVec, SnapWriter};
 use skippub_trie::{PatriciaTrie, Publication};
 
@@ -232,7 +232,7 @@ fn serialized_world_state_continues_byte_identically() {
     let mut r = parsed.reader().unwrap();
     let state = skippub_sim::WorldState::<Toy>::load(&mut r).unwrap();
     r.finish().unwrap();
-    let mut restored = World::from_state(state);
+    let mut restored = World::from_state(state).unwrap();
     for _ in 0..18 {
         restored.run_chaos_round(cfg);
     }
@@ -286,7 +286,7 @@ fn mid_fault_window_snapshot_is_byte_exact() {
     }
     let state = original.export_state();
     assert!(
-        !state.partition.faults.as_ref().unwrap().pending.is_empty(),
+        !state.partitions[0].faults.as_ref().unwrap().pending.is_empty(),
         "snapshot must be taken with messages held by the plane"
     );
     let mut w = SnapWriter::new();
@@ -296,7 +296,7 @@ fn mid_fault_window_snapshot_is_byte_exact() {
     let mut r = parsed.reader().unwrap();
     let loaded = skippub_sim::WorldState::<Toy>::load(&mut r).unwrap();
     r.finish().unwrap();
-    let restored = World::from_state(loaded);
+    let restored = World::from_state(loaded).unwrap();
 
     // Re-save immediately: byte-exact fixed point.
     let mut w2 = SnapWriter::new();
@@ -323,14 +323,15 @@ fn mid_fault_window_snapshot_is_byte_exact() {
 fn hostile_metrics_sections_are_malformed_not_restored() {
     let load = |kinds: Vec<(String, u64)>| {
         let mut state = ring(3, 5).export_state();
-        state.partition.metrics.kinds = kinds;
+        state.partitions[0].metrics.kinds = kinds;
         let mut w = SnapWriter::new();
         state.save(&mut w);
         let snap = BackendSnapshot::from_text(w.finish("hostile").as_text()).unwrap();
         let mut r = snap.reader().unwrap();
         let t0 = std::time::Instant::now();
-        let loaded = skippub_sim::WorldState::<Toy>::load(&mut r).map(World::from_state);
-        (loaded.map(|w| w.metrics().clone()), t0.elapsed())
+        let loaded = skippub_sim::WorldState::<Toy>::load(&mut r)
+            .map(|state| World::from_state(state).expect("a consistent world"));
+        (loaded.map(|w| w.metrics()), t0.elapsed())
     };
     let many = (0..70_000).map(|i| (format!("kind{i}"), 1)).collect();
     let (loaded, took) = load(many);
@@ -347,17 +348,14 @@ fn hostile_metrics_sections_are_malformed_not_restored() {
 #[test]
 fn serialized_partitioned_state_continues_byte_identically() {
     let build = || {
-        let mut w: PartitionedWorld<Toy> = PartitionedWorld::new(3, 4, 2);
+        let mut w = World::partitioned(3, 4, 2);
         for i in 0..12u64 {
-            w.add_node(
-                NodeId(i),
-                Toy {
-                    next: NodeId((i + 1) % 12),
-                    seen: 0,
-                    flips: 0,
-                },
-                (i % 4) as u32,
-            );
+            let toy = Toy {
+                next: NodeId((i + 1) % 12),
+                seen: 0,
+                flips: 0,
+            };
+            w.add_node_in(NodeId(i), toy, (i % 4) as u32);
         }
         w.inject(NodeId(0), Token(150));
         w
@@ -372,9 +370,9 @@ fn serialized_partitioned_state_continues_byte_identically() {
     let snap = w.finish("toy-partitioned");
     let parsed = BackendSnapshot::from_text(snap.as_text()).unwrap();
     let mut r = parsed.reader().unwrap();
-    let state = skippub_sim::PartitionedState::<Toy>::load(&mut r).unwrap();
+    let state = skippub_sim::WorldState::<Toy>::load(&mut r).unwrap();
     r.finish().unwrap();
-    let mut restored = PartitionedWorld::from_state(state);
+    let mut restored = World::from_state(state).unwrap();
     restored.run_rounds(25);
 
     let a: Vec<(NodeId, Toy)> = restored.iter().map(|(i, t)| (i, t.clone())).collect();

@@ -109,6 +109,15 @@ fn inconsistent_snapshots_are_rejected_not_panicked_on() {
     let host_is_sup1 = ps.supervisor_for(TopicId(0)).process().0 != SHARD_SUPERVISOR_BASE;
     let host = first + usize::from(host_is_sup1);
     let absent = (SHARD_SUPERVISOR_BASE + 7).to_string();
+    // The world state ends `2 0 0 1 0 …`: two empty mailboxes, one
+    // worker, round 0.
+    let tail = ["2", "0", "0", "1", "0"];
+    let at: Vec<usize> = (0..toks.len() - tail.len())
+        .filter(|&i| toks[i..i + tail.len()] == tail)
+        .collect();
+    assert_eq!(at.len(), 1, "the mailbox section must be unambiguous");
+    let mut one_mailbox = toks.clone();
+    one_mailbox.splice(at[0]..at[0] + 3, ["1", "0"]);
     // (what is wrong, the mutated text, what the error must name)
     let hostile = [
         (
@@ -140,6 +149,11 @@ fn inconsistent_snapshots_are_rejected_not_panicked_on() {
             "kind tag of the other layout",
             with_token(text, 2, "multi-topic"),
             "supervisor list",
+        ),
+        (
+            "one mailbox for two partitions",
+            one_mailbox.join(" "),
+            "1 mailboxes for 2 partitions",
         ),
     ];
     for (what, text, names) in hostile {

@@ -179,24 +179,16 @@ impl Subscriber {
 
     /// Local operation: the user of this subscriber publishes `payload`.
     /// Inserts into the own trie and, when enabled, floods (§4.3).
-    /// Returns the derived publication key.
-    pub fn publish_local(&mut self, ctx: &mut Ctx<'_, Msg>, payload: Vec<u8>) -> BitStr {
-        self.publish_local_shared(ctx, payload.into())
-    }
-
-    /// [`publish_local`](Self::publish_local) over an already-shared
-    /// payload (e.g. from a backend's
-    /// [`PayloadInterner`](skippub_trie::PayloadInterner)): the bytes are
-    /// never copied — the publication's one record, shared by the store
-    /// and the flood batch, and the caller's pool entry all reference one
-    /// allocation.
+    /// Returns the derived publication key. The payload moves into the
+    /// publication's one record, which the store and the flood batch
+    /// share.
     ///
     /// A local publish happens outside any activation, so it does not
     /// wait for `relay_timeout`: the batch of one leaves in this call.
     /// The author is the process, not this topic's instance of it
     /// (`crate::topics`), so a key does not depend on the topic.
-    pub fn publish_local_shared(&mut self, ctx: &mut Ctx<'_, Msg>, payload: Arc<[u8]>) -> BitStr {
-        let p = Publication::from_shared(self.id.process().0, payload, self.cfg.key_bits);
+    pub fn publish_local(&mut self, ctx: &mut Ctx<'_, Msg>, payload: Vec<u8>) -> BitStr {
+        let p = Publication::with_key_bits(self.id.process().0, payload, self.cfg.key_bits);
         let key = p.key().clone();
         if self.trie.insert(p.clone()) {
             self.flood(ctx, vec![(p, 1)]);

@@ -153,6 +153,19 @@ impl Op {
         }
     }
 
+    /// The topic the operation names, if any.
+    pub fn topic(&self) -> Option<TopicId> {
+        match self {
+            Op::Subscribe { topic }
+            | Op::Join { topic, .. }
+            | Op::Unsubscribe { topic, .. }
+            | Op::Publish { topic, .. }
+            | Op::SeedPublication { topic, .. }
+            | Op::CrashSupervisor { topic } => Some(*topic),
+            Op::Crash { .. } | Op::ReportCrash { .. } | Op::Step => None,
+        }
+    }
+
     /// Serializes to the one-line trace format (no trailing newline).
     pub fn to_line(&self) -> String {
         self.to_string()
@@ -168,27 +181,33 @@ impl Op {
                 .parse::<u64>()
                 .map_err(|e| format!("op {word:?}: bad {what}: {e}"))
         };
+        // A topic past `u32` is refused, not truncated onto another one.
+        let topic = |t: u64| {
+            u32::try_from(t)
+                .map(TopicId)
+                .map_err(|_| format!("op {word:?}: topic {t} out of range"))
+        };
         let op = match word {
             "sub" => Op::Subscribe {
-                topic: TopicId(num("topic")? as u32),
+                topic: topic(num("topic")?)?,
             },
             "join" => Op::Join {
                 id: NodeId(num("id")?),
-                topic: TopicId(num("topic")? as u32),
+                topic: topic(num("topic")?)?,
             },
             "leave" => Op::Unsubscribe {
                 id: NodeId(num("id")?),
-                topic: TopicId(num("topic")? as u32),
+                topic: topic(num("topic")?)?,
             },
             "pub" => {
                 let id = NodeId(num("id")?);
-                let topic = TopicId(num("topic")? as u32);
+                let topic = topic(num("topic")?)?;
                 let payload = decode_hex(it.next().ok_or("pub: missing payload")?)?;
                 Op::Publish { id, topic, payload }
             }
             "seed" => {
                 let id = NodeId(num("id")?);
-                let topic = TopicId(num("topic")? as u32);
+                let topic = topic(num("topic")?)?;
                 let author = num("author")?;
                 let payload = decode_hex(it.next().ok_or("seed: missing payload")?)?;
                 Op::SeedPublication {
@@ -205,7 +224,7 @@ impl Op {
                 id: NodeId(num("id")?),
             },
             "crashsup" => Op::CrashSupervisor {
-                topic: TopicId(num("topic")? as u32),
+                topic: topic(num("topic")?)?,
             },
             "step" => Op::Step,
             other => return Err(format!("unknown op {other:?}")),
@@ -342,6 +361,10 @@ mod tests {
             "crash 1 extra",
             "crashsup",
             "crashsup 0 9",
+            // Past `u32`: refused, not truncated onto topic 0.
+            "sub 4294967296",
+            "join 1 4294967296",
+            "pub 1 4294967296 00",
         ] {
             assert!(Op::parse_line(bad).is_err(), "accepted {bad:?}");
         }

@@ -27,9 +27,10 @@
 //!
 //! The one-topic layouts run a one-partition [`World::new`] world: a
 //! scenario world is taken over as it is, raw seed included, so it steps
-//! exactly as it would alone, and the `sim`/`chaos` snapshot body is its
-//! one partition's state. In them every process id in `1..next_id` has
-//! met topic 0, so they keep no `met` table.
+//! exactly as it would alone. In them every process id in `1..next_id`
+//! has met topic 0, so they keep no `met` table. Every layout writes the
+//! same snapshot body; [`PartitionedBackend::from_snapshot`] is its one
+//! reader.
 //!
 //! Placement policy: shard `i`'s supervisor instances live in partition
 //! `i`. A client process's instances live together. When every
@@ -53,11 +54,9 @@ use crate::sharding::SupervisorShards;
 use crate::topics::{TopicId, MAX_TOPICS};
 use crate::{Actor, ProbeMode, ProtocolConfig, Subscriber, Supervisor};
 use skippub_bits::BitStr;
-use skippub_sim::{
-    ChaosConfig, FaultCounts, FaultSpec, Metrics, NodeId, PartitionState, World, WorldState,
-};
+use skippub_sim::{ChaosConfig, FaultCounts, FaultSpec, Metrics, NodeId, World, WorldState};
 use skippub_snapshot::{Snap, SnapVec, SnapWriter};
-use skippub_trie::{PatriciaTrie, PayloadInterner, Publication};
+use skippub_trie::{PatriciaTrie, Publication};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -71,7 +70,8 @@ pub const SHARD_SUPERVISOR_BASE: u64 = 1 << 32;
 // 1024 shards) is a process id: lane 0 of its own address.
 const _: () = assert!(NodeId(SHARD_SUPERVISOR_BASE + 1024).lane() == 0);
 
-/// Virtual nodes per supervisor on the consistent-hash ring.
+/// Virtual nodes per supervisor on the consistent-hash ring — with the
+/// supervisor list, all the ring is, so a snapshot stores neither.
 const VNODES: usize = 64;
 
 /// The multi-topic layout a supervisor list makes, `None` for a list
@@ -102,17 +102,6 @@ fn joined(met: &BTreeMap<u64, Vec<u32>>, kind: BackendKind, next_id: u64, p: Nod
     } else {
         &[]
     }
-}
-
-/// A snapshot's next client id must leave fresh ids inside the process
-/// half of an address (a larger one would hand out lane addresses).
-fn check_next_id(next_id: u64) -> Result<(), String> {
-    if next_id > 1 << (64 - NodeId::LANE_BITS) {
-        return Err(format!(
-            "snapshot next client id {next_id} is no process id"
-        ));
-    }
-    Ok(())
 }
 
 /// Whether supervisor instances run the token machinery under `cfg`.
@@ -165,7 +154,6 @@ pub struct PartitionedBackend {
     /// Incremental verdict caches + member index (`RefCell`: the
     /// facade's polling predicates take `&self`).
     inc: RefCell<IncChecker>,
-    interner: PayloadInterner,
     /// Supervisor replica groups, one per shard, in shard-index order.
     /// Empty = the paper's unreplicated supervisors. One group covers
     /// every topic instance of its shard's supervisor process (the
@@ -197,16 +185,15 @@ pub struct PartitionedBackend {
 
 impl PartitionedBackend {
     /// The one constructor: layout `kind` over `world`, with supervisors
-    /// `sup_ids` on a ring of `vnodes` points each serving `topics`
-    /// topics, no replica groups and no rebalancing. A non-empty world
-    /// first rebuilds the checker's member index from a world scan (a
-    /// fresh index is empty and would judge against no members).
+    /// `sup_ids` serving `topics` topics, no replica groups and no
+    /// rebalancing. A non-empty world first rebuilds the checker's member
+    /// index from a world scan (a fresh index is empty and would judge
+    /// against no members).
     fn over(
         kind: BackendKind,
         world: World<Actor>,
         topics: u32,
         sup_ids: Vec<NodeId>,
-        vnodes: usize,
         cfg: ProtocolConfig,
     ) -> Self {
         let mut inc = IncChecker::new(topics);
@@ -216,7 +203,7 @@ impl PartitionedBackend {
         PartitionedBackend {
             kind,
             chaos: ChaosConfig::SYNCHRONOUS,
-            shards: SupervisorShards::new(&sup_ids, vnodes),
+            shards: SupervisorShards::new(&sup_ids, VNODES),
             last_delivered: vec![0; world.partition_count()],
             world,
             sup_ids,
@@ -226,7 +213,6 @@ impl PartitionedBackend {
             cursor: EventCursor::new(),
             met: BTreeMap::new(),
             inc: RefCell::new(inc),
-            interner: PayloadInterner::new(),
             groups: Vec::new(),
             overrides: BTreeMap::new(),
             rebalance_every: 0,
@@ -251,7 +237,7 @@ impl PartitionedBackend {
         let kind = layout_of(&sup_ids).expect("unsupported supervisor layout");
         assert!(sup_ids.len() == 1 || sup_ids.len() == partitions);
         let world = World::partitioned(seed, partitions, threads);
-        Self::over(kind, world, topics, sup_ids, VNODES, cfg)
+        Self::over(kind, world, topics, sup_ids, cfg)
     }
 
     /// The `sim` layout from scratch: a world of `seed` holding only the
@@ -268,11 +254,10 @@ impl PartitionedBackend {
     /// scenario builders' legitimate warm starts and adversarial initial
     /// states, with the supervisor at [`SUPERVISOR`] and subscribers at
     /// plain process ids. Fresh subscribers get the ids above the
-    /// world's largest; the payload pool starts empty and the checker
-    /// cold.
+    /// world's largest; the checker starts cold.
     pub fn from_world(world: World<Actor>, cfg: ProtocolConfig) -> Self {
         let next_id = world.ids().last().map_or(0, |id| id.0) + 1;
-        let mut b = Self::over(BackendKind::Sim, world, 1, vec![SUPERVISOR], VNODES, cfg);
+        let mut b = Self::over(BackendKind::Sim, world, 1, vec![SUPERVISOR], cfg);
         b.next_id = next_id;
         b
     }
@@ -481,11 +466,6 @@ impl PartitionedBackend {
         self.rebalances
     }
 
-    /// The payload pool backing [`PubSub::publish`].
-    pub fn payload_interner(&self) -> &PayloadInterner {
-        &self.interner
-    }
-
     /// The underlying world, for white-box probes.
     pub fn world(&self) -> &World<Actor> {
         &self.world
@@ -499,11 +479,10 @@ impl PartitionedBackend {
         &mut self.world
     }
 
-    /// Rebuilds a backend from a snapshot of any layout; for
-    /// `multi-topic` and `sharded` the kind tag must be the one the
-    /// serialized supervisor list derives. The consistent-hash ring is **not**
-    /// serialized: it is a pure function of the supervisor IDs and
-    /// virtual-node count, both of which are, so restore rebuilds it.
+    /// Rebuilds a backend from a snapshot of any layout — every layout
+    /// writes the same body, and the kind tag must be the layout the body
+    /// describes. The consistent-hash ring is **not** serialized: it is a
+    /// pure function of the supervisor IDs, so restore rebuilds it.
     /// The checker restarts cold with an invalidated member index (a
     /// fresh `IncChecker` trusts its — empty — index, which would judge
     /// against no members at all), so the first poll re-scans the world;
@@ -512,11 +491,9 @@ impl PartitionedBackend {
     /// Every index the backend later uses unchecked is validated here:
     /// an inconsistent snapshot is an `Err`, never a panic further on.
     pub fn from_snapshot(snap: &BackendSnapshot) -> Result<Self, String> {
-        if snap.kind == "sim" || snap.kind == "chaos" {
-            return Self::from_one_topic_snapshot(snap);
-        }
         let mut r = snap.reader().map_err(|e| e.to_string())?;
         let err = |e: skippub_snapshot::SnapError| e.to_string();
+        let chaos = Option::<ChaosConfig>::load(&mut r).map_err(err)?;
         let cfg = ProtocolConfig::load(&mut r).map_err(err)?;
         let topics = u32::load(&mut r).map_err(err)?;
         if !(1..=MAX_TOPICS).contains(&topics) {
@@ -525,7 +502,12 @@ impl PartitionedBackend {
             ));
         }
         let next_id = u64::load(&mut r).map_err(err)?;
-        let vnodes = usize::load(&mut r).map_err(err)?;
+        if next_id > 1 << (64 - NodeId::LANE_BITS) {
+            // Fresh ids must stay inside the process half of an address.
+            return Err(format!(
+                "snapshot next client id {next_id} is no process id"
+            ));
+        }
         let sup_ids = SnapVec::<NodeId>::load(&mut r).map_err(err)?.0;
         let met_len = u64::load(&mut r).map_err(err)? as usize;
         let mut met = BTreeMap::new();
@@ -534,7 +516,6 @@ impl PartitionedBackend {
             let joined = SnapVec::<u32>::load(&mut r).map_err(err)?.0;
             met.insert(key, joined);
         }
-        let interner = PayloadInterner::load(&mut r).map_err(err)?;
         let world = World::from_state(WorldState::<Actor>::load(&mut r).map_err(err)?)?;
         let cursor = EventCursor::load_with(&mut r, &store_of(&world)).map_err(err)?;
         let group_len = u64::load(&mut r).map_err(err)? as usize;
@@ -549,16 +530,36 @@ impl PartitionedBackend {
         let sever_fired = BTreeSet::<(u64, u64)>::load(&mut r).map_err(err)?;
         r.finish().map_err(err)?;
 
-        check_next_id(next_id)?;
         let (shard_count, partitions) = (sup_ids.len(), world.partition_count());
-        let Some(kind) = layout_of(&sup_ids).filter(|k| k.name() == snap.kind) else {
+        let tag = BackendKind::all()
+            .into_iter()
+            .find(|k| k.name() == snap.kind);
+        let layout = match tag {
+            Some(k) if is_one_topic(k) => (sup_ids == [SUPERVISOR]).then_some(k),
+            _ => layout_of(&sup_ids),
+        };
+        let Some(kind) = layout.filter(|&k| Some(k) == tag) else {
             return Err(format!(
                 "snapshot kind {:?} disagrees with its supervisor list {sup_ids:?}",
                 snap.kind
             ));
         };
-        if vnodes == 0 {
-            return Err("snapshot needs >=1 ring point per supervisor".to_string());
+        if chaos.is_some() != (kind == BackendKind::Chaos) {
+            return Err("snapshot kind disagrees with chaos config presence".to_string());
+        }
+        if is_one_topic(kind) {
+            if topics != 1 || partitions != 1 {
+                return Err(format!(
+                    "a {} snapshot serves one topic on one partition, not {topics} on {partitions}",
+                    snap.kind
+                ));
+            }
+            if !met.is_empty() {
+                return Err("a one-topic snapshot keeps no detector routing".to_string());
+            }
+            if rebalance_every != 0 || rebalances != 0 || !overrides.is_empty() {
+                return Err("a one-topic snapshot has nothing to rebalance".to_string());
+            }
         }
         if sup_ids.iter().collect::<BTreeSet<_>>().len() != shard_count {
             return Err("snapshot lists a supervisor twice".to_string());
@@ -583,7 +584,7 @@ impl PartitionedBackend {
         {
             return Err("snapshot rebalancer state disagrees with shard count".to_string());
         }
-        let mut b = Self::over(kind, world, topics, sup_ids, vnodes, cfg);
+        let mut b = Self::over(kind, world, topics, sup_ids, cfg);
         for (addr, actor) in b.world.iter() {
             let topic = TopicId::of(addr);
             if topic.0 >= topics {
@@ -593,9 +594,9 @@ impl PartitionedBackend {
             }
             let named = match actor {
                 Actor::Supervisor(_) => topic.at(b.shards.supervisor_for(topic)) == addr,
-                Actor::Subscriber(_) => met
-                    .get(&addr.process().0)
-                    .is_some_and(|joined| joined.binary_search(&topic.0).is_ok()),
+                Actor::Subscriber(_) => joined(&met, kind, next_id, addr.process())
+                    .binary_search(&topic.0)
+                    .is_ok(),
             };
             if !named {
                 return Err(format!(
@@ -603,10 +604,10 @@ impl PartitionedBackend {
                 ));
             }
         }
+        b.chaos = chaos.unwrap_or(ChaosConfig::SYNCHRONOUS);
         b.next_id = next_id;
         b.cursor = cursor;
         b.met = met;
-        b.interner = interner;
         b.groups = groups;
         b.overrides = overrides;
         b.rebalance_every = rebalance_every;
@@ -614,64 +615,6 @@ impl PartitionedBackend {
         b.last_delivered = last_delivered;
         b.sever_fired = sever_fired;
         Ok(b)
-    }
-
-    /// Rebuilds the one-topic layout from a `sim`/`chaos` snapshot body
-    /// (the world's one partition plus the facade's bookkeeping; format
-    /// 7 as the single-topic simulator wrote it).
-    fn from_one_topic_snapshot(snap: &BackendSnapshot) -> Result<Self, String> {
-        let mut r = snap.reader().map_err(|e| e.to_string())?;
-        let err = |e: skippub_snapshot::SnapError| e.to_string();
-        let chaos = Option::<ChaosConfig>::load(&mut r).map_err(err)?;
-        let cfg = ProtocolConfig::load(&mut r).map_err(err)?;
-        let next_id = u64::load(&mut r).map_err(err)?;
-        let interner = PayloadInterner::load(&mut r).map_err(err)?;
-        check_next_id(next_id)?;
-        let partition = PartitionState::<Actor>::load(&mut r).map_err(err)?;
-        let world = World::from_partition_state(partition)?;
-        if world.ids().last().is_some_and(|id| id.0 >= next_id) {
-            return Err("snapshot world hosts an id at or above its next client id".to_string());
-        }
-        let mut b = Self::from_world(world, cfg);
-        b.next_id = next_id;
-        b.cursor = EventCursor::load_with(&mut r, &store_of(&b.world)).map_err(err)?;
-        b.groups = Option::<ReplicaGroup>::load(&mut r)
-            .map_err(err)?
-            .into_iter()
-            .collect();
-        let sever_fired = BTreeSet::<u64>::load(&mut r).map_err(err)?;
-        r.finish().map_err(err)?;
-        if chaos.is_some() != (snap.kind == "chaos") {
-            return Err("snapshot kind disagrees with chaos config presence".to_string());
-        }
-        b.interner = interner;
-        b.sever_fired = sever_fired.into_iter().map(|idx| (idx, 0)).collect();
-        Ok(match chaos {
-            Some(chaos) => b.with_chaos(chaos),
-            None => b,
-        })
-    }
-
-    /// Writes the `sim`/`chaos` snapshot body [`Self::from_snapshot`]
-    /// reads back: `met` is not written, it is `1..next_id`.
-    fn save_one_topic(&self, w: &mut SnapWriter) {
-        (self.kind == BackendKind::Chaos)
-            .then_some(self.chaos)
-            .save(w);
-        self.cfg.save(w);
-        self.next_id.save(w);
-        self.interner.save(w);
-        self.world.export_partition_state().save(w);
-        self.cursor.save_with(w, &store_of(&self.world));
-        match self.groups.first() {
-            Some(group) => {
-                w.put_u64(1);
-                group.save(w);
-            }
-            None => w.put_u64(0),
-        }
-        let fired: BTreeSet<u64> = self.sever_fired.iter().map(|&(idx, _)| idx).collect();
-        fired.save(w);
     }
 
     /// Aggregated simulator metrics over all partitions (per-kind and
@@ -992,11 +935,10 @@ impl PubSub for PartitionedBackend {
 
     fn publish(&mut self, id: NodeId, topic: TopicId, payload: Vec<u8>) -> Option<BitStr> {
         self.assert_topic(topic);
-        let shared = self.interner.intern(payload);
         let key = self.world.with_node(topic.at(id), |actor, ctx| {
             actor
                 .subscriber_mut()
-                .map(|s| s.publish_local_shared(ctx, shared))
+                .map(|s| s.publish_local(ctx, payload))
         })??;
         self.world.bump_dirty(pubs_key(topic.0));
         Some(key)
@@ -1191,21 +1133,18 @@ impl PubSub for PartitionedBackend {
 
     fn save_snapshot(&self) -> Result<BackendSnapshot, String> {
         let mut w = SnapWriter::new();
-        if is_one_topic(self.kind) {
-            self.save_one_topic(&mut w);
-            return Ok(w.finish(self.backend_name()));
-        }
+        (self.kind == BackendKind::Chaos)
+            .then_some(self.chaos)
+            .save(&mut w);
         self.cfg.save(&mut w);
         self.topics.save(&mut w);
         self.next_id.save(&mut w);
-        self.shards.replicas().save(&mut w);
         w.put_seq(self.sup_ids.iter());
         w.put_u64(self.met.len() as u64);
         for (key, joined) in &self.met {
             key.save(&mut w);
             w.put_seq(joined.iter());
         }
-        self.interner.save(&mut w);
         self.world.export_state().save(&mut w);
         self.cursor.save_with(&mut w, &store_of(&self.world));
         w.put_u64(self.groups.len() as u64);
@@ -1750,12 +1689,13 @@ mod tests {
         let ps = SystemBuilder::new(57).topics(2).build_multi();
         let text = ps.save_snapshot().unwrap().as_text().to_string();
         // magic, version, kind, empty node store, then the body opens
-        // with the protocol configuration's seven fields and `topics`.
+        // with no chaos config, the protocol configuration's seven fields
+        // and `topics`.
         let toks: Vec<&str> = text.split(' ').collect();
-        assert_eq!(toks[11], "2", "{text}");
+        assert_eq!(toks[12], "2", "{text}");
         for topics in ["0", "65537", "4000000000"] {
             let mut forged = toks.clone();
-            forged[11] = topics;
+            forged[12] = topics;
             let snap = BackendSnapshot::from_text(&forged.join(" ")).expect("header");
             let t0 = std::time::Instant::now();
             let err = PartitionedBackend::from_snapshot(&snap)

@@ -60,13 +60,6 @@ impl SupervisorShards {
         SupervisorShards { ring, replicas }
     }
 
-    /// Virtual nodes per supervisor — with the supervisor ID list, this
-    /// fully determines the ring, so checkpoints save these two instead
-    /// of the ring itself and rebuild it on restore.
-    pub fn replicas(&self) -> usize {
-        self.replicas
-    }
-
     /// The supervisor responsible for `topic`: the first ring point at or
     /// after the topic's hash (wrapping).
     pub fn supervisor_for(&self, topic: TopicId) -> NodeId {

@@ -74,6 +74,45 @@ fn faults_flag_conflict(
     None
 }
 
+/// The flags that override a builtin spec's knobs, applied the same way
+/// in every mode.
+struct Overrides {
+    seed: Option<u64>,
+    rounds: Option<u64>,
+    /// Worker-thread cap for the parallel round executor — an execution
+    /// knob only: delivered sets and reports (minus the config header)
+    /// are identical for every value.
+    threads: Option<usize>,
+    /// Topic→shard rebalancing cadence (sharded backend only; 0 = off).
+    /// Deterministic: reports are identical for every thread count at
+    /// any fixed cadence.
+    rebalance: Option<u64>,
+    /// Ad-hoc link-fault schedule, armed at the run phase exactly like a
+    /// builtin's.
+    faults: Option<FaultSpec>,
+}
+
+impl Overrides {
+    fn apply(&self, mut spec: ScenarioSpec) -> ScenarioSpec {
+        if let Some(s) = self.seed {
+            spec.seed = s;
+        }
+        if let Some(r) = self.rounds {
+            spec.rounds = r;
+        }
+        if let Some(t) = self.threads {
+            spec = spec.threads(t);
+        }
+        if let Some(r) = self.rebalance {
+            spec = spec.rebalance_every(r);
+        }
+        if let Some(f) = &self.faults {
+            spec = spec.faults(f.clone());
+        }
+        spec
+    }
+}
+
 fn fail(msg: &str) -> ! {
     eprintln!("scenarios: {msg}");
     std::process::exit(2);
@@ -380,9 +419,15 @@ fn main() {
     ) {
         fail(msg);
     }
-    let faults_spec: Option<FaultSpec> = faults_arg.as_deref().map(|s| {
-        FaultSpec::parse_line(s).unwrap_or_else(|e| fail(&format!("--faults: {e}")))
-    });
+    let overrides = Overrides {
+        seed,
+        rounds,
+        threads,
+        rebalance,
+        faults: faults_arg.as_deref().map(|s| {
+            FaultSpec::parse_line(s).unwrap_or_else(|e| fail(&format!("--faults: {e}")))
+        }),
+    };
 
     // --- checkpoint / warm-start / crash-recovery modes ---
     if snapshot_at.is_some() != out_snapshot.is_some() {
@@ -403,22 +448,7 @@ fn main() {
         if trace_path.is_some() {
             fail("checkpoint modes do not record traces");
         }
-        let mut spec = specs.into_iter().next().unwrap();
-        if let Some(s) = seed {
-            spec.seed = s;
-        }
-        if let Some(r) = rounds {
-            spec.rounds = r;
-        }
-        if let Some(t) = threads {
-            spec = spec.threads(t);
-        }
-        if let Some(r) = rebalance {
-            spec = spec.rebalance_every(r);
-        }
-        if let Some(f) = &faults_spec {
-            spec = spec.faults(f.clone());
-        }
+        let spec = overrides.apply(specs.into_iter().next().unwrap());
 
         // Capture: run to completion, writing the warm-start file.
         if let (Some(at), Some(path)) = (snapshot_at, &out_snapshot) {
@@ -498,30 +528,8 @@ fn main() {
     }
 
     let mut failures = 0usize;
-    for mut spec in specs {
-        if let Some(s) = seed {
-            spec.seed = s;
-        }
-        if let Some(r) = rounds {
-            spec.rounds = r;
-        }
-        // Worker-thread cap for the sharded backend's parallel round
-        // executor — an execution knob only: delivered sets and reports
-        // (minus the config header) are identical for every value.
-        if let Some(t) = threads {
-            spec = spec.threads(t);
-        }
-        // Topic→shard rebalancing cadence (sharded backend only; 0 =
-        // off). Deterministic: reports are identical for every thread
-        // count at any fixed cadence.
-        if let Some(r) = rebalance {
-            spec = spec.rebalance_every(r);
-        }
-        // Ad-hoc link-fault schedule, armed at the run phase exactly
-        // like a builtin's.
-        if let Some(f) = &faults_spec {
-            spec = spec.faults(f.clone());
-        }
+    for spec in specs {
+        let spec = overrides.apply(spec);
         let targets: Vec<Target> = match chosen {
             None => spec
                 .supported_backends()

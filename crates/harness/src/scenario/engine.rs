@@ -92,9 +92,34 @@ pub(super) fn ensure_supported(
     ))
 }
 
+/// The one "these knobs do not combine" error, for specs and for the
+/// headers of recorded traces: a topic handoff moves a supervisor
+/// instance but not its shard's replica log, so the sharded backend
+/// cannot rebalance replicated supervisors (the other layouts ignore
+/// the cadence).
+pub(super) fn ensure_combinable(
+    kind: BackendKind,
+    replicas: usize,
+    rebalance_every: u64,
+) -> Result<(), String> {
+    if kind == BackendKind::Sharded && rebalance_every > 0 && replicas >= 2 {
+        return Err(format!(
+            "rebalancing (every {rebalance_every} rounds) and supervisor replication \
+             ({replicas} replicas) are mutually exclusive on the sharded backend"
+        ));
+    }
+    Ok(())
+}
+
+/// Both checks, for a spec about to be built as `kind`.
+fn ensure_runnable(spec: &ScenarioSpec, kind: BackendKind) -> Result<(), String> {
+    ensure_supported(&spec.name, spec.topics, kind)?;
+    ensure_combinable(kind, spec.replicas, spec.rebalance_every)
+}
+
 /// Builds the backend and runs the spec on it.
 pub fn run_spec(spec: &ScenarioSpec, kind: BackendKind) -> Result<ScenarioOutcome, String> {
-    ensure_supported(&spec.name, spec.topics, kind)?;
+    ensure_runnable(spec, kind)?;
     let mut ps = builder_for(spec).build(kind);
     Ok(execute(ps.as_mut(), spec, budget_multiplier(kind), None))
 }
@@ -105,7 +130,7 @@ pub fn run_recorded(
     spec: &ScenarioSpec,
     kind: BackendKind,
 ) -> Result<(ScenarioOutcome, Trace), String> {
-    ensure_supported(&spec.name, spec.topics, kind)?;
+    ensure_runnable(spec, kind)?;
     let mut ps = builder_for(spec).build(kind);
     let mut trace = Trace::new(spec, kind.name());
     let outcome = execute(ps.as_mut(), spec, budget_multiplier(kind), Some(&mut trace));
@@ -131,7 +156,7 @@ pub(super) fn run_twin(
     baseline: &ScenarioSpec,
     kind: BackendKind,
 ) -> Result<[TwinSide; 2], String> {
-    ensure_supported(&spec.name, spec.topics, kind)?;
+    ensure_runnable(spec, kind)?;
     Ok([spec, baseline].map(|spec| {
         let mut ps = builder_for(spec).build(kind);
         (run_on(ps.as_mut(), spec, budget_multiplier(kind)), ps)
@@ -238,7 +263,7 @@ pub fn run_spec_with_snapshot(
     kind: BackendKind,
     at_round: u64,
 ) -> Result<(ScenarioOutcome, WarmStart), String> {
-    ensure_supported(&spec.name, spec.topics, kind)?;
+    ensure_runnable(spec, kind)?;
     let mut ps = builder_for(spec).build(kind);
     let (out, captured) = run_phases(
         ps.as_mut(),
@@ -262,6 +287,13 @@ pub fn run_spec_with_snapshot(
 /// after the capture point plus the usual stop/settle/drain phases.
 /// On the deterministic backends the resumed run's delivered sets and
 /// fingerprints equal the uninterrupted run's.
+///
+/// A warm start is outside input, and the engine indexes the schedule
+/// and the restored backend by it unchecked, so everything they rely on
+/// is validated before the first step: the restored backend serves the
+/// spec's topics, the slot list holds exactly the slots the schedule
+/// spawns up to the capture round, and every crashed or departed id is
+/// one of them (a crashed one once).
 pub fn resume_spec(spec: &ScenarioSpec, warm: &WarmStart) -> Result<ScenarioOutcome, String> {
     if warm.scenario != spec.name || warm.seed != spec.seed {
         return Err(format!(
@@ -269,7 +301,8 @@ pub fn resume_spec(spec: &ScenarioSpec, warm: &WarmStart) -> Result<ScenarioOutc
             warm.scenario, warm.seed, spec.name, spec.seed
         ));
     }
-    let rounds = compile(spec).rounds.len();
+    let schedule = compile(spec);
+    let rounds = schedule.rounds.len();
     if warm.round as usize > rounds {
         return Err(format!(
             "warm start at round {} is past the {} scheduled rounds",
@@ -277,7 +310,38 @@ pub fn resume_spec(spec: &ScenarioSpec, warm: &WarmStart) -> Result<ScenarioOutc
         ));
     }
     let mut ps = skippub_core::pubsub::restore(&warm.snapshot)?;
-    let mult = if ps.backend_name() == "chaos" { 10 } else { 1 };
+    if ps.topic_count() != spec.topics {
+        return Err(format!(
+            "warm start restores a {} backend serving {} topics; scenario {:?} needs {}",
+            ps.backend_name(),
+            ps.topic_count(),
+            spec.name,
+            spec.topics
+        ));
+    }
+    let spawned = (schedule.prelude.iter())
+        .chain(schedule.rounds[..warm.round as usize].iter().flatten())
+        .filter(|op| matches!(op, PlannedOp::Subscribe { .. }))
+        .count();
+    if warm.slot_ids.len() != spawned {
+        return Err(format!(
+            "warm start binds {} slots, but the schedule spawns {spawned} by round {}",
+            warm.slot_ids.len(),
+            warm.round
+        ));
+    }
+    let bound: BTreeSet<NodeId> = warm.slot_ids.iter().copied().collect();
+    if let Some(id) = (warm.crashed.iter().chain(&warm.left)).find(|id| !bound.contains(id)) {
+        return Err(format!(
+            "warm start lists {id} as crashed or departed, but no slot is bound to it"
+        ));
+    }
+    if warm.crashed.iter().collect::<BTreeSet<_>>().len() != warm.crashed.len() {
+        return Err("warm start lists a crashed id twice".to_string());
+    }
+    let kind = (BackendKind::all().into_iter())
+        .find(|k| k.name() == ps.backend_name())
+        .expect("a restored backend is a simulated kind");
     let churn = Churn {
         slot_ids: warm.slot_ids.clone(),
         crashed: warm.crashed.clone(),
@@ -286,7 +350,7 @@ pub fn resume_spec(spec: &ScenarioSpec, warm: &WarmStart) -> Result<ScenarioOutc
     let (out, _) = run_phases(
         ps.as_mut(),
         spec,
-        mult,
+        budget_multiplier(kind),
         None,
         Some((churn, warm.round as usize)),
         None,
@@ -886,6 +950,49 @@ mod tests {
         let mut reseeded = small_spec();
         reseeded.seed = 99;
         assert!(resume_spec(&reseeded, &warm).is_err(), "wrong seed");
+    }
+
+    /// `small_spec`'s `sim` warm start at round 6, and `resume_spec`'s
+    /// error for it after `edit`.
+    fn resume_err(spec: &ScenarioSpec, edit: impl FnOnce(&mut WarmStart)) -> String {
+        let (_, mut warm) =
+            run_spec_with_snapshot(&small_spec(), BackendKind::Sim, 6).expect("in range");
+        edit(&mut warm);
+        resume_spec(spec, &warm).expect_err("a hostile warm start must not resume")
+    }
+
+    #[test]
+    fn a_warm_start_serving_other_topics_is_refused() {
+        let three_topics = small_spec().topics(3);
+        let err = resume_err(&three_topics, |_| {});
+        assert!(err.contains("serving 1 topics"), "{err}");
+    }
+
+    #[test]
+    fn a_warm_start_with_a_truncated_slot_list_is_refused() {
+        let err = resume_err(&small_spec(), |warm| warm.slot_ids.truncate(2));
+        assert!(err.contains("binds 2 slots"), "{err}");
+    }
+
+    #[test]
+    fn a_warm_start_naming_unbound_or_twice_crashed_ids_is_refused() {
+        let err = resume_err(&small_spec(), |warm| warm.left.push(NodeId(999)));
+        assert!(err.contains("no slot is bound"), "{err}");
+        let err = resume_err(&small_spec(), |warm| {
+            let twice = std::iter::repeat_n(warm.slot_ids[0], warm.slot_ids.len() + 1);
+            warm.crashed = twice.collect();
+        });
+        assert!(err.contains("twice"), "{err}");
+    }
+
+    #[test]
+    fn rebalancing_a_replicated_sharded_spec_is_an_error_not_a_panic() {
+        let spec = small_spec().replicas(2).rebalance_every(5);
+        let err = run_spec(&spec, BackendKind::Sharded).expect_err("refused");
+        assert!(err.contains("mutually exclusive"), "{err}");
+        assert!(run_spec_with_snapshot(&spec, BackendKind::Sharded, 6).is_err());
+        // The layouts with one supervisor ignore the cadence.
+        assert!(run_spec(&spec, BackendKind::MultiTopic).is_ok());
     }
 
     /// One member's drain: deliveries of `(topic, author, payload)`, in

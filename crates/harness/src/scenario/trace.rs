@@ -13,7 +13,9 @@
 //! The threaded backend can be *recorded* (via the CLI) but not
 //! byte-replayed: wall-clock slices are not reproducible.
 
-use super::engine::{assemble_report, ensure_supported, stop_met, DeliveredTally, Phases, RunMeta};
+use super::engine::{
+    assemble_report, ensure_combinable, ensure_supported, stop_met, DeliveredTally, Phases, RunMeta,
+};
 use super::report::{OpCounts, ScenarioReport};
 use super::spec::{is_scenario_name, ScenarioSpec, Stop};
 use skippub_core::pubsub::ops;
@@ -259,35 +261,48 @@ impl Trace {
                 other => return Err(format!("unknown header key {other:?}")),
             }
         }
+        let topics = topics.ok_or("missing topics header")?;
         let mut body = Vec::new();
         for line in lines {
             let line = line.trim_end();
             if line.is_empty() {
                 continue;
             }
-            if let Some(name) = line.strip_prefix("phase ") {
-                body.push(TraceLine::Phase(name.to_string()));
+            let parsed = if let Some(name) = line.strip_prefix("phase ") {
+                TraceLine::Phase(name.to_string())
             } else if let Some(rest) = line.strip_prefix("member ") {
                 let (id, topic) = rest
                     .split_once(' ')
                     .ok_or_else(|| format!("bad member line {line:?}"))?;
-                body.push(TraceLine::Member(
+                TraceLine::Member(
                     NodeId(id.parse().map_err(|e: std::num::ParseIntError| e.to_string())?),
                     topic.parse().map_err(|e: std::num::ParseIntError| e.to_string())?,
-                ));
+                )
             } else if let Some(id) = line.strip_prefix("drain ") {
-                body.push(TraceLine::Drain(NodeId(
+                TraceLine::Drain(NodeId(
                     id.parse().map_err(|e: std::num::ParseIntError| e.to_string())?,
-                )));
+                ))
             } else {
-                body.push(TraceLine::Op(Op::parse_line(line)?));
+                TraceLine::Op(Op::parse_line(line)?)
+            };
+            // A backend panics on a topic it does not serve.
+            let topic = match &parsed {
+                TraceLine::Op(op) => op.topic().map(|t| t.0),
+                TraceLine::Member(_, topic) => Some(*topic),
+                TraceLine::Phase(_) | TraceLine::Drain(_) => None,
+            };
+            if let Some(t) = topic.filter(|&t| t >= topics) {
+                return Err(format!(
+                    "trace line {line:?} names topic {t}, outside the header's 0..{topics}"
+                ));
             }
+            body.push(parsed);
         }
         Ok(Trace {
             scenario: scenario.ok_or("missing scenario header")?,
             backend: backend.ok_or("missing backend header")?,
             seed: seed.ok_or("missing seed header")?,
-            topics: topics.ok_or("missing topics header")?,
+            topics,
             shards: shards.ok_or("missing shards header")?,
             // Absent in traces recorded before the parallel executor
             // existed; one worker reproduces them exactly.
@@ -328,9 +343,7 @@ impl Trace {
             )
         })?;
         ensure_supported(&self.scenario, self.topics, kind)?;
-        if kind == BackendKind::Sharded && self.rebalance_every > 0 && self.replicas >= 2 {
-            return Err("rebalancing and supervisor replication are mutually exclusive".into());
-        }
+        ensure_combinable(kind, self.replicas, self.rebalance_every)?;
         let builder = SystemBuilder::new(self.seed)
             .topics(self.topics)
             .shards(self.shards)
@@ -591,6 +604,24 @@ mod tests {
         let err = Trace::parse(&text.replace("backend sim\n", "backend ../sim\n")).unwrap_err();
         assert!(err.contains("unknown backend"), "{err}");
         assert!(Trace::parse(&text.replace("backend sim\n", "backend threaded\n")).is_ok());
+    }
+
+    /// A body line naming a topic the header does not serve would make
+    /// the backend panic at replay; it is refused at parse.
+    #[test]
+    fn body_lines_naming_an_unserved_topic_are_errors() {
+        let (_, trace) = run_recorded(&spec(), BackendKind::Sim).unwrap();
+        let text = trace.serialize();
+        let member = text
+            .lines()
+            .find(|l| l.starts_with("member "))
+            .expect("a member line");
+        let forged_member = format!("{} 7", member.rsplit_once(' ').unwrap().0);
+        for (from, to) in [("\nsub 0\n", "\nsub 7\n"), (member, forged_member.as_str())] {
+            assert!(text.contains(from), "the recorded body lacks {from:?}");
+            let err = Trace::parse(&text.replacen(from, to, 1)).expect_err(to);
+            assert!(err.contains("outside the header's 0..1"), "{to:?}: {err}");
+        }
     }
 
     /// Everything a header (of a trace, or of a warm-start snapshot)

@@ -122,7 +122,9 @@ pub trait Protocol {
 /// topology and publications).
 ///
 /// Reads of unknown keys return 0 and never grow the table, so polling
-/// a quiescent channel allocates nothing.
+/// a quiescent channel allocates nothing. The counters are not part of
+/// a checkpoint: a restored world starts them at 0, and an observer
+/// keyed on them starts cold with it.
 #[derive(Clone, Debug, Default)]
 pub struct DirtyTable {
     versions: Vec<u64>,
@@ -143,16 +145,6 @@ impl DirtyTable {
     #[inline]
     pub fn version(&self, key: u32) -> u64 {
         self.versions.get(key as usize).copied().unwrap_or(0)
-    }
-
-    /// The raw version table, indexed by key (checkpoint export).
-    pub fn export(&self) -> Vec<u64> {
-        self.versions.clone()
-    }
-
-    /// Rebuilds a table from an exported raw version vector.
-    pub fn import(versions: Vec<u64>) -> Self {
-        DirtyTable { versions }
     }
 }
 
@@ -985,7 +977,6 @@ impl<P: Protocol> Partition<P> {
             rng: self.rng.state(),
             round: self.round,
             metrics: self.metrics.export(),
-            dirty: self.dirty.export(),
             peak_in_flight: self.peak_in_flight as u64,
             seq: self.seq,
             cross_sent: self.cross_sent,
@@ -1011,7 +1002,6 @@ impl<P: Protocol> Partition<P> {
             p.channels[s] = node.channel;
         }
         p.rng = StdRng::from_state(state.rng);
-        p.dirty = DirtyTable::import(state.dirty);
         p.round = state.round;
         p.peak_in_flight = state.peak_in_flight as usize;
         p.seq = state.seq;

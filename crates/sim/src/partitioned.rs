@@ -84,7 +84,7 @@
 
 use crate::engine::{Envelope, Partition};
 use crate::fx::FxBuildHasher;
-use crate::state::{PartitionState, WorldState};
+use crate::state::WorldState;
 use crate::{ChaosConfig, Ctx, Metrics, NodeId, Protocol};
 use std::collections::HashMap;
 use std::sync::{Barrier, Mutex};
@@ -117,7 +117,7 @@ pub struct World<P: Protocol> {
     /// crashes, harness-driven calls) — kept world-level so they need
     /// no partition routing; [`World::dirty_version`] sums this table
     /// with every partition's handler-reported bumps.
-    extra_dirty: crate::DirtyTable,
+    external_bumps: crate::DirtyTable,
     /// Accounting for external injects to ids no partition of a
     /// multi-partition world hosts: counted as one send and its
     /// immediate §3.3 drop, as a lone partition counts them, without
@@ -154,7 +154,7 @@ impl<P: Protocol> World<P> {
             home: HashMap::default(),
             threads,
             round: 0,
-            extra_dirty: crate::DirtyTable::default(),
+            external_bumps: crate::DirtyTable::default(),
             orphan: Metrics::default(),
         }
     }
@@ -338,7 +338,7 @@ impl<P: Protocol> World<P> {
     /// some component moved, which is all observers rely on. Never
     /// allocates.
     pub fn dirty_version(&self, key: u32) -> u64 {
-        let mut v = self.extra_dirty.version(key);
+        let mut v = self.external_bumps.version(key);
         for p in &self.partitions {
             v += p.dirty().version(key);
         }
@@ -349,7 +349,7 @@ impl<P: Protocol> World<P> {
     /// for external operations (join/leave/crash/publish calls) that
     /// change observable state without a handler running.
     pub fn bump_dirty(&mut self, key: u32) {
-        self.extra_dirty.bump(key);
+        self.external_bumps.bump(key);
     }
 
     /// Total in-flight messages: channel contents plus mailbox envelopes.
@@ -471,37 +471,15 @@ impl<P: Protocol> World<P> {
                 .collect(),
             threads: self.threads as u64,
             round: self.round,
-            extra_dirty: self.extra_dirty.export(),
             orphan: self.orphan.export(),
         }
     }
 
-    /// The state of a one-partition world as its lone partition's: the
-    /// world-level dirty bumps fold into the partition's table (versions
-    /// are sums either way), and nothing else is world-level in one
-    /// partition (its mailbox is empty between rounds, nothing is
-    /// orphaned). [`World::from_partition_state`] continues it exactly.
-    /// Panics on more than one partition; call at a round boundary only.
-    pub fn export_partition_state(&self) -> PartitionState<P>
-    where
-        P: Clone,
-    {
-        assert_eq!(self.partitions.len(), 1, "not a one-partition world");
-        let mut partition = self.partitions[0].export_state();
-        let extra = self.extra_dirty.export();
-        if partition.dirty.len() < extra.len() {
-            partition.dirty.resize(extra.len(), 0);
-        }
-        for (v, e) in partition.dirty.iter_mut().zip(extra) {
-            *v += e;
-        }
-        partition
-    }
-
     /// Rebuilds a world from an exported state; the id → partition home
-    /// map is reconstructed from the partition node lists. Stepping the
-    /// restored world is byte-identical to stepping the original, for
-    /// every worker-thread count. A state no world could have exported
+    /// map is reconstructed from the partition node lists, and every
+    /// dirty-channel counter starts at 0. Stepping the restored world is
+    /// byte-identical to stepping the original, for every worker-thread
+    /// count. A state no world could have exported
     /// is an `Err`: no partition, a mailbox count other than the
     /// partition count, an id hosted twice, or an in-flight envelope
     /// from a partition that does not exist.
@@ -538,22 +516,8 @@ impl<P: Protocol> World<P> {
             home,
             threads: (state.threads as usize).max(1),
             round: state.round,
-            extra_dirty: crate::DirtyTable::import(state.extra_dirty),
+            external_bumps: crate::DirtyTable::default(),
             orphan: Metrics::import(&state.orphan),
-        })
-    }
-
-    /// The one-partition world that continues `partition` exactly (see
-    /// [`World::export_partition_state`]); an `Err` where
-    /// [`World::from_state`] rejects it.
-    pub fn from_partition_state(partition: PartitionState<P>) -> Result<Self, String> {
-        Self::from_state(WorldState {
-            round: partition.round,
-            partitions: vec![partition],
-            mailboxes: vec![Vec::new()],
-            threads: 1,
-            extra_dirty: Vec::new(),
-            orphan: Default::default(),
         })
     }
 

@@ -10,11 +10,12 @@
 //!   clocks survive);
 //! * the xoshiro256** RNG state words of every stream;
 //! * every engine register (round, peaks, sequence numbers);
-//! * metrics and dirty-table counters in intern order (see
-//!   [`MetricsState`](crate::MetricsState)).
+//! * metrics in intern order (see [`MetricsState`](crate::MetricsState)).
 //!
 //! What is deliberately **not** here: slab slot assignments, tombstones,
-//! and free lists. Only the live-node order influences stepping (the
+//! free lists, and the dirty-channel counters ([`crate::DirtyTable`]:
+//! nothing a round does reads them, and the observer keyed on them
+//! restarts cold on restore). Only the live-node order influences stepping (the
 //! activation shuffle draws over live nodes; sends to dead ids miss the
 //! id → slot map and are dropped identically either way), so a restored
 //! world packs nodes densely and still replays the original trajectory.
@@ -35,8 +36,6 @@ pub struct NodeState<P: Protocol> {
 }
 
 /// Exact state of one engine partition: everything its stepping reads.
-/// The `sim`/`chaos` snapshot body is one of these
-/// ([`World::export_partition_state`](crate::World::export_partition_state)).
 pub struct PartitionState<P: Protocol> {
     /// Live nodes in ascending id order.
     pub nodes: Vec<NodeState<P>>,
@@ -46,8 +45,6 @@ pub struct PartitionState<P: Protocol> {
     pub round: u64,
     /// Cumulative metrics (intern order preserved).
     pub metrics: MetricsState,
-    /// Raw dirty-channel version counters, indexed by key.
-    pub dirty: Vec<u64>,
     /// High-water mark of in-flight messages.
     pub peak_in_flight: u64,
     /// Next cross-partition envelope sequence number.
@@ -78,8 +75,6 @@ pub struct WorldState<P: Protocol> {
     pub threads: u64,
     /// Rounds stepped so far.
     pub round: u64,
-    /// Raw world-level external dirty bumps, indexed by key.
-    pub extra_dirty: Vec<u64>,
     /// The orphan-inject metrics bucket (sends to ids no partition
     /// hosts, counted world-level).
     pub orphan: MetricsState,
@@ -163,7 +158,6 @@ mod tests {
             restored.run_round();
         }
         assert_eq!(digest(&restored), digest(&reference));
-        assert_eq!(restored.dirty_version(0), reference.dirty_version(0));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! A snapshot is a single ASCII token stream (whitespace-separated), in
 //! three sections:
 //!
-//! 1. **header** — `skippubsnap 7 <kind>`: magic, format version, and
+//! 1. **header** — `skippubsnap 8 <kind>`: magic, format version, and
 //!    the backend kind tag restore dispatches on;
 //! 2. **node store** — the shared [`MemoryTrieDb`] every trie in the
 //!    snapshot committed into: a count followed by `(hash, node)` pairs
@@ -34,9 +34,12 @@ use skippub_trie::{MemoryTrieDb, PatriciaTrie, StoredNode, TrieDb};
 /// plain actor per topic instance instead of a multiplexing actor per
 /// process, and topics per process in the detector routing); version 7
 /// the delivery cursor (per drained instance the keys stored but not yet
-/// reported, instead of every reported key and a root hash). A stream
-/// of an older version would misparse, so it is rejected at the header.
-const FORMAT_VERSION: &str = "7";
+/// reported, instead of every reported key and a root hash); version 8
+/// the backend body (one body for every layout, `sim` and `chaos`
+/// included; no payload pool, no dirty-channel counters and no ring
+/// size). A stream of an older version would misparse, so it is rejected
+/// at the header.
+const FORMAT_VERSION: &str = "8";
 
 /// Errors surfaced while decoding a snapshot.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -10,9 +10,8 @@ use skippub_sim::{
     NodeId, NodeState, PartitionState, Protocol, Sever, WorldState, MAX_KINDS,
 };
 use skippub_ringmath::Label;
-use skippub_trie::{NodeSummary, PatriciaTrie, PayloadInterner, Publication, MAX_KEY_BITS};
+use skippub_trie::{NodeSummary, PatriciaTrie, Publication, MAX_KEY_BITS};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 macro_rules! snap_as_u64 {
     ($($ty:ty),+) => {$(
@@ -81,15 +80,6 @@ impl Snap for Vec<u8> {
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         r.bytes()
-    }
-}
-
-impl Snap for Arc<[u8]> {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_bytes(self);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Arc::from(r.bytes()?))
     }
 }
 
@@ -277,31 +267,6 @@ impl Snap for NodeSummary {
             label: Snap::load(r)?,
             hash: Snap::load(r)?,
         })
-    }
-}
-
-/// Pool payloads in sorted byte order plus the hit gauge. Restoring
-/// re-adopts each payload, so duplicates that deserialization
-/// materialized separately re-unify and the restored backend keeps
-/// pooling re-published payloads exactly like the original.
-impl Snap for PayloadInterner {
-    fn save(&self, w: &mut SnapWriter) {
-        let mut pool: Vec<&Arc<[u8]>> = self.payloads().collect();
-        pool.sort_unstable();
-        w.put_u64(pool.len() as u64);
-        for p in pool {
-            w.put_bytes(p);
-        }
-        w.put_u64(self.hits());
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let len = r.u64()? as usize;
-        let mut pool = PayloadInterner::new();
-        for _ in 0..len {
-            pool.adopt(Arc::from(r.bytes()?));
-        }
-        pool.set_hits(r.u64()?);
-        Ok(pool)
     }
 }
 
@@ -621,7 +586,6 @@ where
         self.rng.save(w);
         self.round.save(w);
         self.metrics.save(w);
-        w.put_seq(self.dirty.iter());
         self.peak_in_flight.save(w);
         self.seq.save(w);
         self.cross_sent.save(w);
@@ -639,7 +603,6 @@ where
             rng: Snap::load(r)?,
             round: Snap::load(r)?,
             metrics: Snap::load(r)?,
-            dirty: SnapVec::load(r)?.0,
             peak_in_flight: Snap::load(r)?,
             seq: Snap::load(r)?,
             cross_sent: Snap::load(r)?,
@@ -666,7 +629,6 @@ where
         }
         self.threads.save(w);
         self.round.save(w);
-        w.put_seq(self.extra_dirty.iter());
         self.orphan.save(w);
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
@@ -683,7 +645,6 @@ where
             mailboxes,
             threads: Snap::load(r)?,
             round: Snap::load(r)?,
-            extra_dirty: SnapVec::load(r)?.0,
             orphan: Snap::load(r)?,
         })
     }

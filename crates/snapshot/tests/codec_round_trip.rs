@@ -131,11 +131,12 @@ fn truncated_and_corrupt_snapshots_fail_loudly() {
     assert!(BackendSnapshot::from_text("not a snapshot").is_err());
     assert!(BackendSnapshot::from_text("skippubsnap 9 t 0").is_err());
     // The previous format versions (different `Subscriber`, message,
-    // `Supervisor`, partition, partitioned-backend and cursor bodies).
-    for old in 1..=6 {
+    // `Supervisor`, partition, partitioned-backend, cursor and backend
+    // bodies).
+    for old in 1..=7 {
         assert!(BackendSnapshot::from_text(&format!("skippubsnap {old} t 0")).is_err());
     }
-    assert!(BackendSnapshot::from_text("skippubsnap 7 t 0").is_ok());
+    assert!(BackendSnapshot::from_text("skippubsnap 8 t 0").is_ok());
 
     // Truncating the whole body token surfaces as Eof on load.
     let truncated = &text[..text.len() - 2];

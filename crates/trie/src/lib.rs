@@ -19,9 +19,6 @@
 //!   would respond.
 //! * [`sync`] — a two-party driver that runs the full message exchange
 //!   between two tries locally (used by tests and experiments E2/E8).
-//! * [`PayloadInterner`] — deduplicates payload bytes across
-//!   independently constructed publications so repeated payloads share a
-//!   single `Arc<[u8]>` allocation.
 //! * [`TrieDb`] / [`MemoryTrieDb`] — node-addressed storage: tries are
 //!   committed post-order under their Merkle hashes
 //!   ([`PatriciaTrie::commit_to`]) and reopened from a root hash alone
@@ -35,12 +32,10 @@
 #![warn(missing_docs)]
 
 mod db;
-mod intern;
 mod publication;
 pub mod sync;
 mod trie;
 
 pub use db::{MemoryTrieDb, StoredNode, TrieBatch, TrieDb, TrieDbError};
-pub use intern::PayloadInterner;
 pub use publication::Publication;
 pub use trie::{CheckOutcome, CheckReply, NodeSummary, PatriciaTrie, PubIter, MAX_KEY_BITS};

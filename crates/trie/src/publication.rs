@@ -44,13 +44,7 @@ impl Publication {
 
     /// Creates a publication with an explicit key length `m ∈ 1..=128`.
     pub fn with_key_bits(author: u64, payload: impl Into<Vec<u8>>, m: usize) -> Self {
-        Self::from_shared(author, Arc::from(payload.into()), m)
-    }
-
-    /// Creates a publication from an already-shared payload (e.g. one
-    /// handed out by [`PayloadInterner`](crate::PayloadInterner)) without
-    /// copying the bytes.
-    pub fn from_shared(author: u64, payload: Arc<[u8]>, m: usize) -> Self {
+        let payload: Arc<[u8]> = Arc::from(payload.into());
         let key = publication_key(author, &payload, m);
         Self::record(key, author, payload)
     }
@@ -87,14 +81,6 @@ impl Publication {
     /// The published content.
     #[inline]
     pub fn payload(&self) -> &[u8] {
-        &self.0.payload
-    }
-
-    /// The shared payload handle. Cloning it bumps a refcount instead of
-    /// copying bytes — callers that fan a payload out (delivery cursors,
-    /// floods) should prefer this over `payload().to_vec()`.
-    #[inline]
-    pub fn shared_payload(&self) -> &Arc<[u8]> {
         &self.0.payload
     }
 

@@ -274,8 +274,9 @@ fn a_hostile_next_client_id_restores_cheaply_or_fails() {
     let (ps, ..) = pending_reader(BackendKind::Sim);
     let text = ps.save_snapshot().unwrap().as_text().to_string();
     // The `sim` body opens with no chaos config (`0`), the default
-    // protocol config and the next client id: four subscribed, so 5.
-    let prefix = |next_id: u64| format!(" 0 64 1 1 1 0 1 1 {next_id} ");
+    // protocol config, one topic and the next client id: four
+    // subscribed, so 5.
+    let prefix = |next_id: u64| format!(" 0 64 1 1 1 0 1 1 1 {next_id} ");
     assert_eq!(text.matches(&prefix(5)).count(), 1, "body prefix");
     let with_next_id = |next_id: u64| {
         let hostile = text.replace(&prefix(5), &prefix(next_id));

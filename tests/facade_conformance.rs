@@ -394,11 +394,11 @@ fn threaded_backend_delivers_the_same_set() {
 // restored (through serialized text) must continue **byte-identically**
 // to the uninterrupted run — same delivered sets, same checker verdicts
 // and digests, and a byte-identical final snapshot (which pins RNG
-// stream positions, in-flight channels, cursors, and the payload pool).
+// stream positions, in-flight channels and cursors).
 // ---------------------------------------------------------------------
 
-/// Phase 1 of the checkpoint script: bootstrap, publish (with a repeated
-/// payload, so the interner pool is non-trivial), drain one member (so
+/// Phase 1 of the checkpoint script: bootstrap, publish (one payload
+/// under two authors, two publications), drain one member (so
 /// the delivery cursor is non-trivial), then a crash mid-detection —
 /// the snapshot lands *mid-stabilization* with messages in flight.
 fn checkpoint_phase1(ps: &mut dyn PubSub) -> Vec<NodeId> {
@@ -661,37 +661,29 @@ fn mid_failover_snapshot_round_trips_byte_exactly() {
     }
 }
 
-/// The restored payload pool keeps deduplicating: a payload published
-/// before the snapshot is pooled, so re-publishing it after restore
-/// hits the pool instead of growing it.
+/// A snapshot writes each payload once: with its publication's leaf in
+/// the shared node store, and nowhere else in the body once no message
+/// carrying it is in flight.
 #[test]
-fn restored_interner_still_pools_known_payloads() {
+fn each_payload_is_written_once() {
     let mut ps = SystemBuilder::new(0x1A7E).build_sim();
     let a = ps.subscribe(T);
     let b = ps.subscribe(T);
     assert!(ps.until_legit(2_000).1);
-    ps.publish(a, T, b"evergreen payload".to_vec()).unwrap();
-    ps.publish(b, T, b"evergreen payload".to_vec()).unwrap();
-    let (unique, hits) = {
-        let pool = ps.payload_interner();
-        (pool.unique(), pool.hits())
-    };
-    assert_eq!((unique, hits), (1, 1));
-
-    let saved = ps.save_snapshot().expect("sim snapshots");
-    let mut restored =
-        skippub_core::pubsub::PartitionedBackend::from_snapshot(&saved).expect("restore");
-    let pool = restored.payload_interner();
-    assert_eq!((pool.unique(), pool.hits()), (unique, hits));
-    restored
-        .publish(a, T, b"evergreen payload".to_vec())
-        .unwrap();
-    let pool = restored.payload_interner();
-    assert_eq!(
-        (pool.unique(), pool.hits()),
-        (1, 2),
-        "a restored pool must satisfy a re-publish from the pool"
-    );
+    let payload = b"evergreen payload";
+    ps.publish(a, T, payload.to_vec()).unwrap();
+    assert!(ps.until_pubs_converged(2_000).1);
+    for _ in 0..10 {
+        ps.step();
+    }
+    assert_eq!(ps.subscriber(b, T).unwrap().trie.len(), 1);
+    let text = ps
+        .save_snapshot()
+        .expect("sim snapshots")
+        .as_text()
+        .to_string();
+    let hex: String = payload.iter().map(|byte| format!("{byte:02x}")).collect();
+    assert_eq!(text.matches(&hex).count(), 1, "{text}");
 }
 
 // ---------------------------------------------------------------------
@@ -935,7 +927,7 @@ fn snapshot_unsupported_and_unknown_kinds_fail_cleanly() {
     net.shutdown();
     assert!(err.contains("does not support snapshots"), "{err}");
 
-    let alien = skippub_core::pubsub::BackendSnapshot::from_text("skippubsnap 7 alien 0")
+    let alien = skippub_core::pubsub::BackendSnapshot::from_text("skippubsnap 8 alien 0")
         .expect("well-formed header");
     let err = match skippub_core::pubsub::restore(&alien) {
         Ok(_) => panic!("restoring an unknown kind must fail"),

@@ -88,7 +88,7 @@ fn inconsistent_snapshots_are_rejected_not_panicked_on() {
     let text = saved.as_text();
     restore(&saved).expect("the unmutated snapshot restores");
 
-    // The body opens `cfg topics next_id vnodes`, then the supervisor
+    // The body opens `chaos cfg topics next_id`, then the supervisor
     // list `2 BASE BASE+1`, then the detector-routing map
     // `1  1 1 0` (one entry: client 1 joined topic 0).
     let (sup0, sup1) = (
@@ -142,7 +142,7 @@ fn inconsistent_snapshots_are_rejected_not_panicked_on() {
         ),
         (
             "more topics than addresses have lanes",
-            with_token(text, first - 4, "4000000000"),
+            with_token(text, first - 3, "4000000000"),
             "outside 1..=",
         ),
         (
@@ -154,6 +154,132 @@ fn inconsistent_snapshots_are_rejected_not_panicked_on() {
             "one mailbox for two partitions",
             one_mailbox.join(" "),
             "1 mailboxes for 2 partitions",
+        ),
+    ];
+    for (what, text, names) in hostile {
+        let snap = BackendSnapshot::from_text(&text).expect("header still parses");
+        let err = restore(&snap)
+            .err()
+            .unwrap_or_else(|| panic!("{what}: restore must return Err"));
+        assert!(
+            err.contains(names),
+            "{what}: rejected for another reason: {err}"
+        );
+    }
+}
+
+/// `snap` with its kind tag replaced by `tag`.
+fn retagged(snap: &BackendSnapshot, tag: &str) -> String {
+    with_token(snap.as_text(), 2, tag)
+}
+
+/// `text` with the `n` tokens at `idx` replaced by `with`.
+fn spliced(text: &str, idx: usize, n: usize, with: &[&str]) -> String {
+    let mut toks: Vec<&str> = text.split_ascii_whitespace().collect();
+    toks.splice(idx..idx + n, with.iter().copied());
+    toks.join(" ")
+}
+
+/// Every layout writes one body; a `sim` or `chaos` tag on it promises
+/// one topic, one partition, the supervisor `[0]`, no detector routing,
+/// no rebalancer and a scheduler that agrees with the tag. A body that
+/// breaks any of those promises is an `Err`.
+#[test]
+fn one_topic_tags_on_other_layouts_are_rejected() {
+    let sim = || {
+        let mut ps = SystemBuilder::new(11).build_sim();
+        ps.subscribe(TopicId(0));
+        ps.step();
+        ps.save_snapshot().expect("snapshot")
+    };
+    let (sim, chaos) = (
+        sim(),
+        SystemBuilder::new(11)
+            .build_chaos()
+            .save_snapshot()
+            .unwrap(),
+    );
+    let text = sim.as_text();
+    restore(&sim).expect("the unmutated sim snapshot restores");
+    // Empty node store, no chaos config, the protocol configuration's
+    // seven fields, one topic, next client id 2, the supervisor list
+    // `1 0`, an empty detector routing.
+    let toks: Vec<&str> = text.split_ascii_whitespace().collect();
+    assert_eq!(toks[3..5], ["0", "0"], "{text}");
+    assert_eq!(toks[12..18], ["1", "2", "1", "0", "0", "1"], "{text}");
+    // The body ends `… groups overrides rebalance_every rebalances
+    // last_delivered sever_fired`: `0 0 0 0 1 0 0`.
+    let end = toks.len();
+    assert_eq!(
+        toks[end - 7..],
+        ["0", "0", "0", "0", "1", "0", "0"],
+        "{text}"
+    );
+    let multi = |shards: usize| {
+        let mut ps = SystemBuilder::new(11).shards(shards).build_multi();
+        ps.subscribe(TopicId(0));
+        ps.save_snapshot().expect("snapshot")
+    };
+    let sharded = SystemBuilder::new(11)
+        .build_sharded()
+        .save_snapshot()
+        .unwrap();
+    // (what is wrong, the mutated text, what the error must name)
+    let hostile = [
+        (
+            "two topics",
+            with_token(text, 12, "2"),
+            "one topic on one partition",
+        ),
+        (
+            "two partitions",
+            retagged(&multi(2), "sim"),
+            "one topic on one partition",
+        ),
+        (
+            "a supervisor other than 0",
+            with_token(text, 15, "5"),
+            "supervisor list",
+        ),
+        (
+            "the sharded supervisor list",
+            retagged(&sharded, "sim"),
+            "supervisor list",
+        ),
+        (
+            "detector routing",
+            retagged(&multi(1), "sim"),
+            "no detector routing",
+        ),
+        (
+            "a rebalance cadence",
+            with_token(text, end - 5, "4"),
+            "nothing to rebalance",
+        ),
+        (
+            "an override",
+            spliced(text, end - 6, 1, &["1", "0", "0"]),
+            "nothing to rebalance",
+        ),
+        (
+            "no chaos config under a chaos tag",
+            retagged(&sim, "chaos"),
+            "chaos config",
+        ),
+        (
+            "a chaos config under a sim tag",
+            retagged(&chaos, "sim"),
+            "chaos config",
+        ),
+        (
+            "a chaos config under a multi-topic tag",
+            retagged(&chaos, "multi-topic"),
+            "chaos config",
+        ),
+        (
+            "a client at or above the next id",
+            with_token(text, 13, "1"),
+            "does not name",
         ),
     ];
     for (what, text, names) in hostile {

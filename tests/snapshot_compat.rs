@@ -1,12 +1,16 @@
-//! `sim` and `chaos` snapshots written by the single-topic simulator
-//! before it became the one-topic layout of `PartitionedBackend` (format
-//! 7) still restore and continue exactly as they did when written.
+//! `sim` and `chaos` checkpoints restore and continue exactly as the
+//! separate single-topic simulator's did, before it became the one-topic
+//! layout of `PartitionedBackend`.
 //!
-//! The fixtures under `tests/fixtures/` are [`fixture_backend`]'s state,
-//! saved by that simulator; the fingerprints are what [`continue_for`]
-//! observed there after restoring them. The one-topic layouts gained
-//! one engine counter, a mailbox drain per round, which the fingerprint
-//! leaves out with the rest of `Stats::per_partition`.
+//! The fingerprints are what [`continue_for`] observed after restoring
+//! [`fixture_backend`]'s state as that simulator saved it (format 7, in
+//! its own body). The fixtures under `tests/fixtures/` are the same
+//! state saved by `fixture_backend(kind).save_snapshot()` at format 8,
+//! in the one body every layout writes; regenerate them that way when
+//! the format changes, and never edit a fingerprint: an unedited pass
+//! is the proof that the continuation did not move. The one-topic
+//! layouts gained one engine counter, a mailbox drain per round, which
+//! the fingerprint leaves out with the rest of `Stats::per_partition`.
 
 use skippub_bits::Hash128;
 use skippub_core::pubsub::{restore, BackendSnapshot};
@@ -52,7 +56,7 @@ fn storm() -> FaultSpec {
     }
 }
 
-/// How the fixtures were made: `MEMBERS` members, legitimate, a few
+/// How the fixtures are made: `MEMBERS` members, legitimate, a few
 /// publications, then (on `chaos`) the storm, and a crash left
 /// unreported; the fixture is this backend's `save_snapshot`.
 fn fixture_backend(kind: BackendKind) -> Box<dyn PubSub> {

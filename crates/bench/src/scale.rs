@@ -1,6 +1,7 @@
 //! `bench scale` → `BENCH_scale.json`: the 10k → 100k → 1M scale sweep
 //! behind the "break the 10k barrier" work — inline bit strings,
-//! interned payloads and struct-of-arrays slab state. What the two
+//! struct-of-arrays slab state and one message pool per partition.
+//! What the two
 //! legs and the baseline pricing measure is said once, in the text the
 //! artifact carries: [`DESCRIPTION`], [`METHODOLOGY`], [`NOTE`]. Per row:
 //!
@@ -13,6 +14,10 @@
 //!   absorbed back to legitimacy (the production event; grows far
 //!   slower than the cold mass join);
 //! * `peak_in_flight` — the engine's high-water in-flight gauge;
+//! * `channel_high_water_mb` — the high-water mark of the engine's
+//!   channel storage (its message pools), beside the row's
+//!   `alloc_high_water_mb`, so the heap splits into the channel layer
+//!   and the rest;
 //! * `bitstr_spills_steady` — `BitStr` heap spills during the timed
 //!   window (0 on the inline path: labels and 64-bit keys fit the
 //!   in-struct representation).
@@ -31,9 +36,9 @@ use std::time::Instant;
 
 const SEED: u64 = 0x5CA1EB18;
 /// The artifact's `description`: what the suite measures.
-pub const DESCRIPTION: &str = "Scale sweep for the inline-BitStr + interner + SoA-slab work: a cold Zipf mass-join leg (sharded backend, up to cold_max) and a warm legitimate-ring leg (single-topic core, every n incl. 1M; steady maintenance rounds + a 64-node join batch), with the comparison systems priced at the same populations.";
+pub const DESCRIPTION: &str = "Scale sweep for the inline-BitStr + SoA-slab + per-partition message pool work: a cold Zipf mass-join leg (sharded backend, up to cold_max) and a warm legitimate-ring leg (single-topic core, every n incl. 1M; steady maintenance rounds + a 64-node join batch), with the comparison systems priced at the same populations.";
 /// The artifact's `methodology`: how to read its gauges.
-pub const METHODOLOGY: &str = "alloc_high_water_mb is the high-water mark of live heap bytes (allocations minus frees) tracked by a counting global allocator; per row it is a delta from the level just before that population builds, at the top level it is the whole run's. It is a deterministic RSS proxy: it excludes allocator slack, code and stacks, so it understates OS RSS, but it is reproducible and comparable across runs. steady_rounds_per_sec is wall-clock over the timed rounds on the cores recorded above.";
+pub const METHODOLOGY: &str = "alloc_high_water_mb is the high-water mark of live heap bytes (allocations minus frees) tracked by a counting global allocator; per row it is a delta from the level just before that population builds, at the top level it is the whole run's. It is a deterministic RSS proxy: it excludes allocator slack, code and stacks, so it understates OS RSS, but it is reproducible and comparable across runs. channel_high_water_mb is the engine's own high-water mark of channel segment storage (World::peak_channel_bytes: every partition's message pool, summed over partitions like peak_in_flight), the part of alloc_high_water_mb that holds messages in flight. steady_rounds_per_sec is wall-clock over the timed rounds on the cores recorded above.";
 /// The artifact's `note`: how to read the rows.
 pub const NOTE: &str = "The scaling story: skippub join_stabilization_rounds and chord/skipgraph route hops grow ~log n, while the broker's per-publication fan-out and ringcast's broadcast steps grow linearly with the hot topic's membership. Cold mass-join stabilization (cold_zipf) runs at every population up to cold_max, 1M included; stabilization_secs is its wall time on the cores recorded above. The supervisor keeps an inverse index beside its label database and runs its full repair pass only while the database is not known to be a bijection onto l(0..n) (DESIGN.md 3), so its local work per join or leave is O(log n): a cold round costs about what its messages (sent_total / stabilization_rounds) cost. While every supervisor handler rescanned the database, the cold 100k leg took 96-168 s on 2 cores (the same 25 rounds and messages) and 1M was skipped.";
 const TOPICS: u32 = 64;
@@ -69,6 +74,11 @@ fn zipf_topics(n: usize) -> (Vec<u32>, usize) {
         members[t as usize] += 1;
     }
     (topics, members.into_iter().max().unwrap_or(0))
+}
+
+/// The high-water mark of the backend's channel storage, in MB.
+fn channel_mb(ps: &PartitionedBackend) -> Json {
+    Fixed(ps.world().peak_channel_bytes() as f64 / (1024.0 * 1024.0), 1)
 }
 
 /// Times `rounds` steady maintenance rounds: `steady_rounds_per_sec`
@@ -109,6 +119,7 @@ fn measure_cold(n: usize, topics: &[u32], hot_members: usize, steady_rounds: u64
         "steady_rounds_per_sec": steady_rounds_per_sec,
         "peak_in_flight": stats.peak_in_flight,
         "alloc_high_water_mb": Fixed(peak_mb_above(baseline), 1),
+        "channel_high_water_mb": channel_mb(&ps),
         "bitstr_spills_steady": bitstr_spills_steady,
         "sent_total": stats.sent,
     };
@@ -147,6 +158,7 @@ fn measure_warm(n: usize, steady_rounds: u64) -> Json {
         "join_stabilization_rounds": join_stabilization_rounds,
         "peak_in_flight": stats.peak_in_flight,
         "alloc_high_water_mb": Fixed(peak_mb_above(baseline), 1),
+        "channel_high_water_mb": channel_mb(&ps),
         "bitstr_spills_steady": bitstr_spills_steady,
         "sent_total": stats.sent,
     };

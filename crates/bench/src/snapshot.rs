@@ -12,15 +12,15 @@ use crate::obj;
 use crate::stamp::stamp;
 use crate::zipf::{splitmix64, Zipf};
 use skippub_core::pubsub;
-use skippub_core::{Actor, PubSub};
+use skippub_core::{Actor, PubSub, TopicId};
 use skippub_trie::{MemoryTrieDb, PatriciaTrie, Publication, TrieBatch};
 use std::time::Instant;
 
 const SEED: u64 = 0x5A4B_17CE;
 /// The artifact's `description`: what the suite measures.
-pub const DESCRIPTION: &str = "Checkpoint/restore subsystem: (1) Zipf-fanout publication storm through a storage-backed PatriciaTrie, per-insert (eager root-path rehash + commit_to the TrieDb after every publication) vs batched (TrieBatch::apply hashes each dirty node once per commit, one commit_to per chunk), min-of-blocks, root-hash equality and open_from round-trips asserted every block; (2) facade save_snapshot -> token text -> pubsub::restore round trip on a legitimate n-subscriber world with a converged working set, byte-exactness asserted in-run.";
+pub const DESCRIPTION: &str = "Checkpoint/restore subsystem: (1) Zipf-fanout publication storm through a storage-backed PatriciaTrie, per-insert (eager root-path rehash + commit_to the TrieDb after every publication) vs batched (TrieBatch::apply hashes each dirty node once per commit, one commit_to per chunk), min-of-blocks, root-hash equality and open_from round-trips asserted every block; (2) facade save_snapshot -> token text -> pubsub::restore round trip on a legitimate n-subscriber world with a working set published through the facade and flooded until every store holds it, byte-exactness asserted in-run; save and restore each timed over `samples` runs (median, min, max).";
 /// The artifact's `note`: what is asserted in-run and how to read the rows.
-pub const NOTE: &str = "batched_matches_per_insert is asserted in-run every block; restore byte-exactness is asserted in-run at every n (a divergence aborts before any JSON is written). The storm carries ~3% exact duplicates, which both insert paths must reject identically. Round-trip members share one converged working set written directly into their stores, so the node-store section stores each trie node once across all replicas. store_bytes_per_pub is PatriciaTrie::heap_bytes summed over the members over stored_pubs: both arenas with their spare capacity. A stored publication costs an 8-byte handle to its one shared record plus its share of the inner arena, not a copy of the publication; the records and their payloads are shared and not counted.";
+pub const NOTE: &str = "batched_matches_per_insert is asserted in-run every block; restore byte-exactness is asserted in-run at every n (a divergence aborts before any JSON is written). The storm carries ~3% exact duplicates, which both insert paths must reject identically. Round-trip members hold one converged working set, published through the facade (PubSub::publish) and flooded until every store holds it, so bytes counts what a checkpoint writes per published payload (once, with its leaf) and the node-store section stores each trie node once across all replicas. store_bytes_per_pub is PatriciaTrie::heap_bytes summed over the members over stored_pubs: both arenas with their spare capacity. A stored publication costs an 8-byte handle to its one shared record plus its share of the inner arena, not a copy of the publication; the records and their payloads are shared and not counted. save_secs and restore_secs are the median of `samples` timed runs on the cores recorded above, with their min and max beside them; the MB/s figures divide bytes by the medians.";
 /// Distinct authors of the storm.
 const AUTHORS: usize = 128;
 
@@ -30,6 +30,8 @@ struct Sizes {
     blocks: usize,
     sizes: &'static [usize],
     pubs_per_member: usize,
+    /// Timed saves and restores per round-trip row.
+    samples: usize,
 }
 
 const FULL: Sizes = Sizes {
@@ -38,6 +40,7 @@ const FULL: Sizes = Sizes {
     blocks: 5,
     sizes: &[10_000, 100_000],
     pubs_per_member: 24,
+    samples: 5,
 };
 
 const SMOKE: Sizes = Sizes {
@@ -46,6 +49,7 @@ const SMOKE: Sizes = Sizes {
     blocks: 2,
     sizes: &[200],
     pubs_per_member: 6,
+    samples: 5,
 };
 
 /// The Zipf-fanout storm: `count` publications whose authors follow a
@@ -135,48 +139,61 @@ fn measure_storm(a: &Sizes) -> Json {
     }
 }
 
-/// Builds a legitimate `n`-subscriber backend whose members all hold
-/// the same converged working set, then times facade checkpoint and
-/// restore, asserting byte-exactness in-run.
-fn measure_snapshot(n: usize, pubs_per_member: usize) -> Json {
+/// Round budget for flooding the working set.
+const FLOOD_BUDGET: u64 = 1_000;
+
+/// Median, min and max of `samples` timings of `f`, in seconds, and
+/// the last result. The previous result is dropped before each timing
+/// starts, so no sample pays for freeing another.
+fn timed<R>(samples: usize, mut f: impl FnMut() -> R) -> (R, [f64; 3]) {
+    let mut secs = Vec::with_capacity(samples);
+    let mut last = None;
+    for _ in 0..samples {
+        drop(last.take());
+        let t0 = Instant::now();
+        let r = f();
+        secs.push(t0.elapsed().as_secs_f64());
+        last = Some(r);
+    }
+    secs.sort_by(f64::total_cmp);
+    let spread = [secs[secs.len() / 2], secs[0], secs[secs.len() - 1]];
+    (last.expect("at least one sample"), spread)
+}
+
+/// Builds a legitimate `n`-subscriber backend, publishes a working set
+/// through the facade and floods it until every store holds it, then
+/// times facade checkpoint and restore `samples` times each, asserting
+/// byte-exactness in-run.
+fn measure_snapshot(n: usize, pubs_per_member: usize, samples: usize) -> Json {
     eprintln!("[snapshot] building legitimate world (n={n}) ...");
     let mut ps = crate::legit_backend(n, SEED);
-    // The converged working set, written directly into every member's
-    // store (flooding 100k members is a scenario, not a serializer
-    // benchmark). Identical tries also exercise the node-store dedup:
-    // converged replicas serialize their nodes once.
-    let working: Vec<Publication> = (0..pubs_per_member)
-        .map(|k| {
-            Publication::new(
-                1 + (k % n) as u64,
-                format!("working set item {k}").into_bytes(),
-            )
-        })
-        .collect();
     let ids = ps.subscriber_ids();
-    let mut store_bytes = 0usize;
-    for &id in &ids {
-        let world = ps.world_mut();
-        if let Some(s) = world.node_mut(id).and_then(Actor::subscriber_mut) {
-            for p in &working {
-                s.trie.insert(p.clone());
-            }
-            store_bytes += s.trie.heap_bytes();
-        }
+    for k in 0..pubs_per_member {
+        let author = ids[k % ids.len()];
+        let payload = format!("working set item {k}").into_bytes();
+        ps.publish(author, TopicId(0), payload)
+            .expect("a member publishes");
     }
+    eprintln!("[snapshot] flooding {pubs_per_member} publications ...");
+    let (rounds, ok) = ps.until_pubs_converged(FLOOD_BUDGET);
+    assert!(ok, "n={n}: the working set did not converge in {FLOOD_BUDGET} rounds");
+    let world = ps.world();
+    let store_bytes: usize = ids
+        .iter()
+        .filter_map(|&id| world.node(id).and_then(Actor::subscriber))
+        .map(|s| s.trie.heap_bytes())
+        .sum();
     let stored_pubs = pubs_per_member * ids.len();
 
-    eprintln!("[snapshot] checkpointing ...");
-    let t0 = Instant::now();
-    let snap = ps.save_snapshot().expect("sim backend snapshots");
-    let save_secs = t0.elapsed().as_secs_f64();
+    eprintln!("[snapshot] checkpointing x{samples} ...");
+    let (snap, save) = timed(samples, || ps.save_snapshot().expect("sim backend snapshots"));
     let text = snap.as_text().to_string();
 
-    eprintln!("[snapshot] restoring ...");
-    let t0 = Instant::now();
-    let reparsed = pubsub::BackendSnapshot::from_text(&text).expect("parses back");
-    let restored = pubsub::restore(&reparsed).expect("restores");
-    let restore_secs = t0.elapsed().as_secs_f64();
+    eprintln!("[snapshot] restoring x{samples} ...");
+    let (restored, restore) = timed(samples, || {
+        let reparsed = pubsub::BackendSnapshot::from_text(&text).expect("parses back");
+        pubsub::restore(&reparsed).expect("restores")
+    });
 
     let again = restored
         .save_snapshot()
@@ -185,13 +202,19 @@ fn measure_snapshot(n: usize, pubs_per_member: usize) -> Json {
     let mb = snap.byte_len() as f64 / (1024.0 * 1024.0);
     obj! {
         "n": n,
+        "flood_rounds": rounds,
         "stored_pubs": stored_pubs,
         "store_bytes_per_pub": Fixed(store_bytes as f64 / stored_pubs as f64, 1),
         "bytes": snap.byte_len(),
-        "save_secs": Fixed(save_secs, 4),
-        "restore_secs": Fixed(restore_secs, 4),
-        "save_mb_per_sec": Fixed(mb / save_secs, 1),
-        "restore_mb_per_sec": Fixed(mb / restore_secs, 1),
+        "samples": samples,
+        "save_secs": Fixed(save[0], 4),
+        "save_secs_min": Fixed(save[1], 4),
+        "save_secs_max": Fixed(save[2], 4),
+        "restore_secs": Fixed(restore[0], 4),
+        "restore_secs_min": Fixed(restore[1], 4),
+        "restore_secs_max": Fixed(restore[2], 4),
+        "save_mb_per_sec": Fixed(mb / save[0], 1),
+        "restore_mb_per_sec": Fixed(mb / restore[0], 1),
     }
 }
 
@@ -202,12 +225,12 @@ pub fn run(smoke: bool) -> Json {
     let round_trip: Json = a
         .sizes
         .iter()
-        .map(|&n| measure_snapshot(n, a.pubs_per_member))
+        .map(|&n| measure_snapshot(n, a.pubs_per_member, a.samples))
         .collect();
 
     let mut artifact = stamp("snapshot", SEED, smoke, DESCRIPTION);
     artifact.extend([
-        ("config", obj! {"storm": a.storm, "commits": a.commits, "blocks": a.blocks, "pubs_per_member": a.pubs_per_member, "smoke": smoke}),
+        ("config", obj! {"storm": a.storm, "commits": a.commits, "blocks": a.blocks, "pubs_per_member": a.pubs_per_member, "samples": a.samples, "smoke": smoke}),
         ("batched_matches_per_insert", true.into()),
         ("storm", storm),
         ("round_trip", round_trip),

@@ -13,19 +13,30 @@
 //!
 //! # Struct-of-arrays slab
 //!
-//! The slab is stored as three parallel arrays indexed by slot:
-//! `channels` (the in-flight message vectors), `meta` (id, metrics
-//! index, alive flag — 16 bytes per slot), and `protos` (the protocol
-//! state, which for the pub-sub stack is hundreds of bytes per node).
-//! The round sweep touches `channels` and `meta` for **every** slot
-//! every round but `protos` only for slots that actually handle a
-//! message or fire a timeout, so the hot loop walks two dense arrays
-//! instead of striding through cold protocol state. Crashes tombstone
-//! `protos[s]` and clear (not drop) `channels[s]`, so a rejoin reuses
-//! both the slot and its channel capacity.
+//! The slab is stored as three parallel arrays indexed by slot: `chans`
+//! (each slot's channel handle into the message pool, below — 40 bytes),
+//! `meta` (id, metrics index, alive flag — 16 bytes per slot), and
+//! `protos` (the protocol state, which for the pub-sub stack is hundreds
+//! of bytes per node). The round sweep touches `chans` and `meta` for
+//! **every** slot every round but `protos` only for slots that actually
+//! handle a message or fire a timeout, so the hot loop walks two dense
+//! arrays instead of striding through cold protocol state. Crashes
+//! tombstone `protos[s]` and empty `chans[s]`, so a rejoin reuses the
+//! slot.
+//!
+//! # One message pool per partition
+//!
+//! A slot's in-flight messages live in the partition's [`Pool`]: fixed
+//! segments that go back to one spare list when the channel is taken,
+//! cleared by a crash, or drained by a migration, and that any channel's
+//! next push reuses. Channel memory is O(messages in flight) plus the
+//! handle per slot, however large a node's past bursts were (see
+//! `pool.rs`); an empty channel holds no storage. The partition's
+//! in-flight count is the pool's message counter, read in O(1).
 
 use crate::faults::{Fate, FaultCounts, FaultPlane, FaultSpec};
 use crate::fx::FxBuildHasher;
+use crate::pool::{Fifo, Pool};
 use crate::state::{NodeState, PartitionState};
 use crate::Metrics;
 use rand::rngs::StdRng;
@@ -307,6 +318,18 @@ struct Meta {
 /// migration.
 pub(crate) type Channel<P> = Vec<(u32, <P as Protocol>::Msg)>;
 
+/// Scratch bytes a round keeps in each of the inbox and kept buffers;
+/// a larger inbox is served, then handed back at the round's end.
+const SCRATCH_KEEP_BYTES: usize = 8 * 1024;
+
+/// Shrinks a scratch buffer back to [`SCRATCH_KEEP_BYTES`] after a burst.
+fn release_scratch<T>(v: &mut Vec<T>) {
+    let keep = SCRATCH_KEEP_BYTES / mem::size_of::<T>().max(1);
+    if v.capacity() > keep {
+        v.shrink_to(keep);
+    }
+}
+
 /// One partition of a simulated system: the slab engine.
 ///
 /// In **local-only** mode (the lone partition of a one-partition
@@ -316,12 +339,12 @@ pub(crate) type Channel<P> = Vec<(u32, <P as Protocol>::Msg)>;
 /// in the partition's `outbox` for the executor to route — the
 /// destination may live in a sibling partition.
 pub(crate) struct Partition<P: Protocol> {
-    /// Hot: per-slot in-flight messages with their age in rounds.
-    /// Tombstoned slots keep their (cleared) vector so a rejoin reuses
-    /// the capacity.
-    channels: Vec<Vec<(u32, P::Msg)>>,
     /// Hot: per-slot identity and liveness (see [`Meta`]).
     meta: Vec<Meta>,
+    /// Hot: per-slot channel handles into `pool` (empty once tombstoned).
+    chans: Vec<Fifo<(u32, P::Msg)>>,
+    /// Every slot's in-flight `(age, message)` pairs.
+    pool: Pool<(u32, P::Msg)>,
     /// Cold: protocol state; `None` is a tombstone left by a crash.
     protos: Vec<Option<P>>,
     /// Tombstoned slot indices available for reuse.
@@ -380,8 +403,9 @@ impl<P: Protocol> Partition<P> {
     /// Creates an empty partition seeded with its own RNG stream.
     pub(crate) fn new(seed: u64, local_only: bool) -> Self {
         Partition {
-            channels: Vec::new(),
             meta: Vec::new(),
+            chans: Vec::new(),
+            pool: Pool::default(),
             protos: Vec::new(),
             free: Vec::new(),
             slot_of: HashMap::default(),
@@ -423,7 +447,7 @@ impl<P: Protocol> Partition<P> {
         let s = match self.free.pop() {
             Some(s) => {
                 debug_assert!(self.protos[s as usize].is_none());
-                debug_assert!(self.channels[s as usize].is_empty());
+                debug_assert_eq!(self.chans[s as usize].len(), 0);
                 self.protos[s as usize] = Some(proto);
                 self.meta[s as usize] = meta;
                 s
@@ -431,7 +455,7 @@ impl<P: Protocol> Partition<P> {
             None => {
                 self.protos.push(Some(proto));
                 self.meta.push(meta);
-                self.channels.push(Vec::new());
+                self.chans.push(Fifo::default());
                 (self.protos.len() - 1) as u32
             }
         };
@@ -451,8 +475,8 @@ impl<P: Protocol> Partition<P> {
             debug_assert!(self.protos[s].is_some());
             self.protos[s] = None;
             self.meta[s].alive = false;
-            self.metrics.dropped += self.channels[s].len() as u64;
-            self.channels[s].clear();
+            self.metrics.dropped += self.pool.clear(&mut self.chans[s]) as u64;
+            self.trim_pool();
             self.free.push(s as u32);
             let pos = self
                 .order
@@ -471,7 +495,8 @@ impl<P: Protocol> Partition<P> {
         let s = s as usize;
         let proto = self.protos[s].take().expect("live slot");
         self.meta[s].alive = false;
-        let pending = std::mem::take(&mut self.channels[s]);
+        let pending = self.pool.take(&mut self.chans[s], &mut Vec::new());
+        self.trim_pool();
         self.free.push(s as u32);
         let pos = self
             .order
@@ -484,10 +509,24 @@ impl<P: Protocol> Partition<P> {
     /// Installs a node extracted from a sibling partition, restoring
     /// its pending channel contents (message ages included, so chaos
     /// aging continues exactly where it left off).
-    pub(crate) fn install_node(&mut self, id: NodeId, proto: P, pending: Channel<P>) {
+    pub(crate) fn install_node(&mut self, id: NodeId, proto: P, mut pending: Channel<P>) {
         self.add_node(id, proto);
         let s = self.slot_of[&id.0] as usize;
-        self.channels[s] = pending;
+        self.pool.extend(&mut self.chans[s], &mut pending);
+    }
+
+    /// Hands back pool storage beyond what is in flight plus the spare
+    /// floor, compacting the segment table when it is mostly hollow.
+    fn trim_pool(&mut self) {
+        if self.pool.trim(self.meta.len()) {
+            self.pool.compact(self.chans.iter_mut());
+        }
+    }
+
+    /// Appends `(age, msg)` to slot `s`'s channel.
+    #[inline]
+    fn push(&mut self, s: u32, age: u32, msg: P::Msg) {
+        self.pool.push(&mut self.chans[s as usize], (age, msg));
     }
 
     #[inline]
@@ -526,7 +565,7 @@ impl<P: Protocol> Partition<P> {
     pub(crate) fn inject(&mut self, to: NodeId, msg: P::Msg) {
         self.metrics.note_sent(to, P::msg_kind(&msg));
         match self.slot(to) {
-            Some(s) => self.channels[s as usize].push((0, msg)),
+            Some(s) => self.push(s, 0, msg),
             None => self.metrics.dropped += 1,
         }
     }
@@ -534,19 +573,21 @@ impl<P: Protocol> Partition<P> {
     /// Number of in-flight messages to `id`.
     pub(crate) fn channel_len(&self, id: NodeId) -> usize {
         self.slot(id)
-            .map_or(0, |s| self.channels[s as usize].len())
+            .map_or(0, |s| self.chans[s as usize].len())
     }
 
     /// Total in-flight messages in this partition's channels, plus
     /// messages the fault plane is holding for later release (they are
     /// still in flight — drain/settle loops must not conclude early).
+    /// O(1): the pool counts what it holds.
     pub(crate) fn in_flight(&self) -> usize {
         let held = self.faults.as_ref().map_or(0, |fp| fp.pending.len());
-        self.order
-            .iter()
-            .map(|&(_, s)| self.channels[s as usize].len())
-            .sum::<usize>()
-            + held
+        self.pool.len() + held
+    }
+
+    /// High-water mark of the message pool's segment storage, in bytes.
+    pub(crate) fn peak_channel_bytes(&self) -> usize {
+        self.pool.peak_bytes()
     }
 
     /// Cumulative metrics of this partition.
@@ -613,7 +654,7 @@ impl<P: Protocol> Partition<P> {
         let due = fp.pending.partition_point(|e| e.0 <= self.round);
         for (_, _, to, msg) in fp.pending.drain(..due) {
             match self.slot_of.get(&to.0) {
-                Some(&s) => self.channels[s as usize].push((0, msg)),
+                Some(&s) => self.push(s, 0, msg),
                 None if self.local_only => self.metrics.dropped += 1,
                 None => self.outbox.push((to, msg)),
             }
@@ -688,7 +729,7 @@ impl<P: Protocol> Partition<P> {
             };
             match fate {
                 Fate::Deliver => match local_slot {
-                    Some(s) => self.channels[s as usize].push((0, msg)),
+                    Some(s) => self.push(s, 0, msg),
                     None => self.outbox.push((to, msg)),
                 },
                 Fate::Drop => {
@@ -697,7 +738,7 @@ impl<P: Protocol> Partition<P> {
                 }
                 Fate::Duplicate => {
                     match local_slot {
-                        Some(s) => self.channels[s as usize].push((0, msg.clone())),
+                        Some(s) => self.push(s, 0, msg.clone()),
                         None => self.outbox.push((to, msg.clone())),
                     }
                     let fp = self.faults.as_mut().expect("fate from armed plane");
@@ -774,28 +815,26 @@ impl<P: Protocol> Partition<P> {
         order
     }
 
-    /// Moves one node's channel snapshot into the inbox scratch.
-    /// `append` (not `swap`) on purpose: the channel keeps its own
-    /// capacity, so each node's buffer converges to its personal
-    /// high-water mark and stays there — swapping would shuffle
-    /// capacities randomly between nodes and re-trigger growth whenever
-    /// a traffic burst lands on a buffer that happened to be small.
-    /// Returns `None` for a tombstoned slot.
+    /// Takes one node's channel snapshot, in channel order, as its
+    /// inbox: the channel's one segment itself when it holds at most
+    /// [`SEG`](crate::pool::SEG) messages (no copy), else the inbox
+    /// scratch with every segment appended. Either way the channel is
+    /// left empty and the inbox goes back through
+    /// [`Pool::recycle`] once drained. Returns `None` for a tombstoned
+    /// slot.
     fn take_inbox(&mut self, s: u32) -> Option<Vec<(u32, P::Msg)>> {
         if !self.meta[s as usize].alive {
             return None;
         }
-        let mut inbox = mem::take(&mut self.scratch_inbox);
-        debug_assert!(inbox.is_empty());
-        inbox.append(&mut self.channels[s as usize]);
-        Some(inbox)
+        Some(self.pool.take(&mut self.chans[s as usize], &mut self.scratch_inbox))
     }
 
-    /// Returns carried-over messages to slot `s`'s channel (or drops
-    /// them on a tombstone), leaving `kept` empty for reuse.
+    /// Returns carried-over messages to slot `s`'s channel, after
+    /// whatever arrived while it was drained (or drops them on a
+    /// tombstone), leaving `kept` empty for reuse.
     fn keep_in_channel(&mut self, s: u32, kept: &mut Vec<(u32, P::Msg)>) {
         if self.meta[s as usize].alive {
-            self.channels[s as usize].append(kept);
+            self.pool.extend(&mut self.chans[s as usize], kept);
         } else {
             self.metrics.dropped += kept.len() as u64;
             kept.clear();
@@ -812,7 +851,9 @@ impl<P: Protocol> Partition<P> {
     /// delivery draw. Under [`ChaosConfig::SYNCHRONOUS`] it is the
     /// synchronous round: every message due, every timeout fired.
     ///
-    /// Steady-state calls allocate nothing (module-level invariant).
+    /// Steady-state calls allocate nothing (module-level invariant). At
+    /// the end of the round the pool and the inbox and kept scratch
+    /// hand back what a burst left beyond their spare allowance.
     pub(crate) fn run_chaos_round(&mut self, cfg: ChaosConfig) {
         self.peak_in_flight = self.peak_in_flight.max(self.in_flight());
         self.round += 1;
@@ -836,12 +877,15 @@ impl<P: Protocol> Partition<P> {
             // Keep undelivered messages (new sends may have arrived).
             self.keep_in_channel(s, &mut kept);
             self.scratch_kept = kept;
-            self.scratch_inbox = inbox;
+            self.pool.recycle(inbox, &mut self.scratch_inbox);
             if self.rng.random_bool(cfg.timeout_prob) {
                 self.fire_timeout_slot(s);
             }
         }
         self.scratch_order = order;
+        self.trim_pool();
+        release_scratch(&mut self.scratch_inbox);
+        release_scratch(&mut self.scratch_kept);
         self.metrics.rounds += 1;
     }
 
@@ -868,7 +912,7 @@ impl<P: Protocol> Partition<P> {
             };
             match fate {
                 Fate::Deliver => match self.slot_of.get(&env.to.0) {
-                    Some(&s) => self.channels[s as usize].push((0, env.msg)),
+                    Some(&s) => self.push(s, 0, env.msg),
                     None => self.metrics.dropped += 1,
                 },
                 Fate::Drop => {
@@ -877,7 +921,7 @@ impl<P: Protocol> Partition<P> {
                 }
                 Fate::Duplicate => {
                     match self.slot_of.get(&env.to.0) {
-                        Some(&s) => self.channels[s as usize].push((0, env.msg.clone())),
+                        Some(&s) => self.push(s, 0, env.msg.clone()),
                         None => self.metrics.dropped += 1,
                     }
                     let fp = self.faults.as_mut().expect("fate from armed plane");
@@ -971,7 +1015,7 @@ impl<P: Protocol> Partition<P> {
                 .map(|&(i, s)| NodeState {
                     id: NodeId(i),
                     proto: self.protos[s as usize].as_ref().expect("live slot").clone(),
-                    channel: self.channels[s as usize].clone(),
+                    channel: self.pool.iter(&self.chans[s as usize]).cloned().collect(),
                 })
                 .collect(),
             rng: self.rng.state(),
@@ -997,9 +1041,7 @@ impl<P: Protocol> Partition<P> {
         let mut p = Partition::new(0, local_only);
         p.metrics = Metrics::import(&state.metrics);
         for node in state.nodes {
-            p.add_node(node.id, node.proto);
-            let s = p.slot_of[&node.id.0] as usize;
-            p.channels[s] = node.channel;
+            p.install_node(node.id, node.proto, node.channel);
         }
         p.rng = StdRng::from_state(state.rng);
         p.round = state.round;

@@ -31,6 +31,7 @@ mod faults;
 mod fx;
 mod metrics;
 mod partitioned;
+mod pool;
 mod state;
 pub mod testing;
 

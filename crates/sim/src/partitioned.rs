@@ -78,7 +78,11 @@
 //! the activation order, each node's drained inbox, the chaos `kept`
 //! buffer, every handler outbox and the inbound envelope batch are
 //! reusable scratch buffers owned by the partition, rotated with
-//! `mem::take`/`mem::swap` so their capacities persist across rounds.
+//! `mem::take`/`mem::swap` so their capacities persist across rounds,
+//! and channel segments come from the partition's message pool, whose
+//! spares outlive the channels that drained them. What a burst grew
+//! beyond the pool's and the scratch buffers' spare allowance is
+//! handed back at the end of the round (`crate::engine` module docs).
 //! (Protocol handlers may of course still allocate in their own state.)
 //! `tests/zero_alloc.rs` guards this with a counting allocator.
 
@@ -361,6 +365,12 @@ impl<P: Protocol> World<P> {
             .map(|m| m.lock().expect("mailbox poisoned").len())
             .sum();
         channels + boxed
+    }
+
+    /// High-water mark of channel segment storage, in bytes: the sum of
+    /// every partition's own peak, like [`World::peak_in_flight`].
+    pub fn peak_channel_bytes(&self) -> usize {
+        self.partitions.iter().map(|p| p.peak_channel_bytes()).sum()
     }
 
     /// High-water mark of in-flight messages: the sum of every

@@ -29,14 +29,16 @@
 //! A slot's in-flight messages live in the partition's [`Pool`]: fixed
 //! segments that go back to one spare list when the channel is taken,
 //! cleared by a crash, or drained by a migration, and that any channel's
-//! next push reuses. Channel memory is O(messages in flight) plus the
-//! handle per slot, however large a node's past bursts were (see
-//! `pool.rs`); an empty channel holds no storage. The partition's
+//! next push reuses (a taken channel keeps its last segment until the
+//! pool's next trim finds it still empty). Channel memory is
+//! O(messages in flight) plus the handle per slot, however large a
+//! node's past bursts were; what a burst grew goes back within two trim
+//! periods of [`TRIM_ROUNDS`] rounds (see `pool.rs`). The partition's
 //! in-flight count is the pool's message counter, read in O(1).
 
 use crate::faults::{Fate, FaultCounts, FaultPlane, FaultSpec};
 use crate::fx::FxBuildHasher;
-use crate::pool::{Fifo, Pool};
+use crate::pool::{Fifo, Pool, TRIM_ROUNDS};
 use crate::state::{NodeState, PartitionState};
 use crate::Metrics;
 use rand::rngs::StdRng;
@@ -318,18 +320,6 @@ struct Meta {
 /// migration.
 pub(crate) type Channel<P> = Vec<(u32, <P as Protocol>::Msg)>;
 
-/// Scratch bytes a round keeps in each of the inbox and kept buffers;
-/// a larger inbox is served, then handed back at the round's end.
-const SCRATCH_KEEP_BYTES: usize = 8 * 1024;
-
-/// Shrinks a scratch buffer back to [`SCRATCH_KEEP_BYTES`] after a burst.
-fn release_scratch<T>(v: &mut Vec<T>) {
-    let keep = SCRATCH_KEEP_BYTES / mem::size_of::<T>().max(1);
-    if v.capacity() > keep {
-        v.shrink_to(keep);
-    }
-}
-
 /// One partition of a simulated system: the slab engine.
 ///
 /// In **local-only** mode (the lone partition of a one-partition
@@ -476,7 +466,6 @@ impl<P: Protocol> Partition<P> {
             self.protos[s] = None;
             self.meta[s].alive = false;
             self.metrics.dropped += self.pool.clear(&mut self.chans[s]) as u64;
-            self.trim_pool();
             self.free.push(s as u32);
             let pos = self
                 .order
@@ -495,8 +484,10 @@ impl<P: Protocol> Partition<P> {
         let s = s as usize;
         let proto = self.protos[s].take().expect("live slot");
         self.meta[s].alive = false;
-        let pending = self.pool.take(&mut self.chans[s], &mut Vec::new());
-        self.trim_pool();
+        let mut pending = Vec::new();
+        self.pool.take(&mut self.chans[s], &mut pending);
+        // The take keeps the channel's tail segment; a tombstone needs none.
+        self.pool.clear(&mut self.chans[s]);
         self.free.push(s as u32);
         let pos = self
             .order
@@ -515,12 +506,12 @@ impl<P: Protocol> Partition<P> {
         self.pool.extend(&mut self.chans[s], &mut pending);
     }
 
-    /// Hands back pool storage beyond what is in flight plus the spare
-    /// floor, compacting the segment table when it is mostly hollow.
+    /// Ends a trim period of the pool (see `pool.rs`): hands back pool
+    /// storage and inbox and kept scratch beyond what the period used,
+    /// compacting the segment table when it is mostly hollow.
     fn trim_pool(&mut self) {
-        if self.pool.trim(self.meta.len()) {
-            self.pool.compact(self.chans.iter_mut());
-        }
+        let scratch = [&mut self.scratch_inbox, &mut self.scratch_kept];
+        self.pool.trim(&mut self.chans, scratch);
     }
 
     /// Appends `(age, msg)` to slot `s`'s channel.
@@ -572,8 +563,7 @@ impl<P: Protocol> Partition<P> {
 
     /// Number of in-flight messages to `id`.
     pub(crate) fn channel_len(&self, id: NodeId) -> usize {
-        self.slot(id)
-            .map_or(0, |s| self.chans[s as usize].len())
+        self.slot(id).map_or(0, |s| self.chans[s as usize].len())
     }
 
     /// Total in-flight messages in this partition's channels, plus
@@ -815,18 +805,20 @@ impl<P: Protocol> Partition<P> {
         order
     }
 
-    /// Takes one node's channel snapshot, in channel order, as its
-    /// inbox: the channel's one segment itself when it holds at most
-    /// [`SEG`](crate::pool::SEG) messages (no copy), else the inbox
-    /// scratch with every segment appended. Either way the channel is
-    /// left empty and the inbox goes back through
-    /// [`Pool::recycle`] once drained. Returns `None` for a tombstoned
-    /// slot.
+    /// Moves one node's channel snapshot, in channel order, into the
+    /// inbox scratch. The channel's full segments go back to the pool's
+    /// spare list, so the next push to any channel reuses them, and its
+    /// last segment stays for its own next push; the scratch keeps the
+    /// capacity of the recent inboxes (`Pool::trim`).
+    /// Returns `None` for a tombstoned slot.
     fn take_inbox(&mut self, s: u32) -> Option<Vec<(u32, P::Msg)>> {
         if !self.meta[s as usize].alive {
             return None;
         }
-        Some(self.pool.take(&mut self.chans[s as usize], &mut self.scratch_inbox))
+        let mut inbox = mem::take(&mut self.scratch_inbox);
+        debug_assert!(inbox.is_empty());
+        self.pool.take(&mut self.chans[s as usize], &mut inbox);
+        Some(inbox)
     }
 
     /// Returns carried-over messages to slot `s`'s channel, after
@@ -851,9 +843,9 @@ impl<P: Protocol> Partition<P> {
     /// delivery draw. Under [`ChaosConfig::SYNCHRONOUS`] it is the
     /// synchronous round: every message due, every timeout fired.
     ///
-    /// Steady-state calls allocate nothing (module-level invariant). At
-    /// the end of the round the pool and the inbox and kept scratch
-    /// hand back what a burst left beyond their spare allowance.
+    /// Steady-state calls allocate nothing (module-level invariant).
+    /// Every [`TRIM_ROUNDS`]-th round ends a trim period: the pool and
+    /// the inbox and kept scratch hand back what the period did not use.
     pub(crate) fn run_chaos_round(&mut self, cfg: ChaosConfig) {
         self.peak_in_flight = self.peak_in_flight.max(self.in_flight());
         self.round += 1;
@@ -877,15 +869,15 @@ impl<P: Protocol> Partition<P> {
             // Keep undelivered messages (new sends may have arrived).
             self.keep_in_channel(s, &mut kept);
             self.scratch_kept = kept;
-            self.pool.recycle(inbox, &mut self.scratch_inbox);
+            self.scratch_inbox = inbox;
             if self.rng.random_bool(cfg.timeout_prob) {
                 self.fire_timeout_slot(s);
             }
         }
         self.scratch_order = order;
-        self.trim_pool();
-        release_scratch(&mut self.scratch_inbox);
-        release_scratch(&mut self.scratch_kept);
+        if self.round.is_multiple_of(TRIM_ROUNDS) {
+            self.trim_pool();
+        }
         self.metrics.rounds += 1;
     }
 

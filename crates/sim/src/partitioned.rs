@@ -81,8 +81,9 @@
 //! `mem::take`/`mem::swap` so their capacities persist across rounds,
 //! and channel segments come from the partition's message pool, whose
 //! spares outlive the channels that drained them. What a burst grew
-//! beyond the pool's and the scratch buffers' spare allowance is
-//! handed back at the end of the round (`crate::engine` module docs).
+//! beyond twice what the load of a trim period uses is handed back at
+//! the period's end, so a load that recurs allocates nothing
+//! (`crate::engine` module docs; `tests/channel_memory.rs` holds both).
 //! (Protocol handlers may of course still allocate in their own state.)
 //! `tests/zero_alloc.rs` guards this with a counting allocator.
 

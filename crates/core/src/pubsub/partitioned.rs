@@ -54,7 +54,7 @@ use crate::sharding::SupervisorShards;
 use crate::topics::{TopicId, MAX_TOPICS};
 use crate::{Actor, ProbeMode, ProtocolConfig, Subscriber, Supervisor};
 use skippub_bits::BitStr;
-use skippub_sim::{ChaosConfig, FaultCounts, FaultSpec, Metrics, NodeId, World, WorldState};
+use skippub_sim::{ChaosConfig, FaultCounts, FaultSpec, Metrics, NodeId, World};
 use skippub_snapshot::{Snap, SnapVec, SnapWriter};
 use skippub_trie::{PatriciaTrie, Publication};
 use std::cell::RefCell;
@@ -516,7 +516,7 @@ impl PartitionedBackend {
             let joined = SnapVec::<u32>::load(&mut r).map_err(err)?.0;
             met.insert(key, joined);
         }
-        let world = World::from_state(WorldState::<Actor>::load(&mut r).map_err(err)?)?;
+        let world = World::<Actor>::load(&mut r).map_err(err)?;
         let cursor = EventCursor::load_with(&mut r, &store_of(&world)).map_err(err)?;
         let group_len = u64::load(&mut r).map_err(err)? as usize;
         let mut groups = Vec::new();
@@ -1145,7 +1145,7 @@ impl PubSub for PartitionedBackend {
             key.save(&mut w);
             w.put_seq(joined.iter());
         }
-        self.world.export_state().save(&mut w);
+        self.world.save(&mut w);
         self.cursor.save_with(&mut w, &store_of(&self.world));
         w.put_u64(self.groups.len() as u64);
         for g in &self.groups {

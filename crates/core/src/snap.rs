@@ -1,8 +1,8 @@
 //! [`Snap`] implementations for the protocol layer: messages, actor
 //! state, and configuration. Together with the foundation impls in
-//! `skippub-snapshot`, these make `WorldState<Actor>` and
-//! `PartitionState<Actor>` fully serializable — the backbone of the
-//! backend checkpoints in [`crate::pubsub`].
+//! `skippub-snapshot` and the engine's own in `skippub-sim`, these make
+//! `World<Actor>` serializable — the backbone of the backend
+//! checkpoints in [`crate::pubsub`].
 //!
 //! Every impl here is exact: restored state continues byte-identically
 //! (same RNG draws, same delivered sets) to the uninterrupted run,

@@ -114,7 +114,11 @@ fn assert_paths_agree(world: &World<skippub_core::Actor>, scratch: &mut CheckScr
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+    // At least 48 cases; `PROPTEST_CASES` can ask for more.
+    #![proptest_config(ProptestConfig {
+        cases: ProptestConfig::default().cases.max(48),
+        ..ProptestConfig::default()
+    })]
 
     #[test]
     fn fast_equals_diagnostic_on_corrupted_worlds(

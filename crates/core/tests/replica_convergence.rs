@@ -42,7 +42,11 @@ fn per_topic(ops: &[(u8, u64, u64)], topics: u32) -> Vec<(TopicId, Vec<RepOpKind
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+    // At least 32 cases; `PROPTEST_CASES` can ask for more.
+    #![proptest_config(ProptestConfig {
+        cases: ProptestConfig::default().cases.max(32),
+        ..ProptestConfig::default()
+    })]
 
     #[test]
     fn interleavings_of_the_same_per_topic_ops_converge(

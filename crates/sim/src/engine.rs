@@ -36,14 +36,14 @@
 //! periods of [`TRIM_ROUNDS`] rounds (see `pool.rs`). The partition's
 //! in-flight count is the pool's message counter, read in O(1).
 
-use crate::faults::{Fate, FaultCounts, FaultPlane, FaultSpec};
+use crate::faults::{FaultCounts, FaultPlane, FaultSpec};
 use crate::fx::FxBuildHasher;
 use crate::pool::{Fifo, Pool, TRIM_ROUNDS};
-use crate::state::{NodeState, PartitionState};
 use crate::Metrics;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use skippub_snapshot::{snap_struct, Snap, SnapError, SnapReader, SnapWriter};
 use std::collections::HashMap;
 use std::fmt;
 use std::mem;
@@ -100,6 +100,15 @@ impl fmt::Debug for NodeId {
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "n{}", self.0)
+    }
+}
+
+impl Snap for NodeId {
+    fn save(&self, w: &mut SnapWriter) {
+        w.put_u64(self.0);
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(NodeId(r.u64()?))
     }
 }
 
@@ -284,22 +293,44 @@ impl Default for ChaosConfig {
     }
 }
 
+snap_struct!(ChaosConfig {
+    delivery_prob,
+    timeout_prob,
+    max_age
+});
+
 /// A cross-partition message in flight between two partitions of a
 /// [`World`](crate::World): stamped with its
 /// source partition and a per-source monotone sequence number, so the
 /// receiving partition can merge its inbound batch in the canonical
 /// `(src, seq)` order regardless of which worker thread enqueued what
 /// first.
-#[derive(Clone, Debug)]
-pub struct Envelope<M> {
+pub(crate) struct Envelope<M> {
     /// Source partition index.
-    pub src: u32,
+    pub(crate) src: u32,
     /// Monotone per-source sequence number.
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Destination node.
-    pub to: NodeId,
+    pub(crate) to: NodeId,
     /// The message.
-    pub msg: M,
+    pub(crate) msg: M,
+}
+
+impl<M: Snap> Snap for Envelope<M> {
+    fn save(&self, w: &mut SnapWriter) {
+        self.src.save(w);
+        self.seq.save(w);
+        self.to.save(w);
+        self.msg.save(w);
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(Envelope {
+            src: Snap::load(r)?,
+            seq: Snap::load(r)?,
+            to: Snap::load(r)?,
+            msg: Snap::load(r)?,
+        })
+    }
 }
 
 /// Hot per-slot identity: everything the round sweep needs to decide
@@ -566,12 +597,20 @@ impl<P: Protocol> Partition<P> {
         self.slot(id).map_or(0, |s| self.chans[s as usize].len())
     }
 
+    /// The messages in flight to `id`, in channel order.
+    pub(crate) fn channel(&self, id: NodeId) -> impl Iterator<Item = &P::Msg> {
+        let chan = self.slot(id).map(|s| &self.chans[s as usize]);
+        chan.into_iter()
+            .flat_map(|c| self.pool.iter(c))
+            .map(|(_, m)| m)
+    }
+
     /// Total in-flight messages in this partition's channels, plus
     /// messages the fault plane is holding for later release (they are
     /// still in flight — drain/settle loops must not conclude early).
     /// O(1): the pool counts what it holds.
     pub(crate) fn in_flight(&self) -> usize {
-        let held = self.faults.as_ref().map_or(0, |fp| fp.pending.len());
+        let held = self.faults.as_ref().map_or(0, FaultPlane::held);
         self.pool.len() + held
     }
 
@@ -612,14 +651,17 @@ impl<P: Protocol> Partition<P> {
         self.faults = spec.map(|s| FaultPlane::new(s, self.round, me));
     }
 
-    /// The armed fault plane, if any.
-    pub(crate) fn fault_plane(&self) -> Option<&FaultPlane<P::Msg>> {
-        self.faults.as_ref()
+    /// The armed fault spec, if any.
+    pub(crate) fn fault_spec(&self) -> Option<&FaultSpec> {
+        self.faults.as_ref().map(FaultPlane::spec)
     }
 
     /// This partition's fault accounting (zeros when no plane armed).
     pub(crate) fn fault_counts(&self) -> FaultCounts {
-        self.faults.as_ref().map(|fp| fp.counts).unwrap_or_default()
+        self.faults
+            .as_ref()
+            .map(FaultPlane::counts)
+            .unwrap_or_default()
     }
 
     /// Index of the first sever window active *now* that contains
@@ -641,8 +683,7 @@ impl<P: Protocol> Partition<P> {
         let Some(mut fp) = self.faults.take() else {
             return;
         };
-        let due = fp.pending.partition_point(|e| e.0 <= self.round);
-        for (_, _, to, msg) in fp.pending.drain(..due) {
+        for (to, msg) in fp.release(self.round) {
             match self.slot_of.get(&to.0) {
                 Some(&s) => self.push(s, 0, msg),
                 None if self.local_only => self.metrics.dropped += 1,
@@ -707,43 +748,17 @@ impl<P: Protocol> Partition<P> {
                 self.metrics.dropped += 1;
                 continue;
             }
-            let fate = match self.faults.as_mut() {
+            let msg = match self.faults.as_mut() {
                 Some(fp) => {
-                    if fp.severed(round, from.0, to.0) {
-                        fp.counts.dropped_by_fault += 1;
-                        continue;
-                    }
-                    fp.sender_fate(round, from.0, to.0, local_slot.is_some())
+                    let fate = fp.sender_fate(round, from.0, to.0, local_slot.is_some());
+                    fp.admit(fate, round, to, msg)
                 }
-                None => Fate::Deliver,
+                None => Some(msg),
             };
-            match fate {
-                Fate::Deliver => match local_slot {
-                    Some(s) => self.push(s, 0, msg),
-                    None => self.outbox.push((to, msg)),
-                },
-                Fate::Drop => {
-                    let fp = self.faults.as_mut().expect("fate from armed plane");
-                    fp.counts.dropped_by_fault += 1;
-                }
-                Fate::Duplicate => {
-                    match local_slot {
-                        Some(s) => self.push(s, 0, msg.clone()),
-                        None => self.outbox.push((to, msg.clone())),
-                    }
-                    let fp = self.faults.as_mut().expect("fate from armed plane");
-                    fp.counts.duplicated += 1;
-                    fp.defer(round + 2, to, msg);
-                }
-                Fate::Hold { extra, reorder } => {
-                    let fp = self.faults.as_mut().expect("fate from armed plane");
-                    if reorder {
-                        fp.counts.reordered += 1;
-                    } else {
-                        fp.counts.delayed += 1;
-                    }
-                    fp.defer(round + 1 + extra as u64, to, msg);
-                }
+            let Some(msg) = msg else { continue };
+            match local_slot {
+                Some(s) => self.push(s, 0, msg),
+                None => self.outbox.push((to, msg)),
             }
         }
     }
@@ -893,42 +908,22 @@ impl<P: Protocol> Partition<P> {
         mem::swap(&mut batch, &mut *mailbox.lock().expect("mailbox poisoned"));
         batch.sort_unstable_by_key(|e| (e.src, e.seq));
         let round = self.round;
-        for env in batch.drain(..) {
+        for Envelope { src, to, msg, .. } in batch.drain(..) {
             // Receiver-side fault injection: rules classed
             // `All`/`AnyCross`/`Cross` draw from the per-source-
             // partition stream, in the canonical post-sort order — so
             // fates are data-determined and thread-count-invariant.
-            let fate = match self.faults.as_mut() {
-                Some(fp) => fp.cross_fate(round, env.src),
-                None => Fate::Deliver,
+            let msg = match self.faults.as_mut() {
+                Some(fp) => {
+                    let fate = fp.cross_fate(round, src);
+                    fp.admit(fate, round, to, msg)
+                }
+                None => Some(msg),
             };
-            match fate {
-                Fate::Deliver => match self.slot_of.get(&env.to.0) {
-                    Some(&s) => self.push(s, 0, env.msg),
-                    None => self.metrics.dropped += 1,
-                },
-                Fate::Drop => {
-                    let fp = self.faults.as_mut().expect("fate from armed plane");
-                    fp.counts.dropped_by_fault += 1;
-                }
-                Fate::Duplicate => {
-                    match self.slot_of.get(&env.to.0) {
-                        Some(&s) => self.push(s, 0, env.msg.clone()),
-                        None => self.metrics.dropped += 1,
-                    }
-                    let fp = self.faults.as_mut().expect("fate from armed plane");
-                    fp.counts.duplicated += 1;
-                    fp.defer(round + 2, env.to, env.msg);
-                }
-                Fate::Hold { extra, reorder } => {
-                    let fp = self.faults.as_mut().expect("fate from armed plane");
-                    if reorder {
-                        fp.counts.reordered += 1;
-                    } else {
-                        fp.counts.delayed += 1;
-                    }
-                    fp.defer(round + 1 + extra as u64, env.to, env.msg);
-                }
+            let Some(msg) = msg else { continue };
+            match self.slot_of.get(&to.0) {
+                Some(&s) => self.push(s, 0, msg),
+                None => self.metrics.dropped += 1,
             }
         }
         self.scratch_inbound = batch;
@@ -987,63 +982,91 @@ impl<P: Protocol> Partition<P> {
         }
     }
 
-    /// Exports the partition's exact state for a checkpoint: live nodes
-    /// in id order with channel contents, RNG words, and every stepping
-    /// register. Must be called at a round boundary — the cross-partition
-    /// outbox must be flushed (staged sends would otherwise be lost).
-    pub(crate) fn export_state(&self) -> PartitionState<P>
+    /// Writes the partition's checkpoint, borrowing every part of it:
+    /// live nodes in id order, each with its protocol state and its
+    /// channel's `(age, message)` pairs in channel order (ages kept, so
+    /// chaos fairness clocks survive), the RNG words, every stepping
+    /// register, the metrics and the fault plane. Slot assignments,
+    /// tombstones, free lists and the dirty-channel counters are left
+    /// out: nothing a round does reads them. Call at a round boundary —
+    /// staged cross-partition sends would otherwise be lost.
+    pub(crate) fn save(&self, w: &mut SnapWriter)
     where
-        P: Clone,
+        P: Snap,
+        P::Msg: Snap,
     {
-        debug_assert!(self.outbox.is_empty(), "export with staged outbox sends");
+        debug_assert!(self.outbox.is_empty(), "save with staged outbox sends");
         debug_assert!(
             self.staging.iter().all(Vec::is_empty),
-            "export with staged envelope batches"
+            "save with staged envelope batches"
         );
-        PartitionState {
-            nodes: self
-                .order
-                .iter()
-                .map(|&(i, s)| NodeState {
-                    id: NodeId(i),
-                    proto: self.protos[s as usize].as_ref().expect("live slot").clone(),
-                    channel: self.pool.iter(&self.chans[s as usize]).cloned().collect(),
-                })
-                .collect(),
-            rng: self.rng.state(),
-            round: self.round,
-            metrics: self.metrics.export(),
-            peak_in_flight: self.peak_in_flight as u64,
-            seq: self.seq,
-            cross_sent: self.cross_sent,
-            stepped: self.stepped,
-            lock_acquisitions: self.lock_acquisitions,
-            faults: self.faults.clone(),
+        w.put_u64(self.order.len() as u64);
+        for &(id, s) in &self.order {
+            w.put_u64(id);
+            self.proto_at(s).save(w);
+            let chan = &self.chans[s as usize];
+            w.put_u64(chan.len() as u64);
+            for m in self.pool.iter(chan) {
+                m.save(w);
+            }
         }
+        self.rng.state().save(w);
+        w.put_u64(self.round);
+        self.metrics.save(w);
+        w.put_u64(self.peak_in_flight as u64);
+        w.put_u64(self.seq);
+        w.put_u64(self.cross_sent);
+        w.put_u64(self.stepped);
+        w.put_u64(self.lock_acquisitions);
+        self.faults.save(w);
     }
 
-    /// Rebuilds a partition from an exported state. Stepping the result
+    /// Reads what [`Partition::save`] wrote straight into a fresh slab,
+    /// packing the nodes densely in the order read. Stepping the result
     /// is byte-identical to stepping the original: the activation
-    /// shuffle draws over live-node order (restored exactly), sends to
-    /// dead ids miss `slot_of` and drop identically, and metrics import
-    /// precedes `add_node` so every node re-interns onto its original
-    /// counter index. Tombstones and free slots are *not* recreated —
-    /// they never influence behavior.
-    pub(crate) fn from_state(state: PartitionState<P>, local_only: bool) -> Self {
+    /// shuffle draws over the id-sorted live nodes, sends to dead ids
+    /// miss `slot_of` and drop identically, and every slot re-interns
+    /// onto its saved metrics index. An id read twice, or an all-zero
+    /// RNG state, is an `Err`.
+    pub(crate) fn load(r: &mut SnapReader<'_>, local_only: bool) -> Result<Self, SnapError>
+    where
+        P: Snap,
+        P::Msg: Snap,
+    {
         let mut p = Partition::new(0, local_only);
-        p.metrics = Metrics::import(&state.metrics);
-        for node in state.nodes {
-            p.install_node(node.id, node.proto, node.channel);
+        for _ in 0..r.u64()? {
+            let id = NodeId::load(r)?;
+            if p.slot_of.contains_key(&id.0) {
+                return Err(SnapError::Malformed(format!(
+                    "world state hosts node {id} twice"
+                )));
+            }
+            p.add_node(id, P::load(r)?);
+            let s = p.slot_of[&id.0] as usize;
+            for _ in 0..r.u64()? {
+                let m = Snap::load(r)?;
+                p.pool.push(&mut p.chans[s], m);
+            }
         }
-        p.rng = StdRng::from_state(state.rng);
-        p.round = state.round;
-        p.peak_in_flight = state.peak_in_flight as usize;
-        p.seq = state.seq;
-        p.cross_sent = state.cross_sent;
-        p.stepped = state.stepped;
-        p.lock_acquisitions = state.lock_acquisitions;
-        p.faults = state.faults;
-        p
+        let rng = <[u64; 4]>::load(r)?;
+        if rng == [0; 4] {
+            return Err(SnapError::Malformed("all-zero RNG state".to_string()));
+        }
+        p.rng = StdRng::from_state(rng);
+        p.round = r.u64()?;
+        p.metrics = Metrics::load(r)?;
+        // The slots interned their ids into the metrics just replaced, in
+        // slot order; the saved metrics give each its saved index.
+        for m in &mut p.meta {
+            m.midx = p.metrics.intern_node(NodeId(m.id));
+        }
+        p.peak_in_flight = r.u64()? as usize;
+        p.seq = r.u64()?;
+        p.cross_sent = r.u64()?;
+        p.stepped = r.u64()?;
+        p.lock_acquisitions = r.u64()?;
+        p.faults = Snap::load(r)?;
+        Ok(p)
     }
 
     /// Capacity currently reserved by the scratch buffers —

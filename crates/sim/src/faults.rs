@@ -36,6 +36,7 @@
 //! [`Sever`] (both consume zero randomness and drop at the same spot).
 
 use crate::NodeId;
+use skippub_snapshot::{snap_struct, Snap, SnapError, SnapReader, SnapVec, SnapWriter};
 
 /// SplitMix64 increment (golden ratio) — the same constant the
 /// partition seed splitter uses.
@@ -411,6 +412,94 @@ impl FaultCounts {
     }
 }
 
+snap_struct!(FaultCounts {
+    dropped_by_fault,
+    duplicated,
+    reordered,
+    delayed
+});
+
+snap_struct!(FaultRule {
+    from_round,
+    to_round,
+    link,
+    drop,
+    dup,
+    delay,
+    delay_rounds,
+    reorder,
+    reorder_max
+});
+
+impl Snap for LinkClass {
+    fn save(&self, w: &mut SnapWriter) {
+        match self {
+            LinkClass::All => w.put_u64(0),
+            LinkClass::AnyCross => w.put_u64(1),
+            LinkClass::AnyLocal => w.put_u64(2),
+            LinkClass::Cross { src, dst } => {
+                w.put_u64(3);
+                src.save(w);
+                dst.save(w);
+            }
+            LinkClass::Local { partition } => {
+                w.put_u64(4);
+                partition.save(w);
+            }
+            LinkClass::Group(ids) => {
+                w.put_u64(5);
+                w.put_seq(ids.iter());
+            }
+        }
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(match r.u64()? {
+            0 => LinkClass::All,
+            1 => LinkClass::AnyCross,
+            2 => LinkClass::AnyLocal,
+            3 => LinkClass::Cross {
+                src: Snap::load(r)?,
+                dst: Snap::load(r)?,
+            },
+            4 => LinkClass::Local {
+                partition: Snap::load(r)?,
+            },
+            5 => LinkClass::Group(SnapVec::load(r)?.0),
+            n => return Err(SnapError::Malformed(format!("unknown link class tag {n}"))),
+        })
+    }
+}
+
+impl Snap for Sever {
+    fn save(&self, w: &mut SnapWriter) {
+        self.from_round.save(w);
+        self.to_round.save(w);
+        w.put_seq(self.group.iter());
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(Sever {
+            from_round: Snap::load(r)?,
+            to_round: Snap::load(r)?,
+            group: SnapVec::load(r)?.0,
+        })
+    }
+}
+
+impl Snap for FaultSpec {
+    fn save(&self, w: &mut SnapWriter) {
+        self.seed.save(w);
+        w.put_seq(self.rules.iter());
+        w.put_seq(self.severs.iter());
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(FaultSpec {
+            seed: Snap::load(r)?,
+            rules: SnapVec::load(r)?.0,
+            severs: SnapVec::load(r)?.0,
+        })
+    }
+}
+
 /// What the plane decided for one message.
 pub(crate) enum Fate {
     /// Deliver normally.
@@ -431,33 +520,33 @@ pub(crate) enum Fate {
 
 /// The armed per-partition fault plane: the spec, the base round it
 /// was armed at, this partition's stream states, counters, and held
-/// messages. Fully public because it *is* the checkpoint shape —
-/// [`PartitionState`](crate::PartitionState) carries it verbatim.
-#[derive(Clone, Debug)]
-pub struct FaultPlane<M> {
+/// messages. The engine decides each message's [`Fate`] here and books
+/// it with [`FaultPlane::admit`]; a partition checkpoint writes the
+/// whole plane (its [`Snap`] impl below).
+pub(crate) struct FaultPlane<M> {
     /// The (normalized) schedule.
-    pub spec: FaultSpec,
+    spec: FaultSpec,
     /// Absolute round the plane was armed at; windows are relative to
     /// this.
-    pub base: u64,
+    base: u64,
     /// This partition's index (0 for a one-partition world).
-    pub me: u32,
+    me: u32,
     /// Per-source-partition stream states for receiver-side draws,
     /// grown on demand (entry `i` is a pure function of
     /// `(seed, me, i)`, so growth timing cannot matter).
-    pub cross: Vec<u64>,
+    cross: Vec<u64>,
     /// Stream state for sender-side draws (intra-partition and group
     /// classes).
-    pub local: u64,
+    local: u64,
     /// Monotone insertion counter for held messages (stable ordering
     /// key among equal release rounds).
-    pub pending_seq: u64,
+    pending_seq: u64,
     /// Fault accounting.
-    pub counts: FaultCounts,
+    counts: FaultCounts,
     /// Held messages, sorted by `(release round, insertion seq)`:
     /// entries whose release round has come are moved into channels at
     /// the top of the next round.
-    pub pending: Vec<(u64, u64, NodeId, M)>,
+    pending: Vec<(u64, u64, NodeId, M)>,
 }
 
 impl<M> FaultPlane<M> {
@@ -477,6 +566,29 @@ impl<M> FaultPlane<M> {
         }
     }
 
+    /// The (normalized) schedule.
+    pub(crate) fn spec(&self) -> &FaultSpec {
+        &self.spec
+    }
+
+    /// Fault accounting so far.
+    pub(crate) fn counts(&self) -> FaultCounts {
+        self.counts
+    }
+
+    /// Messages held for later release (still in flight).
+    pub(crate) fn held(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Removes the held messages whose release round is `round` or
+    /// earlier and yields them as `(destination, message)`, in
+    /// `(release round, insertion order)`.
+    pub(crate) fn release(&mut self, round: u64) -> impl Iterator<Item = (NodeId, M)> + '_ {
+        let due = self.pending.partition_point(|e| e.0 <= round);
+        self.pending.drain(..due).map(|(_, _, to, msg)| (to, msg))
+    }
+
     /// Round relative to arming (pre-arming rounds clamp to 0, where
     /// no sensible window is active since windows start at ≥ 0 — specs
     /// wanting an immediately-active window use `from_round = 0`).
@@ -487,7 +599,7 @@ impl<M> FaultPlane<M> {
 
     /// Whether any active sever window cuts the edge `a – b`.
     #[inline]
-    pub(crate) fn severed(&self, round: u64, a: u64, b: u64) -> bool {
+    fn severed(&self, round: u64, a: u64, b: u64) -> bool {
         if self.spec.severs.is_empty() {
             return false;
         }
@@ -511,10 +623,14 @@ impl<M> FaultPlane<M> {
     }
 
     /// Sender-side fate for a message `from → to` (`local_dest`: the
-    /// destination is hosted by this partition). Draws from the local
-    /// stream.
+    /// destination is hosted by this partition): a drop on a severed
+    /// edge, with no draw, else the first matching rule's, drawn from
+    /// the local stream.
     #[inline]
     pub(crate) fn sender_fate(&mut self, round: u64, from: u64, to: u64, local_dest: bool) -> Fate {
+        if self.severed(round, from, to) {
+            return Fate::Drop;
+        }
         if self.spec.rules.is_empty() {
             return Fate::Deliver;
         }
@@ -583,16 +699,73 @@ impl<M> FaultPlane<M> {
         fate_from_fields(drop, dup, delay, delay_rounds, reorder, reorder_max, state)
     }
 
+    /// Books `fate` for a message to `to` decided at `round`: counts a
+    /// drop, holds the message for a delay or a reorder, and holds a
+    /// copy of a duplicate to arrive one round after it. Returns the
+    /// message to deliver now, if any; where it lands is the caller's.
+    #[inline]
+    pub(crate) fn admit(&mut self, fate: Fate, round: u64, to: NodeId, msg: M) -> Option<M>
+    where
+        M: Clone,
+    {
+        match fate {
+            Fate::Deliver => return Some(msg),
+            Fate::Drop => self.counts.dropped_by_fault += 1,
+            Fate::Duplicate => {
+                self.counts.duplicated += 1;
+                self.defer(round + 2, to, msg.clone());
+                return Some(msg);
+            }
+            Fate::Hold { extra, reorder } => {
+                if reorder {
+                    self.counts.reordered += 1;
+                } else {
+                    self.counts.delayed += 1;
+                }
+                self.defer(round + 1 + extra as u64, to, msg);
+            }
+        }
+        None
+    }
+
     /// Holds a message until `release` (absolute round), keeping the
     /// pending buffer sorted by `(release, insertion seq)`.
     #[inline]
-    pub(crate) fn defer(&mut self, release: u64, to: NodeId, msg: M) {
+    fn defer(&mut self, release: u64, to: NodeId, msg: M) {
         let seq = self.pending_seq;
         self.pending_seq += 1;
         let at = self
             .pending
             .partition_point(|e| (e.0, e.1) <= (release, seq));
         self.pending.insert(at, (release, seq, to, msg));
+    }
+}
+
+/// The whole armed plane — spec, arming base, SplitMix64 stream states,
+/// counters, and held messages — so a checkpoint taken inside a fault
+/// window restores and re-saves byte-exactly.
+impl<M: Snap> Snap for FaultPlane<M> {
+    fn save(&self, w: &mut SnapWriter) {
+        self.spec.save(w);
+        self.base.save(w);
+        self.me.save(w);
+        w.put_seq(self.cross.iter());
+        self.local.save(w);
+        self.pending_seq.save(w);
+        self.counts.save(w);
+        w.put_seq(self.pending.iter());
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(FaultPlane {
+            spec: Snap::load(r)?,
+            base: Snap::load(r)?,
+            me: Snap::load(r)?,
+            cross: SnapVec::load(r)?.0,
+            local: Snap::load(r)?,
+            pending_seq: Snap::load(r)?,
+            counts: Snap::load(r)?,
+            pending: SnapVec::load(r)?.0,
+        })
     }
 }
 

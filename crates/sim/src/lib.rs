@@ -32,11 +32,9 @@ mod fx;
 mod metrics;
 mod partitioned;
 mod pool;
-mod state;
 pub mod testing;
 
-pub use engine::{ChaosConfig, Ctx, DirtyTable, Envelope, NodeId, Protocol};
-pub use faults::{FaultCounts, FaultPlane, FaultRule, FaultSpec, LinkClass, Sever};
-pub use metrics::{Metrics, MetricsState, MAX_KINDS};
+pub use engine::{ChaosConfig, Ctx, DirtyTable, NodeId, Protocol};
+pub use faults::{FaultCounts, FaultRule, FaultSpec, LinkClass, Sever};
+pub use metrics::{Metrics, MAX_KINDS};
 pub use partitioned::World;
-pub use state::{NodeState, PartitionState, WorldState};

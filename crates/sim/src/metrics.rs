@@ -10,12 +10,13 @@
 
 use crate::fx::FxBuildHasher;
 use crate::NodeId;
+use skippub_snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Mutex, OnceLock};
 
 /// Most distinct message kinds one [`Metrics`] interns — a protocol
-/// defines about fifteen. Restores reject a [`MetricsState`] above it
-/// before any name reaches the process-wide pool.
+/// defines about fifteen. A restore rejects a kind list above it before
+/// any name reaches the process-wide pool.
 pub const MAX_KINDS: usize = 256;
 
 /// Cumulative message counters maintained by the [`World`](crate::World).
@@ -182,58 +183,6 @@ impl Metrics {
         self.node_received[to as usize] += 1;
     }
 
-    /// Exports the counters in portable, owner-independent form
-    /// (checkpoint/restore). Kinds and nodes are emitted in **intern
-    /// order**, not sorted: [`Metrics::import`] rebuilds the same
-    /// internal index assignment, so a restored world's hot-path
-    /// `note_*_at` indices keep meaning exactly what they meant.
-    pub fn export(&self) -> MetricsState {
-        MetricsState {
-            sent_total: self.sent_total,
-            delivered_total: self.delivered_total,
-            dropped: self.dropped,
-            rounds: self.rounds,
-            kinds: self
-                .kind_names
-                .iter()
-                .zip(&self.kind_counts)
-                .map(|(&k, &c)| (k.to_string(), c))
-                .collect(),
-            nodes: self
-                .node_ids
-                .iter()
-                .enumerate()
-                .map(|(i, &id)| (id, self.node_sent[i], self.node_received[i]))
-                .collect(),
-        }
-    }
-
-    /// Rebuilds metrics from an exported state. The inverse of
-    /// [`Metrics::export`]: `m.export()` then `Metrics::import` yields
-    /// metrics equal to `m` with identical intern order. Kind names
-    /// come back as `&'static str` via a process-wide leak-dedup pool
-    /// (bounded by the number of distinct kind names ever restored —
-    /// for a fixed protocol, a handful).
-    pub fn import(state: &MetricsState) -> Metrics {
-        let mut m = Metrics {
-            sent_total: state.sent_total,
-            delivered_total: state.delivered_total,
-            dropped: state.dropped,
-            rounds: state.rounds,
-            ..Metrics::default()
-        };
-        for (name, count) in &state.kinds {
-            let k = m.kind_index(intern_static(name)) as usize;
-            m.kind_counts[k] = *count;
-        }
-        for &(id, sent, received) in &state.nodes {
-            let n = m.intern_node(id) as usize;
-            m.node_sent[n] = sent;
-            m.node_received[n] = received;
-        }
-        m
-    }
-
     /// Adds every counter of `other` into `self` (kinds and node ids are
     /// interned on first sight). Used to aggregate per-partition metrics
     /// into a whole-world view; note that `rounds` is summed like every
@@ -256,23 +205,61 @@ impl Metrics {
     }
 }
 
-/// Portable, owner-independent form of [`Metrics`] — the
-/// checkpoint/restore wire shape. Kinds and nodes are in intern order
-/// (see [`Metrics::export`]).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct MetricsState {
-    /// Messages handed to the transport.
-    pub sent_total: u64,
-    /// Messages delivered to a handler.
-    pub delivered_total: u64,
-    /// Messages consumed without action (§3.3).
-    pub dropped: u64,
-    /// Rounds executed.
-    pub rounds: u64,
-    /// `(kind name, count)` in intern order (zero counts included).
-    pub kinds: Vec<(String, u64)>,
-    /// `(id, sent, received)` in intern order (zero counters included).
-    pub nodes: Vec<(NodeId, u64, u64)>,
+/// Counters in **intern order**, not sorted, zero counts included: a
+/// load interns kinds and nodes in the saved order, so a restored
+/// world's hot-path `note_*_at` indices keep meaning exactly what they
+/// meant. The kind list is checked where it enters: more than
+/// [`MAX_KINDS`] names, or one name twice, is malformed — interning
+/// would otherwise panic on the count (after leaking every name into the
+/// process-wide pool) or silently merge the duplicates.
+impl Snap for Metrics {
+    fn save(&self, w: &mut SnapWriter) {
+        w.put_u64(self.sent_total);
+        w.put_u64(self.delivered_total);
+        w.put_u64(self.dropped);
+        w.put_u64(self.rounds);
+        w.put_u64(self.kind_names.len() as u64);
+        for (name, &count) in self.kind_names.iter().zip(&self.kind_counts) {
+            w.put_str(name);
+            w.put_u64(count);
+        }
+        w.put_u64(self.node_ids.len() as u64);
+        for (i, id) in self.node_ids.iter().enumerate() {
+            id.save(w);
+            w.put_u64(self.node_sent[i]);
+            w.put_u64(self.node_received[i]);
+        }
+    }
+
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let mut m = Metrics {
+            sent_total: r.u64()?,
+            delivered_total: r.u64()?,
+            dropped: r.u64()?,
+            rounds: r.u64()?,
+            ..Metrics::default()
+        };
+        let kinds = r.u64()?;
+        if kinds > MAX_KINDS as u64 {
+            return Err(SnapError::Malformed(format!(
+                "{kinds} message kinds, above {MAX_KINDS}"
+            )));
+        }
+        for _ in 0..kinds {
+            let name = r.str()?;
+            if m.kind_names.iter().any(|&k| k == name) {
+                return Err(SnapError::Malformed(format!("message kind {name:?} twice")));
+            }
+            let k = m.kind_index(intern_static(&name)) as usize;
+            m.kind_counts[k] = r.u64()?;
+        }
+        for _ in 0..r.u64()? {
+            let n = m.intern_node(NodeId::load(r)?) as usize;
+            m.node_sent[n] = r.u64()?;
+            m.node_received[n] = r.u64()?;
+        }
+        Ok(m)
+    }
 }
 
 /// Process-wide leak-dedup pool turning restored kind-name strings back

@@ -45,10 +45,9 @@
 //! 2. **step + flush** — every partition runs one round on its own
 //!    slab/RNG (sends to local nodes go straight to channels; sends to
 //!    foreign ids are staged in the partition's outbox), then flushes
-//!    the outbox: each staged send becomes an
-//!    [`Envelope`](crate::Envelope) stamped with the source partition
-//!    and a monotone per-source sequence number and is pushed to the
-//!    destination partition's mailbox.
+//!    the outbox: each staged send becomes an `Envelope` stamped with
+//!    the source partition and a monotone per-source sequence number and
+//!    is pushed to the destination partition's mailbox.
 //!
 //! The barrier between the phases keeps round `r` drains from racing
 //! round `r` flushes; the barrier at the end of the round keeps round
@@ -86,11 +85,29 @@
 //! (`crate::engine` module docs; `tests/channel_memory.rs` holds both).
 //! (Protocol handlers may of course still allocate in their own state.)
 //! `tests/zero_alloc.rs` guards this with a counting allocator.
+//!
+//! # Checkpoints
+//!
+//! A world whose protocol and messages implement [`Snap`] is itself
+//! [`Snap`]: the save borrows every part of the world — no protocol
+//! state, channel or mailbox is copied first — and the load builds the
+//! partitions straight from the tokens. A restored world **continues
+//! byte-identically**: same RNG draws, same activation shuffles, same
+//! metrics, same message trajectories. The checkpoint holds exactly
+//! what influences future behavior: per partition the live nodes in
+//! ascending id order with their channels (message ages included), the
+//! RNG state words, every engine register, the metrics in intern order
+//! and the armed fault plane; then the mailboxes' envelopes, the worker
+//! count, the round and the orphan-inject metrics. Slab slots,
+//! tombstones, free lists, the id → partition home map and the
+//! dirty-channel counters are not in it: the home map is "which
+//! partition lists the id", and nothing a round does reads the rest
+//! (an observer keyed on the counters restarts cold with them).
 
 use crate::engine::{Envelope, Partition};
 use crate::fx::FxBuildHasher;
-use crate::state::WorldState;
 use crate::{ChaosConfig, Ctx, Metrics, NodeId, Protocol};
+use skippub_snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 use std::collections::HashMap;
 use std::sync::{Barrier, Mutex};
 
@@ -332,6 +349,13 @@ impl<P: Protocol> World<P> {
             .map_or(0, |p| self.partitions[p as usize].channel_len(id))
     }
 
+    /// The messages in `id`'s channel, in channel order (none for an id
+    /// no partition hosts).
+    pub fn channel(&self, id: NodeId) -> impl Iterator<Item = &P::Msg> {
+        let p = self.partition_of(id).map(|p| &self.partitions[p as usize]);
+        p.into_iter().flat_map(move |p| p.channel(id))
+    }
+
     /// Rounds executed so far.
     pub fn round(&self) -> u64 {
         self.round
@@ -401,10 +425,7 @@ impl<P: Protocol> World<P> {
 
     /// The armed fault spec, if any.
     pub fn fault_spec(&self) -> Option<&crate::FaultSpec> {
-        self.partitions
-            .first()
-            .and_then(|p| p.fault_plane())
-            .map(|fp| &fp.spec)
+        self.partitions.first().and_then(|p| p.fault_spec())
     }
 
     /// Aggregated fault accounting over all partitions (zeros when no
@@ -462,74 +483,6 @@ impl<P: Protocol> World<P> {
     /// flush lock per destination — instead of one lock per envelope.
     pub fn lock_acquisitions(&self) -> u64 {
         self.partitions.iter().map(|p| p.lock_acquisitions()).sum()
-    }
-
-    /// Exports the world's exact state for a checkpoint (see
-    /// [`WorldState`]). Call at a round boundary only: partition
-    /// outboxes must be flushed (they always are between rounds);
-    /// inbound mailboxes may hold in-flight envelopes and are captured
-    /// verbatim.
-    pub fn export_state(&self) -> WorldState<P>
-    where
-        P: Clone,
-    {
-        WorldState {
-            partitions: self.partitions.iter().map(|p| p.export_state()).collect(),
-            mailboxes: self
-                .mailboxes
-                .iter()
-                .map(|m| m.lock().expect("mailbox poisoned").clone())
-                .collect(),
-            threads: self.threads as u64,
-            round: self.round,
-            orphan: self.orphan.export(),
-        }
-    }
-
-    /// Rebuilds a world from an exported state; the id → partition home
-    /// map is reconstructed from the partition node lists, and every
-    /// dirty-channel counter starts at 0. Stepping the restored world is
-    /// byte-identical to stepping the original, for every worker-thread
-    /// count. A state no world could have exported
-    /// is an `Err`: no partition, a mailbox count other than the
-    /// partition count, an id hosted twice, or an in-flight envelope
-    /// from a partition that does not exist.
-    pub fn from_state(state: WorldState<P>) -> Result<Self, String> {
-        let k = state.partitions.len();
-        if k == 0 {
-            return Err("world state has no partition".to_string());
-        }
-        if state.mailboxes.len() != k {
-            return Err(format!(
-                "world state has {} mailboxes for {k} partitions",
-                state.mailboxes.len()
-            ));
-        }
-        if let Some(env) = state.mailboxes.iter().flatten().find(|e| e.src as usize >= k) {
-            return Err(format!(
-                "world state holds an envelope from partition {} of {k}",
-                env.src
-            ));
-        }
-        let mut home: HashMap<u64, u32, FxBuildHasher> = HashMap::default();
-        for (i, ps) in state.partitions.iter().enumerate() {
-            for node in &ps.nodes {
-                if home.insert(node.id.0, i as u32).is_some() {
-                    return Err(format!("world state hosts node {} twice", node.id));
-                }
-            }
-        }
-        Ok(World {
-            partitions: (state.partitions.into_iter())
-                .map(|ps| Partition::from_state(ps, k == 1))
-                .collect(),
-            mailboxes: state.mailboxes.into_iter().map(Mutex::new).collect(),
-            home,
-            threads: (state.threads as usize).max(1),
-            round: state.round,
-            external_bumps: crate::DirtyTable::default(),
-            orphan: Metrics::import(&state.orphan),
-        })
     }
 
     /// Aggregated metrics over all partitions: totals, per-kind and
@@ -663,6 +616,83 @@ where
             .expect("worker panicked");
         }
         self.round += n;
+    }
+}
+
+/// The world checkpoint: every partition (its live nodes with their
+/// protocol states and channels, RNG words, registers, metrics and
+/// fault plane), the mailboxes' envelopes, the worker count, the round
+/// and the orphan-inject metrics. A loaded world continues
+/// byte-identically for every worker count. Save at a round boundary
+/// only: partition outboxes are flushed there, while mailboxes may hold
+/// envelopes in flight, which the checkpoint keeps. A stream no world
+/// could have written is an `Err`: no partition, a mailbox count other
+/// than the partition count, an id hosted twice, an envelope from a
+/// partition that does not exist, or an all-zero RNG state.
+impl<P> Snap for World<P>
+where
+    P: Protocol + Snap,
+    P::Msg: Snap,
+{
+    fn save(&self, w: &mut SnapWriter) {
+        w.put_u64(self.partitions.len() as u64);
+        for p in &self.partitions {
+            p.save(w);
+        }
+        w.put_u64(self.mailboxes.len() as u64);
+        for m in &self.mailboxes {
+            w.put_seq(m.lock().expect("mailbox poisoned").iter());
+        }
+        w.put_u64(self.threads as u64);
+        w.put_u64(self.round);
+        self.orphan.save(w);
+    }
+
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let bad = |why: String| Err(SnapError::Malformed(format!("world state {why}")));
+        let k = r.u64()? as usize;
+        if k == 0 {
+            return bad("has no partition".to_string());
+        }
+        let mut partitions = Vec::new();
+        let mut home: HashMap<u64, u32, FxBuildHasher> = HashMap::default();
+        for i in 0..k {
+            let p = Partition::load(r, k == 1)?;
+            for &(id, _) in p.order() {
+                if home.insert(id, i as u32).is_some() {
+                    return bad(format!("hosts node {} twice", NodeId(id)));
+                }
+            }
+            partitions.push(p);
+        }
+        let boxes = r.u64()?;
+        if boxes != k as u64 {
+            return bad(format!("has {boxes} mailboxes for {k} partitions"));
+        }
+        let mut mailboxes = Vec::with_capacity(k);
+        for _ in 0..k {
+            let mut batch = Vec::new();
+            for _ in 0..r.u64()? {
+                let env: Envelope<P::Msg> = Snap::load(r)?;
+                if env.src as usize >= k {
+                    return bad(format!(
+                        "holds an envelope from partition {} of {k}",
+                        env.src
+                    ));
+                }
+                batch.push(env);
+            }
+            mailboxes.push(Mutex::new(batch));
+        }
+        Ok(World {
+            partitions,
+            mailboxes,
+            home,
+            threads: (r.u64()? as usize).max(1),
+            round: r.u64()?,
+            external_bumps: crate::DirtyTable::default(),
+            orphan: Metrics::load(r)?,
+        })
     }
 }
 
@@ -873,16 +903,11 @@ mod tests {
             let mut w = ring(24, 6, threads, 7);
             w.inject(NodeId(5), Token(200));
             w.run_rounds(80);
-            let states: Vec<(NodeId, Toy)> =
-                w.iter().map(|(id, t)| (id, t.clone())).collect();
-            let per_part: Vec<Metrics> =
-                (0..6).map(|i| w.partition_metrics(i).clone()).collect();
-            let peaks: Vec<usize> =
-                (0..6).map(|i| w.partition_peak_in_flight(i)).collect();
-            let locks: Vec<u64> =
-                (0..6).map(|i| w.partition_lock_acquisitions(i)).collect();
-            let stepped: Vec<u64> =
-                (0..6).map(|i| w.partition_stepped(i)).collect();
+            let states: Vec<(NodeId, Toy)> = w.iter().map(|(id, t)| (id, t.clone())).collect();
+            let per_part: Vec<Metrics> = (0..6).map(|i| w.partition_metrics(i).clone()).collect();
+            let peaks: Vec<usize> = (0..6).map(|i| w.partition_peak_in_flight(i)).collect();
+            let locks: Vec<u64> = (0..6).map(|i| w.partition_lock_acquisitions(i)).collect();
+            let stepped: Vec<u64> = (0..6).map(|i| w.partition_stepped(i)).collect();
             (
                 states,
                 per_part,
@@ -1078,11 +1103,16 @@ mod tests {
             w.inject(NodeId(5), Token(400));
             w.inject(NodeId(11), Token(400));
             w.run_rounds(80);
-            let states: Vec<(NodeId, Toy)> =
-                w.iter().map(|(id, t)| (id, t.clone())).collect();
+            let states: Vec<(NodeId, Toy)> = w.iter().map(|(id, t)| (id, t.clone())).collect();
             let per_part: Vec<crate::FaultCounts> =
                 (0..6).map(|i| w.partition_fault_counts(i)).collect();
-            (states, per_part, w.fault_counts(), w.metrics(), w.in_flight())
+            (
+                states,
+                per_part,
+                w.fault_counts(),
+                w.metrics(),
+                w.in_flight(),
+            )
         };
         let reference = run(1);
         let total = reference.2;
@@ -1116,8 +1146,7 @@ mod tests {
             }
             w.inject(NodeId(0), Token(60));
             w.run_rounds(40);
-            let states: Vec<(NodeId, Toy)> =
-                w.iter().map(|(id, t)| (id, t.clone())).collect();
+            let states: Vec<(NodeId, Toy)> = w.iter().map(|(id, t)| (id, t.clone())).collect();
             (states, w.metrics())
         };
         assert_eq!(run(true), run(false));
@@ -1135,8 +1164,7 @@ mod tests {
             w.inject(NodeId(0), Token(500));
             w.inject(NodeId(6), Token(500));
             w.run_rounds(50);
-            let states: Vec<(NodeId, Toy)> =
-                w.iter().map(|(id, t)| (id, t.clone())).collect();
+            let states: Vec<(NodeId, Toy)> = w.iter().map(|(id, t)| (id, t.clone())).collect();
             (states, w.metrics(), w.fault_counts())
         };
         let as_rule = run(crate::FaultSpec {
@@ -1224,9 +1252,8 @@ mod tests {
         assert_eq!(w.partition_of(NodeId(1)), Some(1));
         w.move_node(NodeId(99), 0); // unknown id
         assert_eq!(w.partition_of(NodeId(99)), None);
-        let moved = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            w.move_node(NodeId(0), 7)
-        }));
+        let moved =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| w.move_node(NodeId(0), 7)));
         assert!(moved.is_err(), "out-of-range partition must panic");
     }
 }

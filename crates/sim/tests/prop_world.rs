@@ -42,7 +42,11 @@ fn build(n: u64, seed: u64) -> World<Echo> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+    // At least 32 cases; `PROPTEST_CASES` can ask for more.
+    #![proptest_config(ProptestConfig {
+        cases: ProptestConfig::default().cases.max(32),
+        ..ProptestConfig::default()
+    })]
 
     #[test]
     fn same_seed_same_trajectory(n in 2u64..8, seed in any::<u64>(), ttls in proptest::collection::vec(0u32..12, 1..6)) {

@@ -19,10 +19,12 @@
 //! ## Pieces
 //!
 //! * [`Snap`] — the save/load trait; implemented here for primitives,
-//!   containers, and every `skippub-bits` / `skippub-trie` /
-//!   `skippub-sim` state type. Protocol crates implement it for their
-//!   own message and state types (the [`snap_struct!`] macro writes the
-//!   field-by-field boilerplate).
+//!   containers, and the `skippub-bits` / `skippub-ringmath` /
+//!   `skippub-trie` types. Every other crate implements it for its own
+//!   types: `skippub-sim` writes and reads its world (partitions,
+//!   channels, mailboxes, metrics, fault planes) straight from its own
+//!   structures, and protocol crates their message and state types (the
+//!   [`snap_struct!`] macro writes the field-by-field boilerplate).
 //! * [`SnapWriter`] / [`SnapReader`] — the ASCII token codec (see
 //!   [`codec`] module docs for the format).
 //! * [`BackendSnapshot`] — the sealed serialized form: a `kind` tag the

@@ -18,7 +18,11 @@ fn arb_adversary() -> impl Strategy<Value = Adversary> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+    // At least 24 cases; `PROPTEST_CASES` can ask for more.
+    #![proptest_config(ProptestConfig {
+        cases: ProptestConfig::default().cases.max(24),
+        ..ProptestConfig::default()
+    })]
 
     #[test]
     fn random_adversarial_instances_converge(

@@ -53,13 +53,11 @@ fn pending_total(ps: &PartitionedBackend) -> usize {
 
 /// Sizes of the `PublishNew` batches sitting in channels.
 fn batches_in_flight(ps: &PartitionedBackend) -> Vec<usize> {
-    let state = ps.world().export_state();
-    state
-        .partitions
+    let world = ps.world();
+    world
         .iter()
-        .flat_map(|p| &p.nodes)
-        .flat_map(|node| &node.channel)
-        .filter_map(|(_, msg)| match msg {
+        .flat_map(|(id, _)| world.channel(id))
+        .filter_map(|msg| match msg {
             Msg::PublishNew { pubs } => Some(pubs.len()),
             _ => None,
         })

@@ -133,9 +133,14 @@ fn continue_for(ps: &mut dyn PubSub) -> String {
     format!("{:032x}", Hash128::of_bytes(seen.as_bytes()).0)
 }
 
+/// Restores a fixture, and checks that saving the restored backend
+/// again writes the fixture byte for byte.
 fn restored(text: &str) -> Box<dyn PubSub> {
     let snap = BackendSnapshot::from_text(text.trim_end()).expect("fixture parses");
-    restore(&snap).expect("fixture restores")
+    let ps = restore(&snap).expect("fixture restores");
+    let again = ps.save_snapshot().expect("restored backend saves");
+    assert_eq!(again.as_text(), snap.as_text(), "re-save of the fixture");
+    ps
 }
 
 #[test]
@@ -154,15 +159,18 @@ fn parent_chaos_snapshot_inside_a_fault_window_continues_as_it_did() {
     assert_eq!(continue_for(ps.as_mut()), CHAOS_FINGERPRINT);
 }
 
-/// The fixtures are what [`fixture_backend`] still builds: the same
-/// world, continued, gives the fingerprint the restored one does.
+/// The fixtures are what [`fixture_backend`] still builds and saves,
+/// byte for byte, and the same world, continued, gives the fingerprint
+/// the restored one does.
 #[test]
 fn fixture_worlds_still_build_to_the_same_continuation() {
-    for (kind, fingerprint) in [
-        (BackendKind::Sim, SIM_FINGERPRINT),
-        (BackendKind::Chaos, CHAOS_FINGERPRINT),
+    for (kind, fixture, fingerprint) in [
+        (BackendKind::Sim, SIM, SIM_FINGERPRINT),
+        (BackendKind::Chaos, CHAOS, CHAOS_FINGERPRINT),
     ] {
         let mut ps = fixture_backend(kind);
+        let saved = ps.save_snapshot().expect("fixture backend saves");
+        assert_eq!(saved.as_text(), fixture.trim_end(), "{}", kind.name());
         assert_eq!(continue_for(ps.as_mut()), fingerprint, "{}", kind.name());
     }
 }

@@ -82,6 +82,12 @@ impl ProtocolConfig {
             ..Self::default()
         }
     }
+
+    /// Whether supervisors run the §6 token machinery: every probe mode
+    /// but the randomized one issues tokens.
+    pub fn token_enabled(&self) -> bool {
+        self.probe_mode != ProbeMode::Randomized
+    }
 }
 
 #[cfg(test)]

@@ -52,10 +52,10 @@ use crate::replica::ReplicaGroup;
 use crate::scenarios::SUPERVISOR;
 use crate::sharding::SupervisorShards;
 use crate::topics::{TopicId, MAX_TOPICS};
-use crate::{Actor, ProbeMode, ProtocolConfig, Subscriber, Supervisor};
+use crate::{Actor, ProtocolConfig, Subscriber, Supervisor};
 use skippub_bits::BitStr;
 use skippub_sim::{ChaosConfig, FaultCounts, FaultSpec, Metrics, NodeId, World};
-use skippub_snapshot::{Snap, SnapVec, SnapWriter};
+use skippub_snapshot::{Snap, SnapWriter};
 use skippub_trie::{PatriciaTrie, Publication};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -102,11 +102,6 @@ fn joined(met: &BTreeMap<u64, Vec<u32>>, kind: BackendKind, next_id: u64, p: Nod
     } else {
         &[]
     }
-}
-
-/// Whether supervisor instances run the token machinery under `cfg`.
-fn token_enabled(cfg: &ProtocolConfig) -> bool {
-    cfg.probe_mode != ProbeMode::Randomized
 }
 
 /// The cursor's view of the world: the store of process `node`'s
@@ -245,7 +240,7 @@ impl PartitionedBackend {
     pub(crate) fn one_topic_from_seed(seed: u64, cfg: ProtocolConfig) -> Self {
         let mut world = World::new(seed);
         let mut sup = Supervisor::new(SUPERVISOR);
-        sup.token_enabled = token_enabled(&cfg);
+        sup.token_enabled = cfg.token_enabled();
         world.add_node(SUPERVISOR, Actor::Supervisor(Box::new(sup)));
         Self::from_world(world, cfg)
     }
@@ -292,7 +287,7 @@ impl PartitionedBackend {
         }
         self.groups = if k >= 2 {
             // Replicas replay with the supervisor instances' token setting.
-            let token = token_enabled(&self.cfg);
+            let token = self.cfg.token_enabled();
             self.sup_ids
                 .iter()
                 .map(|&s| ReplicaGroup::new(k, s, token))
@@ -508,32 +503,20 @@ impl PartitionedBackend {
                 "snapshot next client id {next_id} is no process id"
             ));
         }
-        let sup_ids = SnapVec::<NodeId>::load(&mut r).map_err(err)?.0;
-        let met_len = u64::load(&mut r).map_err(err)? as usize;
-        let mut met = BTreeMap::new();
-        for _ in 0..met_len {
-            let key = u64::load(&mut r).map_err(err)?;
-            let joined = SnapVec::<u32>::load(&mut r).map_err(err)?.0;
-            met.insert(key, joined);
-        }
+        let sup_ids = Vec::<NodeId>::load(&mut r).map_err(err)?;
+        let met = BTreeMap::<u64, Vec<u32>>::load(&mut r).map_err(err)?;
         let world = World::<Actor>::load(&mut r).map_err(err)?;
         let cursor = EventCursor::load_with(&mut r, &store_of(&world)).map_err(err)?;
-        let group_len = u64::load(&mut r).map_err(err)? as usize;
-        let mut groups = Vec::new();
-        for _ in 0..group_len {
-            groups.push(ReplicaGroup::load(&mut r).map_err(err)?);
-        }
+        let groups = Vec::<ReplicaGroup>::load(&mut r).map_err(err)?;
         let overrides = BTreeMap::<u32, u32>::load(&mut r).map_err(err)?;
         let rebalance_every = u64::load(&mut r).map_err(err)?;
         let rebalances = u64::load(&mut r).map_err(err)?;
-        let last_delivered = SnapVec::<u64>::load(&mut r).map_err(err)?.0;
+        let last_delivered = Vec::<u64>::load(&mut r).map_err(err)?;
         let sever_fired = BTreeSet::<(u64, u64)>::load(&mut r).map_err(err)?;
         r.finish().map_err(err)?;
 
         let (shard_count, partitions) = (sup_ids.len(), world.partition_count());
-        let tag = BackendKind::all()
-            .into_iter()
-            .find(|k| k.name() == snap.kind);
+        let tag = BackendKind::from_name(&snap.kind);
         let layout = match tag {
             Some(k) if is_one_topic(k) => (sup_ids == [SUPERVISOR]).then_some(k),
             _ => layout_of(&sup_ids),
@@ -696,7 +679,7 @@ impl PartitionedBackend {
         if !self.world.is_alive(sup) {
             let mut s = Supervisor::new(sup);
             s.replicated = !self.groups.is_empty();
-            s.token_enabled = token_enabled(&self.cfg);
+            s.token_enabled = self.cfg.token_enabled();
             let home = self.shard_of(topic);
             self.world
                 .add_node_in(sup, Actor::Supervisor(Box::new(s)), home);
@@ -1139,22 +1122,15 @@ impl PubSub for PartitionedBackend {
         self.cfg.save(&mut w);
         self.topics.save(&mut w);
         self.next_id.save(&mut w);
-        w.put_seq(self.sup_ids.iter());
-        w.put_u64(self.met.len() as u64);
-        for (key, joined) in &self.met {
-            key.save(&mut w);
-            w.put_seq(joined.iter());
-        }
+        self.sup_ids.save(&mut w);
+        self.met.save(&mut w);
         self.world.save(&mut w);
         self.cursor.save_with(&mut w, &store_of(&self.world));
-        w.put_u64(self.groups.len() as u64);
-        for g in &self.groups {
-            g.save(&mut w);
-        }
+        self.groups.save(&mut w);
         self.overrides.save(&mut w);
         self.rebalance_every.save(&mut w);
         self.rebalances.save(&mut w);
-        w.put_seq(self.last_delivered.iter());
+        self.last_delivered.save(&mut w);
         self.sever_fired.save(&mut w);
         Ok(w.finish(self.backend_name()))
     }

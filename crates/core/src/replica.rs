@@ -42,7 +42,7 @@ use crate::supervisor::Supervisor;
 use crate::topics::{TopicId, MAX_TOPICS};
 use skippub_bits::Hash128;
 use skippub_sim::NodeId;
-use skippub_snapshot::{Snap, SnapError, SnapReader, SnapVec, SnapWriter};
+use skippub_snapshot::{snap_enum, Snap, SnapError, SnapReader, SnapWriter};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -134,48 +134,14 @@ impl RepOp {
     }
 }
 
-impl Snap for RepOpKind {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            RepOpKind::Subscribe { v } => {
-                w.put_u64(0);
-                v.save(w);
-            }
-            RepOpKind::Unsubscribe { v } => {
-                w.put_u64(1);
-                v.save(w);
-            }
-            RepOpKind::GetConfig { u, requester } => {
-                w.put_u64(2);
-                u.save(w);
-                requester.save(w);
-            }
-            RepOpKind::Timeout => w.put_u64(3),
-            RepOpKind::TokenReturn { seq } => {
-                w.put_u64(4);
-                seq.save(w);
-            }
-            RepOpKind::Suspect { v } => {
-                w.put_u64(5);
-                v.save(w);
-            }
-        }
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u64()? {
-            0 => RepOpKind::Subscribe { v: Snap::load(r)? },
-            1 => RepOpKind::Unsubscribe { v: Snap::load(r)? },
-            2 => RepOpKind::GetConfig {
-                u: Snap::load(r)?,
-                requester: Snap::load(r)?,
-            },
-            3 => RepOpKind::Timeout,
-            4 => RepOpKind::TokenReturn { seq: Snap::load(r)? },
-            5 => RepOpKind::Suspect { v: Snap::load(r)? },
-            n => return Err(SnapError::Malformed(format!("unknown rep-op tag {n}"))),
-        })
-    }
-}
+snap_enum!(RepOpKind {
+    0 => Subscribe { v },
+    1 => Unsubscribe { v },
+    2 => GetConfig { u, requester },
+    3 => Timeout,
+    4 => TokenReturn { seq },
+    5 => Suspect { v },
+});
 
 /// A topic past [`MAX_TOPICS`] is malformed: replay runs the topic's
 /// supervisor at its instance address, which has no lane for it.
@@ -277,16 +243,15 @@ impl ReplicaLog {
     }
 }
 
+/// The ops alone: load derives the prefix chain again — saving the
+/// hashes would only add bytes that must agree with the ops anyway.
 impl Snap for ReplicaLog {
     fn save(&self, w: &mut SnapWriter) {
-        // Hashes are recomputed on load — saving them would only add
-        // bytes that must agree with the ops anyway.
-        w.put_seq(self.ops.iter());
+        self.ops.save(w);
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let ops: Vec<RepOp> = SnapVec::load(r)?.0;
         let mut log = ReplicaLog::new();
-        for op in ops {
+        for op in Vec::<RepOp>::load(r)? {
             log.push(op);
         }
         Ok(log)
@@ -427,6 +392,9 @@ impl SupervisorReplica {
     }
 }
 
+/// Label, liveness and log only: the replayed state, its cursor and the
+/// digest cache are skipped, and [`ReplicaGroup`]'s load derives them
+/// from the log again.
 impl Snap for SupervisorReplica {
     fn save(&self, w: &mut SnapWriter) {
         self.label.save(w);
@@ -691,6 +659,8 @@ impl ReplicaGroup {
     }
 }
 
+/// A group without a replica holding the primary's label is malformed;
+/// every live replica's state is derived by replaying its log.
 impl Snap for ReplicaGroup {
     fn save(&self, w: &mut SnapWriter) {
         self.sup_id.save(w);
@@ -699,7 +669,7 @@ impl Snap for ReplicaGroup {
         self.primary.save(w);
         self.version.save(w);
         self.failovers.save(w);
-        w.put_seq(self.replicas.iter());
+        self.replicas.save(w);
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let sup_id = Snap::load(r)?;
@@ -708,7 +678,7 @@ impl Snap for ReplicaGroup {
         let primary = Snap::load(r)?;
         let version = Snap::load(r)?;
         let failovers = Snap::load(r)?;
-        let replicas: Vec<SupervisorReplica> = SnapVec::load(r)?.0;
+        let replicas: Vec<SupervisorReplica> = Snap::load(r)?;
         let mut g = ReplicaGroup {
             sup_id,
             token_enabled,

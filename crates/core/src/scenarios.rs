@@ -46,7 +46,7 @@ pub fn legit_world(n: usize, seed: u64, cfg: ProtocolConfig) -> World<Actor> {
     assert!(n >= 1);
     let mut world = World::new(seed);
     let mut sup = Supervisor::new(SUPERVISOR);
-    sup.token_enabled = cfg.probe_mode != crate::ProbeMode::Randomized;
+    sup.token_enabled = cfg.token_enabled();
     // db entry i: label l(i) → NodeId(i+1)
     let mut db: Vec<(Label, NodeId)> = (0..n as u64)
         .map(|i| (Label::from_index(i), NodeId(i + 1)))
@@ -92,7 +92,7 @@ pub fn legit_world(n: usize, seed: u64, cfg: ProtocolConfig) -> World<Actor> {
 pub fn cold_world(n: usize, seed: u64, cfg: ProtocolConfig) -> World<Actor> {
     let mut world = World::new(seed);
     let mut sup = Supervisor::new(SUPERVISOR);
-    sup.token_enabled = cfg.probe_mode != crate::ProbeMode::Randomized;
+    sup.token_enabled = cfg.token_enabled();
     world.add_node(SUPERVISOR, Actor::Supervisor(Box::new(sup)));
     for i in 0..n as u64 {
         let id = NodeId(i + 1);
@@ -166,7 +166,7 @@ pub fn adversarial_world(
         Adversary::RandomState => {
             let mut world = World::new(seed);
             let mut sup = Supervisor::new(SUPERVISOR);
-            sup.token_enabled = cfg.probe_mode != crate::ProbeMode::Randomized;
+            sup.token_enabled = cfg.token_enabled();
             world.add_node(SUPERVISOR, Actor::Supervisor(Box::new(sup)));
             let ids: Vec<NodeId> = (0..n as u64).map(|i| NodeId(i + 1)).collect();
             for &id in &ids {
@@ -199,7 +199,7 @@ pub fn adversarial_world(
             let k = k.clamp(1, n);
             let mut world = World::new(seed);
             let mut sup = Supervisor::new(SUPERVISOR);
-            sup.token_enabled = cfg.probe_mode != crate::ProbeMode::Randomized;
+            sup.token_enabled = cfg.token_enabled();
             world.add_node(SUPERVISOR, Actor::Supervisor(Box::new(sup)));
             let mut ids: Vec<NodeId> = (0..n as u64).map(|i| NodeId(i + 1)).collect();
             ids.shuffle(&mut rng);

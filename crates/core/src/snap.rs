@@ -4,6 +4,11 @@
 //! `World<Actor>` serializable — the backbone of the backend
 //! checkpoints in [`crate::pubsub`].
 //!
+//! Each format is declared once, with `snap_struct!` or `snap_enum!`;
+//! the two impls written by hand validate ([`ProtocolConfig`]'s key
+//! length) or skip derived fields ([`Supervisor`]'s outbox and index).
+//! `crates/core/tests/snap_format.rs` pins the tokens of every variant.
+//!
 //! Every impl here is exact: restored state continues byte-identically
 //! (same RNG draws, same delivered sets) to the uninterrupted run,
 //! which the facade conformance suite asserts end to end.
@@ -14,26 +19,14 @@ use crate::msg::{Msg, NodeRef};
 use crate::subscriber::{Counters, Subscriber};
 use crate::supervisor::{Supervisor, SupervisorCounters};
 use crate::topics::TopicId;
-use skippub_snapshot::{snap_struct, Snap, SnapError, SnapReader, SnapVec, SnapWriter};
+use skippub_snapshot::{snap_enum, snap_struct, Snap, SnapError, SnapReader, SnapWriter};
 use skippub_trie::MAX_KEY_BITS;
 
-impl Snap for ProbeMode {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(match self {
-            ProbeMode::Randomized => 0,
-            ProbeMode::Token => 1,
-            ProbeMode::TokenHybrid => 2,
-        });
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u64()? {
-            0 => Ok(ProbeMode::Randomized),
-            1 => Ok(ProbeMode::Token),
-            2 => Ok(ProbeMode::TokenHybrid),
-            n => Err(SnapError::Malformed(format!("unknown probe mode {n}"))),
-        }
-    }
-}
+snap_enum!(ProbeMode {
+    0 => Randomized,
+    1 => Token,
+    2 => TokenHybrid,
+});
 
 /// A key length outside `1..=`[`MAX_KEY_BITS`] is malformed: the first
 /// publish of a world restored with one would panic deriving its key.
@@ -68,180 +61,35 @@ impl Snap for ProtocolConfig {
 
 snap_struct!(NodeRef { label, id });
 
-impl Snap for Msg {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            Msg::Check {
-                sender,
-                assumed,
-                cyc,
-            } => {
-                w.put_u64(0);
-                sender.save(w);
-                assumed.save(w);
-                cyc.save(w);
-            }
-            Msg::Intro { node, cyc } => {
-                w.put_u64(1);
-                node.save(w);
-                cyc.save(w);
-            }
-            Msg::RemoveConnections { node } => {
-                w.put_u64(2);
-                node.save(w);
-            }
-            Msg::Subscribe { node } => {
-                w.put_u64(3);
-                node.save(w);
-            }
-            Msg::Unsubscribe { node } => {
-                w.put_u64(4);
-                node.save(w);
-            }
-            Msg::GetConfiguration { node, requester } => {
-                w.put_u64(5);
-                node.save(w);
-                requester.save(w);
-            }
-            Msg::SetData { pred, label, succ } => {
-                w.put_u64(6);
-                pred.save(w);
-                label.save(w);
-                succ.save(w);
-            }
-            Msg::IntroduceShortcut { node } => {
-                w.put_u64(7);
-                node.save(w);
-            }
-            Msg::CheckShortcut { sender, assumed } => {
-                w.put_u64(8);
-                sender.save(w);
-                assumed.save(w);
-            }
-            Msg::Token { seq, ttl } => {
-                w.put_u64(9);
-                seq.save(w);
-                ttl.save(w);
-            }
-            Msg::TokenReturn { seq } => {
-                w.put_u64(10);
-                seq.save(w);
-            }
-            Msg::CheckTrie { sender, tuples } => {
-                w.put_u64(11);
-                sender.save(w);
-                w.put_seq(tuples.iter());
-            }
-            Msg::CheckAndPublish {
-                sender,
-                tuples,
-                prefixes,
-            } => {
-                w.put_u64(12);
-                sender.save(w);
-                w.put_seq(tuples.iter());
-                w.put_seq(prefixes.iter());
-            }
-            Msg::Publish { pubs } => {
-                w.put_u64(13);
-                w.put_seq(pubs.iter());
-            }
-            Msg::PublishNew { pubs } => {
-                w.put_u64(14);
-                w.put_seq(pubs.iter());
-            }
-        }
-    }
+snap_enum!(Msg {
+    0 => Check { sender, assumed, cyc },
+    1 => Intro { node, cyc },
+    2 => RemoveConnections { node },
+    3 => Subscribe { node },
+    4 => Unsubscribe { node },
+    5 => GetConfiguration { node, requester },
+    6 => SetData { pred, label, succ },
+    7 => IntroduceShortcut { node },
+    8 => CheckShortcut { sender, assumed },
+    9 => Token { seq, ttl },
+    10 => TokenReturn { seq },
+    11 => CheckTrie { sender, tuples },
+    12 => CheckAndPublish { sender, tuples, prefixes },
+    13 => Publish { pubs },
+    14 => PublishNew { pubs },
+});
 
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u64()? {
-            0 => Msg::Check {
-                sender: Snap::load(r)?,
-                assumed: Snap::load(r)?,
-                cyc: Snap::load(r)?,
-            },
-            1 => Msg::Intro {
-                node: Snap::load(r)?,
-                cyc: Snap::load(r)?,
-            },
-            2 => Msg::RemoveConnections {
-                node: Snap::load(r)?,
-            },
-            3 => Msg::Subscribe {
-                node: Snap::load(r)?,
-            },
-            4 => Msg::Unsubscribe {
-                node: Snap::load(r)?,
-            },
-            5 => Msg::GetConfiguration {
-                node: Snap::load(r)?,
-                requester: Snap::load(r)?,
-            },
-            6 => Msg::SetData {
-                pred: Snap::load(r)?,
-                label: Snap::load(r)?,
-                succ: Snap::load(r)?,
-            },
-            7 => Msg::IntroduceShortcut {
-                node: Snap::load(r)?,
-            },
-            8 => Msg::CheckShortcut {
-                sender: Snap::load(r)?,
-                assumed: Snap::load(r)?,
-            },
-            9 => Msg::Token {
-                seq: Snap::load(r)?,
-                ttl: Snap::load(r)?,
-            },
-            10 => Msg::TokenReturn {
-                seq: Snap::load(r)?,
-            },
-            11 => Msg::CheckTrie {
-                sender: Snap::load(r)?,
-                tuples: SnapVec::load(r)?.0,
-            },
-            12 => Msg::CheckAndPublish {
-                sender: Snap::load(r)?,
-                tuples: SnapVec::load(r)?.0,
-                prefixes: SnapVec::load(r)?.0,
-            },
-            13 => Msg::Publish {
-                pubs: SnapVec::load(r)?.0,
-            },
-            14 => Msg::PublishNew {
-                pubs: SnapVec::load(r)?.0.into(),
-            },
-            n => return Err(SnapError::Malformed(format!("unknown message tag {n}"))),
-        })
-    }
-}
-
-impl Snap for Counters {
-    fn save(&self, w: &mut SnapWriter) {
-        self.config_probes.save(w);
-        self.neighbor_probes.save(w);
-        self.pubs_via_flood.save(w);
-        self.pubs_via_sync.save(w);
-        self.leaf_conflicts.save(w);
-        self.tokens_seen.save(w);
-        self.configs_received.save(w);
-        self.ignored_msgs.save(w);
-        self.max_flood_hops.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Counters {
-            config_probes: Snap::load(r)?,
-            neighbor_probes: Snap::load(r)?,
-            pubs_via_flood: Snap::load(r)?,
-            pubs_via_sync: Snap::load(r)?,
-            leaf_conflicts: Snap::load(r)?,
-            tokens_seen: Snap::load(r)?,
-            configs_received: Snap::load(r)?,
-            ignored_msgs: Snap::load(r)?,
-            max_flood_hops: Snap::load(r)?,
-        })
-    }
-}
+snap_struct!(Counters {
+    config_probes,
+    neighbor_probes,
+    pubs_via_flood,
+    pubs_via_sync,
+    leaf_conflicts,
+    tokens_seen,
+    configs_received,
+    ignored_msgs,
+    max_flood_hops,
+});
 
 snap_struct!(Subscriber {
     id,
@@ -307,33 +155,9 @@ impl Snap for Supervisor {
     }
 }
 
-impl Snap for Actor {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            Actor::Supervisor(s) => {
-                w.put_u64(0);
-                s.save(w);
-            }
-            Actor::Subscriber(s) => {
-                w.put_u64(1);
-                s.save(w);
-            }
-        }
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u64()? {
-            0 => Ok(Actor::Supervisor(Box::new(Snap::load(r)?))),
-            1 => Ok(Actor::Subscriber(Box::new(Snap::load(r)?))),
-            n => Err(SnapError::Malformed(format!("unknown actor tag {n}"))),
-        }
-    }
-}
+snap_enum!(Actor {
+    0 => Supervisor(s),
+    1 => Subscriber(s),
+});
 
-impl Snap for TopicId {
-    fn save(&self, w: &mut SnapWriter) {
-        self.0.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(TopicId(Snap::load(r)?))
-    }
-}
+snap_struct!(TopicId { 0 });

@@ -138,10 +138,7 @@ fn parse_target(name: &str) -> Option<Target> {
     if name == "threaded" {
         return Some(Target::Threaded);
     }
-    BackendKind::all()
-        .into_iter()
-        .find(|k| k.name() == name)
-        .map(Target::InProcess)
+    BackendKind::from_name(name).map(Target::InProcess)
 }
 
 /// Runs `spec` on `target`, returning the outcome report JSON and the
@@ -476,10 +473,12 @@ fn main() {
             let text = std::fs::read_to_string(path)
                 .unwrap_or_else(|e| fail(&format!("read {path}: {e}")));
             let warm = WarmStart::parse(&text).unwrap_or_else(|e| fail(&format!("parse {path}: {e}")));
-            let kind = BackendKind::all()
-                .into_iter()
-                .find(|k| k.name() == warm.snapshot.kind)
-                .unwrap_or_else(|| fail(&format!("snapshot kind {:?} is not a backend", warm.snapshot.kind)));
+            let kind = BackendKind::from_name(&warm.snapshot.kind).unwrap_or_else(|| {
+                fail(&format!(
+                    "snapshot kind {:?} is not a backend",
+                    warm.snapshot.kind
+                ))
+            });
             let resumed = scenario::resume_spec(&spec, &warm).unwrap_or_else(|e| fail(&e));
             print!("{}", resumed.report.to_json());
             let fresh = scenario::run_spec(&spec, kind).unwrap_or_else(|e| fail(&e));

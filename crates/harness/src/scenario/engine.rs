@@ -339,9 +339,8 @@ pub fn resume_spec(spec: &ScenarioSpec, warm: &WarmStart) -> Result<ScenarioOutc
     if warm.crashed.iter().collect::<BTreeSet<_>>().len() != warm.crashed.len() {
         return Err("warm start lists a crashed id twice".to_string());
     }
-    let kind = (BackendKind::all().into_iter())
-        .find(|k| k.name() == ps.backend_name())
-        .expect("a restored backend is a simulated kind");
+    let kind =
+        BackendKind::from_name(ps.backend_name()).expect("a restored backend is a simulated kind");
     let churn = Churn {
         slot_ids: warm.slot_ids.clone(),
         crashed: warm.crashed.clone(),

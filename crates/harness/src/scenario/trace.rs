@@ -108,7 +108,7 @@ fn checked_scenario_name(name: &str) -> Result<String, String> {
 
 /// The `backend` header names an in-process kind or the threaded runtime.
 fn checked_backend_name(name: &str) -> Result<String, String> {
-    if name == "threaded" || BackendKind::all().into_iter().any(|k| k.name() == name) {
+    if name == "threaded" || BackendKind::from_name(name).is_some() {
         Ok(name.to_string())
     } else {
         Err(format!("unknown backend {name:?}"))
@@ -327,9 +327,7 @@ impl Trace {
     /// The backend kind this trace was recorded on, if it is one of the
     /// replayable in-process kinds.
     pub fn backend_kind(&self) -> Option<BackendKind> {
-        BackendKind::all()
-            .into_iter()
-            .find(|k| k.name() == self.backend)
+        BackendKind::from_name(&self.backend)
     }
 
     /// Replays the trace against a freshly built backend and reassembles

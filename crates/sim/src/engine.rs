@@ -103,14 +103,7 @@ impl fmt::Display for NodeId {
     }
 }
 
-impl Snap for NodeId {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(self.0);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(NodeId(r.u64()?))
-    }
-}
+snap_struct!(NodeId { 0 });
 
 /// A protocol state machine driven by the world.
 ///
@@ -316,22 +309,7 @@ pub(crate) struct Envelope<M> {
     pub(crate) msg: M,
 }
 
-impl<M: Snap> Snap for Envelope<M> {
-    fn save(&self, w: &mut SnapWriter) {
-        self.src.save(w);
-        self.seq.save(w);
-        self.to.save(w);
-        self.msg.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Envelope {
-            src: Snap::load(r)?,
-            seq: Snap::load(r)?,
-            to: Snap::load(r)?,
-            msg: Snap::load(r)?,
-        })
-    }
-}
+snap_struct!(impl<M> Envelope<M> { src, seq, to, msg });
 
 /// Hot per-slot identity: everything the round sweep needs to decide
 /// what to do with a slot *without* touching the (cold, large) protocol

@@ -36,7 +36,7 @@
 //! [`Sever`] (both consume zero randomness and drop at the same spot).
 
 use crate::NodeId;
-use skippub_snapshot::{snap_struct, Snap, SnapError, SnapReader, SnapVec, SnapWriter};
+use skippub_snapshot::{snap_enum, snap_struct, Snap, SnapError, SnapReader, SnapWriter};
 
 /// SplitMix64 increment (golden ratio) — the same constant the
 /// partition seed splitter uses.
@@ -240,6 +240,18 @@ impl FaultSpec {
         }
     }
 
+    /// Whether every group is strictly ascending, as
+    /// [`FaultSpec::normalize`] leaves it.
+    fn is_normalized(&self) -> bool {
+        let rule_groups = self.rules.iter().filter_map(|r| match &r.link {
+            LinkClass::Group(g) => Some(g),
+            _ => None,
+        });
+        (self.severs.iter().map(|s| &s.group))
+            .chain(rule_groups)
+            .all(|g| g.windows(2).all(|p| p[0] < p[1]))
+    }
+
     /// Compact single-line encoding for trace headers and the
     /// `--faults` CLI flag. Round-trips through [`FaultSpec::parse_line`].
     ///
@@ -431,74 +443,26 @@ snap_struct!(FaultRule {
     reorder_max
 });
 
-impl Snap for LinkClass {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            LinkClass::All => w.put_u64(0),
-            LinkClass::AnyCross => w.put_u64(1),
-            LinkClass::AnyLocal => w.put_u64(2),
-            LinkClass::Cross { src, dst } => {
-                w.put_u64(3);
-                src.save(w);
-                dst.save(w);
-            }
-            LinkClass::Local { partition } => {
-                w.put_u64(4);
-                partition.save(w);
-            }
-            LinkClass::Group(ids) => {
-                w.put_u64(5);
-                w.put_seq(ids.iter());
-            }
-        }
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u64()? {
-            0 => LinkClass::All,
-            1 => LinkClass::AnyCross,
-            2 => LinkClass::AnyLocal,
-            3 => LinkClass::Cross {
-                src: Snap::load(r)?,
-                dst: Snap::load(r)?,
-            },
-            4 => LinkClass::Local {
-                partition: Snap::load(r)?,
-            },
-            5 => LinkClass::Group(SnapVec::load(r)?.0),
-            n => return Err(SnapError::Malformed(format!("unknown link class tag {n}"))),
-        })
-    }
-}
+snap_enum!(LinkClass {
+    0 => All,
+    1 => AnyCross,
+    2 => AnyLocal,
+    3 => Cross { src, dst },
+    4 => Local { partition },
+    5 => Group(ids),
+});
 
-impl Snap for Sever {
-    fn save(&self, w: &mut SnapWriter) {
-        self.from_round.save(w);
-        self.to_round.save(w);
-        w.put_seq(self.group.iter());
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Sever {
-            from_round: Snap::load(r)?,
-            to_round: Snap::load(r)?,
-            group: SnapVec::load(r)?.0,
-        })
-    }
-}
+snap_struct!(Sever {
+    from_round,
+    to_round,
+    group
+});
 
-impl Snap for FaultSpec {
-    fn save(&self, w: &mut SnapWriter) {
-        self.seed.save(w);
-        w.put_seq(self.rules.iter());
-        w.put_seq(self.severs.iter());
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(FaultSpec {
-            seed: Snap::load(r)?,
-            rules: SnapVec::load(r)?.0,
-            severs: SnapVec::load(r)?.0,
-        })
-    }
-}
+snap_struct!(FaultSpec {
+    seed,
+    rules,
+    severs
+});
 
 /// What the plane decided for one message.
 pub(crate) enum Fate {
@@ -743,28 +707,36 @@ impl<M> FaultPlane<M> {
 
 /// The whole armed plane — spec, arming base, SplitMix64 stream states,
 /// counters, and held messages — so a checkpoint taken inside a fault
-/// window restores and re-saves byte-exactly.
+/// window restores and re-saves byte-exactly. A spec that is not in its
+/// [`FaultSpec::normalize`]d form is malformed: no plane was armed with
+/// it, and membership tests binary-search its groups.
 impl<M: Snap> Snap for FaultPlane<M> {
     fn save(&self, w: &mut SnapWriter) {
         self.spec.save(w);
         self.base.save(w);
         self.me.save(w);
-        w.put_seq(self.cross.iter());
+        self.cross.save(w);
         self.local.save(w);
         self.pending_seq.save(w);
         self.counts.save(w);
-        w.put_seq(self.pending.iter());
+        self.pending.save(w);
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let spec = FaultSpec::load(r)?;
+        if !spec.is_normalized() {
+            return Err(SnapError::Malformed(
+                "fault schedule with an unsorted or repeated group".to_string(),
+            ));
+        }
         Ok(FaultPlane {
-            spec: Snap::load(r)?,
+            spec,
             base: Snap::load(r)?,
             me: Snap::load(r)?,
-            cross: SnapVec::load(r)?.0,
+            cross: Snap::load(r)?,
             local: Snap::load(r)?,
             pending_seq: Snap::load(r)?,
             counts: Snap::load(r)?,
-            pending: SnapVec::load(r)?.0,
+            pending: Snap::load(r)?,
         })
     }
 }

@@ -365,3 +365,33 @@ fn hostile_metrics_sections_are_malformed_not_restored() {
     let w = load(&with_kinds(kinds(bound.iter().map(String::as_str)))).expect("at the bound");
     assert_eq!(w.metrics().kind("k255"), 1);
 }
+
+/// A sever group out of order, or naming a process twice, is a schedule
+/// no plane was armed with (arming sorts and dedups every group), and
+/// membership binary-searches the group: restored as written it would
+/// cut another edge set than the one it names.
+#[test]
+fn an_unnormalized_fault_schedule_is_rejected() {
+    let mut w = ring(4, 3);
+    w.set_faults(Some(FaultSpec {
+        seed: 1,
+        rules: vec![FaultRule::pass(0, 9, LinkClass::Group(vec![700_003]))],
+        severs: vec![Sever {
+            from_round: 0,
+            to_round: 9,
+            group: vec![700_002, 700_001],
+        }],
+    }));
+    w.run_rounds(2);
+    let text = text_of(&w);
+    load(&text).expect("the unedited text loads");
+    let edited = |from: &str, to: &str| {
+        let out = text.replacen(from, to, 1);
+        assert_ne!(out, text, "{from:?} is in the text");
+        out
+    };
+    let why = "unsorted or repeated group";
+    rejected(&edited(" 2 700001 700002 ", " 2 700002 700001 "), why);
+    rejected(&edited(" 2 700001 700002 ", " 2 700001 700001 "), why);
+    rejected(&edited(" 1 700003 ", " 2 700003 700003 "), why);
+}

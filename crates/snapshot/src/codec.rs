@@ -127,8 +127,8 @@ impl SnapWriter {
     }
 
     /// Writes a length-prefixed sequence from borrowed items — the
-    /// tokens [`SnapVec`](crate::SnapVec) writes for the same items,
-    /// without an owned copy of them to wrap.
+    /// tokens a `Vec` of the same items writes, for a sequence that is
+    /// no `Vec` (a slab, a pool, a filtered view).
     pub fn put_seq<'a, T: Snap + 'a>(&mut self, items: impl ExactSizeIterator<Item = &'a T>) {
         self.put_u64(items.len() as u64);
         for v in items {

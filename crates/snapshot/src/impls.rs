@@ -9,6 +9,7 @@ use skippub_bits::{BitStr, Hash128};
 use skippub_ringmath::Label;
 use skippub_trie::{NodeSummary, PatriciaTrie, Publication, MAX_KEY_BITS};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 macro_rules! snap_as_u64 {
     ($($ty:ty),+) => {$(
@@ -71,15 +72,6 @@ impl Snap for String {
     }
 }
 
-impl Snap for Vec<u8> {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_bytes(self);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        r.bytes()
-    }
-}
-
 /// Transparent: a box is where a value lives, not part of the value.
 impl<T: Snap> Snap for Box<T> {
     fn save(&self, w: &mut SnapWriter) {
@@ -111,9 +103,12 @@ impl<T: Snap> Snap for Option<T> {
     }
 }
 
+/// Every owned sequence is its length plus its items — a `Vec<u8>` too:
+/// a type holding a byte string (a payload, packed bits) writes it with
+/// [`SnapWriter::put_bytes`] itself.
 macro_rules! snap_seq {
-    ($ty:ident, $bound:ident $(+ $extra:ident)*) => {
-        impl<T: Snap $(+ $extra)*> Snap for $ty<T> {
+    ($($ty:ty $(: $bound:path)?),+) => {$(
+        impl<T: Snap $(+ $bound)?> Snap for $ty {
             fn save(&self, w: &mut SnapWriter) {
                 w.put_seq(self.iter());
             }
@@ -122,30 +117,10 @@ macro_rules! snap_seq {
                 (0..len).map(|_| T::load(r)).collect()
             }
         }
-    };
+    )+};
 }
 
-/// Length-prefixed `Vec` of non-byte elements — a coherence wrapper:
-/// `Vec<u8>` has its own compact hex impl above, so a blanket
-/// `Vec<T: Snap>` impl would overlap it; load other element vectors
-/// through `SnapVec` at load sites instead, and write them with
-/// [`SnapWriter::put_seq`], which borrows them.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SnapVec<T>(pub Vec<T>);
-
-impl<T: Snap> Snap for SnapVec<T> {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_seq(self.0.iter());
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let len = r.u64()? as usize;
-        Ok(SnapVec(
-            (0..len).map(|_| T::load(r)).collect::<Result<_, _>>()?,
-        ))
-    }
-}
-
-snap_seq!(BTreeSet, Snap + Ord);
+snap_seq!(Vec<T>, Arc<[T]>, BTreeSet<T>: Ord);
 
 impl<K: Snap + Ord, V: Snap> Snap for BTreeMap<K, V> {
     fn save(&self, w: &mut SnapWriter) {
@@ -226,14 +201,7 @@ impl Snap for BitStr {
     }
 }
 
-impl Snap for Hash128 {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u128(self.0);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Hash128(r.u128()?))
-    }
-}
+crate::snap_struct!(Hash128 { 0 });
 
 // ---- skippub-ringmath ----
 
@@ -254,18 +222,7 @@ impl Snap for Label {
 
 // ---- skippub-trie ----
 
-impl Snap for NodeSummary {
-    fn save(&self, w: &mut SnapWriter) {
-        self.label.save(w);
-        self.hash.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(NodeSummary {
-            label: Snap::load(r)?,
-            hash: Snap::load(r)?,
-        })
-    }
-}
+crate::snap_struct!(NodeSummary { label, hash });
 
 /// Raw key + author + payload, restored verbatim (also exact for
 /// hand-built raw-key publications, which derived-key reconstruction

@@ -23,8 +23,14 @@
 //!   `skippub-trie` types. Every other crate implements it for its own
 //!   types: `skippub-sim` writes and reads its world (partitions,
 //!   channels, mailboxes, metrics, fault planes) straight from its own
-//!   structures, and protocol crates their message and state types (the
-//!   [`snap_struct!`] macro writes the field-by-field boilerplate).
+//!   structures, and protocol crates their message and state types.
+//!   Each format is declared once: [`snap_struct!`] lists a struct's
+//!   fields in token order and [`snap_enum!`] an enum's variants with
+//!   their tags, so `save` and `load` cannot drift apart. Every owned
+//!   sequence (`Vec<T>`, `Arc<[T]>`, `BTreeSet<T>`) is a length plus
+//!   its items. Hand-written impls are the ones whose load validates
+//!   (an unknown tag, a key length or a topic out of range, a world no
+//!   engine could have built), skips a field or derives one.
 //! * [`SnapWriter`] / [`SnapReader`] — the ASCII token codec (see
 //!   [`codec`] module docs for the format).
 //! * [`BackendSnapshot`] — the sealed serialized form: a `kind` tag the
@@ -39,10 +45,12 @@ pub mod codec;
 mod impls;
 
 pub use codec::{BackendSnapshot, Snap, SnapError, SnapReader, SnapWriter};
-pub use impls::SnapVec;
 
-/// Implements [`Snap`] for a struct with all-visible fields by saving
-/// and loading each named field in order.
+/// Implements [`Snap`] for a struct by saving and loading each listed
+/// field in order (a tuple struct lists its indices, `{ 0 }`). A
+/// generic struct names its parameters first, `impl<M> Envelope<M>`;
+/// each must be [`Snap`]. A struct whose load must validate, skip or
+/// derive something writes its impl by hand instead.
 ///
 /// ```
 /// use skippub_snapshot::{snap_struct, BackendSnapshot, Snap, SnapWriter};
@@ -54,22 +62,96 @@ pub use impls::SnapVec;
 /// }
 /// snap_struct!(Counters { hits, misses });
 ///
-/// let before = Counters { hits: 3, misses: 1 };
+/// #[derive(Debug, PartialEq)]
+/// struct Tagged<T>(u32, T);
+/// snap_struct!(impl<T> Tagged<T> { 0, 1 });
+///
+/// let before = Tagged(7, Counters { hits: 3, misses: 1 });
 /// let mut w = SnapWriter::new();
 /// before.save(&mut w);
 /// let snap = w.finish("demo");
+/// assert!(snap.as_text().ends_with(" 7 3 1"));
 /// let mut r = snap.reader().unwrap();
-/// assert_eq!(Counters::load(&mut r).unwrap(), before);
+/// assert_eq!(Tagged::load(&mut r).unwrap(), before);
 /// ```
 #[macro_export]
 macro_rules! snap_struct {
-    ($ty:ty { $($field:ident),+ $(,)? }) => {
-        impl $crate::Snap for $ty {
+    (impl<$($g:ident),*> $ty:ty { $($field:tt),+ $(,)? }) => {
+        impl<$($g: $crate::Snap),*> $crate::Snap for $ty {
             fn save(&self, w: &mut $crate::SnapWriter) {
                 $( $crate::Snap::save(&self.$field, w); )+
             }
             fn load(r: &mut $crate::SnapReader<'_>) -> Result<Self, $crate::SnapError> {
                 Ok(Self { $($field: $crate::Snap::load(r)?),+ })
+            }
+        }
+    };
+    ($ty:ty { $($field:tt),+ $(,)? }) => {
+        $crate::snap_struct!(impl<> $ty { $($field),+ });
+    };
+}
+
+/// Implements [`Snap`] for an enum: a variant is its tag (a `u64`)
+/// followed by its fields in the order listed: a struct variant lists
+/// its field names, a tuple variant one name per field, a unit variant
+/// nothing. A tag no variant has is [`SnapError::Malformed`].
+///
+/// ```
+/// use skippub_snapshot::{snap_enum, BackendSnapshot, Snap, SnapError, SnapWriter};
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Shape {
+///     Dot,
+///     Line(u64),
+///     Box { w: u64, h: u64 },
+/// }
+/// snap_enum!(Shape {
+///     0 => Dot,
+///     1 => Line(len),
+///     2 => Box { w, h },
+/// });
+///
+/// let mut w = SnapWriter::new();
+/// Shape::Box { w: 3, h: 4 }.save(&mut w);
+/// let snap = w.finish("demo");
+/// assert!(snap.as_text().ends_with(" 2 3 4"));
+/// let mut r = snap.reader().unwrap();
+/// assert_eq!(Shape::load(&mut r).unwrap(), Shape::Box { w: 3, h: 4 });
+///
+/// let snap = BackendSnapshot::from_text("skippubsnap 8 demo 0 3").unwrap();
+/// let unknown = Shape::load(&mut snap.reader().unwrap());
+/// assert!(matches!(unknown, Err(SnapError::Malformed(_))));
+/// ```
+#[macro_export]
+macro_rules! snap_enum {
+    ($ty:ident {
+        $($tag:literal => $variant:ident
+            $({ $($field:ident),* $(,)? })?
+            $(( $($pos:ident),* $(,)? ))?
+        ),+ $(,)?
+    }) => {
+        impl $crate::Snap for $ty {
+            fn save(&self, w: &mut $crate::SnapWriter) {
+                match self {
+                    $(Self::$variant $({ $($field),* })? $(( $($pos),* ))? => {
+                        w.put_u64($tag);
+                        $($( $crate::Snap::save($field, w); )*)?
+                        $($( $crate::Snap::save($pos, w); )*)?
+                    })+
+                }
+            }
+            fn load(r: &mut $crate::SnapReader<'_>) -> Result<Self, $crate::SnapError> {
+                match r.u64()? {
+                    $($tag => {
+                        $($( let $field = $crate::Snap::load(r)?; )*)?
+                        $($( let $pos = $crate::Snap::load(r)?; )*)?
+                        Ok(Self::$variant $({ $($field),* })? $(( $($pos),* ))?)
+                    })+
+                    n => Err($crate::SnapError::Malformed(format!(
+                        "unknown {} tag {n}",
+                        stringify!($ty)
+                    ))),
+                }
             }
         }
     };

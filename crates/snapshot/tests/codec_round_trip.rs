@@ -3,7 +3,7 @@
 //! `skippub-sim`, next to the engine that writes them.
 
 use skippub_bits::BitStr;
-use skippub_snapshot::{BackendSnapshot, Snap, SnapError, SnapVec, SnapWriter};
+use skippub_snapshot::{BackendSnapshot, Snap, SnapError, SnapWriter};
 use skippub_trie::{PatriciaTrie, Publication};
 
 fn round_trip<T: Snap>(value: &T) -> T {
@@ -36,8 +36,8 @@ fn primitives_round_trip() {
     assert_eq!(round_trip(&Some(42u32)), Some(42));
     assert_eq!(round_trip(&[1u64, 2, 3, 4]), [1u64, 2, 3, 4]);
     assert_eq!(
-        round_trip(&SnapVec(vec![(1u32, 2u64), (3, 4)])),
-        SnapVec(vec![(1u32, 2u64), (3, 4)])
+        round_trip(&vec![(1u32, 2u64), (3, 4)]),
+        vec![(1u32, 2u64), (3, 4)]
     );
 }
 

@@ -333,12 +333,42 @@ mod tests {
         }
     }
 
+    /// The fixture's whole report, byte for byte: two partitions, fault
+    /// counts and 4-decimal imbalances.
+    const PINNED: &str = r#"{
+  "schema": "skippub-scenario-report/v1",
+  "scenario": "unit",
+  "backend": "sim",
+  "seed": 7,
+  "topics": 1,
+  "config": {"shards": 2, "threads": 4, "seed": 7},
+  "final_population": 3,
+  "ok": true,
+  "phases": {"warm_rounds": 12, "warm_ok": true, "scheduled_rounds": 5, "stop_kind": "fixed_rounds", "stop_rounds": 0, "stop_ok": true, "settle_rounds": 2},
+  "checker": {"legit": true, "pubs_converged": true, "total_pubs": 4, "members_agree": true},
+  "per_topic": [
+    {"topic": 0, "members": 3, "pubs": 4, "fingerprint": "00ff"}
+  ],
+  "delivered_fingerprint": "00ff",
+  "ops": {"subscribes": 3, "leaves": 0, "publishes": 4, "seeds": 0, "crashes": 0, "reports": 0, "sup_crashes": 0, "steps": 19},
+  "stats": {"steps": 19, "sent": 100, "delivered": 90, "dropped": 0, "faults": {"dropped": 2, "duplicated": 1, "reordered": 3, "delayed": 4}, "peak_in_flight": 42, "lock_acquisitions": 16, "delivered_imbalance": 1.2222, "stepped_imbalance": 1.1111, "per_partition": [{"sent": 60, "delivered": 55, "dropped": 0, "faults": {"dropped": 2, "duplicated": 1, "reordered": 3, "delayed": 4}, "cross_envelopes": 3, "peak_in_flight": 30, "stepped": 100, "lock_acquisitions": 9}, {"sent": 40, "delivered": 35, "dropped": 0, "faults": {"dropped": 0, "duplicated": 0, "reordered": 0, "delayed": 0}, "cross_envelopes": 1, "peak_in_flight": 12, "stepped": 80, "lock_acquisitions": 7}]}
+}
+"#;
+
     #[test]
     fn json_is_stable_and_contains_fields() {
         let r = report();
         let a = r.to_json();
         let b = r.clone().to_json();
         assert_eq!(a, b, "emission must be deterministic");
+        assert_eq!(a, PINNED, "the report's bytes moved");
+        let mut escaped = report();
+        escaped.scenario = "a\"b\u{1}".into();
+        assert_eq!(
+            escaped.to_json(),
+            PINNED.replacen(r#""scenario": "unit","#, r#""scenario": "a\"b\u0001","#, 1),
+            "an escaped name's bytes moved"
+        );
         for needle in [
             "\"schema\": \"skippub-scenario-report/v1\"",
             "\"scenario\": \"unit\"",

@@ -2,7 +2,7 @@
 //! optional `--smoke`, an optional `--out FILE`. Sizes are constants of
 //! each suite, not flags.
 
-use crate::json::Json;
+use skippub_harness::json::Json;
 
 /// What `bench` prints (with the error) when its arguments do not parse.
 pub const USAGE: &str = "usage: bench <scale|parallel|faults|snapshot> [--smoke] [--out FILE]";

@@ -12,11 +12,11 @@
 //! publication waiting on a lucky repair partner — hence the
 //! monotone-in-n assert.
 
-use crate::json::Json::{self, Fixed};
-use crate::obj;
 use crate::stamp::stamp;
 use skippub_core::{BackendKind, PubSub, TopicId};
-use skippub_harness::scenario::{self, library};
+use skippub_harness::json::Json::{self, Fixed};
+use skippub_harness::obj;
+use skippub_harness::scenario::{self, library, Oracle};
 use skippub_sim::{FaultRule, FaultSpec, LinkClass, NodeId, Sever};
 use std::time::Instant;
 
@@ -186,8 +186,8 @@ pub fn run(smoke: bool) -> Json {
 
     // Oracle flag: the builtin heal-and-reconverge storm, in-process.
     let storm_spec = library::builtin("fault-storm-loss").expect("builtin exists");
-    let storm =
-        scenario::run_fault_storm(&storm_spec, BackendKind::Sim).expect("sim supports faults");
+    let storm = scenario::run_oracle(&storm_spec, BackendKind::Sim, Oracle::FaultStorm)
+        .expect("sim supports faults");
     assert!(storm.ok(), "fault-storm oracle failed: {}", storm.to_json());
 
     let mut loss_rows: Vec<LossRow> = Vec::new();

@@ -8,16 +8,15 @@
 //! plain `fn run(smoke: bool) -> Json` — [`scale`], [`parallel`],
 //! [`faults`], [`snapshot`] — whose sizes are constants and whose
 //! claims are asserted in-run before anything is written. They share
-//! one argument parser ([`args`]), one JSON value and writer
-//! ([`json`]), one artifact stamp with its heap meter ([`stamp`]) and
-//! one splitmix/Zipf stream ([`zipf`]).
+//! one argument parser ([`args`]), the harness's JSON value and writer
+//! ([`skippub_harness::json`]), one artifact stamp with its heap meter
+//! ([`stamp`]) and one splitmix/Zipf stream ([`zipf`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod args;
 pub mod faults;
-pub mod json;
 pub mod parallel;
 pub mod scale;
 pub mod snapshot;

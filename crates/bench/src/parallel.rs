@@ -18,13 +18,13 @@
 //!   reports per-`step()` driving (one spawn per round) so the
 //!   fork-join overhead is visible rather than hidden.
 
-use crate::json::Json::{self, Fixed};
-use crate::obj;
 use crate::stamp::{cores, stamp};
 use skippub_core::pubsub::{PartitionedBackend, PubSub, SystemBuilder, SHARD_SUPERVISOR_BASE};
 use skippub_core::sharding::SupervisorShards;
 use skippub_core::topics::TopicId;
 use skippub_core::{Actor, ProtocolConfig, Subscriber, Supervisor};
+use skippub_harness::json::Json::{self, Fixed};
+use skippub_harness::obj;
 use skippub_sim::{NodeId, World};
 use std::time::Instant;
 

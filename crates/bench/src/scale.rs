@@ -25,13 +25,13 @@
 //! The warm leg builds one legitimate ring of size `n` directly — one
 //! ring is *harder* than any Zipf split of the same population.
 
-use crate::json::Json::{self, Fixed};
-use crate::obj;
 use crate::stamp::{peak_mb_above, reset_peak, stamp};
 use crate::zipf::{splitmix64, Zipf};
 use skippub_bits::BitStr;
 use skippub_core::pubsub::{PartitionedBackend, SystemBuilder};
 use skippub_core::{PubSub, TopicId};
+use skippub_harness::json::Json::{self, Fixed};
+use skippub_harness::obj;
 use std::time::Instant;
 
 const SEED: u64 = 0x5CA1EB18;

@@ -7,12 +7,12 @@
 //! [`DESCRIPTION`] and [`NOTE`]. CI runs the suite at smoke size so
 //! `batched_matches_per_insert` cannot rot.
 
-use crate::json::Json::{self, Fixed};
-use crate::obj;
 use crate::stamp::stamp;
 use crate::zipf::{splitmix64, Zipf};
 use skippub_core::pubsub;
 use skippub_core::{Actor, PubSub, TopicId};
+use skippub_harness::json::Json::{self, Fixed};
+use skippub_harness::obj;
 use skippub_trie::{MemoryTrieDb, PatriciaTrie, Publication, TrieBatch};
 use std::time::Instant;
 

@@ -9,7 +9,7 @@
 //! [`on_free`]; in a process without one (the test harness) every
 //! reading is 0.
 
-use crate::json::Json::{self, Fixed};
+use skippub_harness::json::Json::{self, Fixed};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 // Statistics only: nothing is published through these, so `Relaxed`.

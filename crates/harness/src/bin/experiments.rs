@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! experiments all                         # run everything (small scale)
-//! experiments all --scale full            # the sweeps recorded in EXPERIMENTS.md
+//! experiments all --scale full            # larger sweeps, tables on stdout
 //! experiments convergence --seed 7        # one experiment
 //! experiments --list                      # available experiments
 //! ```

@@ -34,12 +34,12 @@
 //! unreadable/unwritable paths).
 
 use skippub_harness::scenario::{
-    self, builtin, builtins, BackendKind, FaultSpec, ScenarioSpec, Trace, WarmStart,
+    self, builtin, builtins, BackendKind, FaultSpec, Oracle, ScenarioSpec, Trace, WarmStart,
 };
 
 fn usage() -> ! {
     eprintln!(
-        "usage: scenarios <name|all|replay FILE|crash-recovery NAME|supervisor-crash NAME|fault-storm NAME> [--backend sim|chaos|multi-topic|sharded|threaded|all] [--seed N] [--rounds N] [--threads N] [--rebalance N] [--faults SPEC] [--out DIR] [--trace FILE] [--snapshot-at R --out-snapshot FILE] [--from-snapshot FILE] [--corrupt K] [--list]"
+        "usage: scenarios <name|all|replay FILE|crash-recovery NAME|supervisor-crash NAME|fault-storm NAME> [--backend sim|chaos|multi-topic|sharded|threaded|all] [--seed N] [--rounds N] [--threads N] [--rebalance N] [--faults SPEC] [--out DIR] [--trace FILE] [--snapshot-at R --out-snapshot FILE] [--from-snapshot FILE] [--corrupt K (crash-recovery only)] [--list]"
     );
     std::process::exit(2);
 }
@@ -72,6 +72,22 @@ fn faults_flag_conflict(
         );
     }
     None
+}
+
+/// Applies `--corrupt K` to the oracle it belongs to: only crash
+/// recovery corrupts channels, so in any other mode the flag would be
+/// silently ignored.
+fn corrupt_flag(
+    oracle: Option<Oracle>,
+    corrupt: Option<usize>,
+) -> Result<Option<Oracle>, &'static str> {
+    match (oracle, corrupt) {
+        (oracle, None) => Ok(oracle),
+        (Some(Oracle::CrashRecovery { .. }), Some(corrupt)) => {
+            Ok(Some(Oracle::CrashRecovery { corrupt }))
+        }
+        (_, Some(_)) => Err("--corrupt only applies to crash-recovery"),
+    }
 }
 
 /// The flags that override a builtin spec's knobs, applied the same way
@@ -183,45 +199,48 @@ fn run_one(
     }
 }
 
-/// The backends an oracle mode sweeps: the chosen in-process one, or
-/// every backend the spec supports.
-fn oracle_kinds(spec: &ScenarioSpec, chosen: Option<Target>, threaded_msg: &str) -> Vec<BackendKind> {
-    match chosen {
-        Some(Target::InProcess(k)) => vec![k],
-        Some(Target::Threaded) => fail(threaded_msg),
-        None => spec.supported_backends(),
-    }
-}
-
-/// The oracle modes' one loop: run `oracle` (verdict + report JSON) on
-/// each backend, print the report, write `{name}.{kind}.{suffix}.json`
-/// under `--out`, and exit 1 if any verdict failed.
-fn oracle_sweep(
+/// Runs `oracle` on the chosen in-process backend, or on every backend
+/// the spec supports: prints each report, writes
+/// `{name}.{kind}.{suffix}.json` under `--out`, and exits 1 if any
+/// verdict failed.
+fn run_oracles(
     spec: &ScenarioSpec,
-    kinds: Vec<BackendKind>,
+    chosen: Option<Target>,
     out_dir: Option<&str>,
-    mode: &str,
-    suffix: &str,
-    failed_label: &str,
-    oracle: impl Fn(BackendKind) -> Result<(bool, String), String>,
+    oracle: Oracle,
 ) -> ! {
+    let kinds = match chosen {
+        Some(Target::InProcess(k)) => vec![k],
+        Some(Target::Threaded) => fail(&format!(
+            "the threaded runtime cannot run the {} oracle",
+            oracle.name()
+        )),
+        None => spec.supported_backends(),
+    };
     let mut failed = false;
     for kind in kinds {
         let started = std::time::Instant::now();
-        let (ok, json) = oracle(kind).unwrap_or_else(|e| fail(&e));
+        let report = scenario::run_oracle(spec, kind, oracle).unwrap_or_else(|e| fail(&e));
         eprintln!(
-            "=== {mode} {} on {} ({:.2?}) {}",
+            "=== {} {} on {} ({:.2?}) {}",
+            oracle.name(),
             spec.name,
             kind.name(),
             started.elapsed(),
-            if ok { "ok" } else { failed_label }
+            if report.ok() { "ok" } else { "FAILED" }
         );
-        println!("{json}");
+        let json = report.to_json();
+        print!("{json}");
         if let Some(dir) = out_dir {
-            let path = format!("{dir}/{}.{}.{suffix}.json", spec.name, kind.name());
+            let path = format!(
+                "{dir}/{}.{}.{}.json",
+                spec.name,
+                kind.name(),
+                oracle.suffix()
+            );
             std::fs::write(&path, &json).unwrap_or_else(|e| fail(&format!("write {path}: {e}")));
         }
-        failed |= !ok;
+        failed |= !report.ok();
     }
     std::process::exit(if failed { 1 } else { 0 });
 }
@@ -241,11 +260,9 @@ fn main() {
     let mut snapshot_at: Option<u64> = None;
     let mut out_snapshot: Option<String> = None;
     let mut from_snapshot: Option<String> = None;
-    let mut corrupt: usize = 25;
+    let mut corrupt: Option<usize> = None;
     let mut faults_arg: Option<String> = None;
-    let mut recovery = false;
-    let mut failover = false;
-    let mut storm = false;
+    let mut oracle: Option<Oracle> = None;
     let mut list = false;
     let mut i = 0;
     while i < args.len() {
@@ -320,28 +337,31 @@ fn main() {
                 i += 1;
             }
             "--corrupt" => {
-                corrupt = take(&args, i, "--corrupt")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--corrupt needs a count"));
+                corrupt = Some(
+                    take(&args, i, "--corrupt")
+                        .parse()
+                        .unwrap_or_else(|_| fail("--corrupt needs a count")),
+                );
                 i += 1;
             }
             "--faults" => {
                 faults_arg = Some(take(&args, i, "--faults"));
                 i += 1;
             }
-            "crash-recovery" if name.is_none() && !recovery => recovery = true,
-            "supervisor-crash" if name.is_none() && !failover => failover = true,
-            "fault-storm" if name.is_none() && !storm => storm = true,
             "replay" if name.is_none() => {
                 replay_file = Some(take(&args, i, "replay"));
                 i += 1;
                 name = Some("replay".into());
             }
-            other if name.is_none() && !other.starts_with("--") => name = Some(other.to_string()),
+            other if name.is_none() && !other.starts_with("--") => match Oracle::from_name(other) {
+                Some(o) if oracle.is_none() => oracle = Some(o),
+                _ => name = Some(other.to_string()),
+            },
             other => fail(&format!("unexpected argument {other:?}")),
         }
         i += 1;
     }
+    let oracle = corrupt_flag(oracle, corrupt).unwrap_or_else(|msg| fail(msg));
 
     if list {
         println!("built-in scenarios:");
@@ -432,9 +452,7 @@ fn main() {
     }
     let modes = snapshot_at.is_some() as usize
         + from_snapshot.is_some() as usize
-        + recovery as usize
-        + failover as usize
-        + storm as usize;
+        + oracle.is_some() as usize;
     if modes > 1 {
         fail("--snapshot-at, --from-snapshot, crash-recovery, supervisor-crash, and fault-storm are mutually exclusive");
     }
@@ -496,34 +514,11 @@ fn main() {
             std::process::exit(if resumed.report.ok() { 0 } else { 1 });
         }
 
-        // Supervisor-failover oracle: run the scenario's scheduled
-        // supervisor-primary crashes, run the same schedule stripped of
-        // them, and self-assert the two runs are observationally
-        // identical (delivered sets + final checker digests).
-        if failover {
-            let kinds = oracle_kinds(&spec, chosen, "the threaded runtime cannot run the failover oracle");
-            oracle_sweep(&spec, kinds, out_dir.as_deref(), "supervisor-crash", "failover", "DIVERGED", |kind| {
-                scenario::run_supervisor_crash(&spec, kind).map(|r| (r.ok(), r.to_json()))
-            });
-        }
-
-        // Link-fault-storm oracle: run the scenario's fault schedule
-        // (builtin or injected via --faults), run the same schedule on
-        // perfect links, and self-assert healing — re-legitimization,
-        // re-convergence, partition-triggered failovers, and (for
-        // loss/delay-only schedules) delivered-set equality.
-        if storm {
-            let kinds = oracle_kinds(&spec, chosen, "the threaded runtime cannot run the fault-storm oracle");
-            oracle_sweep(&spec, kinds, out_dir.as_deref(), "fault-storm", "faultstorm", "FAILED", |kind| {
-                scenario::run_fault_storm(&spec, kind).map(|r| (r.ok(), r.to_json()))
-            });
-        }
-
-        // Crash recovery: checkpoint mid-run, restore, corrupt, re-legit.
-        let kinds = oracle_kinds(&spec, chosen, "the threaded runtime cannot snapshot");
-        oracle_sweep(&spec, kinds, out_dir.as_deref(), "crash-recovery", "recovery", "FAILED", |kind| {
-            scenario::run_crash_recovery(&spec, kind, corrupt).map(|r| (r.ok(), r.to_json()))
-        });
+        // The perturbation oracles: supervisor crashes against the
+        // crash-free twin, link faults against the perfect-link twin, or
+        // a corrupted restore that must re-stabilize.
+        let oracle = oracle.expect("the one mode left is an oracle");
+        run_oracles(&spec, chosen, out_dir.as_deref(), oracle);
     }
 
     let mut failures = 0usize;
@@ -632,6 +627,25 @@ mod tests {
     fn faults_flag_is_rejected_on_the_threaded_backend() {
         let msg = faults_flag_conflict(true, false, false, true).expect("conflict");
         assert!(msg.contains("threaded"), "{msg}");
+    }
+
+    #[test]
+    fn corrupt_flag_is_rejected_outside_crash_recovery() {
+        for oracle in [None, Some(Oracle::SupervisorCrash), Some(Oracle::FaultStorm)] {
+            let msg = corrupt_flag(oracle, Some(5)).expect_err("conflict");
+            assert!(msg.contains("crash-recovery"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn corrupt_flag_sets_the_crash_recovery_count() {
+        let recovery = Oracle::from_name("crash-recovery");
+        assert_eq!(
+            corrupt_flag(recovery, Some(3)),
+            Ok(Some(Oracle::CrashRecovery { corrupt: 3 }))
+        );
+        assert_eq!(corrupt_flag(recovery, None), Ok(recovery));
+        assert_eq!(corrupt_flag(None, None), Ok(None));
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The experiment registry. IDs match DESIGN.md §3 / EXPERIMENTS.md.
+//! The experiment registry. Each experiment's ID (E1–E15) is the one
+//! `docs/paper_map.md` maps to its paper artefact (DESIGN.md §5.3).
 
 pub mod ablation;
 pub mod churn;

@@ -1,13 +1,38 @@
-//! The one JSON value and writer behind every `BENCH_*.json` artifact.
+//! The one JSON value and writer behind every report and artifact: the
+//! scenario report, the oracle report and the `BENCH_*.json` files.
 //!
-//! Suites build a [`Json`] tree (the [`obj!`](crate::obj) macro keeps
-//! member order, which is the artifact's field order) and
+//! Callers build a [`Json`] tree (the [`obj!`](crate::obj) macro keeps
+//! member order, which is the output's field order) and
 //! [`Json::render`] lays it out the way the committed artifacts read:
 //! one top-level member per line, arrays of rows one row per line,
 //! everything deeper inline.
 
-use skippub_harness::scenario::report::json_str;
 use std::fmt::Write as _;
+
+/// `s` as a JSON string literal, quotes included. Names can come from a
+/// trace file, so `"`, `\` and control characters must not reach the
+/// output raw (Rust's `{:?}` spells the latter `\u{1}`, which is not
+/// JSON). For the builtin names, hex fingerprints and stop kinds it is
+/// the string between two quotes.
+fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if u32::from(c) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", u32::from(c));
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]

@@ -13,6 +13,8 @@
 //!   churn/convergence ones as thin scenario-spec wrappers), runs the
 //!   protocol, and emits a table whose verdicts assert the paper's
 //!   claims. Run via the `experiments` binary.
+//! * [`json`] — the one JSON value and writer behind the scenario and
+//!   oracle reports and the `BENCH_*.json` artifacts.
 //!
 //! ```text
 //! cargo run -p skippub-harness --release --bin scenarios -- all
@@ -24,18 +26,20 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
+pub mod json;
 pub mod scenario;
 mod table;
 
 pub use table::Table;
 
 /// Experiment scale: `Small` keeps every experiment under ~a second (used
-/// by tests); `Full` runs the sweeps recorded in EXPERIMENTS.md.
+/// by tests); `Full` runs larger sweeps and prints their tables to
+/// stdout.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
     /// Tiny sweeps for CI/tests.
     Small,
-    /// The full recorded sweeps.
+    /// The larger sweeps (tables on stdout only).
     Full,
 }
 

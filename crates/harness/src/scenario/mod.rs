@@ -47,10 +47,8 @@
 //! [`PubSub`]: skippub_core::PubSub
 
 pub mod engine;
-pub mod failover;
-pub mod faultstorm;
 pub mod library;
-pub mod recovery;
+pub mod oracle;
 pub mod report;
 pub mod schedule;
 pub mod spec;
@@ -60,10 +58,8 @@ pub use engine::{
     budget_multiplier, builder_for, resume_spec, run_on, run_recorded, run_spec,
     run_spec_with_snapshot, run_threaded, DeliveredItem, DeliveredSet, ScenarioOutcome, WarmStart,
 };
-pub use failover::{run_supervisor_crash, FailoverReport};
-pub use faultstorm::{run_fault_storm, severed_primaries, FaultStormReport};
 pub use library::{builtin, builtins};
-pub use recovery::{run_crash_recovery, CrashRecoveryReport};
+pub use oracle::{run_oracle, Oracle, OracleReport};
 pub use report::{OpCounts, ScenarioReport, TopicReport};
 pub use schedule::{compile, Fate, PlannedOp, Schedule, SlotPlan};
 pub use spec::{Burst, BurstKind, Popularity, ScenarioSpec, Stop};

@@ -1,39 +1,15 @@
 //! [`ScenarioReport`]: the per-scenario JSON report the engine (and the
 //! trace replayer) assembles.
 //!
-//! The JSON emission is hand-rolled with a **stable field order** so
-//! that "record a trace → replay it → compare reports" can assert
-//! byte-identical output (the repo's trace-determinism contract).
+//! The JSON goes through the shared [`Json`] writer with a **stable
+//! field order** so that "record a trace → replay it → compare reports"
+//! can assert byte-identical output (the repo's trace-determinism
+//! contract).
 
+use crate::json::Json::{self, Fixed};
+use crate::obj;
 use skippub_core::pubsub::Op;
 use skippub_core::Stats;
-use std::fmt::Write as _;
-
-/// `s` as a JSON string literal, quotes included: the one escaper of
-/// the reports and the bench artifacts. Names can come from a trace
-/// file, so `"`, `\` and control characters must not reach the output
-/// raw (Rust's `{:?}` spells the latter `\u{1}`, which is not JSON). For
-/// the builtin names, hex fingerprints and stop kinds it is the string
-/// between two quotes.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if u32::from(c) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", u32::from(c));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 /// Per-topic delivery summary.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -154,105 +130,42 @@ impl ScenarioReport {
     /// Stable, pretty-printed JSON (field order fixed — see module
     /// docs).
     pub fn to_json(&self) -> String {
-        let mut j = String::new();
-        j.push_str("{\n  \"schema\": \"skippub-scenario-report/v1\",\n");
-        let _ = writeln!(j, "  \"scenario\": {},", json_str(&self.scenario));
-        let _ = writeln!(j, "  \"backend\": {},", json_str(&self.backend));
-        let _ = writeln!(j, "  \"seed\": {},", self.seed);
-        let _ = writeln!(j, "  \"topics\": {},", self.topics);
-        let _ = writeln!(
-            j,
-            "  \"config\": {{\"shards\": {}, \"threads\": {}, \"seed\": {}}},",
-            self.shards, self.threads, self.seed
-        );
-        let _ = writeln!(j, "  \"final_population\": {},", self.final_population);
-        let _ = writeln!(j, "  \"ok\": {},", self.ok());
-        let _ = writeln!(
-            j,
-            "  \"phases\": {{\"warm_rounds\": {}, \"warm_ok\": {}, \"scheduled_rounds\": {}, \"stop_kind\": {}, \"stop_rounds\": {}, \"stop_ok\": {}, \"settle_rounds\": {}}},",
-            self.warm_rounds,
-            self.warm_ok,
-            self.scheduled_rounds,
-            json_str(self.stop_kind),
-            self.stop_rounds,
-            self.stop_ok,
-            self.settle_rounds
-        );
-        let _ = writeln!(
-            j,
-            "  \"checker\": {{\"legit\": {}, \"pubs_converged\": {}, \"total_pubs\": {}, \"members_agree\": {}}},",
-            self.legit, self.pubs_converged, self.total_pubs, self.members_agree
-        );
-        j.push_str("  \"per_topic\": [\n");
-        for (i, t) in self.per_topic.iter().enumerate() {
-            let _ = writeln!(
-                j,
-                "    {{\"topic\": {}, \"members\": {}, \"pubs\": {}, \"fingerprint\": {}}}{}",
-                t.topic,
-                t.members,
-                t.pubs,
-                json_str(&t.fingerprint),
-                if i + 1 == self.per_topic.len() { "" } else { "," }
-            );
+        let (o, s) = (&self.ops, &self.stats);
+        let faults = |dropped: u64, duplicated: u64, reordered: u64, delayed: u64| {
+            obj! {"dropped": dropped, "duplicated": duplicated, "reordered": reordered, "delayed": delayed}
+        };
+        let per_topic: Json = self.per_topic.iter().map(|t| {
+            obj! {"topic": t.topic, "members": t.members, "pubs": t.pubs, "fingerprint": t.fingerprint.as_str()}
+        }).collect();
+        let per_partition: Json = s.per_partition.iter().map(|p| {
+            obj! {"sent": p.sent, "delivered": p.delivered, "dropped": p.dropped, "faults": faults(p.dropped_by_fault, p.duplicated, p.reordered, p.delayed),
+                "cross_envelopes": p.cross_envelopes, "peak_in_flight": p.peak_in_flight, "stepped": p.stepped, "lock_acquisitions": p.lock_acquisitions}
+        }).collect();
+        obj! {
+            "schema": "skippub-scenario-report/v1",
+            "scenario": self.scenario.as_str(),
+            "backend": self.backend.as_str(),
+            "seed": self.seed,
+            "topics": self.topics,
+            "config": obj! {"shards": self.shards, "threads": self.threads, "seed": self.seed},
+            "final_population": self.final_population,
+            "ok": self.ok(),
+            "phases": obj! {"warm_rounds": self.warm_rounds, "warm_ok": self.warm_ok, "scheduled_rounds": self.scheduled_rounds, "stop_kind": self.stop_kind,
+                "stop_rounds": self.stop_rounds, "stop_ok": self.stop_ok, "settle_rounds": self.settle_rounds},
+            "checker": obj! {"legit": self.legit, "pubs_converged": self.pubs_converged, "total_pubs": self.total_pubs, "members_agree": self.members_agree},
+            "per_topic": per_topic,
+            "delivered_fingerprint": self.delivered_fingerprint.as_str(),
+            "ops": obj! {"subscribes": o.subscribes, "leaves": o.leaves, "publishes": o.publishes, "seeds": o.seeds, "crashes": o.crashes,
+                "reports": o.reports, "sup_crashes": o.sup_crashes, "steps": o.steps},
+            // The imbalance gauges are computed from the integer
+            // counters (fixed 4-decimal formatting), so the emission
+            // stays part of the byte-identical-replay contract.
+            "stats": obj! {"steps": s.steps, "sent": s.sent, "delivered": s.delivered, "dropped": s.dropped,
+                "faults": faults(s.dropped_by_fault, s.duplicated, s.reordered, s.delayed), "peak_in_flight": s.peak_in_flight,
+                "lock_acquisitions": s.lock_acquisitions(), "delivered_imbalance": Fixed(s.delivered_imbalance(), 4),
+                "stepped_imbalance": Fixed(s.stepped_imbalance(), 4), "per_partition": per_partition},
         }
-        j.push_str("  ],\n");
-        let _ = writeln!(
-            j,
-            "  \"delivered_fingerprint\": {},",
-            json_str(&self.delivered_fingerprint)
-        );
-        let _ = writeln!(
-            j,
-            "  \"ops\": {{\"subscribes\": {}, \"leaves\": {}, \"publishes\": {}, \"seeds\": {}, \"crashes\": {}, \"reports\": {}, \"sup_crashes\": {}, \"steps\": {}}},",
-            self.ops.subscribes,
-            self.ops.leaves,
-            self.ops.publishes,
-            self.ops.seeds,
-            self.ops.crashes,
-            self.ops.reports,
-            self.ops.sup_crashes,
-            self.ops.steps
-        );
-        // The imbalance gauges are computed from the integer counters
-        // (fixed 4-decimal formatting), so the emission stays part of
-        // the byte-identical-replay contract.
-        let _ = write!(
-            j,
-            "  \"stats\": {{\"steps\": {}, \"sent\": {}, \"delivered\": {}, \"dropped\": {}, \"faults\": {{\"dropped\": {}, \"duplicated\": {}, \"reordered\": {}, \"delayed\": {}}}, \"peak_in_flight\": {}, \"lock_acquisitions\": {}, \"delivered_imbalance\": {:.4}, \"stepped_imbalance\": {:.4}, \"per_partition\": [",
-            self.stats.steps,
-            self.stats.sent,
-            self.stats.delivered,
-            self.stats.dropped,
-            self.stats.dropped_by_fault,
-            self.stats.duplicated,
-            self.stats.reordered,
-            self.stats.delayed,
-            self.stats.peak_in_flight,
-            self.stats.lock_acquisitions(),
-            self.stats.delivered_imbalance(),
-            self.stats.stepped_imbalance()
-        );
-        for (i, p) in self.stats.per_partition.iter().enumerate() {
-            let _ = write!(
-                j,
-                "{{\"sent\": {}, \"delivered\": {}, \"dropped\": {}, \"faults\": {{\"dropped\": {}, \"duplicated\": {}, \"reordered\": {}, \"delayed\": {}}}, \"cross_envelopes\": {}, \"peak_in_flight\": {}, \"stepped\": {}, \"lock_acquisitions\": {}}}{}",
-                p.sent,
-                p.delivered,
-                p.dropped,
-                p.dropped_by_fault,
-                p.duplicated,
-                p.reordered,
-                p.delayed,
-                p.cross_envelopes,
-                p.peak_in_flight,
-                p.stepped,
-                p.lock_acquisitions,
-                if i + 1 == self.stats.per_partition.len() { "" } else { ", " }
-            );
-        }
-        j.push_str("]}\n");
-        j.push_str("}\n");
-        j
+        .render()
     }
 }
 
@@ -384,18 +297,6 @@ mod tests {
         ] {
             assert!(a.contains(needle), "missing {needle} in {a}");
         }
-    }
-
-    #[test]
-    fn json_str_escapes_what_json_requires() {
-        assert_eq!(json_str("steady-state"), "\"steady-state\"");
-        assert_eq!(
-            json_str("q\" b\\ ctl\u{1} nul\0 nl\n é—"),
-            "\"q\\\" b\\\\ ctl\\u0001 nul\\u0000 nl\\n é—\""
-        );
-        let mut r = report();
-        r.scenario = "a\"b\u{1}".into();
-        assert!(r.to_json().contains("\"scenario\": \"a\\\"b\\u0001\","));
     }
 
     #[test]

@@ -105,7 +105,8 @@ fn legitimacy_checker_agrees_with_scenarios() {
 fn convergence_rounds_grow_roughly_linearly() {
     // The supervisor pushes one config per timeout, so convergence from
     // label-shuffled states is Θ(n)-ish; verify the growth is not
-    // super-quadratic (shape check for EXPERIMENTS.md's E6 table).
+    // super-quadratic (the shape E6 checks; docs/paper_map.md maps it
+    // to Theorem 8).
     let cfg = ProtocolConfig::topology_only();
     let mut rounds_at = Vec::new();
     for n in [16usize, 64] {

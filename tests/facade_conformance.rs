@@ -11,9 +11,9 @@ use skippub_core::{BackendKind, PubSub, SystemBuilder, TopicId};
 // `DeliveredItem`/`DeliveredSet` are the scenario engine's canonical
 // comparable "delivered publication" shape — shared here so the script
 // test and the spec tests can never drift apart.
-use skippub_harness::scenario::failover::topic_digest;
+use skippub_harness::scenario::oracle::topic_digest;
 use skippub_harness::scenario::{
-    self, library, DeliveredSet, FaultRule, FaultSpec, LinkClass, Sever, Trace,
+    self, library, DeliveredSet, FaultRule, FaultSpec, LinkClass, Oracle, Sever, Trace,
 };
 use skippub_net::NetBackend;
 use skippub_sim::NodeId;
@@ -553,13 +553,20 @@ fn supervisor_failover_matches_never_crashing_run_across_backends() {
     let spec = library::supervisor_crash_churn();
     let mut reference: Option<(String, String)> = None;
     for kind in [BackendKind::Sim, BackendKind::MultiTopic, BackendKind::Sharded] {
-        let r = scenario::run_supervisor_crash(&spec, kind).expect("supported backend");
+        let r =
+            scenario::run_oracle(&spec, kind, Oracle::SupervisorCrash).expect("supported backend");
         assert!(r.ok(), "{}", r.to_json());
-        assert_eq!(r.failovers, r.crashes, "{}: every kill must fail over", r.backend);
+        assert_eq!(
+            r.count("failovers"),
+            r.count("crashes"),
+            "{}: every kill must fail over",
+            r.backend
+        );
         match &reference {
-            None => reference = Some((r.backend.clone(), r.fingerprint.clone())),
+            None => reference = Some((r.backend.clone(), r.fingerprint.clone().unwrap())),
             Some((ref_name, ref_fp)) => assert_eq!(
-                &r.fingerprint, ref_fp,
+                r.fingerprint.as_ref().unwrap(),
+                ref_fp,
                 "{} crash run delivers a different set than {ref_name}",
                 r.backend
             ),
@@ -576,14 +583,15 @@ fn supervisor_failover_oracle_holds_at_every_thread_count() {
     let mut reference: Option<(String, Vec<String>)> = None;
     for threads in [1usize, 2, 4, 8] {
         let spec = base.clone().threads(threads);
-        let r = scenario::run_supervisor_crash(&spec, BackendKind::Sharded)
+        let r = scenario::run_oracle(&spec, BackendKind::Sharded, Oracle::SupervisorCrash)
             .expect("supported backend");
         assert!(r.ok(), "threads={threads}: {}", r.to_json());
         match &reference {
-            None => reference = Some((r.fingerprint.clone(), r.digests.clone())),
+            None => reference = Some((r.fingerprint.clone().unwrap(), r.digests.clone())),
             Some((ref_fp, ref_digests)) => {
                 assert_eq!(
-                    &r.fingerprint, ref_fp,
+                    r.fingerprint.as_ref().unwrap(),
+                    ref_fp,
                     "threads={threads}: crash-run delivered sets diverge"
                 );
                 assert_eq!(

@@ -36,7 +36,7 @@
 
 use skippub_bits::Hash128;
 use skippub_core::{BackendKind, TopicId};
-use skippub_harness::scenario::{self, failover::topic_digest};
+use skippub_harness::scenario::{self, oracle::topic_digest};
 
 struct Pin {
     scenario: &'static str,

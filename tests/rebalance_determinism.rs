@@ -10,7 +10,7 @@
 
 use skippub_core::pubsub::{PartitionedBackend, PubSub};
 use skippub_core::{SystemBuilder, TopicId};
-use skippub_harness::scenario::failover::topic_digest;
+use skippub_harness::scenario::oracle::topic_digest;
 use skippub_harness::scenario::{self, Popularity, ScenarioSpec, Stop};
 
 /// ~200 rounds of zipf-skewed subscriptions with continuous churn, on

@@ -18,8 +18,7 @@
 //!   configuration dissemination, constant-message subscribe/unsubscribe,
 //!   and the single failure detector of §3.3.
 //! * [`Actor`] — supervisor-or-subscriber, pluggable into
-//!   [`skippub_sim::World`] (and driven identically by the threaded
-//!   runtime in `skippub-net`).
+//!   [`skippub_sim::World`].
 //! * [`checker`] — executable legitimate-state predicates (Definition 1):
 //!   convergence/closure are verified from *global snapshots*, never by
 //!   the protocol itself.
@@ -31,10 +30,9 @@
 //!   [`SystemBuilder`]: one client API over one simulated backend,
 //!   [`pubsub::PartitionedBackend`], in four layouts — the single-topic
 //!   simulator (synchronous or chaos-scheduled), the multi-topic system,
-//!   and the sharded-supervisor system (the threaded backend lives in
-//!   `skippub-net`). `PartitionedBackend::from_world` continues a
-//!   [`scenarios`] world as the single-topic layout for experiments and
-//!   white-box tests.
+//!   and the sharded-supervisor system. `PartitionedBackend::from_world`
+//!   continues a [`scenarios`] world as the single-topic layout for
+//!   experiments and white-box tests.
 //! * [`topics`] — the multi-topic system of §4: one `BuildSR` instance
 //!   per topic, each a plain [`Actor`] at its own address (lane `t` of
 //!   its process).

@@ -12,7 +12,6 @@
 //! | [`PartitionedBackend`] (`chaos`) | [`SystemBuilder::build_chaos`] | the same layout under the chaos scheduler (random delay/reorder) |
 //! | [`PartitionedBackend`] (`multi-topic`) | [`SystemBuilder::build_multi`] | one `BuildSR` instance per topic at one supervisor (§4), each its own engine node |
 //! | [`PartitionedBackend`] (`sharded`) | [`SystemBuilder::build_sharded`] | the same backend with topics consistent-hashed onto multiple supervisors (§1.3) |
-//! | `NetBackend` (in `skippub-net`) | `NetBackend::from_builder` | one OS thread per node, real delays; rounds become wall-clock quiescence polling |
 //!
 //! A scenario written against `&mut dyn PubSub` therefore runs unmodified
 //! on all of them — the cross-backend conformance suite
@@ -64,12 +63,11 @@ pub struct Delivery {
     pub payload: Vec<u8>,
 }
 
-/// Backend-agnostic traffic counters, comparable across simulated and
-/// threaded executions.
+/// Backend-agnostic traffic counters, comparable across backend kinds
+/// and worker-thread counts.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Stats {
-    /// Progress units executed so far: simulated rounds, or wall-clock
-    /// poll slices for the threaded backend.
+    /// Rounds executed so far (synchronous or chaos).
     pub steps: u64,
     /// Messages handed to the transport.
     pub sent: u64,
@@ -93,7 +91,7 @@ pub struct Stats {
     /// Messages held back extra rounds by delay faults.
     pub delayed: u64,
     /// Per-partition counters, indexed by partition (= shard): one entry
-    /// on `sim` and `chaos`, empty for the threaded backend. The total
+    /// on `sim` and `chaos`. The total
     /// fields above stay the sum over partitions, so parallel runs
     /// remain comparable with serial ones while staying observable per
     /// shard.
@@ -174,9 +172,8 @@ pub struct PartitionStats {
     pub delayed: u64,
 }
 
-/// The simulated backends a [`SystemBuilder`] can construct behind a
-/// `Box<dyn PubSub>`. (The threaded backend lives in `skippub-net`,
-/// which depends on this crate; build it with `NetBackend::from_builder`.)
+/// The four layouts of [`PartitionedBackend`] a [`SystemBuilder`] can
+/// construct behind a `Box<dyn PubSub>`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BackendKind {
     /// Single-topic deterministic simulator, synchronous rounds.
@@ -269,8 +266,8 @@ pub trait PubSub {
     /// eventually-correct detector model.
     fn report_crash(&mut self, id: NodeId);
 
-    /// One unit of progress: a synchronous round (sim), a chaos round
-    /// (chaos), or a short wall-clock slice (threaded backend).
+    /// One unit of progress: a chaos round on `chaos`, a synchronous
+    /// round on every other kind.
     fn step(&mut self);
 
     /// Whether every topic's topology currently satisfies the
@@ -302,37 +299,24 @@ pub trait PubSub {
     /// in-flight channels, RNG stream positions, payload pool, delivery
     /// cursors — into a portable snapshot that [`restore`] turns back
     /// into a running backend whose continued execution is
-    /// byte-identical to the uninterrupted original. Backends without
-    /// checkpoint support (the threaded `NetBackend`) return `Err`.
-    fn save_snapshot(&self) -> Result<BackendSnapshot, String> {
-        Err(format!(
-            "backend {:?} does not support snapshots",
-            self.backend_name()
-        ))
-    }
+    /// byte-identical to the uninterrupted original.
+    fn save_snapshot(&self) -> Result<BackendSnapshot, String>;
 
     /// Arms (or disarms, with `None`) the deterministic link-fault
     /// plane: from the *current* step on, messages cross channels that
     /// may drop, duplicate, reorder, or delay them, and scheduled
     /// partitions sever edge sets for bounded windows — all drawn from
     /// per-link SplitMix64 streams seeded by `spec.seed`, so outcomes
-    /// are byte-identical across worker-thread counts. Backends without
-    /// fault injection (the threaded `NetBackend`) ignore the call.
-    fn set_faults(&mut self, spec: Option<FaultSpec>) {
-        let _ = spec;
-    }
+    /// are byte-identical across worker-thread counts.
+    fn set_faults(&mut self, spec: Option<FaultSpec>);
 
     /// Cumulative fault-plane counters (all zero when no plane is
-    /// armed or the backend does not support injection).
-    fn fault_counts(&self) -> FaultCounts {
-        FaultCounts::default()
-    }
+    /// armed).
+    fn fault_counts(&self) -> FaultCounts;
 
     /// Number of supervisor replicas behind each logical supervisor
     /// endpoint (`1` = the paper's unreplicated supervisor).
-    fn supervisor_replicas(&self) -> usize {
-        1
-    }
+    fn supervisor_replicas(&self) -> usize;
 
     /// Crashes the **primary supervisor replica** responsible for
     /// `topic`: the endpoint's state is wiped (the process died) and,
@@ -341,15 +325,10 @@ pub trait PubSub {
     /// whether a failover happened; with one replica this is a uniform
     /// no-op (`false`) — the paper's "supervisor never crashes"
     /// assumption is kept rather than destroying the system.
-    fn crash_supervisor(&mut self, topic: TopicId) -> bool {
-        let _ = topic;
-        false
-    }
+    fn crash_supervisor(&mut self, topic: TopicId) -> bool;
 
     /// Completed supervisor failovers across all replica groups.
-    fn supervisor_failovers(&self) -> u64 {
-        0
-    }
+    fn supervisor_failovers(&self) -> u64;
 
     /// Steps until every topic is legitimate; returns `(steps, reached)`.
     fn until_legit(&mut self, max_steps: u64) -> (u64, bool) {

@@ -6,7 +6,6 @@
 //! scenarios all                            # every builtin, conformance sweep
 //! scenarios crash-storm                    # one scenario, all supported backends
 //! scenarios crash-storm --backend sim      # one backend
-//! scenarios crash-storm --backend threaded # the OS-thread runtime
 //! scenarios steady-state --seed 9 --out reports/
 //! scenarios crash-storm --backend sim --trace run.trace
 //! scenarios replay run.trace               # re-execute a recorded trace
@@ -27,7 +26,7 @@
 //!
 //! Running a scenario on multiple backends asserts the conformance
 //! contract: the delivered-publication fingerprints must be identical
-//! across the in-process backends. A `--from-snapshot` run self-asserts
+//! across the backends. A `--from-snapshot` run self-asserts
 //! the same contract against a fresh uninterrupted run. Exit code 1
 //! means a scenario failed a verdict (or a conformance mismatch); 2
 //! means a usage or I/O error (bad flags, unknown names,
@@ -39,7 +38,7 @@ use skippub_harness::scenario::{
 
 fn usage() -> ! {
     eprintln!(
-        "usage: scenarios <name|all|replay FILE|crash-recovery NAME|supervisor-crash NAME|fault-storm NAME> [--backend sim|chaos|multi-topic|sharded|threaded|all] [--seed N] [--rounds N] [--threads N] [--rebalance N] [--faults SPEC] [--out DIR] [--trace FILE] [--snapshot-at R --out-snapshot FILE] [--from-snapshot FILE] [--corrupt K (crash-recovery only)] [--list]"
+        "usage: scenarios <name|all|replay FILE|crash-recovery NAME|supervisor-crash NAME|fault-storm NAME> [--backend sim|chaos|multi-topic|sharded|all] [--seed N] [--rounds N] [--threads N] [--rebalance N] [--faults SPEC] [--out DIR] [--trace FILE] [--snapshot-at R --out-snapshot FILE] [--from-snapshot FILE] [--corrupt K (crash-recovery only)] [--list]"
     );
     std::process::exit(2);
 }
@@ -51,7 +50,6 @@ fn faults_flag_conflict(
     faults: bool,
     replay: bool,
     from_snapshot: bool,
-    threaded: bool,
 ) -> Option<&'static str> {
     if !faults {
         return None;
@@ -63,12 +61,6 @@ fn faults_flag_conflict(
         return Some(
             "--from-snapshot takes no --faults (the snapshot carries the already-armed plane; \
              re-arming would rewind its RNG streams)",
-        );
-    }
-    if threaded {
-        return Some(
-            "the threaded runtime cannot deterministically fault real channels; \
-             --faults needs an in-process backend",
         );
     }
     None
@@ -134,87 +126,40 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// One backend selection: an in-process kind, or the threaded runtime.
-#[derive(Clone, Copy, PartialEq)]
-enum Target {
-    InProcess(BackendKind),
-    Threaded,
-}
-
-impl Target {
-    fn name(&self) -> &'static str {
-        match self {
-            Target::InProcess(k) => k.name(),
-            Target::Threaded => "threaded",
-        }
-    }
-}
-
-fn parse_target(name: &str) -> Option<Target> {
-    if name == "threaded" {
-        return Some(Target::Threaded);
-    }
-    BackendKind::from_name(name).map(Target::InProcess)
-}
-
-/// Runs `spec` on `target`, returning the outcome report JSON and the
+/// Runs `spec` on `kind`, returning the outcome report JSON and the
 /// delivered fingerprint (recording a trace when asked).
 fn run_one(
     spec: &ScenarioSpec,
-    target: Target,
+    kind: BackendKind,
     trace_path: Option<&str>,
 ) -> Result<(String, String, bool), String> {
-    match target {
-        Target::InProcess(kind) => {
-            if let Some(path) = trace_path {
-                let (out, trace) = scenario::run_recorded(spec, kind)?;
-                std::fs::write(path, trace.serialize())
-                    .map_err(|e| format!("write {path}: {e}"))?;
-                eprintln!("recorded trace to {path}");
-                Ok((
-                    out.report.to_json(),
-                    out.report.delivered_fingerprint.clone(),
-                    out.report.ok(),
-                ))
-            } else {
-                let out = scenario::run_spec(spec, kind)?;
-                Ok((
-                    out.report.to_json(),
-                    out.report.delivered_fingerprint.clone(),
-                    out.report.ok(),
-                ))
-            }
-        }
-        Target::Threaded => {
-            if trace_path.is_some() {
-                return Err("threaded runs are wall-clock; traces are not replayable".into());
-            }
-            let out = scenario::run_threaded(spec)?;
-            Ok((
-                out.report.to_json(),
-                out.report.delivered_fingerprint.clone(),
-                out.report.ok(),
-            ))
-        }
-    }
+    let out = if let Some(path) = trace_path {
+        let (out, trace) = scenario::run_recorded(spec, kind)?;
+        std::fs::write(path, trace.serialize()).map_err(|e| format!("write {path}: {e}"))?;
+        eprintln!("recorded trace to {path}");
+        out
+    } else {
+        scenario::run_spec(spec, kind)?
+    };
+    Ok((
+        out.report.to_json(),
+        out.report.delivered_fingerprint.clone(),
+        out.report.ok(),
+    ))
 }
 
-/// Runs `oracle` on the chosen in-process backend, or on every backend
+/// Runs `oracle` on the chosen backend, or on every backend
 /// the spec supports: prints each report, writes
 /// `{name}.{kind}.{suffix}.json` under `--out`, and exits 1 if any
 /// verdict failed.
 fn run_oracles(
     spec: &ScenarioSpec,
-    chosen: Option<Target>,
+    chosen: Option<BackendKind>,
     out_dir: Option<&str>,
     oracle: Oracle,
 ) -> ! {
     let kinds = match chosen {
-        Some(Target::InProcess(k)) => vec![k],
-        Some(Target::Threaded) => fail(&format!(
-            "the threaded runtime cannot run the {} oracle",
-            oracle.name()
-        )),
+        Some(k) => vec![k],
         None => spec.supported_backends(),
     };
     let mut failed = false;
@@ -370,7 +315,6 @@ fn main() {
                 .supported_backends()
                 .iter()
                 .map(|k| k.name())
-                .chain((s.topics == 1).then_some("threaded"))
                 .collect();
             println!("  {:<24} topics={:<3} backends: {}", s.name, s.topics, backends.join(","));
         }
@@ -385,7 +329,7 @@ fn main() {
         if backend_set || seed.is_some() || threads.is_some() || rebalance.is_some() || trace_path.is_some() {
             fail("replay takes no --backend/--seed/--threads/--rebalance/--trace (the trace header fixes them)");
         }
-        if let Some(msg) = faults_flag_conflict(faults_arg.is_some(), true, false, false) {
+        if let Some(msg) = faults_flag_conflict(faults_arg.is_some(), true, false) {
             fail(msg);
         }
         let text = std::fs::read_to_string(&path)
@@ -422,18 +366,16 @@ fn main() {
         fail("--trace needs a single scenario and a single backend");
     }
 
-    let chosen: Option<Target> = if backend == "all" {
+    let chosen: Option<BackendKind> = if backend == "all" {
         None
     } else {
-        Some(parse_target(&backend).unwrap_or_else(|| fail(&format!("unknown backend {backend:?}"))))
+        Some(
+            BackendKind::from_name(&backend)
+                .unwrap_or_else(|| fail(&format!("unknown backend {backend:?}"))),
+        )
     };
 
-    if let Some(msg) = faults_flag_conflict(
-        faults_arg.is_some(),
-        false,
-        from_snapshot.is_some(),
-        chosen == Some(Target::Threaded),
-    ) {
+    if let Some(msg) = faults_flag_conflict(faults_arg.is_some(), false, from_snapshot.is_some()) {
         fail(msg);
     }
     let overrides = Overrides {
@@ -467,11 +409,7 @@ fn main() {
 
         // Capture: run to completion, writing the warm-start file.
         if let (Some(at), Some(path)) = (snapshot_at, &out_snapshot) {
-            let kind = match chosen {
-                Some(Target::InProcess(k)) => k,
-                Some(Target::Threaded) => fail("the threaded runtime cannot snapshot"),
-                None => fail("--snapshot-at needs a single --backend"),
-            };
+            let kind = chosen.unwrap_or_else(|| fail("--snapshot-at needs a single --backend"));
             let (out, warm) = scenario::run_spec_with_snapshot(&spec, kind, at)
                 .unwrap_or_else(|e| fail(&e));
             std::fs::write(path, warm.to_text())
@@ -524,76 +462,54 @@ fn main() {
     let mut failures = 0usize;
     for spec in specs {
         let spec = overrides.apply(spec);
-        let targets: Vec<Target> = match chosen {
-            None => spec
-                .supported_backends()
-                .into_iter()
-                .map(Target::InProcess)
-                .collect(),
-            Some(t) => {
-                // A faulted builtin on the threaded runtime would
-                // silently run fault-free (real channels cannot be
-                // deterministically faulted) — skip, don't mislead.
-                if t == Target::Threaded && spec.faults.is_some() {
-                    eprintln!(
-                        "=== {} skipped on threaded (fault schedules need an in-process backend)",
-                        spec.name
-                    );
-                    continue;
-                }
-                let supported = match t {
-                    Target::InProcess(kind) => spec.supported(kind),
-                    Target::Threaded => spec.topics == 1,
-                };
-                if !supported {
-                    eprintln!(
-                        "=== {} skipped on {} (spec has {} topics; backend serves one)",
-                        spec.name,
-                        t.name(),
-                        spec.topics
-                    );
-                    continue;
-                }
-                vec![t]
+        let kinds = match chosen {
+            None => spec.supported_backends(),
+            Some(kind) if !spec.supported(kind) => {
+                eprintln!(
+                    "=== {} skipped on {} (spec has {} topics; backend serves one)",
+                    spec.name,
+                    kind.name(),
+                    spec.topics
+                );
+                continue;
             }
+            Some(kind) => vec![kind],
         };
         let mut reference: Option<(&'static str, String)> = None;
-        for target in targets {
+        for kind in kinds {
             let started = std::time::Instant::now();
-            match run_one(&spec, target, trace_path.as_deref()) {
+            match run_one(&spec, kind, trace_path.as_deref()) {
                 Err(e) => fail(&e),
                 Ok((json, fingerprint, ok)) => {
                     eprintln!(
                         "=== {} on {} ({:.2?}) {}",
                         spec.name,
-                        target.name(),
+                        kind.name(),
                         started.elapsed(),
                         if ok { "ok" } else { "FAILED" }
                     );
                     print!("{json}");
                     if let Some(dir) = &out_dir {
-                        let path = format!("{dir}/{}.{}.json", spec.name, target.name());
+                        let path = format!("{dir}/{}.{}.json", spec.name, kind.name());
                         std::fs::write(&path, &json)
                             .unwrap_or_else(|e| fail(&format!("write {path}: {e}")));
                     }
                     if !ok {
                         failures += 1;
                     }
-                    // Conformance across in-process backends of one sweep.
-                    if let Target::InProcess(_) = target {
-                        match &reference {
-                            None => reference = Some((target.name(), fingerprint)),
-                            Some((ref_name, ref_fp)) => {
-                                if *ref_fp != fingerprint {
-                                    eprintln!(
-                                        "CONFORMANCE MISMATCH: {} delivers {} but {} delivers {}",
-                                        target.name(),
-                                        fingerprint,
-                                        ref_name,
-                                        ref_fp
-                                    );
-                                    failures += 1;
-                                }
+                    // Conformance across the backends of one sweep.
+                    match &reference {
+                        None => reference = Some((kind.name(), fingerprint)),
+                        Some((ref_name, ref_fp)) => {
+                            if *ref_fp != fingerprint {
+                                eprintln!(
+                                    "CONFORMANCE MISMATCH: {} delivers {} but {} delivers {}",
+                                    kind.name(),
+                                    fingerprint,
+                                    ref_name,
+                                    ref_fp
+                                );
+                                failures += 1;
                             }
                         }
                     }
@@ -613,20 +529,14 @@ mod tests {
 
     #[test]
     fn faults_flag_is_rejected_with_replay() {
-        let msg = faults_flag_conflict(true, true, false, false).expect("conflict");
+        let msg = faults_flag_conflict(true, true, false).expect("conflict");
         assert!(msg.contains("replay"), "{msg}");
     }
 
     #[test]
     fn faults_flag_is_rejected_with_from_snapshot() {
-        let msg = faults_flag_conflict(true, false, true, false).expect("conflict");
+        let msg = faults_flag_conflict(true, false, true).expect("conflict");
         assert!(msg.contains("--from-snapshot"), "{msg}");
-    }
-
-    #[test]
-    fn faults_flag_is_rejected_on_the_threaded_backend() {
-        let msg = faults_flag_conflict(true, false, false, true).expect("conflict");
-        assert!(msg.contains("threaded"), "{msg}");
     }
 
     #[test]
@@ -650,7 +560,7 @@ mod tests {
 
     #[test]
     fn faults_flag_alone_is_accepted_and_absence_conflicts_with_nothing() {
-        assert!(faults_flag_conflict(true, false, false, false).is_none());
-        assert!(faults_flag_conflict(false, true, true, true).is_none());
+        assert!(faults_flag_conflict(true, false, false).is_none());
+        assert!(faults_flag_conflict(false, true, true).is_none());
     }
 }

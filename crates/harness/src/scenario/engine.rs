@@ -64,8 +64,8 @@ pub fn budget_multiplier(kind: BackendKind) -> u64 {
     }
 }
 
-/// The [`SystemBuilder`] a spec maps onto (shared by the engine, the
-/// CLI's threaded path, and the trace replayer).
+/// The [`SystemBuilder`] a spec maps onto (shared by the engine and
+/// the trace replayer).
 pub fn builder_for(spec: &ScenarioSpec) -> SystemBuilder {
     SystemBuilder::new(spec.seed)
         .topics(spec.topics)
@@ -132,13 +132,13 @@ pub fn run_recorded(
 ) -> Result<(ScenarioOutcome, Trace), String> {
     ensure_runnable(spec, kind)?;
     let mut ps = builder_for(spec).build(kind);
-    let mut trace = Trace::new(spec, kind.name());
+    let mut trace = Trace::new(spec, kind);
     let outcome = execute(ps.as_mut(), spec, budget_multiplier(kind), Some(&mut trace));
     Ok((outcome, trace))
 }
 
-/// Runs the spec against an already-constructed backend (the threaded
-/// backend, or an experiment's pre-seeded world). `budget_mult` scales
+/// Runs the spec against an already-constructed backend (an
+/// experiment's pre-seeded world). `budget_mult` scales
 /// the warm/stop/settle budgets.
 pub fn run_on(ps: &mut dyn PubSub, spec: &ScenarioSpec, budget_mult: u64) -> ScenarioOutcome {
     execute(ps, spec, budget_mult, None)
@@ -354,24 +354,6 @@ pub fn resume_spec(spec: &ScenarioSpec, warm: &WarmStart) -> Result<ScenarioOutc
         Some((churn, warm.round as usize)),
         None,
     );
-    Ok(out)
-}
-
-/// Runs the spec on the threaded runtime (`skippub-net`): one OS thread
-/// per node, 5 ms wall-clock poll slices as steps. The single driver
-/// shared by the `scenarios` CLI and the conformance tests, so the two
-/// cannot drift. Single-topic specs only.
-pub fn run_threaded(spec: &ScenarioSpec) -> Result<ScenarioOutcome, String> {
-    if spec.topics != 1 {
-        return Err(format!(
-            "scenario {:?} uses {} topics; the threaded backend serves one",
-            spec.name, spec.topics
-        ));
-    }
-    let mut net = skippub_net::NetBackend::from_builder(&builder_for(spec))
-        .with_poll_interval(std::time::Duration::from_millis(5));
-    let out = execute(&mut net, spec, 1, None);
-    net.shutdown();
     Ok(out)
 }
 

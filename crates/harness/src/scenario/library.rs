@@ -4,7 +4,7 @@
 //! stresses and what its report should show.
 //!
 //! The single-topic scenarios run on **all** backends (sim, chaos,
-//! multi-topic, sharded, threaded); the multi-topic ones
+//! multi-topic, sharded); the multi-topic ones
 //! (`zipf-fanout`, `shard-churn`) run on the multi-topic and sharded
 //! backends.
 

@@ -56,7 +56,7 @@ pub mod trace;
 
 pub use engine::{
     budget_multiplier, builder_for, resume_spec, run_on, run_recorded, run_spec,
-    run_spec_with_snapshot, run_threaded, DeliveredItem, DeliveredSet, ScenarioOutcome, WarmStart,
+    run_spec_with_snapshot, DeliveredItem, DeliveredSet, ScenarioOutcome, WarmStart,
 };
 pub use library::{builtin, builtins};
 pub use oracle::{run_oracle, Oracle, OracleReport};

@@ -71,8 +71,7 @@ impl OpCounts {
 pub struct ScenarioReport {
     /// Scenario name.
     pub scenario: String,
-    /// Backend name (`sim`, `chaos`, `multi-topic`, `sharded`,
-    /// `threaded`).
+    /// Backend name (`sim`, `chaos`, `multi-topic`, `sharded`).
     pub backend: String,
     /// Spec seed.
     pub seed: u64,

@@ -177,8 +177,6 @@ pub struct ScenarioSpec {
     /// Link-fault schedule armed at the start of the **run** phase
     /// (populate/warm/seed run fault-free, and fault-window rounds are
     /// relative to the run phase's first round). `None` = perfect links.
-    /// Ignored by the threaded backend (real channels cannot be
-    /// deterministically faulted).
     pub faults: Option<FaultSpec>,
     /// Protocol knobs applied to every subscriber.
     pub protocol: ProtocolConfig,

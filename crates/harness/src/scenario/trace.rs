@@ -1,6 +1,6 @@
 //! Trace recording and replay: every applied op (and every drain) of a
 //! scenario run, serialized to a compact line format and replayable to
-//! reproduce the run — byte for byte on the deterministic backends.
+//! reproduce the run byte for byte.
 //!
 //! A trace is self-contained: its header carries everything needed to
 //! rebuild the backend (`SystemBuilder` knobs + backend kind), and its
@@ -9,9 +9,6 @@
 //! [`ScenarioReport`] through the same code path as the live run, so
 //! `record → replay → to_json()` is byte-identical — the repro contract
 //! for failures found under scenario workloads.
-//!
-//! The threaded backend can be *recorded* (via the CLI) but not
-//! byte-replayed: wall-clock slices are not reproducible.
 
 use super::engine::{
     assemble_report, ensure_combinable, ensure_supported, stop_met, DeliveredTally, Phases, RunMeta,
@@ -46,7 +43,7 @@ pub struct Trace {
     /// Scenario name (report metadata).
     pub scenario: String,
     /// Backend the run executed on.
-    pub backend: String,
+    pub backend: BackendKind,
     /// Builder seed.
     pub seed: u64,
     /// Topic count.
@@ -106,15 +103,6 @@ fn checked_scenario_name(name: &str) -> Result<String, String> {
     }
 }
 
-/// The `backend` header names an in-process kind or the threaded runtime.
-fn checked_backend_name(name: &str) -> Result<String, String> {
-    if name == "threaded" || BackendKind::from_name(name).is_some() {
-        Ok(name.to_string())
-    } else {
-        Err(format!("unknown backend {name:?}"))
-    }
-}
-
 /// The most shards, worker threads or supervisor replicas a header may
 /// ask for: far above any recorded run, far below what exhausts memory.
 const MAX_HEADER_COUNT: usize = 1024;
@@ -134,10 +122,10 @@ fn checked_count(key: &str, text: &str, max: usize) -> Result<usize, String> {
 impl Trace {
     /// An empty trace carrying `spec`'s header, ready for the engine to
     /// append lines to.
-    pub fn new(spec: &ScenarioSpec, backend: &str) -> Self {
+    pub fn new(spec: &ScenarioSpec, backend: BackendKind) -> Self {
         Trace {
             scenario: spec.name.clone(),
-            backend: backend.to_string(),
+            backend,
             seed: spec.seed,
             topics: spec.topics,
             shards: spec.shards,
@@ -157,7 +145,7 @@ impl Trace {
         let mut s = String::new();
         s.push_str("skippub-trace v1\n");
         s.push_str(&format!("scenario {}\n", self.scenario));
-        s.push_str(&format!("backend {}\n", self.backend));
+        s.push_str(&format!("backend {}\n", self.backend.name()));
         s.push_str(&format!("seed {}\n", self.seed));
         s.push_str(&format!("topics {}\n", self.topics));
         s.push_str(&format!("shards {}\n", self.shards));
@@ -224,7 +212,12 @@ impl Trace {
                 .ok_or_else(|| format!("bad header line {line:?}"))?;
             match key {
                 "scenario" => scenario = Some(checked_scenario_name(rest)?),
-                "backend" => backend = Some(checked_backend_name(rest)?),
+                "backend" => {
+                    backend = Some(
+                        BackendKind::from_name(rest)
+                            .ok_or_else(|| format!("unknown backend {rest:?}"))?,
+                    )
+                }
                 "seed" => seed = Some(rest.parse::<u64>().map_err(|e| e.to_string())?),
                 "topics" => topics = Some(checked_count(key, rest, MAX_TOPICS as usize)? as u32),
                 "shards" => shards = Some(checked_count(key, rest, MAX_HEADER_COUNT)?),
@@ -324,24 +317,11 @@ impl Trace {
         })
     }
 
-    /// The backend kind this trace was recorded on, if it is one of the
-    /// replayable in-process kinds.
-    pub fn backend_kind(&self) -> Option<BackendKind> {
-        BackendKind::from_name(&self.backend)
-    }
-
     /// Replays the trace against a freshly built backend and reassembles
-    /// the report. On the deterministic backends the JSON is
-    /// byte-identical to the recorded run's.
+    /// the report, whose JSON is byte-identical to the recorded run's.
     pub fn replay(&self) -> Result<ScenarioReport, String> {
-        let kind = self.backend_kind().ok_or_else(|| {
-            format!(
-                "backend {:?} is not replayable (threaded runs are wall-clock)",
-                self.backend
-            )
-        })?;
-        ensure_supported(&self.scenario, self.topics, kind)?;
-        ensure_combinable(kind, self.replicas, self.rebalance_every)?;
+        ensure_supported(&self.scenario, self.topics, self.backend)?;
+        ensure_combinable(self.backend, self.replicas, self.rebalance_every)?;
         let builder = SystemBuilder::new(self.seed)
             .topics(self.topics)
             .shards(self.shards)
@@ -349,7 +329,7 @@ impl Trace {
             .replicas(self.replicas)
             .rebalance_every(self.rebalance_every)
             .protocol(self.protocol);
-        let mut ps = builder.build(kind);
+        let mut ps = builder.build(self.backend);
         self.replay_on(ps.as_mut())
     }
 
@@ -575,13 +555,6 @@ mod tests {
     }
 
     #[test]
-    fn replay_rejects_unknown_backend() {
-        let (_, mut trace) = run_recorded(&spec(), BackendKind::Sim).unwrap();
-        trace.backend = "threaded".into();
-        assert!(trace.replay().is_err());
-    }
-
-    #[test]
     fn parse_rejects_corruption() {
         let (_, trace) = run_recorded(&spec(), BackendKind::Sim).unwrap();
         let text = trace.serialize();
@@ -599,9 +572,11 @@ mod tests {
         }
         assert!(Trace::parse(&text.replace("scenario trace-test", "scenario v1.2_ok-name")).is_ok());
         // The backend header names a backend.
-        let err = Trace::parse(&text.replace("backend sim\n", "backend ../sim\n")).unwrap_err();
-        assert!(err.contains("unknown backend"), "{err}");
-        assert!(Trace::parse(&text.replace("backend sim\n", "backend threaded\n")).is_ok());
+        for name in ["../sim", "threaded"] {
+            let err = Trace::parse(&text.replace("backend sim\n", &format!("backend {name}\n")))
+                .unwrap_err();
+            assert!(err.contains("unknown backend"), "{name:?}: {err}");
+        }
     }
 
     /// A body line naming a topic the header does not serve would make

@@ -19,9 +19,9 @@
 //! ([`World::new`]), or several stepped in parallel with bit-identical
 //! results for every worker count ([`World::partitioned`]).
 //!
-//! Protocols implement [`Protocol`] as pure state machines; the same state
-//! machines are also driven by the threaded runtime in `skippub-net`, so
-//! simulated and concurrent executions cannot diverge semantically.
+//! Protocols implement [`Protocol`] as pure state machines. The chaos
+//! scheduler ([`ChaosConfig`]) is the model's asynchrony: random delivery
+//! and `Timeout` order, replayable from the seed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -594,7 +594,7 @@ where
             let barrier = Barrier::new(nchunks);
             let home = &self.home;
             let mailboxes = &self.mailboxes;
-            crossbeam::thread::scope(|s| {
+            std::thread::scope(|s| {
                 for (ci, parts) in self.partitions.chunks_mut(chunk).enumerate() {
                     let barrier = &barrier;
                     let base = ci * chunk;
@@ -612,8 +612,7 @@ where
                         }
                     });
                 }
-            })
-            .expect("worker panicked");
+            });
         }
         self.round += n;
     }

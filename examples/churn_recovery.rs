@@ -1,41 +1,30 @@
-//! Churn under real concurrency: the threaded runtime (`skippub-net`)
-//! runs every node on its own OS thread with randomly delayed, reordered
-//! messages. Nodes crash without warning and leave gracefully; the
-//! supervisor's single failure detector (§3.3) is the only failure
-//! information in the whole system.
+//! Churn under asynchrony: the chaos scheduler delivers messages in
+//! random order after random delays (with a forced-delivery age bound,
+//! the model's fair receipt) and fires `Timeout`s in random order. Nodes
+//! crash without warning and leave gracefully; the supervisor's single
+//! failure detector (§3.3) is the only failure information in the whole
+//! system.
 //!
-//! The whole scenario is driven through the same `PubSub` facade the
-//! simulated backends use — a facade `step` is a 10 ms wall-clock slice
-//! here, so the `until_*` budgets are time deadlines.
+//! The whole scenario is driven through the same `PubSub` facade every
+//! backend serves; a facade `step` is one chaos round, so the run is
+//! replayable from its seed and the `until_*` budgets are round counts.
 //!
 //! ```text
 //! cargo run --release --example churn_recovery
 //! ```
 
-use skippub_core::{PubSub, TopicId};
-use skippub_net::{NetBackend, NetConfig};
-use std::time::{Duration, Instant};
+use skippub_core::{PubSub, SystemBuilder, TopicId};
 
 const T: TopicId = TopicId(0);
 
 fn main() {
-    let cfg = NetConfig {
-        seed: 2024,
-        min_delay: Duration::from_micros(20),
-        max_delay: Duration::from_millis(1),
-        timeout_interval: Duration::from_millis(3),
-        ..NetConfig::default()
-    };
-    let mut ps = NetBackend::start(cfg);
+    let mut ps = SystemBuilder::new(2024).build_chaos();
 
     let n = 12;
     let ids: Vec<_> = (0..n).map(|_| ps.subscribe(T)).collect();
-    let t0 = Instant::now();
-    assert!(ps.until_legit(6000).1, "bootstrap stalled");
-    println!(
-        "✓ {n} threaded subscribers stabilized in {:.2?}",
-        t0.elapsed()
-    );
+    let (rounds, ok) = ps.until_legit(6000);
+    assert!(ok, "bootstrap stalled");
+    println!("✓ {n} subscribers stabilized in {rounds} chaos rounds");
 
     // Publish a few messages so there is state to preserve through churn.
     for (i, &id) in ids.iter().take(3).enumerate() {
@@ -44,8 +33,7 @@ fn main() {
     assert!(ps.until_pubs_converged(6000).1);
     println!("✓ 3 publications delivered to everyone");
 
-    // Churn: two crashes (abrupt thread kills) + one graceful leave.
-    let t1 = Instant::now();
+    // Churn: two crashes (state vanishes) + one graceful leave.
     ps.crash(ids[2]);
     ps.crash(ids[7]);
     ps.unsubscribe(ids[4], T);
@@ -55,12 +43,19 @@ fn main() {
     );
 
     // The eventually-correct failure detector reports after a delay.
-    std::thread::sleep(Duration::from_millis(30));
+    let detection_delay = 10;
+    for _ in 0..detection_delay {
+        ps.step();
+    }
     ps.report_crash(ids[2]);
     ps.report_crash(ids[7]);
 
-    assert!(ps.until_legit(12000).1, "recovery stalled");
-    println!("✓ re-stabilized {:.2?} after the churn burst", t1.elapsed());
+    let (rounds, ok) = ps.until_legit(12000);
+    assert!(ok, "recovery stalled");
+    println!(
+        "✓ re-stabilized {} chaos rounds after the churn burst",
+        detection_delay + rounds
+    );
 
     // The survivors still hold the complete publication history,
     // observed through the facade's event API.
@@ -89,8 +84,7 @@ fn main() {
 
     let stats = ps.stats();
     println!(
-        "wire: {} sent, {} delivered, {} consumed by crashes",
+        "traffic: {} sent, {} delivered, {} consumed by crashes",
         stats.sent, stats.delivered, stats.dropped
     );
-    ps.shutdown();
 }

@@ -2,9 +2,9 @@
 //! topic through the backend-agnostic `PubSub` facade, let it converge,
 //! publish, and watch every subscriber receive the publication.
 //!
-//! Swapping `build_sim()` for `build_chaos()`, `build_multi()`,
-//! `build_sharded()` — or `NetBackend::from_builder` — runs the same
-//! client code on a different execution substrate.
+//! Swapping `build_sim()` for `build_chaos()`, `build_multi()` or
+//! `build_sharded()` runs the same client code on another layout of the
+//! one simulated backend.
 //!
 //! ```text
 //! cargo run --release --example quickstart

@@ -10,7 +10,6 @@ pub use skippub_baselines as baselines;
 pub use skippub_bits as bits;
 pub use skippub_core as core;
 pub use skippub_harness as harness;
-pub use skippub_net as net;
 pub use skippub_ringmath as ringmath;
 pub use skippub_sim as sim;
 pub use skippub_trie as trie;

@@ -3,9 +3,7 @@
 //! unmodified on the sim, chaos, multi-topic, and sharded backends — and
 //! the delivered-publication sets must be **identical** across them
 //! (publication keys are derived from `(author, payload)`, and client IDs
-//! are assigned identically on every backend). The threaded backend runs
-//! the same script under a generous wall-clock deadline and must deliver
-//! the same set modulo timing.
+//! are assigned identically on every backend).
 
 use skippub_core::{BackendKind, PubSub, SystemBuilder, TopicId};
 // `DeliveredItem`/`DeliveredSet` are the scenario engine's canonical
@@ -15,7 +13,6 @@ use skippub_harness::scenario::oracle::topic_digest;
 use skippub_harness::scenario::{
     self, library, DeliveredSet, FaultRule, FaultSpec, LinkClass, Oracle, Sever, Trace,
 };
-use skippub_net::NetBackend;
 use skippub_sim::NodeId;
 
 const T: TopicId = TopicId(0);
@@ -112,60 +109,50 @@ fn simulated_backends_deliver_identical_sets() {
 // engine instead of a hand-written script.
 // ---------------------------------------------------------------------
 
-/// A nontrivial built-in spec (warm start, publish load, a crash storm
-/// with detector latency, until-legit stop) runs on every in-process
-/// backend and must produce identical delivered sets.
+/// Every built-in spec runs on every backend it supports, passes its
+/// verdicts and delivers identical sets: the check `scenarios all`
+/// makes. Each one-topic builtin thereby runs on `chaos`, the model's
+/// asynchronous scheduler (random delivery and `Timeout` order). No
+/// publication may be lost, to a crash storm or anything else.
 #[test]
 fn crash_storm_spec_delivers_identical_sets_across_backends() {
-    let spec = library::crash_storm();
-    let mut reference: Option<(String, scenario::ScenarioOutcome)> = None;
-    for kind in spec.supported_backends() {
-        let out = scenario::run_spec(&spec, kind).expect("supported backend");
-        assert!(
-            out.report.ok(),
-            "{} failed on {}: {}",
-            spec.name,
-            kind.name(),
-            out.report.to_json()
-        );
-        match &reference {
-            None => reference = Some((out.report.backend.clone(), out)),
-            Some((ref_name, ref_out)) => {
-                assert_eq!(
-                    out.delivered, ref_out.delivered,
-                    "{} delivers a different set than {ref_name}",
-                    kind.name()
-                );
-                assert_eq!(
-                    out.report.delivered_fingerprint, ref_out.report.delivered_fingerprint
-                );
+    for spec in library::builtins() {
+        let mut reference: Option<(String, scenario::ScenarioOutcome)> = None;
+        for kind in spec.supported_backends() {
+            let out = scenario::run_spec(&spec, kind).expect("supported backend");
+            assert!(
+                out.report.ok(),
+                "{} failed on {}: {}",
+                spec.name,
+                kind.name(),
+                out.report.to_json()
+            );
+            match &reference {
+                None => reference = Some((out.report.backend.clone(), out)),
+                Some((ref_name, ref_out)) => {
+                    assert_eq!(
+                        out.delivered, ref_out.delivered,
+                        "{}: {} delivers a different set than {ref_name}",
+                        spec.name,
+                        kind.name()
+                    );
+                    assert_eq!(
+                        out.report.delivered_fingerprint, ref_out.report.delivered_fingerprint,
+                        "{}",
+                        spec.name
+                    );
+                }
             }
         }
+        let (_, ref_out) = reference.expect("at least one backend ran");
+        let ops = &ref_out.report.ops;
+        assert_eq!(
+            ref_out.report.total_pubs,
+            ops.publishes + ops.seeds as usize,
+            "{}: a publication was lost",
+            spec.name
+        );
     }
-    let (_, ref_out) = reference.expect("at least one backend ran");
-    assert_eq!(
-        ref_out.report.total_pubs, ref_out.report.ops.publishes,
-        "no publication may be lost to the crash storm"
-    );
-}
-
-/// The threaded runtime executes the same spec (wall-clock steps,
-/// quiescence polling) and must deliver the same set as the simulator.
-#[test]
-fn threaded_backend_runs_the_same_spec() {
-    let spec = library::steady_state();
-    let sim = scenario::run_spec(&spec, BackendKind::Sim).expect("sim");
-    assert!(sim.report.ok(), "{}", sim.report.to_json());
-    let threaded = scenario::run_threaded(&spec).expect("single-topic spec");
-    assert!(threaded.report.ok(), "{}", threaded.report.to_json());
-    assert_eq!(
-        threaded.delivered, sim.delivered,
-        "threaded delivered sets must match the simulator's"
-    );
-    assert_eq!(
-        threaded.report.delivered_fingerprint,
-        sim.report.delivered_fingerprint
-    );
 }
 
 /// Record → serialize → parse → replay reproduces the JSON report byte
@@ -372,21 +359,6 @@ fn peak_in_flight_is_thread_count_invariant() {
     for threads in [2, 4, 8] {
         assert_eq!(run(threads), reference, "threads={threads} diverged");
     }
-}
-
-#[test]
-fn threaded_backend_delivers_the_same_set() {
-    // Reference run on the deterministic simulator.
-    let reference = scenario(&mut SystemBuilder::new(0xFACADE).build_sim(), 8_000);
-    // Same script over OS threads; steps are 10 ms slices, so this
-    // budget is a generous wall-clock deadline, not a round count.
-    let mut net = NetBackend::from_builder(&SystemBuilder::new(0xFACADE));
-    let set = scenario(&mut net, 6_000);
-    net.shutdown();
-    assert_eq!(
-        set, reference,
-        "threaded delivery set must match the simulator's"
-    );
 }
 
 // ---------------------------------------------------------------------
@@ -926,15 +898,10 @@ fn mid_fault_window_snapshot_restores_byte_exactly() {
     }
 }
 
-/// The threaded backend opts out of snapshots with an error, not a
-/// panic — and the facade's restore rejects unknown kind tags.
+/// The facade's restore rejects unknown kind tags with an error, not a
+/// panic.
 #[test]
-fn snapshot_unsupported_and_unknown_kinds_fail_cleanly() {
-    let net = NetBackend::from_builder(&SystemBuilder::new(7));
-    let err = net.save_snapshot().expect_err("net backend cannot snapshot");
-    net.shutdown();
-    assert!(err.contains("does not support snapshots"), "{err}");
-
+fn snapshot_of_an_unknown_kind_fails_cleanly() {
     let alien = skippub_core::pubsub::BackendSnapshot::from_text("skippubsnap 8 alien 0")
         .expect("well-formed header");
     let err = match skippub_core::pubsub::restore(&alien) {

@@ -110,46 +110,6 @@ fn monolithic_system(a: &Sizes) -> World<Actor> {
     world
 }
 
-/// Rounds the rebalancing demo drives each skewed system.
-const SKEW_ROUNDS: u64 = 60;
-
-/// Drives a deliberately skewed population `SKEW_ROUNDS` rounds and
-/// returns `(delivered_imbalance, lock_acquisitions_per_round,
-/// rebalances)`. Client `i` subscribes to topic `trailing_zeros(i+1)`
-/// (half the clients on topic 0, a quarter on topic 1, …), so one shard
-/// starts with most of the subscriber work; a handful of fixed
-/// publishers flood their topics every round to keep delivered-work
-/// traffic flowing.
-fn run_skewed(a: &Sizes, rebalance_every: u64) -> (f64, f64, u64) {
-    const SKEW_CLIENTS: u64 = 512;
-    let mut ps = SystemBuilder::new(SEED ^ 0x5EED)
-        .topics(a.topics)
-        .shards(a.shards)
-        .rebalance_every(rebalance_every)
-        .build_sharded();
-    let mut publishers = Vec::new();
-    for i in 0..SKEW_CLIENTS {
-        let topic = TopicId((i + 1).trailing_zeros().min(a.topics - 1));
-        let id = ps.subscribe(topic);
-        if i < 6 {
-            publishers.push((id, topic));
-        }
-    }
-    ps.run_rounds(a.warmup);
-    for r in 0..SKEW_ROUNDS {
-        for &(id, topic) in &publishers {
-            ps.publish(id, topic, vec![r as u8]);
-        }
-        ps.step();
-    }
-    let stats = ps.stats();
-    (
-        stats.delivered_imbalance(),
-        stats.lock_acquisitions() as f64 / (a.warmup + SKEW_ROUNDS) as f64,
-        ps.rebalances(),
-    )
-}
-
 /// What `speedup_vs_threads1` can show on a machine with `cores` cores.
 fn speedup_note(cores: usize) -> String {
     let bound = match cores {
@@ -157,7 +117,7 @@ fn speedup_note(cores: usize) -> String {
         1 => "1 here: on one core it cannot exceed 1.0 and thread overhead makes it slightly below; the scaling headroom only shows on multi-core hardware".to_string(),
         c => format!("{c} here: a reading above {c} is measurement noise, each rate being its system's best block and a row moving by about a tenth from run to run, and rows with more than {c} threads share cores, so they show oversubscription cost, not further scaling"),
     };
-    format!("speedup_vs_threads1 is bounded by cores ({bound}); determinism (byte-identical metrics for every thread count) and the lock/imbalance counters are the machine-independent claims. speedup_vs_monolithic compares against the same instances stepped in one serial world.")
+    format!("speedup_vs_threads1 is bounded by cores ({bound}); determinism (byte-identical metrics for every thread count) and the lock counters are the machine-independent claims. speedup_vs_monolithic compares against the same instances stepped in one serial world.")
 }
 
 /// Runs the measurement and returns the `BENCH_parallel.json` artifact.
@@ -268,10 +228,6 @@ pub fn run(smoke: bool) -> Json {
         "thread counts diverged: the determinism contract is broken"
     );
 
-    eprintln!("rebalancing demo (skewed population) ...");
-    let (imb_off, locks_off, _) = run_skewed(a, 0);
-    let (imb_on, locks_on, rebalances) = run_skewed(a, 5);
-
     let mut artifact = stamp(
         "parallel",
         SEED,
@@ -284,16 +240,6 @@ pub fn run(smoke: bool) -> Json {
         ("monolithic_serial_rounds_per_sec", Fixed(mono_rps, 2)),
         ("results", rows),
         ("lock_acquisitions_per_round_bound", lock_bound.into()),
-        ("rebalancing", obj! {
-            "workload": format!("512 clients, topic = trailing_zeros(i+1) (half on topic 0), 6 publishers, {SKEW_ROUNDS} rounds, cadence 5"),
-            "delivered_imbalance_off": Fixed(imb_off, 4),
-            "delivered_imbalance_on": Fixed(imb_on, 4),
-            "improvement": Fixed(imb_off / imb_on, 2),
-            "rebalances": rebalances,
-            "lock_acquisitions_per_round_off": Fixed(locks_off, 2),
-            "lock_acquisitions_per_round_on": Fixed(locks_on, 2),
-            "lock_note": "this workload adds 6 facade publishes per round, each flushing its outbox under one batched lock per destination — the round-loop bound stays partitions²",
-        }),
         ("note", speedup_note(cores()).into()),
     ]);
     Json::Obj(artifact)

@@ -52,7 +52,7 @@ fn description(json: &str) -> &str {
 }
 
 #[test]
-fn every_committed_artifact_names_its_suite_or_is_marked_historical() {
+fn every_committed_artifact_names_its_suite() {
     let root = format!("{}/../..", env!("CARGO_MANIFEST_DIR"));
     let mut artifacts = 0;
     for entry in std::fs::read_dir(&root).unwrap_or_else(|e| panic!("{root}: {e}")) {
@@ -66,23 +66,18 @@ fn every_committed_artifact_names_its_suite_or_is_marked_historical() {
         artifacts += 1;
         let text = std::fs::read_to_string(format!("{root}/{file}")).unwrap();
         let description = description(&text);
-        match description.split_once(" Regenerate with: ") {
-            Some((_, command)) => {
-                let suite =
-                    command.strip_prefix("cargo run --release -p skippub-bench --bin bench -- ");
-                assert!(
-                    skippub_bench::args::SUITES
-                        .iter()
-                        .any(|(name, _)| Some(*name) == suite),
-                    "{file}: {command:?} runs no suite of `bench`"
-                );
-                assert_eq!(suite, Some(stem), "{file}: regenerated by another suite");
-            }
-            None => assert!(
-                description.contains("Historical:"),
-                "{file}: no regenerate command, and not marked historical"
-            ),
-        }
+        let (_, command) = description
+            .split_once(" Regenerate with: ")
+            .unwrap_or_else(|| panic!("{file}: no regenerate command"));
+        let suite = command.strip_prefix("cargo run --release -p skippub-bench --bin bench -- ");
+        assert!(
+            skippub_bench::args::SUITES
+                .iter()
+                .any(|(name, _)| Some(*name) == suite),
+            "{file}: {command:?} runs no suite of `bench`"
+        );
+        assert_eq!(suite, Some(stem), "{file}: regenerated by another suite");
     }
-    assert!(artifacts >= skippub_bench::args::SUITES.len());
+    // One artifact per suite, each naming its own.
+    assert_eq!(artifacts, skippub_bench::args::SUITES.len());
 }

@@ -99,10 +99,10 @@ pub struct Stats {
 }
 
 impl Stats {
-    /// Max/mean ratio of the given per-partition extractor — the
-    /// skew gauge the rebalancer optimizes. `1.0` is a perfectly even
-    /// spread; returns `1.0` when unpartitioned or when every
-    /// partition is at zero (an idle system is not skewed). Computed
+    /// Max/mean ratio of the given per-partition extractor — a skew
+    /// gauge. `1.0` is a perfectly even spread; returns `1.0` when
+    /// unpartitioned or when every partition is at zero (an idle
+    /// system is not skewed). Computed
     /// from the integer counters on demand so `Stats` stays `Eq` and
     /// byte-comparable across thread counts.
     fn imbalance(&self, f: impl Fn(&PartitionStats) -> u64) -> f64 {
@@ -119,7 +119,9 @@ impl Stats {
 
     /// Max/mean imbalance of per-partition *delivered* messages — the
     /// skew the paper's workload induces when hot topics hash onto one
-    /// shard.
+    /// shard. Reported, not acted on: placement is the consistent-hash
+    /// ring's alone, and moving hot topics between shards to even this
+    /// out cost more rounds/s than it won (DESIGN.md §11.2).
     pub fn delivered_imbalance(&self) -> f64 {
         self.imbalance(|p| p.delivered)
     }
@@ -547,7 +549,6 @@ pub struct SystemBuilder {
     shards: usize,
     replicas: usize,
     threads: usize,
-    rebalance_every: u64,
     protocol: ProtocolConfig,
     faults: Option<FaultSpec>,
 }
@@ -563,7 +564,6 @@ impl SystemBuilder {
             shards: 1,
             replicas: 1,
             threads: 1,
-            rebalance_every: 0,
             protocol: ProtocolConfig::default(),
             faults: None,
         }
@@ -612,19 +612,6 @@ impl SystemBuilder {
     pub fn threads(mut self, t: usize) -> Self {
         assert!(t >= 1, "need at least one worker thread");
         self.threads = t;
-        self
-    }
-
-    /// Enables deterministic topic→shard rebalancing on the sharded
-    /// backend: every `r` rounds the backend re-examines the
-    /// per-partition delivered-work counters and moves hot topics off
-    /// overloaded shards (`0`, the default, disables it). The decision
-    /// reads only round-synchronous state, so trajectories stay
-    /// byte-identical across thread counts. The layouts with one
-    /// supervisor (`sim`, `chaos`, `multi-topic`) have nothing to move
-    /// and ignore the knob; mutually exclusive with `replicas ≥ 2`.
-    pub fn rebalance_every(mut self, r: u64) -> Self {
-        self.rebalance_every = r;
         self
     }
 
@@ -702,9 +689,6 @@ impl SystemBuilder {
         };
         b.set_replicas(self.replicas);
         b.set_faults(self.faults.clone());
-        if kind == BackendKind::Sharded {
-            b.set_rebalance_every(self.rebalance_every);
-        }
         b
     }
 

@@ -156,21 +156,6 @@ pub struct PartitionedBackend {
     /// fails over independently: a primary crash only affects its own
     /// sub-interval of topics.
     groups: Vec<ReplicaGroup>,
-    /// Topic → shard placement overrides installed by the deterministic
-    /// rebalancer: the shard whose partition hosts the topic's
-    /// supervisor instance, consulted before the consistent-hash ring.
-    /// Empty until the first rebalance moves a topic.
-    overrides: BTreeMap<u32, u32>,
-    /// Rebalance cadence in rounds (0 = off): at every round multiple,
-    /// per-partition delivered-work deltas are examined and skewed topic
-    /// placements corrected by moving supervisor instances.
-    rebalance_every: u64,
-    /// Completed topic handoffs (for reports and tests).
-    rebalances: u64,
-    /// Per-partition delivered totals at the last rebalance decision —
-    /// the baseline that turns cumulative counters into per-window
-    /// deltas.
-    last_delivered: Vec<u64>,
     /// `(sever index, shard index)` pairs whose scheduled partition has
     /// already taken that shard's supervisor down: each sever window
     /// isolating a shard endpoint fires its replica-group failover
@@ -180,10 +165,10 @@ pub struct PartitionedBackend {
 
 impl PartitionedBackend {
     /// The one constructor: layout `kind` over `world`, with supervisors
-    /// `sup_ids` serving `topics` topics, no replica groups and no
-    /// rebalancing. A non-empty world first rebuilds the checker's member
-    /// index from a world scan (a fresh index is empty and would judge
-    /// against no members).
+    /// `sup_ids` serving `topics` topics and no replica groups. A
+    /// non-empty world first rebuilds the checker's member index from a
+    /// world scan (a fresh index is empty and would judge against no
+    /// members).
     fn over(
         kind: BackendKind,
         world: World<Actor>,
@@ -199,7 +184,6 @@ impl PartitionedBackend {
             kind,
             chaos: ChaosConfig::SYNCHRONOUS,
             shards: SupervisorShards::new(&sup_ids, VNODES),
-            last_delivered: vec![0; world.partition_count()],
             world,
             sup_ids,
             cfg,
@@ -209,9 +193,6 @@ impl PartitionedBackend {
             met: BTreeMap::new(),
             inc: RefCell::new(inc),
             groups: Vec::new(),
-            overrides: BTreeMap::new(),
-            rebalance_every: 0,
-            rebalances: 0,
             sever_fired: BTreeSet::new(),
         }
     }
@@ -273,11 +254,6 @@ impl PartitionedBackend {
     /// `k = 1` disables replication (the paper's model). Call before
     /// driving the system: each replica log starts at the current state.
     pub fn set_replicas(&mut self, k: usize) {
-        assert!(
-            k < 2 || self.rebalance_every == 0,
-            "topic rebalancing and supervisor replication are mutually \
-             exclusive (a handoff would have to transfer the replica log)"
-        );
         for t in 0..self.topics {
             let addr = self.supervisor_for(TopicId(t));
             if let Some(sup) = self.world.node_mut(addr).and_then(Actor::supervisor_mut) {
@@ -406,9 +382,8 @@ impl PartitionedBackend {
 
     /// The address of `topic`'s supervisor instance: lane `topic` of
     /// the supervisor process the consistent-hash ring names (with one
-    /// supervisor the ring has one owner). A rebalance moves the
-    /// instance to another partition, never to another address, so
-    /// every routing decision in the backend goes through here.
+    /// supervisor the ring has one owner). Every routing decision in
+    /// the backend goes through here.
     pub fn supervisor_for(&self, topic: TopicId) -> NodeId {
         topic.at(self.shards.supervisor_for(topic))
     }
@@ -434,31 +409,10 @@ impl PartitionedBackend {
             .filter_map(move |&t| self.subscriber(p, TopicId(t)).map(|s| (TopicId(t), s)))
     }
 
-    /// The shard whose partition hosts `topic`'s supervisor instance: a
-    /// rebalancer override if one is installed, the ring owner otherwise.
+    /// The shard whose partition hosts `topic`'s supervisor instance:
+    /// the ring owner's index.
     fn shard_of(&self, topic: TopicId) -> u32 {
-        match self.overrides.get(&topic.0) {
-            Some(&shard) => shard,
-            None => self.shard_index(self.shards.supervisor_for(topic)),
-        }
-    }
-
-    /// Sets the rebalance cadence in rounds (`0` disables; the initial
-    /// state). Mutually exclusive with supervisor replication: a topic
-    /// handoff moves the supervisor instance but not the shard's replica
-    /// log, so combining the two would desynchronize failover state.
-    pub fn set_rebalance_every(&mut self, every: u64) {
-        assert!(
-            every == 0 || self.groups.is_empty(),
-            "topic rebalancing and supervisor replication are mutually \
-             exclusive (a handoff would have to transfer the replica log)"
-        );
-        self.rebalance_every = every;
-    }
-
-    /// Completed topic handoffs so far.
-    pub fn rebalances(&self) -> u64 {
-        self.rebalances
+        self.shard_index(self.shards.supervisor_for(topic))
     }
 
     /// The underlying world, for white-box probes.
@@ -508,10 +462,15 @@ impl PartitionedBackend {
         let world = World::<Actor>::load(&mut r).map_err(err)?;
         let cursor = EventCursor::load_with(&mut r, &store_of(&world)).map_err(err)?;
         let groups = Vec::<ReplicaGroup>::load(&mut r).map_err(err)?;
-        let overrides = BTreeMap::<u32, u32>::load(&mut r).map_err(err)?;
-        let rebalance_every = u64::load(&mut r).map_err(err)?;
-        let rebalances = u64::load(&mut r).map_err(err)?;
-        let last_delivered = Vec::<u64>::load(&mut r).map_err(err)?;
+        // The retired rebalancer's four positions (`save_snapshot`).
+        let mut reserved = [0u64; 3];
+        for v in &mut reserved {
+            *v = u64::load(&mut r).map_err(err)?;
+        }
+        let baselines = Vec::<u64>::load(&mut r).map_err(err)?;
+        if reserved != [0; 3] || baselines != vec![0; world.partition_count()] {
+            return Err("snapshot holds state of the retired topic→shard rebalancer".to_string());
+        }
         let sever_fired = BTreeSet::<(u64, u64)>::load(&mut r).map_err(err)?;
         r.finish().map_err(err)?;
 
@@ -540,9 +499,6 @@ impl PartitionedBackend {
             if !met.is_empty() {
                 return Err("a one-topic snapshot keeps no detector routing".to_string());
             }
-            if rebalance_every != 0 || rebalances != 0 || !overrides.is_empty() {
-                return Err("a one-topic snapshot has nothing to rebalance".to_string());
-            }
         }
         if sup_ids.iter().collect::<BTreeSet<_>>().len() != shard_count {
             return Err("snapshot lists a supervisor twice".to_string());
@@ -561,11 +517,6 @@ impl PartitionedBackend {
             return Err(
                 "snapshot detector routing names a topic out of range or twice".to_string(),
             );
-        }
-        if overrides.values().any(|&s| s as usize >= shard_count)
-            || last_delivered.len() != partitions
-        {
-            return Err("snapshot rebalancer state disagrees with shard count".to_string());
         }
         let mut b = Self::over(kind, world, topics, sup_ids, cfg);
         for (addr, actor) in b.world.iter() {
@@ -592,10 +543,6 @@ impl PartitionedBackend {
         b.cursor = cursor;
         b.met = met;
         b.groups = groups;
-        b.overrides = overrides;
-        b.rebalance_every = rebalance_every;
-        b.rebalances = rebalances;
-        b.last_delivered = last_delivered;
         b.sever_fired = sever_fired;
         Ok(b)
     }
@@ -611,18 +558,17 @@ impl PartitionedBackend {
 
     /// Runs `n` rounds, identical in every observable (snapshot bytes
     /// included) to `n` [`PubSub::step`] calls — and to any worker
-    /// count. When no round needs facade work in between (no
-    /// replica groups to sync, no rebalance cadence, no scheduled sever
-    /// to watch) the whole batch runs inside the executor, so with
-    /// `threads > 1` the worker scope is spawned once instead of per
-    /// round — how bulk drives (benchmarks, fixed-round warmups) should
-    /// step the backend.
+    /// count. When no round needs facade work in between (no replica
+    /// groups to sync, no scheduled sever to watch) the whole batch runs
+    /// inside the executor, so with `threads > 1` the worker scope is
+    /// spawned once instead of per round — how bulk drives (benchmarks,
+    /// fixed-round warmups) should step the backend.
     pub fn run_rounds(&mut self, n: u64) {
         let severs = self
             .world
             .fault_spec()
             .is_some_and(|spec| !spec.severs.is_empty());
-        if severs || self.rebalance_every != 0 || !self.groups.is_empty() {
+        if severs || !self.groups.is_empty() {
             for _ in 0..n {
                 self.step();
             }
@@ -696,161 +642,6 @@ impl PartitionedBackend {
         }
         self.inc.get_mut().add_member(addr);
         self.bump(topic);
-    }
-
-    /// Fires a rebalance decision when the cadence says so. Decisions
-    /// are a pure function of round-synchronous world state (round
-    /// number, per-partition delivered counters, supervisor databases)
-    /// — never wall clock or worker identity — so outcomes are
-    /// digest-identical for every thread count.
-    fn maybe_rebalance(&mut self) {
-        let r = self.world.round();
-        if self.rebalance_every == 0 || r == 0 || !r.is_multiple_of(self.rebalance_every) {
-            return;
-        }
-        self.rebalance();
-    }
-
-    /// One rebalance decision, applied at a round boundary.
-    ///
-    /// Load model: each partition's delivered-work delta since the last
-    /// decision (the per-partition `Stats` counters) is apportioned over
-    /// the topics it hosts by supervisor-side member count — Zipf-hot
-    /// topics carry most of their shard's delta. A longest-processing-
-    /// time assignment then spreads the loaded topics over shards
-    /// (heaviest first onto the currently lightest shard, ties broken by
-    /// lowest index), and every topic whose assignment differs from its
-    /// current owner is handed off. A hysteresis gate skips the whole
-    /// decision while delivered-work max/mean ≤ 1.25, so a balanced
-    /// system never churns placements.
-    fn rebalance(&mut self) {
-        let parts = self.world.partition_count();
-        let delivered: Vec<u64> = (0..parts)
-            .map(|i| self.world.partition_metrics(i).delivered_total)
-            .collect();
-        let delta: Vec<u64> = delivered
-            .iter()
-            .zip(&self.last_delivered)
-            .map(|(d, l)| d.saturating_sub(*l))
-            .collect();
-        self.last_delivered = delivered;
-        let total: u64 = delta.iter().sum();
-        // A handoff needs a second supervisor to hand to; with several,
-        // every partition has its own (shard index = partition index).
-        if self.sup_ids.len() < 2 || total == 0 {
-            return;
-        }
-        let maxd = *delta.iter().max().expect("parts >= 2");
-        if maxd * (parts as u64) * 4 <= total * 5 {
-            return; // max/mean ≤ 1.25 — balanced enough, don't churn
-        }
-        let owner: Vec<u32> = (0..self.topics)
-            .map(|t| self.shard_of(TopicId(t)))
-            .collect();
-        let members = self.member_counts();
-        let members_of: Vec<u64> = (0..parts)
-            .map(|p| {
-                (0..self.topics as usize)
-                    .filter(|&t| owner[t] == p as u32)
-                    .map(|t| members[t])
-                    .sum()
-            })
-            .collect();
-        let load: Vec<u64> = (0..self.topics as usize)
-            .map(|t| {
-                let p = owner[t] as usize;
-                (delta[p] * members[t])
-                    .checked_div(members_of[p])
-                    .unwrap_or(0)
-            })
-            .collect();
-        let mut hot: Vec<usize> = (0..self.topics as usize).filter(|&t| load[t] > 0).collect();
-        hot.sort_by(|&a, &b| load[b].cmp(&load[a]).then(a.cmp(&b)));
-        let mut new_load = vec![0u64; parts];
-        let mut assign = owner.clone();
-        for t in hot {
-            let best = (0..parts)
-                .min_by_key(|&p| (new_load[p], p))
-                .expect("parts >= 2");
-            assign[t] = best as u32;
-            new_load[best] += load[t];
-        }
-        for t in 0..self.topics {
-            if assign[t as usize] != owner[t as usize] {
-                self.move_topic(TopicId(t), assign[t as usize]);
-            }
-        }
-        self.rebalance_clients();
-    }
-
-    /// Supervisor-side member count of every topic, in topic order.
-    fn member_counts(&self) -> Vec<u64> {
-        (0..self.topics)
-            .map(|t| self.supervisor(TopicId(t)).map_or(0, |s| s.n() as u64))
-            .collect()
-    }
-
-    /// Spreads client processes over partitions, each process's
-    /// instances together. A topic's delivered work (flood fan-out, ring
-    /// probes) runs at its *subscribers*, and subscribers of one topic
-    /// need not be co-located — cross-partition gossip rides the batched
-    /// mailbox path. So after the supervisor instances are placed,
-    /// clients get their own LPT pass: per-process load proxy = Σ
-    /// member-count over the topics it wants membership in (the
-    /// messages a client handles per publish scale with topic size),
-    /// heaviest process first onto the currently lightest partition,
-    /// ties broken by lowest id / lowest partition. Pure function of
-    /// round-synchronous supervisor state, so placement is identical at
-    /// every thread count.
-    fn rebalance_clients(&mut self) {
-        let parts = self.world.partition_count();
-        if parts < 2 {
-            return;
-        }
-        let members = self.member_counts();
-        let mut clients: Vec<(u64, NodeId)> = self
-            .met
-            .keys()
-            .filter_map(|&p| {
-                let mut subs = self.subscriptions(NodeId(p)).peekable();
-                subs.peek()?;
-                let load = subs
-                    .filter(|(_, s)| s.wants_membership)
-                    .map(|(t, _)| members[t.0 as usize])
-                    .sum();
-                Some((load, NodeId(p)))
-            })
-            .collect();
-        clients.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        let mut new_load = vec![0u64; parts];
-        for (load, p) in clients {
-            let best = (0..parts)
-                .min_by_key(|&p| (new_load[p], p))
-                .expect("parts >= 2");
-            // `max(1)` so idle clients still round-robin instead of
-            // piling onto partition 0.
-            new_load[best] += load.max(1);
-            let instances: Vec<NodeId> = self.subscriptions(p).map(|(t, _)| t.at(p)).collect();
-            for addr in instances {
-                self.world.move_node(addr, best as u32);
-            }
-        }
-    }
-
-    /// Hands `topic` off to shard `dest`: its supervisor instance moves
-    /// to `dest`'s partition with its channel and in-flight envelopes
-    /// and keeps its address, so no subscriber is retargeted and no
-    /// message needs forwarding; the override records the placement.
-    /// Client *placement* is handled separately by
-    /// [`Self::rebalance_clients`] — the supervisor instance and the
-    /// subscriber work it fronts are balanced independently.
-    fn move_topic(&mut self, topic: TopicId, dest: u32) {
-        if self.shard_of(topic) == dest {
-            return;
-        }
-        self.world.move_node(self.supervisor_for(topic), dest);
-        self.overrides.insert(topic.0, dest);
-        self.rebalances += 1;
     }
 }
 
@@ -993,7 +784,6 @@ impl PubSub for PartitionedBackend {
     fn step(&mut self) {
         self.world.run_chaos_rounds(1, self.chaos);
         self.sync_groups();
-        self.maybe_rebalance();
         self.watch_severs();
     }
 
@@ -1127,10 +917,14 @@ impl PubSub for PartitionedBackend {
         self.world.save(&mut w);
         self.cursor.save_with(&mut w, &store_of(&self.world));
         self.groups.save(&mut w);
-        self.overrides.save(&mut w);
-        self.rebalance_every.save(&mut w);
-        self.rebalances.save(&mut w);
-        self.last_delivered.save(&mut w);
+        // Format 8 reserves four positions for the retired topic→shard
+        // rebalancer, always at its never-rebalanced values: no placement
+        // override, cadence 0, no handoff, one zero delivered-work
+        // baseline per partition. `from_snapshot` refuses anything else.
+        for _ in 0..3 {
+            0u64.save(&mut w);
+        }
+        vec![0u64; self.world.partition_count()].save(&mut w);
         self.sever_fired.save(&mut w);
         Ok(w.finish(self.backend_name()))
     }
@@ -1152,8 +946,7 @@ impl PubSub for PartitionedBackend {
         self.assert_topic(topic);
         // Every topic instance of the shard owning `topic` dies and is
         // re-installed from the electee's replayed state.
-        let idx = self.shard_index(self.shards.supervisor_for(topic)) as usize;
-        self.fail_shard(idx)
+        self.fail_shard(self.shard_of(topic) as usize)
     }
 }
 

@@ -38,7 +38,7 @@ use skippub_harness::scenario::{
 
 fn usage() -> ! {
     eprintln!(
-        "usage: scenarios <name|all|replay FILE|crash-recovery NAME|supervisor-crash NAME|fault-storm NAME> [--backend sim|chaos|multi-topic|sharded|all] [--seed N] [--rounds N] [--threads N] [--rebalance N] [--faults SPEC] [--out DIR] [--trace FILE] [--snapshot-at R --out-snapshot FILE] [--from-snapshot FILE] [--corrupt K (crash-recovery only)] [--list]"
+        "usage: scenarios <name|all|replay FILE|crash-recovery NAME|supervisor-crash NAME|fault-storm NAME> [--backend sim|chaos|multi-topic|sharded|all] [--seed N] [--rounds N] [--threads N] [--faults SPEC] [--out DIR] [--trace FILE] [--snapshot-at R --out-snapshot FILE] [--from-snapshot FILE] [--corrupt K (crash-recovery only)] [--list]"
     );
     std::process::exit(2);
 }
@@ -91,10 +91,6 @@ struct Overrides {
     /// knob only: delivered sets and reports (minus the config header)
     /// are identical for every value.
     threads: Option<usize>,
-    /// Topic→shard rebalancing cadence (sharded backend only; 0 = off).
-    /// Deterministic: reports are identical for every thread count at
-    /// any fixed cadence.
-    rebalance: Option<u64>,
     /// Ad-hoc link-fault schedule, armed at the run phase exactly like a
     /// builtin's.
     faults: Option<FaultSpec>,
@@ -110,9 +106,6 @@ impl Overrides {
         }
         if let Some(t) = self.threads {
             spec = spec.threads(t);
-        }
-        if let Some(r) = self.rebalance {
-            spec = spec.rebalance_every(r);
         }
         if let Some(f) = &self.faults {
             spec = spec.faults(f.clone());
@@ -198,7 +191,6 @@ fn main() {
     let mut backend_set = false;
     let mut seed: Option<u64> = None;
     let mut threads: Option<usize> = None;
-    let mut rebalance: Option<u64> = None;
     let mut out_dir: Option<String> = None;
     let mut trace_path: Option<String> = None;
     let mut rounds: Option<u64> = None;
@@ -247,14 +239,6 @@ fn main() {
                     fail("--threads needs at least 1");
                 }
                 threads = Some(t);
-                i += 1;
-            }
-            "--rebalance" => {
-                rebalance = Some(
-                    take(&args, i, "--rebalance")
-                        .parse()
-                        .unwrap_or_else(|_| fail("--rebalance needs a round cadence (0 = off)")),
-                );
                 i += 1;
             }
             "--out" => {
@@ -326,8 +310,8 @@ fn main() {
         // A trace fixes its backend, seed, and thread count in the
         // header; overriding them would break byte-identity, so reject
         // rather than ignore.
-        if backend_set || seed.is_some() || threads.is_some() || rebalance.is_some() || trace_path.is_some() {
-            fail("replay takes no --backend/--seed/--threads/--rebalance/--trace (the trace header fixes them)");
+        if backend_set || seed.is_some() || threads.is_some() || trace_path.is_some() {
+            fail("replay takes no --backend/--seed/--threads/--trace (the trace header fixes them)");
         }
         if let Some(msg) = faults_flag_conflict(faults_arg.is_some(), true, false) {
             fail(msg);
@@ -382,7 +366,6 @@ fn main() {
         seed,
         rounds,
         threads,
-        rebalance,
         faults: faults_arg.as_deref().map(|s| {
             FaultSpec::parse_line(s).unwrap_or_else(|e| fail(&format!("--faults: {e}")))
         }),

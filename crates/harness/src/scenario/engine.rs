@@ -72,7 +72,6 @@ pub fn builder_for(spec: &ScenarioSpec) -> SystemBuilder {
         .shards(spec.shards)
         .threads(spec.threads)
         .replicas(spec.replicas)
-        .rebalance_every(spec.rebalance_every)
         .protocol(spec.protocol)
 }
 
@@ -92,34 +91,9 @@ pub(super) fn ensure_supported(
     ))
 }
 
-/// The one "these knobs do not combine" error, for specs and for the
-/// headers of recorded traces: a topic handoff moves a supervisor
-/// instance but not its shard's replica log, so the sharded backend
-/// cannot rebalance replicated supervisors (the other layouts ignore
-/// the cadence).
-pub(super) fn ensure_combinable(
-    kind: BackendKind,
-    replicas: usize,
-    rebalance_every: u64,
-) -> Result<(), String> {
-    if kind == BackendKind::Sharded && rebalance_every > 0 && replicas >= 2 {
-        return Err(format!(
-            "rebalancing (every {rebalance_every} rounds) and supervisor replication \
-             ({replicas} replicas) are mutually exclusive on the sharded backend"
-        ));
-    }
-    Ok(())
-}
-
-/// Both checks, for a spec about to be built as `kind`.
-fn ensure_runnable(spec: &ScenarioSpec, kind: BackendKind) -> Result<(), String> {
-    ensure_supported(&spec.name, spec.topics, kind)?;
-    ensure_combinable(kind, spec.replicas, spec.rebalance_every)
-}
-
 /// Builds the backend and runs the spec on it.
 pub fn run_spec(spec: &ScenarioSpec, kind: BackendKind) -> Result<ScenarioOutcome, String> {
-    ensure_runnable(spec, kind)?;
+    ensure_supported(&spec.name, spec.topics, kind)?;
     let mut ps = builder_for(spec).build(kind);
     Ok(execute(ps.as_mut(), spec, budget_multiplier(kind), None))
 }
@@ -130,7 +104,7 @@ pub fn run_recorded(
     spec: &ScenarioSpec,
     kind: BackendKind,
 ) -> Result<(ScenarioOutcome, Trace), String> {
-    ensure_runnable(spec, kind)?;
+    ensure_supported(&spec.name, spec.topics, kind)?;
     let mut ps = builder_for(spec).build(kind);
     let mut trace = Trace::new(spec, kind);
     let outcome = execute(ps.as_mut(), spec, budget_multiplier(kind), Some(&mut trace));
@@ -156,7 +130,7 @@ pub(super) fn run_twin(
     baseline: &ScenarioSpec,
     kind: BackendKind,
 ) -> Result<[TwinSide; 2], String> {
-    ensure_runnable(spec, kind)?;
+    ensure_supported(&spec.name, spec.topics, kind)?;
     Ok([spec, baseline].map(|spec| {
         let mut ps = builder_for(spec).build(kind);
         (run_on(ps.as_mut(), spec, budget_multiplier(kind)), ps)
@@ -263,7 +237,7 @@ pub fn run_spec_with_snapshot(
     kind: BackendKind,
     at_round: u64,
 ) -> Result<(ScenarioOutcome, WarmStart), String> {
-    ensure_runnable(spec, kind)?;
+    ensure_supported(&spec.name, spec.topics, kind)?;
     let mut ps = builder_for(spec).build(kind);
     let (out, captured) = run_phases(
         ps.as_mut(),
@@ -964,16 +938,6 @@ mod tests {
             warm.crashed = twice.collect();
         });
         assert!(err.contains("twice"), "{err}");
-    }
-
-    #[test]
-    fn rebalancing_a_replicated_sharded_spec_is_an_error_not_a_panic() {
-        let spec = small_spec().replicas(2).rebalance_every(5);
-        let err = run_spec(&spec, BackendKind::Sharded).expect_err("refused");
-        assert!(err.contains("mutually exclusive"), "{err}");
-        assert!(run_spec_with_snapshot(&spec, BackendKind::Sharded, 6).is_err());
-        // The layouts with one supervisor ignore the cadence.
-        assert!(run_spec(&spec, BackendKind::MultiTopic).is_ok());
     }
 
     /// One member's drain: deliveries of `(topic, author, payload)`, in

@@ -131,28 +131,6 @@ pub fn zipf_fanout() -> ScenarioSpec {
         .settle(3_000)
 }
 
-/// `zipf-rebalance`: the `zipf-fanout` skew with deterministic
-/// topic→shard rebalancing enabled (decision every 5 rounds) and a
-/// longer run so the handoffs demonstrably spread the hot topic's
-/// subscriber work — compare the report's `delivered_imbalance`
-/// against `zipf-fanout`'s. Byte-identical at every `--threads` value
-/// (DESIGN.md §11). Multi-topic/sharded backends only; the multi
-/// backend ignores the cadence (single supervisor), so the
-/// cross-backend fingerprint gate still applies.
-pub fn zipf_rebalance() -> ScenarioSpec {
-    ScenarioSpec::new("zipf-rebalance", 0x21FF)
-        .topics(6)
-        .shards(3)
-        .population(24)
-        .popularity(Popularity::Zipf { s: 1.1 })
-        .publishers(6)
-        .publish_prob(0.3)
-        .rounds(30)
-        .rebalance_every(5)
-        .stop(Stop::FixedRounds)
-        .settle(3_000)
-}
-
 /// `shard-churn`: 12 topics consistent-hashed onto 4 supervisor shards
 /// (§1.3) under continuous churn plus a mid-run crash storm. Stresses
 /// shard-local recovery: a crash only perturbs the topics of the rings
@@ -403,7 +381,6 @@ pub fn builtins() -> Vec<ScenarioSpec> {
         adversarial_cold_start(),
         churn_steady(),
         zipf_fanout(),
-        zipf_rebalance(),
         shard_churn(),
         supervisor_crash_churn(),
         supervisor_crash_storm(),

@@ -161,12 +161,6 @@ pub struct ScenarioSpec {
     /// supervisor; `≥ 2` maintains a replica group behind every
     /// supervisor endpoint, enabling [`ScenarioSpec::sup_crash`]).
     pub replicas: usize,
-    /// Topic→shard rebalancing cadence for the sharded backend: every
-    /// `r` rounds hot topics are moved off overloaded shards based on
-    /// the per-partition delivered-work counters (`0` = placement is
-    /// fixed by the consistent-hash ring). Deterministic and
-    /// thread-count-invariant; ignored by single-supervisor backends.
-    pub rebalance_every: u64,
     /// Scheduled supervisor-primary crashes, as `(round, topic)`: at
     /// the start of `round` the primary replica of the supervisor group
     /// responsible for `topic` is killed and a backup takes over. The
@@ -242,7 +236,6 @@ impl ScenarioSpec {
             shards: 1,
             threads: 1,
             replicas: 1,
-            rebalance_every: 0,
             sup_crashes: Vec::new(),
             faults: None,
             protocol: ProtocolConfig::default(),
@@ -289,12 +282,6 @@ impl ScenarioSpec {
     pub fn replicas(mut self, k: usize) -> Self {
         assert!(k >= 1, "need at least one supervisor replica");
         self.replicas = k;
-        self
-    }
-
-    /// Sets the topic→shard rebalancing cadence (`0` = off).
-    pub fn rebalance_every(mut self, r: u64) -> Self {
-        self.rebalance_every = r;
         self
     }
 

@@ -10,9 +10,7 @@
 //! `record → replay → to_json()` is byte-identical — the repro contract
 //! for failures found under scenario workloads.
 
-use super::engine::{
-    assemble_report, ensure_combinable, ensure_supported, stop_met, DeliveredTally, Phases, RunMeta,
-};
+use super::engine::{assemble_report, ensure_supported, stop_met, DeliveredTally, Phases, RunMeta};
 use super::report::{OpCounts, ScenarioReport};
 use super::spec::{is_scenario_name, ScenarioSpec, Stop};
 use skippub_core::pubsub::ops;
@@ -57,9 +55,6 @@ pub struct Trace {
     /// Supervisor replicas per group (recorded so replays rebuild a
     /// replicated backend — `crashsup` ops are no-ops without one).
     pub replicas: usize,
-    /// Topic→shard rebalancing cadence (recorded so replays re-enable
-    /// the rebalancer — placement moves are part of the trajectory).
-    pub rebalance_every: u64,
     /// Link-fault schedule armed at the run phase (recorded so replays
     /// re-arm the same seeded plane — fault fates are part of the
     /// trajectory). `None` = perfect links.
@@ -131,7 +126,6 @@ impl Trace {
             shards: spec.shards,
             threads: spec.threads,
             replicas: spec.replicas,
-            rebalance_every: spec.rebalance_every,
             faults: spec.faults.clone(),
             warm: spec.warm,
             stop: spec.stop,
@@ -151,7 +145,6 @@ impl Trace {
         s.push_str(&format!("shards {}\n", self.shards));
         s.push_str(&format!("threads {}\n", self.threads));
         s.push_str(&format!("replicas {}\n", self.replicas));
-        s.push_str(&format!("rebalance {}\n", self.rebalance_every));
         if let Some(f) = &self.faults {
             s.push_str(&format!("faults {}\n", f.to_line()));
         }
@@ -197,7 +190,6 @@ impl Trace {
         let mut shards = None;
         let mut threads = None;
         let mut replicas = None;
-        let mut rebalance = None;
         let mut faults = None;
         let mut warm = None;
         let mut stop = None;
@@ -223,7 +215,14 @@ impl Trace {
                 "shards" => shards = Some(checked_count(key, rest, MAX_HEADER_COUNT)?),
                 "threads" => threads = Some(checked_count(key, rest, MAX_HEADER_COUNT)?),
                 "replicas" => replicas = Some(checked_count(key, rest, MAX_HEADER_COUNT)?),
-                "rebalance" => rebalance = Some(rest.parse::<u64>().map_err(|e| e.to_string())?),
+                // Written by the retired topic→shard rebalancer; every
+                // trace recorded before its retirement says `rebalance 0`.
+                "rebalance" if rest == "0" => {}
+                "rebalance" => {
+                    return Err(format!(
+                        "rebalance {rest}: the topic→shard rebalancer is retired"
+                    ))
+                }
                 "faults" => faults = Some(FaultSpec::parse_line(rest)?),
                 "warm" => warm = Some(rest.parse::<bool>().map_err(|e| e.to_string())?),
                 "stop" => {
@@ -303,9 +302,6 @@ impl Trace {
             // Absent in traces recorded before supervisor replication
             // existed; an unreplicated backend reproduces them exactly.
             replicas: replicas.unwrap_or(1),
-            // Absent in traces recorded before rebalancing existed; a
-            // fixed ring placement reproduces them exactly.
-            rebalance_every: rebalance.unwrap_or(0),
             // Absent in traces recorded before the fault plane existed
             // (and in every fault-free trace); perfect links reproduce
             // them exactly.
@@ -321,13 +317,11 @@ impl Trace {
     /// the report, whose JSON is byte-identical to the recorded run's.
     pub fn replay(&self) -> Result<ScenarioReport, String> {
         ensure_supported(&self.scenario, self.topics, self.backend)?;
-        ensure_combinable(self.backend, self.replicas, self.rebalance_every)?;
         let builder = SystemBuilder::new(self.seed)
             .topics(self.topics)
             .shards(self.shards)
             .threads(self.threads)
             .replicas(self.replicas)
-            .rebalance_every(self.rebalance_every)
             .protocol(self.protocol);
         let mut ps = builder.build(self.backend);
         self.replay_on(ps.as_mut())
@@ -577,6 +571,16 @@ mod tests {
                 .unwrap_err();
             assert!(err.contains("unknown backend"), "{name:?}: {err}");
         }
+        // Traces recorded while the rebalancer existed carry a
+        // `rebalance 0` header line, which still parses to the same
+        // trace; any other value is refused.
+        assert!(!text.contains("rebalance"), "{text}");
+        let with = |line: &str| text.replace("replicas 1\n", &format!("replicas 1\n{line}\n"));
+        assert_eq!(Trace::parse(&with("rebalance 0")), Ok(trace.clone()));
+        for value in ["5", "00", "x"] {
+            let err = Trace::parse(&with(&format!("rebalance {value}"))).unwrap_err();
+            assert!(err.contains("rebalancer is retired"), "{value:?}: {err}");
+        }
     }
 
     /// A body line naming a topic the header does not serve would make
@@ -629,19 +633,13 @@ mod tests {
             let err = Trace::parse(&text.replace(from, to)).expect_err(to);
             assert!(err.contains("outside 1..="), "{to:?}: {err}");
         }
-        // In range, but more topics than a single-topic backend serves,
-        // or two features the sharded backend cannot combine: parses,
-        // and the replay says no.
+        // In range, but more topics than a single-topic backend serves:
+        // parses, and the replay says no.
         let err = Trace::parse(&text.replace("topics 1\n", "topics 5\n"))
             .expect("parse")
             .replay()
             .expect_err("five topics on the sim backend");
         assert!(err.contains("serves exactly one"), "{err}");
-        let forged = text
-            .replace("backend sim\n", "backend sharded\n")
-            .replace("replicas 1\nrebalance 0\n", "replicas 2\nrebalance 4\n");
-        let err = Trace::parse(&forged).expect("parse").replay().unwrap_err();
-        assert!(err.contains("mutually exclusive"), "{err}");
 
         // A snapshot's protocol configuration is read the same way: a
         // restored world must not panic at its first publish.

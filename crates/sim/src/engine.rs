@@ -27,10 +27,10 @@
 //! # One message pool per partition
 //!
 //! A slot's in-flight messages live in the partition's [`Pool`]: fixed
-//! segments that go back to one spare list when the channel is taken,
-//! cleared by a crash, or drained by a migration, and that any channel's
-//! next push reuses (a taken channel keeps its last segment until the
-//! pool's next trim finds it still empty). Channel memory is
+//! segments that go back to one spare list when the channel is taken
+//! or cleared by a crash, and that any channel's next push reuses (a
+//! taken channel keeps its last segment until the pool's next trim
+//! finds it still empty). Channel memory is
 //! O(messages in flight) plus the handle per slot, however large a
 //! node's past bursts were; what a burst grew goes back within two trim
 //! periods of [`TRIM_ROUNDS`] rounds (see `pool.rs`). The partition's
@@ -324,11 +324,6 @@ struct Meta {
     alive: bool,
 }
 
-/// One slot's in-flight channel: pending messages with their age in
-/// rounds — the unit that travels with a node on cross-partition
-/// migration.
-pub(crate) type Channel<P> = Vec<(u32, <P as Protocol>::Msg)>;
-
 /// One partition of a simulated system: the slab engine.
 ///
 /// In **local-only** mode (the lone partition of a one-partition
@@ -373,7 +368,7 @@ pub(crate) struct Partition<P: Protocol> {
     cross_sent: u64,
     /// Cumulative node activations (live slots visited by a round) —
     /// together with delivered counts, the per-partition work gauge the
-    /// skew rebalancer and imbalance metrics read.
+    /// imbalance metrics read.
     stepped: u64,
     /// Cumulative mailbox lock acquisitions (drains + batched flushes).
     /// Data-determined — one per non-empty destination batch plus one
@@ -482,37 +477,6 @@ impl<P: Protocol> Partition<P> {
                 .expect("live node is ordered");
             self.order.remove(pos);
         }
-    }
-
-    /// Extracts a live node for migration to a sibling partition:
-    /// returns its protocol state and pending channel contents (which
-    /// travel with the node — unlike [`Partition::crash`], nothing is
-    /// consumed). `None` if the node is not hosted here.
-    pub(crate) fn extract_node(&mut self, id: NodeId) -> Option<(P, Channel<P>)> {
-        let s = self.slot_of.remove(&id.0)?;
-        let s = s as usize;
-        let proto = self.protos[s].take().expect("live slot");
-        self.meta[s].alive = false;
-        let mut pending = Vec::new();
-        self.pool.take(&mut self.chans[s], &mut pending);
-        // The take keeps the channel's tail segment; a tombstone needs none.
-        self.pool.clear(&mut self.chans[s]);
-        self.free.push(s as u32);
-        let pos = self
-            .order
-            .binary_search_by_key(&id.0, |&(i, _)| i)
-            .expect("live node is ordered");
-        self.order.remove(pos);
-        Some((proto, pending))
-    }
-
-    /// Installs a node extracted from a sibling partition, restoring
-    /// its pending channel contents (message ages included, so chaos
-    /// aging continues exactly where it left off).
-    pub(crate) fn install_node(&mut self, id: NodeId, proto: P, mut pending: Channel<P>) {
-        self.add_node(id, proto);
-        let s = self.slot_of[&id.0] as usize;
-        self.pool.extend(&mut self.chans[s], &mut pending);
     }
 
     /// Ends a trim period of the pool (see `pool.rs`): hands back pool

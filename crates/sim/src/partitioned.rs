@@ -222,55 +222,6 @@ impl<P: Protocol> World<P> {
         }
     }
 
-    /// Moves a live node to another partition, carrying its pending
-    /// channel contents and re-routing its in-flight mailbox envelopes.
-    /// A no-op for unknown nodes or a same-partition destination.
-    ///
-    /// Call at a round boundary only (outboxes are always flushed
-    /// there). The result is deterministic for every worker count:
-    /// everything moved is data-determined state, and although the
-    /// *order* of envelopes inside a mailbox can differ between runs,
-    /// the destination's drain sorts by `(src, seq)` before delivering.
-    pub fn move_node(&mut self, id: NodeId, dest: u32) {
-        assert!(
-            (dest as usize) < self.partitions.len(),
-            "partition {dest} out of range"
-        );
-        let Some(&old) = self.home.get(&id.0) else {
-            return;
-        };
-        if old == dest {
-            return;
-        }
-        let (proto, pending) = self.partitions[old as usize]
-            .extract_node(id)
-            .expect("home map out of sync");
-        self.partitions[dest as usize].install_node(id, proto, pending);
-        self.home.insert(id.0, dest);
-        // Envelopes already in flight to the node sit in its *old*
-        // partition's mailbox; re-route them so they still arrive.
-        let mut moved: Vec<Envelope<P::Msg>> = Vec::new();
-        {
-            let mut mb = self.mailboxes[old as usize]
-                .lock()
-                .expect("mailbox poisoned");
-            let mut i = 0;
-            while i < mb.len() {
-                if mb[i].to == id {
-                    moved.push(mb.swap_remove(i));
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        if !moved.is_empty() {
-            self.mailboxes[dest as usize]
-                .lock()
-                .expect("mailbox poisoned")
-                .append(&mut moved);
-        }
-    }
-
     /// Whether `id` is currently alive.
     pub fn is_alive(&self, id: NodeId) -> bool {
         self.home.contains_key(&id.0)
@@ -1029,43 +980,6 @@ mod tests {
         assert_eq!(w.partition_of(NodeId(5)), Some(1));
     }
 
-    /// Moving a node between partitions carries its protocol state, its
-    /// pending channel contents, and any in-flight mailbox envelopes —
-    /// a token circulating a ring must survive the hop count exactly,
-    /// no matter when its holder is moved.
-    #[test]
-    fn move_node_preserves_state_channels_and_in_flight_envelopes() {
-        let run = |move_at: Option<u64>| -> (Vec<u64>, u64) {
-            let mut w = ring(6, 3, 1, 31);
-            w.inject(NodeId(0), Token(20));
-            for r in 0..40 {
-                if move_at == Some(r) {
-                    // Mid-run: node 1 may hold queued channel messages
-                    // and have envelopes in flight toward it.
-                    w.move_node(NodeId(1), 2);
-                    assert_eq!(w.partition_of(NodeId(1)), Some(2));
-                }
-                w.run_round();
-            }
-            let seen: Vec<u64> = w.iter().map(|(_, t)| t.tokens_seen).collect();
-            let total = seen.iter().sum::<u64>();
-            (seen, total)
-        };
-        let (baseline_seen, baseline_total) = run(None);
-        assert_eq!(baseline_total, 21, "token must make exactly 21 hops");
-        for move_at in [0, 3, 7, 15] {
-            let (seen, total) = run(Some(move_at));
-            assert_eq!(
-                total, baseline_total,
-                "move at round {move_at} lost or duplicated deliveries"
-            );
-            assert_eq!(
-                seen, baseline_seen,
-                "move at round {move_at} changed per-node delivery counts"
-            );
-        }
-    }
-
     fn storm_spec() -> crate::FaultSpec {
         crate::FaultSpec {
             seed: 77,
@@ -1240,19 +1154,5 @@ mod tests {
         w.run_rounds(40);
         let after: u64 = w.iter().map(|(_, t)| t.tokens_seen).sum();
         assert_eq!(after, during + 21, "post-heal hops must all land");
-    }
-
-    /// A move to the node's current partition and a move of an unknown
-    /// id are both no-ops; a move to an out-of-range partition panics.
-    #[test]
-    fn move_node_edge_cases() {
-        let mut w = ring(4, 2, 1, 37);
-        w.move_node(NodeId(1), 1); // already home
-        assert_eq!(w.partition_of(NodeId(1)), Some(1));
-        w.move_node(NodeId(99), 0); // unknown id
-        assert_eq!(w.partition_of(NodeId(99)), None);
-        let moved =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| w.move_node(NodeId(0), 7)));
-        assert!(moved.is_err(), "out-of-range partition must panic");
     }
 }

@@ -1,21 +1,18 @@
-//! Rebalancing determinism: topic→shard handoffs and subscriber
-//! migration are driven purely by round-synchronous state (round
-//! number, per-partition delivered counters, supervisor databases), so
-//! a zipf-skewed churning workload with rebalancing **enabled** must
-//! stay byte-identical across worker-thread counts — delivered sets,
-//! traffic stats (incl. per-partition), and every topic's final
-//! checker-snapshot digest. A snapshot taken mid-handoff (supervisor
-//! instances freshly moved, subscribers freshly migrated) must
-//! round-trip byte-exactly and continue identically.
+//! Churn determinism of the partitioned backend: placement and every
+//! round are pure functions of IDs and round-synchronous state, so a
+//! zipf-skewed churning workload must stay byte-identical across
+//! worker-thread counts — delivered sets, traffic stats (incl.
+//! per-partition), and every topic's final checker-snapshot digest. A
+//! sharded snapshot taken mid-churn (departures and joins still in
+//! flight) must round-trip byte-exactly and continue identically.
 
 use skippub_core::pubsub::{PartitionedBackend, PubSub};
 use skippub_core::{SystemBuilder, TopicId};
 use skippub_harness::scenario::oracle::topic_digest;
 use skippub_harness::scenario::{self, Popularity, ScenarioSpec, Stop};
 
-/// ~200 rounds of zipf-skewed subscriptions with continuous churn, on
-/// 4 shards with a rebalance decision every 7 rounds — enough skew that
-/// the hysteresis gate opens and handoffs actually fire.
+/// ~200 rounds of zipf-skewed subscriptions with continuous churn on
+/// 4 partitions.
 fn zipf_churn_spec(name: &'static str) -> ScenarioSpec {
     ScenarioSpec::new(name, 0x5EED_BA1A)
         .topics(8)
@@ -28,24 +25,19 @@ fn zipf_churn_spec(name: &'static str) -> ScenarioSpec {
         .departures_per_round(0.25)
         .rounds(200)
         .stop(Stop::FixedRounds)
-        .rebalance_every(7)
 }
 
 /// Both layouts of the partitioned backend, threads 1/2/4/8: delivered
 /// sets, stats (incl. per-partition) and checker digests must be
-/// byte-identical. On the sharded layout the run must also have
-/// performed at least one handoff, or the test would vacuously pass
-/// without exercising migration; the multi-topic layout has one
-/// supervisor, so nothing can move and the cadence is not applied —
-/// but its partitioned execution must be exact just the same.
+/// byte-identical.
 #[test]
 fn both_layouts_are_byte_identical_across_thread_counts() {
     type Build = fn(&SystemBuilder) -> PartitionedBackend;
-    let layouts: [(&str, Build, bool); 2] = [
-        ("rebalance-determinism-sharded", SystemBuilder::build_sharded, true),
-        ("rebalance-determinism-multi", SystemBuilder::build_multi, false),
+    let layouts: [(&str, Build); 2] = [
+        ("churn-determinism-sharded", SystemBuilder::build_sharded),
+        ("churn-determinism-multi", SystemBuilder::build_multi),
     ];
-    for (name, build, rebalances) in layouts {
+    for (name, build) in layouts {
         let base = zipf_churn_spec(name);
         let mut reference: Option<(scenario::ScenarioOutcome, Vec<String>)> = None;
         for threads in [1usize, 2, 4, 8] {
@@ -53,11 +45,6 @@ fn both_layouts_are_byte_identical_across_thread_counts() {
             let mut ps = build(&scenario::builder_for(&spec));
             let out = scenario::run_on(&mut ps, &spec, 1);
             assert!(out.report.ok(), "{name} threads={threads}: {}", out.report.to_json());
-            assert_eq!(
-                ps.rebalances() > 0,
-                rebalances,
-                "{name} threads={threads}: the zipf skew must trigger a handoff iff there is a second supervisor"
-            );
             let digests: Vec<String> = (0..spec.topics)
                 .map(|t| topic_digest(&ps, TopicId(t)))
                 .collect();
@@ -86,40 +73,39 @@ fn both_layouts_are_byte_identical_across_thread_counts() {
     }
 }
 
-/// Snapshot round-trip mid-handoff: run a skewed population until the
-/// first rebalance decision fires (supervisor instances and clients
-/// freshly migrated), save, restore, re-save — the re-saved snapshot
-/// must be byte-equal — then continue both runs and require identical
-/// stats, rebalance counts, and checker digests.
+/// Snapshot round-trip mid-churn: a skewed sharded population under
+/// publishes, leaves and joins every round is saved with departures and
+/// joins still in flight, restored and re-saved — the re-saved snapshot
+/// must be byte-equal — then both runs continue through more churn and
+/// must keep identical stats, checker digests and final snapshots.
 #[test]
-fn snapshot_round_trips_mid_handoff() {
+fn snapshot_round_trips_mid_churn() {
     let topics: u32 = 8;
-    let build = || {
-        SystemBuilder::new(0xAB5EED)
-            .topics(topics)
-            .shards(4)
-            .rebalance_every(5)
-            .build_sharded()
-    };
-    let mut ps = build();
+    let mut ps = SystemBuilder::new(0xAB5EED)
+        .topics(topics)
+        .shards(4)
+        .build_sharded();
     // Skewed population: half the clients on topic 0 (trailing-zeros
-    // popularity), so one shard starts overloaded.
-    let mut publishers = Vec::new();
-    for i in 0u64..48 {
-        let t = TopicId((i + 1).trailing_zeros().min(topics - 1));
-        let id = ps.subscribe(t);
-        if i < 4 {
-            publishers.push((id, t));
+    // popularity), so one shard carries most of the work.
+    let clients: Vec<_> = (0u64..48)
+        .map(|i| {
+            let t = TopicId((i + 1).trailing_zeros().min(topics - 1));
+            (ps.subscribe(t), t)
+        })
+        .collect();
+    // Round `r`: the first four clients publish, one of the others
+    // leaves its topic and a newcomer joins topic `r mod topics`.
+    let churn = |ps: &mut dyn PubSub, r: u8| {
+        for &(id, t) in &clients[..4] {
+            ps.publish(id, t, vec![r]);
         }
-    }
-    let mut round = 0u8;
-    while ps.rebalances() == 0 {
-        assert!(round < 100, "skew never triggered a rebalance");
-        for &(id, t) in &publishers {
-            ps.publish(id, t, vec![round]);
-        }
+        let (id, t) = clients[4 + usize::from(r) % 44];
+        ps.unsubscribe(id, t);
+        ps.subscribe(TopicId(u32::from(r) % topics));
         ps.step();
-        round += 1;
+    };
+    for r in 0..12 {
+        churn(&mut ps, r);
     }
 
     let saved = ps.save_snapshot().expect("sharded snapshots");
@@ -130,21 +116,13 @@ fn snapshot_round_trips_mid_handoff() {
     assert_eq!(
         saved.as_text(),
         resaved.as_text(),
-        "mid-handoff snapshot must re-serialize byte-identically"
+        "mid-churn snapshot must re-serialize byte-identically"
     );
 
-    // Both runs continue through more traffic and further rebalance
-    // decisions; every observable must stay identical.
-    let continue_run = |ps: &mut dyn PubSub| {
-        for r in 0..50u8 {
-            for &(id, t) in &publishers {
-                ps.publish(id, t, vec![200u8.wrapping_add(r)]);
-            }
-            ps.step();
-        }
-    };
-    continue_run(&mut ps);
-    continue_run(restored.as_mut());
+    for r in 12..60 {
+        churn(&mut ps, r);
+        churn(restored.as_mut(), r);
+    }
     assert_eq!(ps.stats(), restored.stats(), "continued stats diverge");
     let digests = |ps: &dyn PubSub| -> Vec<String> {
         (0..topics)

@@ -2,7 +2,7 @@
 //!
 //! * `run_rounds(n)` is observably `n × step()` — failover counts and
 //!   snapshot bytes included — whatever per-round facade work (replica
-//!   sync, rebalance decisions, sever watching) falls inside the batch;
+//!   sync, sever watching) falls inside the batch;
 //! * restoring an internally inconsistent snapshot is an `Err`, never a
 //!   panic at restore or at a later facade call (ROADMAP item 5a).
 
@@ -46,12 +46,6 @@ fn run_rounds_is_n_single_steps() {
             base.clone().replicas(2),
             true,
             1,
-        ),
-        (
-            "rebalancing, sever inside the batch",
-            base.clone().rebalance_every(4),
-            true,
-            0,
         ),
         ("replicated, no faults", base.clone().replicas(2), false, 0),
         ("plain", base, false, 0),
@@ -181,9 +175,11 @@ fn spliced(text: &str, idx: usize, n: usize, with: &[&str]) -> String {
 }
 
 /// Every layout writes one body; a `sim` or `chaos` tag on it promises
-/// one topic, one partition, the supervisor `[0]`, no detector routing,
-/// no rebalancer and a scheduler that agrees with the tag. A body that
-/// breaks any of those promises is an `Err`.
+/// one topic, one partition, the supervisor `[0]`, no detector routing
+/// and a scheduler that agrees with the tag. A body that breaks any of
+/// those promises is an `Err`. On every layout the four positions the
+/// retired topic→shard rebalancer wrote must hold its never-rebalanced
+/// values.
 #[test]
 fn one_topic_tags_on_other_layouts_are_rejected() {
     let sim = || {
@@ -207,8 +203,9 @@ fn one_topic_tags_on_other_layouts_are_rejected() {
     let toks: Vec<&str> = text.split_ascii_whitespace().collect();
     assert_eq!(toks[3..5], ["0", "0"], "{text}");
     assert_eq!(toks[12..18], ["1", "2", "1", "0", "0", "1"], "{text}");
-    // The body ends `… groups overrides rebalance_every rebalances
-    // last_delivered sever_fired`: `0 0 0 0 1 0 0`.
+    // The body ends `… groups`, the retired rebalancer's placement
+    // overrides, cadence, handoff count and per-partition delivered
+    // baselines, then `sever_fired`: `0 0 0 0 1 0 0`.
     let end = toks.len();
     assert_eq!(
         toks[end - 7..],
@@ -220,10 +217,14 @@ fn one_topic_tags_on_other_layouts_are_rejected() {
         ps.subscribe(TopicId(0));
         ps.save_snapshot().expect("snapshot")
     };
-    let sharded = SystemBuilder::new(11)
-        .build_sharded()
-        .save_snapshot()
-        .unwrap();
+    let sharded = |shards: usize| {
+        let mut ps = SystemBuilder::new(11)
+            .topics(4)
+            .shards(shards)
+            .build_sharded();
+        ps.subscribe(TopicId(0));
+        ps.save_snapshot().expect("snapshot")
+    };
     // (what is wrong, the mutated text, what the error must name)
     let hostile = [
         (
@@ -243,23 +244,13 @@ fn one_topic_tags_on_other_layouts_are_rejected() {
         ),
         (
             "the sharded supervisor list",
-            retagged(&sharded, "sim"),
+            retagged(&sharded(1), "sim"),
             "supervisor list",
         ),
         (
             "detector routing",
             retagged(&multi(1), "sim"),
             "no detector routing",
-        ),
-        (
-            "a rebalance cadence",
-            with_token(text, end - 5, "4"),
-            "nothing to rebalance",
-        ),
-        (
-            "an override",
-            spliced(text, end - 6, 1, &["1", "0", "0"]),
-            "nothing to rebalance",
         ),
         (
             "no chaos config under a chaos tag",
@@ -291,5 +282,47 @@ fn one_topic_tags_on_other_layouts_are_rejected() {
             err.contains(names),
             "{what}: rejected for another reason: {err}"
         );
+    }
+
+    // The rebalancer's positions, on a one-topic body and on a sharded
+    // body of two partitions.
+    for (layout, snap, partitions) in [("sim", sim, 1), ("sharded", sharded(2), 2)] {
+        let text = snap.as_text();
+        restore(&snap).expect("the unmutated snapshot restores");
+        let toks: Vec<&str> = text.split_ascii_whitespace().collect();
+        // Index of the overrides' length: the cadence, the handoff
+        // count, the baselines' length, the baselines and `sever_fired`
+        // follow.
+        let overrides = toks.len() - partitions - 5;
+        let mut zeros = vec![0; partitions + 5];
+        zeros[3] = partitions;
+        let zeros: Vec<String> = zeros.iter().map(usize::to_string).collect();
+        assert_eq!(toks[overrides..], zeros, "{layout}: {text}");
+        let fewer = (partitions - 1).to_string();
+        let mut fewer_baselines = vec![fewer.as_str()];
+        fewer_baselines.resize(partitions, "0");
+        let hostile = [
+            (
+                "a placement override",
+                spliced(text, overrides, 1, &["1", "0", "0"]),
+            ),
+            ("a rebalance cadence", with_token(text, overrides + 1, "4")),
+            ("a handoff count", with_token(text, overrides + 2, "3")),
+            ("a delivered baseline", with_token(text, overrides + 4, "9")),
+            (
+                "one baseline too few",
+                spliced(text, overrides + 3, partitions + 1, &fewer_baselines),
+            ),
+        ];
+        for (what, text) in hostile {
+            let snap = BackendSnapshot::from_text(&text).expect("header still parses");
+            let err = restore(&snap)
+                .err()
+                .unwrap_or_else(|| panic!("{layout}, {what}: restore must return Err"));
+            assert!(
+                err.contains("retired topic→shard rebalancer"),
+                "{layout}, {what}: rejected for another reason: {err}"
+            );
+        }
     }
 }
